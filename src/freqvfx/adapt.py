@@ -1,20 +1,14 @@
 """Stage-2 test-time training of the vfx embedding tokens.
 
 Only the embedding receives updates; backbone, router, and experts stay
-frozen (verified by hashing in the tests). Each step draws a timestep from
-the mid-schedule window and noise, builds a noisy generated latent and a
-noisy reference latent (sharing the noise draw by default), and minimizes
-the L1 distance between their joint frequency descriptors.
-
-Two constructions of the generated branch are available:
-
-* "unroll" (default): a short differentiable sampler run produces the current
-  generation from a fixed sampling seed, then it is forward-noised to t. At
-  the self-reference fixpoint (reference equals the model's own sample under
-  the same seed policy) the loss is exactly zero and stays there.
-* "onestep": one denoiser evaluation on a noised anchor sample predicts the
-  clean latent, which is re-noised with the shared eps. Cheaper per step; the
-  anchor is refreshed from a detached sampler run every `refresh_every` steps.
+frozen (verified by hashing in the tests). Each step runs a short
+differentiable sampler from a fixed sampling seed to produce the current
+generation. For each of `n_draws` draws it picks a timestep from the
+mid-schedule window and one noise draw, forward-noises both the generation and
+the reference with that same noise, and takes the L1 distance between their
+joint frequency descriptors; the step minimizes the mean over draws. At the
+self-reference fixpoint (reference equals the model's own sample under the same
+seed policy) the loss is exactly zero and stays there.
 """
 
 from __future__ import annotations
@@ -26,15 +20,14 @@ import numpy as np
 
 from . import tensor as fx
 from .config import AdaptConfig, SpectralConfig
-from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step
-from .errors import AdaptationDivergedError, NumericGuardError, ParameterError, ShapeError
+# unused here, but bench/spans.py traces stage 2 by wrapping freqvfx.adapt.denoise_step
+from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step  # noqa: F401
+from .errors import AdaptationDivergedError, ParameterError, ShapeError
 from .sampling import sample
 from .schedule import NoiseSchedule, forward_noise
 from .spectral import EPS_DEFAULT, SIGMA1_DEFAULT, SIGMA2_DEFAULT, joint_descriptor
 from .tensor import Tensor
 from .train import AdamW
-
-ALPHA_GUARD = 1e-4
 
 
 @dataclass
@@ -70,33 +63,6 @@ def reference_latents(ref_video, t, eps, schedule: NoiseSchedule) -> Tensor:
     """Noise the clean reference to timestep t (never part of the gradient path)."""
     ref = ref_video.detach() if isinstance(ref_video, Tensor) else Tensor(np.asarray(ref_video))
     return forward_noise(ref, t, eps, schedule)
-
-
-def gen_latents_for_adapt(anchor_z0, cond: Conditioning, t: int, eps,
-                          schedule: NoiseSchedule, params: DenoiserParams,
-                          stack: AdapterStack | None, *,
-                          cross_bias: np.ndarray | None = None,
-                          predictor=None) -> Tensor:
-    """One-step construction of the noisy generated latent at timestep t.
-
-    The anchor (current generation, treated as constant) is noised to t, one
-    denoiser call predicts the clean latent hat_z0 = (z_t - sigma_t eps_hat) / alpha_t,
-    and hat_z0 is re-noised with the same eps. Gradients flow only through eps_hat.
-    """
-    alpha, sigma = schedule.coefficients(int(t))
-    if alpha < ALPHA_GUARD:
-        raise NumericGuardError(
-            f"alpha_t = {alpha:.3e} at t={int(t)} is below the {ALPHA_GUARD} guard; "
-            "pick a timestep with more signal")
-    anchor = anchor_z0.detach() if isinstance(anchor_z0, Tensor) else Tensor(np.asarray(anchor_z0))
-    eps_t = eps if isinstance(eps, Tensor) else Tensor(np.asarray(eps, dtype=anchor.dtype))
-    z_in = forward_noise(anchor, int(t), eps_t, schedule)
-    if predictor is not None:
-        eps_hat = predictor(z_in, int(t), cond)
-    else:
-        eps_hat = denoise_step(z_in, int(t), cond, params, stack, cross_bias=cross_bias)
-    hat_z0 = (z_in - float(sigma) * eps_hat) / float(alpha)
-    return forward_noise(hat_z0, int(t), eps_t, schedule)
 
 
 @dataclass
@@ -143,43 +109,25 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
                 eps=config.adam_eps, weight_decay=config.weight_decay)
     window = timestep_window(schedule, config.t_low_frac, config.t_high_frac)
     shape = ref.shape
-    anchor = None
     result = AdaptResult(embedding=embedding)
 
     for step in range(config.steps):
         cond_e = cond.with_vfx(embedding.tokens)
 
         with fx.Tape() as tape:
-            gen0 = None
-            if config.mode == "unroll":
-                gen0 = sample(params, stack, schedule, cond_e, steps=config.sample_steps,
-                              cfg_scale=config.sample_cfg, seed=config.sample_seed).video
-            elif anchor is None or step % max(1, config.refresh_every) == 0:
-                with fx.pause_tape():
-                    anchor = sample(params, stack, schedule, cond_e,
-                                    steps=config.sample_steps, cfg_scale=config.sample_cfg,
-                                    seed=config.sample_seed).video.detach()
+            gen0 = sample(params, stack, schedule, cond_e, steps=config.sample_steps,
+                          cfg_scale=config.sample_cfg, seed=config.sample_seed).video
             total = None
             first_t = 0
             for draw in range(config.n_draws):
                 t = int(rng.choice(window))
-                eps = rng.standard_normal(shape).astype(np.float32)
-                eps_ref = eps if config.shared_noise else \
-                    rng.standard_normal(shape).astype(np.float32)
+                eps = Tensor(rng.standard_normal(shape).astype(np.float32))
                 if draw == 0:
                     first_t = t
-                if config.mode == "unroll":
-                    z_gen = forward_noise(gen0, t, Tensor(eps), schedule)
-                else:
-                    z_gen = gen_latents_for_adapt(anchor, cond_e, t, eps, schedule,
-                                                  params, stack)
-                z_ref = reference_latents(ref, t, Tensor(eps_ref), schedule)
+                z_gen = forward_noise(gen0, t, eps, schedule)
+                z_ref = reference_latents(ref, t, eps, schedule)
                 term = freq_constraint_loss(z_gen, z_ref, spectral.sigma1, spectral.sigma2,
                                             spectral.epsilon)
-                if config.lambda_diffusion > 0.0:
-                    eps_hat_ref = denoise_step(z_ref.detach(), t, cond_e, params, stack)
-                    denoise_term = fx.reduce_mean(fx.square(eps_hat_ref - Tensor(eps_ref)))
-                    term = term + config.lambda_diffusion * fx.cast(denoise_term, term.dtype)
                 total = term if total is None else total + term
             loss = total if config.n_draws == 1 else total * (1.0 / config.n_draws)
 

@@ -26,8 +26,7 @@ import sys
 
 import numpy as np
 
-from . import tensor as fx
-from .adapt import VfxEmbedding, adapt
+from .adapt import adapt
 from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict, to_dict
 from .container import (RunManifest, check_config_compatible, load_checkpoint_arrays,
                         manifest_path_for, read_container_file, read_manifest,
@@ -107,11 +106,8 @@ def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
     return samples
 
 
-def _restore_model(checkpoint_path: str):
-    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
-    manifest = read_manifest(manifest_path_for(checkpoint_path))
-    model_cfg = from_dict(ModelConfig, manifest.config["model"])
-    rng = np.random.default_rng(0)
+def _build_model(model_cfg: ModelConfig, rng: np.random.Generator):
+    """Backbone, then adapter stack, drawn from `rng` in that order."""
     params = build_denoiser(rng, latent_shape=tuple(model_cfg.latent_shape),
                             width=model_cfg.width, n_blocks=model_cfg.n_blocks,
                             patch=model_cfg.patch, num_steps=model_cfg.num_steps,
@@ -121,6 +117,14 @@ def _restore_model(checkpoint_path: str):
                                 total_rank=model_cfg.total_rank, top_k=model_cfg.top_k,
                                 alpha=model_cfg.alpha, tau=model_cfg.tau,
                                 router_hidden=model_cfg.router_hidden)
+    return params, stack
+
+
+def _restore_model(checkpoint_path: str):
+    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
+    manifest = read_manifest(manifest_path_for(checkpoint_path))
+    model_cfg = from_dict(ModelConfig, manifest.config["model"])
+    params, stack = _build_model(model_cfg, np.random.default_rng(0))
     entries = load_checkpoint_arrays(checkpoint_path)
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
@@ -189,26 +193,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
 
-    entries = read_container_file(args.input)
-    samples = _samples_from_entries(entries)
-
-    class _Loaded:
-        pass
-
-    dataset = _Loaded()
-    dataset.samples = samples
-
-    rng = np.random.default_rng(train_cfg.seed)
-    params = build_denoiser(rng, latent_shape=tuple(model.latent_shape),
-                            width=model.width, n_blocks=model.n_blocks,
-                            patch=model.patch, num_steps=model.num_steps,
-                            diag_bias=model.diag_bias, cross_gain=model.cross_gain)
-    stack = build_adapter_stack(rng, params, n_experts=model.n_experts,
-                                total_rank=model.total_rank, top_k=model.top_k,
-                                alpha=model.alpha, tau=model.tau,
-                                router_hidden=model.router_hidden)
+    samples = _samples_from_entries(read_container_file(args.input))
+    params, stack = _build_model(model, np.random.default_rng(train_cfg.seed))
     schedule = NoiseSchedule.cosine(model.num_steps)
-    result = train_stage1(dataset, train_cfg, params, stack, schedule)
+    result = train_stage1(samples, train_cfg, params, stack, schedule)
 
     first, last = smoothed_endpoints(result.losses)
     extra = {

@@ -53,24 +53,22 @@ class AdaptConfig:
     betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     seed: int = 0
-    mode: str = "unroll"  # "unroll": differentiable short sampler; "onestep": re-noised one-step prediction
+    mode: str = "unroll"  # the only construction; kept so configs that name it still load
     sample_steps: int = 8
     sample_cfg: float = 1.0
     sample_seed: int = 0
-    refresh_every: int = 1  # onestep mode: how often the anchor sample is refreshed
-    shared_noise: bool = True
     t_low_frac: float = 0.25
     t_high_frac: float = 0.75
     n_draws: int = 1  # (t, eps) draws averaged into each step's loss
     embed_tokens: int = 16
     embed_std: float = 0.02
-    lambda_diffusion: float = 0.0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ParameterError(f"adaptation needs steps >= 1, got {self.steps}")
-        if self.mode not in ("unroll", "onestep"):
-            raise ParameterError(f"unknown adaptation mode {self.mode!r}")
+        if self.mode != "unroll":
+            raise ParameterError(
+                f"unknown adaptation mode {self.mode!r}; the only mode is 'unroll'")
         if not 0.0 <= self.t_low_frac < self.t_high_frac <= 1.0:
             raise ParameterError("timestep window fractions must satisfy 0 <= low < high <= 1")
         if self.n_draws < 1:

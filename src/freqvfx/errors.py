@@ -28,7 +28,9 @@ class NumericGuardError(FreqVfxError, ArithmeticError):
 
 
 class TapeConsistencyError(FreqVfxError, RuntimeError):
-    """Tape replay produced different bytes than the recorded forward pass."""
+    """The tape machinery broke an internal invariant: an unbalanced tape
+    enter/exit corrupted the tape stack, or a vjp returned a gradient whose
+    shape differs from its input's."""
 
 
 class TrainingDivergedError(FreqVfxError, RuntimeError):

@@ -1,11 +1,12 @@
 """Dense tensors over numpy with a recording tape for reverse-mode gradients.
 
 The design is a Wengert list: every differentiable operation executed while a
-Tape is active appends one node (inputs, output, a forward closure for replay,
-and a vjp closure). `backward` walks the list once in reverse and returns a
-gradient for every watched leaf. Reduction order inside a single op is
-whatever numpy does, which is deterministic run to run on the same machine;
-no op here introduces platform-dependent nondeterminism of its own.
+Tape is active appends one node (inputs, output and a vjp closure); the forward
+value is computed once, eagerly, and never re-run. `backward` walks the list
+once in reverse and returns a gradient for every watched leaf. Reduction order
+inside a single op is whatever numpy does, which is deterministic run to run on
+the same machine; no op here introduces platform-dependent nondeterminism of
+its own.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -138,13 +139,12 @@ def parameter(data, dtype=None, name: str | None = None) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "out", "forward", "vjp", "needs_grad")
+    __slots__ = ("op", "inputs", "out", "vjp", "needs_grad")
 
-    def __init__(self, op, inputs, out, forward, vjp, needs_grad):
+    def __init__(self, op, inputs, out, vjp, needs_grad):
         self.op = op
         self.inputs = inputs
         self.out = out
-        self.forward = forward
         self.vjp = vjp
         self.needs_grad = needs_grad
 
@@ -189,7 +189,6 @@ class pause_tape:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            forward: Callable[[], np.ndarray],
             vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
@@ -199,7 +198,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
         for t in inputs:
             if t.requires_grad and t._producer_tape_id != id(tape):
                 tape.watch(t)
-        tape.nodes.append(_Node(op, tuple(inputs), out, forward, vjp, needs))
+        tape.nodes.append(_Node(op, tuple(inputs), out, vjp, needs))
     return out
 
 
@@ -245,7 +244,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record("add", (a, b), out, lambda: a.data + b.data, vjp)
+    return _record("add", (a, b), out, vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -255,7 +254,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record("sub", (a, b), out, lambda: a.data - b.data, vjp)
+    return _record("sub", (a, b), out, vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -268,7 +267,7 @@ def mul(a, b) -> Tensor:
         gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record("mul", (a, b), out, lambda: a.data * b.data, vjp)
+    return _record("mul", (a, b), out, vjp)
 
 
 def div(a, b) -> Tensor:
@@ -281,12 +280,12 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record("div", (a, b), out, lambda: a.data / b.data, vjp)
+    return _record("div", (a, b), out, vjp)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _record("neg", (a,), -a.data, lambda: -a.data, lambda g: (-g,))
+    return _record("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def square(a) -> Tensor:
@@ -296,7 +295,7 @@ def square(a) -> Tensor:
     def vjp(g):
         return (2.0 * g * ad,)
 
-    return _record("square", (a,), ad * ad, lambda: a.data * a.data, vjp)
+    return _record("square", (a,), ad * ad, vjp)
 
 
 def absolute(a) -> Tensor:
@@ -307,7 +306,7 @@ def absolute(a) -> Tensor:
     def vjp(g):
         return (g * np.sign(ad),)
 
-    return _record("abs", (a,), np.abs(ad), lambda: np.abs(a.data), vjp)
+    return _record("abs", (a,), np.abs(ad), vjp)
 
 
 def log1p(a) -> Tensor:
@@ -318,18 +317,17 @@ def log1p(a) -> Tensor:
     def vjp(g):
         return (g / (1.0 + ad),)
 
-    return _record("log1p", (a,), np.log1p(ad), lambda: np.log1p(a.data), vjp)
+    return _record("log1p", (a,), np.log1p(ad), vjp)
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-    out_saved = out
 
     def vjp(g):
-        return (g / (2.0 * out_saved),)
+        return (g / (2.0 * out),)
 
-    return _record("sqrt", (a,), out, lambda: np.sqrt(a.data), vjp)
+    return _record("sqrt", (a,), out, vjp)
 
 
 def cast(a, dtype) -> Tensor:
@@ -343,7 +341,7 @@ def cast(a, dtype) -> Tensor:
     def vjp(g):
         return (g.astype(in_dtype),)
 
-    return _record("cast", (a,), a.data.astype(dtype), lambda: a.data.astype(dtype), vjp)
+    return _record("cast", (a,), a.data.astype(dtype), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -353,9 +351,7 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     a = _as_tensor(a)
     ad = a.data
-
-    def f(x):
-        return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x ** 3)))
+    out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
 
     def vjp(g):
         x = ad
@@ -364,7 +360,7 @@ def gelu(a) -> Tensor:
         du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du),)
 
-    return _record("gelu", (a,), f(ad), lambda: f(a.data), vjp)
+    return _record("gelu", (a,), out, vjp)
 
 
 def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
@@ -372,20 +368,15 @@ def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {tau}")
     a = _as_tensor(a)
-
-    def f(x):
-        z = (x - np.max(x, axis=axis, keepdims=True)) / tau
-        e = np.exp(z)
-        return e / np.sum(e, axis=axis, keepdims=True)
-
-    out = f(a.data)
-    y = out
+    z = (a.data - np.max(a.data, axis=axis, keepdims=True)) / tau
+    e = np.exp(z)
+    out = e / np.sum(e, axis=axis, keepdims=True)
 
     def vjp(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return ((y * (g - dot)) / tau,)
+        dot = np.sum(g * out, axis=axis, keepdims=True)
+        return ((out * (g - dot)) / tau,)
 
-    return _record("softmax", (a,), out, lambda: f(a.data), vjp)
+    return _record("softmax", (a,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     def vjp(g):
         return (g.reshape(in_shape),)
 
-    return _record("reshape", (a,), out, lambda: a.data.reshape(shape), vjp)
+    return _record("reshape", (a,), out, vjp)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -417,8 +408,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     def vjp(g):
         return (np.transpose(g, inv),)
 
-    return _record("transpose", (a,), np.transpose(a.data, axes),
-                   lambda: np.transpose(a.data, axes), vjp)
+    return _record("transpose", (a,), np.transpose(a.data, axes), vjp)
 
 
 def swap_last2(a) -> Tensor:
@@ -441,8 +431,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     def vjp(g):
         return (_unbroadcast(g, in_shape),)
 
-    return _record("broadcast_to", (a,), out,
-                   lambda: np.broadcast_to(a.data, shape).copy(), vjp)
+    return _record("broadcast_to", (a,), out, vjp)
 
 
 def concat(parts: Iterable, axis: int = 0) -> Tensor:
@@ -470,8 +459,7 @@ def concat(parts: Iterable, axis: int = 0) -> Tensor:
             off += s
         return grads
 
-    return _record("concat", tuple(parts), out,
-                   lambda: np.concatenate([p.data for p in parts], axis=ax), vjp)
+    return _record("concat", tuple(parts), out, vjp)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -492,7 +480,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _record("slice", (a,), a.data[idx].copy(), lambda: a.data[idx].copy(), vjp)
+    return _record("slice", (a,), a.data[idx].copy(), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +508,13 @@ def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
     in_shape = a.shape
 
-    def f(x):
-        return np.sum(x, axis=ax, keepdims=keepdims)
-
     def vjp(g):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return _record("sum", (a,), f(a.data), lambda: f(a.data), vjp)
+    return _record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), vjp)
 
 
 def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -542,16 +527,13 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
         raise ShapeError("mean over zero elements")
     in_shape = a.shape
 
-    def f(x):
-        return np.mean(x, axis=ax, keepdims=keepdims)
-
     def vjp(g):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
         return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
 
-    return _record("mean", (a,), f(a.data), lambda: f(a.data), vjp)
+    return _record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), vjp)
 
 
 def reduce_sum_sq(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -583,7 +565,7 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _record("matmul", (a, b), out, lambda: a.data @ b.data, vjp)
+    return _record("matmul", (a, b), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +590,7 @@ def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
 
     Row i holds the weights contributing to output i; clamped taps accumulate
     onto the edge columns, so every row sums to 1 and constants pass through.
+    The array is cached and shared, so it is read-only; copy it to modify it.
     """
     if n < 1:
         raise ShapeError(f"blur needs at least one sample per axis, got {n}")
@@ -624,6 +607,7 @@ def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
             m[i, j] += k[off + radius]
     m /= m.sum(axis=1, keepdims=True)
     m = m.astype(dtype)
+    m.setflags(write=False)
     _BLUR_CACHE[key] = m
     return m
 
@@ -652,7 +636,7 @@ def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward / replay
+# backward
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
@@ -685,19 +669,3 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
         out[leaf] = Tensor(np.asarray(g, dtype=leaf.dtype))
     return out
 
-
-def replay(tape: Tape) -> int:
-    """Re-run every recorded op and verify outputs byte-for-byte.
-
-    Valid while the tape's leaf inputs still hold the data they had when the
-    ops were recorded. Returns the number of nodes checked; raises
-    TapeConsistencyError on the first mismatch.
-    """
-    for i, node in enumerate(tape.nodes):
-        fresh = node.forward()
-        old = node.out.data
-        if fresh.shape != old.shape or fresh.dtype != old.dtype or \
-                fresh.tobytes() != old.tobytes():
-            raise TapeConsistencyError(
-                f"replay mismatch at node {i} ({node.op}): recorded forward is not reproducible")
-    return len(tape.nodes)

@@ -10,6 +10,7 @@ mean routing weights so expert specialization is observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import ParameterError, TrainingDivergedError
 from .moe import route
 from .schedule import NoiseSchedule, forward_noise
 from .spectral import joint_descriptor_detached
+from .synthgen import Sample
 from .tensor import Tensor
 
 
@@ -113,10 +115,10 @@ def _dropout_conditioning(cond: Conditioning, drop: np.ndarray,
     return Conditioning(Tensor(img), Tensor(txt), cond.vfx_tokens)
 
 
-def train_stage1(dataset, config: TrainConfig, params: DenoiserParams,
+def train_stage1(samples: Sequence[Sample], config: TrainConfig, params: DenoiserParams,
                  stack: AdapterStack, schedule: NoiseSchedule) -> StageOneResult:
     """Train router + experts on the diffusion objective; backbone untouched."""
-    samples = list(dataset.samples)
+    samples = list(samples)
     if not samples:
         raise ParameterError("dataset is empty")
     rng = np.random.default_rng(config.seed)

@@ -285,7 +285,7 @@ def test_criterion_05_freeze_contracts():
 
     backbone_before = {k: t.data.copy() for k, t in params.named_arrays().items()}
     adapter_before = {k: t.data.copy() for k, t in stack.parameters().items()}
-    train_stage1(ds, TrainConfig(steps=30, batch_size=2, lr=1e-3, seed=0),
+    train_stage1(ds.samples, TrainConfig(steps=30, batch_size=2, lr=1e-3, seed=0),
                  params, stack, sched)
     backbone_ok = all(np.array_equal(t.data, backbone_before[k])
                       for k, t in params.named_arrays().items())

@@ -182,6 +182,35 @@ class TestPipeline:
                  "--config", cfg_path, "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    def test_adapt_config_accepts_only_unroll(self, tmp_path, cfg_path, capsys):
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+
+        def adapt_with(name, section):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"adapt": section}))
+            capsys.readouterr()
+            rc = run("adapt", "--checkpoint", ckpt, "--input", dataset,
+                     "--config", str(path), "--out", str(tmp_path / name))
+            return rc, capsys.readouterr().err
+
+        rejected = [("onestep", {"mode": "onestep"}, "unknown adaptation mode 'onestep'"),
+                    ("refresh", {"refresh_every": 2}, "unknown AdaptConfig field 'refresh_every'"),
+                    ("mixed", {"lambda_diffusion": 0.5},
+                     "unknown AdaptConfig field 'lambda_diffusion'"),
+                    ("unshared", {"shared_noise": False},
+                     "unknown AdaptConfig field 'shared_noise'")]
+        for name, section, message in rejected:
+            rc, err = adapt_with(name, section)
+            assert rc == 2, name
+            assert message in err and "Traceback" not in err, err
+            assert not (tmp_path / name / "adapted.fvl1").exists()
+        # the benchmark's adapt-unroll settings (bench/workloads.py ADAPT_UNROLL)
+        unroll = {"mode": "unroll", "sample_steps": 8, "sample_cfg": 3.0, "n_draws": 4}
+        rc, err = adapt_with("unroll", {**unroll, "steps": 2, "embed_tokens": 4})
+        assert rc == 0, err
+        assert (tmp_path / "unroll" / "adapted.fvl1").exists()
+
     def test_report_requires_descriptors(self, tmp_path):
         p = tmp_path / "plain.fvl1"
         ct.write_container_file(str(p), {"videos": np.zeros((1, 2, 1, 4, 4),

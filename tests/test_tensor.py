@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
-from freqvfx.errors import ParameterError, ShapeError, TapeConsistencyError
+from freqvfx.errors import ParameterError, ShapeError
 
 import oracles
 
@@ -158,6 +158,13 @@ def test_blur_linearity():
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-6)
 
 
+def test_blur_matrix_cache_is_read_only():
+    m = fx.blur_matrix(8, 0.5)
+    with pytest.raises(ValueError):
+        m[:] = 0
+    np.testing.assert_allclose(fx.blur_matrix(8, 0.5).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # gradients of every primitive
 
@@ -255,19 +262,6 @@ def test_unreachable_parameter_gets_zero_grad():
     grads = fx.backward(tape, loss)
     np.testing.assert_array_equal(grads[z].data, np.zeros(2))
     np.testing.assert_allclose(grads[x].data, 2.0, atol=1e-12)
-
-
-def test_replay_is_bit_exact_and_detects_mutation():
-    rng = np.random.default_rng(0)
-    x = fx.parameter(rng.normal(size=(4, 4)))
-    with fx.Tape() as tape:
-        y = fx.gelu(x @ fx.tensor(rng.normal(size=(4, 3))))
-        loss = fx.reduce_mean(fx.square(y))
-    n = fx.replay(tape)
-    assert n == len(tape.nodes) and n >= 3
-    x.data[0, 0] += 1.0  # invalidates the recording
-    with pytest.raises(TapeConsistencyError):
-        fx.replay(tape)
 
 
 def test_pause_tape_suppresses_recording():

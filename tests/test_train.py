@@ -176,16 +176,16 @@ class TestConditioningDropout:
 
 
 class TestStageOne:
-    def _dataset(self, seed=5):
+    def _samples(self, seed=5):
         return build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)),
-                             seed=seed, latent_shape=LATENT, text_width=WIDTH)
+                             seed=seed, latent_shape=LATENT, text_width=WIDTH).samples
 
     def test_smoke_run_trains_only_adapters(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
         before = state_hashes(params, stack)
         cfg = TrainConfig(steps=25, batch_size=2, lr=1e-3, seed=0)
-        result = train_stage1(self._dataset(), cfg, params, stack, sched)
+        result = train_stage1(self._samples(), cfg, params, stack, sched)
         after = state_hashes(params, stack)
 
         assert result.losses.shape == (25,)
@@ -209,7 +209,7 @@ class TestStageOne:
         sched = NoiseSchedule.cosine(NUM_STEPS)
         before = state_hashes(params, stack)
         cfg = TrainConfig(steps=5, batch_size=2, lr=0.0, seed=0)
-        train_stage1(self._dataset(), cfg, params, stack, sched)
+        train_stage1(self._samples(), cfg, params, stack, sched)
         assert state_hashes(params, stack) == before
 
     def test_repeat_run_is_deterministic(self):
@@ -218,26 +218,22 @@ class TestStageOne:
         losses = []
         for _ in range(2):
             params, stack = small_model()
-            r = train_stage1(self._dataset(), cfg, params, stack, sched)
+            r = train_stage1(self._samples(), cfg, params, stack, sched)
             losses.append(r.losses)
         assert np.array_equal(losses[0], losses[1])
 
     def test_empty_dataset_rejected(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
-
-        class Empty:
-            samples = []
-
         with pytest.raises(ParameterError):
-            train_stage1(Empty(), TrainConfig(steps=1), params, stack, sched)
+            train_stage1([], TrainConfig(steps=1), params, stack, sched)
 
     def test_absurd_lr_diverges(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
         cfg = TrainConfig(steps=30, batch_size=2, lr=1e14, seed=0)
         with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
-            train_stage1(self._dataset(), cfg, params, stack, sched)
+            train_stage1(self._samples(), cfg, params, stack, sched)
 
 
 class TestSmoothedEndpoints:
