@@ -162,10 +162,6 @@ def read_container_file(path) -> dict[str, np.ndarray]:
         return read_container(f.read())
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

@@ -23,10 +23,6 @@ class DomainError(FreqVfxError, ValueError):
     """Input values violate a mathematical precondition (negative energies, NaN)."""
 
 
-class NumericGuardError(FreqVfxError, ArithmeticError):
-    """A runtime numeric guard tripped (e.g. division by a vanishing signal scale)."""
-
-
 class TapeConsistencyError(FreqVfxError, RuntimeError):
     """The tape machinery broke an internal invariant: an unbalanced tape
     enter/exit corrupted the tape stack, or a vjp returned a gradient whose

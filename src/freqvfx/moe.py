@@ -12,7 +12,7 @@ router only through its own weights, never back into the descriptor pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,6 +177,11 @@ def moe_forward(adapter: MoeAdapter, weights: RoutingWeights, w_base, h) -> Tens
     """Adapted projection: h @ W^T + s * sum_m pi_m * (h @ A_m^T @ B_m^T).
 
     `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
+    The experts run as one packed pair over the rank budget R: A (R, d_in) and
+    B (d_out, R) stack the expert factors, and rank row j is gated by
+    s * (pi @ owner)[:, j] with `owner` the (M, R) expert one-hot, so router
+    gradients reach `pi`. The leaves stay per expert, and with them the
+    checkpoint entries and the optimizer's parameter list.
     The base path is computed untouched; zero experts leave it bit-exact.
     """
     w_base = w_base if isinstance(w_base, Tensor) else Tensor(np.asarray(w_base))
@@ -196,11 +201,12 @@ def moe_forward(adapter: MoeAdapter, weights: RoutingWeights, w_base, h) -> Tens
         if ex.a.shape[1] != d_in or ex.b.shape[0] != d_out or ex.a.shape[0] != ex.b.shape[1]:
             raise ShapeError(f"expert {m} shapes A{ex.a.shape} B{ex.b.shape} are inconsistent")
 
+    a = fx.concat([ex.a for ex in adapter.experts], axis=0)
+    b = fx.concat([ex.b for ex in adapter.experts], axis=1)
+    owner = np.repeat(np.eye(len(adapter.experts), dtype=pi.dtype),
+                      [ex.rank for ex in adapter.experts], axis=1)
+    gate = fx.matmul(pi, Tensor(owner)) * adapter.scaling
+    gate = fx.reshape(gate, (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
     out = fx.matmul(h, fx.swap_last2(w_base))
-    pi_shape = (h.shape[0],) + (1,) * (h.ndim - 1)
-    for m, ex in enumerate(adapter.experts):
-        down = fx.matmul(h, fx.swap_last2(ex.a))
-        up = fx.matmul(down, fx.swap_last2(ex.b))
-        gate = fx.reshape(fx.slice_axis(pi, 1, m, m + 1), pi_shape)
-        out = out + (adapter.scaling * gate) * up
-    return out
+    down = fx.matmul(h, fx.swap_last2(a)) * gate
+    return out + fx.matmul(down, fx.swap_last2(b))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as fx
 from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step
 from .errors import ParameterError, ShapeError
 from .moe import route

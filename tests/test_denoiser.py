@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
-from freqvfx.denoiser import (AdapterStack, Conditioning, build_adapter_stack,
-                              build_conditioning, build_denoiser, denoise_step,
-                              patchify, unpatchify)
+from freqvfx.denoiser import (Conditioning, build_adapter_stack, build_conditioning,
+                              build_denoiser, denoise_step, patchify, unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
 from freqvfx.spectral import joint_descriptor_detached

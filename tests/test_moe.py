@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -232,12 +230,15 @@ def test_moe_forward_matches_scalar_oracle_f32():
     for ex in a.experts:
         ex.b.data[...] = rng.normal(0.0, 0.3, size=ex.b.shape).astype(np.float32)
     w = rng.normal(size=(5, 6)).astype(np.float32)
-    h = rng.normal(size=(2, 3, 6)).astype(np.float32)
-    pi = rng.dirichlet(np.ones(4), size=2).astype(np.float32)
+    h = rng.normal(size=(3, 3, 6)).astype(np.float32)
+    pi = rng.dirichlet(np.ones(4), size=3).astype(np.float32)
+    # last row as route() leaves it under top_k=2: experts 1 and 3 masked to exact zeros
+    pi[2, [1, 3]] = 0.0
+    pi[2] /= pi[2].sum()
     got = moe.moe_forward(a, moe.RoutingWeights(fx.tensor(pi), 4), w, h).data
 
-    want = np.zeros((2, 3, 5), dtype=np.float64)
-    for b in range(2):
+    want = np.zeros((3, 3, 5), dtype=np.float64)
+    for b in range(3):
         for n in range(3):
             hv = h[b, n].astype(np.float64)
             acc = w.astype(np.float64) @ hv
@@ -247,6 +248,18 @@ def test_moe_forward_matches_scalar_oracle_f32():
                 acc += a.scaling * float(pi[b, m]) * (bm @ (am @ hv))
             want[b, n] = acc
     assert np.max(np.abs(got - want)) < 1e-6
+
+    # the masked row alone: its masked experts receive exactly zero gradient
+    with fx.Tape() as tape:
+        out = moe.moe_forward(a, moe.RoutingWeights(fx.tensor(pi[2:]), 2), w, h[2:])
+        loss = fx.reduce_sum(fx.square(out))
+    grads = fx.backward(tape, loss)
+    for m, ex in enumerate(a.experts):
+        for leaf in (ex.a, ex.b):
+            if m in (1, 3):
+                assert np.all(grads[leaf].data == 0.0)
+            else:
+                assert np.any(grads[leaf].data != 0.0)
 
 
 def test_moe_forward_shape_errors():
@@ -270,7 +283,7 @@ def test_moe_forward_shape_errors():
 def test_route_and_moe_forward_gradients():
     rng = np.random.default_rng(13)
     router = _router(rng, hidden=5)
-    adapter = moe.MoeAdapter.init(rng, d_in=4, d_out=3, n_experts=4, total_rank=8,
+    adapter = moe.MoeAdapter.init(rng, d_in=4, d_out=3, n_experts=4, total_rank=9,
                                   top_k=3, dtype=np.float64)
     for ex in adapter.experts:
         ex.b.data[...] = rng.normal(0.0, 0.2, size=ex.b.shape)
@@ -279,8 +292,12 @@ def test_route_and_moe_forward_gradients():
     h = rng.normal(size=(2, 4))
     wmix = rng.normal(size=(2, 3))
 
-    params = {"w1": router.w1, "w2": router.w2, "b1": router.b1, "b2": router.b2,
-              "a0": adapter.experts[0].a, "b0": adapter.experts[0].b}
+    assert [ex.rank for ex in adapter.experts] == [3, 2, 2, 2]
+
+    params = {"w1": router.w1, "w2": router.w2, "b1": router.b1, "b2": router.b2}
+    for m, ex in enumerate(adapter.experts):
+        params[f"a{m}"] = ex.a
+        params[f"b{m}"] = ex.b
     with fx.Tape() as tape:
         pi = moe.route(e, router, top_k=3)
         out = moe.moe_forward(adapter, pi, wbase, h)
