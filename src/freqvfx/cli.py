@@ -33,7 +33,7 @@ from .container import (RunManifest, check_config_compatible, load_checkpoint_ar
                         restore_state, save_checkpoint, sha256_file,
                         write_container_file, write_manifest)
 from .denoiser import build_adapter_stack, build_conditioning, build_denoiser
-from .errors import FreqVfxError, ParameterError, ShapeError
+from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
 from .reports import adapt_trace_csv, emit_spectral_report, train_metrics_csv, write_text
 from .sampling import sample
 from .schedule import NoiseSchedule
@@ -148,6 +148,22 @@ def _pick_text(entries: dict[str, np.ndarray], class_name: str | None) -> np.nda
         raise ParameterError(
             f"no text tokens for class {class_name!r}; stored: {sorted(stored)}")
     return stored[class_name]
+
+
+def _load_embedding(path: str, params) -> Tensor:
+    """The adapted vfx tokens of an embedding container, checked against the model."""
+    entries = read_container_file(path)
+    if "vfx_embedding.tokens" not in entries:
+        raise ParameterError(f"{path} holds no adapted embedding")
+    tokens = entries["vfx_embedding.tokens"]
+    dtype, width = params.embed_w.dtype, params.width
+    if tokens.dtype != dtype or tokens.ndim != 2 or tokens.shape[0] < 1 \
+            or tokens.shape[1] != width:
+        raise ContainerError(f"{path}: vfx_embedding.tokens is {tokens.dtype} "
+                             f"{tokens.shape}, the model needs {dtype} (L >= 1, {width})")
+    if not np.isfinite(tokens).all():
+        raise ContainerError(f"{path}: vfx_embedding.tokens holds non-finite values")
+    return Tensor(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +292,7 @@ def cmd_generate(args) -> int:
 
     inputs = {**_input_hash(args.checkpoint), **_input_hash(args.input)}
     if args.embedding is not None:
-        emb_entries = read_container_file(args.embedding)
-        if "vfx_embedding.tokens" not in emb_entries:
-            raise ParameterError(f"{args.embedding} holds no adapted embedding")
-        cond = cond.with_vfx(Tensor(emb_entries["vfx_embedding.tokens"]))
+        cond = cond.with_vfx(_load_embedding(args.embedding, params))
         inputs.update(_input_hash(args.embedding))
 
     result = sample(params, stack, schedule, cond, steps=sample_cfg.steps,

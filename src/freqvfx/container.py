@@ -247,7 +247,7 @@ def checkpoint_entries(params, stack, schedule, embedding=None,
     out: dict[str, np.ndarray] = {}
     for name, t in params.named_arrays().items():
         out[name] = t.data
-    for name, t in stack.parameters().items():
+    for name, t in stack.named_arrays().items():
         out[name] = t.data
     out["schedule.alphas"] = schedule.alphas
     out["schedule.sigmas"] = schedule.sigmas
@@ -273,10 +273,13 @@ def load_checkpoint_arrays(path) -> dict[str, np.ndarray]:
 
 def restore_state(entries: Mapping[str, np.ndarray], params, stack,
                   embedding=None) -> None:
-    """Copy stored arrays into freshly built structures, name-checked."""
+    """Copy stored arrays into freshly built structures, name- and shape-checked.
+
+    Expert entries are views of the packed adapter leaves, so they are
+    written in place."""
     targets: dict[str, object] = {}
     targets.update(params.named_arrays())
-    targets.update(stack.parameters())
+    targets.update(stack.named_arrays())
     if embedding is not None:
         targets["vfx_embedding.tokens"] = embedding.tokens
     for name, tensor in targets.items():

@@ -129,9 +129,18 @@ class AdapterStack:
     top_k: int
 
     def parameters(self) -> dict[str, Tensor]:
+        """The trainable leaves: router tensors, then each layer's packed pair."""
         out = dict(self.router.parameters())
         for name, adapter in self.layers.items():
             out.update(adapter.parameters(prefix=f"adapter.{name}"))
+        return out
+
+    def named_arrays(self) -> dict[str, Tensor]:
+        """Checkpoint entries: router tensors, then `adapter.<layer>.expert<m>.{a,b}`
+        views of the packed pairs."""
+        out = dict(self.router.parameters())
+        for name, adapter in self.layers.items():
+            out.update(adapter.named_arrays(prefix=f"adapter.{name}"))
         return out
 
     @property
@@ -247,7 +256,7 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens,
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
     frame0 = fx.slice_axis(z0.detach(), 1, 0, 1)
-    img = fx.matmul(patchify(frame0, params.patch), fx.swap_last2(params.cond_proj_w))
+    img = fx.linear(patchify(frame0, params.patch), params.cond_proj_w)
     text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))
     if text.ndim == 2:
         text = fx.broadcast_to(fx.reshape(text, (1,) + text.shape), (z0.shape[0],) + text.shape)
@@ -280,7 +289,7 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
     def project(slot: str, h: Tensor) -> Tensor:
         w = getattr(proj, "w" + slot)
         if stack is None:
-            return fx.matmul(h, fx.swap_last2(w))
+            return fx.linear(h, w)
         return moe_forward(stack.layers[f"{layer}.{slot}"], pi, w, h)
 
     q = project("q", x)
@@ -314,7 +323,7 @@ def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
     if stack is not None and pi is None:
         pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
 
-    tokens = fx.matmul(patchify(z_t, params.patch), fx.swap_last2(params.embed_w))
+    tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
     tokens = tokens + params.embed_b
     temb = params.temb.data[t_arr]  # frozen table: plain gather, stays constant
     if temb.ndim == 1:
@@ -332,5 +341,5 @@ def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
         x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale,
                            cross_bias)
 
-    out = fx.matmul(x, fx.swap_last2(params.unembed_w)) + params.unembed_b
+    out = fx.linear(x, params.unembed_w) + params.unembed_b
     return unpatchify(out, params.latent_shape, params.patch)

@@ -4,7 +4,9 @@ A shared two-layer MLP turns the 6-dim joint descriptor into M mixture
 weights (temperature softmax, optional top-k masking with renormalization).
 Each adapted projection layer owns M low-rank experts whose ranks split a
 fixed total budget r, so the trainable parameter count is r * (d_in + d_out)
-regardless of how many experts share it.
+regardless of how many experts share it. The experts are stored packed: one
+trainable (r, d_in) down factor and one (d_out, r) up factor per layer, with
+each expert a block of the rank axis.
 
 The descriptor is always treated as a constant here: gradients reach the
 router only through its own weights, never back into the descriptor pipeline.
@@ -66,24 +68,21 @@ class RouterParams:
 
 
 @dataclass
-class LoraExpert:
-    """One low-rank update: delta(h) = B @ (A @ h), rank = A.shape[0]."""
+class MoeAdapter:
+    """M low-rank experts on one projection, packed over a shared rank budget R.
+
+    `a` (R, d_in) and `b` (d_out, R) stack the expert factors along the rank
+    axis: expert m owns the `ranks[m]` consecutive rows of `a` and columns of
+    `b` after those of experts 0..m-1, so its update is B_m @ (A_m @ h).
+    `owner` is the constant (M, R) one-hot of that ownership. The packed pair
+    is what trains; the per-expert views exist only as checkpoint entries.
+    """
 
     a: Tensor
     b: Tensor
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass
-class MoeAdapter:
-    """M experts attached to one projection, sharing a total rank budget."""
-
-    experts: list[LoraExpert]
+    ranks: tuple[int, ...]
+    owner: Tensor
     scaling: float
-    total_rank: int
     top_k: int
 
     @classmethod
@@ -91,33 +90,45 @@ class MoeAdapter:
              n_experts: int = N_EXPERTS_DEFAULT, total_rank: int = TOTAL_RANK_DEFAULT,
              top_k: int = TOP_K_DEFAULT, alpha: float | None = None,
              dtype=np.float32, name: str = "adapter") -> "MoeAdapter":
-        """A ~ N(0, 0.02), B = 0: the adapter starts as an exact identity."""
+        """A ~ N(0, 0.02), B = 0: the adapter starts as an exact identity.
+
+        A is drawn one expert block at a time, in expert order.
+        """
         ranks = split_rank_budget(total_rank, n_experts)
         if not 1 <= top_k <= n_experts:
             raise ParameterError(f"top_k must lie in [1, {n_experts}], got {top_k}")
-        experts = []
-        for m, r in enumerate(ranks):
-            a = fx.parameter(rng.normal(0.0, 0.02, size=(r, d_in)).astype(dtype),
-                             name=f"{name}.expert{m}.a")
-            b = fx.parameter(np.zeros((d_out, r), dtype=dtype),
-                             name=f"{name}.expert{m}.b")
-            experts.append(LoraExpert(a, b))
+        a = np.concatenate([rng.normal(0.0, 0.02, size=(r, d_in)).astype(dtype)
+                            for r in ranks], axis=0)
+        owner = np.repeat(np.eye(n_experts, dtype=dtype), ranks, axis=1)
         scaling = (alpha if alpha is not None else float(total_rank)) / float(total_rank)
-        return cls(experts=experts, scaling=scaling, total_rank=total_rank, top_k=top_k)
+        return cls(a=fx.parameter(a, name=f"{name}.a"),
+                   b=fx.parameter(np.zeros((d_out, total_rank), dtype=dtype), name=f"{name}.b"),
+                   ranks=tuple(ranks), owner=Tensor(owner), scaling=scaling, top_k=top_k)
 
     @property
     def d_in(self) -> int:
-        return self.experts[0].a.shape[1]
+        return self.a.shape[1]
 
     @property
     def d_out(self) -> int:
-        return self.experts[0].b.shape[0]
+        return self.b.shape[0]
+
+    @property
+    def expert_slices(self) -> list[slice]:
+        """Expert m's span of the rank axis."""
+        ends = np.cumsum(self.ranks)
+        return [slice(int(end - r), int(end)) for r, end in zip(self.ranks, ends)]
 
     def parameters(self, prefix: str = "adapter") -> dict[str, Tensor]:
+        return {f"{prefix}.a": self.a, f"{prefix}.b": self.b}
+
+    def named_arrays(self, prefix: str = "adapter") -> dict[str, Tensor]:
+        """Per-expert entries `<prefix>.expert<m>.{a,b}`: views of the packed
+        leaves, so writing into one writes into the adapter."""
         out = {}
-        for m, ex in enumerate(self.experts):
-            out[f"{prefix}.expert{m}.a"] = ex.a
-            out[f"{prefix}.expert{m}.b"] = ex.b
+        for m, s in enumerate(self.expert_slices):
+            out[f"{prefix}.expert{m}.a"] = Tensor(self.a.data[s])
+            out[f"{prefix}.expert{m}.b"] = Tensor(self.b.data[:, s])
         return out
 
 
@@ -141,7 +152,7 @@ def split_rank_budget(r: int, m: int) -> list[int]:
 
 def adapter_param_count(adapter: MoeAdapter) -> int:
     """Trainable scalars in the adapter: r * (d_in + d_out), independent of M."""
-    return sum(ex.a.size + ex.b.size for ex in adapter.experts)
+    return adapter.a.size + adapter.b.size
 
 
 def _descriptor_constant(e, dtype) -> Tensor:
@@ -160,8 +171,8 @@ def route(e, params: RouterParams, top_k: int) -> RoutingWeights:
     if not 1 <= top_k <= m:
         raise ParameterError(f"top_k must lie in [1, {m}], got {top_k}")
     ec = _descriptor_constant(e, params.w1.dtype)
-    h = fx.gelu(fx.matmul(ec, fx.swap_last2(params.w1)) + params.b1)
-    logits = fx.matmul(h, fx.swap_last2(params.w2)) + params.b2
+    h = fx.gelu(fx.linear(ec, params.w1) + params.b1)
+    logits = fx.linear(h, params.w2) + params.b2
     pi = fx.softmax(logits, tau=params.tau, axis=-1)
     if top_k < m:
         # stable argsort on negated weights: ties resolve to the lower index
@@ -177,36 +188,31 @@ def moe_forward(adapter: MoeAdapter, weights: RoutingWeights, w_base, h) -> Tens
     """Adapted projection: h @ W^T + s * sum_m pi_m * (h @ A_m^T @ B_m^T).
 
     `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
-    The experts run as one packed pair over the rank budget R: A (R, d_in) and
-    B (d_out, R) stack the expert factors, and rank row j is gated by
-    s * (pi @ owner)[:, j] with `owner` the (M, R) expert one-hot, so router
-    gradients reach `pi`. The leaves stay per expert, and with them the
-    checkpoint entries and the optimizer's parameter list.
-    The base path is computed untouched; zero experts leave it bit-exact.
+    The experts run as the adapter's packed pair: rank row j of h @ A^T is
+    gated by s * (pi @ owner)[:, j] before the up projection by B, so router
+    gradients reach `pi`. The base path is computed untouched; zero experts
+    leave it bit-exact.
     """
     w_base = w_base if isinstance(w_base, Tensor) else Tensor(np.asarray(w_base))
     h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
     if h.ndim < 2:
         raise ShapeError(f"hidden states need a feature axis, got shape {h.shape}")
+    a, b, owner = adapter.a, adapter.b, adapter.owner
+    if b.shape[1] != a.shape[0] or owner.shape != (len(adapter.ranks), a.shape[0]):
+        raise ShapeError(f"packed shapes A{a.shape} B{b.shape} owner{owner.shape} "
+                         f"are inconsistent")
     d_in, d_out = adapter.d_in, adapter.d_out
     if w_base.shape != (d_out, d_in):
         raise ShapeError(f"base weights {w_base.shape} do not match adapter ({d_out}, {d_in})")
     if h.shape[-1] != d_in:
         raise ShapeError(f"hidden feature dim {h.shape[-1]} != adapter d_in {d_in}")
     pi = weights.pi
-    if pi.ndim != 2 or pi.shape[0] != h.shape[0] or pi.shape[1] != len(adapter.experts):
+    if pi.ndim != 2 or pi.shape[0] != h.shape[0] or pi.shape[1] != owner.shape[0]:
         raise ShapeError(f"routing weights {pi.shape} do not match batch {h.shape[0]} "
-                         f"x {len(adapter.experts)} experts")
-    for m, ex in enumerate(adapter.experts):
-        if ex.a.shape[1] != d_in or ex.b.shape[0] != d_out or ex.a.shape[0] != ex.b.shape[1]:
-            raise ShapeError(f"expert {m} shapes A{ex.a.shape} B{ex.b.shape} are inconsistent")
+                         f"x {owner.shape[0]} experts")
 
-    a = fx.concat([ex.a for ex in adapter.experts], axis=0)
-    b = fx.concat([ex.b for ex in adapter.experts], axis=1)
-    owner = np.repeat(np.eye(len(adapter.experts), dtype=pi.dtype),
-                      [ex.rank for ex in adapter.experts], axis=1)
-    gate = fx.matmul(pi, Tensor(owner)) * adapter.scaling
+    gate = fx.matmul(pi, owner) * adapter.scaling
     gate = fx.reshape(gate, (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
-    out = fx.matmul(h, fx.swap_last2(w_base))
-    down = fx.matmul(h, fx.swap_last2(a)) * gate
-    return out + fx.matmul(down, fx.swap_last2(b))
+    out = fx.linear(h, w_base)
+    down = fx.linear(h, a) * gate
+    return out + fx.linear(down, b)

@@ -423,7 +423,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
     try:
-        out = np.broadcast_to(a.data, shape).copy()
+        out = np.broadcast_to(a.data, shape)  # a read-only view of `a`
     except ValueError as e:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
     in_shape = a.shape
@@ -566,6 +566,30 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record("matmul", (a, b), out, vjp)
+
+
+def linear(h, w) -> Tensor:
+    """h @ w^T for a 2-D weight w (d_out, d_in), as one node.
+
+    The same arithmetic as matmul(h, swap_last2(w)) without the transpose node.
+    """
+    h, w = _pair(h, w)
+    if h.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"linear needs rank >= 2 inputs and a 2-D weight, "
+                         f"got {h.shape} and {w.shape}")
+    if h.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear feature dims disagree: {h.shape} @ {w.shape}^T")
+    hd, wd = h.data, w.data
+
+    def vjp(g):
+        gh = gw = None
+        if h.requires_grad:
+            gh = g @ wd
+        if w.requires_grad:
+            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
+        return gh, gw
+
+    return _record("linear", (h, w), hd @ wd.T, vjp)
 
 
 # ---------------------------------------------------------------------------

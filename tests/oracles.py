@@ -137,20 +137,22 @@ def fd_grad(f, arrays: list, wrt: int, step: float = 1e-5,
             coords=None) -> np.ndarray:
     """Central finite differences of scalar f(*arrays) wrt arrays[wrt].
 
-    `coords` restricts the check to a subset of flat indices (for big params).
-    Mutates-and-restores in place; arrays must be float64 for decent accuracy.
+    `coords` restricts the check to a subset of flat (C-order) indices (for big
+    params). Mutates-and-restores `x` itself through multi-indices, so a
+    non-contiguous view (a column slice of a larger array) is perturbed in
+    place too; arrays must be float64 for decent accuracy.
     """
     x = arrays[wrt]
-    flat = x.ravel()
     g = np.zeros(x.size, dtype=np.float64)
     idxs = range(x.size) if coords is None else coords
     for j in idxs:
-        orig = flat[j]
-        flat[j] = orig + step
+        at = np.unravel_index(j, x.shape)
+        orig = x[at]
+        x[at] = orig + step
         fp = float(f(*arrays))
-        flat[j] = orig - step
+        x[at] = orig - step
         fm = float(f(*arrays))
-        flat[j] = orig
+        x[at] = orig
         g[j] = (fp - fm) / (2.0 * step)
     return g.reshape(x.shape)
 

@@ -177,15 +177,16 @@ def test_criterion_03_gradients_match_finite_differences():
     checked = 0
     named = stack.parameters()
     picks = [k for k in named if k.startswith("router.")]
-    expert_keys = sorted(k for k in named if ".expert" in k)
-    picks += [expert_keys[int(i)] for i in rng.choice(len(expert_keys), size=6,
-                                                      replace=False)]
+    adapter_keys = sorted(k for k in named if k.startswith("adapter."))
+    picks += [adapter_keys[int(i)] for i in rng.choice(len(adapter_keys), size=6,
+                                                       replace=False)]
     for key in picks:
         p = named[key]
         coords = [int(j) for j in rng.choice(p.data.size,
                                              size=min(6, p.data.size), replace=False)]
         num = oracles.fd_grad(train_value, [p.data], wrt=0, step=1e-5, coords=coords)
-        got = grads[p].data if p in grads else np.zeros_like(p.data)
+        assert p in grads, key
+        got = grads[p].data
         for j in coords:
             av, nv = float(got.ravel()[j]), float(num.ravel()[j])
             worst = max(worst, abs(av - nv) / (floor + max(abs(av), abs(nv))))

@@ -181,6 +181,27 @@ class TestPipeline:
                  "--config", cfg_path, "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    def test_generate_rejects_hostile_embedding(self, tmp_path, cfg_path, capsys):
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        width = CFG["model"]["width"]
+        good = np.zeros((4, width), dtype=np.float32)
+        nan = good.copy()
+        nan[1, 2] = np.nan
+        hostile = {"nan": nan, "f64": good.astype(np.float64),
+                   "shape": np.zeros((width, 7), dtype=np.float32)}
+        for name, tokens in hostile.items():
+            emb = tmp_path / f"{name}.fvl1"
+            ct.write_container_file(str(emb), {"vfx_embedding.tokens": tokens})
+            out = tmp_path / f"out_{name}"
+            capsys.readouterr()
+            rc = run("generate", "--checkpoint", ckpt, "--input", dataset,
+                     "--embedding", str(emb), "--config", cfg_path, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, name
+            assert str(emb) in err and "Traceback" not in err, err
+            assert not (out / "sample.fvl1").exists(), name
+
     def test_adapt_config_accepts_only_unroll(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

@@ -57,8 +57,15 @@ class TestBuild:
                     for i in range(2) for attn in ("self", "cross")
                     for slot in ("q", "k", "v", "o")}
         assert set(stack.layers) == expected
-        # 4 router tensors + (a, b) per expert per layer
-        assert len(stack.parameters()) == 4 + 16 * 4 * 2
+        # 4 router tensors + one packed (a, b) pair per layer ...
+        leaves = stack.parameters()
+        assert len(leaves) == 4 + 16 * 2
+        assert leaves["adapter.block0.self.q.a"].shape == (8, WIDTH)
+        assert leaves["adapter.block0.self.q.b"].shape == (WIDTH, 8)
+        # ... stored as (a, b) per expert per layer
+        entries = stack.named_arrays()
+        assert len(entries) == 4 + 16 * 4 * 2
+        assert entries["adapter.block1.cross.o.expert3.b"].shape == (WIDTH, 2)
         assert stack.n_experts == 4
 
     def test_model_properties(self):
@@ -254,11 +261,9 @@ class TestDenoiseStep:
             g = grads.get(stack.parameters()[name])
             assert g is not None and np.any(g.data), name
         live_a = 0
-        for name, t in stack.parameters().items():
-            if name.endswith(".a"):
-                g = grads.get(t)
-                if g is not None and np.any(g.data):
-                    live_a += 1
+        for adapter in stack.layers.values():
+            g = grads[adapter.a].data
+            live_a += sum(bool(np.any(g[s])) for s in adapter.expert_slices)
         # every layer has at least top_k of its experts selected somewhere
         assert live_a >= 16 * 3
 

@@ -36,8 +36,8 @@ def test_train_step_nodes(model):
     with fx.Tape() as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 266
-    assert (ops["matmul"], ops["transpose"], ops["mul"]) == (76, 58, 39)
+    assert len(tape.nodes) == 182
+    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"]) == (52, 24, 6, 1)
 
 
 def test_adapt_step_nodes(model, monkeypatch):
@@ -53,7 +53,7 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [4628]
+    assert seen == [3300]
 
 
 def test_denoise_step_nodes(model):
@@ -63,4 +63,4 @@ def test_denoise_step_nodes(model):
     with fx.Tape() as tape:
         cond = build_conditioning(params, z0[:1], text[0])
         denoise_step(z0[:1], 500, cond, params, stack)
-    assert len(tape.nodes) == 268
+    assert len(tape.nodes) == 183

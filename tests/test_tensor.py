@@ -199,6 +199,60 @@ def test_grad_matmul_variants():
     grad_check(lambda a, b: fx.matmul(a, b), [(3, 4), (4, 5)], seed=12)
     grad_check(lambda a, b: fx.matmul(a, b), [(2, 3, 4), (4, 5)], seed=13)
     grad_check(lambda a, b: fx.matmul(a, b), [(2, 3, 4), (2, 4, 5)], seed=14)
+    grad_check(fx.linear, [(3, 4), (5, 4)], seed=27)
+    grad_check(fx.linear, [(2, 3, 4), (5, 4)], seed=28)
+
+
+@pytest.mark.parametrize("h_shape", [(3, 4), (2, 3, 4)])
+def test_linear_is_bit_identical_to_matmul_of_transpose(h_shape):
+    """linear replaces matmul(h, swap_last2(w)) without changing a byte."""
+    rng = np.random.default_rng(29)
+    h0 = rng.normal(size=h_shape).astype(np.float32)
+    w0 = rng.normal(size=(5, 4)).astype(np.float32)
+    g0 = rng.normal(size=h_shape[:-1] + (5,)).astype(np.float32)
+
+    def run(project):
+        h, w = fx.parameter(h0), fx.parameter(w0)
+        with fx.Tape() as tape:
+            out = project(h, w)
+            loss = fx.reduce_sum(out * fx.tensor(g0))
+        grads = fx.backward(tape, loss)
+        return [x.tobytes() for x in (out.data, grads[h].data, grads[w].data)], len(tape.nodes)
+
+    fused, n_fused = run(fx.linear)
+    plain, n_plain = run(lambda h, w: fx.matmul(h, fx.swap_last2(w)))
+    assert fused == plain
+    assert n_fused == n_plain - 1
+
+
+def test_fd_grad_perturbs_column_views():
+    """A column slice is not contiguous: the oracle must perturb the array itself."""
+    rng = np.random.default_rng(30)
+    h = rng.normal(size=(3, 4))
+    w = fx.parameter(rng.normal(size=(5, 4)))
+    coef = rng.normal(size=(3, 5))
+    with fx.Tape() as tape:
+        loss = fx.reduce_sum(fx.linear(fx.tensor(h), w) * fx.tensor(coef))
+    grad = fx.backward(tape, loss)[w].data
+    view = w.data[:, 1:3]
+    assert not view.flags.c_contiguous
+
+    def f(*_):
+        return float(np.sum((h @ w.data.T) * coef))
+
+    num = oracles.fd_grad(f, [view], 0)
+    assert np.any(num != 0.0)
+    oracles.assert_grads_close(grad[:, 1:3], num, rtol=1e-6, atol=1e-8)
+
+
+def test_broadcast_to_returns_read_only_view():
+    a = fx.tensor(np.arange(6.0).reshape(2, 3))
+    out = fx.broadcast_to(a, (4, 2, 3)).data
+    assert np.shares_memory(out, a.data)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(out, np.broadcast_to(a.data, (4, 2, 3)))
 
 
 def test_grad_shape_ops():
@@ -296,3 +350,7 @@ def test_shape_errors():
         fx.reduce_sum(fx.tensor(np.ones(3)), axes=(2,))
     with pytest.raises(ShapeError):
         fx.transpose(fx.tensor(np.ones((2, 3))), (0, 0))
+    with pytest.raises(ShapeError):
+        fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((1, 4, 3))))
