@@ -42,7 +42,7 @@ class VfxEmbedding:
         if length < 1:
             raise ParameterError(f"embedding needs at least one token, got {length}")
         data = rng.normal(0.0, std, size=(length, width)).astype(dtype)
-        return cls(tokens=fx.parameter(data, name="embedding.tokens"))
+        return cls(tokens=fx.tensor(data, name="embedding.tokens"))
 
 
 def freq_constraint_loss(z_gen, z_ref, sigma1: float = SIGMA1_DEFAULT,
@@ -114,7 +114,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
     for step in range(config.steps):
         cond_e = cond.with_vfx(embedding.tokens)
 
-        with fx.Tape() as tape:
+        with fx.Tape(opt.params) as tape:
             gen0 = sample(params, stack, schedule, cond_e, steps=config.sample_steps,
                           cfg_scale=config.sample_cfg, seed=config.sample_seed).video
             total = None

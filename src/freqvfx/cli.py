@@ -154,7 +154,7 @@ def _load_embedding(path: str, params) -> Tensor:
     """The adapted vfx tokens of an embedding container, checked against the model."""
     entries = read_container_file(path)
     if "vfx_embedding.tokens" not in entries:
-        raise ParameterError(f"{path} holds no adapted embedding")
+        raise ContainerError(f"{path} holds no adapted embedding")
     tokens = entries["vfx_embedding.tokens"]
     dtype, width = params.embed_w.dtype, params.width
     if tokens.dtype != dtype or tokens.ndim != 2 or tokens.shape[0] < 1 \

@@ -273,7 +273,9 @@ def load_checkpoint_arrays(path) -> dict[str, np.ndarray]:
 
 def restore_state(entries: Mapping[str, np.ndarray], params, stack,
                   embedding=None) -> None:
-    """Copy stored arrays into freshly built structures, name- and shape-checked.
+    """Copy stored arrays into freshly built structures. Every entry must exist
+    with the model's shape and dtype and hold only finite values; all are
+    checked before the first is written, so a rejected checkpoint changes nothing.
 
     Expert entries are views of the packed adapter leaves, so they are
     written in place."""
@@ -290,4 +292,10 @@ def restore_state(entries: Mapping[str, np.ndarray], params, stack,
             raise ContainerError(
                 f"checkpoint entry {name!r} has shape {stored.shape}, model expects "
                 f"{tensor.data.shape}")
-        tensor.data[...] = stored.astype(tensor.data.dtype, copy=False)
+        if stored.dtype != tensor.data.dtype:
+            raise ContainerError(f"checkpoint entry {name!r} is {stored.dtype}, model "
+                                 f"expects {tensor.data.dtype}")
+        if not np.isfinite(stored).all():
+            raise ContainerError(f"checkpoint entry {name!r} holds non-finite values")
+    for name, tensor in targets.items():
+        tensor.data[...] = entries[name]

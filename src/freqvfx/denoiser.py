@@ -19,9 +19,9 @@ backbone the conditioning read would otherwise be a faint additive term, and
 test-time updates to the vfx tokens could barely move the output spectrum;
 the gain keeps the context injection comparable to the token content itself.
 
-Every backbone weight is a frozen constant (requires_grad False). The only
-trainable state lives in the router, the per-projection expert stacks, and
-(in stage 2) the vfx embedding tokens.
+Every backbone weight is a frozen constant: no tape lists it among the leaves
+it differentiates. The only trainable state lives in the router, the
+per-projection expert stacks (stage 1), and the vfx embedding tokens (stage 2).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as fx
 from .errors import ParameterError, ShapeError
-from .moe import MoeAdapter, RouterParams, RoutingWeights, moe_forward, route
+from .moe import MoeAdapter, RouterParams, moe_forward, route
 from .spectral import joint_descriptor_detached
 from .tensor import Tensor
 
@@ -158,7 +158,7 @@ def build_denoiser(rng: np.random.Generator,
                    diag_bias: float = DIAG_BIAS_DEFAULT,
                    cross_gain: float = CROSS_GAIN_DEFAULT,
                    dtype=np.float32) -> DenoiserParams:
-    """Random frozen backbone. All tensors are constants (requires_grad False)."""
+    """Random frozen backbone. All tensors are constants."""
     t, c, h, w = latent_shape
     if h % patch or w % patch:
         raise ParameterError(f"spatial dims {h}x{w} must divide by patch={patch}")
@@ -204,6 +204,8 @@ def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams,
                         n_experts: int = 4, total_rank: int = 16, top_k: int = 3,
                         alpha: float | None = None, tau: float = 1.5,
                         router_hidden: int = 16, dtype=np.float32) -> AdapterStack:
+    if not 1 <= top_k <= n_experts:
+        raise ParameterError(f"top_k must lie in [1, {n_experts}], got {top_k}")
     router = RouterParams.init(rng, n_experts=n_experts, hidden=router_hidden,
                                tau=tau, dtype=dtype)
     layers: dict[str, MoeAdapter] = {}
@@ -213,7 +215,7 @@ def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams,
                 name = f"block{i}.{attn}.{slot}"
                 layers[name] = MoeAdapter.init(
                     rng, d_in=params.width, d_out=params.width, n_experts=n_experts,
-                    total_rank=total_rank, top_k=top_k, alpha=alpha, dtype=dtype,
+                    total_rank=total_rank, alpha=alpha, dtype=dtype,
                     name=f"adapter.{name}")
     return AdapterStack(router=router, layers=layers, top_k=top_k)
 
@@ -284,7 +286,7 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
 
 
 def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
-               stack: AdapterStack | None, pi: RoutingWeights | None,
+               stack: AdapterStack | None, pi: Tensor | None,
                layer: str, scale: float, bias: np.ndarray | None) -> Tensor:
     def project(slot: str, h: Tensor) -> Tensor:
         w = getattr(proj, "w" + slot)
@@ -303,7 +305,7 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
 
 
 def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
-                 stack: AdapterStack | None, *, pi: RoutingWeights | None = None,
+                 stack: AdapterStack | None, *, pi: Tensor | None = None,
                  uncond: bool = False, cross_bias: np.ndarray | None = None) -> Tensor:
     """Predict the noise in z_t. Routing weights come from the descriptor of
     z_t unless a precomputed `pi` is passed in (CFG branches share one).

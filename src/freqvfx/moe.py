@@ -27,7 +27,6 @@ DESCRIPTOR_DIM = 6
 ROUTER_HIDDEN_DEFAULT = 16
 N_EXPERTS_DEFAULT = 4
 TOTAL_RANK_DEFAULT = 16
-TOP_K_DEFAULT = 3
 
 
 @dataclass
@@ -51,10 +50,10 @@ class RouterParams:
             raise ParameterError(f"router temperature must be positive, got {tau}")
         w1 = rng.normal(0.0, 0.5, size=(hidden, DESCRIPTOR_DIM)).astype(dtype)
         return cls(
-            w1=fx.parameter(w1, name="router.w1"),
-            b1=fx.parameter(np.zeros(hidden, dtype=dtype), name="router.b1"),
-            w2=fx.parameter(np.zeros((n_experts, hidden), dtype=dtype), name="router.w2"),
-            b2=fx.parameter(np.zeros(n_experts, dtype=dtype), name="router.b2"),
+            w1=fx.tensor(w1, name="router.w1"),
+            b1=fx.tensor(np.zeros(hidden, dtype=dtype), name="router.b1"),
+            w2=fx.tensor(np.zeros((n_experts, hidden), dtype=dtype), name="router.w2"),
+            b2=fx.tensor(np.zeros(n_experts, dtype=dtype), name="router.b2"),
             tau=tau,
         )
 
@@ -83,27 +82,24 @@ class MoeAdapter:
     ranks: tuple[int, ...]
     owner: Tensor
     scaling: float
-    top_k: int
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
              n_experts: int = N_EXPERTS_DEFAULT, total_rank: int = TOTAL_RANK_DEFAULT,
-             top_k: int = TOP_K_DEFAULT, alpha: float | None = None,
+             alpha: float | None = None,
              dtype=np.float32, name: str = "adapter") -> "MoeAdapter":
         """A ~ N(0, 0.02), B = 0: the adapter starts as an exact identity.
 
         A is drawn one expert block at a time, in expert order.
         """
         ranks = split_rank_budget(total_rank, n_experts)
-        if not 1 <= top_k <= n_experts:
-            raise ParameterError(f"top_k must lie in [1, {n_experts}], got {top_k}")
         a = np.concatenate([rng.normal(0.0, 0.02, size=(r, d_in)).astype(dtype)
                             for r in ranks], axis=0)
         owner = np.repeat(np.eye(n_experts, dtype=dtype), ranks, axis=1)
         scaling = (alpha if alpha is not None else float(total_rank)) / float(total_rank)
-        return cls(a=fx.parameter(a, name=f"{name}.a"),
-                   b=fx.parameter(np.zeros((d_out, total_rank), dtype=dtype), name=f"{name}.b"),
-                   ranks=tuple(ranks), owner=Tensor(owner), scaling=scaling, top_k=top_k)
+        return cls(a=fx.tensor(a, name=f"{name}.a"),
+                   b=fx.tensor(np.zeros((d_out, total_rank), dtype=dtype), name=f"{name}.b"),
+                   ranks=tuple(ranks), owner=Tensor(owner), scaling=scaling)
 
     @property
     def d_in(self) -> int:
@@ -132,14 +128,6 @@ class MoeAdapter:
         return out
 
 
-@dataclass
-class RoutingWeights:
-    """Per-sample mixture weights, rows sum to 1, at most top_k nonzero."""
-
-    pi: Tensor
-    top_k: int
-
-
 def split_rank_budget(r: int, m: int) -> list[int]:
     """Distribute total rank r over m experts; remainders go to low indices."""
     if m < 1:
@@ -165,8 +153,9 @@ def _descriptor_constant(e, dtype) -> Tensor:
     return Tensor(np.ascontiguousarray(data, dtype=dtype))
 
 
-def route(e, params: RouterParams, top_k: int) -> RoutingWeights:
-    """Mixture weights from a descriptor; top-k masked and renormalized."""
+def route(e, params: RouterParams, top_k: int) -> Tensor:
+    """(B, M) mixture weights from a descriptor: rows sum to 1, at most top_k
+    nonzero (top-k masked and renormalized)."""
     m = params.n_experts
     if not 1 <= top_k <= m:
         raise ParameterError(f"top_k must lie in [1, {m}], got {top_k}")
@@ -181,10 +170,10 @@ def route(e, params: RouterParams, top_k: int) -> RoutingWeights:
         np.put_along_axis(mask, order[:, :top_k], 1.0, axis=-1)
         masked = pi * Tensor(mask)
         pi = masked / fx.reduce_sum(masked, axes=(-1,), keepdims=True)
-    return RoutingWeights(pi=pi, top_k=top_k)
+    return pi
 
 
-def moe_forward(adapter: MoeAdapter, weights: RoutingWeights, w_base, h) -> Tensor:
+def moe_forward(adapter: MoeAdapter, pi: Tensor, w_base, h) -> Tensor:
     """Adapted projection: h @ W^T + s * sum_m pi_m * (h @ A_m^T @ B_m^T).
 
     `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
@@ -206,7 +195,6 @@ def moe_forward(adapter: MoeAdapter, weights: RoutingWeights, w_base, h) -> Tens
         raise ShapeError(f"base weights {w_base.shape} do not match adapter ({d_out}, {d_in})")
     if h.shape[-1] != d_in:
         raise ShapeError(f"hidden feature dim {h.shape[-1]} != adapter d_in {d_in}")
-    pi = weights.pi
     if pi.ndim != 2 or pi.shape[0] != h.shape[0] or pi.shape[1] != owner.shape[0]:
         raise ShapeError(f"routing weights {pi.shape} do not match batch {h.shape[0]} "
                          f"x {owner.shape[0]} experts")

@@ -68,14 +68,14 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         pi = None
         if stack is not None:
             pi = route(jd, stack.router, stack.top_k)
-            pi_cond[k] = pi.pi.data
+            pi_cond[k] = pi.data
         eps_c = denoise_step(z, t, cond, params, stack, pi=pi)
         if cfg_scale == 1.0:
             eps_hat = eps_c
         else:
             eps_u = denoise_step(z, t, None, params, stack, pi=pi, uncond=True)
             if pi_uncond is not None:
-                pi_uncond[k] = pi.pi.data  # same weights by construction; recorded per branch
+                pi_uncond[k] = pi.data  # same weights by construction; recorded per branch
             eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
         a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
         a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]

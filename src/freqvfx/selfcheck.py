@@ -65,7 +65,7 @@ def _check_routing(rng):
     router.w2.data[...] = rng.normal(0.0, 0.3, size=router.w2.shape)
     d = np.abs(rng.standard_normal((8, 6)))
     d = d / d.sum(axis=1, keepdims=True)
-    pi = route(d, router, top_k=3).pi.data
+    pi = route(d, router, top_k=3).data
     assert np.all(pi >= 0)
     assert np.max(np.abs(pi.sum(axis=1) - 1.0)) <= 1e-6
     assert np.all((pi > 0).sum(axis=1) <= 3)
@@ -77,8 +77,8 @@ def _check_gradients(rng):
     def value(a):
         return float(fx.reduce_sum(fx.square(fei(fx.Tensor(a)).values)).data)
 
-    p = fx.parameter(x.copy())
-    with fx.Tape() as tape:
+    p = fx.tensor(x.copy())
+    with fx.Tape([p]) as tape:
         loss = fx.reduce_sum(fx.square(fei(p).values))
     g = fx.backward(tape, loss)[p].data.ravel()
     flat = x.ravel()

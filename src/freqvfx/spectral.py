@@ -154,7 +154,7 @@ def joint_descriptor(z, sigma1: float = SIGMA1_DEFAULT, sigma2: float = SIGMA2_D
 def joint_descriptor_detached(z, sigma1: float = SIGMA1_DEFAULT,
                               sigma2: float = SIGMA2_DEFAULT,
                               epsilon: float = EPS_DEFAULT) -> np.ndarray:
-    """Plain-array descriptor, never recorded on any tape (for routing inputs)."""
+    """Plain-array descriptor of a fresh constant, so no tape records it (for
+    routing inputs)."""
     data = z.data if isinstance(z, Tensor) else np.asarray(z)
-    with fx.pause_tape():
-        return joint_descriptor(Tensor(data), sigma1, sigma2, epsilon).values.data
+    return joint_descriptor(Tensor(data), sigma1, sigma2, epsilon).values.data

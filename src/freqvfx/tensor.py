@@ -1,9 +1,13 @@
 """Dense tensors over numpy with a recording tape for reverse-mode gradients.
 
-The design is a Wengert list: every differentiable operation executed while a
-Tape is active appends one node (inputs, output and a vjp closure); the forward
+The design is a Wengert list. A Tape is built with the leaves it
+differentiates (`Tape(wrt)`); while it is active, a tensor is live when it is
+one of those leaves or the output of a recorded node, and every operation with
+at least one live input appends one node (inputs, a per-input live mask, output
+and a vjp closure). Operations on constants alone record nothing. The forward
 value is computed once, eagerly, and never re-run. `backward` walks the list
-once in reverse and returns a gradient for every watched leaf. Reduction order
+once in reverse, asks each vjp only for the gradients of its live inputs, and
+returns a gradient for every `wrt` leaf. Reduction order
 inside a single op is whatever numpy does, which is deterministic run to run on
 the same machine; no op here introduces platform-dependent nondeterminism of
 its own.
@@ -41,20 +45,18 @@ def active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """A numpy array plus autodiff metadata. Do not mutate `.data` mid-graph."""
+    """A numpy array with an optional name. Do not mutate `.data` mid-graph."""
 
-    __slots__ = ("data", "requires_grad", "name", "_producer_tape_id")
+    __slots__ = ("data", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.name = name
-        self._producer_tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,16 +78,14 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data)
 
     def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-        return t
+        return Tensor(self.data.copy(), name=self.name)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        grad = " grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     # Operator sugar. Scalars are promoted to constants of the same dtype.
     def __add__(self, other):
@@ -122,50 +122,38 @@ class Tensor:
         return absolute(self)
 
 
-def tensor(data, dtype=None, requires_grad: bool = False, name: str | None = None,
-           checked: bool = True) -> Tensor:
+def tensor(data, dtype=None, name: str | None = None, checked: bool = True) -> Tensor:
     """Public constructor. Rejects NaN/Inf unless checked=False."""
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(dtype or DEFAULT_DTYPE)
     if checked and arr.size and not np.isfinite(arr).all():
         raise ParameterError("tensor construction rejected non-finite values")
-    return Tensor(arr, requires_grad=requires_grad, name=name)
-
-
-def parameter(data, dtype=None, name: str | None = None) -> Tensor:
-    """A trainable leaf."""
-    return tensor(data, dtype=dtype, requires_grad=True, name=name)
+    return Tensor(arr, name=name)
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "out", "vjp", "needs_grad")
+    __slots__ = ("op", "inputs", "live", "out", "vjp")
 
-    def __init__(self, op, inputs, out, vjp, needs_grad):
+    def __init__(self, op, inputs, live, out, vjp):
         self.op = op
         self.inputs = inputs
+        self.live = live
         self.out = out
         self.vjp = vjp
-        self.needs_grad = needs_grad
 
 
 class Tape:
-    """Records ops in execution order. Use as a context manager.
+    """Records, in execution order, the ops that depend on the leaves in `wrt`.
 
-    Leaves with requires_grad=True are watched automatically on first use;
-    extra leaves can be registered with `watch`.
+    Use as a context manager. The tape holds every live tensor (the `wrt`
+    leaves and each node's output), so their ids stay unique while it exists.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Iterable[Tensor]):
+        self.wrt: list[Tensor] = list(wrt)
         self.nodes: list[_Node] = []
-        self._watched: dict[int, Tensor] = {}
-
-    def watch(self, t: Tensor) -> None:
-        self._watched.setdefault(id(t), t)
-
-    @property
-    def watched(self) -> list[Tensor]:
-        return list(self._watched.values())
+        self._live: set[int] = {id(t) for t in self.wrt}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -177,28 +165,20 @@ class Tape:
             raise TapeConsistencyError("tape stack corrupted by unbalanced enter/exit")
 
 
-class pause_tape:
-    """Context manager that suppresses recording (for detached side computations)."""
-
-    def __enter__(self):
-        _tape_stack().append(None)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
-
-
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
+            vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
+            ) -> Tensor:
+    """Wrap `out_data`; append a node when the active tape has a live input.
+
+    `vjp(g, live)` returns one gradient per input, None where `live` is False.
+    """
+    out = Tensor(out_data)
     tape = active_tape()
     if tape is not None:
-        out._producer_tape_id = id(tape)
-        for t in inputs:
-            if t.requires_grad and t._producer_tape_id != id(tape):
-                tape.watch(t)
-        tape.nodes.append(_Node(op, tuple(inputs), out, vjp, needs))
+        live = tuple(id(t) in tape._live for t in inputs)
+        if any(live):
+            tape._live.add(id(out))
+            tape.nodes.append(_Node(op, tuple(inputs), live, out, vjp))
     return out
 
 
@@ -241,8 +221,9 @@ def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = a.data + b.data
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def vjp(g, live):
+        return (_unbroadcast(g, a.shape) if live[0] else None,
+                _unbroadcast(g, b.shape) if live[1] else None)
 
     return _record("add", (a, b), out, vjp)
 
@@ -251,8 +232,9 @@ def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = a.data - b.data
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    def vjp(g, live):
+        return (_unbroadcast(g, a.shape) if live[0] else None,
+                _unbroadcast(-g, b.shape) if live[1] else None)
 
     return _record("sub", (a, b), out, vjp)
 
@@ -262,9 +244,9 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     ad, bd = a.data, b.data
 
-    def vjp(g):
-        ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
+    def vjp(g, live):
+        ga = _unbroadcast(g * bd, a.shape) if live[0] else None
+        gb = _unbroadcast(g * ad, b.shape) if live[1] else None
         return ga, gb
 
     return _record("mul", (a, b), out, vjp)
@@ -275,9 +257,9 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
     ad, bd = a.data, b.data
 
-    def vjp(g):
-        ga = _unbroadcast(g / bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None
+    def vjp(g, live):
+        ga = _unbroadcast(g / bd, a.shape) if live[0] else None
+        gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if live[1] else None
         return ga, gb
 
     return _record("div", (a, b), out, vjp)
@@ -285,14 +267,14 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
+    return _record("neg", (a,), -a.data, lambda g, live: (-g,))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
 
-    def vjp(g):
+    def vjp(g, live):
         return (2.0 * g * ad,)
 
     return _record("square", (a,), ad * ad, vjp)
@@ -303,7 +285,7 @@ def absolute(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
 
-    def vjp(g):
+    def vjp(g, live):
         return (g * np.sign(ad),)
 
     return _record("abs", (a,), np.abs(ad), vjp)
@@ -314,7 +296,7 @@ def log1p(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
 
-    def vjp(g):
+    def vjp(g, live):
         return (g / (1.0 + ad),)
 
     return _record("log1p", (a,), np.log1p(ad), vjp)
@@ -324,7 +306,7 @@ def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
 
-    def vjp(g):
+    def vjp(g, live):
         return (g / (2.0 * out),)
 
     return _record("sqrt", (a,), out, vjp)
@@ -338,7 +320,7 @@ def cast(a, dtype) -> Tensor:
         return a
     in_dtype = a.dtype
 
-    def vjp(g):
+    def vjp(g, live):
         return (g.astype(in_dtype),)
 
     return _record("cast", (a,), a.data.astype(dtype), vjp)
@@ -353,7 +335,7 @@ def gelu(a) -> Tensor:
     ad = a.data
     out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
 
-    def vjp(g):
+    def vjp(g, live):
         x = ad
         u = _GELU_C * (x + 0.044715 * x ** 3)
         th = np.tanh(u)
@@ -372,7 +354,7 @@ def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     e = np.exp(z)
     out = e / np.sum(e, axis=axis, keepdims=True)
 
-    def vjp(g):
+    def vjp(g, live):
         dot = np.sum(g * out, axis=axis, keepdims=True)
         return ((out * (g - dot)) / tau,)
 
@@ -392,7 +374,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from e
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, live):
         return (g.reshape(in_shape),)
 
     return _record("reshape", (a,), out, vjp)
@@ -405,7 +387,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"invalid permutation {axes} for rank {a.ndim}")
     inv = tuple(np.argsort(axes))
 
-    def vjp(g):
+    def vjp(g, live):
         return (np.transpose(g, inv),)
 
     return _record("transpose", (a,), np.transpose(a.data, axes), vjp)
@@ -428,7 +410,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, live):
         return (_unbroadcast(g, in_shape),)
 
     return _record("broadcast_to", (a,), out, vjp)
@@ -449,13 +431,13 @@ def concat(parts: Iterable, axis: int = 0) -> Tensor:
         raise ShapeError(f"concat shape mismatch: {[p.shape for p in parts]}") from e
     sizes = [p.shape[ax] for p in parts]
 
-    def vjp(g):
+    def vjp(g, live):
         grads = []
         off = 0
-        for s in sizes:
+        for s, keep in zip(sizes, live):
             idx = [slice(None)] * g.ndim
             idx[ax] = slice(off, off + s)
-            grads.append(g[tuple(idx)])
+            grads.append(g[tuple(idx)] if keep else None)
             off += s
         return grads
 
@@ -475,7 +457,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(idx)
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, live):
         full = np.zeros(in_shape, dtype=g.dtype)
         full[idx] = g
         return (full,)
@@ -508,7 +490,7 @@ def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, live):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
@@ -527,7 +509,7 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
         raise ShapeError("mean over zero elements")
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, live):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
@@ -557,11 +539,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul batch dims disagree: {a.shape} @ {b.shape}") from e
     ad, bd = a.data, b.data
 
-    def vjp(g):
+    def vjp(g, live):
         ga = gb = None
-        if a.requires_grad:
+        if live[0]:
             ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape)
-        if b.requires_grad:
+        if live[1]:
             gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape)
         return ga, gb
 
@@ -581,11 +563,11 @@ def linear(h, w) -> Tensor:
         raise ShapeError(f"linear feature dims disagree: {h.shape} @ {w.shape}^T")
     hd, wd = h.data, w.data
 
-    def vjp(g):
+    def vjp(g, live):
         gh = gw = None
-        if h.requires_grad:
+        if live[0]:
             gh = g @ wd
-        if w.requires_grad:
+        if live[1]:
             gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
         return gh, gw
 
@@ -664,21 +646,22 @@ def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
-    """Reverse sweep. Returns {watched leaf -> gradient}; unreachable leaves get zeros."""
+    """Reverse sweep. Returns {wrt leaf -> gradient}; unreachable leaves get zeros."""
     if not isinstance(loss, Tensor):
         raise ParameterError("loss must be a Tensor")
     if loss.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
-    if loss._producer_tape_id != id(tape):
-        raise ParameterError("loss was not produced by operations recorded on this tape")
+    if id(loss) not in tape._live:
+        raise ParameterError("loss does not depend on this tape's wrt leaves "
+                             "through operations recorded on it")
     pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
     for node in reversed(tape.nodes):
         g = pending.pop(id(node.out), None)
-        if g is None or not node.needs_grad:
+        if g is None:
             continue
-        grads = node.vjp(g)
-        for inp, gi in zip(node.inputs, grads):
-            if gi is None or not inp.requires_grad:
+        grads = node.vjp(g, node.live)
+        for inp, live, gi in zip(node.inputs, node.live, grads):
+            if not live:
                 continue
             if gi.shape != inp.shape:  # pragma: no cover - internal invariant
                 raise TapeConsistencyError(
@@ -686,7 +669,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
             acc = pending.get(id(inp))
             pending[id(inp)] = gi if acc is None else acc + gi
     out: dict[Tensor, Tensor] = {}
-    for leaf in tape.watched:
+    for leaf in tape.wrt:
         g = pending.get(id(leaf))
         if g is None:
             g = np.zeros(leaf.shape, dtype=leaf.dtype)

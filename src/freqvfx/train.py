@@ -84,7 +84,7 @@ def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
         eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
     loss = fx.reduce_mean(fx.square(eps_hat - Tensor(eps)))
     if return_details:
-        return loss, {"t": t, "pi": None if pi is None else pi.pi.data.copy()}
+        return loss, {"t": t, "pi": None if pi is None else pi.data.copy()}
     return loss
 
 
@@ -135,7 +135,7 @@ def train_stage1(samples: Sequence[Sample], config: TrainConfig, params: Denoise
         drop = rng.random(config.batch_size) < config.cond_dropout
         cond = _dropout_conditioning(cond, drop, params)
 
-        with fx.Tape() as tape:
+        with fx.Tape(opt.params) as tape:
             loss, info = diffusion_loss(z0, cond, params, stack, schedule, rng,
                                         return_details=True)
         loss_val = float(loss.data)

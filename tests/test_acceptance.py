@@ -165,11 +165,10 @@ def test_criterion_03_gradients_match_finite_differences():
     cond = build_conditioning(params, z0, ds.samples[0].text_tokens.astype(np.float64))
 
     def train_value(*_):
-        with fx.pause_tape():
-            return float(diffusion_loss(z0, cond, params, stack, sched,
-                                        np.random.default_rng(77)).data)
+        return float(diffusion_loss(z0, cond, params, stack, sched,
+                                    np.random.default_rng(77)).data)
 
-    with fx.Tape() as tape:
+    with fx.Tape(stack.parameters().values()) as tape:
         loss = diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(77))
     grads = fx.backward(tape, loss)
 
@@ -201,13 +200,12 @@ def test_criterion_03_gradients_match_finite_differences():
     # so the deliberately non-differentiated routing path contributes nothing
     # and finite differences probe exactly what the tape differentiates
     def adapt_value(*_):
-        with fx.pause_tape():
-            gen0 = sample(params, stack, sched, cond.with_vfx(emb.tokens),
-                          steps=1, cfg_scale=2.0, seed=0).video
-            z_gen = forward_noise(gen0, t_fix, Tensor(eps_fix), sched)
-            return float(freq_constraint_loss(z_gen, Tensor(z_ref)).data)
+        gen0 = sample(params, stack, sched, cond.with_vfx(emb.tokens),
+                      steps=1, cfg_scale=2.0, seed=0).video
+        z_gen = forward_noise(gen0, t_fix, Tensor(eps_fix), sched)
+        return float(freq_constraint_loss(z_gen, Tensor(z_ref)).data)
 
-    with fx.Tape() as tape:
+    with fx.Tape([emb.tokens]) as tape:
         gen0 = sample(params, stack, sched, cond.with_vfx(emb.tokens),
                       steps=1, cfg_scale=2.0, seed=0).video
         loss2 = freq_constraint_loss(forward_noise(gen0, t_fix, Tensor(eps_fix), sched),
@@ -240,7 +238,7 @@ def test_criterion_04_routing_contracts_and_param_count():
     router.b2.data[...] = rng.normal(0.0, 0.2, size=router.b2.shape)
     desc = np.abs(rng.standard_normal((64, 6)))
     desc /= desc.sum(axis=1, keepdims=True)
-    pi = route(desc, router, top_k=3).pi.data
+    pi = route(desc, router, top_k=3).data
     sum_err = float(np.max(np.abs(pi.sum(axis=1) - 1.0)))
     ok = bool(np.all(pi >= 0)) and sum_err <= 1e-6
     ok = ok and bool(np.all((pi > 0).sum(axis=1) <= 3))
@@ -250,7 +248,7 @@ def test_criterion_04_routing_contracts_and_param_count():
         scaled = RouterParams(w1=router.w1, b1=router.b1,
                               w2=fx.tensor(router.w2.data * c),
                               b2=fx.tensor(router.b2.data * c), tau=router.tau)
-        arg = np.argmax(route(desc, scaled, top_k=3).pi.data, axis=1)
+        arg = np.argmax(route(desc, scaled, top_k=3).data, axis=1)
         ok = ok and bool(np.array_equal(arg, base_arg))
 
     r, d_in, d_out = 16, 24, 40
@@ -258,7 +256,7 @@ def test_criterion_04_routing_contracts_and_param_count():
     for m in (1, 2, 4, 8):
         assert sum(split_rank_budget(r, m)) == r
         ad = MoeAdapter.init(np.random.default_rng(m), d_in=d_in, d_out=d_out,
-                             n_experts=m, total_rank=r, top_k=min(3, m))
+                             n_experts=m, total_rank=r)
         counts.append(adapter_param_count(ad))
     budget_ok = all(n == r * (d_in + d_out) for n in counts)
     dt = time.time() - t0
@@ -384,7 +382,7 @@ def test_criterion_07_stage2_desk_run(stage1_run):
     opt = AdamW([emb.tokens], lr=0.01)
     bias_first = bias_last = 0.0
     for i in range(150):
-        with fx.Tape() as tape:
+        with fx.Tape(opt.params) as tape:
             gen = sample(params, stack, sched, cond.with_vfx(emb.tokens),
                          steps=8, cfg_scale=3.0, seed=0).video
             jd = joint_descriptor(gen).values
@@ -410,10 +408,9 @@ def test_criterion_07_stage2_desk_run(stage1_run):
     # the run's seed policy, so the loss must start at zero and stay there.
     emb2 = VfxEmbedding.init(np.random.default_rng(cfg.seed), length=cfg.embed_tokens,
                              width=params.width, std=cfg.embed_std)
-    with fx.pause_tape():
-        own = sample(params, stack, sched, cond.with_vfx(emb2.tokens),
-                     steps=cfg.sample_steps, cfg_scale=cfg.sample_cfg,
-                     seed=cfg.sample_seed).video.data
+    own = sample(params, stack, sched, cond.with_vfx(emb2.tokens),
+                 steps=cfg.sample_steps, cfg_scale=cfg.sample_cfg,
+                 seed=cfg.sample_seed).video.data
     fix = adapt(own, cond, AdaptConfig(steps=10, sample_cfg=3.0, n_draws=4),
                 params, stack, sched, embedding=emb2)
     fix_max = float(np.max(np.abs(fix.losses)))
@@ -492,15 +489,14 @@ def test_criterion_09_sampling_contracts(monkeypatch):
                  init_noise=init)
     grid = sampling_grid(sched.num_steps, scfg.steps)
     z = Tensor(init.copy())
-    with fx.pause_tape():
-        for k in range(scfg.steps):
-            t, t_next = int(grid[k]), int(grid[k + 1])
-            pi = route(joint_descriptor_detached(z), stack.router, stack.top_k)
-            eps_c = denoise_step(z, t, cond, params, stack, pi=pi)
-            a_t, s_t = sched.alphas[t], sched.sigmas[t]
-            a_n, s_n = sched.alphas[t_next], sched.sigmas[t_next]
-            ratio = a_n / a_t
-            z = float(ratio) * z + float(s_n - ratio * s_t) * eps_c
+    for k in range(scfg.steps):
+        t, t_next = int(grid[k]), int(grid[k + 1])
+        pi = route(joint_descriptor_detached(z), stack.router, stack.top_k)
+        eps_c = denoise_step(z, t, cond, params, stack, pi=pi)
+        a_t, s_t = sched.alphas[t], sched.sigmas[t]
+        a_n, s_n = sched.alphas[t_next], sched.sigmas[t_next]
+        ratio = a_n / a_t
+        z = float(ratio) * z + float(s_n - ratio * s_t) * eps_c
     cond_only_ok = np.array_equal(got.video.data, z.data)
 
     # both guidance branches must be fed the very same routing object

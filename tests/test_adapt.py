@@ -42,7 +42,6 @@ class TestVfxEmbedding:
         emb = VfxEmbedding.init(np.random.default_rng(0), length=16, width=64)
         assert emb.tokens.shape == (16, 64)
         assert emb.tokens.dtype == np.float32
-        assert emb.tokens.requires_grad
         sd = emb.tokens.data.std()
         assert 0.015 < sd < 0.025
 
@@ -93,8 +92,8 @@ class TestFreqConstraintLoss:
         def value(zg, zr):
             return float(freq_constraint_loss(fx.Tensor(zg), fx.Tensor(zr)).data)
 
-        zg = fx.parameter(zg_arr.copy())
-        with fx.Tape() as tape:
+        zg = fx.tensor(zg_arr.copy())
+        with fx.Tape([zg]) as tape:
             loss = freq_constraint_loss(zg, fx.Tensor(zr_arr))
         grads = fx.backward(tape, loss)
         num = oracles.fd_grad(value, [zg_arr, zr_arr], wrt=0, step=1e-6)
@@ -105,17 +104,18 @@ class TestLatentConstruction:
     def test_reference_formula_and_detachment(self):
         _, _, sched, _ = small_setup()
         rng = np.random.default_rng(5)
-        ref = fx.parameter(rng.standard_normal((2,) + LATENT).astype(np.float32))
+        ref = fx.tensor(rng.standard_normal((2,) + LATENT).astype(np.float32))
         eps = rng.standard_normal((2,) + LATENT).astype(np.float32)
         t = 4
-        with fx.Tape() as tape:
+        with fx.Tape([ref]) as tape:
             z_ref = reference_latents(ref, t, fx.Tensor(eps), sched)
             loss = fx.reduce_sum(fx.square(z_ref))
         a, s = sched.coefficients(t)
         want = float(a) * ref.data + float(s) * eps
         assert np.allclose(z_ref.data, want, rtol=1e-6)
-        grads = fx.backward(tape, loss)
-        assert ref not in grads
+        assert tape.nodes == []
+        with pytest.raises(ParameterError):
+            fx.backward(tape, loss)
 
 class TestTimestepWindow:
     def test_mid_window(self):
@@ -167,6 +167,21 @@ class TestAdapt:
         window = timestep_window(sched, cfg.t_low_frac, cfg.t_high_frac)
         for s in result.trace:
             assert s.t in window
+
+    def test_backward_returns_exactly_the_embedding(self, monkeypatch):
+        params, stack, sched, cond = small_setup()
+        seen = []
+        backward = fx.backward
+
+        def capture(tape, loss):
+            grads = backward(tape, loss)
+            seen.append(list(grads))
+            return grads
+
+        monkeypatch.setattr(fx, "backward", capture)
+        result = adapt(self._reference(), cond, quick_config(steps=2, sample_cfg=3.0),
+                       params, stack, sched)
+        assert seen == [[result.embedding.tokens]] * 2
 
     def test_fresh_embedding_created_when_missing(self):
         params, stack, sched, cond = small_setup()

@@ -181,6 +181,38 @@ class TestPipeline:
                  "--config", cfg_path, "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    def test_generate_rejects_bad_checkpoint_entries(self, tmp_path, cfg_path, capsys):
+        """A checkpoint with a valid CRC but a NaN or recast entry exits 1."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        entries = ct.read_container_file(ckpt)
+        name = "adapter.block0.self.q.expert1.b"
+        nan = entries[name].copy()
+        nan[0, 0] = np.nan
+        for tag, arr in (("nan", nan), ("f64", entries["backbone.pos"].astype(np.float64))):
+            key = name if tag == "nan" else "backbone.pos"
+            ct.write_container_file(ckpt, {**entries, key: arr})
+            out = tmp_path / f"out_{tag}"
+            capsys.readouterr()
+            rc = run("generate", "--checkpoint", ckpt, "--input", dataset,
+                     "--config", cfg_path, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, tag
+            assert repr(key) in err and "Traceback" not in err, err
+            assert not (out / "sample.fvl1").exists(), tag
+
+    def test_train_rejects_top_k_outside_the_experts(self, tmp_path, cfg_path, capsys):
+        dataset = self._gen(tmp_path, cfg_path)
+        for top_k in (0, 5):
+            bad = tmp_path / f"top_k{top_k}.json"
+            bad.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], top_k=top_k))))
+            capsys.readouterr()
+            rc = run("train", "--input", dataset, "--config", str(bad),
+                     "--out", str(tmp_path / f"t{top_k}"))
+            err = capsys.readouterr().err
+            assert rc == 2, top_k
+            assert f"top_k must lie in [1, 4], got {top_k}" in err, err
+
     def test_generate_rejects_hostile_embedding(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
@@ -190,9 +222,11 @@ class TestPipeline:
         nan[1, 2] = np.nan
         hostile = {"nan": nan, "f64": good.astype(np.float64),
                    "shape": np.zeros((width, 7), dtype=np.float32)}
-        for name, tokens in hostile.items():
+        hostile = {name: {"vfx_embedding.tokens": tokens} for name, tokens in hostile.items()}
+        hostile["missing"] = {"embedding.tokens": good}
+        for name, entries in hostile.items():
             emb = tmp_path / f"{name}.fvl1"
-            ct.write_container_file(str(emb), {"vfx_embedding.tokens": tokens})
+            ct.write_container_file(str(emb), entries)
             out = tmp_path / f"out_{name}"
             capsys.readouterr()
             rc = run("generate", "--checkpoint", ckpt, "--input", dataset,

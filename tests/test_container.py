@@ -195,6 +195,36 @@ def test_restore_rejects_shape_and_missing(tmp_path):
         ct.restore_state(missing, params, stack)
 
 
+def test_restore_rejects_dtype_and_nonfinite_entries():
+    """A valid container can still carry a cast or a NaN: restore names the entry."""
+    from freqvfx.denoiser import build_adapter_stack, build_denoiser
+    from freqvfx.schedule import NoiseSchedule
+
+    rng = np.random.default_rng(0)
+    params = build_denoiser(rng)
+    stack = build_adapter_stack(rng, params)
+    sched = NoiseSchedule.cosine(num_steps=params.num_steps)
+    entries = ct.checkpoint_entries(params, stack, sched)
+    name = "adapter.block1.cross.v.expert2.a"
+    cases = [("backbone.pos", entries["backbone.pos"].astype(np.float64), "float64"),
+             ("router.w1", entries["router.w1"].astype(np.float16), "float16")]
+    for value in (np.nan, np.inf, -np.inf):
+        arr = entries[name].copy()
+        arr[0, 1] = value
+        cases.append((name, arr, "non-finite"))
+    stored = {k: v.copy() for k, v in entries.items()}
+    for t in stack.parameters().values():
+        t.data += 0.5  # so a partial restore would show
+    moved = {k: t.data.copy() for k, t in stack.parameters().items()}
+    for key, arr, message in cases:
+        with pytest.raises(ContainerError, match=message) as err:
+            ct.restore_state({**stored, key: arr}, params, stack)
+        assert repr(key) in str(err.value)
+        # rejected as a whole: no entry before the bad one was written either
+        for k, t in stack.parameters().items():
+            assert np.array_equal(t.data, moved[k]), (key, k)
+
+
 # ---------------------------------------------------------------------------
 # CSV reports
 

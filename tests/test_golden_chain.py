@@ -1,0 +1,80 @@
+"""A small gen -> train -> adapt -> generate chain writes the same bytes whatever
+the BLAS thread count.
+
+The chain runs twice, each time in a fresh interpreter, once with
+OPENBLAS_NUM_THREADS=1 and once with 2, and every artifact must have the same
+sha256 in both runs. `CHAIN` is a standalone script (`python -c CHAIN DIR`), so
+the same digests can be taken from two checkouts by putting each one's `src`
+on PYTHONPATH.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+ARTIFACTS = ("checkpoint.fvl1", "metrics.csv", "adapted.fvl1", "trace.csv",
+             "sample.fvl1", "spectral.csv")
+
+# gen (8+8 videos seed 2, 4 references seed 3) -> 20-step train -> 5-step adapt
+# in the criterion-7 unroll setting -> 30-step cfg-7.5 generate with the
+# adapted embedding at seed 7; prints {artifact: sha256} as JSON
+CHAIN = r'''
+import contextlib, hashlib, io, json, os, sys
+from freqvfx.cli import main
+
+root = sys.argv[1]
+
+
+def path(*parts):
+    return os.path.join(root, *parts)
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"freqvfx {argv[0]} exited with code {code}")
+
+
+config = path("chain.json")
+with open(config, "w") as f:
+    json.dump({"train": {"steps": 20},
+               "adapt": {"steps": 5, "sample_steps": 8, "sample_cfg": 3.0,
+                         "n_draws": 4}}, f)
+data, refs = path("data", "dataset.fvl1"), path("refs", "dataset.fvl1")
+ckpt, adapted = path("train", "checkpoint.fvl1"), path("adapt", "adapted.fvl1")
+run("gen", "--out", path("data"), "--classes", "lowfreq_field:8,highfreq_particles:8",
+    "--seed", "2")
+run("gen", "--out", path("refs"), "--classes", "highfreq_particles:4", "--seed", "3")
+run("train", "--input", data, "--config", config, "--out", path("train"))
+run("adapt", "--checkpoint", ckpt, "--input", refs, "--config", config,
+    "--out", path("adapt"))
+run("generate", "--checkpoint", ckpt, "--input", refs, "--embedding", adapted,
+    "--seed", "7", "--out", path("generate"))
+digests = {}
+for stage in ("train", "adapt", "generate"):
+    for name in sorted(os.listdir(path(stage))):
+        if not name.endswith(".json"):
+            with open(path(stage, name), "rb") as f:
+                digests[name] = hashlib.sha256(f.read()).hexdigest()
+print(json.dumps(digests))
+'''
+
+
+def _chain_digests(root, threads: int) -> dict[str, str]:
+    root.mkdir()
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-c", CHAIN, str(root)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_chain_artifacts_are_identical_across_blas_threads(tmp_path):
+    one = _chain_digests(tmp_path / "threads1", 1)
+    two = _chain_digests(tmp_path / "threads2", 2)
+    assert sorted(one) == sorted(ARTIFACTS)
+    assert one == two

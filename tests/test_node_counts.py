@@ -33,11 +33,11 @@ def model():
 def test_train_step_nodes(model):
     params, stack, sched, z0, text = model
     cond = build_conditioning(params, z0, text)
-    with fx.Tape() as tape:
+    with fx.Tape(stack.parameters().values()) as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 182
-    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"]) == (52, 24, 6, 1)
+    assert len(tape.nodes) == 164
+    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"]) == (44, 24, 5, 0)
 
 
 def test_adapt_step_nodes(model, monkeypatch):
@@ -53,14 +53,15 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [3300]
+    assert seen == [1896]
 
 
 def test_denoise_step_nodes(model):
-    """A self-routing step at B=1, recorded with the conditioning it reads from a
-    stored (n_text, width) text table, as `generate` builds it."""
+    """A self-routing step at B=1 under a tape of the stack's leaves, with the
+    conditioning built from a stored (n_text, width) text table inside it, as
+    `generate` builds it."""
     params, stack, _, z0, text = model
-    with fx.Tape() as tape:
+    with fx.Tape(stack.parameters().values()) as tape:
         cond = build_conditioning(params, z0[:1], text[0])
         denoise_step(z0[:1], 500, cond, params, stack)
-    assert len(tape.nodes) == 183
+    assert len(tape.nodes) == 161

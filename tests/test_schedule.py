@@ -174,9 +174,9 @@ class TestForwardNoise:
             return float(fx.reduce_sum(fx.square(zt)).data)
 
         for wrt in (0, 1):
-            z0 = fx.parameter(z0_arr.copy())
-            ep = fx.parameter(eps_arr.copy())
-            with fx.Tape() as tape:
+            z0 = fx.tensor(z0_arr.copy())
+            ep = fx.tensor(eps_arr.copy())
+            with fx.Tape([z0, ep]) as tape:
                 loss = fx.reduce_sum(fx.square(forward_noise(z0, 1, ep, sched)))
             grads = fx.backward(tape, loss)
             target = (z0, ep)[wrt]

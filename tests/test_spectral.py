@@ -299,8 +299,8 @@ def test_joint_descriptor_gradients_flow():
     rng = np.random.default_rng(17)
     z = rng.normal(size=(1, 3, 1, 4, 4))
     w = rng.normal(size=(1, 6))
-    p = fx.parameter(z.copy())
-    with fx.Tape() as tape:
+    p = fx.tensor(z.copy())
+    with fx.Tape([p]) as tape:
         jd = sp.joint_descriptor(p)
         loss = fx.reduce_sum(jd.values * fx.tensor(w))
     got = fx.backward(tape, loss)[p].data
@@ -314,8 +314,8 @@ def test_joint_descriptor_gradients_flow():
 
 
 def test_detached_descriptor_never_records():
-    z = np.random.default_rng(18).normal(size=(1, 3, 1, 4, 4))
-    with fx.Tape() as tape:
+    z = fx.tensor(np.random.default_rng(18).normal(size=(1, 3, 1, 4, 4)))
+    with fx.Tape([z]) as tape:
         d = sp.joint_descriptor_detached(z)
         assert len(tape.nodes) == 0
     assert d.shape == (1, 6)

@@ -16,8 +16,8 @@ def grad_check(fn, shapes, seed=0, rtol=1e-6, atol=1e-8, step=1e-5, transform=No
     probe = fn(*[fx.tensor(a) for a in arrays])
     w = rng.normal(size=probe.shape)
     wt = fx.tensor(w)
-    params = [fx.parameter(a.copy()) for a in arrays]
-    with fx.Tape() as tape:
+    params = [fx.tensor(a.copy()) for a in arrays]
+    with fx.Tape(params) as tape:
         out = fn(*params)
         loss = fx.reduce_sum(out * wt)
     grads = fx.backward(tape, loss)
@@ -212,8 +212,8 @@ def test_linear_is_bit_identical_to_matmul_of_transpose(h_shape):
     g0 = rng.normal(size=h_shape[:-1] + (5,)).astype(np.float32)
 
     def run(project):
-        h, w = fx.parameter(h0), fx.parameter(w0)
-        with fx.Tape() as tape:
+        h, w = fx.tensor(h0), fx.tensor(w0)
+        with fx.Tape([h, w]) as tape:
             out = project(h, w)
             loss = fx.reduce_sum(out * fx.tensor(g0))
         grads = fx.backward(tape, loss)
@@ -229,9 +229,9 @@ def test_fd_grad_perturbs_column_views():
     """A column slice is not contiguous: the oracle must perturb the array itself."""
     rng = np.random.default_rng(30)
     h = rng.normal(size=(3, 4))
-    w = fx.parameter(rng.normal(size=(5, 4)))
+    w = fx.tensor(rng.normal(size=(5, 4)))
     coef = rng.normal(size=(3, 5))
-    with fx.Tape() as tape:
+    with fx.Tape([w]) as tape:
         loss = fx.reduce_sum(fx.linear(fx.tensor(h), w) * fx.tensor(coef))
     grad = fx.backward(tape, loss)[w].data
     view = w.data[:, 1:3]
@@ -277,8 +277,8 @@ def test_grad_blur():
 
 
 def test_grad_accumulates_on_reuse():
-    x = fx.parameter(np.array([1.0, -2.0, 3.0]))
-    with fx.Tape() as tape:
+    x = fx.tensor(np.array([1.0, -2.0, 3.0]))
+    with fx.Tape([x]) as tape:
         loss = fx.reduce_sum(x * x + 3.0 * x)
     g = fx.backward(tape, loss)[x].data
     np.testing.assert_allclose(g, 2.0 * x.data + 3.0, rtol=0, atol=1e-12)
@@ -289,43 +289,52 @@ def test_grad_accumulates_on_reuse():
 
 
 def test_backward_requires_scalar_loss():
-    x = fx.parameter(np.ones(3))
-    with fx.Tape() as tape:
+    x = fx.tensor(np.ones(3))
+    with fx.Tape([x]) as tape:
         y = x * 2.0
     with pytest.raises(ShapeError):
         fx.backward(tape, y)
 
 
 def test_backward_rejects_foreign_loss():
-    x = fx.parameter(np.ones(3))
-    with fx.Tape() as tape:
+    x = fx.tensor(np.ones(3))
+    with fx.Tape([x]) as tape:
         _ = x * 2.0
-    with fx.Tape() as other:
+        constant = fx.reduce_sum(fx.tensor(np.ones(3)) * 3.0)  # recorded nowhere
+    with fx.Tape([x]) as other:
         loss = fx.reduce_sum(x * 1.0)
-    with pytest.raises(ParameterError):
-        fx.backward(tape, loss)
+    for foreign in (loss, constant):
+        with pytest.raises(ParameterError):
+            fx.backward(tape, foreign)
     assert fx.backward(other, loss)[x].data.shape == (3,)
 
 
 def test_unreachable_parameter_gets_zero_grad():
-    x = fx.parameter(np.ones(3), name="used")
-    z = fx.parameter(np.ones(2), name="unused")
-    with fx.Tape() as tape:
-        tape.watch(z)
+    x = fx.tensor(np.ones(3), name="used")
+    z = fx.tensor(np.ones(2), name="unused")
+    with fx.Tape([x, z]) as tape:
         loss = fx.reduce_sum(x * x)
     grads = fx.backward(tape, loss)
+    assert list(grads) == [x, z]
     np.testing.assert_array_equal(grads[z].data, np.zeros(2))
     np.testing.assert_allclose(grads[x].data, 2.0, atol=1e-12)
 
 
-def test_pause_tape_suppresses_recording():
-    x = fx.parameter(np.ones(3))
-    with fx.Tape() as tape:
-        _ = x * 2.0
-        before = len(tape.nodes)
-        with fx.pause_tape():
-            _ = x * 5.0
-        assert len(tape.nodes) == before
+def test_tape_records_only_ops_on_live_tensors():
+    """Live means a wrt leaf or a recorded output; each node keeps its input mask,
+    and its vjp returns gradients only for the live inputs."""
+    x = fx.tensor(np.ones((2, 3)))
+    c = fx.tensor(np.full((3, 2), 2.0))
+    with fx.Tape([x]) as tape:
+        k = c * 3.0 + 1.0  # constants alone: no node
+        h = fx.matmul(x, k)
+        loss = fx.reduce_sum(h * h)
+    assert [(n.op, n.live) for n in tape.nodes] == [
+        ("matmul", (True, False)), ("mul", (True, True)), ("sum", (True,))]
+    node = tape.nodes[0]
+    gx, gk = node.vjp(np.ones((2, 2)), node.live)
+    assert gx.shape == (2, 3) and gk is None
+    assert list(fx.backward(tape, loss)) == [x]
 
 
 def test_forward_determinism_same_bytes():

@@ -26,7 +26,7 @@ def small_model(seed=0):
 
 class TestAdamW:
     def test_first_step_closed_form(self):
-        p = fx.parameter(np.array([0.7, -1.3]))
+        p = fx.tensor(np.array([0.7, -1.3]))
         g = np.array([0.25, 2.0])
         lr, wd, eps = 0.01, 0.1, 1e-8
         opt = AdamW([p], lr=lr, weight_decay=wd, eps=eps)
@@ -37,31 +37,31 @@ class TestAdamW:
         assert np.allclose(p.data, expected, rtol=1e-12, atol=0)
 
     def test_quadratic_convergence(self):
-        p = fx.parameter(np.array([5.0]))
+        p = fx.tensor(np.array([5.0]))
         opt = AdamW([p], lr=0.1)
         for _ in range(300):
-            with fx.Tape() as tape:
+            with fx.Tape(opt.params) as tape:
                 loss = fx.reduce_sum(fx.square(p - fx.Tensor(np.array([3.0]))))
             opt.step(fx.backward(tape, loss))
         assert abs(float(p.data[0]) - 3.0) < 1e-3
 
     def test_zero_lr_freezes_parameters(self):
-        p = fx.parameter(np.array([1.0, 2.0]))
+        p = fx.tensor(np.array([1.0, 2.0]))
         before = p.data.tobytes()
         opt = AdamW([p], lr=0.0, weight_decay=0.01)
         opt.step({p: fx.Tensor(np.array([10.0, -10.0]))})
         assert p.data.tobytes() == before
 
     def test_decay_is_decoupled_from_gradient(self):
-        p = fx.parameter(np.array([2.0]))
+        p = fx.tensor(np.array([2.0]))
         lr, wd = 0.5, 0.1
         opt = AdamW([p], lr=lr, weight_decay=wd)
         opt.step({p: fx.Tensor(np.array([0.0]))})
         assert np.allclose(p.data, np.array([2.0]) * (1.0 - lr * wd), rtol=1e-12)
 
     def test_missing_grads_skipped(self):
-        a = fx.parameter(np.array([1.0]))
-        b = fx.parameter(np.array([2.0]))
+        a = fx.tensor(np.array([1.0]))
+        b = fx.tensor(np.array([2.0]))
         before = b.data.tobytes()
         opt = AdamW([a, b], lr=0.1)
         opt.step({a: fx.Tensor(np.array([1.0]))})
@@ -69,7 +69,7 @@ class TestAdamW:
         assert a.data[0] != 1.0
 
     def test_dict_input_accepted(self):
-        p = fx.parameter(np.array([1.0]))
+        p = fx.tensor(np.array([1.0]))
         opt = AdamW({"p": p}, lr=0.1)
         opt.step({p: fx.Tensor(np.array([1.0]))})
         assert p.data[0] != 1.0
@@ -203,6 +203,25 @@ class TestStageOne:
             assert isinstance(m, StepMetrics)
             assert m.pi_mean.shape == (4,)
             assert abs(m.pi_mean.sum() - 1.0) < 1e-5
+
+    def test_backward_returns_exactly_the_stack_leaves(self, monkeypatch):
+        params, stack = small_model()
+        seen = []
+        backward = fx.backward
+
+        def capture(tape, loss):
+            grads = backward(tape, loss)
+            seen.append(list(grads))
+            return grads
+
+        monkeypatch.setattr(fx, "backward", capture)
+        cfg = TrainConfig(steps=2, batch_size=2, seed=0)
+        train_stage1(self._samples(), cfg, params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        leaves = list(stack.parameters().values())
+        assert len(leaves) == 4 + 16 * 2
+        assert seen == [leaves] * 2
+        backbone = {id(t) for t in params.named_arrays().values()}
+        assert not backbone & {id(t) for t in leaves}
 
     def test_zero_lr_changes_nothing(self):
         params, stack = small_model()
