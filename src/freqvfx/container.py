@@ -132,7 +132,11 @@ def read_container(blob: bytes) -> dict[str, np.ndarray]:
         payload = r.take(n_items * dtype.itemsize, f"entry {name!r} payload")
         if name in out:
             raise ContainerError(f"duplicate entry name {name!r}")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+        try:
+            arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+        except ValueError as e:  # an empty payload with dims numpy cannot represent
+            raise ContainerError(f"entry {name!r}: dims {dims} are not a valid array "
+                                 f"shape ({e})") from e
         out[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     body_end = r.pos
     (stored,) = struct.unpack("<I", r.take(4, "checksum"))

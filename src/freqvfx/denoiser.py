@@ -19,6 +19,13 @@ backbone the conditioning read would otherwise be a faint additive term, and
 test-time updates to the vfx tokens could barely move the output spectrum;
 the gain keeps the context injection comparable to the token content itself.
 
+A step is `_trunk` (routing, embedding and block 0's self-attention, which do
+not read the conditioning) followed by `_head` (everything after). The two
+classifier-free-guidance branches differ only in the head, so `denoise_guided`
+runs one trunk for both when no tape records it. Cross-attention into a
+single context token (the null token of the unconditional branch) skips the q/k
+projections and the softmax, whose weight over one key is exactly 1.
+
 Every backbone weight is a frozen constant: no tape lists it among the leaves
 it differentiates. The only trainable state lives in the router, the
 per-projection expert stacks (stage 1), and the vfx embedding tokens (stage 2).
@@ -266,9 +273,9 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens,
 
 
 def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
-                    batch: int, uncond: bool) -> Tensor:
+                    batch: int) -> Tensor:
     d = params.width
-    if uncond or cond is None:
+    if cond is None:
         return fx.broadcast_to(fx.reshape(params.null_token, (1, 1, d)), (batch, 1, d))
     parts = []
     for name, tok in (("image", cond.image_tokens), ("text", cond.text_tokens),
@@ -294,21 +301,34 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
             return fx.linear(h, w)
         return moe_forward(stack.layers[f"{layer}.{slot}"], pi, w, h)
 
-    q = project("q", x)
-    k = project("k", kv)
-    v = project("v", kv)
-    scores = fx.matmul(q, fx.swap_last2(k)) * scale
-    if bias is not None:
-        scores = scores + Tensor(np.asarray(bias, dtype=scores.dtype))
-    attn = fx.softmax(scores, axis=-1)
+    if kv.shape[1] == 1 and bias is None:
+        # softmax over a single key is exactly 1 for any finite score, so the
+        # q/k projections and the scores cannot change the output
+        attn = Tensor(np.ones(x.shape[:2] + (1,), dtype=x.dtype))
+        v = project("v", kv)
+    else:
+        q = project("q", x)
+        k = project("k", kv)
+        v = project("v", kv)
+        scores = fx.matmul(q, fx.swap_last2(k)) * scale
+        if bias is not None:
+            scores = scores + Tensor(np.asarray(bias, dtype=scores.dtype))
+        attn = fx.softmax(scores, axis=-1)
     return project("o", fx.matmul(attn, v))
 
 
-def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
-                 stack: AdapterStack | None, *, pi: Tensor | None = None,
-                 uncond: bool = False, cross_bias: np.ndarray | None = None) -> Tensor:
-    """Predict the noise in z_t. Routing weights come from the descriptor of
-    z_t unless a precomputed `pi` is passed in (CFG branches share one).
+def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
+    if not params.diag_bias:
+        return None
+    return params.diag_bias * np.eye(params.n_tokens, dtype=dtype)
+
+
+def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
+           pi: Tensor | None) -> tuple[Tensor, Tensor | None]:
+    """The part of a step that does not read the conditioning: checks, routing
+    (when `pi` is None), embedding and block 0's self-attention.
+
+    Returns the residual stream and the routing weights it used.
     """
     z_t = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
     if z_t.ndim != 5 or z_t.shape[1:] != params.latent_shape:
@@ -334,14 +354,55 @@ def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
         temb = temb[:, None, :]
     x = tokens + params.pos + Tensor(temb)
 
-    kv = _context_tokens(params, cond, b, uncond)
     scale = 1.0 / math.sqrt(params.width)
-    n = params.n_tokens
-    diag = (params.diag_bias * np.eye(n, dtype=x.dtype)) if params.diag_bias else None
+    for blk in params.blocks[:1]:
+        x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self", scale,
+                           _self_bias(params, x.dtype))
+    return x, pi
+
+
+def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
+          stack: AdapterStack | None, pi: Tensor | None,
+          cross_bias: np.ndarray | None) -> Tensor:
+    """The rest of a step after `_trunk`: block 0's cross-attention, every later
+    block, unembed and unpatchify."""
+    kv = _context_tokens(params, cond, x.shape[0])
+    scale = 1.0 / math.sqrt(params.width)
+    diag = _self_bias(params, x.dtype)
     for i, blk in enumerate(params.blocks):
-        x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
+        if i > 0:
+            x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
         x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale,
                            cross_bias)
 
     out = fx.linear(x, params.unembed_w) + params.unembed_b
     return unpatchify(out, params.latent_shape, params.patch)
+
+
+def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
+                 stack: AdapterStack | None, *, pi: Tensor | None = None,
+                 cross_bias: np.ndarray | None = None) -> Tensor:
+    """Predict the noise in z_t; `cond=None` reads the null token (the
+    unconditional branch). Routing weights come from the descriptor of z_t
+    unless a precomputed `pi` is passed in (CFG branches share one).
+    """
+    x, pi = _trunk(z_t, t, params, stack, pi)
+    return _head(x, cond, params, stack, pi, cross_bias)
+
+
+def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
+                   stack: AdapterStack | None, *, pi: Tensor | None = None
+                   ) -> tuple[Tensor, Tensor]:
+    """(eps_cond, eps_uncond): the two classifier-free-guidance branches,
+    byte-identical to `denoise_step` with `cond` and with None.
+
+    When `_trunk` records nothing (no active tape, or a tape on which z_t, `pi`
+    and the stack are constant, as at every `generate` step), both branches share
+    one trunk. Otherwise each branch runs its own, so the tape holds the same
+    nodes as for two `denoise_step` calls and gradients keep their bytes.
+    """
+    x, routed = _trunk(z_t, t, params, stack, pi)
+    eps_c = _head(x, cond, params, stack, routed, None)
+    if fx.is_live(x):
+        x, routed = _trunk(z_t, t, params, stack, pi)
+    return eps_c, _head(x, None, params, stack, routed, None)

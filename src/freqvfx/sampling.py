@@ -1,9 +1,13 @@
 """Deterministic DDIM-style sampling with classifier-free guidance.
 
 Each step computes the joint descriptor and routing weights once from the
-shared noisy latent and reuses them for both guidance branches; with
-cfg_scale == 1 the unconditional branch is skipped entirely, so guided and
-unguided trajectories coincide bit for bit.
+shared noisy latent and reuses them for both guidance branches. A guided step
+calls `denoise_guided`, which also computes the conditioning-free prefix of the
+denoiser once for both branches whenever no tape records it (every `generate`
+step, and the first step of each adapt rollout); the outputs are byte-identical
+to two `denoise_step` calls. With cfg_scale == 1 the step calls `denoise_step`
+for the conditional branch only, so guided and unguided trajectories coincide
+bit for bit.
 
 The update uses the alpha-ratio form z' = (a'/a) z + (s' - (a'/a) s) eps_hat,
 algebraically identical to re-noising the predicted clean latent but without
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step
+from .denoiser import (AdapterStack, Conditioning, DenoiserParams, denoise_guided,
+                       denoise_step)
 from .errors import ParameterError, ShapeError
 from .moe import route
 from .schedule import NoiseSchedule, sampling_grid
@@ -69,11 +74,10 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         if stack is not None:
             pi = route(jd, stack.router, stack.top_k)
             pi_cond[k] = pi.data
-        eps_c = denoise_step(z, t, cond, params, stack, pi=pi)
         if cfg_scale == 1.0:
-            eps_hat = eps_c
+            eps_hat = denoise_step(z, t, cond, params, stack, pi=pi)
         else:
-            eps_u = denoise_step(z, t, None, params, stack, pi=pi, uncond=True)
+            eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
             if pi_uncond is not None:
                 pi_uncond[k] = pi.data  # same weights by construction; recorded per branch
             eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
@@ -82,5 +86,4 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         ratio = a_n / a_t
         z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
 
-    return SampleResult(video=z, timesteps=grid, descriptors=descriptors,
-                        pi_cond=pi_cond, pi_uncond=pi_uncond)
+    return SampleResult(z, grid, descriptors, pi_cond, pi_uncond)

@@ -165,6 +165,12 @@ class Tape:
             raise TapeConsistencyError("tape stack corrupted by unbalanced enter/exit")
 
 
+def is_live(t: Tensor) -> bool:
+    """True when the active tape records the ops that take `t` as input."""
+    tape = active_tape()
+    return tape is not None and id(t) in tape._live
+
+
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
             ) -> Tensor:

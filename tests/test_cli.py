@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -285,6 +287,17 @@ class TestAnalyze:
         assert np.array_equal(ts, [0])
         assert np.all(vals[:, 3:] == 0.0)
         assert abs(vals[0, :3].sum() - 1.0) < 1e-5
+
+    def test_unrepresentable_dims_exit_one(self, tmp_path, capsys):
+        dims = (2**31, 2**31, 0)
+        body = (b"FVL1" + struct.pack("<HHH", 1, 1, 6) + b"videos"
+                + struct.pack("<BB3I", 1, 3, *dims))
+        p = tmp_path / "hostile.fvl1"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        rc = run("analyze", "--input", str(p), "--out", str(tmp_path / "an"))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "entry 'videos'" in err and "Traceback" not in err, err
 
     def test_class_profiles_visible_in_report(self, tmp_path):
         # default latent size: the class contracts need room for interior sites

@@ -102,6 +102,17 @@ def test_unsupported_version():
         ct.read_container(blob)
 
 
+def test_unrepresentable_dims_are_named_container_errors():
+    """A valid checksum over an empty payload whose dims numpy cannot represent:
+    too many elements in total, or more axes than numpy allows."""
+    for dims in ((2**31, 2**31, 0), (1,) * 65 + (0,)):
+        body = (b"FVL1" + struct.pack("<HHH", 1, 1, 4) + b"huge"
+                + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims))
+        blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ContainerError, match="entry 'huge'"):
+            ct.read_container(blob)
+
+
 def test_writer_rejects_bad_entries():
     with pytest.raises(ParameterError):
         ct.write_container({"ints": np.arange(3)})

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.denoiser import (Conditioning, build_adapter_stack, build_conditioning,
-                              build_denoiser, denoise_step, patchify, unpatchify)
+                              build_denoiser, denoise_guided, denoise_step, patchify,
+                              unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
 from freqvfx.spectral import joint_descriptor_detached
@@ -27,6 +29,16 @@ def small_batch(seed=10, b=2, dtype=np.float32):
     z = rng.standard_normal((b,) + LATENT).astype(dtype)
     text = rng.standard_normal((2, WIDTH)).astype(dtype)
     return z, text
+
+
+def woken_model():
+    """small_model with the cold-start zeros (expert B matrices, router second
+    layer) moved, so adapters change the output and gradients do not vanish."""
+    params, stack = small_model()
+    for name, t in stack.parameters().items():
+        if name.endswith(".b") or name == "router.w2":
+            t.data[...] += 0.05
+    return params, stack
 
 
 def bytes_of(t) -> bytes:
@@ -177,10 +189,11 @@ class TestDenoiseStep:
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        u1 = denoise_step(z, 3, cond, params, stack, uncond=True)
+        c1, u1 = denoise_guided(z, 3, cond, params, stack)
         u2 = denoise_step(z, 3, None, params, stack)
         c = denoise_step(z, 3, cond, params, stack)
         assert bytes_of(u1) == bytes_of(u2)
+        assert bytes_of(c1) == bytes_of(c)
         assert not np.array_equal(u1.data, c.data)
 
     def test_zero_init_adapters_match_base_model(self):
@@ -241,12 +254,7 @@ class TestDenoiseStep:
         assert np.max(np.abs(masked.data - full.data)) > 1e-3
 
     def test_gradients_reach_adapters_not_backbone(self):
-        params, stack = small_model()
-        # wake up the cold-start zeros (expert B matrices, router second
-        # layer), otherwise upstream gradients vanish identically
-        for name, t in stack.parameters().items():
-            if name.endswith(".b") or name == "router.w2":
-                t.data[...] += 0.05
+        params, stack = woken_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
         with fx.Tape(stack.parameters().values()) as tape:
@@ -274,3 +282,89 @@ class TestDenoiseStep:
         assert out.dtype == np.float64
         assert out.shape == z.shape
         assert np.all(np.isfinite(out.data))
+
+
+class TestGuidedStep:
+    @pytest.mark.parametrize("with_stack", [True, False])
+    @pytest.mark.parametrize("b, t", [(1, 3), (2, 3), (2, np.array([3, 7]))])
+    def test_matches_two_steps_byte_for_byte(self, with_stack, b, t):
+        params, stack = woken_model()
+        stack = stack if with_stack else None
+        z, text = small_batch(b=b)
+        cond = build_conditioning(params, z, text)
+        routings = [None]
+        if stack is not None:
+            routings.append(route(joint_descriptor_detached(fx.Tensor(z)), stack.router,
+                                  stack.top_k))
+        for pi in routings:
+            eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
+            assert bytes_of(eps_c) == bytes_of(denoise_step(z, t, cond, params, stack, pi=pi))
+            assert bytes_of(eps_u) == bytes_of(denoise_step(z, t, None, params, stack, pi=pi))
+
+    def test_live_trunk_records_the_nodes_of_two_steps(self):
+        """With z on the tape, or with the stack's leaves on it, each branch runs
+        its own trunk: the same nodes and gradient bytes as two denoise_step calls."""
+        params, stack = woken_model()
+        z, text = small_batch()
+        cond = build_conditioning(params, z, text)
+        pi = route(joint_descriptor_detached(fx.Tensor(z)), stack.router, stack.top_k)
+
+        def guided(zt):
+            return denoise_guided(zt, 3, cond, params, stack, pi=pi)
+
+        def two_steps(zt):
+            return (denoise_step(zt, 3, cond, params, stack, pi=pi),
+                    denoise_step(zt, 3, None, params, stack, pi=pi))
+
+        for on_tape in ("z", "stack"):
+            seen = []
+            for fn in (guided, two_steps):
+                zt = fx.tensor(z)
+                wrt = [zt] if on_tape == "z" else list(stack.parameters().values())
+                with fx.Tape(wrt) as tape:
+                    eps_c, eps_u = fn(zt)
+                    loss = fx.reduce_sum(fx.square(eps_u + 7.5 * (eps_c - eps_u)))
+                grads = fx.backward(tape, loss)
+                seen.append(([(n.op, n.live, n.out.shape) for n in tape.nodes],
+                             [bytes_of(grads[leaf]) for leaf in wrt]))
+            assert seen[0] == seen[1], on_tape
+
+    def test_constant_trunk_is_shared(self, monkeypatch):
+        """With only the vfx tokens on the tape (an adapt rollout's first step),
+        the trunk records nothing and runs once for both branches."""
+        params, stack = woken_model()
+        z, text = small_batch()
+        vfx = fx.tensor(np.random.default_rng(4).standard_normal((3, WIDTH)),
+                        dtype=np.float32)
+        cond = build_conditioning(params, z, text, vfx)
+        calls = []
+        real = freqvfx.denoiser._trunk
+
+        def counting_trunk(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(freqvfx.denoiser, "_trunk", counting_trunk)
+        with fx.Tape([vfx]):
+            _, eps_u = denoise_guided(z, 3, cond, params, stack)
+        assert len(calls) == 1
+        assert bytes_of(eps_u) == bytes_of(denoise_step(z, 3, None, params, stack))
+
+    def test_single_key_shortcut_matches_full_attention(self):
+        """Cross-attention into the one null token skips q, k and the softmax;
+        a zero bias forces the full path, which must agree with it."""
+        params, stack = woken_model()
+        z, _ = small_batch()
+        zero = np.zeros((params.n_tokens, 1), dtype=np.float32)
+        leaves = list(stack.parameters().values())
+        runs = []
+        for bias in (None, zero):
+            with fx.Tape(leaves) as tape:
+                out = denoise_step(z, 3, None, params, stack, cross_bias=bias)
+                loss = fx.reduce_sum(fx.square(out))
+            runs.append((bytes_of(out), len(tape.nodes), fx.backward(tape, loss)))
+        (short, n_short, g_short), (full, n_full, g_full) = runs
+        assert short == full
+        assert n_short < n_full
+        for leaf in leaves:
+            assert np.array_equal(g_short[leaf].data, g_full[leaf].data), leaf.name

@@ -10,10 +10,12 @@ import collections
 import numpy as np
 import pytest
 
+import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.adapt import adapt
 from freqvfx.config import AdaptConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
+from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
 from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
 from freqvfx.train import diffusion_loss
@@ -53,7 +55,7 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [1896]
+    assert seen == [1700]
 
 
 def test_denoise_step_nodes(model):
@@ -65,3 +67,21 @@ def test_denoise_step_nodes(model):
         cond = build_conditioning(params, z0[:1], text[0])
         denoise_step(z0[:1], 500, cond, params, stack)
     assert len(tape.nodes) == 161
+
+
+@pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])
+def test_moe_forward_calls_per_sampler_step(model, monkeypatch, cfg_scale, per_step):
+    """A guided step runs block 0's self-attention once for both branches, and the
+    unconditional cross-attention into the one null token projects only v and o."""
+    params, stack, sched, z0, text = model
+    calls = []
+    real = freqvfx.denoiser.moe_forward
+
+    def counting_moe_forward(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(freqvfx.denoiser, "moe_forward", counting_moe_forward)
+    sample(params, stack, sched, build_conditioning(params, z0[:1], text[0]), steps=3,
+           cfg_scale=cfg_scale, seed=0)
+    assert len(calls) == 3 * per_step

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import freqvfx.denoiser
 import freqvfx.sampling
 import freqvfx.tensor as fx
-from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
+from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
+                              denoise_guided, denoise_step)
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
 from freqvfx.sampling import sample
@@ -44,7 +46,7 @@ def manual_sample(params, stack, sched, cond, steps, cfg_scale, init_noise):
         if cfg_scale == 1.0:
             eps_hat = eps_c
         else:
-            eps_u = denoise_step(z, t, None, params, stack, pi=pi, uncond=True)
+            eps_u = denoise_step(z, t, None, params, stack, pi=pi)
             eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
         a_t, s_t = sched.alphas[t], sched.sigmas[t]
         a_n, s_n = sched.alphas[t_next], sched.sigmas[t_next]
@@ -123,36 +125,43 @@ class TestGuidance:
 class TestSharedRouting:
     def test_both_branches_reuse_one_routing(self, monkeypatch):
         params, stack, sched, cond = small_setup()
-        calls = []
-        real = denoise_step
+        calls, heads = [], []
+        real, real_head = denoise_guided, freqvfx.denoiser._head
 
-        def recorder(z_t, t, c, p, s, *, pi=None, uncond=False, cross_bias=None):
-            calls.append((int(np.asarray(t).ravel()[0]) if np.ndim(t) else int(t),
-                          uncond, pi))
-            return real(z_t, t, c, p, s, pi=pi, uncond=uncond, cross_bias=cross_bias)
+        def recorder(z_t, t, c, p, s, *, pi=None):
+            calls.append((int(t), c, pi))
+            return real(z_t, t, c, p, s, pi=pi)
 
-        monkeypatch.setattr(freqvfx.sampling, "denoise_step", recorder)
+        def head_recorder(x, c, p, s, pi, cross_bias):
+            heads.append((c, pi))
+            return real_head(x, c, p, s, pi, cross_bias)
+
+        monkeypatch.setattr(freqvfx.sampling, "denoise_guided", recorder)
+        monkeypatch.setattr(freqvfx.denoiser, "_head", head_recorder)
         result = sample(params, stack, sched, cond, steps=4, cfg_scale=7.5, seed=0)
-        assert len(calls) == 8
-        for k in range(4):
-            (t_c, u_c, pi_c), (t_u, u_u, pi_u) = calls[2 * k], calls[2 * k + 1]
-            assert (u_c, u_u) == (False, True)
-            assert t_c == t_u
-            assert pi_c is pi_u and pi_c is not None
+        assert len(calls) == 4 and len(heads) == 8
+        for k, (_, c, pi) in enumerate(calls):
+            assert c is cond and pi is not None
+            (c_c, pi_c), (c_u, pi_u) = heads[2 * k], heads[2 * k + 1]
+            assert c_c is cond and c_u is None
+            assert pi_c is pi and pi_u is pi
         assert np.array_equal(result.pi_cond, result.pi_uncond)
 
     def test_unguided_run_never_calls_uncond_branch(self, monkeypatch):
         params, stack, sched, cond = small_setup()
-        flags = []
+        conds, guided = [], []
         real = denoise_step
 
-        def recorder(z_t, t, c, p, s, *, pi=None, uncond=False, cross_bias=None):
-            flags.append(uncond)
-            return real(z_t, t, c, p, s, pi=pi, uncond=uncond, cross_bias=cross_bias)
+        def recorder(z_t, t, c, p, s, *, pi=None, cross_bias=None):
+            conds.append(c)
+            return real(z_t, t, c, p, s, pi=pi, cross_bias=cross_bias)
 
         monkeypatch.setattr(freqvfx.sampling, "denoise_step", recorder)
+        monkeypatch.setattr(freqvfx.sampling, "denoise_guided",
+                            lambda *a, **k: guided.append(a))
         sample(params, stack, sched, cond, steps=4, cfg_scale=1.0, seed=0)
-        assert flags == [False] * 4
+        assert conds == [cond] * 4
+        assert guided == []
 
 
 class TestLoggingAndShapes:

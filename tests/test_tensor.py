@@ -325,10 +325,12 @@ def test_tape_records_only_ops_on_live_tensors():
     and its vjp returns gradients only for the live inputs."""
     x = fx.tensor(np.ones((2, 3)))
     c = fx.tensor(np.full((3, 2), 2.0))
+    assert not fx.is_live(x)  # no active tape
     with fx.Tape([x]) as tape:
         k = c * 3.0 + 1.0  # constants alone: no node
         h = fx.matmul(x, k)
         loss = fx.reduce_sum(h * h)
+        assert [fx.is_live(t) for t in (x, c, k, h, loss)] == [True, False, False, True, True]
     assert [(n.op, n.live) for n in tape.nodes] == [
         ("matmul", (True, False)), ("mul", (True, True)), ("sum", (True,))]
     node = tape.nodes[0]
