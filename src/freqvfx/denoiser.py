@@ -33,6 +33,7 @@ per-projection expert stacks (stage 1), and the vfx embedding tokens (stage 2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -317,10 +318,17 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
     return project("o", fx.matmul(attn, v))
 
 
+@functools.lru_cache(maxsize=8)
+def _diag(n_tokens: int, diag_bias: float, dtype) -> np.ndarray:
+    bias = diag_bias * np.eye(n_tokens, dtype=dtype)
+    bias.setflags(write=False)  # shared by every call that asks for it
+    return bias
+
+
 def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
     if not params.diag_bias:
         return None
-    return params.diag_bias * np.eye(params.n_tokens, dtype=dtype)
+    return _diag(params.n_tokens, params.diag_bias, np.dtype(dtype))
 
 
 def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
@@ -354,10 +362,9 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
         temb = temb[:, None, :]
     x = tokens + params.pos + Tensor(temb)
 
-    scale = 1.0 / math.sqrt(params.width)
-    for blk in params.blocks[:1]:
-        x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self", scale,
-                           _self_bias(params, x.dtype))
+    blk = params.blocks[0]
+    x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self",
+                       1.0 / math.sqrt(params.width), _self_bias(params, x.dtype))
     return x, pi
 
 
@@ -369,9 +376,10 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
     kv = _context_tokens(params, cond, x.shape[0])
     scale = 1.0 / math.sqrt(params.width)
     diag = _self_bias(params, x.dtype)
-    for i, blk in enumerate(params.blocks):
-        if i > 0:
-            x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
+    x = x + _attention(x, kv, params.blocks[0].cross_attn, stack, pi, "block0.cross",
+                       scale, cross_bias)
+    for i, blk in enumerate(params.blocks[1:], start=1):
+        x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
         x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale,
                            cross_bias)
 

@@ -86,4 +86,5 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         ratio = a_n / a_t
         z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
 
-    return SampleResult(z, grid, descriptors, pi_cond, pi_uncond)
+    return SampleResult(video=z, timesteps=grid, descriptors=descriptors,
+                        pi_cond=pi_cond, pi_uncond=pi_uncond)

@@ -499,25 +499,38 @@ def test_criterion_09_sampling_contracts(monkeypatch):
         z = float(ratio) * z + float(s_n - ratio * s_t) * eps_c
     cond_only_ok = np.array_equal(got.video.data, z.data)
 
-    # both guidance branches must be fed the very same routing object: one
-    # denoise_guided call per step hands its single `pi` to both branches
-    calls = []
+    # both guidance branches must be fed the very same routing object: per
+    # cfg-7.5 step, one denoise_guided call whose `pi` reaches a conditional and
+    # then an unconditional head
+    calls, heads = [], []
     real_guided = freqvfx.sampling.denoise_guided
     real_step = freqvfx.sampling.denoise_step
+    real_head = freqvfx.denoiser._head
 
     def spy_guided(z_t, t, c, p, s, *, pi=None):
-        calls.append(("guided", pi is not None))
+        calls.append(("guided", int(t), c, pi))
         return real_guided(z_t, t, c, p, s, pi=pi)
 
     def spy_step(z_t, t, c, p, s, *, pi=None, cross_bias=None):
         calls.append(("uncond" if c is None else "cond", pi is not None))
         return real_step(z_t, t, c, p, s, pi=pi, cross_bias=cross_bias)
 
+    def spy_head(x, c, p, s, pi, cross_bias):
+        heads.append((c, pi))
+        return real_head(x, c, p, s, pi, cross_bias)
+
     monkeypatch.setattr(freqvfx.sampling, "denoise_guided", spy_guided)
     monkeypatch.setattr(freqvfx.sampling, "denoise_step", spy_step)
+    monkeypatch.setattr(freqvfx.denoiser, "_head", spy_head)
     sample(params, stack, sched, cond, steps=scfg.steps,
            cfg_scale=scfg.cfg_scale, seed=5)
-    shared = calls == [("guided", True)] * scfg.steps
+    shared = len(calls) == scfg.steps and len(heads) == 2 * scfg.steps
+    for k in range(scfg.steps if shared else 0):
+        kind, t_k, c, pi = calls[k]
+        (c_c, pi_c), (c_u, pi_u) = heads[2 * k], heads[2 * k + 1]
+        shared = (shared and kind == "guided" and t_k == int(grid[k])
+                  and c is cond and pi is not None
+                  and c_c is cond and c_u is None and pi_c is pi and pi_u is pi)
     calls.clear()
     sample(params, stack, sched, cond, steps=scfg.steps, cfg_scale=1.0, seed=5)
     uncond_skipped = calls == [("cond", True)] * scfg.steps
