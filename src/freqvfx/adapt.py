@@ -42,7 +42,7 @@ class VfxEmbedding:
         if length < 1:
             raise ParameterError(f"embedding needs at least one token, got {length}")
         data = rng.normal(0.0, std, size=(length, width)).astype(dtype)
-        return cls(tokens=fx.tensor(data, name="embedding.tokens"))
+        return cls(tokens=fx.tensor(data))
 
 
 def freq_constraint_loss(z_gen, z_ref, sigma1: float = SIGMA1_DEFAULT,

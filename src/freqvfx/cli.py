@@ -28,10 +28,9 @@ import numpy as np
 
 from .adapt import adapt
 from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict, to_dict
-from .container import (RunManifest, check_config_compatible, load_checkpoint_arrays,
-                        manifest_path_for, read_container_file, read_manifest,
-                        restore_state, save_checkpoint, sha256_file,
-                        write_container_file, write_manifest)
+from .container import (RunManifest, check_config_compatible, manifest_path_for,
+                        read_container_file, read_manifest, restore_state, save_checkpoint,
+                        sha256_file, write_container_file, write_manifest)
 from .denoiser import build_adapter_stack, build_conditioning, build_denoiser
 from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
 from .reports import adapt_trace_csv, emit_spectral_report, train_metrics_csv, write_text
@@ -94,14 +93,28 @@ def _dataset_entries(dataset) -> dict[str, np.ndarray]:
     return entries
 
 
+def _dataset_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in entries:
+        raise ContainerError(f"dataset has no {name!r} entry")
+    return entries[name]
+
+
 def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
-    videos = entries["videos"]
-    class_ids = entries["class_ids"].astype(np.int64)
+    """The labeled samples of a dataset container; a missing entry or a class id
+    that names no effect class is a ContainerError naming the entry."""
+    videos = _dataset_entry(entries, "videos")
+    class_ids = _dataset_entry(entries, "class_ids")
+    if videos.ndim < 1 or class_ids.shape != videos.shape[:1]:
+        raise ContainerError(f"'class_ids' {class_ids.shape} does not give one id per "
+                             f"video of 'videos' {videos.shape}")
     samples = []
     for video, cid in zip(videos, class_ids):
-        effect = _CLASSES_BY_ID[int(cid)]
-        tokens = entries[f"text.{effect.name}"]
-        samples.append(Sample(video=video, effect=effect, class_id=int(cid),
+        effect = _CLASSES_BY_ID.get(float(cid))  # NaN and non-integers match no id
+        if effect is None:
+            raise ContainerError(f"'class_ids' holds {cid!r}, which names no effect class; "
+                                 f"known ids: {sorted(_CLASSES_BY_ID)}")
+        tokens = _dataset_entry(entries, f"text.{effect.name}")
+        samples.append(Sample(video=video, effect=effect, class_id=effect.class_id,
                               text_tokens=tokens))
     return samples
 
@@ -115,8 +128,7 @@ def _build_model(model_cfg: ModelConfig, rng: np.random.Generator):
                             cross_gain=model_cfg.cross_gain)
     stack = build_adapter_stack(rng, params, n_experts=model_cfg.n_experts,
                                 total_rank=model_cfg.total_rank, top_k=model_cfg.top_k,
-                                alpha=model_cfg.alpha, tau=model_cfg.tau,
-                                router_hidden=model_cfg.router_hidden)
+                                tau=model_cfg.tau, router_hidden=model_cfg.router_hidden)
     return params, stack
 
 
@@ -125,7 +137,7 @@ def _restore_model(checkpoint_path: str):
     manifest = read_manifest(manifest_path_for(checkpoint_path))
     model_cfg = from_dict(ModelConfig, manifest.config["model"])
     params, stack = _build_model(model_cfg, np.random.default_rng(0))
-    entries = load_checkpoint_arrays(checkpoint_path)
+    entries = read_container_file(checkpoint_path)
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
                              sigmas=entries["schedule.sigmas"])

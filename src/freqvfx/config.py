@@ -20,10 +20,15 @@ class ModelConfig:
     n_experts: int = 4
     total_rank: int = 16
     top_k: int = 3
-    alpha: float | None = None  # LoRA scaling numerator; None means alpha = total_rank
+    alpha: None = None  # the only value; kept so manifests that record it still load
     tau: float = 1.5  # router temperature; >1 softens routing and delays expert collapse
     router_hidden: int = 16
     n_text_tokens: int = 2
+
+    def __post_init__(self):
+        if self.alpha is not None:
+            raise ParameterError(
+                f"alpha must be null, got {self.alpha!r}; expert updates are unscaled")
 
 
 @dataclass

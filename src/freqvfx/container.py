@@ -271,10 +271,6 @@ def save_checkpoint(path, params, stack, schedule, *, embedding=None,
         write_manifest(manifest_path_for(path), manifest)
 
 
-def load_checkpoint_arrays(path) -> dict[str, np.ndarray]:
-    return read_container_file(path)
-
-
 def restore_state(entries: Mapping[str, np.ndarray], params, stack,
                   embedding=None) -> None:
     """Copy stored arrays into freshly built structures. Every entry must exist

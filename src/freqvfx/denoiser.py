@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as fx
 from .errors import ParameterError, ShapeError
-from .moe import MoeAdapter, RouterParams, moe_forward, route
+from .moe import (MoeAdapter, RouterParams, expert_owner, expert_slices, moe_forward, route,
+                  split_rank_budget)
 from .spectral import joint_descriptor_detached
 from .tensor import Tensor
 
@@ -130,11 +131,23 @@ class Conditioning:
 
 @dataclass
 class AdapterStack:
-    """One shared router plus a MoeAdapter per adapted projection layer."""
+    """One shared router plus a MoeAdapter per adapted projection layer.
+
+    Every layer splits its rank axis into experts by the same `ranks`; the
+    stack holds that layout once: the constant (M, R) `owner` one-hot and
+    each expert's span of the rank axis.
+    """
 
     router: RouterParams
     layers: dict[str, MoeAdapter]
     top_k: int
+    ranks: tuple[int, ...]
+    owner: Tensor = field(init=False)
+    expert_slices: list[slice] = field(init=False)
+
+    def __post_init__(self):
+        self.owner = expert_owner(self.ranks, self.router.w1.dtype)
+        self.expert_slices = expert_slices(self.ranks)
 
     def parameters(self) -> dict[str, Tensor]:
         """The trainable leaves: router tensors, then each layer's packed pair."""
@@ -145,10 +158,12 @@ class AdapterStack:
 
     def named_arrays(self) -> dict[str, Tensor]:
         """Checkpoint entries: router tensors, then `adapter.<layer>.expert<m>.{a,b}`
-        views of the packed pairs."""
+        views of the packed pairs, so writing into one writes into the layer."""
         out = dict(self.router.parameters())
         for name, adapter in self.layers.items():
-            out.update(adapter.named_arrays(prefix=f"adapter.{name}"))
+            for m, s in enumerate(self.expert_slices):
+                out[f"adapter.{name}.expert{m}.a"] = Tensor(adapter.a.data[s])
+                out[f"adapter.{name}.expert{m}.b"] = Tensor(adapter.b.data[:, s])
         return out
 
     @property
@@ -175,57 +190,54 @@ def build_denoiser(rng: np.random.Generator,
     pdim = c * patch * patch
     n_tok = t * (h // patch) * (w // patch)
 
-    def const(shape, std, name):
-        return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), name=name)
+    def const(shape, std):
+        return Tensor(rng.normal(0.0, std, size=shape).astype(dtype))
 
-    def zeros(shape, name):
-        return Tensor(np.zeros(shape, dtype=dtype), name=name)
+    def zeros(shape):
+        return Tensor(np.zeros(shape, dtype=dtype))
 
-    blocks = []
-    for i in range(n_blocks):
-        def proj(tag, out_std):
-            return AttentionProjections(
-                wq=const((width, width), 1.0 / math.sqrt(width), f"block{i}.{tag}.wq"),
-                wk=const((width, width), 1.0 / math.sqrt(width), f"block{i}.{tag}.wk"),
-                wv=const((width, width), 1.0 / math.sqrt(width), f"block{i}.{tag}.wv"),
-                wo=const((width, width), out_std, f"block{i}.{tag}.wo"),
-            )
-        blocks.append(DenoiserBlock(
-            self_attn=proj("self", 1.0 / math.sqrt(width)),
-            cross_attn=proj("cross", cross_gain / math.sqrt(width))))
+    def proj(out_std):
+        return AttentionProjections(
+            wq=const((width, width), 1.0 / math.sqrt(width)),
+            wk=const((width, width), 1.0 / math.sqrt(width)),
+            wv=const((width, width), 1.0 / math.sqrt(width)),
+            wo=const((width, width), out_std),
+        )
+
+    blocks = [DenoiserBlock(self_attn=proj(1.0 / math.sqrt(width)),
+                            cross_attn=proj(cross_gain / math.sqrt(width)))
+              for _ in range(n_blocks)]
 
     return DenoiserParams(
         latent_shape=tuple(latent_shape), patch=patch, width=width, diag_bias=diag_bias,
-        embed_w=const((width, pdim), 1.0 / math.sqrt(pdim), "embed_w"),
-        embed_b=zeros((width,), "embed_b"),
-        unembed_w=const((pdim, width), 1.0 / math.sqrt(width), "unembed_w"),
-        unembed_b=zeros((pdim,), "unembed_b"),
-        pos=const((n_tok, width), 0.5, "pos"),
-        temb=const((num_steps, width), 0.5, "temb"),
-        null_token=const((1, width), 0.5, "null_token"),
-        cond_proj_w=const((width, pdim), 1.0 / math.sqrt(pdim), "cond_proj_w"),
+        embed_w=const((width, pdim), 1.0 / math.sqrt(pdim)),
+        embed_b=zeros((width,)),
+        unembed_w=const((pdim, width), 1.0 / math.sqrt(width)),
+        unembed_b=zeros((pdim,)),
+        pos=const((n_tok, width), 0.5),
+        temb=const((num_steps, width), 0.5),
+        null_token=const((1, width), 0.5),
+        cond_proj_w=const((width, pdim), 1.0 / math.sqrt(pdim)),
         blocks=blocks,
     )
 
 
 def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams,
                         n_experts: int = 4, total_rank: int = 16, top_k: int = 3,
-                        alpha: float | None = None, tau: float = 1.5,
-                        router_hidden: int = 16, dtype=np.float32) -> AdapterStack:
+                        tau: float = 1.5, router_hidden: int = 16,
+                        dtype=np.float32) -> AdapterStack:
     if not 1 <= top_k <= n_experts:
         raise ParameterError(f"top_k must lie in [1, {n_experts}], got {top_k}")
+    ranks = tuple(split_rank_budget(total_rank, n_experts))
     router = RouterParams.init(rng, n_experts=n_experts, hidden=router_hidden,
                                tau=tau, dtype=dtype)
     layers: dict[str, MoeAdapter] = {}
     for i in range(len(params.blocks)):
         for attn in ("self", "cross"):
             for slot in PROJECTION_SLOTS:
-                name = f"block{i}.{attn}.{slot}"
-                layers[name] = MoeAdapter.init(
-                    rng, d_in=params.width, d_out=params.width, n_experts=n_experts,
-                    total_rank=total_rank, alpha=alpha, dtype=dtype,
-                    name=f"adapter.{name}")
-    return AdapterStack(router=router, layers=layers, top_k=top_k)
+                layers[f"block{i}.{attn}.{slot}"] = MoeAdapter.init(
+                    rng, d_in=params.width, d_out=params.width, ranks=ranks, dtype=dtype)
+    return AdapterStack(router=router, layers=layers, top_k=top_k, ranks=ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +307,12 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
 
 def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
                stack: AdapterStack | None, pi: Tensor | None,
-               layer: str, scale: float, bias: np.ndarray | None) -> Tensor:
+               layer: str, scale: float, bias: np.ndarray | None = None) -> Tensor:
     def project(slot: str, h: Tensor) -> Tensor:
         w = getattr(proj, "w" + slot)
         if stack is None:
             return fx.linear(h, w)
-        return moe_forward(stack.layers[f"{layer}.{slot}"], pi, w, h)
+        return moe_forward(stack.layers[f"{layer}.{slot}"], pi, stack.owner, w, h)
 
     if kv.shape[1] == 1 and bias is None:
         # softmax over a single key is exactly 1 for any finite score, so the
@@ -369,33 +381,30 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
 
 
 def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
-          stack: AdapterStack | None, pi: Tensor | None,
-          cross_bias: np.ndarray | None) -> Tensor:
+          stack: AdapterStack | None, pi: Tensor | None) -> Tensor:
     """The rest of a step after `_trunk`: block 0's cross-attention, every later
     block, unembed and unpatchify."""
     kv = _context_tokens(params, cond, x.shape[0])
     scale = 1.0 / math.sqrt(params.width)
     diag = _self_bias(params, x.dtype)
     x = x + _attention(x, kv, params.blocks[0].cross_attn, stack, pi, "block0.cross",
-                       scale, cross_bias)
+                       scale)
     for i, blk in enumerate(params.blocks[1:], start=1):
         x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
-        x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale,
-                           cross_bias)
+        x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale)
 
     out = fx.linear(x, params.unembed_w) + params.unembed_b
     return unpatchify(out, params.latent_shape, params.patch)
 
 
 def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
-                 stack: AdapterStack | None, *, pi: Tensor | None = None,
-                 cross_bias: np.ndarray | None = None) -> Tensor:
+                 stack: AdapterStack | None, *, pi: Tensor | None = None) -> Tensor:
     """Predict the noise in z_t; `cond=None` reads the null token (the
     unconditional branch). Routing weights come from the descriptor of z_t
     unless a precomputed `pi` is passed in (CFG branches share one).
     """
     x, pi = _trunk(z_t, t, params, stack, pi)
-    return _head(x, cond, params, stack, pi, cross_bias)
+    return _head(x, cond, params, stack, pi)
 
 
 def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
@@ -410,7 +419,7 @@ def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
     nodes as for two `denoise_step` calls and gradients keep their bytes.
     """
     x, routed = _trunk(z_t, t, params, stack, pi)
-    eps_c = _head(x, cond, params, stack, routed, None)
+    eps_c = _head(x, cond, params, stack, routed)
     if fx.is_live(x):
         x, routed = _trunk(z_t, t, params, stack, pi)
-    return eps_c, _head(x, None, params, stack, routed, None)
+    return eps_c, _head(x, None, params, stack, routed)

@@ -6,7 +6,8 @@ Each adapted projection layer owns M low-rank experts whose ranks split a
 fixed total budget r, so the trainable parameter count is r * (d_in + d_out)
 regardless of how many experts share it. The experts are stored packed: one
 trainable (r, d_in) down factor and one (d_out, r) up factor per layer, with
-each expert a block of the rank axis.
+each expert a block of the rank axis. Every layer of a stack splits the rank
+axis the same way, so the stack holds that layout once.
 
 The descriptor is always treated as a constant here: gradients reach the
 router only through its own weights, never back into the descriptor pipeline.
@@ -15,6 +16,7 @@ router only through its own weights, never back into the descriptor pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .tensor import Tensor
 DESCRIPTOR_DIM = 6
 ROUTER_HIDDEN_DEFAULT = 16
 N_EXPERTS_DEFAULT = 4
-TOTAL_RANK_DEFAULT = 16
 
 
 @dataclass
@@ -50,10 +51,10 @@ class RouterParams:
             raise ParameterError(f"router temperature must be positive, got {tau}")
         w1 = rng.normal(0.0, 0.5, size=(hidden, DESCRIPTOR_DIM)).astype(dtype)
         return cls(
-            w1=fx.tensor(w1, name="router.w1"),
-            b1=fx.tensor(np.zeros(hidden, dtype=dtype), name="router.b1"),
-            w2=fx.tensor(np.zeros((n_experts, hidden), dtype=dtype), name="router.w2"),
-            b2=fx.tensor(np.zeros(n_experts, dtype=dtype), name="router.b2"),
+            w1=fx.tensor(w1),
+            b1=fx.tensor(np.zeros(hidden, dtype=dtype)),
+            w2=fx.tensor(np.zeros((n_experts, hidden), dtype=dtype)),
+            b2=fx.tensor(np.zeros(n_experts, dtype=dtype)),
             tau=tau,
         )
 
@@ -68,38 +69,27 @@ class RouterParams:
 
 @dataclass
 class MoeAdapter:
-    """M low-rank experts on one projection, packed over a shared rank budget R.
+    """One projection's expert pair, packed over a shared rank budget R.
 
     `a` (R, d_in) and `b` (d_out, R) stack the expert factors along the rank
     axis: expert m owns the `ranks[m]` consecutive rows of `a` and columns of
-    `b` after those of experts 0..m-1, so its update is B_m @ (A_m @ h).
-    `owner` is the constant (M, R) one-hot of that ownership. The packed pair
-    is what trains; the per-expert views exist only as checkpoint entries.
+    `b` after those of experts 0..m-1, so its update is B_m @ (A_m @ h). The
+    `ranks` are the same for every projection of a stack and live there.
     """
 
     a: Tensor
     b: Tensor
-    ranks: tuple[int, ...]
-    owner: Tensor
-    scaling: float
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
-             n_experts: int = N_EXPERTS_DEFAULT, total_rank: int = TOTAL_RANK_DEFAULT,
-             alpha: float | None = None,
-             dtype=np.float32, name: str = "adapter") -> "MoeAdapter":
+             ranks: Sequence[int], dtype=np.float32) -> "MoeAdapter":
         """A ~ N(0, 0.02), B = 0: the adapter starts as an exact identity.
 
         A is drawn one expert block at a time, in expert order.
         """
-        ranks = split_rank_budget(total_rank, n_experts)
         a = np.concatenate([rng.normal(0.0, 0.02, size=(r, d_in)).astype(dtype)
                             for r in ranks], axis=0)
-        owner = np.repeat(np.eye(n_experts, dtype=dtype), ranks, axis=1)
-        scaling = (alpha if alpha is not None else float(total_rank)) / float(total_rank)
-        return cls(a=fx.tensor(a, name=f"{name}.a"),
-                   b=fx.tensor(np.zeros((d_out, total_rank), dtype=dtype), name=f"{name}.b"),
-                   ranks=tuple(ranks), owner=Tensor(owner), scaling=scaling)
+        return cls(a=fx.tensor(a), b=fx.tensor(np.zeros((d_out, sum(ranks)), dtype=dtype)))
 
     @property
     def d_in(self) -> int:
@@ -109,23 +99,8 @@ class MoeAdapter:
     def d_out(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def expert_slices(self) -> list[slice]:
-        """Expert m's span of the rank axis."""
-        ends = np.cumsum(self.ranks)
-        return [slice(int(end - r), int(end)) for r, end in zip(self.ranks, ends)]
-
     def parameters(self, prefix: str = "adapter") -> dict[str, Tensor]:
         return {f"{prefix}.a": self.a, f"{prefix}.b": self.b}
-
-    def named_arrays(self, prefix: str = "adapter") -> dict[str, Tensor]:
-        """Per-expert entries `<prefix>.expert<m>.{a,b}`: views of the packed
-        leaves, so writing into one writes into the adapter."""
-        out = {}
-        for m, s in enumerate(self.expert_slices):
-            out[f"{prefix}.expert{m}.a"] = Tensor(self.a.data[s])
-            out[f"{prefix}.expert{m}.b"] = Tensor(self.b.data[:, s])
-        return out
 
 
 def split_rank_budget(r: int, m: int) -> list[int]:
@@ -136,6 +111,17 @@ def split_rank_budget(r: int, m: int) -> list[int]:
         raise ParameterError(f"total rank {r} cannot give every one of {m} experts rank >= 1")
     base, rem = divmod(r, m)
     return [base + 1] * rem + [base] * (m - rem)
+
+
+def expert_slices(ranks: Sequence[int]) -> list[slice]:
+    """Expert m's span of the packed rank axis."""
+    ends = np.cumsum(ranks)
+    return [slice(int(end - r), int(end)) for r, end in zip(ranks, ends)]
+
+
+def expert_owner(ranks: Sequence[int], dtype=np.float32) -> Tensor:
+    """The constant (M, R) one-hot: row m marks expert m's span of the rank axis."""
+    return Tensor(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))
 
 
 def adapter_param_count(adapter: MoeAdapter) -> int:
@@ -173,23 +159,19 @@ def route(e, params: RouterParams, top_k: int) -> Tensor:
     return pi
 
 
-def moe_forward(adapter: MoeAdapter, pi: Tensor, w_base, h) -> Tensor:
-    """Adapted projection: h @ W^T + s * sum_m pi_m * (h @ A_m^T @ B_m^T).
+def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: Tensor, w_base, h) -> Tensor:
+    """Adapted projection: h @ W^T + sum_m pi_m * (h @ A_m^T @ B_m^T).
 
     `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
     The experts run as the adapter's packed pair: rank row j of h @ A^T is
-    gated by s * (pi @ owner)[:, j] before the up projection by B, so router
-    gradients reach `pi`. The base path is computed untouched; zero experts
-    leave it bit-exact.
+    gated by (pi @ owner)[:, j] before the up projection by B, so router
+    gradients reach `pi`. `owner` is the stack's (M, R) rank layout. The base
+    path is computed untouched; zero experts leave it bit-exact.
     """
     w_base = w_base if isinstance(w_base, Tensor) else Tensor(np.asarray(w_base))
     h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
     if h.ndim < 2:
         raise ShapeError(f"hidden states need a feature axis, got shape {h.shape}")
-    a, b, owner = adapter.a, adapter.b, adapter.owner
-    if b.shape[1] != a.shape[0] or owner.shape != (len(adapter.ranks), a.shape[0]):
-        raise ShapeError(f"packed shapes A{a.shape} B{b.shape} owner{owner.shape} "
-                         f"are inconsistent")
     d_in, d_out = adapter.d_in, adapter.d_out
     if w_base.shape != (d_out, d_in):
         raise ShapeError(f"base weights {w_base.shape} do not match adapter ({d_out}, {d_in})")
@@ -199,8 +181,8 @@ def moe_forward(adapter: MoeAdapter, pi: Tensor, w_base, h) -> Tensor:
         raise ShapeError(f"routing weights {pi.shape} do not match batch {h.shape[0]} "
                          f"x {owner.shape[0]} experts")
 
-    gate = fx.matmul(pi, owner) * adapter.scaling
-    gate = fx.reshape(gate, (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
+    gate = fx.reshape(fx.matmul(pi, owner),
+                      (h.shape[0],) + (1,) * (h.ndim - 2) + (adapter.a.shape[0],))
     out = fx.linear(h, w_base)
-    down = fx.linear(h, a) * gate
-    return out + fx.linear(down, b)
+    down = fx.linear(h, adapter.a) * gate
+    return out + fx.linear(down, adapter.b)

@@ -34,8 +34,7 @@ class SampleResult:
     video: Tensor                 # final latent (B, T, C, H, W)
     timesteps: np.ndarray         # grid endpoints, length steps+1, descending
     descriptors: np.ndarray       # (steps, B, 6) descriptor used at each step
-    pi_cond: np.ndarray | None    # (steps, B, M) routing used by the cond branch
-    pi_uncond: np.ndarray | None  # same for the uncond branch (None when skipped)
+    pi_cond: np.ndarray | None    # (steps, B, M) routing shared by both branches
 
 
 def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSchedule,
@@ -64,7 +63,6 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
     n_experts = stack.n_experts if stack is not None else 0
     descriptors = np.zeros((steps, b, 6), dtype=np.float64)
     pi_cond = np.zeros((steps, b, n_experts), dtype=np.float64) if stack is not None else None
-    pi_uncond = np.zeros_like(pi_cond) if (stack is not None and cfg_scale != 1.0) else None
 
     for k in range(steps):
         t, t_next = int(grid[k]), int(grid[k + 1])
@@ -78,8 +76,6 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
             eps_hat = denoise_step(z, t, cond, params, stack, pi=pi)
         else:
             eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
-            if pi_uncond is not None:
-                pi_uncond[k] = pi.data  # same weights by construction; recorded per branch
             eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
         a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
         a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
@@ -87,4 +83,4 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
 
     return SampleResult(video=z, timesteps=grid, descriptors=descriptors,
-                        pi_cond=pi_cond, pi_uncond=pi_uncond)
+                        pi_cond=pi_cond)

@@ -45,18 +45,18 @@ def active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """A numpy array with an optional name. Do not mutate `.data` mid-graph."""
+    """A numpy array as the tape ops take and return it. Do not mutate `.data`
+    mid-graph."""
 
-    __slots__ = ("data", "name")
+    __slots__ = ("data",)
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,11 +81,10 @@ class Tensor:
         return Tensor(self.data)
 
     def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), name=self.name)
+        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     # Operator sugar. Scalars are promoted to constants of the same dtype.
     def __add__(self, other):
@@ -122,14 +121,14 @@ class Tensor:
         return absolute(self)
 
 
-def tensor(data, dtype=None, name: str | None = None, checked: bool = True) -> Tensor:
+def tensor(data, dtype=None, checked: bool = True) -> Tensor:
     """Public constructor. Rejects NaN/Inf unless checked=False."""
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(dtype or DEFAULT_DTYPE)
     if checked and arr.size and not np.isfinite(arr).all():
         raise ParameterError("tensor construction rejected non-finite values")
-    return Tensor(arr, name=name)
+    return Tensor(arr)
 
 
 class _Node:

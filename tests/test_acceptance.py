@@ -25,9 +25,8 @@ import freqvfx.tensor as fx
 from freqvfx import cli
 from freqvfx.adapt import VfxEmbedding, adapt, freq_constraint_loss
 from freqvfx.config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict
-from freqvfx.container import (load_checkpoint_arrays, manifest_path_for,
-                               read_container, read_manifest, restore_state,
-                               write_container)
+from freqvfx.container import (manifest_path_for, read_container, read_container_file,
+                               read_manifest, restore_state, write_container)
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning,
                               build_denoiser, denoise_step)
 from freqvfx.errors import ChecksumError, ContainerError
@@ -254,9 +253,9 @@ def test_criterion_04_routing_contracts_and_param_count():
     r, d_in, d_out = 16, 24, 40
     counts = []
     for m in (1, 2, 4, 8):
-        assert sum(split_rank_budget(r, m)) == r
-        ad = MoeAdapter.init(np.random.default_rng(m), d_in=d_in, d_out=d_out,
-                             n_experts=m, total_rank=r)
+        ranks = split_rank_budget(r, m)
+        assert sum(ranks) == r
+        ad = MoeAdapter.init(np.random.default_rng(m), d_in=d_in, d_out=d_out, ranks=ranks)
         counts.append(adapter_param_count(ad))
     budget_ok = all(n == r * (d_in + d_out) for n in counts)
     dt = time.time() - t0
@@ -338,10 +337,9 @@ def stage1_run(tmp_path_factory):
                             cross_gain=model_cfg.cross_gain)
     stack = build_adapter_stack(rng, params, n_experts=model_cfg.n_experts,
                                 total_rank=model_cfg.total_rank,
-                                top_k=model_cfg.top_k, alpha=model_cfg.alpha,
-                                tau=model_cfg.tau,
+                                top_k=model_cfg.top_k, tau=model_cfg.tau,
                                 router_hidden=model_cfg.router_hidden)
-    entries = load_checkpoint_arrays(ckpt)
+    entries = read_container_file(ckpt)
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
                              sigmas=entries["schedule.sigmas"])
@@ -511,13 +509,13 @@ def test_criterion_09_sampling_contracts(monkeypatch):
         calls.append(("guided", int(t), c, pi))
         return real_guided(z_t, t, c, p, s, pi=pi)
 
-    def spy_step(z_t, t, c, p, s, *, pi=None, cross_bias=None):
+    def spy_step(z_t, t, c, p, s, *, pi=None):
         calls.append(("uncond" if c is None else "cond", pi is not None))
-        return real_step(z_t, t, c, p, s, pi=pi, cross_bias=cross_bias)
+        return real_step(z_t, t, c, p, s, pi=pi)
 
-    def spy_head(x, c, p, s, pi, cross_bias):
+    def spy_head(x, c, p, s, pi):
         heads.append((c, pi))
-        return real_head(x, c, p, s, pi, cross_bias)
+        return real_head(x, c, p, s, pi)
 
     monkeypatch.setattr(freqvfx.sampling, "denoise_guided", spy_guided)
     monkeypatch.setattr(freqvfx.sampling, "denoise_step", spy_step)

@@ -215,6 +215,47 @@ class TestPipeline:
             assert rc == 2, top_k
             assert f"top_k must lie in [1, 4], got {top_k}" in err, err
 
+    @pytest.mark.parametrize("defect, entry", [
+        ("no_videos", "videos"), ("no_class_ids", "class_ids"),
+        ("no_text", "text.highfreq_particles"), ("unknown_class_id", "class_ids"),
+        ("nan_class_id", "class_ids"), ("short_class_ids", "class_ids")])
+    def test_train_rejects_hostile_dataset(self, tmp_path, cfg_path, capsys, defect, entry):
+        """A dataset container missing an entry, or whose class ids name no effect
+        class, exits 1 with the entry named."""
+        dataset = self._gen(tmp_path, cfg_path)
+        entries = ct.read_container_file(dataset)
+        ids = entries["class_ids"].copy()
+        if defect.startswith("no_"):
+            del entries[entry]
+        elif defect == "short_class_ids":
+            entries[entry] = ids[:2]
+        else:
+            ids[-1] = 7.0 if defect == "unknown_class_id" else np.nan
+            entries[entry] = ids
+        hostile = tmp_path / f"{defect}.fvl1"
+        ct.write_container_file(str(hostile), entries)
+        capsys.readouterr()
+        rc = run("train", "--input", str(hostile), "--config", cfg_path,
+                 "--out", str(tmp_path / defect))
+        err = capsys.readouterr().err
+        assert rc == 1, defect
+        assert repr(entry) in err and "Traceback" not in err, err
+        assert not (tmp_path / defect / "checkpoint.fvl1").exists()
+
+    def test_model_config_accepts_only_null_alpha(self, tmp_path, cfg_path, capsys):
+        """Expert updates are unscaled: `alpha` survives only as null, the value
+        every stored manifest records."""
+        dataset = self._gen(tmp_path, cfg_path)
+        bad = tmp_path / "alpha.json"
+        bad.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], alpha=8.0))))
+        capsys.readouterr()
+        rc = run("train", "--input", dataset, "--config", str(bad),
+                 "--out", str(tmp_path / "alpha"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "alpha must be null, got 8.0" in err and "Traceback" not in err, err
+        assert not (tmp_path / "alpha" / "checkpoint.fvl1").exists()
+
     def test_generate_rejects_hostile_embedding(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

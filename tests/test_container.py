@@ -178,7 +178,7 @@ def test_checkpoint_save_restore(tmp_path):
     rng2 = np.random.default_rng(123)
     params2 = build_denoiser(rng2)
     stack2 = build_adapter_stack(rng2, params2)
-    entries = ct.load_checkpoint_arrays(p)
+    entries = ct.read_container_file(p)
     ct.restore_state(entries, params2, stack2)
     for name, t in params.named_arrays().items():
         assert np.array_equal(t.data, params2.named_arrays()[name].data), name

@@ -167,46 +167,47 @@ def test_split_rank_budget_errors():
         moe.split_rank_budget(4, 0)
 
 
+def _adapter(rng, d_in, d_out, n_experts, total_rank, dtype=np.float32):
+    """An adapter over the split budget, with its rank layout's (M, R) owner."""
+    ranks = moe.split_rank_budget(total_rank, n_experts)
+    adapter = moe.MoeAdapter.init(rng, d_in=d_in, d_out=d_out, ranks=ranks, dtype=dtype)
+    return adapter, moe.expert_owner(ranks, dtype), moe.expert_slices(ranks)
+
+
 def test_adapter_param_count():
     rng = np.random.default_rng(7)
-    a = moe.MoeAdapter.init(rng, d_in=8, d_out=8, n_experts=4, total_rank=16)
+    a, _, _ = _adapter(rng, 8, 8, n_experts=4, total_rank=16)
     assert moe.adapter_param_count(a) == 256
-    b = moe.MoeAdapter.init(rng, d_in=8, d_out=8, n_experts=1, total_rank=16)
+    b, _, _ = _adapter(rng, 8, 8, n_experts=1, total_rank=16)
     assert moe.adapter_param_count(b) == moe.adapter_param_count(a)
-    # enumeration oracle on an uneven configuration: sum over the per-expert entries
-    c = moe.MoeAdapter.init(rng, d_in=5, d_out=9, n_experts=3, total_rank=10)
-    direct = sum(t.size for t in c.named_arrays().values())
+    # enumeration oracle on an uneven configuration: sum over the per-expert blocks
+    c, _, slices = _adapter(rng, 5, 9, n_experts=3, total_rank=10)
+    direct = sum(c.a.data[s].size + c.b.data[:, s].size for s in slices)
     assert moe.adapter_param_count(c) == direct == 10 * (5 + 9)
 
 
 def test_adapter_init_is_identity():
     rng = np.random.default_rng(8)
-    a = moe.MoeAdapter.init(rng, d_in=6, d_out=6, n_experts=4, total_rank=8)
+    a, _, _ = _adapter(rng, 6, 6, n_experts=4, total_rank=8)
+    assert a.a.shape == (8, 6)
     assert np.all(a.b.data == 0)
-    assert a.scaling == 1.0
 
 
 def test_adapter_packing_layout():
-    """Packed leaves hold the per-expert draws in expert order; the entries are views."""
-    a = moe.MoeAdapter.init(np.random.default_rng(14), d_in=5, d_out=7, n_experts=4,
-                            total_rank=9, name="adapter.x")
+    """Packed leaves hold the per-expert draws in expert order; owner and slices
+    mark the same blocks."""
+    a, owner, slices = _adapter(np.random.default_rng(14), 5, 7, n_experts=4, total_rank=9)
+    ranks = (3, 2, 2, 2)
     assert a.a.shape == (9, 5) and a.b.shape == (7, 9)
-    assert a.ranks == (3, 2, 2, 2)
     assert a.parameters("adapter.x") == {"adapter.x.a": a.a, "adapter.x.b": a.b}
+    assert owner.shape == (4, 9)
     rng = np.random.default_rng(14)
-    draws = [rng.normal(0.0, 0.02, size=(r, 5)).astype(np.float32) for r in a.ranks]
-    entries = a.named_arrays("adapter.x")
-    assert list(entries) == [f"adapter.x.expert{m}.{ab}" for m in range(4) for ab in "ab"]
-    for m, draw in enumerate(draws):
-        ea, eb = entries[f"adapter.x.expert{m}.a"].data, entries[f"adapter.x.expert{m}.b"].data
-        assert ea.tobytes() == draw.tobytes()
-        assert eb.shape == (7, a.ranks[m])
-        assert np.shares_memory(ea, a.a.data) and np.shares_memory(eb, a.b.data)
-        np.testing.assert_array_equal(a.owner.data[m], np.repeat(np.eye(4)[m], a.ranks))
-    # writing an entry writes the packed leaf
-    entries["adapter.x.expert2.b"].data[...] = 1.0
-    assert np.all(a.b.data[:, a.expert_slices[2]] == 1.0)
-    assert np.count_nonzero(a.b.data) == 7 * a.ranks[2]
+    draws = [rng.normal(0.0, 0.02, size=(r, 5)).astype(np.float32) for r in ranks]
+    for m, (draw, s) in enumerate(zip(draws, slices)):
+        assert s.stop - s.start == ranks[m]
+        assert a.a.data[s].tobytes() == draw.tobytes()
+        np.testing.assert_array_equal(owner.data[m], np.repeat(np.eye(4)[m], ranks))
+        np.testing.assert_array_equal(owner.data[m, s], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,35 +220,32 @@ def _uniform_weights(b, m, dtype=np.float64):
 
 def test_moe_forward_zero_experts_is_base_path():
     rng = np.random.default_rng(9)
-    a = moe.MoeAdapter.init(rng, d_in=6, d_out=4, n_experts=4, total_rank=8,
-                            dtype=np.float64)
+    a, owner, _ = _adapter(rng, 6, 4, n_experts=4, total_rank=8, dtype=np.float64)
     a.a.data[...] = 0.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(2, 5, 6))
-    out = moe.moe_forward(a, _uniform_weights(2, 4), w, h).data
+    out = moe.moe_forward(a, _uniform_weights(2, 4), owner, w, h).data
     np.testing.assert_array_equal(out, h @ w.T)
 
 
 def test_moe_forward_one_hot_reduces_to_single_expert():
     rng = np.random.default_rng(10)
-    a = moe.MoeAdapter.init(rng, d_in=6, d_out=4, n_experts=4, total_rank=8,
-                            dtype=np.float64)
+    a, owner, slices = _adapter(rng, 6, 4, n_experts=4, total_rank=8, dtype=np.float64)
     a.b.data[...] = rng.normal(size=a.b.shape)
     j = 2
     pi = np.zeros((3, 4))
     pi[:, j] = 1.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(3, 6))
-    out = moe.moe_forward(a, fx.tensor(pi), w, h).data
-    s = a.expert_slices[j]
-    want = h @ w.T + a.scaling * (h @ a.a.data[s].T) @ a.b.data[:, s].T
+    out = moe.moe_forward(a, fx.tensor(pi), owner, w, h).data
+    s = slices[j]
+    want = h @ w.T + (h @ a.a.data[s].T) @ a.b.data[:, s].T
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
 
 def test_moe_forward_matches_scalar_oracle_f32():
     rng = np.random.default_rng(11)
-    a = moe.MoeAdapter.init(rng, d_in=6, d_out=5, n_experts=4, total_rank=9,
-                            alpha=13.5, dtype=np.float32)
+    a, owner, slices = _adapter(rng, 6, 5, n_experts=4, total_rank=9, dtype=np.float32)
     a.b.data[...] = rng.normal(0.0, 0.3, size=a.b.shape).astype(np.float32)
     w = rng.normal(size=(5, 6)).astype(np.float32)
     h = rng.normal(size=(3, 3, 6)).astype(np.float32)
@@ -255,26 +253,26 @@ def test_moe_forward_matches_scalar_oracle_f32():
     # last row as route() leaves it under top_k=2: experts 1 and 3 masked to exact zeros
     pi[2, [1, 3]] = 0.0
     pi[2] /= pi[2].sum()
-    got = moe.moe_forward(a, fx.tensor(pi), w, h).data
+    got = moe.moe_forward(a, fx.tensor(pi), owner, w, h).data
 
     want = np.zeros((3, 3, 5), dtype=np.float64)
     for b in range(3):
         for n in range(3):
             hv = h[b, n].astype(np.float64)
             acc = w.astype(np.float64) @ hv
-            for m, s in enumerate(a.expert_slices):
+            for m, s in enumerate(slices):
                 am = a.a.data[s].astype(np.float64)
                 bm = a.b.data[:, s].astype(np.float64)
-                acc += a.scaling * float(pi[b, m]) * (bm @ (am @ hv))
+                acc += float(pi[b, m]) * (bm @ (am @ hv))
             want[b, n] = acc
     assert np.max(np.abs(got - want)) < 1e-6
 
     # the masked row alone: its masked experts' slices receive exactly zero gradient
     with fx.Tape([a.a, a.b]) as tape:
-        out = moe.moe_forward(a, fx.tensor(pi[2:]), w, h[2:])
+        out = moe.moe_forward(a, fx.tensor(pi[2:]), owner, w, h[2:])
         loss = fx.reduce_sum(fx.square(out))
     grads = fx.backward(tape, loss)
-    for m, s in enumerate(a.expert_slices):
+    for m, s in enumerate(slices):
         for g in (grads[a.a].data[s], grads[a.b].data[:, s]):
             if m in (1, 3):
                 assert np.all(g == 0.0)
@@ -284,52 +282,52 @@ def test_moe_forward_matches_scalar_oracle_f32():
 
 def test_moe_forward_shape_errors():
     rng = np.random.default_rng(12)
-    a = moe.MoeAdapter.init(rng, d_in=6, d_out=4, n_experts=2, total_rank=4,
-                            dtype=np.float64)
+    a, owner, _ = _adapter(rng, 6, 4, n_experts=2, total_rank=4, dtype=np.float64)
     pi = _uniform_weights(2, 2)
     with pytest.raises(ShapeError):
-        moe.moe_forward(a, pi, np.zeros((4, 7)), np.zeros((2, 6)))
+        moe.moe_forward(a, pi, owner, np.zeros((4, 7)), np.zeros((2, 6)))
     with pytest.raises(ShapeError):
-        moe.moe_forward(a, pi, np.zeros((4, 6)), np.zeros((2, 7)))
+        moe.moe_forward(a, pi, owner, np.zeros((4, 6)), np.zeros((2, 7)))
     with pytest.raises(ShapeError):
-        moe.moe_forward(a, _uniform_weights(3, 2), np.zeros((4, 6)), np.zeros((2, 6)))
+        moe.moe_forward(a, _uniform_weights(3, 2), owner, np.zeros((4, 6)), np.zeros((2, 6)))
+    with pytest.raises(ShapeError):
+        moe.moe_forward(a, _uniform_weights(2, 3), owner, np.zeros((4, 6)), np.zeros((2, 6)))
     # packed leaves whose rank axes disagree with each other or with the owner map
     for leaf, shape in (("b", (4, 3)), ("a", (3, 6))):
-        bad = moe.MoeAdapter.init(rng, d_in=6, d_out=4, n_experts=2, total_rank=4,
-                                  dtype=np.float64)
+        bad, _, _ = _adapter(rng, 6, 4, n_experts=2, total_rank=4, dtype=np.float64)
         getattr(bad, leaf).data = np.zeros(shape)
-        with pytest.raises(ShapeError, match="inconsistent"):
-            moe.moe_forward(bad, pi, np.zeros((4, 6)), np.zeros((2, 6)))
+        with pytest.raises(ShapeError):
+            moe.moe_forward(bad, pi, owner, np.zeros((4, 6)), np.zeros((2, 6)))
 
 
 def test_route_and_moe_forward_gradients():
     rng = np.random.default_rng(13)
     router = _router(rng, hidden=5)
-    adapter = moe.MoeAdapter.init(rng, d_in=4, d_out=3, n_experts=4, total_rank=9,
-                                  dtype=np.float64)
+    adapter, owner, slices = _adapter(rng, 4, 3, n_experts=4, total_rank=9,
+                                      dtype=np.float64)
     adapter.b.data[...] = rng.normal(0.0, 0.2, size=adapter.b.shape)
     e = rng.normal(size=(2, 6))
     wbase = rng.normal(size=(3, 4))
     h = rng.normal(size=(2, 4))
     wmix = rng.normal(size=(2, 3))
 
-    assert adapter.ranks == (3, 2, 2, 2)
+    assert [s.stop - s.start for s in slices] == [3, 2, 2, 2]
 
     # (leaf, index): whole router tensors, and every expert's a-rows and b-columns
     checks = {name: (p, ...) for name, p in
               (("w1", router.w1), ("w2", router.w2), ("b1", router.b1), ("b2", router.b2))}
-    for m, s in enumerate(adapter.expert_slices):
+    for m, s in enumerate(slices):
         checks[f"a{m}"] = (adapter.a, (s, slice(None)))
         checks[f"b{m}"] = (adapter.b, (slice(None), s))
     with fx.Tape([*router.parameters().values(), adapter.a, adapter.b]) as tape:
         pi = moe.route(e, router, top_k=3)
-        out = moe.moe_forward(adapter, pi, wbase, h)
+        out = moe.moe_forward(adapter, pi, owner, wbase, h)
         loss = fx.reduce_sum(out * fx.tensor(wmix))
     grads = fx.backward(tape, loss)
 
     def f_scalar():
         pi2 = moe.route(e, router, top_k=3)
-        o = moe.moe_forward(adapter, pi2, wbase, h)
+        o = moe.moe_forward(adapter, pi2, owner, wbase, h)
         return float(np.sum(o.data * wmix))
 
     nonzero = 0

@@ -38,8 +38,9 @@ def test_train_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 164
-    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"]) == (44, 24, 5, 0)
+    assert len(tape.nodes) == 148
+    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"], ops["mul"]) == (
+        44, 24, 5, 0, 21)
 
 
 def test_adapt_step_nodes(model, monkeypatch):
@@ -66,7 +67,7 @@ def test_denoise_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         cond = build_conditioning(params, z0[:1], text[0])
         denoise_step(z0[:1], 500, cond, params, stack)
-    assert len(tape.nodes) == 161
+    assert len(tape.nodes) == 145
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])

@@ -91,7 +91,6 @@ class TestGuidance:
                      init_noise=noise)
         ref = manual_sample(params, stack, sched, cond, 4, 1.0, noise)
         assert got.video.data.tobytes() == ref.tobytes()
-        assert got.pi_uncond is None
 
     def test_guided_run_matches_manual_update(self):
         params, stack, sched, cond = small_setup()
@@ -132,29 +131,28 @@ class TestSharedRouting:
             calls.append((int(t), c, pi))
             return real(z_t, t, c, p, s, pi=pi)
 
-        def head_recorder(x, c, p, s, pi, cross_bias):
+        def head_recorder(x, c, p, s, pi):
             heads.append((c, pi))
-            return real_head(x, c, p, s, pi, cross_bias)
+            return real_head(x, c, p, s, pi)
 
         monkeypatch.setattr(freqvfx.sampling, "denoise_guided", recorder)
         monkeypatch.setattr(freqvfx.denoiser, "_head", head_recorder)
-        result = sample(params, stack, sched, cond, steps=4, cfg_scale=7.5, seed=0)
+        sample(params, stack, sched, cond, steps=4, cfg_scale=7.5, seed=0)
         assert len(calls) == 4 and len(heads) == 8
         for k, (_, c, pi) in enumerate(calls):
             assert c is cond and pi is not None
             (c_c, pi_c), (c_u, pi_u) = heads[2 * k], heads[2 * k + 1]
             assert c_c is cond and c_u is None
             assert pi_c is pi and pi_u is pi
-        assert np.array_equal(result.pi_cond, result.pi_uncond)
 
     def test_unguided_run_never_calls_uncond_branch(self, monkeypatch):
         params, stack, sched, cond = small_setup()
         conds, guided = [], []
         real = denoise_step
 
-        def recorder(z_t, t, c, p, s, *, pi=None, cross_bias=None):
+        def recorder(z_t, t, c, p, s, *, pi=None):
             conds.append(c)
-            return real(z_t, t, c, p, s, pi=pi, cross_bias=cross_bias)
+            return real(z_t, t, c, p, s, pi=pi)
 
         monkeypatch.setattr(freqvfx.sampling, "denoise_step", recorder)
         monkeypatch.setattr(freqvfx.sampling, "denoise_guided",
@@ -175,7 +173,6 @@ class TestLoggingAndShapes:
         assert np.all(np.isfinite(r.descriptors))
         assert r.pi_cond.shape == (5, 2, 4)
         assert np.allclose(r.pi_cond.sum(axis=2), 1.0, atol=1e-6)
-        assert r.pi_uncond.shape == (5, 2, 4)
 
     def test_descriptors_track_the_trajectory(self):
         params, stack, sched, cond = small_setup()
@@ -189,7 +186,7 @@ class TestLoggingAndShapes:
     def test_without_stack(self):
         params, _, sched, cond = small_setup()
         r = sample(params, None, sched, cond, steps=3, cfg_scale=7.5, seed=0)
-        assert r.pi_cond is None and r.pi_uncond is None
+        assert r.pi_cond is None
         assert np.all(np.isfinite(r.video.data))
 
     def test_validation(self):
