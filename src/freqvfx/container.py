@@ -148,7 +148,7 @@ def read_container(blob: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(data)
@@ -158,7 +158,7 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def write_container_file(path, entries) -> None:
-    _atomic_write_bytes(os.fspath(path), write_container(entries))
+    atomic_write_bytes(os.fspath(path), write_container(entries))
 
 
 def read_container_file(path) -> dict[str, np.ndarray]:
@@ -202,7 +202,7 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    _atomic_write_bytes(os.fspath(path), manifest.to_json().encode("utf-8"))
+    atomic_write_bytes(os.fspath(path), manifest.to_json().encode("utf-8"))
 
 
 def read_manifest(path) -> RunManifest:

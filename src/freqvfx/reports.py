@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .container import _atomic_write_bytes
+from .container import atomic_write_bytes
 from .errors import ParameterError, ShapeError
 
 SPECTRAL_HEADER = "t,e_app_0,e_app_1,e_app_2,e_vfx_0,e_vfx_1,e_vfx_2"
@@ -88,4 +88,4 @@ def adapt_trace_csv(trace) -> str:
 
 
 def write_text(path, text: str) -> None:
-    _atomic_write_bytes(os.fspath(path), text.encode("utf-8"))
+    atomic_write_bytes(os.fspath(path), text.encode("utf-8"))

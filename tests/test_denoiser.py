@@ -94,6 +94,36 @@ class TestBuild:
         assert np.count_nonzero(layer.b.data) == WIDTH * 2
         np.testing.assert_array_equal(entries["adapter.block1.self.v.expert1.a"].data,
                                       layer.a.data[2:4])
+        # the entry order fixes the checkpoint bytes: router first, then each
+        # layer's experts in order, a before b
+        layers = [f"block{i}.{attn}.{slot}" for i in range(2)
+                  for attn in ("self", "cross") for slot in "qkvo"]
+        assert list(entries) == (
+            ["router.w1", "router.b1", "router.w2", "router.b2"]
+            + [f"adapter.{name}.expert{m}.{ab}"
+               for name in layers for m in range(4) for ab in "ab"])
+
+    def test_entries_follow_uneven_rank_split(self):
+        """With R=9 over four experts the split is (3, 2, 2, 2); each entry is
+        that expert's block of the packed pair, sharing its memory."""
+        rng = np.random.default_rng(5)
+        params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
+                                patch=2, num_steps=NUM_STEPS)
+        stack = build_adapter_stack(rng, params, n_experts=4, total_rank=9, top_k=3)
+        assert stack.ranks == (3, 2, 2, 2)
+        assert stack.expert_slices == [slice(0, 3), slice(3, 5), slice(5, 7), slice(7, 9)]
+        for adapter in stack.layers.values():
+            adapter.b.data[...] = rng.normal(size=adapter.b.shape)
+        entries = stack.named_arrays()
+        for name, layer in stack.layers.items():
+            for m, s in enumerate(stack.expert_slices):
+                for ab, want in (("a", layer.a.data[s]), ("b", layer.b.data[:, s])):
+                    got = entries[f"adapter.{name}.expert{m}.{ab}"].data
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert np.shares_memory(got, getattr(layer, ab).data)
+        assert entries["adapter.block0.self.q.expert0.a"].shape == (3, WIDTH)
+        assert entries["adapter.block0.self.q.expert3.b"].shape == (WIDTH, 2)
 
     def test_model_properties(self):
         params, _ = small_model()
@@ -341,20 +371,25 @@ class TestGuidedStep:
         a zero bias forces the full path, which must agree with it."""
         params, stack = woken_model()
         z, _ = small_batch()
-        x, _ = freqvfx.denoiser._trunk(z, 3, params, stack, None)
         kv = freqvfx.denoiser._context_tokens(params, None, z.shape[0])
         zero = np.zeros((params.n_tokens, 1), dtype=np.float32)
         leaves = stack.parameters()
         runs = []
         for bias in (None, zero):
+            # the trunk runs on the tape, so x carries block 0's self adapters
+            # and the router, and the residual takes cross-attention's dx back
+            # to them: the full path's zero q-gradient must add nothing there
             with fx.Tape(leaves.values()) as tape:
-                pi = route(joint_descriptor_detached(z), stack.router, stack.top_k)
+                x, pi = freqvfx.denoiser._trunk(z, 3, params, stack, None)
                 out = freqvfx.denoiser._attention(x, kv, params.blocks[0].cross_attn, stack,
                                                   pi, "block0.cross", WIDTH ** -0.5, bias)
-                loss = fx.reduce_sum(fx.square(out))
+                loss = fx.reduce_sum(fx.square(x + out))
             runs.append((bytes_of(out), len(tape.nodes), fx.backward(tape, loss)))
         (short, n_short, g_short), (full, n_full, g_full) = runs
         assert short == full
         assert n_short < n_full
         for name, leaf in leaves.items():
             assert np.array_equal(g_short[leaf].data, g_full[leaf].data), name
+        upstream = ["router.w1", "router.w2"] + [f"adapter.block0.self.{slot}.a"
+                                                 for slot in "qkvo"]
+        assert all(np.any(g_short[leaves[name]].data) for name in upstream)
