@@ -93,17 +93,18 @@ def _dataset_entries(dataset) -> dict[str, np.ndarray]:
     return entries
 
 
-def _dataset_entry(entries: dict[str, np.ndarray], name: str) -> np.ndarray:
+def _entry(entries: dict[str, np.ndarray], name: str, source: str) -> np.ndarray:
+    """A container entry that must be there; a missing one is a corrupt artifact."""
     if name not in entries:
-        raise ContainerError(f"dataset has no {name!r} entry")
+        raise ContainerError(f"{source} has no {name!r} entry")
     return entries[name]
 
 
 def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
     """The labeled samples of a dataset container; a missing entry or a class id
     that names no effect class is a ContainerError naming the entry."""
-    videos = _dataset_entry(entries, "videos")
-    class_ids = _dataset_entry(entries, "class_ids")
+    videos = _entry(entries, "videos", "dataset")
+    class_ids = _entry(entries, "class_ids", "dataset")
     if videos.ndim < 1 or class_ids.shape != videos.shape[:1]:
         raise ContainerError(f"'class_ids' {class_ids.shape} does not give one id per "
                              f"video of 'videos' {videos.shape}")
@@ -113,7 +114,7 @@ def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
         if effect is None:
             raise ContainerError(f"'class_ids' holds {cid!r}, which names no effect class; "
                                  f"known ids: {sorted(_CLASSES_BY_ID)}")
-        tokens = _dataset_entry(entries, f"text.{effect.name}")
+        tokens = _entry(entries, f"text.{effect.name}", "dataset")
         samples.append(Sample(video=video, effect=effect, class_id=effect.class_id,
                               text_tokens=tokens))
     return samples
@@ -134,13 +135,16 @@ def _build_model(model_cfg: ModelConfig, rng: np.random.Generator):
 
 def _restore_model(checkpoint_path: str):
     """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
-    manifest = read_manifest(manifest_path_for(checkpoint_path))
+    manifest_path = manifest_path_for(checkpoint_path)
+    manifest = read_manifest(manifest_path)
+    if "model" not in manifest.config:
+        raise ContainerError(f"manifest {manifest_path} has no 'model' config section")
     model_cfg = from_dict(ModelConfig, manifest.config["model"])
     params, stack = _build_model(model_cfg, np.random.default_rng(0))
     entries = read_container_file(checkpoint_path)
     restore_state(entries, params, stack)
-    schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
-                             sigmas=entries["schedule.sigmas"])
+    schedule = NoiseSchedule(alphas=_entry(entries, "schedule.alphas", checkpoint_path),
+                             sigmas=_entry(entries, "schedule.sigmas", checkpoint_path))
     return params, stack, schedule, entries, manifest, model_cfg
 
 
@@ -201,9 +205,7 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     entries = read_container_file(args.input)
-    if "videos" not in entries:
-        raise ParameterError(f"{args.input} has no 'videos' entry")
-    desc = joint_descriptor_detached(Tensor(entries["videos"]))
+    desc = joint_descriptor_detached(Tensor(_entry(entries, "videos", args.input)))
     csv = emit_spectral_report(desc, timesteps=np.arange(desc.shape[0]))
     out = os.path.join(_outdir(args), "descriptors.csv")
     write_text(out, csv)
@@ -259,10 +261,7 @@ def cmd_adapt(args) -> int:
         adapt_cfg.seed = args.seed
 
     params, stack, schedule, entries, ckpt_manifest, model_cfg = _restore_model(args.checkpoint)
-    ref_entries = read_container_file(args.input)
-    if "videos" not in ref_entries:
-        raise ParameterError(f"{args.input} has no 'videos' entry")
-    ref = ref_entries["videos"].astype(np.float32)
+    ref = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
     text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, ref, text)
 
@@ -295,10 +294,7 @@ def cmd_generate(args) -> int:
         check_config_compatible(ckpt_manifest.config["model"], doc["model"],
                                 stage=ckpt_manifest.stage)
 
-    cond_entries = read_container_file(args.input)
-    if "videos" not in cond_entries:
-        raise ParameterError(f"{args.input} has no 'videos' entry")
-    z0 = cond_entries["videos"].astype(np.float32)
+    z0 = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
     text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, z0, text)
 

@@ -19,6 +19,10 @@ backbone the conditioning read would otherwise be a faint additive term, and
 test-time updates to the vfx tokens could barely move the output spectrum;
 the gain keeps the context injection comparable to the token content itself.
 
+Each adapted projection is one `fx.lora_linear` tape node (through
+`moe_forward`) and each attention core, scores to mixed values, one
+`fx.attention` node.
+
 A step is `_trunk` (routing, embedding and block 0's self-attention, which do
 not read the conditioning) followed by `_head` (everything after). The two
 classifier-free-guidance branches differ only in the head, so `denoise_guided`
@@ -318,16 +322,12 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
         # softmax over a single key is exactly 1 for any finite score, so the
         # q/k projections and the scores cannot change the output
         attn = Tensor(np.ones(x.shape[:2] + (1,), dtype=x.dtype))
-        v = project("v", kv)
+        mixed = fx.matmul(attn, project("v", kv))
     else:
         q = project("q", x)
         k = project("k", kv)
-        v = project("v", kv)
-        scores = fx.matmul(q, fx.swap_last2(k)) * scale
-        if bias is not None:
-            scores = scores + Tensor(np.asarray(bias, dtype=scores.dtype))
-        attn = fx.softmax(scores, axis=-1)
-    return project("o", fx.matmul(attn, v))
+        mixed = fx.attention(q, k, project("v", kv), scale, bias)
+    return project("o", mixed)
 
 
 @functools.lru_cache(maxsize=8)

@@ -91,14 +91,6 @@ class MoeAdapter:
                             for r in ranks], axis=0)
         return cls(a=fx.tensor(a), b=fx.tensor(np.zeros((d_out, sum(ranks)), dtype=dtype)))
 
-    @property
-    def d_in(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
     def parameters(self, prefix: str = "adapter") -> dict[str, Tensor]:
         return {f"{prefix}.a": self.a, f"{prefix}.b": self.b}
 
@@ -166,23 +158,17 @@ def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: Tensor, w_base, h) -> Te
     The experts run as the adapter's packed pair: rank row j of h @ A^T is
     gated by (pi @ owner)[:, j] before the up projection by B, so router
     gradients reach `pi`. `owner` is the stack's (M, R) rank layout. The base
-    path is computed untouched; zero experts leave it bit-exact.
+    path is computed untouched; zero experts leave it bit-exact. The projection
+    is one `fx.lora_linear` node, which checks the weight and feature shapes.
     """
     w_base = w_base if isinstance(w_base, Tensor) else Tensor(np.asarray(w_base))
     h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
     if h.ndim < 2:
         raise ShapeError(f"hidden states need a feature axis, got shape {h.shape}")
-    d_in, d_out = adapter.d_in, adapter.d_out
-    if w_base.shape != (d_out, d_in):
-        raise ShapeError(f"base weights {w_base.shape} do not match adapter ({d_out}, {d_in})")
-    if h.shape[-1] != d_in:
-        raise ShapeError(f"hidden feature dim {h.shape[-1]} != adapter d_in {d_in}")
     if pi.ndim != 2 or pi.shape[0] != h.shape[0] or pi.shape[1] != owner.shape[0]:
         raise ShapeError(f"routing weights {pi.shape} do not match batch {h.shape[0]} "
                          f"x {owner.shape[0]} experts")
 
     gate = fx.reshape(fx.matmul(pi, owner),
                       (h.shape[0],) + (1,) * (h.ndim - 2) + (adapter.a.shape[0],))
-    out = fx.linear(h, w_base)
-    down = fx.linear(h, adapter.a) * gate
-    return out + fx.linear(down, adapter.b)
+    return fx.lora_linear(h, w_base, adapter.a, adapter.b, gate)

@@ -12,6 +12,14 @@ inside a single op is whatever numpy does, which is deterministic run to run on
 the same machine; no op here introduces platform-dependent nondeterminism of
 its own.
 
+At these sizes Python dispatch per node, not arithmetic, sets the cost, so the
+two hottest op chains of the denoiser are single ops with hand-written vjps:
+`lora_linear` (a projection plus a gated low-rank update, one node for five)
+and `attention` (the scaled dot-product core, one node for five or six). Each
+evaluates the numpy expressions of its chain in the chain's order and lists its
+inputs in the order the chain handed gradients back, so values and gradients
+keep the chain's bytes.
+
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
 """
@@ -350,18 +358,26 @@ def gelu(a) -> Tensor:
     return _record("gelu", (a,), out, vjp)
 
 
+def _softmax_forward(x: np.ndarray, tau: float, axis: int) -> np.ndarray:
+    z = (x - np.max(x, axis=axis, keepdims=True)) / tau
+    e = np.exp(z)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _softmax_vjp(out: np.ndarray, g: np.ndarray, tau: float, axis: int) -> np.ndarray:
+    dot = np.sum(g * out, axis=axis, keepdims=True)
+    return (out * (g - dot)) / tau
+
+
 def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     """Temperature softmax along `axis`, numerically stabilized by max subtraction."""
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {tau}")
     a = _as_tensor(a)
-    z = (a.data - np.max(a.data, axis=axis, keepdims=True)) / tau
-    e = np.exp(z)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = _softmax_forward(a.data, tau, axis)
 
     def vjp(g, live):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return ((out * (g - dot)) / tau,)
+        return (_softmax_vjp(out, g, tau, axis),)
 
     return _record("softmax", (a,), out, vjp)
 
@@ -579,6 +595,113 @@ def linear(h, w) -> Tensor:
     return _record("linear", (h, w), hd @ wd.T, vjp)
 
 
+def lora_linear(h, w, a, b, gate) -> Tensor:
+    """h @ w^T + ((h @ a^T) * gate) @ b^T as one node: a projection plus a gated
+    low-rank update with down factor a (R, d_in) and up factor b (d_out, R).
+
+    `gate` broadcasts against the (..., R) down output. Forward and vjp evaluate
+    the numpy expressions of the linear, linear, mul, linear, add chain they
+    replace, in its order, so values and gradients keep their bytes. The vjp
+    keeps h, h @ a^T and the gated down output, not the base or up outputs.
+
+    The node's inputs are (b, gate, h, a, h, w): the order in which the chain
+    handed gradients back, so `backward` adds into each input in the same
+    order. `h` is listed once per path because the chain added its adapter-path
+    and base-path gradients into h one after the other; a pre-summed gradient
+    would round differently.
+    """
+    h = _as_tensor(h)
+    w, a, b, gate = (_pair(h, x)[1] for x in (w, a, b, gate))
+    if h.ndim < 2 or w.ndim != 2 or a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
+                         f"{h.shape}, w {w.shape}, a {a.shape}, b {b.shape}")
+    if not h.shape[-1] == w.shape[1] == a.shape[1] or b.shape != (w.shape[0], a.shape[0]):
+        raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {w.shape}, "
+                         f"a {a.shape}, b {b.shape}")
+    hd, wd, ad, bd, gd = h.data, w.data, a.data, b.data, gate.data
+    down = hd @ ad.T
+    try:
+        gated = down * gd
+    except ValueError:
+        gated = None
+    if gated is None or gated.shape != down.shape:
+        raise ShapeError(f"lora_linear gate {gate.shape} does not broadcast to {down.shape}")
+
+    def vjp(g, live):
+        gb = ggate = gh_up = ga = gh_base = gw = None
+        if live[0]:
+            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, bd.shape[::-1]))
+        if live[1] or live[2] or live[3]:
+            g_gated = g @ bd
+            if live[1]:
+                ggate = _unbroadcast(g_gated * down, gd.shape)
+            if live[2] or live[3]:
+                g_down = _unbroadcast(g_gated * gd, down.shape)
+                if live[2]:
+                    gh_up = g_down @ ad
+                if live[3]:
+                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
+                                                   ad.shape[::-1]))
+        if live[4]:
+            gh_base = g @ wd
+        if live[5]:
+            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
+        return gb, ggate, gh_up, ga, gh_base, gw
+
+    return _record("lora", (b, gate, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
+
+
+def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
+
+    `bias` is a constant (N_q, N_k) array added to the scores. Forward
+    and vjp evaluate the numpy expressions of the transpose, matmul, mul, add,
+    softmax, matmul chain they replace, in its order (the softmax through the
+    same code as `softmax`), so values and gradients keep their bytes.
+
+    The node's inputs are (v, q, k): the order in which the chain handed
+    gradients back, so `backward` adds into each input in the same order.
+    """
+    q = _as_tensor(q)
+    k, v = _pair(q, k)[1], _pair(q, v)[1]
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"attention needs rank >= 2 operands, got q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention dims disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if bias is not None and np.shape(bias) != (q.shape[-2], k.shape[-2]):
+        raise ShapeError(f"attention bias {np.shape(bias)} is not (N_q, N_k) for q {q.shape}, "
+                         f"k {k.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    kt = np.swapaxes(kd, -1, -2)
+    try:
+        scores = qd @ kt
+        scale_arr = np.asarray(scale, dtype=scores.dtype)
+        scores = scores * scale_arr
+        if bias is not None:
+            scores = scores + np.asarray(bias, dtype=scores.dtype)
+        p = _softmax_forward(scores, 1.0, -1)
+        out = p @ vd
+    except ValueError as e:
+        raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}") from e
+
+    def vjp(g, live):
+        gv = gq = gk = None
+        if live[0]:
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, vd.shape)
+        if live[1] or live[2]:
+            g_p = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
+            g_s = _softmax_vjp(p, g_p, 1.0, -1) * scale_arr
+            if live[1]:
+                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), qd.shape)
+            if live[2]:
+                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt.shape), -1, -2)
+        return gv, gq, gk
+
+    return _record("attention", (v, q, k), out, vjp)
+
+
 # ---------------------------------------------------------------------------
 # gaussian blur (separable, replicate padding, exact adjoint via matmul)
 
@@ -623,6 +746,18 @@ def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
     return m
 
 
+def blur_matrix_t(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
+    """`blur_matrix(n, sigma, dtype).T` as a C-contiguous array, cached and
+    read-only like the matrix itself."""
+    key = (n, float(sigma), np.dtype(dtype).str, "T")
+    hit = _BLUR_CACHE.get(key)
+    if hit is None:
+        hit = blur_matrix(n, sigma, dtype).T.copy()
+        hit.setflags(write=False)
+        _BLUR_CACHE[key] = hit
+    return hit
+
+
 def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
     """Per-channel 2-D gaussian blur of a (B, C, H, W) tensor, replicate padded.
 
@@ -638,8 +773,8 @@ def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
         raise ShapeError(f"empty blur input {x.shape}")
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    mw = Tensor(blur_matrix(w, sigma, dtype=x.dtype).T.copy())
-    mh = Tensor(blur_matrix(h, sigma, dtype=x.dtype).T.copy())
+    mw = Tensor(blur_matrix_t(w, sigma, dtype=x.dtype))
+    mh = Tensor(blur_matrix_t(h, sigma, dtype=x.dtype))
     y = matmul(x, mw)            # rows along W: out[..., i, j] = sum_k x[..., i, k] Mw[j, k]
     y = swap_last2(y)            # (B, C, W, H)
     y = matmul(y, mh)

@@ -2,11 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
-with the package under test.
+with the package under test. The exceptions are the unfused op chains at the
+end: a fused op must reproduce its chain byte for byte, so the chain is built
+from the package's own primitives.
 """
 
 import numpy as np
 from mpmath import mp, mpf
+
+import freqvfx.tensor as fx
 
 
 def conv2d_replicate_scalar(img: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -167,3 +171,18 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         err = abs(a[j] - n[j])
         bound = atol + rtol * max(abs(a[j]), abs(n[j]))
         assert err <= bound, f"grad mismatch at flat index {j}: {a[j]} vs {n[j]} (err {err})"
+
+
+def lora_linear_chain(h, w, a, b, gate):
+    """The linear, linear, mul, linear, add chain that `fx.lora_linear` fuses."""
+    out = fx.linear(h, w)
+    down = fx.linear(h, a) * gate
+    return out + fx.linear(down, b)
+
+
+def attention_chain(q, k, v, scale, bias=None):
+    """The transpose, matmul, mul, add, softmax, matmul chain that `fx.attention` fuses."""
+    scores = fx.matmul(q, fx.swap_last2(k)) * scale
+    if bias is not None:
+        scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
+    return fx.matmul(fx.softmax(scores, axis=-1), v)

@@ -242,6 +242,51 @@ class TestPipeline:
         assert repr(entry) in err and "Traceback" not in err, err
         assert not (tmp_path / defect / "checkpoint.fvl1").exists()
 
+    @pytest.mark.parametrize("missing", ["schedule.alphas", "schedule.sigmas", "model"])
+    def test_generate_rejects_incomplete_checkpoint(self, tmp_path, cfg_path, capsys,
+                                                    missing):
+        """A checkpoint with a valid CRC but no schedule entry, or whose manifest
+        has no model section, exits 1 naming what is missing."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        if missing == "model":
+            manifest = ct.manifest_path_for(ckpt)
+            with open(manifest) as f:
+                doc = json.load(f)
+            del doc["config"]["model"]
+            with open(manifest, "w") as f:
+                json.dump(doc, f)
+        else:
+            entries = ct.read_container_file(ckpt)
+            del entries[missing]
+            ct.write_container_file(ckpt, entries)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run("generate", "--checkpoint", ckpt, "--input", dataset,
+                 "--config", cfg_path, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert repr(missing) in err and "Traceback" not in err, err
+        assert not (out / "sample.fvl1").exists()
+
+    def test_every_stage_rejects_a_dataset_without_videos(self, tmp_path, cfg_path, capsys):
+        """A container holding only `class_ids` is a corrupt input to all four
+        stages that read videos: each exits 1 naming the entry."""
+        ckpt = self._train(tmp_path, cfg_path, self._gen(tmp_path, cfg_path))
+        hostile = str(tmp_path / "ids_only.fvl1")
+        ct.write_container_file(hostile, {"class_ids": np.array([1.0, 2.0])})
+        stages = {"analyze": (), "train": ("--config", cfg_path),
+                  "adapt": ("--checkpoint", ckpt, "--config", cfg_path),
+                  "generate": ("--checkpoint", ckpt, "--config", cfg_path)}
+        for stage, extra in stages.items():
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--input", hostile, *extra, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, stage
+            assert "'videos'" in err and "Traceback" not in err, err
+            assert not out.exists() or not any(out.iterdir()), stage
+
     def test_model_config_accepts_only_null_alpha(self, tmp_path, cfg_path, capsys):
         """Expert updates are unscaled: `alpha` survives only as null, the value
         every stored manifest records."""

@@ -1,0 +1,156 @@
+"""The fused tape ops against the op chains they replace (tests/oracles.py).
+
+`fx.lora_linear` and `fx.attention` must give the bytes of their chains: the
+forward value and the gradient of every live input, for every subset of live
+inputs, at the model's sizes (width 64, 128 latent tokens, a 22-token context
+and the one-token null context), at B=1 and B=4, and for attention with and
+without the self-attention diagonal bias. The loss adds each op's output to an
+input it read, so that input's gradient is summed from several paths and any
+change in the order `backward` adds them would show in its bytes.
+"""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+
+import freqvfx.tensor as fx
+from freqvfx.errors import ParameterError, ShapeError
+
+import oracles
+
+WIDTH, RANK, N_TOKENS = 64, 16, 128
+SCALE = WIDTH ** -0.5
+
+
+def _subsets(names):
+    return [s for n in range(len(names) + 1) for s in itertools.combinations(names, n)]
+
+
+def _run(op, arrays, live, residual):
+    """Forward bytes, gradient bytes of the live leaves, and the recorded nodes."""
+    leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
+    inputs = [leaves[name] for name in arrays]
+    with fx.Tape([leaves[name] for name in live]) as tape:
+        out = op(*inputs)
+        weight = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(np.float32))
+        loss = fx.reduce_sum((leaves[residual] + out) * weight)
+    if not live:
+        return out.data.tobytes(), {}, tape.nodes
+    grads = fx.backward(tape, loss)
+    return (out.data.tobytes(), {name: grads[leaves[name]].data.tobytes() for name in live},
+            tape.nodes)
+
+
+def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
+    out, grads, nodes = _run(fused, arrays, live, residual)
+    ref_out, ref_grads, _ = _run(chain, arrays, live, residual)
+    assert out == ref_out
+    assert grads == ref_grads
+    if not live:
+        assert not nodes
+        return
+    assert [n.op for n in nodes] == [op_name, "add", "mul", "sum"]
+    node = nodes[0]
+    assert node.live == tuple(name in live for name in node_inputs)
+    g = np.ones(node.out.shape, dtype=np.float32)
+    for name, grad in zip(node_inputs, node.vjp(g, node.live)):
+        assert (grad is None) == (name not in live), name
+
+
+def _lora_arrays(b, n):
+    rng = np.random.default_rng(7 * b + n)
+    pi = rng.dirichlet(np.ones(4), size=b)
+    return {
+        "h": rng.normal(size=(b, n, WIDTH)).astype(np.float32),
+        "w": rng.normal(0.0, WIDTH ** -0.5, size=(WIDTH, WIDTH)).astype(np.float32),
+        "a": rng.normal(0.0, 0.02, size=(RANK, WIDTH)).astype(np.float32),
+        "b": rng.normal(0.0, 0.1, size=(WIDTH, RANK)).astype(np.float32),
+        "gate": np.repeat(pi, RANK // 4, axis=1)[:, None, :].astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("n", [N_TOKENS, 22, 1])
+def test_lora_linear_matches_chain_bytes(b, n):
+    arrays = _lora_arrays(b, n)
+    for live in _subsets(tuple(arrays)):
+        _check_fused(fx.lora_linear, oracles.lora_linear_chain, arrays, live, "h", "lora",
+                     ("b", "gate", "h", "a", "h", "w"))
+
+
+def _diag_bias():
+    bias = 8.0 * np.eye(N_TOKENS, dtype=np.float32)
+    bias.setflags(write=False)
+    return bias
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("n_keys, bias", [(N_TOKENS, None), (N_TOKENS, "diag"), (22, None),
+                                          (1, None)])
+def test_attention_matches_chain_bytes(b, n_keys, bias):
+    rng = np.random.default_rng(11 * b + n_keys)
+    arrays = {"q": rng.normal(size=(b, N_TOKENS, WIDTH)).astype(np.float32),
+              "k": rng.normal(size=(b, n_keys, WIDTH)).astype(np.float32),
+              "v": rng.normal(size=(b, n_keys, WIDTH)).astype(np.float32)}
+    bias = _diag_bias() if bias == "diag" else None
+
+    def fused(q, k, v):
+        return fx.attention(q, k, v, SCALE, bias)
+
+    def chain(q, k, v):
+        return oracles.attention_chain(q, k, v, SCALE, bias)
+
+    for live in _subsets(tuple(arrays)):
+        _check_fused(fused, chain, arrays, live, "q", "attention", ("v", "q", "k"))
+
+
+@pytest.mark.parametrize("bias", [None, "diag"])
+def test_self_attention_on_one_tensor_matches_chain_bytes(bias):
+    """q, k and v all one tensor: its three gradients are summed in chain order."""
+    x = np.random.default_rng(5).normal(size=(2, N_TOKENS, WIDTH)).astype(np.float32)
+    bias = _diag_bias() if bias == "diag" else None
+    _check_fused(lambda t: fx.attention(t, t, t, SCALE, bias),
+                 lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
+                 {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
+
+
+def test_lora_linear_errors():
+    f32 = np.float32
+    h, w, a, b, gate = (np.ones(s, dtype=f32) for s in ((2, 3, 6), (4, 6), (5, 6), (4, 5),
+                                                        (2, 1, 5)))
+    bad = {
+        "h": np.ones(6, dtype=f32), "w": np.ones((4, 7), dtype=f32),
+        "a": np.ones((5, 7), dtype=f32), "b": np.ones((4, 3), dtype=f32),
+        "gate": np.ones((3, 1, 5), dtype=f32),
+    }
+    for name, arr in bad.items():
+        args = dict(h=h, w=w, a=a, b=b, gate=gate)
+        args[name] = arr
+        with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
+            fx.lora_linear(*(fx.tensor(args[k]) for k in ("h", "w", "a", "b", "gate")))
+    with pytest.raises(ShapeError, match=r"\(3, 5\)"):  # up factor's rank off by its d_out
+        fx.lora_linear(*(fx.tensor(x) for x in (h, w, a, np.ones((3, 5), dtype=f32), gate)))
+    with pytest.raises(ParameterError, match="dtype mismatch"):
+        fx.lora_linear(fx.tensor(h), fx.tensor(w), fx.tensor(a.astype(np.float64)),
+                       fx.tensor(b), fx.tensor(gate))
+
+
+def test_attention_errors():
+    f32 = np.float32
+    q, k, v = (np.ones(s, dtype=f32) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
+    bad = {"q": np.ones(4, dtype=f32), "k": np.ones((2, 5, 3), dtype=f32),
+           "v": np.ones((2, 7, 6), dtype=f32)}
+    for name, arr in bad.items():
+        args = dict(q=q, k=k, v=v)
+        args[name] = arr
+        with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
+            fx.attention(*(fx.tensor(args[x]) for x in "qkv"), SCALE)
+    with pytest.raises(ShapeError, match=r"\(3, 5, 4\)"):  # batch 3 against batch 2
+        fx.attention(fx.tensor(q), fx.tensor(np.ones((3, 5, 4), dtype=f32)), fx.tensor(v),
+                     SCALE)
+    with pytest.raises(ShapeError, match=r"bias \(5, 5\)"):  # scores are (3, 5)
+        fx.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
+    with pytest.raises(ParameterError, match="dtype mismatch"):
+        fx.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)

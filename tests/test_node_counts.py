@@ -38,9 +38,11 @@ def test_train_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 148
-    assert (ops["linear"], ops["matmul"], ops["transpose"], ops["concat"], ops["mul"]) == (
-        44, 24, 5, 0, 21)
+    assert len(tape.nodes) == 73
+    # every adapted projection is one lora node and every attention core one
+    # attention node; an unfused one would show up as linear, matmul or mul nodes
+    assert (ops["lora"], ops["attention"], ops["linear"], ops["matmul"], ops["transpose"],
+            ops["concat"], ops["mul"]) == (16, 4, 3, 16, 1, 0, 1)
 
 
 def test_adapt_step_nodes(model, monkeypatch):
@@ -56,7 +58,7 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [1700]
+    assert seen == [775]
 
 
 def test_denoise_step_nodes(model):
@@ -67,7 +69,7 @@ def test_denoise_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         cond = build_conditioning(params, z0[:1], text[0])
         denoise_step(z0[:1], 500, cond, params, stack)
-    assert len(tape.nodes) == 145
+    assert len(tape.nodes) == 70
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])

@@ -163,6 +163,14 @@ def test_blur_matrix_cache_is_read_only():
     with pytest.raises(ValueError):
         m[:] = 0
     np.testing.assert_allclose(fx.blur_matrix(8, 0.5).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # the transposed copy the blur multiplies by is cached once, read-only, and
+    # holds the bytes of the per-call copy it replaces
+    mt = fx.blur_matrix_t(8, 0.5, dtype=np.float32)
+    assert fx.blur_matrix_t(8, 0.5, dtype=np.float32) is mt
+    assert mt.flags.c_contiguous and not mt.flags.writeable
+    with pytest.raises(ValueError):
+        mt[:] = 0
+    assert mt.tobytes() == fx.blur_matrix(8, 0.5, dtype=np.float32).T.copy().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,19 @@ def test_grad_matmul_variants():
     grad_check(lambda a, b: fx.matmul(a, b), [(2, 3, 4), (2, 4, 5)], seed=14)
     grad_check(fx.linear, [(3, 4), (5, 4)], seed=27)
     grad_check(fx.linear, [(2, 3, 4), (5, 4)], seed=28)
+
+
+def test_grad_lora_linear():
+    grad_check(fx.lora_linear, [(2, 3, 4), (5, 4), (3, 4), (5, 3), (2, 1, 3)], seed=31)
+    grad_check(fx.lora_linear, [(2, 4), (5, 4), (3, 4), (5, 3), (2, 3)], seed=32)
+
+
+@pytest.mark.parametrize("bias", [None, 2.0 * np.eye(5)])
+def test_grad_attention(bias):
+    grad_check(lambda q, k, v: fx.attention(q, k, v, 0.5, bias),
+               [(2, 5, 4), (2, 5, 4), (2, 5, 6)], seed=33, rtol=1e-5)
+    grad_check(lambda q, k, v: fx.attention(q, k, v, 0.5),
+               [(2, 3, 4), (2, 1, 4), (2, 1, 6)], seed=34, rtol=1e-5)
 
 
 @pytest.mark.parametrize("h_shape", [(3, 4), (2, 3, 4)])
