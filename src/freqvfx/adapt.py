@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as fx
-from .config import AdaptConfig, SpectralConfig
+from .config import AdaptConfig
 # unused here, but bench/spans.py traces stage 2 by wrapping freqvfx.adapt.denoise_step
 from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step  # noqa: F401
 from .errors import AdaptationDivergedError, ParameterError, ShapeError
 from .sampling import sample
 from .schedule import NoiseSchedule, forward_noise
-from .spectral import EPS_DEFAULT, SIGMA1_DEFAULT, SIGMA2_DEFAULT, joint_descriptor
+from .spectral import joint_descriptor
 from .tensor import Tensor
 from .train import AdamW
 
@@ -45,17 +45,14 @@ class VfxEmbedding:
         return cls(tokens=fx.tensor(data))
 
 
-def freq_constraint_loss(z_gen, z_ref, sigma1: float = SIGMA1_DEFAULT,
-                         sigma2: float = SIGMA2_DEFAULT,
-                         epsilon: float = EPS_DEFAULT) -> Tensor:
+def freq_constraint_loss(z_gen, z_ref) -> Tensor:
     """Batch-mean L1 distance between the two joint descriptors; range [0, 4]."""
     g = z_gen if isinstance(z_gen, Tensor) else Tensor(np.asarray(z_gen))
     r = z_ref if isinstance(z_ref, Tensor) else Tensor(np.asarray(z_ref))
     if g.shape != r.shape:
         raise ShapeError(f"generated {g.shape} and reference {r.shape} latents disagree")
-    jd_g = joint_descriptor(g, sigma1, sigma2, epsilon).values
-    jd_r = joint_descriptor(r, sigma1, sigma2, epsilon).values
-    per_sample = fx.reduce_sum(fx.absolute(jd_g - jd_r), axes=(1,))
+    per_sample = fx.reduce_sum(fx.absolute(joint_descriptor(g) - joint_descriptor(r)),
+                               axes=(1,))
     return fx.reduce_mean(per_sample)
 
 
@@ -94,10 +91,8 @@ def timestep_window(schedule: NoiseSchedule, low_frac: float, high_frac: float) 
 
 def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserParams,
           stack: AdapterStack, schedule: NoiseSchedule,
-          embedding: VfxEmbedding | None = None,
-          spectral: SpectralConfig | None = None) -> AdaptResult:
+          embedding: VfxEmbedding | None = None) -> AdaptResult:
     """Minimize the expected frequency-constraint loss over the embedding."""
-    spectral = spectral or SpectralConfig()
     ref = ref_video if isinstance(ref_video, Tensor) else Tensor(np.asarray(ref_video))
     if ref.ndim != 5 or ref.shape[1:] != params.latent_shape:
         raise ShapeError(f"reference {ref.shape} does not match model {params.latent_shape}")
@@ -126,8 +121,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
                     first_t = t
                 z_gen = forward_noise(gen0, t, eps, schedule)
                 z_ref = reference_latents(ref, t, eps, schedule)
-                term = freq_constraint_loss(z_gen, z_ref, spectral.sigma1, spectral.sigma2,
-                                            spectral.epsilon)
+                term = freq_constraint_loss(z_gen, z_ref)
                 total = term if total is None else total + term
             loss = total if config.n_draws == 1 else total * (1.0 / config.n_draws)
 

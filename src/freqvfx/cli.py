@@ -145,7 +145,7 @@ def _restore_model(checkpoint_path: str):
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=_entry(entries, "schedule.alphas", checkpoint_path),
                              sigmas=_entry(entries, "schedule.sigmas", checkpoint_path))
-    return params, stack, schedule, entries, manifest, model_cfg
+    return params, stack, schedule, entries, manifest
 
 
 def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -154,10 +154,13 @@ def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             if name.startswith(prefix)}
 
 
-def _pick_text(entries: dict[str, np.ndarray], class_name: str | None) -> np.ndarray:
+def _pick_text(entries: dict[str, np.ndarray], class_name: str | None,
+               source: str) -> np.ndarray:
+    """The stored text tokens of `class_name` (default: the first stored class);
+    a checkpoint with none is corrupt, an unknown class a usage error."""
     stored = _stored_text_tokens(entries)
     if not stored:
-        raise ParameterError("checkpoint stores no conditioning text tokens")
+        raise ContainerError(f"{source} has no 'cond.text.<class>' entry")
     if class_name is None:
         class_name = sorted(stored)[0]
     if class_name not in stored:
@@ -260,9 +263,9 @@ def cmd_adapt(args) -> int:
     if args.seed is not None:
         adapt_cfg.seed = args.seed
 
-    params, stack, schedule, entries, ckpt_manifest, model_cfg = _restore_model(args.checkpoint)
+    params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
     ref = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
-    text = _pick_text(entries, args.class_name)
+    text = _pick_text(entries, args.class_name, args.checkpoint)
     cond = build_conditioning(params, ref, text)
 
     result = adapt(ref, cond, adapt_cfg, params, stack, schedule)
@@ -289,13 +292,13 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         sample_cfg.seed = args.seed
 
-    params, stack, schedule, entries, ckpt_manifest, model_cfg = _restore_model(args.checkpoint)
+    params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
     if "model" in doc:
         check_config_compatible(ckpt_manifest.config["model"], doc["model"],
                                 stage=ckpt_manifest.stage)
 
     z0 = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
-    text = _pick_text(entries, args.class_name)
+    text = _pick_text(entries, args.class_name, args.checkpoint)
     cond = build_conditioning(params, z0, text)
 
     inputs = {**_input_hash(args.checkpoint), **_input_hash(args.input)}
@@ -328,10 +331,9 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     entries = read_container_file(args.input)
-    if "descriptors" not in entries:
-        raise ParameterError(f"{args.input} has no 'descriptors' entry")
+    descriptors = _entry(entries, "descriptors", args.input)
     ts = entries.get("timesteps")
-    csv = emit_spectral_report(entries["descriptors"],
+    csv = emit_spectral_report(descriptors,
                                timesteps=None if ts is None else ts.astype(np.int64))
     out = os.path.join(_outdir(args), "spectral.csv")
     write_text(out, csv)

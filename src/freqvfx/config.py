@@ -80,13 +80,6 @@ class AdaptConfig:
             raise ParameterError(f"need at least one loss draw per step, got {self.n_draws}")
 
 
-@dataclass
-class SpectralConfig:
-    sigma1: float = 0.46875
-    sigma2: float = 0.9375
-    epsilon: float = 1e-8
-
-
 def to_dict(cfg) -> dict:
     out = dataclasses.asdict(cfg)
     for k, v in out.items():

@@ -28,7 +28,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -221,12 +221,10 @@ def manifest_path_for(artifact_path) -> str:
     return os.fspath(artifact_path) + ".manifest.json"
 
 
-def check_config_compatible(recorded: dict, requested: dict, *, stage: str,
-                            keys: Iterable[str] | None = None) -> None:
+def check_config_compatible(recorded: dict, requested: dict, *, stage: str) -> None:
     """Raise if any shared config key changed between dependent runs."""
-    names = sorted(set(recorded) & set(requested)) if keys is None else list(keys)
     clashes = []
-    for k in names:
+    for k in sorted(set(recorded) & set(requested)):
         a = recorded.get(k)
         b = requested.get(k)
         if _json_round(a) != _json_round(b):

@@ -23,8 +23,12 @@ Each adapted projection is one `fx.lora_linear` tape node (through
 `moe_forward`) and each attention core, scores to mixed values, one
 `fx.attention` node.
 
-A step is `_trunk` (routing, embedding and block 0's self-attention, which do
-not read the conditioning) followed by `_head` (everything after). The two
+Routing is the caller's: `sample` and `diffusion_loss` route each step's
+descriptor once and hand the (B, M) weights `pi` to every projection of the
+step, so a stack without `pi` is an error.
+
+A step is `_trunk` (embedding and block 0's self-attention, which do not read
+the conditioning) followed by `_head` (everything after). The two
 classifier-free-guidance branches differ only in the head, so `denoise_guided`
 runs one trunk for both when no tape records it. Cross-attention into a
 single context token (the null token of the unconditional branch) skips the q/k
@@ -45,9 +49,10 @@ import numpy as np
 
 from . import tensor as fx
 from .errors import ParameterError, ShapeError
-from .moe import (MoeAdapter, RouterParams, expert_owner, expert_slices, moe_forward, route,
+from .moe import (MoeAdapter, RouterParams, expert_owner, expert_slices, moe_forward,
                   split_rank_budget)
-from .spectral import joint_descriptor_detached
+# unused here, but bench/spans.py traces routing by wrapping freqvfx.denoiser.route
+from .moe import route  # noqa: F401
 from .tensor import Tensor
 
 LATENT_SHAPE_DEFAULT = (8, 4, 8, 8)  # (T, C, h, w)
@@ -344,12 +349,9 @@ def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
 
 
 def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
-           pi: Tensor | None) -> tuple[Tensor, Tensor | None]:
-    """The part of a step that does not read the conditioning: checks, routing
-    (when `pi` is None), embedding and block 0's self-attention.
-
-    Returns the residual stream and the routing weights it used.
-    """
+           pi: Tensor | None) -> Tensor:
+    """The part of a step that does not read the conditioning: checks,
+    embedding and block 0's self-attention. Returns the residual stream."""
     z_t = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
     if z_t.ndim != 5 or z_t.shape[1:] != params.latent_shape:
         raise ShapeError(f"latent {z_t.shape} does not match model {params.latent_shape}")
@@ -363,7 +365,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
     if stack is not None and pi is None:
-        pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
+        raise ParameterError("a step with an adapter stack needs its routing weights pi")
 
     tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
     tokens = tokens + params.embed_b
@@ -377,7 +379,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
     blk = params.blocks[0]
     x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self",
                        1.0 / math.sqrt(params.width), _self_bias(params, x.dtype))
-    return x, pi
+    return x
 
 
 def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
@@ -400,11 +402,10 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
 def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
                  stack: AdapterStack | None, *, pi: Tensor | None = None) -> Tensor:
     """Predict the noise in z_t; `cond=None` reads the null token (the
-    unconditional branch). Routing weights come from the descriptor of z_t
-    unless a precomputed `pi` is passed in (CFG branches share one).
+    unconditional branch). `pi` is the caller's (B, M) routing of z_t, required
+    with a stack and ignored without one.
     """
-    x, pi = _trunk(z_t, t, params, stack, pi)
-    return _head(x, cond, params, stack, pi)
+    return _head(_trunk(z_t, t, params, stack, pi), cond, params, stack, pi)
 
 
 def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
@@ -418,8 +419,8 @@ def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
     one trunk. Otherwise each branch runs its own, so the tape holds the same
     nodes as for two `denoise_step` calls and gradients keep their bytes.
     """
-    x, routed = _trunk(z_t, t, params, stack, pi)
-    eps_c = _head(x, cond, params, stack, routed)
+    x = _trunk(z_t, t, params, stack, pi)
+    eps_c = _head(x, cond, params, stack, pi)
     if fx.is_live(x):
-        x, routed = _trunk(z_t, t, params, stack, pi)
-    return eps_c, _head(x, None, params, stack, routed)
+        x = _trunk(z_t, t, params, stack, pi)
+    return eps_c, _head(x, None, params, stack, pi)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import tensor as fx
 from .errors import ParameterError, ShapeError
-from .spectral import JointDescriptor
 from .tensor import Tensor
 
 DESCRIPTOR_DIM = 6
@@ -122,8 +121,6 @@ def adapter_param_count(adapter: MoeAdapter) -> int:
 
 
 def _descriptor_constant(e, dtype) -> Tensor:
-    if isinstance(e, JointDescriptor):
-        e = e.values
     data = e.data if isinstance(e, Tensor) else np.asarray(e)
     if data.ndim != 2 or data.shape[1] != DESCRIPTOR_DIM:
         raise ShapeError(f"routing descriptor must be (B, {DESCRIPTOR_DIM}), got {data.shape}")

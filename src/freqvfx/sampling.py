@@ -39,8 +39,7 @@ class SampleResult:
 
 def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSchedule,
            cond: Conditioning, *, steps: int = 30, cfg_scale: float = 7.5,
-           seed: int | None = None, rng: np.random.Generator | None = None,
-           init_noise: np.ndarray | None = None) -> SampleResult:
+           seed: int | None = None, init_noise: np.ndarray | None = None) -> SampleResult:
     """Iteratively denoise pure noise under the given conditioning."""
     if cfg_scale < 0:
         raise ParameterError(f"cfg_scale must be >= 0, got {cfg_scale}")
@@ -56,8 +55,7 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         if init_noise.shape != shape:
             raise ShapeError(f"init noise {init_noise.shape} != latent batch {shape}")
     else:
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        init_noise = rng.standard_normal(shape).astype(dtype)
+        init_noise = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
     z = Tensor(init_noise)
     n_experts = stack.n_experts if stack is not None else 0

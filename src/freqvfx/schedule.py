@@ -42,20 +42,20 @@ class NoiseSchedule:
             raise ParameterError("alpha_t must be monotonically decreasing in t")
 
     @classmethod
-    def cosine(cls, num_steps: int = 1000, s: float = COSINE_S,
-               alpha_bar_floor: float = ALPHA_BAR_FLOOR) -> "NoiseSchedule":
-        """Cosine alpha-bar schedule, renormalized so t=0 is the exact identity.
+    def cosine(cls, num_steps: int = 1000) -> "NoiseSchedule":
+        """Cosine alpha-bar schedule (offset COSINE_S), renormalized so t=0 is
+        the exact identity.
 
         The raw curve reaches alpha_bar = 0 at the last index, which breaks
-        x0-form sampler updates, so alpha_bar is floored (default 1e-6; only
-        the final index is affected at the default length).
+        x0-form sampler updates, so alpha_bar is floored at ALPHA_BAR_FLOOR
+        (only the final index is affected at the default length).
         """
         if num_steps < 2:
             raise ParameterError(f"schedule needs at least 2 steps, got {num_steps}")
         t = np.arange(num_steps, dtype=np.float64) / (num_steps - 1)
-        f = np.cos(((t + s) / (1.0 + s)) * (math.pi / 2.0)) ** 2
+        f = np.cos(((t + COSINE_S) / (1.0 + COSINE_S)) * (math.pi / 2.0)) ** 2
         alpha_bar = f / f[0]
-        alpha_bar = np.maximum(alpha_bar, alpha_bar_floor)
+        alpha_bar = np.maximum(alpha_bar, ALPHA_BAR_FLOOR)
         alpha_bar[0] = 1.0
         alphas = np.sqrt(alpha_bar)
         sigmas = np.sqrt(1.0 - alpha_bar)

@@ -35,8 +35,8 @@ def _check_blur_rows_normalized(rng):
 
 def _check_telescoping(rng):
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-    parts = decompose(x)
-    rebuilt = parts.coarse.data + parts.band.data + parts.detail.data
+    coarse, band, detail = decompose(x)
+    rebuilt = coarse.data + band.data + detail.data
     err = np.max(np.abs(rebuilt - x))
     assert err <= 1e-6, f"telescoping residual {err:.3e}"
 
@@ -75,11 +75,11 @@ def _check_gradients(rng):
     x = rng.standard_normal((1, 1, 5, 5))
 
     def value(a):
-        return float(fx.reduce_sum(fx.square(fei(fx.Tensor(a)).values)).data)
+        return float(fx.reduce_sum(fx.square(fei(fx.Tensor(a)))).data)
 
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
-        loss = fx.reduce_sum(fx.square(fei(p).values))
+        loss = fx.reduce_sum(fx.square(fei(p)))
     g = fx.backward(tape, loss)[p].data.ravel()
     flat = x.ravel()
     step = 1e-6

@@ -119,9 +119,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -129,12 +126,12 @@ class Tensor:
         return absolute(self)
 
 
-def tensor(data, dtype=None, checked: bool = True) -> Tensor:
-    """Public constructor. Rejects NaN/Inf unless checked=False."""
+def tensor(data, dtype=None) -> Tensor:
+    """Public constructor. Rejects NaN/Inf."""
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(dtype or DEFAULT_DTYPE)
-    if checked and arr.size and not np.isfinite(arr).all():
+    if arr.size and not np.isfinite(arr).all():
         raise ParameterError("tensor construction rejected non-finite values")
     return Tensor(arr)
 
@@ -278,11 +275,6 @@ def div(a, b) -> Tensor:
     return _record("div", (a, b), out, vjp)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record("neg", (a,), -a.data, lambda g, live: (-g,))
-
-
 def square(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
@@ -313,16 +305,6 @@ def log1p(a) -> Tensor:
         return (g / (1.0 + ad),)
 
     return _record("log1p", (a,), np.log1p(ad), vjp)
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g, live):
-        return (g / (2.0 * out),)
-
-    return _record("sqrt", (a,), out, vjp)
 
 
 def cast(a, dtype) -> Tensor:
@@ -537,11 +519,6 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
         return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
 
     return _record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), vjp)
-
-
-def reduce_sum_sq(a, axes=None, keepdims: bool = False) -> Tensor:
-    """Sum of squares over `axes` (the energy reduction)."""
-    return reduce_sum(square(a), axes=axes, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------

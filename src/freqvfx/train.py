@@ -61,13 +61,8 @@ class AdamW:
 
 def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
                    stack: AdapterStack | None, schedule: NoiseSchedule,
-                   rng: np.random.Generator, *, predictor=None,
-                   return_details: bool = False):
-    """Mean over batch and elements of ||eps - eps_hat||^2 at uniform random t.
-
-    `predictor` (test hook) replaces the denoiser: a callable
-    (z_t, t, cond) -> Tensor of predicted noise.
-    """
+                   rng: np.random.Generator, *, return_details: bool = False):
+    """Mean over batch and elements of ||eps - eps_hat||^2 at uniform random t."""
     z0 = batch_z0 if isinstance(batch_z0, Tensor) else Tensor(np.asarray(batch_z0))
     if z0.ndim != 5 or z0.shape[0] < 1:
         raise ParameterError(f"need a nonempty (B, T, C, H, W) batch, got {z0.shape}")
@@ -76,12 +71,9 @@ def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
     eps = rng.standard_normal(z0.shape).astype(z0.dtype)
     z_t = forward_noise(z0.detach(), t, eps, schedule)
     pi = None
-    if predictor is not None:
-        eps_hat = predictor(z_t, t, cond)
-    else:
-        if stack is not None:
-            pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
-        eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
+    if stack is not None:
+        pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
+    eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
     loss = fx.reduce_mean(fx.square(eps_hat - Tensor(eps)))
     if return_details:
         return loss, {"t": t, "pi": None if pi is None else pi.data.copy()}

@@ -83,7 +83,7 @@ def test_criterion_01_spectral_pipeline_matches_oracles():
         for proxy_fn, proxy_ref in ((appearance_proxy, oracles.appearance_scalar(z)),
                                     (vfx_proxy, oracles.vfx_scalar(z))):
             proxy = proxy_fn(z)
-            worst = max(worst, _maxerr(proxy.values.data, proxy_ref))
+            worst = max(worst, _maxerr(proxy.data, proxy_ref))
 
             b1 = np.stack([[oracles.conv2d_replicate_scalar(proxy_ref[i, j], k1)
                             for j in range(c)] for i in range(b)])
@@ -91,16 +91,17 @@ def test_criterion_01_spectral_pipeline_matches_oracles():
                             for j in range(c)] for i in range(b)])
             coarse_ref, band_ref, detail_ref = b2, b1 - b2, proxy_ref - b1
             parts = decompose(proxy)
-            worst = max(worst, _maxerr(parts.coarse.data, coarse_ref),
-                        _maxerr(parts.band.data, band_ref),
-                        _maxerr(parts.detail.data, detail_ref))
+            coarse, band, detail = parts
+            worst = max(worst, _maxerr(coarse.data, coarse_ref),
+                        _maxerr(band.data, band_ref),
+                        _maxerr(detail.data, detail_ref))
 
             e_ref = np.stack([oracles.energy_scalar(part)
                               for part in (coarse_ref, band_ref, detail_ref)], axis=1)
             worst = max(worst, _maxerr(band_energies(parts).data, e_ref))
 
             n_ref = np.stack([oracles.normalize_mp(row, EPS_DEFAULT) for row in e_ref])
-            worst = max(worst, _maxerr(normalize_energies(e_ref).values.data, n_ref))
+            worst = max(worst, _maxerr(normalize_energies(e_ref).data, n_ref))
             halves.append(n_ref)
 
         worst = max(worst, _maxerr(joint_descriptor_detached(z),
@@ -129,8 +130,8 @@ def test_criterion_02_telescoping_identity():
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
                  int(rng.integers(4, 9)), int(rng.integers(4, 9)))
         x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-1.0, 1.0)).astype(np.float32)
-        parts = decompose(x, s1, s2)
-        rebuilt = parts.coarse.data + parts.band.data + parts.detail.data
+        coarse, band, detail = decompose(x, s1, s2)
+        rebuilt = coarse.data + band.data + detail.data
         worst = max(worst, _maxerr(rebuilt, x.astype(np.float64)))
     dt = time.time() - t0
     ok = worst <= tol and dt < 60.0
@@ -383,7 +384,7 @@ def test_criterion_07_stage2_desk_run(stage1_run):
         with fx.Tape(opt.params) as tape:
             gen = sample(params, stack, sched, cond.with_vfx(emb.tokens),
                          steps=8, cfg_scale=3.0, seed=0).video
-            jd = joint_descriptor(gen).values
+            jd = joint_descriptor(gen)
             loss = fx.reduce_mean(fx.reduce_sum(fx.absolute(jd - target), axes=(1,)))
         bias_last = float(loss.data)
         if i == 0:

@@ -242,11 +242,13 @@ class TestPipeline:
         assert repr(entry) in err and "Traceback" not in err, err
         assert not (tmp_path / defect / "checkpoint.fvl1").exists()
 
-    @pytest.mark.parametrize("missing", ["schedule.alphas", "schedule.sigmas", "model"])
+    @pytest.mark.parametrize("missing", ["schedule.alphas", "schedule.sigmas", "model",
+                                         "cond.text.<class>"])
     def test_generate_rejects_incomplete_checkpoint(self, tmp_path, cfg_path, capsys,
                                                     missing):
-        """A checkpoint with a valid CRC but no schedule entry, or whose manifest
-        has no model section, exits 1 naming what is missing."""
+        """A checkpoint with a valid CRC but no schedule entry or no stored text
+        tokens, or whose manifest has no model section, exits 1 naming what is
+        missing in both stages that restore it."""
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
         if missing == "model":
@@ -258,16 +260,29 @@ class TestPipeline:
                 json.dump(doc, f)
         else:
             entries = ct.read_container_file(ckpt)
-            del entries[missing]
-            ct.write_container_file(ckpt, entries)
-        out = tmp_path / "out"
-        capsys.readouterr()
-        rc = run("generate", "--checkpoint", ckpt, "--input", dataset,
-                 "--config", cfg_path, "--out", str(out))
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert repr(missing) in err and "Traceback" not in err, err
-        assert not (out / "sample.fvl1").exists()
+            prefix = missing.replace("<class>", "")
+            kept = {name: arr for name, arr in entries.items() if not name.startswith(prefix)}
+            assert len(kept) < len(entries)
+            ct.write_container_file(ckpt, kept)
+        for stage, artifact in (("generate", "sample.fvl1"), ("adapt", "adapted.fvl1")):
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--checkpoint", ckpt, "--input", dataset,
+                     "--config", cfg_path, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, stage
+            assert repr(missing) in err and "Traceback" not in err, err
+            assert not (out / artifact).exists()
+
+    def test_unknown_class_name_is_usage_error(self, tmp_path, cfg_path, capsys):
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        for stage in ("generate", "adapt"):
+            capsys.readouterr()
+            rc = run(stage, "--checkpoint", ckpt, "--input", dataset, "--config", cfg_path,
+                     "--class-name", "wizards", "--out", str(tmp_path / stage))
+            assert rc == 2, stage
+            assert "'wizards'" in capsys.readouterr().err
 
     def test_every_stage_rejects_a_dataset_without_videos(self, tmp_path, cfg_path, capsys):
         """A container holding only `class_ids` is a corrupt input to all four
@@ -357,7 +372,7 @@ class TestPipeline:
         p = tmp_path / "plain.fvl1"
         ct.write_container_file(str(p), {"videos": np.zeros((1, 2, 1, 4, 4),
                                                             dtype=np.float32)})
-        assert run("report", "--input", str(p), "--out", str(tmp_path)) == 2
+        assert run("report", "--input", str(p), "--out", str(tmp_path)) == 1
 
 
 class TestAnalyze:

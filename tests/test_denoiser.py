@@ -40,6 +40,11 @@ def woken_model():
     return params, stack
 
 
+def routed(z, stack):
+    """The routing weights of latent z, computed as the sampler computes them."""
+    return route(joint_descriptor_detached(z), stack.router, stack.top_k)
+
+
 def bytes_of(t) -> bytes:
     return np.ascontiguousarray(t.data).tobytes()
 
@@ -186,8 +191,9 @@ class TestDenoiseStep:
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        out1 = denoise_step(z, 3, cond, params, stack)
-        out2 = denoise_step(z, 3, cond, params, stack)
+        pi = routed(z, stack)
+        out1 = denoise_step(z, 3, cond, params, stack, pi=pi)
+        out2 = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert out1.shape == z.shape
         assert out1.dtype == np.float32
         assert bytes_of(out1) == bytes_of(out2)
@@ -196,10 +202,11 @@ class TestDenoiseStep:
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        a = denoise_step(z, 3, cond, params, stack)
-        b = denoise_step(z, np.array([3, 3]), cond, params, stack)
+        pi = routed(z, stack)
+        a = denoise_step(z, 3, cond, params, stack, pi=pi)
+        b = denoise_step(z, np.array([3, 3]), cond, params, stack, pi=pi)
         assert bytes_of(a) == bytes_of(b)
-        c = denoise_step(z, np.array([3, 7]), cond, params, stack)
+        c = denoise_step(z, np.array([3, 7]), cond, params, stack, pi=pi)
         assert np.array_equal(c.data[0], b.data[0])
         assert not np.array_equal(c.data[1], b.data[1])
 
@@ -207,37 +214,41 @@ class TestDenoiseStep:
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        a = denoise_step(z, 0, cond, params, stack)
-        b = denoise_step(z, 9, cond, params, stack)
+        pi = routed(z, stack)
+        a = denoise_step(z, 0, cond, params, stack, pi=pi)
+        b = denoise_step(z, 9, cond, params, stack, pi=pi)
         assert not np.array_equal(a.data, b.data)
 
     def test_t_validation(self):
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
+        pi = routed(z, stack)
         with pytest.raises(ParameterError):
-            denoise_step(z, 0.5, cond, params, stack)
+            denoise_step(z, 0.5, cond, params, stack, pi=pi)
         with pytest.raises(ParameterError):
-            denoise_step(z, -1, cond, params, stack)
+            denoise_step(z, -1, cond, params, stack, pi=pi)
         with pytest.raises(ParameterError):
-            denoise_step(z, NUM_STEPS, cond, params, stack)
+            denoise_step(z, NUM_STEPS, cond, params, stack, pi=pi)
         with pytest.raises(ShapeError):
-            denoise_step(z, np.array([1, 2, 3]), cond, params, stack)
+            denoise_step(z, np.array([1, 2, 3]), cond, params, stack, pi=pi)
 
     def test_latent_shape_validation(self):
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
+        pi = routed(z, stack)
         with pytest.raises(ShapeError):
-            denoise_step(z[:, :, :, :, :3], 1, cond, params, stack)
+            denoise_step(z[:, :, :, :, :3], 1, cond, params, stack, pi=pi)
 
     def test_uncond_matches_missing_conditioning(self):
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        c1, u1 = denoise_guided(z, 3, cond, params, stack)
-        u2 = denoise_step(z, 3, None, params, stack)
-        c = denoise_step(z, 3, cond, params, stack)
+        pi = routed(z, stack)
+        c1, u1 = denoise_guided(z, 3, cond, params, stack, pi=pi)
+        u2 = denoise_step(z, 3, None, params, stack, pi=pi)
+        c = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert bytes_of(u1) == bytes_of(u2)
         assert bytes_of(c1) == bytes_of(c)
         assert not np.array_equal(u1.data, c.data)
@@ -246,27 +257,30 @@ class TestDenoiseStep:
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        with_stack = denoise_step(z, 3, cond, params, stack)
+        pi = routed(z, stack)
+        with_stack = denoise_step(z, 3, cond, params, stack, pi=pi)
         without = denoise_step(z, 3, cond, params, None)
         assert np.array_equal(with_stack.data, without.data)
 
-    def test_precomputed_routing_matches_internal(self):
+    def test_stack_without_routing_is_rejected(self):
+        """The denoiser never routes for itself: a stack needs the caller's pi."""
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        pi = route(joint_descriptor_detached(fx.Tensor(z)), stack.router, stack.top_k)
-        a = denoise_step(z, 3, cond, params, stack, pi=pi)
-        b = denoise_step(z, 3, cond, params, stack)
-        assert bytes_of(a) == bytes_of(b)
+        with pytest.raises(ParameterError, match="routing weights pi"):
+            denoise_step(z, 3, cond, params, stack)
+        with pytest.raises(ParameterError, match="routing weights pi"):
+            denoise_guided(z, 3, cond, params, stack)
 
     def test_vfx_tokens_change_output(self):
         params, stack = small_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
+        pi = routed(z, stack)
         rng = np.random.default_rng(11)
         vfx = fx.Tensor(rng.standard_normal((4, WIDTH)).astype(np.float32))
-        a = denoise_step(z, 3, cond.with_vfx(vfx), params, stack)
-        b = denoise_step(z, 3, cond, params, stack)
+        a = denoise_step(z, 3, cond.with_vfx(vfx), params, stack, pi=pi)
+        b = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert not np.array_equal(a.data, b.data)
 
     def test_gradients_reach_adapters_not_backbone(self):
@@ -274,7 +288,7 @@ class TestDenoiseStep:
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
         with fx.Tape(stack.parameters().values()) as tape:
-            out = denoise_step(z, 3, cond, params, stack)
+            out = denoise_step(z, 3, cond, params, stack, pi=routed(z, stack))
             loss = fx.reduce_sum(fx.square(out))
         grads = fx.backward(tape, loss)
         for name, t in params.named_arrays().items():
@@ -294,7 +308,8 @@ class TestDenoiseStep:
         params, stack = small_model(dtype=np.float64)
         z, text = small_batch(dtype=np.float64)
         cond = build_conditioning(params, z, text)
-        out = denoise_step(z, 3, cond, params, stack)
+        pi = routed(z, stack)
+        out = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert out.dtype == np.float64
         assert out.shape == z.shape
         assert np.all(np.isfinite(out.data))
@@ -308,14 +323,10 @@ class TestGuidedStep:
         stack = stack if with_stack else None
         z, text = small_batch(b=b)
         cond = build_conditioning(params, z, text)
-        routings = [None]
-        if stack is not None:
-            routings.append(route(joint_descriptor_detached(fx.Tensor(z)), stack.router,
-                                  stack.top_k))
-        for pi in routings:
-            eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
-            assert bytes_of(eps_c) == bytes_of(denoise_step(z, t, cond, params, stack, pi=pi))
-            assert bytes_of(eps_u) == bytes_of(denoise_step(z, t, None, params, stack, pi=pi))
+        pi = None if stack is None else routed(z, stack)
+        eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
+        assert bytes_of(eps_c) == bytes_of(denoise_step(z, t, cond, params, stack, pi=pi))
+        assert bytes_of(eps_u) == bytes_of(denoise_step(z, t, None, params, stack, pi=pi))
 
     def test_live_trunk_records_the_nodes_of_two_steps(self):
         """With z on the tape, or with the stack's leaves on it, each branch runs
@@ -323,7 +334,7 @@ class TestGuidedStep:
         params, stack = woken_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
-        pi = route(joint_descriptor_detached(fx.Tensor(z)), stack.router, stack.top_k)
+        pi = routed(z, stack)
 
         def guided(zt):
             return denoise_guided(zt, 3, cond, params, stack, pi=pi)
@@ -360,11 +371,12 @@ class TestGuidedStep:
             calls.append(args)
             return real(*args)
 
+        pi = routed(z, stack)
         monkeypatch.setattr(freqvfx.denoiser, "_trunk", counting_trunk)
         with fx.Tape([vfx]):
-            _, eps_u = denoise_guided(z, 3, cond, params, stack)
+            _, eps_u = denoise_guided(z, 3, cond, params, stack, pi=pi)
         assert len(calls) == 1
-        assert bytes_of(eps_u) == bytes_of(denoise_step(z, 3, None, params, stack))
+        assert bytes_of(eps_u) == bytes_of(denoise_step(z, 3, None, params, stack, pi=pi))
 
     def test_single_key_shortcut_matches_full_attention(self):
         """Cross-attention into the one null token skips q, k and the softmax;
@@ -380,7 +392,8 @@ class TestGuidedStep:
             # and the router, and the residual takes cross-attention's dx back
             # to them: the full path's zero q-gradient must add nothing there
             with fx.Tape(leaves.values()) as tape:
-                x, pi = freqvfx.denoiser._trunk(z, 3, params, stack, None)
+                pi = routed(z, stack)
+                x = freqvfx.denoiser._trunk(z, 3, params, stack, pi)
                 out = freqvfx.denoiser._attention(x, kv, params.blocks[0].cross_attn, stack,
                                                   pi, "block0.cross", WIDTH ** -0.5, bias)
                 loss = fx.reduce_sum(fx.square(x + out))

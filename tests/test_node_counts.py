@@ -15,8 +15,10 @@ import freqvfx.tensor as fx
 from freqvfx.adapt import adapt
 from freqvfx.config import AdaptConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
+from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
+from freqvfx.spectral import joint_descriptor_detached
 from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
 from freqvfx.train import diffusion_loss
 
@@ -62,13 +64,14 @@ def test_adapt_step_nodes(model, monkeypatch):
 
 
 def test_denoise_step_nodes(model):
-    """A self-routing step at B=1 under a tape of the stack's leaves, with the
-    conditioning built from a stored (n_text, width) text table inside it, as
-    `generate` builds it."""
+    """A step at B=1 under a tape of the stack's leaves, routed inside it as the
+    sampler routes, with the conditioning built from a stored (n_text, width) text
+    table inside it, as `generate` builds it."""
     params, stack, _, z0, text = model
     with fx.Tape(stack.parameters().values()) as tape:
         cond = build_conditioning(params, z0[:1], text[0])
-        denoise_step(z0[:1], 500, cond, params, stack)
+        pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
+        denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
     assert len(tape.nodes) == 70
 
 

@@ -69,8 +69,8 @@ class TestDeterminism:
     def test_seed_and_rng_agree(self):
         params, stack, sched, cond = small_setup()
         r1 = sample(params, stack, sched, cond, steps=3, seed=11)
-        r2 = sample(params, stack, sched, cond, steps=3,
-                    rng=np.random.default_rng(11))
+        noise = np.random.default_rng(11).standard_normal((2,) + LATENT).astype(np.float32)
+        r2 = sample(params, stack, sched, cond, steps=3, init_noise=noise)
         assert r1.video.data.tobytes() == r2.video.data.tobytes()
 
     def test_explicit_init_noise(self):

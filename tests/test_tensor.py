@@ -23,7 +23,7 @@ def grad_check(fn, shapes, seed=0, rtol=1e-6, atol=1e-8, step=1e-5, transform=No
     grads = fx.backward(tape, loss)
 
     def f(*arrs):
-        o = fn(*[fx.tensor(a, checked=False) for a in arrs])
+        o = fn(*[fx.Tensor(a) for a in arrs])
         return float(np.sum(o.data * w))
 
     for i, p in enumerate(params):
@@ -40,7 +40,7 @@ def test_tensor_rejects_nonfinite():
         fx.tensor([1.0, np.nan])
     with pytest.raises(ParameterError):
         fx.tensor([np.inf])
-    t = fx.tensor([1.0, np.nan], checked=False)  # escape hatch for internal use
+    t = fx.Tensor(np.array([1.0, np.nan]))  # the raw constructor does not check
     assert np.isnan(t.data[1])
 
 
@@ -60,11 +60,6 @@ def test_scalar_promotion_matches_dtype():
 
 # ---------------------------------------------------------------------------
 # known values
-
-
-def test_reduce_sum_sq_known_value():
-    x = fx.tensor([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
-    assert fx.reduce_sum_sq(x).item() == 30.0
 
 
 def test_softmax_uniform_on_equal_logits():
@@ -189,12 +184,10 @@ def test_grad_mul_div_broadcast():
 
 
 def test_grad_unary():
-    grad_check(fx.neg, [(5,)], seed=5)
     grad_check(fx.square, [(3, 3)], seed=6)
     grad_check(fx.absolute, [(4, 4)], seed=7,
                transform=lambda a: a + 0.2 * np.sign(a))  # stay away from the kink
     grad_check(fx.log1p, [(3, 5)], seed=8, transform=lambda a: np.abs(a) * 0.5)
-    grad_check(fx.sqrt, [(6,)], seed=9, transform=lambda a: np.abs(a) + 0.5)
     grad_check(fx.gelu, [(4, 3)], seed=10, rtol=1e-5, atol=1e-7)
 
 
@@ -290,7 +283,6 @@ def test_grad_reductions():
     grad_check(lambda a: fx.reduce_sum(a, axes=(0, 2), keepdims=True), [(3, 4, 2)], seed=22)
     grad_check(lambda a: fx.reduce_mean(a, axes=(1, 2)), [(2, 3, 4)], seed=23)
     grad_check(lambda a: fx.reduce_mean(a), [(4, 4)], seed=24)
-    grad_check(lambda a: fx.reduce_sum_sq(a, axes=(1,)), [(3, 5)], seed=25)
 
 
 def test_grad_blur():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
+import freqvfx.train
 from freqvfx.adapt import state_hashes
 from freqvfx.config import TrainConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser
@@ -89,33 +90,36 @@ class TestDiffusionLoss:
         text = rng.standard_normal((2, WIDTH)).astype(np.float32)
         return build_conditioning(self.params, z0, text)
 
-    def test_zero_predictor_gives_unit_loss(self):
+    def test_zero_predictor_gives_unit_loss(self, monkeypatch):
         rng = np.random.default_rng(0)
         z0 = rng.standard_normal((8, 8, 4, 8, 8)).astype(np.float32)
         big = build_denoiser(np.random.default_rng(1), latent_shape=(8, 4, 8, 8),
                              width=WIDTH, num_steps=NUM_STEPS)
         cond = build_conditioning(big, z0, np.zeros((2, WIDTH), dtype=np.float32))
-        zero = lambda z_t, t, c: fx.Tensor(np.zeros(z_t.shape, dtype=np.float32))
-        loss = diffusion_loss(z0, cond, big, None, self.sched,
-                              np.random.default_rng(7), predictor=zero)
+
+        def zero(z_t, *args, **kwargs):
+            return fx.Tensor(np.zeros(z_t.shape, dtype=np.float32))
+
+        monkeypatch.setattr(freqvfx.train, "denoise_step", zero)
+        loss = diffusion_loss(z0, cond, big, None, self.sched, np.random.default_rng(7))
         # predicting zero leaves the true noise: mean eps^2 -> 1 over 16k draws
         assert abs(float(loss.data) - 1.0) < 0.06
 
-    def test_perfect_predictor_gives_zero_loss(self):
+    def test_perfect_predictor_gives_zero_loss(self, monkeypatch):
         a2 = np.array([0.999, 0.8, 0.5, 0.2])
         sched = NoiseSchedule(alphas=np.sqrt(a2), sigmas=np.sqrt(1 - a2))
         rng = np.random.default_rng(3)
         z0 = rng.standard_normal((4,) + LATENT).astype(np.float32)
         cond = self._cond(z0)
 
-        def perfect(z_t, t, c):
+        def perfect(z_t, t, *args, **kwargs):
             alpha, sigma = sched.coefficients(t)
             shape = (-1, 1, 1, 1, 1)
             eps = (z_t.data - alpha.reshape(shape) * z0) / sigma.reshape(shape)
             return fx.Tensor(eps.astype(np.float32))
 
-        loss = diffusion_loss(z0, cond, self.params, None, sched,
-                              np.random.default_rng(5), predictor=perfect)
+        monkeypatch.setattr(freqvfx.train, "denoise_step", perfect)
+        loss = diffusion_loss(z0, cond, self.params, None, sched, np.random.default_rng(5))
         assert float(loss.data) < 1e-10
 
     def test_deterministic_under_seeded_rng(self):
