@@ -48,15 +48,31 @@ _CLASSES_BY_ID = {c.class_id: c for c in CLASS_REGISTRY.values()}
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except UnicodeDecodeError as err:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {err}") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
     return doc
 
 
 def _section(doc: dict, name: str, cls):
-    return from_dict(cls, doc.get(name, {}))
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ParameterError(f"config section {name!r} must be a JSON object, "
+                             f"got {section!r}")
+    return from_dict(cls, section)
+
+
+def _seed(text: str) -> int:
+    """A `--seed` value: an integer >= 0, as numpy's generators take it. argparse
+    reports a non-integer as an invalid value itself."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _outdir(args) -> str:
@@ -294,6 +310,7 @@ def cmd_generate(args) -> int:
 
     params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
     if "model" in doc:
+        _section(doc, "model", ModelConfig)  # a malformed section is a usage error
         check_config_compatible(ckpt_manifest.config["model"], doc["model"],
                                 stage=ckpt_manifest.stage)
 
@@ -314,9 +331,8 @@ def cmd_generate(args) -> int:
         "video": result.video.data,
         "descriptors": result.descriptors,
         "timesteps": result.timesteps[:-1].astype(np.float64),
+        "pi_cond": result.pi_cond,
     }
-    if result.pi_cond is not None:
-        entries_out["pi_cond"] = result.pi_cond
     write_container_file(out, entries_out)
     manifest = RunManifest(
         stage="generate",
@@ -363,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the stage seed")
         p.add_argument("--config", default=None, help="JSON config file")
         if out_required:
@@ -406,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report, seed=0)
 
     p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_selfcheck)
 
     return parser

@@ -1,11 +1,48 @@
-"""Configuration dataclasses and JSON-dict conversion helpers."""
+"""Configuration dataclasses and JSON-dict conversion helpers.
+
+Each dataclass checks the type and range of every field when it is built, so a
+malformed config file ends in a `ParameterError` naming the field. Ranges that
+depend on another field (top_k against n_experts, total_rank against n_experts,
+the latent's spatial dims against patch, steps against num_steps) are checked
+by the functions that build from them.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; a bool is neither."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+_INT = (_is_int, "an integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_SEED = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_REAL = (_is_real, "a finite number")
+_NONNEG = (lambda v: _is_real(v) and v >= 0, "a finite number >= 0")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_FRACTION = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
+_BETAS = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+         and all(_is_real(b) and 0 <= b < 1 for b in v), "two numbers in [0, 1)")
+
+
+def _check_fields(cfg, checks: dict) -> None:
+    """Raise a ParameterError naming the first field whose value fails its
+    (predicate, description) check."""
+    for name, (ok, need) in checks.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ParameterError(f"{type(cfg).__name__}.{name} must be {need}, got {value!r}")
 
 
 @dataclass
@@ -26,6 +63,14 @@ class ModelConfig:
     n_text_tokens: int = 2
 
     def __post_init__(self):
+        _check_fields(self, {
+            "latent_shape": (lambda v: isinstance(v, (tuple, list)) and len(v) == 4
+                             and all(_is_int(d) and d >= 1 for d in v), "four integers >= 1"),
+            "width": _COUNT, "n_blocks": _COUNT, "patch": _COUNT,
+            "num_steps": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+            "diag_bias": _REAL, "cross_gain": _POSITIVE, "n_experts": _COUNT,
+            "total_rank": _COUNT, "top_k": _INT, "tau": _POSITIVE, "router_hidden": _COUNT,
+            "n_text_tokens": _COUNT})
         if self.alpha is not None:
             raise ParameterError(
                 f"alpha must be null, got {self.alpha!r}; expert updates are unscaled")
@@ -42,12 +87,20 @@ class TrainConfig:
     cond_dropout: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        _check_fields(self, {
+            "steps": _COUNT, "batch_size": _COUNT, "lr": _NONNEG, "weight_decay": _NONNEG,
+            "betas": _BETAS, "adam_eps": _POSITIVE, "cond_dropout": _FRACTION, "seed": _SEED})
+
 
 @dataclass
 class SampleConfig:
     steps: int = 30
     cfg_scale: float = 7.5
     seed: int = 0
+
+    def __post_init__(self):
+        _check_fields(self, {"steps": _COUNT, "cfg_scale": _NONNEG, "seed": _SEED})
 
 
 @dataclass
@@ -69,15 +122,16 @@ class AdaptConfig:
     embed_std: float = 0.02
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"adaptation needs steps >= 1, got {self.steps}")
+        _check_fields(self, {
+            "steps": _COUNT, "lr": _NONNEG, "weight_decay": _NONNEG, "betas": _BETAS,
+            "adam_eps": _POSITIVE, "seed": _SEED, "sample_steps": _COUNT, "sample_cfg": _NONNEG,
+            "sample_seed": _SEED, "t_low_frac": _FRACTION, "t_high_frac": _FRACTION,
+            "n_draws": _COUNT, "embed_tokens": _COUNT, "embed_std": _NONNEG})
         if self.mode != "unroll":
             raise ParameterError(
                 f"unknown adaptation mode {self.mode!r}; the only mode is 'unroll'")
         if not 0.0 <= self.t_low_frac < self.t_high_frac <= 1.0:
             raise ParameterError("timestep window fractions must satisfy 0 <= low < high <= 1")
-        if self.n_draws < 1:
-            raise ParameterError(f"need at least one loss draw per step, got {self.n_draws}")
 
 
 def to_dict(cfg) -> dict:

@@ -19,13 +19,15 @@ backbone the conditioning read would otherwise be a faint additive term, and
 test-time updates to the vfx tokens could barely move the output spectrum;
 the gain keeps the context injection comparable to the token content itself.
 
-Each adapted projection is one `fx.lora_linear` tape node (through
-`moe_forward`) and each attention core, scores to mixed values, one
-`fx.attention` node.
+Every query, key, value and output projection is adapted: each is one
+`fx.lora_linear` tape node (through `moe_forward`), routing gate included, and
+each attention core, scores to mixed values, one `fx.attention` node. A step
+therefore needs an `AdapterStack`; zero-initialised experts leave the frozen
+backbone's output bit-exact.
 
 Routing is the caller's: `sample` and `diffusion_loss` route each step's
-descriptor once and hand the (B, M) weights `pi` to every projection of the
-step, so a stack without `pi` is an error.
+descriptor once and hand the (B, M) weights `pi`, a required keyword, to every
+projection of the step.
 
 A step is `_trunk` (embedding and block 0's self-attention, which do not read
 the conditioning) followed by `_head` (everything after). The two
@@ -62,7 +64,6 @@ N_BLOCKS_DEFAULT = 2
 DIAG_BIAS_DEFAULT = 8.0
 CROSS_GAIN_DEFAULT = 4.0
 NUM_STEPS_DEFAULT = 1000
-N_TEXT_TOKENS_DEFAULT = 2
 
 
 @dataclass
@@ -314,14 +315,11 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
     return fx.concat(parts, axis=1)
 
 
-def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections,
-               stack: AdapterStack | None, pi: Tensor | None,
-               layer: str, scale: float, bias: np.ndarray | None = None) -> Tensor:
+def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections, stack: AdapterStack,
+               pi: Tensor, layer: str, scale: float, bias: np.ndarray | None = None) -> Tensor:
     def project(slot: str, h: Tensor) -> Tensor:
-        w = getattr(proj, "w" + slot)
-        if stack is None:
-            return fx.linear(h, w)
-        return moe_forward(stack.layers[f"{layer}.{slot}"], pi, stack.owner, w, h)
+        return moe_forward(stack.layers[f"{layer}.{slot}"], pi, stack.owner,
+                           getattr(proj, "w" + slot), h)
 
     if kv.shape[1] == 1 and bias is None:
         # softmax over a single key is exactly 1 for any finite score, so the
@@ -348,8 +346,7 @@ def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
     return _diag(params.n_tokens, params.diag_bias, np.dtype(dtype))
 
 
-def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
-           pi: Tensor | None) -> Tensor:
+def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> Tensor:
     """The part of a step that does not read the conditioning: checks,
     embedding and block 0's self-attention. Returns the residual stream."""
     z_t = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
@@ -363,9 +360,6 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
         raise ShapeError(f"per-sample t has length {t_arr.shape[0]}, batch is {b}")
     if np.any(t_arr < 0) or np.any(t_arr >= params.num_steps):
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
-
-    if stack is not None and pi is None:
-        raise ParameterError("a step with an adapter stack needs its routing weights pi")
 
     tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
     tokens = tokens + params.embed_b
@@ -383,7 +377,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack | None,
 
 
 def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
-          stack: AdapterStack | None, pi: Tensor | None) -> Tensor:
+          stack: AdapterStack, pi: Tensor) -> Tensor:
     """The rest of a step after `_trunk`: block 0's cross-attention, every later
     block, unembed and unpatchify."""
     kv = _context_tokens(params, cond, x.shape[0])
@@ -400,17 +394,15 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
 
 
 def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,
-                 stack: AdapterStack | None, *, pi: Tensor | None = None) -> Tensor:
+                 stack: AdapterStack, *, pi: Tensor) -> Tensor:
     """Predict the noise in z_t; `cond=None` reads the null token (the
-    unconditional branch). `pi` is the caller's (B, M) routing of z_t, required
-    with a stack and ignored without one.
+    unconditional branch). `pi` is the caller's (B, M) routing of z_t.
     """
     return _head(_trunk(z_t, t, params, stack, pi), cond, params, stack, pi)
 
 
 def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
-                   stack: AdapterStack | None, *, pi: Tensor | None = None
-                   ) -> tuple[Tensor, Tensor]:
+                   stack: AdapterStack, *, pi: Tensor) -> tuple[Tensor, Tensor]:
     """(eps_cond, eps_uncond): the two classifier-free-guidance branches,
     byte-identical to `denoise_step` with `cond` and with None.
 

@@ -7,7 +7,8 @@ fixed total budget r, so the trainable parameter count is r * (d_in + d_out)
 regardless of how many experts share it. The experts are stored packed: one
 trainable (r, d_in) down factor and one (d_out, r) up factor per layer, with
 each expert a block of the rank axis. Every layer of a stack splits the rank
-axis the same way, so the stack holds that layout once.
+axis the same way, so the stack holds that layout once. An adapted projection,
+its routing gate included, is one `fx.lora_linear` tape node.
 
 The descriptor is always treated as a constant here: gradients reach the
 router only through its own weights, never back into the descriptor pipeline.
@@ -155,17 +156,8 @@ def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: Tensor, w_base, h) -> Te
     The experts run as the adapter's packed pair: rank row j of h @ A^T is
     gated by (pi @ owner)[:, j] before the up projection by B, so router
     gradients reach `pi`. `owner` is the stack's (M, R) rank layout. The base
-    path is computed untouched; zero experts leave it bit-exact. The projection
-    is one `fx.lora_linear` node, which checks the weight and feature shapes.
+    path is computed untouched; zero experts leave it bit-exact. The whole
+    projection, gate included, is one `fx.lora_linear` node, which checks every
+    shape and dtype.
     """
-    w_base = w_base if isinstance(w_base, Tensor) else Tensor(np.asarray(w_base))
-    h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
-    if h.ndim < 2:
-        raise ShapeError(f"hidden states need a feature axis, got shape {h.shape}")
-    if pi.ndim != 2 or pi.shape[0] != h.shape[0] or pi.shape[1] != owner.shape[0]:
-        raise ShapeError(f"routing weights {pi.shape} do not match batch {h.shape[0]} "
-                         f"x {owner.shape[0]} experts")
-
-    gate = fx.reshape(fx.matmul(pi, owner),
-                      (h.shape[0],) + (1,) * (h.ndim - 2) + (adapter.a.shape[0],))
-    return fx.lora_linear(h, w_base, adapter.a, adapter.b, gate)
+    return fx.lora_linear(h, w_base, adapter.a, adapter.b, pi, owner)

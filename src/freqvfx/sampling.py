@@ -34,10 +34,10 @@ class SampleResult:
     video: Tensor                 # final latent (B, T, C, H, W)
     timesteps: np.ndarray         # grid endpoints, length steps+1, descending
     descriptors: np.ndarray       # (steps, B, 6) descriptor used at each step
-    pi_cond: np.ndarray | None    # (steps, B, M) routing shared by both branches
+    pi_cond: np.ndarray           # (steps, B, M) routing shared by both branches
 
 
-def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSchedule,
+def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
            cond: Conditioning, *, steps: int = 30, cfg_scale: float = 7.5,
            seed: int | None = None, init_noise: np.ndarray | None = None) -> SampleResult:
     """Iteratively denoise pure noise under the given conditioning."""
@@ -58,18 +58,15 @@ def sample(params: DenoiserParams, stack: AdapterStack | None, schedule: NoiseSc
         init_noise = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
     z = Tensor(init_noise)
-    n_experts = stack.n_experts if stack is not None else 0
     descriptors = np.zeros((steps, b, 6), dtype=np.float64)
-    pi_cond = np.zeros((steps, b, n_experts), dtype=np.float64) if stack is not None else None
+    pi_cond = np.zeros((steps, b, stack.n_experts), dtype=np.float64)
 
     for k in range(steps):
         t, t_next = int(grid[k]), int(grid[k + 1])
         jd = joint_descriptor_detached(z)
         descriptors[k] = jd
-        pi = None
-        if stack is not None:
-            pi = route(jd, stack.router, stack.top_k)
-            pi_cond[k] = pi.data
+        pi = route(jd, stack.router, stack.top_k)
+        pi_cond[k] = pi.data
         if cfg_scale == 1.0:
             eps_hat = denoise_step(z, t, cond, params, stack, pi=pi)
         else:

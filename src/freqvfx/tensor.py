@@ -14,11 +14,11 @@ its own.
 
 At these sizes Python dispatch per node, not arithmetic, sets the cost, so the
 two hottest op chains of the denoiser are single ops with hand-written vjps:
-`lora_linear` (a projection plus a gated low-rank update, one node for five)
-and `attention` (the scaled dot-product core, one node for five or six). Each
-evaluates the numpy expressions of its chain in the chain's order and lists its
-inputs in the order the chain handed gradients back, so values and gradients
-keep the chain's bytes.
+`lora_linear` (a projection plus a routed low-rank update whose gate it
+computes itself, one node for seven) and `attention` (the scaled dot-product
+core, one node for five or six). Each evaluates the numpy expressions of its
+chain in the chain's order and lists its inputs in the order the chain handed
+gradients back, so values and gradients keep the chain's bytes.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -40,11 +40,11 @@ _TLS = threading.local()
 
 
 def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+    tapes = getattr(_TLS, "stack", None)
+    if tapes is None:
+        tapes = []
+        _TLS.stack = tapes
+    return tapes
 
 
 def active_tape() -> "Tape | None":
@@ -81,9 +81,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -572,46 +569,50 @@ def linear(h, w) -> Tensor:
     return _record("linear", (h, w), hd @ wd.T, vjp)
 
 
-def lora_linear(h, w, a, b, gate) -> Tensor:
-    """h @ w^T + ((h @ a^T) * gate) @ b^T as one node: a projection plus a gated
-    low-rank update with down factor a (R, d_in) and up factor b (d_out, R).
+def lora_linear(h, w, a, b, pi, owner) -> Tensor:
+    """h @ w^T + ((h @ a^T) * gate) @ b^T as one node, gate = pi @ owner: a
+    projection plus a routed low-rank update with down factor a (R, d_in), up
+    factor b (d_out, R) and routing weights pi (B, M).
 
-    `gate` broadcasts against the (..., R) down output. Forward and vjp evaluate
-    the numpy expressions of the linear, linear, mul, linear, add chain they
-    replace, in its order, so values and gradients keep their bytes. The vjp
-    keeps h, h @ a^T and the gated down output, not the base or up outputs.
+    `owner` is a constant (M, R) one-hot marking each expert's span of the rank
+    axis, so rank row j of the down output of sample i is gated by
+    (pi @ owner)[i, j]. Forward and vjp evaluate the numpy expressions of the
+    matmul, reshape, linear, linear, mul, linear, add chain they replace, in its
+    order, so values and gradients keep their bytes. The vjp keeps h, the gate,
+    h @ a^T and the gated down output, not the base or up outputs.
 
-    The node's inputs are (b, gate, h, a, h, w): the order in which the chain
+    The node's inputs are (b, pi, h, a, h, w): the order in which the chain
     handed gradients back, so `backward` adds into each input in the same
     order. `h` is listed once per path because the chain added its adapter-path
     and base-path gradients into h one after the other; a pre-summed gradient
-    would round differently.
+    would round differently. `owner` gets no gradient, as `attention`'s bias.
     """
-    h = _as_tensor(h)
-    w, a, b, gate = (_pair(h, x)[1] for x in (w, a, b, gate))
+    h = h if isinstance(h, Tensor) else Tensor(h)
+    w, a, b, pi, owner = (_pair(h, x)[1] for x in (w, a, b, pi, owner))
     if h.ndim < 2 or w.ndim != 2 or a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
                          f"{h.shape}, w {w.shape}, a {a.shape}, b {b.shape}")
     if not h.shape[-1] == w.shape[1] == a.shape[1] or b.shape != (w.shape[0], a.shape[0]):
         raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {w.shape}, "
                          f"a {a.shape}, b {b.shape}")
-    hd, wd, ad, bd, gd = h.data, w.data, a.data, b.data, gate.data
+    if pi.ndim != 2 or owner.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
+        raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {owner.shape} "
+                         f"do not match batch {h.shape[0]} and rank {a.shape[0]}")
+    hd, wd, ad, bd, pd, od = h.data, w.data, a.data, b.data, pi.data, owner.data
+    gate = pd @ od
+    gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
     down = hd @ ad.T
-    try:
-        gated = down * gd
-    except ValueError:
-        gated = None
-    if gated is None or gated.shape != down.shape:
-        raise ShapeError(f"lora_linear gate {gate.shape} does not broadcast to {down.shape}")
+    gated = down * gd
 
     def vjp(g, live):
-        gb = ggate = gh_up = ga = gh_base = gw = None
+        gb = gpi = gh_up = ga = gh_base = gw = None
         if live[0]:
             gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, bd.shape[::-1]))
         if live[1] or live[2] or live[3]:
             g_gated = g @ bd
             if live[1]:
-                ggate = _unbroadcast(g_gated * down, gd.shape)
+                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate.shape)
+                gpi = ggate @ od.T
             if live[2] or live[3]:
                 g_down = _unbroadcast(g_gated * gd, down.shape)
                 if live[2]:
@@ -623,9 +624,9 @@ def lora_linear(h, w, a, b, gate) -> Tensor:
             gh_base = g @ wd
         if live[5]:
             gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
-        return gb, ggate, gh_up, ga, gh_base, gw
+        return gb, gpi, gh_up, ga, gh_base, gw
 
-    return _record("lora", (b, gate, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
+    return _record("lora", (b, pi, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
 
 
 def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:

@@ -60,7 +60,7 @@ class AdamW:
 
 
 def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
-                   stack: AdapterStack | None, schedule: NoiseSchedule,
+                   stack: AdapterStack, schedule: NoiseSchedule,
                    rng: np.random.Generator, *, return_details: bool = False):
     """Mean over batch and elements of ||eps - eps_hat||^2 at uniform random t."""
     z0 = batch_z0 if isinstance(batch_z0, Tensor) else Tensor(np.asarray(batch_z0))
@@ -70,13 +70,11 @@ def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
     t = rng.integers(0, schedule.num_steps, size=b)
     eps = rng.standard_normal(z0.shape).astype(z0.dtype)
     z_t = forward_noise(z0.detach(), t, eps, schedule)
-    pi = None
-    if stack is not None:
-        pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
+    pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
     eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
     loss = fx.reduce_mean(fx.square(eps_hat - Tensor(eps)))
     if return_details:
-        return loss, {"t": t, "pi": None if pi is None else pi.data.copy()}
+        return loss, {"t": t, "pi": pi.data.copy()}
     return loss
 
 

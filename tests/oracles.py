@@ -173,8 +173,11 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         assert err <= bound, f"grad mismatch at flat index {j}: {a[j]} vs {n[j]} (err {err})"
 
 
-def lora_linear_chain(h, w, a, b, gate):
-    """The linear, linear, mul, linear, add chain that `fx.lora_linear` fuses."""
+def lora_linear_chain(h, w, a, b, pi, owner):
+    """The matmul, reshape, linear, linear, mul, linear, add chain that
+    `fx.lora_linear` fuses."""
+    gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
+    gate = fx.reshape(fx.matmul(pi, owner), gate_shape)
     out = fx.linear(h, w)
     down = fx.linear(h, a) * gate
     return out + fx.linear(down, b)

@@ -316,6 +316,47 @@ class TestPipeline:
         assert "alpha must be null, got 8.0" in err and "Traceback" not in err, err
         assert not (tmp_path / "alpha" / "checkpoint.fvl1").exists()
 
+    @pytest.mark.parametrize("stage, config, field", [
+        ("train", {"train": {"steps": "5"}}, "steps"),
+        ("train", {"train": {"lr": "x"}}, "lr"),
+        ("train", {"train": {"batch_size": 0}}, "batch_size"),
+        ("train", {"train": {"betas": [0.9]}}, "betas"),
+        ("train", {"train": {"cond_dropout": 2.0}}, "cond_dropout"),
+        ("train", {"train": {"seed": -1}}, "seed"),
+        ("train", {"train": [1]}, "'train'"),
+        ("train", {"model": {"latent_shape": [8, 4, 8]}}, "latent_shape"),
+        ("train", {"model": {"width": 0}}, "width"),
+        ("train", "--seed -1", "--seed"),
+        ("train", b'{"train": {"steps": "\xff"}}', "UTF-8"),
+        ("generate", {"sample": {"cfg_scale": "7"}}, "cfg_scale"),
+        ("generate", {"model": 5}, "'model'"),
+    ])
+    def test_malformed_config_is_usage_error_naming_the_field(self, tmp_path, cfg_path,
+                                                              capsys, stage, config, field):
+        """Each malformed value exits 2 before any work, naming what is wrong."""
+        dataset = self._gen(tmp_path, cfg_path, classes="lowfreq_field:2,highfreq_particles:2")
+        argv = ["--input", dataset, "--out", str(tmp_path / "out")]
+        if stage == "generate":
+            argv += ["--checkpoint", self._train(tmp_path, cfg_path, dataset)]
+        if config == "--seed -1":
+            argv += ["--config", cfg_path, "--seed", "-1"]
+        else:
+            bad = tmp_path / "bad.json"
+            if isinstance(config, bytes):
+                bad.write_bytes(config)
+            else:
+                bad.write_text(json.dumps(config))
+            argv += ["--config", str(bad)]
+        capsys.readouterr()
+        try:
+            rc = run(stage, *argv)
+        except SystemExit as e:  # argparse rejects a bad flag value itself
+            rc = e.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_generate_rejects_hostile_embedding(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

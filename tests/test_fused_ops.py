@@ -1,10 +1,11 @@
 """The fused tape ops against the op chains they replace (tests/oracles.py).
 
 `fx.lora_linear` and `fx.attention` must give the bytes of their chains: the
-forward value and the gradient of every live input, for every subset of live
-inputs, at the model's sizes (width 64, 128 latent tokens, a 22-token context
-and the one-token null context), at B=1 and B=4, and for attention with and
-without the self-attention diagonal bias. The loss adds each op's output to an
+forward value and the gradient of every live input (for `lora_linear`, the
+routing weights among them), for every subset of live inputs, at the model's
+sizes (width 64, 128 latent tokens, a 22-token context and the one-token null
+context), at B=1 and B=4, and for attention with and without the
+self-attention diagonal bias. The loss adds each op's output to an
 input it read, so that input's gradient is summed from several paths and any
 change in the order `backward` adds them would show in its bytes.
 """
@@ -21,6 +22,8 @@ from freqvfx.errors import ParameterError, ShapeError
 import oracles
 
 WIDTH, RANK, N_TOKENS = 64, 16, 128
+# the (M, R) expert layout of a default stack: 4 experts of rank 4
+OWNER = fx.Tensor(np.repeat(np.eye(4, dtype=np.float32), RANK // 4, axis=1))
 SCALE = WIDTH ** -0.5
 
 
@@ -61,13 +64,12 @@ def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
 
 def _lora_arrays(b, n):
     rng = np.random.default_rng(7 * b + n)
-    pi = rng.dirichlet(np.ones(4), size=b)
     return {
         "h": rng.normal(size=(b, n, WIDTH)).astype(np.float32),
         "w": rng.normal(0.0, WIDTH ** -0.5, size=(WIDTH, WIDTH)).astype(np.float32),
         "a": rng.normal(0.0, 0.02, size=(RANK, WIDTH)).astype(np.float32),
         "b": rng.normal(0.0, 0.1, size=(WIDTH, RANK)).astype(np.float32),
-        "gate": np.repeat(pi, RANK // 4, axis=1)[:, None, :].astype(np.float32),
+        "pi": rng.dirichlet(np.ones(4), size=b).astype(np.float32),
     }
 
 
@@ -75,9 +77,15 @@ def _lora_arrays(b, n):
 @pytest.mark.parametrize("n", [N_TOKENS, 22, 1])
 def test_lora_linear_matches_chain_bytes(b, n):
     arrays = _lora_arrays(b, n)
+
+    def fused(h, w, a, b, pi):
+        return fx.lora_linear(h, w, a, b, pi, OWNER)
+
+    def chain(h, w, a, b, pi):
+        return oracles.lora_linear_chain(h, w, a, b, pi, OWNER)
+
     for live in _subsets(tuple(arrays)):
-        _check_fused(fx.lora_linear, oracles.lora_linear_chain, arrays, live, "h", "lora",
-                     ("b", "gate", "h", "a", "h", "w"))
+        _check_fused(fused, chain, arrays, live, "h", "lora", ("b", "pi", "h", "a", "h", "w"))
 
 
 def _diag_bias():
@@ -118,23 +126,29 @@ def test_self_attention_on_one_tensor_matches_chain_bytes(bias):
 
 def test_lora_linear_errors():
     f32 = np.float32
-    h, w, a, b, gate = (np.ones(s, dtype=f32) for s in ((2, 3, 6), (4, 6), (5, 6), (4, 5),
-                                                        (2, 1, 5)))
+    good = {name: np.ones(shape, dtype=f32) for name, shape in (
+        ("h", (2, 3, 6)), ("w", (4, 6)), ("a", (5, 6)), ("b", (4, 5)), ("pi", (2, 2)),
+        ("owner", (2, 5)))}
+
+    def call(**bad):
+        return fx.lora_linear(*(fx.tensor(x) for x in dict(good, **bad).values()))
+
     bad = {
         "h": np.ones(6, dtype=f32), "w": np.ones((4, 7), dtype=f32),
         "a": np.ones((5, 7), dtype=f32), "b": np.ones((4, 3), dtype=f32),
-        "gate": np.ones((3, 1, 5), dtype=f32),
+        "pi": np.ones((3, 2), dtype=f32),  # batch 3 against h's batch 2
+        "owner": np.ones((3, 5), dtype=f32),  # 3 experts against pi's 2
     }
     for name, arr in bad.items():
-        args = dict(h=h, w=w, a=a, b=b, gate=gate)
-        args[name] = arr
         with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
-            fx.lora_linear(*(fx.tensor(args[k]) for k in ("h", "w", "a", "b", "gate")))
+            call(**{name: arr})
     with pytest.raises(ShapeError, match=r"\(3, 5\)"):  # up factor's rank off by its d_out
-        fx.lora_linear(*(fx.tensor(x) for x in (h, w, a, np.ones((3, 5), dtype=f32), gate)))
-    with pytest.raises(ParameterError, match="dtype mismatch"):
-        fx.lora_linear(fx.tensor(h), fx.tensor(w), fx.tensor(a.astype(np.float64)),
-                       fx.tensor(b), fx.tensor(gate))
+        call(b=np.ones((3, 5), dtype=f32))
+    with pytest.raises(ShapeError, match=r"owner \(2, 4\)"):  # rank 4 against a's rank 5
+        call(owner=np.ones((2, 4), dtype=f32))
+    for name in ("a", "owner"):
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            call(**{name: good[name].astype(np.float64)})
 
 
 def test_attention_errors():

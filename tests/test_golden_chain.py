@@ -5,13 +5,16 @@ The chain runs twice, each time in a fresh interpreter, once with
 OPENBLAS_NUM_THREADS=1 and once with 2, and every artifact must have the same
 sha256 in both runs. `CHAIN` is a standalone script (`python -c CHAIN DIR`), so
 the same digests can be taken from two checkouts by putting each one's `src`
-on PYTHONPATH.
+on PYTHONPATH; `python tests/test_golden_chain.py OTHER_SRC` does that for this
+tree's `src` and OTHER_SRC at one BLAS thread, prints both digest sets and exits
+1 naming every artifact that differs.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -64,12 +67,15 @@ print(json.dumps(digests))
 '''
 
 
-def _chain_digests(root, threads: int) -> dict[str, str]:
-    root.mkdir()
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+def _chain_digests(root, threads: int = 1, src: str = SRC) -> dict[str, str]:
+    """{artifact: sha256} of `CHAIN` run in a fresh interpreter on `src` in the new
+    directory `root`."""
+    os.mkdir(root)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-c", CHAIN, str(root)], env=env,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    if proc.returncode != 0:
+        raise RuntimeError(f"chain on {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -78,3 +84,29 @@ def test_chain_artifacts_are_identical_across_blas_threads(tmp_path):
     two = _chain_digests(tmp_path / "threads2", 2)
     assert sorted(one) == sorted(ARTIFACTS)
     assert one == two
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/test_golden_chain.py OTHER_SRC", file=sys.stderr)
+        return 2
+    other = os.path.abspath(argv[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(src, _chain_digests(os.path.join(tmp, name), src=src))
+                for name, src in (("this", SRC), ("other", other))]
+    for src, digests in runs:
+        print(src)
+        for name in sorted(digests):
+            print(f"  {digests[name]}  {name}")
+    (_, ours), (_, theirs) = runs
+    differ = sorted(name for name in set(ours) | set(theirs)
+                    if ours.get(name) != theirs.get(name))
+    if differ:
+        print("differ: " + ", ".join(differ))
+        return 1
+    print(f"all {len(ours)} artifacts identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

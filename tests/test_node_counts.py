@@ -40,11 +40,12 @@ def test_train_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 73
-    # every adapted projection is one lora node and every attention core one
-    # attention node; an unfused one would show up as linear, matmul or mul nodes
+    assert len(tape.nodes) == 41
+    # every adapted projection, routing gate included, is one lora node and every
+    # attention core one attention node; an unfused one would show up as linear,
+    # matmul, reshape or mul nodes
     assert (ops["lora"], ops["attention"], ops["linear"], ops["matmul"], ops["transpose"],
-            ops["concat"], ops["mul"]) == (16, 4, 3, 16, 1, 0, 1)
+            ops["concat"], ops["mul"]) == (16, 4, 3, 0, 1, 0, 1)
 
 
 def test_adapt_step_nodes(model, monkeypatch):
@@ -72,7 +73,7 @@ def test_denoise_step_nodes(model):
         cond = build_conditioning(params, z0[:1], text[0])
         pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
         denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
-    assert len(tape.nodes) == 70
+    assert len(tape.nodes) == 38
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])

@@ -39,9 +39,7 @@ def manual_sample(params, stack, sched, cond, steps, cfg_scale, init_noise):
     z = fx.Tensor(init_noise.copy())
     for k in range(steps):
         t, t_next = int(grid[k]), int(grid[k + 1])
-        pi = None
-        if stack is not None:
-            pi = route(joint_descriptor_detached(z), stack.router, stack.top_k)
+        pi = route(joint_descriptor_detached(z), stack.router, stack.top_k)
         eps_c = denoise_step(z, t, cond, params, stack, pi=pi)
         if cfg_scale == 1.0:
             eps_hat = eps_c
@@ -182,12 +180,6 @@ class TestLoggingAndShapes:
                    init_noise=noise)
         first = joint_descriptor_detached(fx.Tensor(noise))
         assert np.allclose(r.descriptors[0], first, atol=1e-12)
-
-    def test_without_stack(self):
-        params, _, sched, cond = small_setup()
-        r = sample(params, None, sched, cond, steps=3, cfg_scale=7.5, seed=0)
-        assert r.pi_cond is None
-        assert np.all(np.isfinite(r.video.data))
 
     def test_validation(self):
         params, stack, sched, cond = small_setup()

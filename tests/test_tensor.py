@@ -205,8 +205,15 @@ def test_grad_matmul_variants():
 
 
 def test_grad_lora_linear():
-    grad_check(fx.lora_linear, [(2, 3, 4), (5, 4), (3, 4), (5, 3), (2, 1, 3)], seed=31)
-    grad_check(fx.lora_linear, [(2, 4), (5, 4), (3, 4), (5, 3), (2, 3)], seed=32)
+    """Every input, the routing weights pi included; the (M, R) owner is a constant
+    (two experts over rank 3, ranks 2 and 1)."""
+    owner = fx.Tensor(np.repeat(np.eye(2), (2, 1), axis=1))
+
+    def op(h, w, a, b, pi):
+        return fx.lora_linear(h, w, a, b, pi, owner)
+
+    grad_check(op, [(2, 3, 4), (5, 4), (3, 4), (5, 3), (2, 2)], seed=31)
+    grad_check(op, [(2, 4), (5, 4), (3, 4), (5, 3), (2, 2)], seed=32)
 
 
 @pytest.mark.parametrize("bias", [None, 2.0 * np.eye(5)])

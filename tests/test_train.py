@@ -101,7 +101,8 @@ class TestDiffusionLoss:
             return fx.Tensor(np.zeros(z_t.shape, dtype=np.float32))
 
         monkeypatch.setattr(freqvfx.train, "denoise_step", zero)
-        loss = diffusion_loss(z0, cond, big, None, self.sched, np.random.default_rng(7))
+        stack = build_adapter_stack(np.random.default_rng(2), big)
+        loss = diffusion_loss(z0, cond, big, stack, self.sched, np.random.default_rng(7))
         # predicting zero leaves the true noise: mean eps^2 -> 1 over 16k draws
         assert abs(float(loss.data) - 1.0) < 0.06
 
@@ -119,7 +120,8 @@ class TestDiffusionLoss:
             return fx.Tensor(eps.astype(np.float32))
 
         monkeypatch.setattr(freqvfx.train, "denoise_step", perfect)
-        loss = diffusion_loss(z0, cond, self.params, None, sched, np.random.default_rng(5))
+        loss = diffusion_loss(z0, cond, self.params, self.stack, sched,
+                              np.random.default_rng(5))
         assert float(loss.data) < 1e-10
 
     def test_deterministic_under_seeded_rng(self):
@@ -142,18 +144,15 @@ class TestDiffusionLoss:
         assert np.all((info["t"] >= 0) & (info["t"] < NUM_STEPS))
         assert info["pi"].shape == (3, 4)
         assert np.allclose(info["pi"].sum(axis=1), 1.0, atol=1e-6)
-        _, info2 = diffusion_loss(z0, cond, self.params, None, self.sched,
-                                  np.random.default_rng(1), return_details=True)
-        assert info2["pi"] is None
 
     def test_batch_validation(self):
         cond = self._cond(np.zeros((1,) + LATENT, dtype=np.float32))
         with pytest.raises(ParameterError):
             diffusion_loss(np.zeros(LATENT, dtype=np.float32), cond, self.params,
-                           None, self.sched, np.random.default_rng(0))
+                           self.stack, self.sched, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             diffusion_loss(np.zeros((0,) + LATENT, dtype=np.float32), cond,
-                           self.params, None, self.sched, np.random.default_rng(0))
+                           self.params, self.stack, self.sched, np.random.default_rng(0))
 
 
 class TestConditioningDropout:
