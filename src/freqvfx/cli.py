@@ -153,10 +153,14 @@ def _restore_model(checkpoint_path: str):
     """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
     manifest_path = manifest_path_for(checkpoint_path)
     manifest = read_manifest(manifest_path)
-    if "model" not in manifest.config:
-        raise ContainerError(f"manifest {manifest_path} has no 'model' config section")
-    model_cfg = from_dict(ModelConfig, manifest.config["model"])
-    params, stack = _build_model(model_cfg, np.random.default_rng(0))
+    section = manifest.config.get("model") if isinstance(manifest.config, dict) else None
+    if not isinstance(section, dict):
+        raise ContainerError(f"manifest {manifest_path} has no 'model' config section "
+                             f"holding a JSON object")
+    try:
+        params, stack = _build_model(from_dict(ModelConfig, section), np.random.default_rng(0))
+    except ParameterError as err:  # the recorded model is corrupt, not this run's usage
+        raise ContainerError(f"manifest {manifest_path}: {err}") from None
     entries = read_container_file(checkpoint_path)
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=_entry(entries, "schedule.alphas", checkpoint_path),

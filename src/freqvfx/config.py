@@ -21,8 +21,14 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    """A finite int or float; a bool is neither."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float; a bool is neither, nor is an int too large for a
+    float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 _INT = (_is_int, "an integer")

@@ -16,9 +16,11 @@ At these sizes Python dispatch per node, not arithmetic, sets the cost, so the
 two hottest op chains of the denoiser are single ops with hand-written vjps:
 `lora_linear` (a projection plus a routed low-rank update whose gate it
 computes itself, one node for seven) and `attention` (the scaled dot-product
-core, one node for five or six). Each evaluates the numpy expressions of its
-chain in the chain's order and lists its inputs in the order the chain handed
-gradients back, so values and gradients keep the chain's bytes.
+core, one node for five or six); so is the separable `gaussian_blur_depthwise`
+(one node for four). Each evaluates the numpy expressions of its chain in the
+chain's order and lists its inputs in the order the chain handed gradients
+back, so values and gradients keep the chain's bytes. `record` is how an op
+defined elsewhere joins the tape (`spectral.joint_descriptor`).
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -172,12 +174,14 @@ def is_live(t: Tensor) -> bool:
     return tape is not None and id(t) in tape._live
 
 
-def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
-            ) -> Tensor:
+def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+           vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
+           ) -> Tensor:
     """Wrap `out_data`; append a node when the active tape has a live input.
 
     `vjp(g, live)` returns one gradient per input, None where `live` is False.
+    Every op records through this, including those defined outside this module
+    (`spectral.joint_descriptor`).
     """
     out = Tensor(out_data)
     tape = active_tape()
@@ -232,7 +236,7 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, a.shape) if live[0] else None,
                 _unbroadcast(g, b.shape) if live[1] else None)
 
-    return _record("add", (a, b), out, vjp)
+    return record("add", (a, b), out, vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -243,7 +247,7 @@ def sub(a, b) -> Tensor:
         return (_unbroadcast(g, a.shape) if live[0] else None,
                 _unbroadcast(-g, b.shape) if live[1] else None)
 
-    return _record("sub", (a, b), out, vjp)
+    return record("sub", (a, b), out, vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -256,7 +260,7 @@ def mul(a, b) -> Tensor:
         gb = _unbroadcast(g * ad, b.shape) if live[1] else None
         return ga, gb
 
-    return _record("mul", (a, b), out, vjp)
+    return record("mul", (a, b), out, vjp)
 
 
 def div(a, b) -> Tensor:
@@ -269,7 +273,7 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if live[1] else None
         return ga, gb
 
-    return _record("div", (a, b), out, vjp)
+    return record("div", (a, b), out, vjp)
 
 
 def square(a) -> Tensor:
@@ -279,7 +283,7 @@ def square(a) -> Tensor:
     def vjp(g, live):
         return (2.0 * g * ad,)
 
-    return _record("square", (a,), ad * ad, vjp)
+    return record("square", (a,), ad * ad, vjp)
 
 
 def absolute(a) -> Tensor:
@@ -290,7 +294,7 @@ def absolute(a) -> Tensor:
     def vjp(g, live):
         return (g * np.sign(ad),)
 
-    return _record("abs", (a,), np.abs(ad), vjp)
+    return record("abs", (a,), np.abs(ad), vjp)
 
 
 def log1p(a) -> Tensor:
@@ -301,7 +305,7 @@ def log1p(a) -> Tensor:
     def vjp(g, live):
         return (g / (1.0 + ad),)
 
-    return _record("log1p", (a,), np.log1p(ad), vjp)
+    return record("log1p", (a,), np.log1p(ad), vjp)
 
 
 def cast(a, dtype) -> Tensor:
@@ -315,7 +319,7 @@ def cast(a, dtype) -> Tensor:
     def vjp(g, live):
         return (g.astype(in_dtype),)
 
-    return _record("cast", (a,), a.data.astype(dtype), vjp)
+    return record("cast", (a,), a.data.astype(dtype), vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -334,7 +338,7 @@ def gelu(a) -> Tensor:
         du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du),)
 
-    return _record("gelu", (a,), out, vjp)
+    return record("gelu", (a,), out, vjp)
 
 
 def _softmax_forward(x: np.ndarray, tau: float, axis: int) -> np.ndarray:
@@ -358,7 +362,7 @@ def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     def vjp(g, live):
         return (_softmax_vjp(out, g, tau, axis),)
 
-    return _record("softmax", (a,), out, vjp)
+    return record("softmax", (a,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     def vjp(g, live):
         return (g.reshape(in_shape),)
 
-    return _record("reshape", (a,), out, vjp)
+    return record("reshape", (a,), out, vjp)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -390,7 +394,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     def vjp(g, live):
         return (np.transpose(g, inv),)
 
-    return _record("transpose", (a,), np.transpose(a.data, axes), vjp)
+    return record("transpose", (a,), np.transpose(a.data, axes), vjp)
 
 
 def swap_last2(a) -> Tensor:
@@ -413,7 +417,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     def vjp(g, live):
         return (_unbroadcast(g, in_shape),)
 
-    return _record("broadcast_to", (a,), out, vjp)
+    return record("broadcast_to", (a,), out, vjp)
 
 
 def concat(parts: Iterable, axis: int = 0) -> Tensor:
@@ -441,7 +445,7 @@ def concat(parts: Iterable, axis: int = 0) -> Tensor:
             off += s
         return grads
 
-    return _record("concat", tuple(parts), out, vjp)
+    return record("concat", tuple(parts), out, vjp)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -462,7 +466,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _record("slice", (a,), a.data[idx].copy(), vjp)
+    return record("slice", (a,), a.data[idx].copy(), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +500,7 @@ def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
                 g = np.expand_dims(g, d)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return _record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), vjp)
+    return record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), vjp)
 
 
 def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -515,7 +519,7 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
                 g = np.expand_dims(g, d)
         return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
 
-    return _record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), vjp)
+    return record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +546,7 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _record("matmul", (a, b), out, vjp)
+    return record("matmul", (a, b), out, vjp)
 
 
 def linear(h, w) -> Tensor:
@@ -566,7 +570,7 @@ def linear(h, w) -> Tensor:
             gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
         return gh, gw
 
-    return _record("linear", (h, w), hd @ wd.T, vjp)
+    return record("linear", (h, w), hd @ wd.T, vjp)
 
 
 def lora_linear(h, w, a, b, pi, owner) -> Tensor:
@@ -626,7 +630,7 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
             gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
         return gb, gpi, gh_up, ga, gh_base, gw
 
-    return _record("lora", (b, pi, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
+    return record("lora", (b, pi, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
 
 
 def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
@@ -677,11 +681,11 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
                 gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt.shape), -1, -2)
         return gv, gq, gk
 
-    return _record("attention", (v, q, k), out, vjp)
+    return record("attention", (v, q, k), out, vjp)
 
 
 # ---------------------------------------------------------------------------
-# gaussian blur (separable, replicate padding, exact adjoint via matmul)
+# gaussian blur (separable, replicate padding, adjoint by the transposed matrices)
 
 _BLUR_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -736,12 +740,35 @@ def blur_matrix_t(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
     return hit
 
 
-def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
-    """Per-channel 2-D gaussian blur of a (B, C, H, W) tensor, replicate padded.
+def blur_matrices(h: int, w: int, sigma: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The cached transposed blur matrices (along W, along H) that `blur_apply`
+    and `blur_adjoint` multiply an (..., h, w) array by."""
+    return blur_matrix_t(w, sigma, dtype), blur_matrix_t(h, sigma, dtype)
 
-    Implemented as two 1-D blur-matrix matmuls (separable), which is identical
-    to the full 2-D convolution with the outer-product kernel and gives exact
-    gradients through the standard matmul vjp.
+
+def blur_apply(x: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Separable 2-D blur of the last two axes: rows along W, then columns along
+    H. Returns a view with those two axes swapped back."""
+    mw, mh = mats
+    return np.swapaxes(np.swapaxes(x @ mw, -1, -2) @ mh, -1, -2)
+
+
+def blur_adjoint(g: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient of `blur_apply` at output gradient `g`: the transposed
+    matrices in reverse order."""
+    mw, mh = mats
+    return np.swapaxes(np.swapaxes(g, -1, -2) @ np.swapaxes(mh, -1, -2), -1, -2) \
+        @ np.swapaxes(mw, -1, -2)
+
+
+def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
+    """Per-channel 2-D gaussian blur of a (B, C, H, W) tensor, replicate padded,
+    as one node.
+
+    Two 1-D blur-matrix matmuls (separable), which is identical to the full 2-D
+    convolution with the outer-product kernel. `blur_apply` and `blur_adjoint`
+    evaluate the numpy expressions of the matmul, swap, matmul, swap chain and
+    of its vjps, in its order, so values and gradients keep that chain's bytes.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -751,12 +778,12 @@ def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
         raise ShapeError(f"empty blur input {x.shape}")
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    mw = Tensor(blur_matrix_t(w, sigma, dtype=x.dtype))
-    mh = Tensor(blur_matrix_t(h, sigma, dtype=x.dtype))
-    y = matmul(x, mw)            # rows along W: out[..., i, j] = sum_k x[..., i, k] Mw[j, k]
-    y = swap_last2(y)            # (B, C, W, H)
-    y = matmul(y, mh)
-    return swap_last2(y)
+    mats = blur_matrices(h, w, sigma, x.dtype)
+
+    def vjp(g, live):
+        return (blur_adjoint(g, mats),)
+
+    return record("blur", (x,), blur_apply(x.data, mats), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from the package's own primitives.
 import numpy as np
 from mpmath import mp, mpf
 
+import freqvfx.spectral as sp
 import freqvfx.tensor as fx
 
 
@@ -189,3 +190,17 @@ def attention_chain(q, k, v, scale, bias=None):
     if bias is not None:
         scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
     return fx.matmul(fx.softmax(scores, axis=-1), v)
+
+
+def gaussian_blur_chain(x, sigma):
+    """The matmul, swap, matmul, swap chain that `fx.gaussian_blur_depthwise` fuses."""
+    mw = fx.Tensor(fx.blur_matrix_t(x.shape[3], sigma, dtype=x.dtype))
+    mh = fx.Tensor(fx.blur_matrix_t(x.shape[2], sigma, dtype=x.dtype))
+    return fx.swap_last2(fx.matmul(fx.swap_last2(fx.matmul(x, mw)), mh))
+
+
+def joint_descriptor_chain(z):
+    """The cast and the stage functions that `spectral.joint_descriptor` fuses;
+    the cast runs once, so both proxies read the same float64 video."""
+    z = fx.cast(z, np.float64)
+    return fx.concat([sp.fei(sp.appearance_proxy(z)), sp.fei(sp.vfx_proxy(z))], axis=1)

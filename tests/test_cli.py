@@ -274,6 +274,32 @@ class TestPipeline:
             assert repr(missing) in err and "Traceback" not in err, err
             assert not (out / artifact).exists()
 
+    @pytest.mark.parametrize("section, named", [
+        ([16, 2], "'model'"), ({**CFG["model"], "width": "16"}, "ModelConfig.width")],
+        ids=["list", "string_width"])
+    def test_restore_rejects_malformed_model_section(self, tmp_path, cfg_path, capsys,
+                                                     section, named):
+        """A checkpoint whose manifest records a model section that is no object, or
+        one with a malformed field, is a corrupt artifact: both stages that restore
+        it exit 1 naming the manifest and what is wrong."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        manifest = ct.manifest_path_for(ckpt)
+        with open(manifest) as f:
+            doc = json.load(f)
+        doc["config"]["model"] = section
+        with open(manifest, "w") as f:
+            json.dump(doc, f)
+        for stage, artifact in (("generate", "sample.fvl1"), ("adapt", "adapted.fvl1")):
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--checkpoint", ckpt, "--input", dataset,
+                     "--config", cfg_path, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, stage
+            assert manifest in err and named in err and "Traceback" not in err, err
+            assert not (out / artifact).exists()
+
     def test_unknown_class_name_is_usage_error(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
@@ -330,6 +356,7 @@ class TestPipeline:
         ("train", b'{"train": {"steps": "\xff"}}', "UTF-8"),
         ("generate", {"sample": {"cfg_scale": "7"}}, "cfg_scale"),
         ("generate", {"model": 5}, "'model'"),
+        ("train", {"train": {"lr": 10 ** 400}}, "lr"),  # an int too large for a float
     ])
     def test_malformed_config_is_usage_error_naming_the_field(self, tmp_path, cfg_path,
                                                               capsys, stage, config, field):

@@ -8,6 +8,11 @@ context), at B=1 and B=4, and for attention with and without the
 self-attention diagonal bias. The loss adds each op's output to an
 input it read, so that input's gradient is summed from several paths and any
 change in the order `backward` adds them would show in its bytes.
+
+`fx.gaussian_blur_depthwise` and `spectral.joint_descriptor` are held to the
+same bytes against their chains, in float32 and float64, at B=1 and B=4; the
+descriptor also on static videos and at T=2, under a loss that reads the video
+itself too.
 """
 
 import itertools
@@ -16,6 +21,7 @@ import re
 import numpy as np
 import pytest
 
+import freqvfx.spectral as sp
 import freqvfx.tensor as fx
 from freqvfx.errors import ParameterError, ShapeError
 
@@ -37,7 +43,7 @@ def _run(op, arrays, live, residual):
     inputs = [leaves[name] for name in arrays]
     with fx.Tape([leaves[name] for name in live]) as tape:
         out = op(*inputs)
-        weight = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(np.float32))
+        weight = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(out.dtype))
         loss = fx.reduce_sum((leaves[residual] + out) * weight)
     if not live:
         return out.data.tobytes(), {}, tape.nodes
@@ -168,3 +174,72 @@ def test_attention_errors():
         fx.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
     with pytest.raises(ParameterError, match="dtype mismatch"):
         fx.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 4, 8, 8), (4, 4, 8, 8), (2, 3, 5, 7)])
+@pytest.mark.parametrize("sigma", [sp.SIGMA1_DEFAULT, sp.SIGMA2_DEFAULT])
+def test_gaussian_blur_matches_chain_bytes(dtype, shape, sigma):
+    x = np.random.default_rng(sum(shape)).normal(size=shape).astype(dtype)
+    for live in _subsets(("x",)):
+        _check_fused(lambda t: fx.gaussian_blur_depthwise(t, sigma),
+                     lambda t: oracles.gaussian_blur_chain(t, sigma),
+                     {"x": x}, live, "x", "blur", ("x",))
+
+
+def _video(b, t, dtype, motion):
+    z = np.random.default_rng(13 * b + t).normal(size=(b, t, 4, 8, 8))
+    if motion == "static":
+        z = np.repeat(z[:, :1], t, axis=1)
+    return z.astype(dtype)
+
+
+def _run_descriptor(op, z, live):
+    """Forward bytes, the gradient bytes of z when it is live, and the recorded
+    nodes, for a loss that reads the descriptor and then z itself."""
+    leaf = fx.tensor(z)
+    rng = np.random.default_rng(99)
+    w = fx.tensor(rng.normal(size=(z.shape[0], 6)))
+    wz = fx.tensor(rng.normal(size=z.shape).astype(z.dtype))
+    with fx.Tape([leaf] if live else []) as tape:
+        d = op(leaf)
+        loss = fx.reduce_sum(d * w) + fx.cast(fx.reduce_sum(leaf * wz), np.float64)
+    grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
+    return d.data.tobytes(), grad, tape.nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, t, motion", [(1, 8, "moving"), (4, 8, "moving"),
+                                          (4, 8, "static"), (1, 2, "moving"), (4, 2, "static")])
+def test_joint_descriptor_matches_chain_bytes(dtype, b, t, motion):
+    z = _video(b, t, dtype, motion)
+    for live in (False, True):
+        out, grad, nodes = _run_descriptor(sp.joint_descriptor, z, live)
+        ref_out, ref_grad, _ = _run_descriptor(oracles.joint_descriptor_chain, z, live)
+        assert out == ref_out
+        assert grad == ref_grad
+        if not live:
+            assert not nodes
+            continue
+        ops = [n.op for n in nodes]
+        cast = ["cast"] if dtype == np.float32 else []
+        assert ops[:len(cast) + 1] == cast + ["descriptor"]
+        assert ops.count("descriptor") == 1
+        node = nodes[len(cast)]
+        video = node.inputs[0]
+        assert node.inputs == (video, video, video) and node.live == (True, True, True)
+        # the earlier slice, the later slice, the appearance mean: each gradient is
+        # None exactly when its path is dead
+        g = np.ones((b, 6))
+        for mask in itertools.product((False, True), repeat=3):
+            grads = node.vjp(g, mask)
+            assert [x is None for x in grads] == [not m for m in mask], mask
+
+
+def test_joint_descriptor_errors():
+    with pytest.raises(ShapeError, match=r"\(B, T, C, H, W\)"):
+        sp.joint_descriptor(np.zeros((2, 4, 8, 8)))
+    with pytest.raises(ShapeError, match="T >= 2"):
+        sp.joint_descriptor(np.zeros((2, 1, 4, 8, 8)))
+    with pytest.raises(ShapeError, match="empty axis"):
+        sp.joint_descriptor(np.zeros((2, 3, 0, 8, 8)))

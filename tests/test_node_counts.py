@@ -12,13 +12,13 @@ import pytest
 
 import freqvfx.denoiser
 import freqvfx.tensor as fx
-from freqvfx.adapt import adapt
+from freqvfx.adapt import adapt, freq_constraint_loss
 from freqvfx.config import AdaptConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
 from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
-from freqvfx.spectral import joint_descriptor_detached
+from freqvfx.spectral import decompose, joint_descriptor_detached
 from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
 from freqvfx.train import diffusion_loss
 
@@ -61,7 +61,7 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [775]
+    assert seen == [563]
 
 
 def test_denoise_step_nodes(model):
@@ -74,6 +74,27 @@ def test_denoise_step_nodes(model):
         pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
         denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
     assert len(tape.nodes) == 38
+
+
+def test_freq_constraint_loss_nodes(model):
+    """One draw on a live float32 latent: cast, descriptor, sub, abs, sum, mean.
+    The reference's descriptor reads a constant and records nothing."""
+    _, _, _, z0, _ = model
+    z = fx.tensor(z0)
+    with fx.Tape([z]) as tape:
+        freq_constraint_loss(z, z0[::-1].copy())
+    assert [node.op for node in tape.nodes] == ["cast", "descriptor", "sub", "abs", "sum",
+                                                "mean"]
+
+
+def test_decompose_nodes(model):
+    """The stage function that criteria 1 and 2 check: one node per blur and per
+    band difference."""
+    _, _, _, z0, _ = model
+    x = fx.tensor(z0[:, 0].astype(np.float64))
+    with fx.Tape([x]) as tape:
+        decompose(x)
+    assert [node.op for node in tape.nodes] == ["blur", "blur", "sub", "sub"]
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])

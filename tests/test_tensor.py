@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freqvfx.spectral as sp
 import freqvfx.tensor as fx
 from freqvfx.errors import ParameterError, ShapeError
 
@@ -294,6 +295,13 @@ def test_grad_reductions():
 
 def test_grad_blur():
     grad_check(lambda a: fx.gaussian_blur_depthwise(a, 0.8), [(1, 2, 4, 5)], seed=26)
+    grad_check(lambda a: fx.gaussian_blur_depthwise(a, 0.46875), [(3, 1, 6, 3)], seed=33)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2, 4, 5), (2, 2, 1, 5, 4)])
+def test_grad_joint_descriptor(shape):
+    """Both proxies, all three bands and the normalisation, at T=3 and at T=2."""
+    grad_check(sp.joint_descriptor, [shape], seed=34)
 
 
 def test_grad_accumulates_on_reuse():
