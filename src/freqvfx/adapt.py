@@ -37,8 +37,8 @@ class VfxEmbedding:
     tokens: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, length: int = 16, width: int = 64,
-             std: float = 0.02, dtype=np.float32) -> "VfxEmbedding":
+    def init(cls, rng: np.random.Generator, length: int, width: int, std: float,
+             dtype=np.float32) -> "VfxEmbedding":
         if length < 1:
             raise ParameterError(f"embedding needs at least one token, got {length}")
         data = rng.normal(0.0, std, size=(length, width)).astype(dtype)

@@ -31,7 +31,7 @@ from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_di
 from .container import (RunManifest, check_config_compatible, manifest_path_for,
                         read_container_file, read_manifest, restore_state, save_checkpoint,
                         sha256_file, write_container_file, write_manifest)
-from .denoiser import build_adapter_stack, build_conditioning, build_denoiser
+from .denoiser import build_conditioning, build_model
 from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
 from .reports import adapt_trace_csv, emit_spectral_report, train_metrics_csv, write_text
 from .sampling import sample
@@ -51,8 +51,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except UnicodeDecodeError as err:
-        raise ParameterError(f"config file {path} is not UTF-8 text: {err}") from None
+    except ValueError as err:  # malformed JSON or not UTF-8
+        raise ParameterError(f"config file {path} is not UTF-8 JSON text: {err}") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
     return doc
@@ -136,19 +136,6 @@ def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
     return samples
 
 
-def _build_model(model_cfg: ModelConfig, rng: np.random.Generator):
-    """Backbone, then adapter stack, drawn from `rng` in that order."""
-    params = build_denoiser(rng, latent_shape=tuple(model_cfg.latent_shape),
-                            width=model_cfg.width, n_blocks=model_cfg.n_blocks,
-                            patch=model_cfg.patch, num_steps=model_cfg.num_steps,
-                            diag_bias=model_cfg.diag_bias,
-                            cross_gain=model_cfg.cross_gain)
-    stack = build_adapter_stack(rng, params, n_experts=model_cfg.n_experts,
-                                total_rank=model_cfg.total_rank, top_k=model_cfg.top_k,
-                                tau=model_cfg.tau, router_hidden=model_cfg.router_hidden)
-    return params, stack
-
-
 def _restore_model(checkpoint_path: str):
     """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
     manifest_path = manifest_path_for(checkpoint_path)
@@ -158,7 +145,7 @@ def _restore_model(checkpoint_path: str):
         raise ContainerError(f"manifest {manifest_path} has no 'model' config section "
                              f"holding a JSON object")
     try:
-        params, stack = _build_model(from_dict(ModelConfig, section), np.random.default_rng(0))
+        params, stack = build_model(from_dict(ModelConfig, section), np.random.default_rng(0))
     except ParameterError as err:  # the recorded model is corrupt, not this run's usage
         raise ContainerError(f"manifest {manifest_path}: {err}") from None
     entries = read_container_file(checkpoint_path)
@@ -213,8 +200,7 @@ def cmd_gen(args) -> int:
     doc = _load_config(args.config)
     model = _section(doc, "model", ModelConfig)
     spec = _parse_class_spec(args.classes)
-    dataset = build_dataset(spec, args.seed, latent_shape=tuple(model.latent_shape),
-                            text_width=model.width, n_text_tokens=model.n_text_tokens)
+    dataset = build_dataset(spec, args.seed, model)
     out = os.path.join(_outdir(args), "dataset.fvl1")
     write_container_file(out, _dataset_entries(dataset))
     manifest = RunManifest(
@@ -232,7 +218,7 @@ def cmd_analyze(args) -> int:
     csv = emit_spectral_report(desc, timesteps=np.arange(desc.shape[0]))
     out = os.path.join(_outdir(args), "descriptors.csv")
     write_text(out, csv)
-    manifest = RunManifest(stage="analyze", config={}, seeds={"seed": args.seed},
+    manifest = RunManifest(stage="analyze", config={}, seeds={},
                            inputs=_input_hash(args.input))
     write_manifest(manifest_path_for(out), manifest)
     print(f"wrote {out} ({desc.shape[0]} rows)")
@@ -247,7 +233,7 @@ def cmd_train(args) -> int:
         train_cfg.seed = args.seed
 
     samples = _samples_from_entries(read_container_file(args.input))
-    params, stack = _build_model(model, np.random.default_rng(train_cfg.seed))
+    params, stack = build_model(model, np.random.default_rng(train_cfg.seed))
     schedule = NoiseSchedule.cosine(model.num_steps)
     result = train_stage1(samples, train_cfg, params, stack, schedule)
 
@@ -382,12 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="frequency-routed video effects toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the stage seed")
         p.add_argument("--config", default=None, help="JSON config file")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen", help="write a synthetic labeled dataset")
     common(p)
@@ -396,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen, seed=0)
 
     p = sub.add_parser("analyze", help="joint descriptors of stored videos")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--input", required=True, help="container with a 'videos' entry")
-    p.set_defaults(fn=cmd_analyze, seed=0)
+    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("train", help="router + expert training")
     common(p)
@@ -421,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("report", help="descriptor trajectory to CSV")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--input", required=True, help="container with 'descriptors'")
-    p.set_defaults(fn=cmd_report, seed=0)
+    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
     p.add_argument("--seed", type=_seed, default=0)
@@ -440,7 +425,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ParameterError, ShapeError, json.JSONDecodeError) as err:
+    except (ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FreqVfxError as err:

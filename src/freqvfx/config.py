@@ -1,10 +1,14 @@
 """Configuration dataclasses and JSON-dict conversion helpers.
 
+These dataclasses are the one place a default value is written: the builders
+and stage functions take every size and setting from them and default none.
+
 Each dataclass checks the type and range of every field when it is built, so a
 malformed config file ends in a `ParameterError` naming the field. Ranges that
 depend on another field (top_k against n_experts, total_rank against n_experts,
 the latent's spatial dims against patch, steps against num_steps) are checked
-by the functions that build from them.
+by the functions that build from them. A model whose arrays would need more
+than MAX_MODEL_ELEMENTS elements is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ _POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
 _FRACTION = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 _BETAS = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
          and all(_is_real(b) and 0 <= b < 1 for b in v), "two numbers in [0, 1)")
+
+
+# 4 GiB of float32: far above the default model's ~2e5 elements
+MAX_MODEL_ELEMENTS = 2 ** 30
 
 
 def _check_fields(cfg, checks: dict) -> None:
@@ -80,6 +88,22 @@ class ModelConfig:
         if self.alpha is not None:
             raise ParameterError(
                 f"alpha must be null, got {self.alpha!r}; expert updates are unscaled")
+        # elements of the backbone, the adapter stack and one latent video, in
+        # integers, keyed by the fields that size them
+        t, c, h, w = self.latent_shape
+        p, d, m, r = self.patch, self.width, self.n_experts, self.total_rank
+        n_tok = t * (h // p) * (w // p)
+        parts = {("latent_shape",): t * c * h * w,
+                 ("latent_shape", "patch", "width"): n_tok * (n_tok + d) + (3 * d + 1) * c * p * p,
+                 ("num_steps", "width"): self.num_steps * d,
+                 ("n_blocks", "width", "total_rank"): 8 * self.n_blocks * d * (d + 2 * r),
+                 ("router_hidden", "n_experts", "total_rank"):
+                     self.router_hidden * (7 + m) + m * (1 + r),
+                 ("n_text_tokens", "width"): (self.n_text_tokens + 2) * d}
+        if sum(parts.values()) > MAX_MODEL_ELEMENTS:
+            sizes = ", ".join(f"{n}={getattr(self, n)!r}" for n in max(parts, key=parts.get))
+            raise ParameterError(f"ModelConfig {sizes} need more than {MAX_MODEL_ELEMENTS} "
+                                 f"array elements")
 
 
 @dataclass

@@ -206,8 +206,14 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as err:  # malformed JSON or not UTF-8
+        raise ContainerError(f"manifest {path} is not UTF-8 JSON text: {err}") from None
+    if not isinstance(doc, dict):
+        raise ContainerError(f"manifest {path} must hold a JSON object, got "
+                             f"{type(doc).__name__}")
     required = {"stage", "config", "seeds", "inputs", "extra", "code_version"}
     missing = required - doc.keys()
     if missing:
@@ -269,8 +275,7 @@ def save_checkpoint(path, params, stack, schedule, *, embedding=None,
         write_manifest(manifest_path_for(path), manifest)
 
 
-def restore_state(entries: Mapping[str, np.ndarray], params, stack,
-                  embedding=None) -> None:
+def restore_state(entries: Mapping[str, np.ndarray], params, stack) -> None:
     """Copy stored arrays into freshly built structures. Every entry must exist
     with the model's shape and dtype and hold only finite values; all are
     checked before the first is written, so a rejected checkpoint changes nothing.
@@ -280,8 +285,6 @@ def restore_state(entries: Mapping[str, np.ndarray], params, stack,
     targets: dict[str, object] = {}
     targets.update(params.named_arrays())
     targets.update(stack.named_arrays())
-    if embedding is not None:
-        targets["vfx_embedding.tokens"] = embedding.tokens
     for name, tensor in targets.items():
         if name not in entries:
             raise ContainerError(f"checkpoint is missing entry {name!r}")

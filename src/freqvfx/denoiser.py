@@ -50,20 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as fx
+from .config import ModelConfig
 from .errors import ParameterError, ShapeError
 from .moe import (MoeAdapter, RouterParams, expert_owner, expert_slices, moe_forward,
                   split_rank_budget)
 # unused here, but bench/spans.py traces routing by wrapping freqvfx.denoiser.route
 from .moe import route  # noqa: F401
 from .tensor import Tensor
-
-LATENT_SHAPE_DEFAULT = (8, 4, 8, 8)  # (T, C, h, w)
-WIDTH_DEFAULT = 64
-PATCH_DEFAULT = 2
-N_BLOCKS_DEFAULT = 2
-DIAG_BIAS_DEFAULT = 8.0
-CROSS_GAIN_DEFAULT = 4.0
-NUM_STEPS_DEFAULT = 1000
 
 
 @dataclass
@@ -184,19 +177,14 @@ class AdapterStack:
 PROJECTION_SLOTS = ("q", "k", "v", "o")
 
 
-def build_denoiser(rng: np.random.Generator,
-                   latent_shape: tuple[int, int, int, int] = LATENT_SHAPE_DEFAULT,
-                   width: int = WIDTH_DEFAULT, n_blocks: int = N_BLOCKS_DEFAULT,
-                   patch: int = PATCH_DEFAULT, num_steps: int = NUM_STEPS_DEFAULT,
-                   diag_bias: float = DIAG_BIAS_DEFAULT,
-                   cross_gain: float = CROSS_GAIN_DEFAULT,
+def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, int, int],
+                   width: int, n_blocks: int, patch: int, num_steps: int,
+                   diag_bias: float, cross_gain: float,
                    dtype=np.float32) -> DenoiserParams:
-    """Random frozen backbone. All tensors are constants."""
+    """Random frozen backbone of constants, sized by the `ModelConfig` fields."""
     t, c, h, w = latent_shape
     if h % patch or w % patch:
         raise ParameterError(f"spatial dims {h}x{w} must divide by patch={patch}")
-    if cross_gain <= 0.0:
-        raise ParameterError(f"cross_gain must be positive, got {cross_gain}")
     pdim = c * patch * patch
     n_tok = t * (h // patch) * (w // patch)
 
@@ -232,22 +220,29 @@ def build_denoiser(rng: np.random.Generator,
     )
 
 
-def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams,
-                        n_experts: int = 4, total_rank: int = 16, top_k: int = 3,
-                        tau: float = 1.5, router_hidden: int = 16,
+def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: ModelConfig,
                         dtype=np.float32) -> AdapterStack:
-    if not 1 <= top_k <= n_experts:
-        raise ParameterError(f"top_k must lie in [1, {n_experts}], got {top_k}")
-    ranks = tuple(split_rank_budget(total_rank, n_experts))
-    router = RouterParams.init(rng, n_experts=n_experts, hidden=router_hidden,
-                               tau=tau, dtype=dtype)
+    """Router and an expert pair per projection of `params`, sized and routed by `cfg`."""
+    if not 1 <= cfg.top_k <= cfg.n_experts:
+        raise ParameterError(f"top_k must lie in [1, {cfg.n_experts}], got {cfg.top_k}")
+    ranks = tuple(split_rank_budget(cfg.total_rank, cfg.n_experts))
+    router = RouterParams.init(rng, n_experts=cfg.n_experts, hidden=cfg.router_hidden,
+                               tau=cfg.tau, dtype=dtype)
     layers: dict[str, MoeAdapter] = {}
     for i in range(len(params.blocks)):
         for attn in ("self", "cross"):
             for slot in PROJECTION_SLOTS:
                 layers[f"block{i}.{attn}.{slot}"] = MoeAdapter.init(
                     rng, d_in=params.width, d_out=params.width, ranks=ranks, dtype=dtype)
-    return AdapterStack(router=router, layers=layers, top_k=top_k, ranks=ranks)
+    return AdapterStack(router=router, layers=layers, top_k=cfg.top_k, ranks=ranks)
+
+
+def build_model(cfg: ModelConfig, rng: np.random.Generator):
+    """Backbone, then adapter stack, drawn from `rng` in that order."""
+    params = build_denoiser(rng, latent_shape=tuple(cfg.latent_shape), width=cfg.width,
+                            n_blocks=cfg.n_blocks, patch=cfg.patch, num_steps=cfg.num_steps,
+                            diag_bias=cfg.diag_bias, cross_gain=cfg.cross_gain)
+    return params, build_adapter_stack(rng, params, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from .errors import ParameterError, ShapeError
 from .tensor import Tensor
 
 DESCRIPTOR_DIM = 6
-ROUTER_HIDDEN_DEFAULT = 16
-N_EXPERTS_DEFAULT = 4
 
 
 @dataclass
@@ -38,17 +36,12 @@ class RouterParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-    tau: float = 1.0
+    tau: float
 
     @classmethod
-    def init(cls, rng: np.random.Generator, n_experts: int = N_EXPERTS_DEFAULT,
-             hidden: int = ROUTER_HIDDEN_DEFAULT, tau: float = 1.0,
+    def init(cls, rng: np.random.Generator, n_experts: int, hidden: int, tau: float,
              dtype=np.float32) -> "RouterParams":
         """Second layer starts at zero so routing begins uniform."""
-        if hidden < 1:
-            raise ParameterError(f"router hidden width must be >= 1, got {hidden}")
-        if tau <= 0:
-            raise ParameterError(f"router temperature must be positive, got {tau}")
         w1 = rng.normal(0.0, 0.5, size=(hidden, DESCRIPTOR_DIM)).astype(dtype)
         return cls(
             w1=fx.tensor(w1),
@@ -91,7 +84,7 @@ class MoeAdapter:
                             for r in ranks], axis=0)
         return cls(a=fx.tensor(a), b=fx.tensor(np.zeros((d_out, sum(ranks)), dtype=dtype)))
 
-    def parameters(self, prefix: str = "adapter") -> dict[str, Tensor]:
+    def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.a": self.a, f"{prefix}.b": self.b}
 
 

@@ -38,7 +38,7 @@ class SampleResult:
 
 
 def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
-           cond: Conditioning, *, steps: int = 30, cfg_scale: float = 7.5,
+           cond: Conditioning, *, steps: int, cfg_scale: float,
            seed: int | None = None, init_noise: np.ndarray | None = None) -> SampleResult:
     """Iteratively denoise pure noise under the given conditioning."""
     if cfg_scale < 0:

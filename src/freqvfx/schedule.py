@@ -24,17 +24,15 @@ class NoiseSchedule:
 
     alphas: np.ndarray
     sigmas: np.ndarray
-    num_steps: int = field(default=0)
+    num_steps: int = field(init=False)  # len(alphas)
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
         self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        if self.num_steps == 0:
-            self.num_steps = len(self.alphas)
-        if self.alphas.shape != (self.num_steps,) or self.sigmas.shape != (self.num_steps,):
-            raise ShapeError(
-                f"schedule arrays must both have length num_steps={self.num_steps}, "
-                f"got {self.alphas.shape} and {self.sigmas.shape}")
+        if self.alphas.ndim != 1 or self.sigmas.shape != self.alphas.shape:
+            raise ShapeError(f"schedule arrays must be two vectors of one length, "
+                             f"got {self.alphas.shape} and {self.sigmas.shape}")
+        self.num_steps = len(self.alphas)
         vp = self.alphas ** 2 + self.sigmas ** 2
         if np.max(np.abs(vp - 1.0)) > 1e-6:
             raise ParameterError("schedule is not variance preserving: alpha^2 + sigma^2 != 1")
@@ -42,13 +40,13 @@ class NoiseSchedule:
             raise ParameterError("alpha_t must be monotonically decreasing in t")
 
     @classmethod
-    def cosine(cls, num_steps: int = 1000) -> "NoiseSchedule":
+    def cosine(cls, num_steps: int) -> "NoiseSchedule":
         """Cosine alpha-bar schedule (offset COSINE_S), renormalized so t=0 is
         the exact identity.
 
         The raw curve reaches alpha_bar = 0 at the last index, which breaks
         x0-form sampler updates, so alpha_bar is floored at ALPHA_BAR_FLOOR
-        (only the final index is affected at the default length).
+        (only the final index is affected at 1000 steps).
         """
         if num_steps < 2:
             raise ParameterError(f"schedule needs at least 2 steps, got {num_steps}")
@@ -59,7 +57,7 @@ class NoiseSchedule:
         alpha_bar[0] = 1.0
         alphas = np.sqrt(alpha_bar)
         sigmas = np.sqrt(1.0 - alpha_bar)
-        return cls(alphas=alphas, sigmas=sigmas, num_steps=num_steps)
+        return cls(alphas=alphas, sigmas=sigmas)
 
     def coefficients(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_t, sigma_t) for scalar or per-sample integer t, range checked."""

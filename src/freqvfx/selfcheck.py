@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as fx
+from .config import ModelConfig
 from .container import read_container, write_container
 from .errors import ContainerError, FreqVfxError
 from .moe import RouterParams, route
@@ -61,14 +62,15 @@ def _check_softmax(rng):
 
 
 def _check_routing(rng):
-    router = RouterParams.init(rng, n_experts=4, hidden=16)
+    m = ModelConfig()
+    router = RouterParams.init(rng, n_experts=m.n_experts, hidden=m.router_hidden, tau=m.tau)
     router.w2.data[...] = rng.normal(0.0, 0.3, size=router.w2.shape)
     d = np.abs(rng.standard_normal((8, 6)))
     d = d / d.sum(axis=1, keepdims=True)
-    pi = route(d, router, top_k=3).data
+    pi = route(d, router, top_k=m.top_k).data
     assert np.all(pi >= 0)
     assert np.max(np.abs(pi.sum(axis=1) - 1.0)) <= 1e-6
-    assert np.all((pi > 0).sum(axis=1) <= 3)
+    assert np.all((pi > 0).sum(axis=1) <= m.top_k)
 
 
 def _check_gradients(rng):

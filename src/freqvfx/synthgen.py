@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ParameterError, ShapeError
 from .tensor import gaussian_kernel_1d
 
@@ -255,22 +256,19 @@ def _resolve_class(entry) -> EffectClass:
     raise ParameterError(f"effect class must be a name or EffectClass, got {type(entry).__name__}")
 
 
-def class_text_tokens(seed: int, effect: EffectClass, *, n_tokens: int = 2,
-                      width: int = 64) -> np.ndarray:
+def class_text_tokens(seed: int, effect: EffectClass, *, n_tokens: int,
+                      width: int) -> np.ndarray:
     """Frozen per-class conditioning tokens, stream (seed, 9000 + class_id)."""
     rng = _stream(seed, _TEXT_STREAM_TAG + effect.class_id, 0)
     return (0.5 * rng.standard_normal((n_tokens, width))).astype(np.float32)
 
 
-def build_dataset(spec, seed, *, latent_shape: tuple[int, int, int, int] = (8, 4, 8, 8),
-                  text_width: int = 64, n_text_tokens: int = 2) -> SynthDataset:
-    """Generate a labeled dataset; same (spec, seed) gives identical bytes."""
+def build_dataset(spec, seed, model: ModelConfig) -> SynthDataset:
+    """Generate a labeled dataset of `model`'s latent shape, with its width and
+    text-token count; same (spec, seed) gives identical bytes."""
     seed = _check_seed(seed)
     if not spec:
         raise ParameterError("dataset spec must list at least one (class, count) pair")
-    latent_shape = tuple(int(s) for s in latent_shape)
-    if len(latent_shape) != 4:
-        raise ShapeError(f"latent_shape must be (T, C, H, W), got {latent_shape}")
     norm_spec: list[tuple[str, int]] = []
     samples: list[Sample] = []
     for entry, count in spec:
@@ -279,8 +277,9 @@ def build_dataset(spec, seed, *, latent_shape: tuple[int, int, int, int] = (8, 4
         if count < 1:
             raise ParameterError(f"count for class {effect.name!r} must be >= 1, got {count}")
         norm_spec.append((effect.name, count))
-        tokens = class_text_tokens(seed, effect, n_tokens=n_text_tokens, width=text_width)
-        videos = _GENERATORS[effect.name](seed, (count,) + latent_shape)
+        tokens = class_text_tokens(seed, effect, n_tokens=model.n_text_tokens,
+                                   width=model.width)
+        videos = _GENERATORS[effect.name](seed, (count,) + tuple(model.latent_shape))
         for bi in range(count):
             samples.append(Sample(video=videos[bi], effect=effect,
                                   class_id=effect.class_id, text_tokens=tokens))

@@ -28,8 +28,8 @@ from .tensor import Tensor
 class AdamW:
     """Adam with decoupled weight decay. Updates parameter data in place."""
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, betas: tuple[float, float], eps: float,
+                 weight_decay: float):
         if lr < 0:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
         self.params = list(params.values()) if isinstance(params, dict) else list(params)

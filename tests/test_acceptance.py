@@ -28,7 +28,7 @@ from freqvfx.config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, 
 from freqvfx.container import (manifest_path_for, read_container, read_container_file,
                                read_manifest, restore_state, write_container)
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning,
-                              build_denoiser, denoise_step)
+                              build_denoiser, build_model, denoise_step)
 from freqvfx.errors import ChecksumError, ContainerError
 from freqvfx.moe import (MoeAdapter, RouterParams, adapter_param_count, route,
                          split_rank_budget)
@@ -150,17 +150,17 @@ def test_criterion_03_gradients_match_finite_differences():
     floor = atol / rtol
     t0 = time.time()
     rng = np.random.default_rng(303)
-    latent = (2, 2, 4, 4)
-    params = build_denoiser(rng, latent_shape=latent, width=16, n_blocks=2,
-                            patch=2, num_steps=10, dtype=np.float64)
-    stack = build_adapter_stack(rng, params, total_rank=8, dtype=np.float64)
+    m = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10, total_rank=8)
+    params = build_denoiser(rng, latent_shape=m.latent_shape, width=m.width,
+                            n_blocks=m.n_blocks, patch=m.patch, num_steps=m.num_steps,
+                            diag_bias=m.diag_bias, cross_gain=m.cross_gain, dtype=np.float64)
+    stack = build_adapter_stack(rng, params, m, dtype=np.float64)
     sched = NoiseSchedule.cosine(10)
     for p in stack.parameters().values():
         # move router and experts off their degenerate init (zeros give
         # vacuous gradient checks)
         p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
-    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), seed=5,
-                       latent_shape=latent, text_width=16)
+    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), 5, m)
     z0 = np.stack([s.video for s in ds.samples]).astype(np.float64)
     cond = build_conditioning(params, z0, ds.samples[0].text_tokens.astype(np.float64))
 
@@ -191,7 +191,8 @@ def test_criterion_03_gradients_match_finite_differences():
             worst = max(worst, abs(av - nv) / (floor + max(abs(av), abs(nv))))
             checked += 1
 
-    emb = VfxEmbedding.init(rng, length=4, width=16, dtype=np.float64)
+    emb = VfxEmbedding.init(rng, length=4, width=16, std=AdaptConfig().embed_std,
+                            dtype=np.float64)
     t_fix = 5
     eps_fix = rng.standard_normal(z0.shape)
     z_ref = forward_noise(Tensor(z0), t_fix, Tensor(eps_fix), sched).data
@@ -274,13 +275,10 @@ def test_criterion_04_routing_contracts_and_param_count():
 def test_criterion_05_freeze_contracts():
     t0 = time.time()
     rng = np.random.default_rng(505)
-    latent = (2, 2, 4, 4)
-    params = build_denoiser(rng, latent_shape=latent, width=16, n_blocks=2,
-                            patch=2, num_steps=10)
-    stack = build_adapter_stack(rng, params, total_rank=8)
+    m = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10, total_rank=8)
+    params, stack = build_model(m, rng)
     sched = NoiseSchedule.cosine(10)
-    ds = build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)), seed=3,
-                       latent_shape=latent, text_width=16)
+    ds = build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)), 3, m)
 
     backbone_before = {k: t.data.copy() for k, t in params.named_arrays().items()}
     adapter_before = {k: t.data.copy() for k, t in stack.parameters().items()}
@@ -295,7 +293,8 @@ def test_criterion_05_freeze_contracts():
     cond = build_conditioning(params, ref, ds.samples[0].text_tokens)
     full_before = {k: t.data.copy()
                    for k, t in {**params.named_arrays(), **stack.parameters()}.items()}
-    emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=16)
+    emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=16,
+                            std=AdaptConfig().embed_std)
     emb_before = emb.tokens.data.copy()
     adapt(ref, cond, AdaptConfig(steps=5, lr=0.05, sample_steps=2, embed_tokens=4),
           params, stack, sched, embedding=emb)
@@ -329,17 +328,8 @@ def stage1_run(tmp_path_factory):
 
     ckpt = str(root / "run" / "checkpoint.fvl1")
     manifest = read_manifest(manifest_path_for(ckpt))
-    model_cfg = from_dict(ModelConfig, manifest.config["model"])
-    rng = np.random.default_rng(manifest.seeds["seed"])
-    params = build_denoiser(rng, latent_shape=tuple(model_cfg.latent_shape),
-                            width=model_cfg.width, n_blocks=model_cfg.n_blocks,
-                            patch=model_cfg.patch, num_steps=model_cfg.num_steps,
-                            diag_bias=model_cfg.diag_bias,
-                            cross_gain=model_cfg.cross_gain)
-    stack = build_adapter_stack(rng, params, n_experts=model_cfg.n_experts,
-                                total_rank=model_cfg.total_rank,
-                                top_k=model_cfg.top_k, tau=model_cfg.tau,
-                                router_hidden=model_cfg.router_hidden)
+    params, stack = build_model(from_dict(ModelConfig, manifest.config["model"]),
+                                np.random.default_rng(manifest.seeds["seed"]))
     entries = read_container_file(ckpt)
     restore_state(entries, params, stack)
     schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
@@ -367,8 +357,8 @@ def test_criterion_06_stage1_desk_run(stage1_run):
 def test_criterion_07_stage2_desk_run(stage1_run):
     params, stack, sched = stage1_run.params, stage1_run.stack, stage1_run.schedule
     t0 = time.time()
-    high = build_dataset(((HIGHFREQ_PARTICLES, 4),), seed=7)
-    low = build_dataset(((LOWFREQ_FIELD, 4),), seed=11)
+    high = build_dataset(((HIGHFREQ_PARTICLES, 4),), 7, ModelConfig())
+    low = build_dataset(((LOWFREQ_FIELD, 4),), 11, ModelConfig())
     ref_high = np.stack([s.video for s in high.samples])
     cond = build_conditioning(params, ref_high, high.samples[0].text_tokens)
 
@@ -377,8 +367,11 @@ def test_criterion_07_stage2_desk_run(stage1_run):
     # operating point instead of near-neutral noise.
     target = Tensor(joint_descriptor_detached(
         np.stack([s.video for s in low.samples])).mean(axis=0, keepdims=True))
-    emb = VfxEmbedding.init(np.random.default_rng(0), length=16, width=params.width)
-    opt = AdamW([emb.tokens], lr=0.01)
+    acfg = AdaptConfig()
+    emb = VfxEmbedding.init(np.random.default_rng(0), length=acfg.embed_tokens,
+                            width=params.width, std=acfg.embed_std)
+    opt = AdamW([emb.tokens], lr=0.01, betas=acfg.betas, eps=acfg.adam_eps,
+                weight_decay=acfg.weight_decay)
     bias_first = bias_last = 0.0
     for i in range(150):
         with fx.Tape(opt.params) as tape:
@@ -465,10 +458,9 @@ def test_criterion_08_scale_near_invariance():
 def test_criterion_09_sampling_contracts(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(909)
-    params = build_denoiser(rng)
-    stack = build_adapter_stack(rng, params)
+    params, stack = build_model(ModelConfig(), rng)
     sched = NoiseSchedule.cosine(1000)
-    ds = build_dataset(((HIGHFREQ_PARTICLES, 2),), seed=1)
+    ds = build_dataset(((HIGHFREQ_PARTICLES, 2),), 1, ModelConfig())
     z0 = np.stack([s.video for s in ds.samples])
     cond = build_conditioning(params, z0, ds.samples[0].text_tokens)
     scfg = SampleConfig()  # 30 steps, guidance 7.5

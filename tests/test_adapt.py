@@ -4,8 +4,8 @@ import pytest
 import freqvfx.tensor as fx
 from freqvfx.adapt import (VfxEmbedding, adapt, freq_constraint_loss,
                            reference_latents, state_hashes, timestep_window)
-from freqvfx.config import AdaptConfig, from_dict
-from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser
+from freqvfx.config import AdaptConfig, ModelConfig, from_dict
+from freqvfx.denoiser import build_conditioning, build_model
 from freqvfx.errors import AdaptationDivergedError, ParameterError, ShapeError
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
@@ -16,13 +16,13 @@ import oracles
 LATENT = (2, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
+MODEL = ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=8)
+STD = AdaptConfig().embed_std
 
 
 def small_setup(seed=0, b=2):
     rng = np.random.default_rng(seed)
-    params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
-                            patch=2, num_steps=NUM_STEPS)
-    stack = build_adapter_stack(rng, params, n_experts=4, total_rank=8, top_k=3)
+    params, stack = build_model(MODEL, rng)
     sched = NoiseSchedule.cosine(NUM_STEPS)
     z0 = rng.standard_normal((b,) + LATENT).astype(np.float32)
     text = rng.standard_normal((2, WIDTH)).astype(np.float32)
@@ -39,7 +39,7 @@ def quick_config(**overrides):
 
 class TestVfxEmbedding:
     def test_init_contract(self):
-        emb = VfxEmbedding.init(np.random.default_rng(0), length=16, width=64)
+        emb = VfxEmbedding.init(np.random.default_rng(0), length=16, width=64, std=STD)
         assert emb.tokens.shape == (16, 64)
         assert emb.tokens.dtype == np.float32
         sd = emb.tokens.data.std()
@@ -47,7 +47,7 @@ class TestVfxEmbedding:
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            VfxEmbedding.init(np.random.default_rng(0), length=0)
+            VfxEmbedding.init(np.random.default_rng(0), length=0, width=64, std=STD)
 
 
 class TestFreqConstraintLoss:
@@ -135,15 +135,14 @@ class TestTimestepWindow:
 
 class TestAdapt:
     def _reference(self, b=2, seed=3):
-        ds = build_dataset(((HIGHFREQ_PARTICLES, b),), seed=seed,
-                           latent_shape=LATENT, text_width=WIDTH)
+        ds = build_dataset(((HIGHFREQ_PARTICLES, b),), seed, MODEL)
         return np.stack([s.video for s in ds.samples])
 
     def test_self_reference_fixpoint_stays_at_zero(self):
         params, stack, sched, cond = small_setup()
         cfg = quick_config(steps=3)
         emb = VfxEmbedding.init(np.random.default_rng(cfg.seed),
-                                length=cfg.embed_tokens, width=WIDTH)
+                                length=cfg.embed_tokens, width=WIDTH, std=cfg.embed_std)
         before = emb.tokens.data.copy()
         ref = sample(params, stack, sched, cond.with_vfx(emb.tokens),
                      steps=cfg.sample_steps, cfg_scale=cfg.sample_cfg,
@@ -155,7 +154,7 @@ class TestAdapt:
     def test_updates_only_the_embedding(self):
         params, stack, sched, cond = small_setup()
         cfg = quick_config(steps=5, lr=0.05)
-        emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=WIDTH)
+        emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=WIDTH, std=STD)
         before_emb = emb.tokens.data.copy()
         frozen = state_hashes(params, stack)
         result = adapt(self._reference(), cond, cfg, params, stack, sched,
@@ -193,7 +192,7 @@ class TestAdapt:
     def test_zero_lr_keeps_embedding(self):
         params, stack, sched, cond = small_setup()
         cfg = quick_config(steps=3, lr=0.0)
-        emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=WIDTH)
+        emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=WIDTH, std=STD)
         before = emb.tokens.data.copy()
         adapt(self._reference(), cond, cfg, params, stack, sched, embedding=emb)
         assert np.array_equal(emb.tokens.data, before)

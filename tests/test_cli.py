@@ -54,6 +54,14 @@ class TestArgumentHandling:
         rc = run("gen", "--out", str(tmp_path), "--classes", "wizards:4")
         assert rc == 2
 
+    @pytest.mark.parametrize("stage, flag", [("analyze", "--seed"), ("analyze", "--config"),
+                                             ("report", "--seed"), ("report", "--config")])
+    def test_stages_without_seed_or_config_reject_the_flags(self, tmp_path, stage, flag):
+        """`analyze` and `report` read no seed and no config, so neither flag parses."""
+        with pytest.raises(SystemExit) as e:
+            run(stage, "--input", str(tmp_path / "x.fvl1"), "--out", str(tmp_path), flag, "1")
+        assert e.value.code == 2
+
 
 class TestSelfcheck:
     def test_green_build_exits_zero(self, capsys):
@@ -300,6 +308,26 @@ class TestPipeline:
             assert manifest in err and named in err and "Traceback" not in err, err
             assert not (out / artifact).exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", "\udcff"],
+                             ids=["list", "malformed", "not_utf8"])
+    def test_restore_rejects_malformed_manifest(self, tmp_path, cfg_path, capsys, text):
+        """A checkpoint manifest that is not a JSON object is a corrupt artifact:
+        both stages that restore it exit 1 naming the manifest."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        manifest = ct.manifest_path_for(ckpt)
+        with open(manifest, "wb") as f:
+            f.write(text.encode("utf-8", "surrogateescape"))
+        for stage, artifact in (("generate", "sample.fvl1"), ("adapt", "adapted.fvl1")):
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--checkpoint", ckpt, "--input", dataset,
+                     "--config", cfg_path, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, stage
+            assert manifest in err and "Traceback" not in err, err
+            assert not (out / artifact).exists()
+
     def test_unknown_class_name_is_usage_error(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
@@ -357,6 +385,8 @@ class TestPipeline:
         ("generate", {"sample": {"cfg_scale": "7"}}, "cfg_scale"),
         ("generate", {"model": 5}, "'model'"),
         ("train", {"train": {"lr": 10 ** 400}}, "lr"),  # an int too large for a float
+        ("train", b"{not json", "bad.json"),
+        ("train", {"model": {"width": 10 ** 30}}, "width"),  # beyond any array size
     ])
     def test_malformed_config_is_usage_error_naming_the_field(self, tmp_path, cfg_path,
                                                               capsys, stage, config, field):

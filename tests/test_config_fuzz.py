@@ -1,6 +1,7 @@
 """Fuzzing of the config classes with hypothesis: whatever JSON value a config
 file puts in whatever field, `from_dict` returns a config or raises
-`ParameterError`, never another exception.
+`ParameterError`, never another exception. Also the bound on model sizes, which
+keeps every accepted `ModelConfig` buildable.
 
 The runs are derandomized and bounded, so they repeat exactly and stay fast.
 """
@@ -40,3 +41,22 @@ def test_any_json_values_build_or_raise_parameter_error(cls):
         assert isinstance(cfg, cls)
 
     check()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 10 ** 30), ("n_blocks", 10 ** 12), ("num_steps", 10 ** 10),
+    ("latent_shape", (8, 4, 2 ** 20, 2 ** 20)), ("total_rank", 10 ** 9),
+    ("router_hidden", 10 ** 10), ("n_text_tokens", 10 ** 9)])
+def test_model_size_is_bounded(field, value):
+    """A model too large to allocate is refused before anything is built, and the
+    error names the field."""
+    with pytest.raises(ParameterError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_model_size_bound_sits_far_above_the_default():
+    import freqvfx.config
+
+    assert freqvfx.config.MAX_MODEL_ELEMENTS >= 2 ** 30
+    ModelConfig(latent_shape=(16, 4, 32, 32), width=256, n_blocks=8, num_steps=4000,
+                total_rank=64, n_experts=8, router_hidden=64, n_text_tokens=16)

@@ -9,9 +9,12 @@ import pytest
 
 from freqvfx import container as ct
 from freqvfx import reports as rp
+from freqvfx.config import ModelConfig
+from freqvfx.denoiser import build_model
 from freqvfx.errors import (BadMagicError, ChecksumError, ContainerError,
                             ManifestConflictError, ParameterError, ShapeError,
                             TruncatedError)
+from freqvfx.schedule import NoiseSchedule
 
 # 52-byte fixture computed by hand from the layout: magic, version 1, one
 # entry named "golden_entry", f32 rank-2 dims (2,2), payload [1,2,3,4], crc.
@@ -160,12 +163,8 @@ def test_config_conflict_detection():
 
 
 def test_checkpoint_save_restore(tmp_path):
-    from freqvfx.denoiser import build_adapter_stack, build_denoiser
-
     rng = np.random.default_rng(0)
-    params = build_denoiser(rng)
-    stack = build_adapter_stack(rng, params)
-    from freqvfx.schedule import NoiseSchedule
+    params, stack = build_model(ModelConfig(), rng)
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     # make adapters nonzero so restoration is observable
     for t in stack.parameters().values():
@@ -175,9 +174,7 @@ def test_checkpoint_save_restore(tmp_path):
     ct.save_checkpoint(p, params, stack, sched, manifest=man)
     assert (tmp_path / "ckpt.fvl.manifest.json").exists()
 
-    rng2 = np.random.default_rng(123)
-    params2 = build_denoiser(rng2)
-    stack2 = build_adapter_stack(rng2, params2)
+    params2, stack2 = build_model(ModelConfig(), np.random.default_rng(123))
     entries = ct.read_container_file(p)
     ct.restore_state(entries, params2, stack2)
     for name, t in params.named_arrays().items():
@@ -188,12 +185,7 @@ def test_checkpoint_save_restore(tmp_path):
 
 
 def test_restore_rejects_shape_and_missing(tmp_path):
-    from freqvfx.denoiser import build_adapter_stack, build_denoiser
-    from freqvfx.schedule import NoiseSchedule
-
-    rng = np.random.default_rng(0)
-    params = build_denoiser(rng)
-    stack = build_adapter_stack(rng, params)
+    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     entries = ct.checkpoint_entries(params, stack, sched)
     bad = dict(entries)
@@ -208,12 +200,7 @@ def test_restore_rejects_shape_and_missing(tmp_path):
 
 def test_restore_rejects_dtype_and_nonfinite_entries():
     """A valid container can still carry a cast or a NaN: restore names the entry."""
-    from freqvfx.denoiser import build_adapter_stack, build_denoiser
-    from freqvfx.schedule import NoiseSchedule
-
-    rng = np.random.default_rng(0)
-    params = build_denoiser(rng)
-    stack = build_adapter_stack(rng, params)
+    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     entries = ct.checkpoint_entries(params, stack, sched)
     name = "adapter.block1.cross.v.expert2.a"

@@ -3,8 +3,9 @@ import pytest
 
 import freqvfx.denoiser
 import freqvfx.tensor as fx
+from freqvfx.config import ModelConfig
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
-                              denoise_guided, denoise_step, patchify, unpatchify)
+                              build_model, denoise_guided, denoise_step, patchify, unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
 from freqvfx.spectral import joint_descriptor_detached
@@ -12,14 +13,15 @@ from freqvfx.spectral import joint_descriptor_detached
 LATENT = (2, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
+MODEL = ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=8)
 
 
 def small_model(seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
-                            patch=2, num_steps=NUM_STEPS, dtype=dtype)
-    stack = build_adapter_stack(rng, params, n_experts=4, total_rank=8, top_k=3,
-                                dtype=dtype)
+                            patch=2, num_steps=NUM_STEPS, diag_bias=MODEL.diag_bias,
+                            cross_gain=MODEL.cross_gain, dtype=dtype)
+    stack = build_adapter_stack(rng, params, MODEL, dtype=dtype)
     return params, stack
 
 
@@ -112,9 +114,8 @@ class TestBuild:
         """With R=9 over four experts the split is (3, 2, 2, 2); each entry is
         that expert's block of the packed pair, sharing its memory."""
         rng = np.random.default_rng(5)
-        params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
-                                patch=2, num_steps=NUM_STEPS)
-        stack = build_adapter_stack(rng, params, n_experts=4, total_rank=9, top_k=3)
+        params, stack = build_model(
+            ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=9), rng)
         assert stack.ranks == (3, 2, 2, 2)
         assert stack.expert_slices == [slice(0, 3), slice(3, 5), slice(5, 7), slice(7, 9)]
         for adapter in stack.layers.values():
@@ -140,7 +141,7 @@ class TestBuild:
     def test_indivisible_patch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            build_denoiser(rng, latent_shape=(2, 2, 5, 4), patch=2)
+            build_model(ModelConfig(latent_shape=(2, 2, 5, 4), patch=2), rng)
 
 
 class TestTokenPlumbing:

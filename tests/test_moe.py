@@ -72,7 +72,7 @@ def test_route_uniform_when_router_is_zero():
 def test_route_fresh_init_is_uniform():
     # init() zeroes the second layer, so routing starts uniform by construction
     rng = np.random.default_rng(1)
-    p = moe.RouterParams.init(rng, n_experts=4, dtype=np.float64)
+    p = moe.RouterParams.init(rng, n_experts=4, hidden=16, tau=1.0, dtype=np.float64)
     out = moe.route(rng.normal(size=(2, 6)), p, top_k=4).data
     np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-12)
 

@@ -13,8 +13,8 @@ import pytest
 import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.adapt import adapt, freq_constraint_loss
-from freqvfx.config import AdaptConfig
-from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
+from freqvfx.config import AdaptConfig, ModelConfig
+from freqvfx.denoiser import build_conditioning, build_model, denoise_step
 from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
@@ -25,10 +25,8 @@ from freqvfx.train import diffusion_loss
 
 @pytest.fixture(scope="module")
 def model():
-    rng = np.random.default_rng(0)
-    params = build_denoiser(rng)
-    stack = build_adapter_stack(rng, params)
-    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), seed=1)
+    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
+    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), 1, ModelConfig())
     z0 = np.stack([s.video for s in ds.samples])
     text = np.stack([s.text_tokens for s in ds.samples])
     return params, stack, NoiseSchedule.cosine(params.num_steps), z0, text

@@ -4,8 +4,8 @@ import pytest
 import freqvfx.denoiser
 import freqvfx.sampling
 import freqvfx.tensor as fx
-from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
-                              denoise_guided, denoise_step)
+from freqvfx.config import ModelConfig, SampleConfig
+from freqvfx.denoiser import build_conditioning, build_model, denoise_guided, denoise_step
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
 from freqvfx.sampling import sample
@@ -15,13 +15,13 @@ from freqvfx.spectral import joint_descriptor_detached
 LATENT = (4, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
+CFG = SampleConfig().cfg_scale
 
 
 def small_setup(seed=0, b=2):
     rng = np.random.default_rng(seed)
-    params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
-                            patch=2, num_steps=NUM_STEPS)
-    stack = build_adapter_stack(rng, params, n_experts=4, total_rank=8, top_k=3)
+    params, stack = build_model(
+        ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=8), rng)
     # move the experts off their zero cold start so routing actually matters
     for name, t in stack.parameters().items():
         if name.endswith(".b") or name == "router.w2":
@@ -66,17 +66,17 @@ class TestDeterminism:
 
     def test_seed_and_rng_agree(self):
         params, stack, sched, cond = small_setup()
-        r1 = sample(params, stack, sched, cond, steps=3, seed=11)
+        r1 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, seed=11)
         noise = np.random.default_rng(11).standard_normal((2,) + LATENT).astype(np.float32)
-        r2 = sample(params, stack, sched, cond, steps=3, init_noise=noise)
+        r2 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
         assert r1.video.data.tobytes() == r2.video.data.tobytes()
 
     def test_explicit_init_noise(self):
         params, stack, sched, cond = small_setup()
         rng = np.random.default_rng(0)
         noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        r1 = sample(params, stack, sched, cond, steps=3, init_noise=noise)
-        r2 = sample(params, stack, sched, cond, steps=3, init_noise=noise)
+        r1 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
+        r2 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
         assert r1.video.data.tobytes() == r2.video.data.tobytes()
 
 
@@ -186,9 +186,9 @@ class TestLoggingAndShapes:
         with pytest.raises(ParameterError):
             sample(params, stack, sched, cond, steps=3, cfg_scale=-0.5)
         with pytest.raises(ParameterError):
-            sample(params, stack, NoiseSchedule.cosine(20), cond, steps=3)
+            sample(params, stack, NoiseSchedule.cosine(20), cond, steps=3, cfg_scale=CFG)
         with pytest.raises(ParameterError):
-            sample(params, stack, sched, cond, steps=NUM_STEPS)
+            sample(params, stack, sched, cond, steps=NUM_STEPS, cfg_scale=CFG)
         bad = np.zeros((2, 4, 2, 4, 5), dtype=np.float32)
         with pytest.raises(ShapeError):
-            sample(params, stack, sched, cond, steps=3, init_noise=bad)
+            sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=bad)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from freqvfx import synthgen as sg
+from freqvfx.config import ModelConfig
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, joint_descriptor_detached
 
 from oracles import joint_descriptor_scalar
 
 SHAPE = (1, 8, 4, 8, 8)
+MODEL = ModelConfig()
 
 
 def oracle_descriptor(video: np.ndarray) -> np.ndarray:
@@ -151,8 +153,8 @@ def test_effect_class_validation():
 
 def test_build_dataset_deterministic_bytes():
     spec = [("lowfreq_field", 3), ("highfreq_particles", 2), ("bandpass_texture", 2)]
-    a = sg.build_dataset(spec, 42)
-    b = sg.build_dataset(spec, 42)
+    a = sg.build_dataset(spec, 42, MODEL)
+    b = sg.build_dataset(spec, 42, MODEL)
     assert len(a) == 7
     for sa, sb in zip(a.samples, b.samples):
         assert sa.video.tobytes() == sb.video.tobytes()
@@ -161,7 +163,7 @@ def test_build_dataset_deterministic_bytes():
 
 
 def test_build_dataset_total_and_order():
-    ds = sg.build_dataset([(sg.HIGHFREQ_PARTICLES, 2), (sg.LOWFREQ_FIELD, 3)], 0)
+    ds = sg.build_dataset([(sg.HIGHFREQ_PARTICLES, 2), (sg.LOWFREQ_FIELD, 3)], 0, MODEL)
     assert [s.class_id for s in ds.samples] == [1, 1, 0, 0, 0]
     assert ds.spec == (("highfreq_particles", 2), ("lowfreq_field", 3))
     assert ds.samples[0].video.shape == (8, 4, 8, 8)
@@ -169,20 +171,20 @@ def test_build_dataset_total_and_order():
 
 def test_build_dataset_errors():
     with pytest.raises(ParameterError):
-        sg.build_dataset([("mystery_class", 1)], 0)
+        sg.build_dataset([("mystery_class", 1)], 0, MODEL)
     with pytest.raises(ParameterError):
-        sg.build_dataset([("lowfreq_field", 0)], 0)
+        sg.build_dataset([("lowfreq_field", 0)], 0, MODEL)
     with pytest.raises(ParameterError):
-        sg.build_dataset([], 0)
+        sg.build_dataset([], 0, MODEL)
     with pytest.raises(ParameterError):
-        sg.build_dataset([(3.14, 1)], 0)
+        sg.build_dataset([(3.14, 1)], 0, MODEL)
     rogue = sg.EffectClass(9, "rogue", "low", "drift")
     with pytest.raises(ParameterError):
-        sg.build_dataset([(rogue, 1)], 0)
+        sg.build_dataset([(rogue, 1)], 0, MODEL)
 
 
 def test_text_tokens_frozen_per_class():
-    ds = sg.build_dataset([("lowfreq_field", 2), ("highfreq_particles", 1)], 5)
+    ds = sg.build_dataset([("lowfreq_field", 2), ("highfreq_particles", 1)], 5, MODEL)
     assert np.array_equal(ds.samples[0].text_tokens, ds.samples[1].text_tokens)
     assert not np.array_equal(ds.samples[0].text_tokens, ds.samples[2].text_tokens)
     assert ds.samples[0].text_tokens.shape == (2, 64)
@@ -190,7 +192,7 @@ def test_text_tokens_frozen_per_class():
 
 
 def test_class_separation_low_vs_high():
-    ds = sg.build_dataset([("lowfreq_field", 64), ("highfreq_particles", 64)], 1234)
+    ds = sg.build_dataset([("lowfreq_field", 64), ("highfreq_particles", 64)], 1234, MODEL)
     mean_low = sg.mean_joint_descriptor(ds, sg.LOWFREQ_FIELD.class_id)
     mean_high = sg.mean_joint_descriptor(ds, sg.HIGHFREQ_PARTICLES.class_id)
     l1 = float(np.abs(mean_low - mean_high).sum())
@@ -199,7 +201,7 @@ def test_class_separation_low_vs_high():
 
 def test_label_correctness_every_sample():
     ds = sg.build_dataset([("lowfreq_field", 16), ("highfreq_particles", 16),
-                           ("bandpass_texture", 16)], 77)
+                           ("bandpass_texture", 16)], 77, MODEL)
     vids = np.stack([s.video for s in ds.samples])
     d = joint_descriptor_detached(vids)
     for k, s in enumerate(ds.samples):
@@ -209,6 +211,6 @@ def test_label_correctness_every_sample():
 
 
 def test_mean_descriptor_missing_class():
-    ds = sg.build_dataset([("lowfreq_field", 1)], 0)
+    ds = sg.build_dataset([("lowfreq_field", 1)], 0, MODEL)
     with pytest.raises(ParameterError):
         sg.mean_joint_descriptor(ds, 99)

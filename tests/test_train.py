@@ -4,8 +4,8 @@ import pytest
 import freqvfx.tensor as fx
 import freqvfx.train
 from freqvfx.adapt import state_hashes
-from freqvfx.config import TrainConfig
-from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser
+from freqvfx.config import ModelConfig, TrainConfig
+from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_model
 from freqvfx.errors import ParameterError, TrainingDivergedError
 from freqvfx.schedule import NoiseSchedule
 from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
@@ -15,14 +15,17 @@ from freqvfx.train import (AdamW, StepMetrics, _dropout_conditioning,
 LATENT = (2, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
+MODEL = ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=8)
 
 
 def small_model(seed=0):
-    rng = np.random.default_rng(seed)
-    params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
-                            patch=2, num_steps=NUM_STEPS)
-    stack = build_adapter_stack(rng, params, n_experts=4, total_rank=8, top_k=3)
-    return params, stack
+    return build_model(MODEL, np.random.default_rng(seed))
+
+
+def adamw(params, lr, weight_decay=0.0, eps=1e-8):
+    """AdamW with the betas and eps both stage configs use, and no weight decay
+    unless asked."""
+    return AdamW(params, lr=lr, betas=(0.9, 0.999), eps=eps, weight_decay=weight_decay)
 
 
 class TestAdamW:
@@ -30,7 +33,7 @@ class TestAdamW:
         p = fx.tensor(np.array([0.7, -1.3]))
         g = np.array([0.25, 2.0])
         lr, wd, eps = 0.01, 0.1, 1e-8
-        opt = AdamW([p], lr=lr, weight_decay=wd, eps=eps)
+        opt = adamw([p], lr=lr, weight_decay=wd, eps=eps)
         opt.step({p: fx.Tensor(g.copy())})
         # bias-corrected first step reduces to g / (|g| + eps), decoupled decay
         expected = np.array([0.7, -1.3])
@@ -39,7 +42,7 @@ class TestAdamW:
 
     def test_quadratic_convergence(self):
         p = fx.tensor(np.array([5.0]))
-        opt = AdamW([p], lr=0.1)
+        opt = adamw([p], lr=0.1)
         for _ in range(300):
             with fx.Tape(opt.params) as tape:
                 loss = fx.reduce_sum(fx.square(p - fx.Tensor(np.array([3.0]))))
@@ -49,14 +52,14 @@ class TestAdamW:
     def test_zero_lr_freezes_parameters(self):
         p = fx.tensor(np.array([1.0, 2.0]))
         before = p.data.tobytes()
-        opt = AdamW([p], lr=0.0, weight_decay=0.01)
+        opt = adamw([p], lr=0.0, weight_decay=0.01)
         opt.step({p: fx.Tensor(np.array([10.0, -10.0]))})
         assert p.data.tobytes() == before
 
     def test_decay_is_decoupled_from_gradient(self):
         p = fx.tensor(np.array([2.0]))
         lr, wd = 0.5, 0.1
-        opt = AdamW([p], lr=lr, weight_decay=wd)
+        opt = adamw([p], lr=lr, weight_decay=wd)
         opt.step({p: fx.Tensor(np.array([0.0]))})
         assert np.allclose(p.data, np.array([2.0]) * (1.0 - lr * wd), rtol=1e-12)
 
@@ -64,20 +67,20 @@ class TestAdamW:
         a = fx.tensor(np.array([1.0]))
         b = fx.tensor(np.array([2.0]))
         before = b.data.tobytes()
-        opt = AdamW([a, b], lr=0.1)
+        opt = adamw([a, b], lr=0.1)
         opt.step({a: fx.Tensor(np.array([1.0]))})
         assert b.data.tobytes() == before
         assert a.data[0] != 1.0
 
     def test_dict_input_accepted(self):
         p = fx.tensor(np.array([1.0]))
-        opt = AdamW({"p": p}, lr=0.1)
+        opt = adamw({"p": p}, lr=0.1)
         opt.step({p: fx.Tensor(np.array([1.0]))})
         assert p.data[0] != 1.0
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ParameterError):
-            AdamW([], lr=-0.1)
+            adamw([], lr=-0.1)
 
 
 class TestDiffusionLoss:
@@ -93,15 +96,15 @@ class TestDiffusionLoss:
     def test_zero_predictor_gives_unit_loss(self, monkeypatch):
         rng = np.random.default_rng(0)
         z0 = rng.standard_normal((8, 8, 4, 8, 8)).astype(np.float32)
-        big = build_denoiser(np.random.default_rng(1), latent_shape=(8, 4, 8, 8),
-                             width=WIDTH, num_steps=NUM_STEPS)
+        big_cfg = ModelConfig(latent_shape=(8, 4, 8, 8), width=WIDTH, num_steps=NUM_STEPS)
+        big, _ = build_model(big_cfg, np.random.default_rng(1))  # backbone drawn first
         cond = build_conditioning(big, z0, np.zeros((2, WIDTH), dtype=np.float32))
 
         def zero(z_t, *args, **kwargs):
             return fx.Tensor(np.zeros(z_t.shape, dtype=np.float32))
 
         monkeypatch.setattr(freqvfx.train, "denoise_step", zero)
-        stack = build_adapter_stack(np.random.default_rng(2), big)
+        stack = build_adapter_stack(np.random.default_rng(2), big, big_cfg)
         loss = diffusion_loss(z0, cond, big, stack, self.sched, np.random.default_rng(7))
         # predicting zero leaves the true noise: mean eps^2 -> 1 over 16k draws
         assert abs(float(loss.data) - 1.0) < 0.06
@@ -180,8 +183,7 @@ class TestConditioningDropout:
 
 class TestStageOne:
     def _samples(self, seed=5):
-        return build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)),
-                             seed=seed, latent_shape=LATENT, text_width=WIDTH).samples
+        return build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)), seed, MODEL).samples
 
     def test_smoke_run_trains_only_adapters(self):
         params, stack = small_model()
