@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as fx
-from .config import AdaptConfig
+from .config import AdaptConfig, check_elements
 # unused here, but bench/spans.py traces stage 2 by wrapping freqvfx.adapt.denoise_step
 from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step  # noqa: F401
 from .errors import AdaptationDivergedError, ParameterError, ShapeError
@@ -98,6 +98,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
         raise ShapeError(f"reference {ref.shape} does not match model {params.latent_shape}")
     rng = np.random.default_rng(config.seed)
     if embedding is None:
+        check_elements("AdaptConfig.embed_tokens", config.embed_tokens, params.width)
         embedding = VfxEmbedding.init(rng, length=config.embed_tokens,
                                       width=params.width, std=config.embed_std)
     opt = AdamW([embedding.tokens], lr=config.lr, betas=config.betas,

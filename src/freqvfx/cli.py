@@ -29,8 +29,8 @@ import numpy as np
 from .adapt import adapt
 from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict, to_dict
 from .container import (RunManifest, check_config_compatible, manifest_path_for,
-                        read_container_file, read_manifest, restore_state, save_checkpoint,
-                        sha256_file, write_container_file, write_manifest)
+                        read_container_file, read_manifest, require_entry, restore_state,
+                        save_checkpoint, sha256_file, write_container_file, write_manifest)
 from .denoiser import build_conditioning, build_model
 from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
 from .reports import adapt_trace_csv, emit_spectral_report, train_metrics_csv, write_text
@@ -38,11 +38,9 @@ from .sampling import sample
 from .schedule import NoiseSchedule
 from .selfcheck import run_selfcheck
 from .spectral import joint_descriptor_detached
-from .synthgen import CLASS_REGISTRY, Sample, build_dataset
+from .synthgen import CLASS_NAMES, build_dataset, checked_videos, read_dataset
 from .tensor import Tensor
 from .train import class_routing_separation, smoothed_endpoints, train_stage1
-
-_CLASSES_BY_ID = {c.class_id: c for c in CLASS_REGISTRY.values()}
 
 
 def _load_config(path: str | None) -> dict:
@@ -84,56 +82,15 @@ def _input_hash(path: str) -> dict:
     return {os.path.basename(path): sha256_file(path)}
 
 
-def _parse_class_spec(text: str):
+def _parse_class_spec(text: str) -> tuple[tuple[str, int], ...]:
     spec = []
     for part in text.split(","):
         name, _, count = part.partition(":")
-        name = name.strip()
-        if name not in CLASS_REGISTRY:
-            raise ParameterError(
-                f"unknown effect class {name!r}; choose from {sorted(CLASS_REGISTRY)}")
         try:
-            n = int(count)
+            spec.append((name.strip(), int(count)))
         except ValueError:
             raise ParameterError(f"bad class count in {part!r}") from None
-        spec.append((CLASS_REGISTRY[name], n))
     return tuple(spec)
-
-
-def _dataset_entries(dataset) -> dict[str, np.ndarray]:
-    videos = np.stack([s.video for s in dataset.samples])
-    class_ids = np.array([s.class_id for s in dataset.samples], dtype=np.float64)
-    entries = {"videos": videos, "class_ids": class_ids}
-    for s in dataset.samples:
-        entries.setdefault(f"text.{s.effect.name}", s.text_tokens)
-    return entries
-
-
-def _entry(entries: dict[str, np.ndarray], name: str, source: str) -> np.ndarray:
-    """A container entry that must be there; a missing one is a corrupt artifact."""
-    if name not in entries:
-        raise ContainerError(f"{source} has no {name!r} entry")
-    return entries[name]
-
-
-def _samples_from_entries(entries: dict[str, np.ndarray]) -> list[Sample]:
-    """The labeled samples of a dataset container; a missing entry or a class id
-    that names no effect class is a ContainerError naming the entry."""
-    videos = _entry(entries, "videos", "dataset")
-    class_ids = _entry(entries, "class_ids", "dataset")
-    if videos.ndim < 1 or class_ids.shape != videos.shape[:1]:
-        raise ContainerError(f"'class_ids' {class_ids.shape} does not give one id per "
-                             f"video of 'videos' {videos.shape}")
-    samples = []
-    for video, cid in zip(videos, class_ids):
-        effect = _CLASSES_BY_ID.get(float(cid))  # NaN and non-integers match no id
-        if effect is None:
-            raise ContainerError(f"'class_ids' holds {cid!r}, which names no effect class; "
-                                 f"known ids: {sorted(_CLASSES_BY_ID)}")
-        tokens = _entry(entries, f"text.{effect.name}", "dataset")
-        samples.append(Sample(video=video, effect=effect, class_id=effect.class_id,
-                              text_tokens=tokens))
-    return samples
 
 
 def _restore_model(checkpoint_path: str):
@@ -150,8 +107,8 @@ def _restore_model(checkpoint_path: str):
         raise ContainerError(f"manifest {manifest_path}: {err}") from None
     entries = read_container_file(checkpoint_path)
     restore_state(entries, params, stack)
-    schedule = NoiseSchedule(alphas=_entry(entries, "schedule.alphas", checkpoint_path),
-                             sigmas=_entry(entries, "schedule.sigmas", checkpoint_path))
+    schedule = NoiseSchedule(alphas=require_entry(entries, "schedule.alphas", checkpoint_path),
+                             sigmas=require_entry(entries, "schedule.sigmas", checkpoint_path))
     return params, stack, schedule, entries, manifest
 
 
@@ -200,21 +157,20 @@ def cmd_gen(args) -> int:
     doc = _load_config(args.config)
     model = _section(doc, "model", ModelConfig)
     spec = _parse_class_spec(args.classes)
-    dataset = build_dataset(spec, args.seed, model)
+    entries = build_dataset(spec, args.seed, model)
     out = os.path.join(_outdir(args), "dataset.fvl1")
-    write_container_file(out, _dataset_entries(dataset))
+    write_container_file(out, entries)
     manifest = RunManifest(
-        stage="gen",
-        config={"classes": [[c.name, n] for c, n in spec], "model": to_dict(model)},
+        stage="gen", config={"classes": [list(pair) for pair in spec], "model": to_dict(model)},
         seeds={"seed": args.seed})
     write_manifest(manifest_path_for(out), manifest)
-    print(f"wrote {out} ({len(dataset.samples)} samples)")
+    print(f"wrote {out} ({len(entries['videos'])} samples)")
     return 0
 
 
 def cmd_analyze(args) -> int:
     entries = read_container_file(args.input)
-    desc = joint_descriptor_detached(Tensor(_entry(entries, "videos", args.input)))
+    desc = joint_descriptor_detached(Tensor(checked_videos(entries, args.input)))
     csv = emit_spectral_report(desc, timesteps=np.arange(desc.shape[0]))
     out = os.path.join(_outdir(args), "descriptors.csv")
     write_text(out, csv)
@@ -232,10 +188,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
 
-    samples = _samples_from_entries(read_container_file(args.input))
+    videos, class_ids, text = read_dataset(read_container_file(args.input), args.input)
     params, stack = build_model(model, np.random.default_rng(train_cfg.seed))
     schedule = NoiseSchedule.cosine(model.num_steps)
-    result = train_stage1(samples, train_cfg, params, stack, schedule)
+    result = train_stage1(videos, class_ids, text, train_cfg, params, stack, schedule)
 
     first, last = smoothed_endpoints(result.losses)
     extra = {
@@ -251,7 +207,7 @@ def cmd_train(args) -> int:
         pass  # single-class dataset: separation undefined
 
     out = os.path.join(_outdir(args), "checkpoint.fvl1")
-    text_tokens = {s.effect.name: s.text_tokens for s in samples}
+    text_tokens = {CLASS_NAMES[cid]: tokens for cid, tokens in zip(class_ids, text)}
     manifest = RunManifest(stage="train",
                            config={"model": to_dict(model), "train": to_dict(train_cfg)},
                            seeds={"seed": train_cfg.seed},
@@ -270,7 +226,7 @@ def cmd_adapt(args) -> int:
         adapt_cfg.seed = args.seed
 
     params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
-    ref = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
+    ref = checked_videos(read_container_file(args.input), args.input).astype(np.float32)
     text = _pick_text(entries, args.class_name, args.checkpoint)
     cond = build_conditioning(params, ref, text)
 
@@ -304,7 +260,7 @@ def cmd_generate(args) -> int:
         check_config_compatible(ckpt_manifest.config["model"], doc["model"],
                                 stage=ckpt_manifest.stage)
 
-    z0 = _entry(read_container_file(args.input), "videos", args.input).astype(np.float32)
+    z0 = checked_videos(read_container_file(args.input), args.input).astype(np.float32)
     text = _pick_text(entries, args.class_name, args.checkpoint)
     cond = build_conditioning(params, z0, text)
 
@@ -337,7 +293,7 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     entries = read_container_file(args.input)
-    descriptors = _entry(entries, "descriptors", args.input)
+    descriptors = require_entry(entries, "descriptors", args.input)
     ts = entries.get("timesteps")
     csv = emit_spectral_report(descriptors,
                                timesteps=None if ts is None else ts.astype(np.int64))

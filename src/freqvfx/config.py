@@ -8,7 +8,8 @@ malformed config file ends in a `ParameterError` naming the field. Ranges that
 depend on another field (top_k against n_experts, total_rank against n_experts,
 the latent's spatial dims against patch, steps against num_steps) are checked
 by the functions that build from them. A model whose arrays would need more
-than MAX_MODEL_ELEMENTS elements is refused before anything is allocated.
+than MAX_MODEL_ELEMENTS elements is refused before anything is allocated, and
+so are a training batch, an embedding and a dataset (`check_elements`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ _BETAS = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
 
 # 4 GiB of float32: far above the default model's ~2e5 elements
 MAX_MODEL_ELEMENTS = 2 ** 30
+
+
+def check_elements(name: str, count: int, per_item: int) -> None:
+    """Refuse `count` arrays of `per_item` elements each when together they pass
+    MAX_MODEL_ELEMENTS, naming the field `name` that sets `count`."""
+    if count * per_item > MAX_MODEL_ELEMENTS:
+        raise ParameterError(f"{name}={count} of {per_item} elements each is more than "
+                             f"{MAX_MODEL_ELEMENTS} array elements")
 
 
 def _check_fields(cfg, checks: dict) -> None:

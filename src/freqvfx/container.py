@@ -166,6 +166,13 @@ def read_container_file(path) -> dict[str, np.ndarray]:
         return read_container(f.read())
 
 
+def require_entry(entries: Mapping[str, np.ndarray], name: str, source: str) -> np.ndarray:
+    """A container entry that must be there; a missing one is a corrupt artifact."""
+    if name not in entries:
+        raise ContainerError(f"{source} has no {name!r} entry")
+    return entries[name]
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

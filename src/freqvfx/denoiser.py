@@ -285,6 +285,8 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens,
     frame0 = fx.slice_axis(z0.detach(), 1, 0, 1)
     img = fx.linear(patchify(frame0, params.patch), params.cond_proj_w)
     text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))
+    if text.ndim not in (2, 3) or text.shape[-1] != params.width:
+        raise ShapeError(f"text tokens {text.shape} do not match the model width {params.width}")
     if text.ndim == 2:
         text = fx.broadcast_to(fx.reshape(text, (1,) + text.shape), (z0.shape[0],) + text.shape)
     return Conditioning(image_tokens=img, text_tokens=text, vfx_tokens=vfx_tokens)

@@ -15,6 +15,10 @@ All randomness comes from counter-based Philox streams keyed by
 bit-exactly on any platform. Videos are rescaled to unit RMS; class identity
 lives in the spectrum and dynamics, not in energy scale.
 
+A dataset exists only as the entries of one ``.fvl1`` container:
+`build_dataset` makes them and `read_dataset` checks them and returns the
+arrays that training reads by row.
+
 Design note: sparks keep fixed positions inside one sample and re-sample
 their amplitude each frame. Re-sampling positions per frame spreads squared
 frame differences over many sites, and a nonnegative field supported on many
@@ -27,48 +31,18 @@ that narrow feasible region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
-from .errors import ParameterError, ShapeError
+from .config import ModelConfig, check_elements
+from .container import require_entry
+from .errors import ContainerError, ParameterError, ShapeError
 from .tensor import gaussian_kernel_1d
-
-SPATIAL_PROFILES = ("low", "band", "high")
-TEMPORAL_PROFILES = ("static", "drift", "flicker")
 
 _TEXT_STREAM_TAG = 9000  # stream namespace for per-class conditioning tokens
 
-
-@dataclass(frozen=True)
-class EffectClass:
-    """A synthetic effect family: identity plus spectral/temporal profile."""
-
-    class_id: int
-    name: str
-    spatial_profile: str
-    temporal_profile: str
-
-    def __post_init__(self):
-        if self.spatial_profile not in SPATIAL_PROFILES:
-            raise ParameterError(
-                f"spatial profile must be one of {SPATIAL_PROFILES}, got {self.spatial_profile!r}")
-        if self.temporal_profile not in TEMPORAL_PROFILES:
-            raise ParameterError(
-                f"temporal profile must be one of {TEMPORAL_PROFILES}, got {self.temporal_profile!r}")
-
-
-LOWFREQ_FIELD = EffectClass(0, "lowfreq_field", "low", "drift")
-HIGHFREQ_PARTICLES = EffectClass(1, "highfreq_particles", "high", "flicker")
-BANDPASS_TEXTURE = EffectClass(2, "bandpass_texture", "band", "flicker")
-
-CLASS_REGISTRY = {
-    c.name: c for c in (LOWFREQ_FIELD, HIGHFREQ_PARTICLES, BANDPASS_TEXTURE)
-}
-
-# appearance-indicator index that should dominate for each spatial profile
-PROFILE_BAND_INDEX = {"low": 0, "band": 1, "high": 2}
+# the effect classes; a class's id, which a dataset stores, is its index here
+CLASS_NAMES = ("lowfreq_field", "highfreq_particles", "bandpass_texture")
 
 
 def _check_shape(shape) -> tuple[int, int, int, int, int]:
@@ -113,23 +87,18 @@ def _unit_rms(z: np.ndarray) -> np.ndarray:
     return z / rms if rms > 0 else z
 
 
-def gen_lowfreq_field(seed, shape, *, drift: float = 0.35,
-                      pattern_sigma: float = 2.0) -> np.ndarray:
-    """Smooth blurred patterns rotating slowly between two phases.
-
-    ``drift`` counts rotation cycles across the clip; 0 gives a static video
-    (every frame bit-identical), which in turn zeroes the motion descriptor.
-    """
+def gen_lowfreq_field(seed, shape) -> np.ndarray:
+    """Smooth blurred patterns rotating slowly between two phases."""
     seed = _check_seed(seed)
     b, t, c, h, w = _check_shape(shape)
     out = np.empty((b, t, c, h, w), dtype=np.float64)
     for bi in range(b):
-        rng = _stream(seed, LOWFREQ_FIELD.class_id, bi)
-        p1 = _blur2d(rng.standard_normal((c, h, w)), pattern_sigma)
-        p2 = _blur2d(rng.standard_normal((c, h, w)), pattern_sigma)
+        rng = _stream(seed, 0, bi)
+        p1 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
+        p2 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
         phi0 = rng.uniform(0.0, 2.0 * math.pi)
         for ti in range(t):
-            theta = phi0 + 2.0 * math.pi * drift * (ti / t)
+            theta = phi0 + 2.0 * math.pi * 0.35 * (ti / t)  # 0.35 cycles per clip
             out[bi, ti] = math.cos(theta) * p1 + math.sin(theta) * p2
         out[bi] = _unit_rms(out[bi])
     return out.astype(np.float32)
@@ -151,27 +120,21 @@ def _spark_sites(rng: np.random.Generator, k: int, h: int, w: int,
     return sites
 
 
-def gen_highfreq_particles(seed, shape, *, density: float = 1.0 / 16.0,
-                           spark_gain: float = 0.8,
-                           envelope_wiggle: float = 0.2) -> np.ndarray:
-    """Checkerboard sparkle plus isolated sign-flipping spark sites.
-
-    ``density`` scales the spark count (sites per frame area); 0 turns the
-    whole class off and returns an all-zero video.
-    """
+def gen_highfreq_particles(seed, shape) -> np.ndarray:
+    """Checkerboard sparkle plus isolated sign-flipping spark sites, one site per
+    16 pixels of frame area; a frame too small for one site gives an all-zero
+    video."""
     seed = _check_seed(seed)
-    if density < 0:
-        raise ParameterError(f"density must be >= 0, got {density}")
     b, t, c, h, w = _check_shape(shape)
-    k = int(round(density * h * w))
+    k = int(round(h * w / 16.0))
     out = np.zeros((b, t, c, h, w), dtype=np.float64)
-    if density == 0.0 or k == 0:
+    if k == 0:
         return out.astype(np.float32)
     ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     carrier = (-1.0) ** (ii + jj)
     for bi in range(b):
-        rng = _stream(seed, HIGHFREQ_PARTICLES.class_id, bi)
-        env = 1.0 + envelope_wiggle * _blur2d(rng.standard_normal((c, h, w)), 1.5)
+        rng = _stream(seed, 1, bi)
+        env = 1.0 + 0.2 * _blur2d(rng.standard_normal((c, h, w)), 1.5)
         sparkle = _unit_rms(env * carrier)
         sparks = np.zeros((t, c, h, w))
         for ci in range(c):
@@ -182,116 +145,101 @@ def gen_highfreq_particles(seed, shape, *, density: float = 1.0 / 16.0,
         srms = math.sqrt(float((sparks ** 2).mean()))
         if srms > 0:
             sparks /= srms
-        out[bi] = _unit_rms(sparkle[None] + spark_gain * sparks)
+        out[bi] = _unit_rms(sparkle[None] + 0.8 * sparks)
     return out.astype(np.float32)
 
 
-def gen_bandpass_texture(seed, shape, *, amplitude: float = 1.0,
-                         flicker: float = 0.5,
-                         dog_sigmas: tuple[float, float] = (0.5, 1.2)) -> np.ndarray:
-    """Difference-of-gaussians texture whose brightness flickers per frame.
-
-    The output RMS equals ``amplitude``; 0 gives an all-zero video.
-    """
+def gen_bandpass_texture(seed, shape) -> np.ndarray:
+    """Difference-of-gaussians texture whose brightness flickers per frame."""
     seed = _check_seed(seed)
-    if amplitude < 0:
-        raise ParameterError(f"amplitude must be >= 0, got {amplitude}")
-    sa, sb = dog_sigmas
-    if not 0 < sa < sb:
-        raise ParameterError(f"need 0 < sigma_a < sigma_b, got {dog_sigmas}")
     b, t, c, h, w = _check_shape(shape)
     out = np.zeros((b, t, c, h, w), dtype=np.float64)
-    if amplitude == 0.0:
-        return out.astype(np.float32)
     for bi in range(b):
-        rng = _stream(seed, BANDPASS_TEXTURE.class_id, bi)
+        rng = _stream(seed, 2, bi)
         noise = rng.standard_normal((c, h, w))
-        pattern = _blur2d(noise, sa) - _blur2d(noise, sb)
-        mod = 1.0 + flicker * rng.uniform(-1.0, 1.0, size=t)
+        pattern = _blur2d(noise, 0.5) - _blur2d(noise, 1.2)
+        mod = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size=t)
         for ti in range(t):
             out[bi, ti] = mod[ti] * pattern
-        out[bi] = amplitude * _unit_rms(out[bi])
+        out[bi] = _unit_rms(out[bi])
     return out.astype(np.float32)
 
 
-_GENERATORS = {
-    LOWFREQ_FIELD.name: gen_lowfreq_field,
-    HIGHFREQ_PARTICLES.name: gen_highfreq_particles,
-    BANDPASS_TEXTURE.name: gen_bandpass_texture,
-}
+_GENERATORS = (gen_lowfreq_field, gen_highfreq_particles, gen_bandpass_texture)  # by class id
 
 
-@dataclass
-class Sample:
-    """One labeled synthetic clip plus its class conditioning tokens."""
-
-    video: np.ndarray        # (T, C, H, W) float32
-    effect: EffectClass
-    class_id: int
-    text_tokens: np.ndarray  # (n_text_tokens, width) float32
-
-
-@dataclass
-class SynthDataset:
-    """Samples in spec order; regenerable bit-exactly from (spec, seed)."""
-
-    samples: list[Sample]
-    seed: int
-    spec: tuple[tuple[str, int], ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def _resolve_class(entry) -> EffectClass:
-    if isinstance(entry, EffectClass):
-        if CLASS_REGISTRY.get(entry.name) != entry:
-            raise ParameterError(f"unknown effect class {entry.name!r}")
-        return entry
-    if isinstance(entry, str):
-        if entry not in CLASS_REGISTRY:
-            raise ParameterError(
-                f"unknown effect class {entry!r}; known: {sorted(CLASS_REGISTRY)}")
-        return CLASS_REGISTRY[entry]
-    raise ParameterError(f"effect class must be a name or EffectClass, got {type(entry).__name__}")
-
-
-def class_text_tokens(seed: int, effect: EffectClass, *, n_tokens: int,
-                      width: int) -> np.ndarray:
+def class_text_tokens(seed: int, class_id: int, *, n_tokens: int, width: int) -> np.ndarray:
     """Frozen per-class conditioning tokens, stream (seed, 9000 + class_id)."""
-    rng = _stream(seed, _TEXT_STREAM_TAG + effect.class_id, 0)
+    rng = _stream(seed, _TEXT_STREAM_TAG + class_id, 0)
     return (0.5 * rng.standard_normal((n_tokens, width))).astype(np.float32)
 
 
-def build_dataset(spec, seed, model: ModelConfig) -> SynthDataset:
-    """Generate a labeled dataset of `model`'s latent shape, with its width and
-    text-token count; same (spec, seed) gives identical bytes."""
+def build_dataset(spec, seed, model: ModelConfig) -> dict[str, np.ndarray]:
+    """The container entries of a labeled dataset of `model`'s latent shape.
+
+    `spec` lists (class name, count) pairs. The entries are `videos` in spec
+    order, float64 `class_ids` (one per video), and one `text.<class>` of
+    `model`'s text-token count and width per class in first-seen order. The
+    same (spec, seed, model) gives identical bytes.
+    """
     seed = _check_seed(seed)
     if not spec:
         raise ParameterError("dataset spec must list at least one (class, count) pair")
-    norm_spec: list[tuple[str, int]] = []
-    samples: list[Sample] = []
-    for entry, count in spec:
-        effect = _resolve_class(entry)
-        count = int(count)
-        if count < 1:
-            raise ParameterError(f"count for class {effect.name!r} must be >= 1, got {count}")
-        norm_spec.append((effect.name, count))
-        tokens = class_text_tokens(seed, effect, n_tokens=model.n_text_tokens,
-                                   width=model.width)
-        videos = _GENERATORS[effect.name](seed, (count,) + tuple(model.latent_shape))
-        for bi in range(count):
-            samples.append(Sample(video=videos[bi], effect=effect,
-                                  class_id=effect.class_id, text_tokens=tokens))
-    return SynthDataset(samples=samples, seed=seed, spec=tuple(norm_spec))
+    counts = []
+    for name, count in spec:
+        if name not in CLASS_NAMES:
+            raise ParameterError(f"unknown effect class {name!r}; known: {sorted(CLASS_NAMES)}")
+        if int(count) < 1:
+            raise ParameterError(f"count for class {name!r} must be >= 1, got {count}")
+        counts.append((CLASS_NAMES.index(name), int(count)))
+    shape = tuple(model.latent_shape)
+    check_elements("dataset spec count", sum(n for _, n in counts), math.prod(shape))
+    entries = {
+        "videos": np.concatenate([_GENERATORS[cid](seed, (n,) + shape) for cid, n in counts]),
+        "class_ids": np.repeat([float(cid) for cid, _ in counts], [n for _, n in counts]),
+    }
+    for cid, _ in counts:
+        entries.setdefault(f"text.{CLASS_NAMES[cid]}", class_text_tokens(
+            seed, cid, n_tokens=model.n_text_tokens, width=model.width))
+    return entries
 
 
-def mean_joint_descriptor(dataset: SynthDataset, class_id: int) -> np.ndarray:
-    """Mean (6,) descriptor over the clean latents of one class."""
-    from .spectral import joint_descriptor_detached
+def checked_videos(entries: dict[str, np.ndarray], source: str) -> np.ndarray:
+    """The `videos` entry of a container: finite, of shape (N, T, C, H, W)."""
+    videos = require_entry(entries, "videos", source)
+    if videos.ndim != 5:
+        raise ContainerError(f"{source}: 'videos' has shape {videos.shape}, "
+                             f"not (N, T, C, H, W)")
+    if not np.isfinite(videos).all():
+        raise ContainerError(f"{source}: 'videos' holds non-finite values")
+    return videos
 
-    vids = [s.video for s in dataset.samples if s.class_id == class_id]
-    if not vids:
-        raise ParameterError(f"dataset has no samples with class_id {class_id}")
-    batch = np.stack(vids, axis=0)
-    return joint_descriptor_detached(batch).mean(axis=0)
+
+def read_dataset(entries: dict[str, np.ndarray],
+                 source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (videos, int class ids, per-row text tokens) of a dataset container.
+
+    A missing or misshapen entry, a non-finite value, or a class id that names
+    no effect class is a ContainerError naming the entry.
+    """
+    videos = checked_videos(entries, source)
+    class_ids = require_entry(entries, "class_ids", source)
+    if class_ids.shape != videos.shape[:1]:
+        raise ContainerError(f"{source}: 'class_ids' {class_ids.shape} does not give one "
+                             f"id per video of 'videos' {videos.shape}")
+    known = np.isin(class_ids, np.arange(len(CLASS_NAMES)))  # NaN is never in
+    if not known.all():
+        raise ContainerError(f"{source}: 'class_ids' holds {float(class_ids[~known][0])}, which "
+                             f"names no effect class; known ids: 0..{len(CLASS_NAMES) - 1}")
+    ids, rows = np.unique(class_ids.astype(np.int64), return_inverse=True)
+    table = []
+    for cid in ids:
+        name = f"text.{CLASS_NAMES[cid]}"
+        tokens = require_entry(entries, name, source)
+        if tokens.ndim != 2 or (table and tokens.shape != table[0].shape):
+            raise ContainerError(f"{source}: {name!r} has shape {tokens.shape}; every text "
+                                 f"entry must be one (n_tokens, width) matrix")
+        if not np.isfinite(tokens).all():
+            raise ContainerError(f"{source}: {name!r} holds non-finite values")
+        table.append(tokens)
+    return videos, ids[rows], np.stack(table)[rows]

@@ -10,18 +10,16 @@ mean routing weights so expert specialization is observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import tensor as fx
-from .config import TrainConfig
+from .config import TrainConfig, check_elements
 from .denoiser import AdapterStack, Conditioning, DenoiserParams, build_conditioning, denoise_step
 from .errors import ParameterError, TrainingDivergedError
 from .moe import route
 from .schedule import NoiseSchedule, forward_noise
 from .spectral import joint_descriptor_detached
-from .synthgen import Sample
 from .tensor import Tensor
 
 
@@ -105,23 +103,27 @@ def _dropout_conditioning(cond: Conditioning, drop: np.ndarray,
     return Conditioning(Tensor(img), Tensor(txt), cond.vfx_tokens)
 
 
-def train_stage1(samples: Sequence[Sample], config: TrainConfig, params: DenoiserParams,
-                 stack: AdapterStack, schedule: NoiseSchedule) -> StageOneResult:
-    """Train router + experts on the diffusion objective; backbone untouched."""
-    samples = list(samples)
-    if not samples:
+def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
+                 config: TrainConfig, params: DenoiserParams, stack: AdapterStack,
+                 schedule: NoiseSchedule) -> StageOneResult:
+    """Train router + experts on the diffusion objective; backbone untouched.
+
+    Row i of the dataset is `videos[i]` (T, C, H, W) of class `class_ids[i]`
+    with text tokens `text[i]` (n_tokens, width).
+    """
+    if len(videos) == 0:
         raise ParameterError("dataset is empty")
+    check_elements("TrainConfig.batch_size", config.batch_size, videos[0].size)
     rng = np.random.default_rng(config.seed)
     opt = AdamW(stack.parameters(), lr=config.lr, betas=config.betas,
                 eps=config.adam_eps, weight_decay=config.weight_decay)
     result = StageOneResult()
     losses = []
     for step in range(config.steps):
-        idx = rng.integers(0, len(samples), size=config.batch_size)
-        z0 = np.stack([samples[i].video for i in idx]).astype(np.float32)
-        text = np.stack([samples[i].text_tokens for i in idx]).astype(np.float32)
-        class_ids = np.array([samples[i].class_id for i in idx])
-        cond = build_conditioning(params, z0, text)
+        idx = rng.integers(0, len(videos), size=config.batch_size)
+        z0 = videos[idx].astype(np.float32, copy=False)
+        batch_ids = class_ids[idx]
+        cond = build_conditioning(params, z0, text[idx].astype(np.float32, copy=False))
         drop = rng.random(config.batch_size) < config.cond_dropout
         cond = _dropout_conditioning(cond, drop, params)
 
@@ -136,8 +138,8 @@ def train_stage1(samples: Sequence[Sample], config: TrainConfig, params: Denoise
 
         losses.append(loss_val)
         pi = info["pi"]
-        for cid in np.unique(class_ids):
-            rows = pi[class_ids == cid]
+        for cid in np.unique(batch_ids):
+            rows = pi[batch_ids == cid]
             result.metrics.append(StepMetrics(step=step, loss=loss_val, class_id=int(cid),
                                               pi_mean=rows.mean(axis=0)))
     result.losses = np.array(losses)

@@ -38,7 +38,7 @@ from freqvfx.spectral import (EPS_DEFAULT, SIGMA1_DEFAULT, SIGMA2_DEFAULT,
                               appearance_proxy, band_energies, decompose,
                               joint_descriptor, joint_descriptor_detached,
                               normalize_energies, vfx_proxy)
-from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
+from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.tensor import Tensor
 from freqvfx.train import AdamW, diffusion_loss, smoothed_endpoints, train_stage1
 
@@ -160,9 +160,9 @@ def test_criterion_03_gradients_match_finite_differences():
         # move router and experts off their degenerate init (zeros give
         # vacuous gradient checks)
         p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
-    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), 5, m)
-    z0 = np.stack([s.video for s in ds.samples]).astype(np.float64)
-    cond = build_conditioning(params, z0, ds.samples[0].text_tokens.astype(np.float64))
+    ds = build_dataset((("lowfreq_field", 2), ("highfreq_particles", 2)), 5, m)
+    z0 = ds["videos"].astype(np.float64)
+    cond = build_conditioning(params, z0, ds["text.lowfreq_field"].astype(np.float64))
 
     def train_value(*_):
         return float(diffusion_loss(z0, cond, params, stack, sched,
@@ -278,19 +278,19 @@ def test_criterion_05_freeze_contracts():
     m = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10, total_rank=8)
     params, stack = build_model(m, rng)
     sched = NoiseSchedule.cosine(10)
-    ds = build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)), 3, m)
+    ds = build_dataset((("lowfreq_field", 4), ("highfreq_particles", 4)), 3, m)
 
     backbone_before = {k: t.data.copy() for k, t in params.named_arrays().items()}
     adapter_before = {k: t.data.copy() for k, t in stack.parameters().items()}
-    train_stage1(ds.samples, TrainConfig(steps=30, batch_size=2, lr=1e-3, seed=0),
+    train_stage1(*read_dataset(ds, "dataset"), TrainConfig(steps=30, batch_size=2, lr=1e-3, seed=0),
                  params, stack, sched)
     backbone_ok = all(np.array_equal(t.data, backbone_before[k])
                       for k, t in params.named_arrays().items())
     trained = any(not np.array_equal(t.data, adapter_before[k])
                   for k, t in stack.parameters().items())
 
-    ref = np.stack([s.video for s in ds.samples[:2]])
-    cond = build_conditioning(params, ref, ds.samples[0].text_tokens)
+    ref = ds["videos"][:2]
+    cond = build_conditioning(params, ref, ds["text.lowfreq_field"])
     full_before = {k: t.data.copy()
                    for k, t in {**params.named_arrays(), **stack.parameters()}.items()}
     emb = VfxEmbedding.init(np.random.default_rng(0), length=4, width=16,
@@ -357,16 +357,16 @@ def test_criterion_06_stage1_desk_run(stage1_run):
 def test_criterion_07_stage2_desk_run(stage1_run):
     params, stack, sched = stage1_run.params, stage1_run.stack, stage1_run.schedule
     t0 = time.time()
-    high = build_dataset(((HIGHFREQ_PARTICLES, 4),), 7, ModelConfig())
-    low = build_dataset(((LOWFREQ_FIELD, 4),), 11, ModelConfig())
-    ref_high = np.stack([s.video for s in high.samples])
-    cond = build_conditioning(params, ref_high, high.samples[0].text_tokens)
+    high = build_dataset((("highfreq_particles", 4),), 7, ModelConfig())
+    low = build_dataset((("lowfreq_field", 4),), 11, ModelConfig())
+    ref_high = high["videos"]
+    cond = build_conditioning(params, ref_high, high["text.highfreq_particles"])
 
     # Deterministic warm-up that drags the fresh embedding toward the
     # low-frequency look, so adaptation starts from a genuinely mismatched
     # operating point instead of near-neutral noise.
     target = Tensor(joint_descriptor_detached(
-        np.stack([s.video for s in low.samples])).mean(axis=0, keepdims=True))
+        low["videos"]).mean(axis=0, keepdims=True))
     acfg = AdaptConfig()
     emb = VfxEmbedding.init(np.random.default_rng(0), length=acfg.embed_tokens,
                             width=params.width, std=acfg.embed_std)
@@ -460,9 +460,9 @@ def test_criterion_09_sampling_contracts(monkeypatch):
     rng = np.random.default_rng(909)
     params, stack = build_model(ModelConfig(), rng)
     sched = NoiseSchedule.cosine(1000)
-    ds = build_dataset(((HIGHFREQ_PARTICLES, 2),), 1, ModelConfig())
-    z0 = np.stack([s.video for s in ds.samples])
-    cond = build_conditioning(params, z0, ds.samples[0].text_tokens)
+    ds = build_dataset((("highfreq_particles", 2),), 1, ModelConfig())
+    z0 = ds["videos"]
+    cond = build_conditioning(params, z0, ds["text.highfreq_particles"])
     scfg = SampleConfig()  # 30 steps, guidance 7.5
 
     a = sample(params, stack, sched, cond, steps=scfg.steps,

@@ -9,7 +9,7 @@ from freqvfx.denoiser import build_conditioning, build_model
 from freqvfx.errors import AdaptationDivergedError, ParameterError, ShapeError
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
-from freqvfx.synthgen import HIGHFREQ_PARTICLES, build_dataset
+from freqvfx.synthgen import build_dataset
 
 import oracles
 
@@ -135,8 +135,7 @@ class TestTimestepWindow:
 
 class TestAdapt:
     def _reference(self, b=2, seed=3):
-        ds = build_dataset(((HIGHFREQ_PARTICLES, b),), seed, MODEL)
-        return np.stack([s.video for s in ds.samples])
+        return build_dataset((("highfreq_particles", b),), seed, MODEL)["videos"]
 
     def test_self_reference_fixpoint_stays_at_zero(self):
         params, stack, sched, cond = small_setup()

@@ -54,6 +54,16 @@ class TestArgumentHandling:
         rc = run("gen", "--out", str(tmp_path), "--classes", "wizards:4")
         assert rc == 2
 
+    def test_class_count_beyond_any_array_size(self, tmp_path, capsys):
+        """A `--classes` count whose videos no array could hold exits 2 before
+        anything is allocated, naming the count."""
+        out = tmp_path / "out"
+        rc = run("gen", "--out", str(out), "--classes", f"lowfreq_field:{10 ** 30}")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "dataset spec count" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage, flag", [("analyze", "--seed"), ("analyze", "--config"),
                                              ("report", "--seed"), ("report", "--config")])
     def test_stages_without_seed_or_config_reject_the_flags(self, tmp_path, stage, flag):
@@ -226,10 +236,13 @@ class TestPipeline:
     @pytest.mark.parametrize("defect, entry", [
         ("no_videos", "videos"), ("no_class_ids", "class_ids"),
         ("no_text", "text.highfreq_particles"), ("unknown_class_id", "class_ids"),
-        ("nan_class_id", "class_ids"), ("short_class_ids", "class_ids")])
+        ("nan_class_id", "class_ids"), ("short_class_ids", "class_ids"),
+        ("nan_video", "videos"), ("text_shapes", "text.highfreq_particles"),
+        ("nan_text", "text.lowfreq_field")])
     def test_train_rejects_hostile_dataset(self, tmp_path, cfg_path, capsys, defect, entry):
-        """A dataset container missing an entry, or whose class ids name no effect
-        class, exits 1 with the entry named."""
+        """A dataset container missing an entry, holding a non-finite value or text
+        entries of two shapes, or whose class ids name no effect class, exits 1
+        with the entry named."""
         dataset = self._gen(tmp_path, cfg_path)
         entries = ct.read_container_file(dataset)
         ids = entries["class_ids"].copy()
@@ -237,6 +250,11 @@ class TestPipeline:
             del entries[entry]
         elif defect == "short_class_ids":
             entries[entry] = ids[:2]
+        elif defect == "text_shapes":
+            entries[entry] = entries[entry][:1]
+        elif defect in ("nan_video", "nan_text"):
+            entries[entry] = entries[entry].copy()
+            entries[entry].flat[-1] = np.nan
         else:
             ids[-1] = 7.0 if defect == "unknown_class_id" else np.nan
             entries[entry] = ids
@@ -249,6 +267,22 @@ class TestPipeline:
         assert rc == 1, defect
         assert repr(entry) in err and "Traceback" not in err, err
         assert not (tmp_path / defect / "checkpoint.fvl1").exists()
+
+    def test_train_rejects_text_of_another_width(self, tmp_path, cfg_path, capsys):
+        """Text tokens narrower than the model are a mismatch with the model, as a
+        latent shape is: exit 2, whether or not a step drops the conditioning."""
+        entries = ct.read_container_file(self._gen(tmp_path, cfg_path))
+        for name in ("text.lowfreq_field", "text.highfreq_particles"):
+            entries[name] = entries[name][:, :8]
+        narrow = tmp_path / "narrow.fvl1"
+        ct.write_container_file(str(narrow), entries)
+        capsys.readouterr()
+        rc = run("train", "--input", str(narrow), "--config", cfg_path,
+                 "--out", str(tmp_path / "narrow"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "text tokens" in err and "Traceback" not in err, err
+        assert not (tmp_path / "narrow" / "checkpoint.fvl1").exists()
 
     @pytest.mark.parametrize("missing", ["schedule.alphas", "schedule.sigmas", "model",
                                          "cond.text.<class>"])
@@ -339,22 +373,31 @@ class TestPipeline:
             assert "'wizards'" in capsys.readouterr().err
 
     def test_every_stage_rejects_a_dataset_without_videos(self, tmp_path, cfg_path, capsys):
-        """A container holding only `class_ids` is a corrupt input to all four
-        stages that read videos: each exits 1 naming the entry."""
-        ckpt = self._train(tmp_path, cfg_path, self._gen(tmp_path, cfg_path))
-        hostile = str(tmp_path / "ids_only.fvl1")
-        ct.write_container_file(hostile, {"class_ids": np.array([1.0, 2.0])})
+        """A container holding only `class_ids`, or whose `videos` hold a NaN or
+        are not (N, T, C, H, W), is a corrupt input to all four stages that read
+        videos: each exits 1 naming the entry."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        entries = ct.read_container_file(dataset)
+        nan = entries["videos"].copy()
+        nan[0, 0, 0, 0, 0] = np.nan
+        hostile = {"ids_only": {"class_ids": entries["class_ids"]},
+                   "nan": {**entries, "videos": nan},
+                   "4d": {**entries, "videos": entries["videos"][0]}}
         stages = {"analyze": (), "train": ("--config", cfg_path),
                   "adapt": ("--checkpoint", ckpt, "--config", cfg_path),
                   "generate": ("--checkpoint", ckpt, "--config", cfg_path)}
-        for stage, extra in stages.items():
-            out = tmp_path / f"out_{stage}"
-            capsys.readouterr()
-            rc = run(stage, "--input", hostile, *extra, "--out", str(out))
-            err = capsys.readouterr().err
-            assert rc == 1, stage
-            assert "'videos'" in err and "Traceback" not in err, err
-            assert not out.exists() or not any(out.iterdir()), stage
+        for defect, defect_entries in hostile.items():
+            path = str(tmp_path / f"{defect}.fvl1")
+            ct.write_container_file(path, defect_entries)
+            for stage, extra in stages.items():
+                out = tmp_path / f"out_{defect}_{stage}"
+                capsys.readouterr()
+                rc = run(stage, "--input", path, *extra, "--out", str(out))
+                err = capsys.readouterr().err
+                assert rc == 1, (defect, stage)
+                assert "'videos'" in err and "Traceback" not in err, err
+                assert not out.exists() or not any(out.iterdir()), (defect, stage)
 
     def test_model_config_accepts_only_null_alpha(self, tmp_path, cfg_path, capsys):
         """Expert updates are unscaled: `alpha` survives only as null, the value
@@ -387,13 +430,15 @@ class TestPipeline:
         ("train", {"train": {"lr": 10 ** 400}}, "lr"),  # an int too large for a float
         ("train", b"{not json", "bad.json"),
         ("train", {"model": {"width": 10 ** 30}}, "width"),  # beyond any array size
+        ("train", {"train": {"batch_size": 10 ** 30}}, "TrainConfig.batch_size"),
+        ("adapt", {"adapt": {"embed_tokens": 10 ** 30}}, "AdaptConfig.embed_tokens"),
     ])
     def test_malformed_config_is_usage_error_naming_the_field(self, tmp_path, cfg_path,
                                                               capsys, stage, config, field):
         """Each malformed value exits 2 before any work, naming what is wrong."""
         dataset = self._gen(tmp_path, cfg_path, classes="lowfreq_field:2,highfreq_particles:2")
         argv = ["--input", dataset, "--out", str(tmp_path / "out")]
-        if stage == "generate":
+        if stage in ("generate", "adapt"):
             argv += ["--checkpoint", self._train(tmp_path, cfg_path, dataset)]
         if config == "--seed -1":
             argv += ["--config", cfg_path, "--seed", "-1"]

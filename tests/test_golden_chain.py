@@ -18,12 +18,13 @@ import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-ARTIFACTS = ("checkpoint.fvl1", "metrics.csv", "adapted.fvl1", "trace.csv",
-             "sample.fvl1", "spectral.csv")
+ARTIFACTS = ("data/dataset.fvl1", "refs/dataset.fvl1", "train/checkpoint.fvl1",
+             "train/metrics.csv", "adapt/adapted.fvl1", "adapt/trace.csv",
+             "generate/sample.fvl1", "generate/spectral.csv")
 
 # gen (8+8 videos seed 2, 4 references seed 3) -> 20-step train -> 5-step adapt
 # in the criterion-7 unroll setting -> 30-step cfg-7.5 generate with the
-# adapted embedding at seed 7; prints {artifact: sha256} as JSON
+# adapted embedding at seed 7; prints {stage dir/artifact: sha256} as JSON
 CHAIN = r'''
 import contextlib, hashlib, io, json, os, sys
 from freqvfx.cli import main
@@ -58,11 +59,11 @@ run("adapt", "--checkpoint", ckpt, "--input", refs, "--config", config,
 run("generate", "--checkpoint", ckpt, "--input", refs, "--embedding", adapted,
     "--seed", "7", "--out", path("generate"))
 digests = {}
-for stage in ("train", "adapt", "generate"):
+for stage in ("data", "refs", "train", "adapt", "generate"):
     for name in sorted(os.listdir(path(stage))):
         if not name.endswith(".json"):
             with open(path(stage, name), "rb") as f:
-                digests[name] = hashlib.sha256(f.read()).hexdigest()
+                digests[f"{stage}/{name}"] = hashlib.sha256(f.read()).hexdigest()
 print(json.dumps(digests))
 '''
 

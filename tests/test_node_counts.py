@@ -19,16 +19,15 @@ from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
 from freqvfx.spectral import decompose, joint_descriptor_detached
-from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
+from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import diffusion_loss
 
 
 @pytest.fixture(scope="module")
 def model():
     params, stack = build_model(ModelConfig(), np.random.default_rng(0))
-    ds = build_dataset(((LOWFREQ_FIELD, 2), (HIGHFREQ_PARTICLES, 2)), 1, ModelConfig())
-    z0 = np.stack([s.video for s in ds.samples])
-    text = np.stack([s.text_tokens for s in ds.samples])
+    spec = (("lowfreq_field", 2), ("highfreq_particles", 2))
+    z0, _, text = read_dataset(build_dataset(spec, 1, ModelConfig()), "dataset")
     return params, stack, NoiseSchedule.cosine(params.num_steps), z0, text
 
 

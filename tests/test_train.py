@@ -8,7 +8,7 @@ from freqvfx.config import ModelConfig, TrainConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_model
 from freqvfx.errors import ParameterError, TrainingDivergedError
 from freqvfx.schedule import NoiseSchedule
-from freqvfx.synthgen import HIGHFREQ_PARTICLES, LOWFREQ_FIELD, build_dataset
+from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import (AdamW, StepMetrics, _dropout_conditioning,
                            diffusion_loss, smoothed_endpoints, train_stage1)
 
@@ -182,15 +182,17 @@ class TestConditioningDropout:
 
 
 class TestStageOne:
-    def _samples(self, seed=5):
-        return build_dataset(((LOWFREQ_FIELD, 4), (HIGHFREQ_PARTICLES, 4)), seed, MODEL).samples
+    def _dataset(self, seed=5):
+        """(videos, class_ids, text) of 4 + 4 videos, as `train` reads them."""
+        spec = (("lowfreq_field", 4), ("highfreq_particles", 4))
+        return read_dataset(build_dataset(spec, seed, MODEL), "dataset")
 
     def test_smoke_run_trains_only_adapters(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
         before = state_hashes(params, stack)
         cfg = TrainConfig(steps=25, batch_size=2, lr=1e-3, seed=0)
-        result = train_stage1(self._samples(), cfg, params, stack, sched)
+        result = train_stage1(*self._dataset(), cfg, params, stack, sched)
         after = state_hashes(params, stack)
 
         assert result.losses.shape == (25,)
@@ -221,7 +223,7 @@ class TestStageOne:
 
         monkeypatch.setattr(fx, "backward", capture)
         cfg = TrainConfig(steps=2, batch_size=2, seed=0)
-        train_stage1(self._samples(), cfg, params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        train_stage1(*self._dataset(), cfg, params, stack, NoiseSchedule.cosine(NUM_STEPS))
         leaves = list(stack.parameters().values())
         assert len(leaves) == 4 + 16 * 2
         assert seen == [leaves] * 2
@@ -233,7 +235,7 @@ class TestStageOne:
         sched = NoiseSchedule.cosine(NUM_STEPS)
         before = state_hashes(params, stack)
         cfg = TrainConfig(steps=5, batch_size=2, lr=0.0, seed=0)
-        train_stage1(self._samples(), cfg, params, stack, sched)
+        train_stage1(*self._dataset(), cfg, params, stack, sched)
         assert state_hashes(params, stack) == before
 
     def test_repeat_run_is_deterministic(self):
@@ -242,7 +244,7 @@ class TestStageOne:
         losses = []
         for _ in range(2):
             params, stack = small_model()
-            r = train_stage1(self._samples(), cfg, params, stack, sched)
+            r = train_stage1(*self._dataset(), cfg, params, stack, sched)
             losses.append(r.losses)
         assert np.array_equal(losses[0], losses[1])
 
@@ -250,14 +252,16 @@ class TestStageOne:
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
         with pytest.raises(ParameterError):
-            train_stage1([], TrainConfig(steps=1), params, stack, sched)
+            train_stage1(np.zeros((0,) + LATENT, dtype=np.float32), np.zeros(0),
+                         np.zeros((0, 2, WIDTH), dtype=np.float32), TrainConfig(steps=1),
+                         params, stack, sched)
 
     def test_absurd_lr_diverges(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
         cfg = TrainConfig(steps=30, batch_size=2, lr=1e14, seed=0)
         with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
-            train_stage1(self._samples(), cfg, params, stack, sched)
+            train_stage1(*self._dataset(), cfg, params, stack, sched)
 
 
 class TestSmoothedEndpoints:
