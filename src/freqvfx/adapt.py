@@ -138,6 +138,6 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
 def state_hashes(params: DenoiserParams, stack: AdapterStack) -> dict[str, int]:
     """CRC32 of every frozen/trainable array, for parameter-isolation checks."""
     out = {}
-    for name, tensor in {**params.named_arrays(), **stack.named_arrays()}.items():
+    for name, tensor in {**params.named_arrays(), **stack.parameters()}.items():
         out[name] = zlib.crc32(np.ascontiguousarray(tensor.data).tobytes())
     return out

@@ -107,8 +107,17 @@ def _restore_model(checkpoint_path: str):
         raise ContainerError(f"manifest {manifest_path}: {err}") from None
     entries = read_container_file(checkpoint_path)
     restore_state(entries, params, stack)
-    schedule = NoiseSchedule(alphas=require_entry(entries, "schedule.alphas", checkpoint_path),
-                             sigmas=require_entry(entries, "schedule.sigmas", checkpoint_path))
+    n = params.num_steps
+    for name in ("schedule.alphas", "schedule.sigmas"):
+        arr = require_entry(entries, name, checkpoint_path)
+        if arr.dtype != np.float64 or arr.shape != (n,) or not np.isfinite(arr).all():
+            raise ContainerError(f"{checkpoint_path}: {name!r} is not a float64 vector of "
+                                 f"{n} finite values")
+    try:
+        schedule = NoiseSchedule(entries["schedule.alphas"], entries["schedule.sigmas"])
+    except ParameterError as err:  # not variance preserving or not decreasing
+        raise ContainerError(f"{checkpoint_path}: 'schedule.alphas' and 'schedule.sigmas': "
+                             f"{err}") from None
     return params, stack, schedule, entries, manifest
 
 
@@ -147,6 +156,24 @@ def _load_embedding(path: str, params) -> Tensor:
     if not np.isfinite(tokens).all():
         raise ContainerError(f"{path}: vfx_embedding.tokens holds non-finite values")
     return Tensor(tokens)
+
+
+def _stored_trajectory(entries: dict[str, np.ndarray], source: str):
+    """The `descriptors` of a container and its optional `timesteps` as int64."""
+    desc = require_entry(entries, "descriptors", source)
+    if desc.ndim not in (2, 3) or desc.shape[-1] != 6 or desc.size == 0 \
+            or not np.isfinite(desc).all():
+        raise ContainerError(f"{source}: 'descriptors' {desc.shape} is not a finite "
+                             f"(steps, 6) or (steps, B, 6) array")
+    ts = entries.get("timesteps")
+    if ts is None:
+        return desc, None
+    # int64 holds every whole float below 2**63 exactly
+    whole = np.isfinite(ts) & (ts >= 0) & (ts < 2.0 ** 63) & (ts == np.floor(ts))
+    if ts.shape != desc.shape[:1] or not whole.all():
+        raise ContainerError(f"{source}: 'timesteps' is not one whole number in "
+                             f"[0, 2**63) per row of 'descriptors'")
+    return desc, ts.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +319,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    entries = read_container_file(args.input)
-    descriptors = require_entry(entries, "descriptors", args.input)
-    ts = entries.get("timesteps")
-    csv = emit_spectral_report(descriptors,
-                               timesteps=None if ts is None else ts.astype(np.int64))
+    descriptors, timesteps = _stored_trajectory(read_container_file(args.input), args.input)
+    csv = emit_spectral_report(descriptors, timesteps=timesteps)
     out = os.path.join(_outdir(args), "spectral.csv")
     write_text(out, csv)
     manifest = RunManifest(stage="report", config={}, seeds={},

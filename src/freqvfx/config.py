@@ -103,12 +103,12 @@ class ModelConfig:
         p, d, m, r = self.patch, self.width, self.n_experts, self.total_rank
         n_tok = t * (h // p) * (w // p)
         parts = {("latent_shape",): t * c * h * w,
-                 ("latent_shape", "patch", "width"): n_tok * (n_tok + d) + (3 * d + 1) * c * p * p,
+                 ("latent_shape", "patch", "width"): n_tok * (n_tok + d) + 3 * d * c * p * p,
                  ("num_steps", "width"): self.num_steps * d,
                  ("n_blocks", "width", "total_rank"): 8 * self.n_blocks * d * (d + 2 * r),
                  ("router_hidden", "n_experts", "total_rank"):
                      self.router_hidden * (7 + m) + m * (1 + r),
-                 ("n_text_tokens", "width"): (self.n_text_tokens + 2) * d}
+                 ("n_text_tokens", "width"): (self.n_text_tokens + 1) * d}
         if sum(parts.values()) > MAX_MODEL_ELEMENTS:
             sizes = ", ".join(f"{n}={getattr(self, n)!r}" for n in max(parts, key=parts.get))
             raise ParameterError(f"ModelConfig {sizes} need more than {MAX_MODEL_ELEMENTS} "

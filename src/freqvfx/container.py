@@ -262,7 +262,7 @@ def checkpoint_entries(params, stack, schedule, embedding=None,
     out: dict[str, np.ndarray] = {}
     for name, t in params.named_arrays().items():
         out[name] = t.data
-    for name, t in stack.named_arrays().items():
+    for name, t in stack.parameters().items():
         out[name] = t.data
     out["schedule.alphas"] = schedule.alphas
     out["schedule.sigmas"] = schedule.sigmas
@@ -285,13 +285,8 @@ def save_checkpoint(path, params, stack, schedule, *, embedding=None,
 def restore_state(entries: Mapping[str, np.ndarray], params, stack) -> None:
     """Copy stored arrays into freshly built structures. Every entry must exist
     with the model's shape and dtype and hold only finite values; all are
-    checked before the first is written, so a rejected checkpoint changes nothing.
-
-    Expert entries are views of the packed adapter leaves, so they are
-    written in place."""
-    targets: dict[str, object] = {}
-    targets.update(params.named_arrays())
-    targets.update(stack.named_arrays())
+    checked before the first is written, so a rejected checkpoint changes nothing."""
+    targets = {**params.named_arrays(), **stack.parameters()}
     for name, tensor in targets.items():
         if name not in entries:
             raise ContainerError(f"checkpoint is missing entry {name!r}")

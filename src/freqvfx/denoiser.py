@@ -52,8 +52,7 @@ import numpy as np
 from . import tensor as fx
 from .config import ModelConfig
 from .errors import ParameterError, ShapeError
-from .moe import (MoeAdapter, RouterParams, expert_owner, expert_slices, moe_forward,
-                  split_rank_budget)
+from .moe import MoeAdapter, RouterParams, expert_owner, moe_forward, split_rank_budget
 # unused here, but bench/spans.py traces routing by wrapping freqvfx.denoiser.route
 from .moe import route  # noqa: F401
 from .tensor import Tensor
@@ -84,9 +83,7 @@ class DenoiserParams:
     width: int
     diag_bias: float
     embed_w: Tensor
-    embed_b: Tensor
     unembed_w: Tensor
-    unembed_b: Tensor
     pos: Tensor
     temb: Tensor
     null_token: Tensor
@@ -109,8 +106,7 @@ class DenoiserParams:
 
     def named_arrays(self) -> dict[str, Tensor]:
         out = {
-            "backbone.embed_w": self.embed_w, "backbone.embed_b": self.embed_b,
-            "backbone.unembed_w": self.unembed_w, "backbone.unembed_b": self.unembed_b,
+            "backbone.embed_w": self.embed_w, "backbone.unembed_w": self.unembed_w,
             "backbone.pos": self.pos, "backbone.temb": self.temb,
             "backbone.null_token": self.null_token, "backbone.cond_proj_w": self.cond_proj_w,
         }
@@ -137,8 +133,7 @@ class AdapterStack:
     """One shared router plus a MoeAdapter per adapted projection layer.
 
     Every layer splits its rank axis into experts by the same `ranks`; the
-    stack holds that layout once: the constant (M, R) `owner` one-hot and
-    each expert's span of the rank axis.
+    stack holds that layout once, as the constant (M, R) `owner` one-hot.
     """
 
     router: RouterParams
@@ -146,27 +141,16 @@ class AdapterStack:
     top_k: int
     ranks: tuple[int, ...]
     owner: Tensor = field(init=False)
-    expert_slices: list[slice] = field(init=False)
 
     def __post_init__(self):
         self.owner = expert_owner(self.ranks, self.router.w1.dtype)
-        self.expert_slices = expert_slices(self.ranks)
 
     def parameters(self) -> dict[str, Tensor]:
-        """The trainable leaves: router tensors, then each layer's packed pair."""
+        """The trainable leaves, which are also the checkpoint's entries: router
+        tensors, then each layer's packed pair `adapter.<layer>.{a,b}`."""
         out = dict(self.router.parameters())
         for name, adapter in self.layers.items():
             out.update(adapter.parameters(prefix=f"adapter.{name}"))
-        return out
-
-    def named_arrays(self) -> dict[str, Tensor]:
-        """Checkpoint entries: router tensors, then `adapter.<layer>.expert<m>.{a,b}`
-        views of the packed pairs, so writing into one writes into the layer."""
-        out = dict(self.router.parameters())
-        for name, adapter in self.layers.items():
-            for m, s in enumerate(self.expert_slices):
-                out[f"adapter.{name}.expert{m}.a"] = Tensor(adapter.a.data[s])
-                out[f"adapter.{name}.expert{m}.b"] = Tensor(adapter.b.data[:, s])
         return out
 
     @property
@@ -191,9 +175,6 @@ def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, in
     def const(shape, std):
         return Tensor(rng.normal(0.0, std, size=shape).astype(dtype))
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype))
-
     def proj(out_std):
         return AttentionProjections(
             wq=const((width, width), 1.0 / math.sqrt(width)),
@@ -209,9 +190,7 @@ def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, in
     return DenoiserParams(
         latent_shape=tuple(latent_shape), patch=patch, width=width, diag_bias=diag_bias,
         embed_w=const((width, pdim), 1.0 / math.sqrt(pdim)),
-        embed_b=zeros((width,)),
         unembed_w=const((pdim, width), 1.0 / math.sqrt(width)),
-        unembed_b=zeros((pdim,)),
         pos=const((n_tok, width), 0.5),
         temb=const((num_steps, width), 0.5),
         null_token=const((1, width), 0.5),
@@ -359,7 +338,6 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> T
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
     tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
-    tokens = tokens + params.embed_b
     temb = params.temb.data[t_arr]  # frozen table: plain gather, stays constant
     if temb.ndim == 1:
         temb = temb[None, None, :]
@@ -386,7 +364,7 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
         x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
         x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale)
 
-    out = fx.linear(x, params.unembed_w) + params.unembed_b
+    out = fx.linear(x, params.unembed_w)
     return unpatchify(out, params.latent_shape, params.patch)
 
 

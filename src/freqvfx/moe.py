@@ -98,12 +98,6 @@ def split_rank_budget(r: int, m: int) -> list[int]:
     return [base + 1] * rem + [base] * (m - rem)
 
 
-def expert_slices(ranks: Sequence[int]) -> list[slice]:
-    """Expert m's span of the packed rank axis."""
-    ends = np.cumsum(ranks)
-    return [slice(int(end - r), int(end)) for r, end in zip(ranks, ends)]
-
-
 def expert_owner(ranks: Sequence[int], dtype=np.float32) -> Tensor:
     """The constant (M, R) one-hot: row m marks expert m's span of the rank axis."""
     return Tensor(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))

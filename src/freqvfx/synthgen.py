@@ -177,30 +177,35 @@ def class_text_tokens(seed: int, class_id: int, *, n_tokens: int, width: int) ->
 def build_dataset(spec, seed, model: ModelConfig) -> dict[str, np.ndarray]:
     """The container entries of a labeled dataset of `model`'s latent shape.
 
-    `spec` lists (class name, count) pairs. The entries are `videos` in spec
-    order, float64 `class_ids` (one per video), and one `text.<class>` of
-    `model`'s text-token count and width per class in first-seen order. The
-    same (spec, seed, model) gives identical bytes.
+    `spec` lists (class name, count) pairs, each class at most once. The
+    entries are `videos` in spec order, float64 `class_ids` (one per video), and
+    one `text.<class>` of `model`'s text-token count and width per class in
+    spec order. The same (spec, seed, model) gives identical bytes.
     """
     seed = _check_seed(seed)
     if not spec:
         raise ParameterError("dataset spec must list at least one (class, count) pair")
-    counts = []
+    counts: dict[int, int] = {}
     for name, count in spec:
         if name not in CLASS_NAMES:
             raise ParameterError(f"unknown effect class {name!r}; known: {sorted(CLASS_NAMES)}")
         if int(count) < 1:
             raise ParameterError(f"count for class {name!r} must be >= 1, got {count}")
-        counts.append((CLASS_NAMES.index(name), int(count)))
+        cid = CLASS_NAMES.index(name)
+        # each entry restarts its class's streams at index 0, so a repeat would copy rows
+        if cid in counts:
+            raise ParameterError(f"class {name!r} is named twice in the dataset spec")
+        counts[cid] = int(count)
     shape = tuple(model.latent_shape)
-    check_elements("dataset spec count", sum(n for _, n in counts), math.prod(shape))
+    check_elements("dataset spec count", sum(counts.values()), math.prod(shape))
     entries = {
-        "videos": np.concatenate([_GENERATORS[cid](seed, (n,) + shape) for cid, n in counts]),
-        "class_ids": np.repeat([float(cid) for cid, _ in counts], [n for _, n in counts]),
+        "videos": np.concatenate([_GENERATORS[cid](seed, (n,) + shape)
+                                  for cid, n in counts.items()]),
+        "class_ids": np.repeat([float(cid) for cid in counts], list(counts.values())),
     }
-    for cid, _ in counts:
-        entries.setdefault(f"text.{CLASS_NAMES[cid]}", class_text_tokens(
-            seed, cid, n_tokens=model.n_text_tokens, width=model.width))
+    for cid in counts:
+        entries[f"text.{CLASS_NAMES[cid]}"] = class_text_tokens(
+            seed, cid, n_tokens=model.n_text_tokens, width=model.width)
     return entries
 
 

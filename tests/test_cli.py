@@ -64,6 +64,14 @@ class TestArgumentHandling:
         assert "dataset spec count" in err and "Traceback" not in err, err
         assert not out.exists()
 
+    def test_repeated_class_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run("gen", "--out", str(out), "--classes", "lowfreq_field:2,lowfreq_field:3")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'lowfreq_field' is named twice" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage, flag", [("analyze", "--seed"), ("analyze", "--config"),
                                              ("report", "--seed"), ("report", "--config")])
     def test_stages_without_seed_or_config_reject_the_flags(self, tmp_path, stage, flag):
@@ -202,15 +210,25 @@ class TestPipeline:
         assert rc == 1
 
     def test_generate_rejects_bad_checkpoint_entries(self, tmp_path, cfg_path, capsys):
-        """A checkpoint with a valid CRC but a NaN or recast entry exits 1."""
+        """A checkpoint with a valid CRC but a NaN or recast entry, or a schedule
+        that is not a float64 vector of num_steps finite values, exits 1 naming
+        the entry."""
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
         entries = ct.read_container_file(ckpt)
-        name = "adapter.block0.self.q.expert1.b"
-        nan = entries[name].copy()
+        nan = entries["adapter.block0.self.q.b"].copy()
         nan[0, 0] = np.nan
-        for tag, arr in (("nan", nan), ("f64", entries["backbone.pos"].astype(np.float64))):
-            key = name if tag == "nan" else "backbone.pos"
+        alphas = entries["schedule.alphas"]
+        nan_alphas = alphas.copy()
+        nan_alphas[3] = np.nan
+        cases = {"nan": ("adapter.block0.self.q.b", nan),
+                 "f64": ("backbone.pos", entries["backbone.pos"].astype(np.float64)),
+                 "nan_schedule": ("schedule.alphas", nan_alphas),
+                 "short_schedule": ("schedule.sigmas", entries["schedule.sigmas"][:-1]),
+                 "2d_schedule": ("schedule.alphas", alphas[None]),
+                 "f32_schedule": ("schedule.alphas", alphas.astype(np.float32)),
+                 "rising_schedule": ("schedule.alphas", alphas[::-1].copy())}
+        for tag, (key, arr) in cases.items():
             ct.write_container_file(ckpt, {**entries, key: arr})
             out = tmp_path / f"out_{tag}"
             capsys.readouterr()
@@ -220,6 +238,34 @@ class TestPipeline:
             assert rc == 1, tag
             assert repr(key) in err and "Traceback" not in err, err
             assert not (out / "sample.fvl1").exists(), tag
+
+    def test_per_expert_checkpoint_layout_is_refused(self, tmp_path, cfg_path, capsys):
+        """A checkpoint that stores each expert's block of a packed pair as its own
+        `adapter.<layer>.expert<m>.{a,b}` entry, beside all-zero embed and unembed
+        biases, is not this model's layout: exit 1 naming the first missing pair."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        entries = ct.read_container_file(ckpt)
+        width = CFG["model"]["width"]
+        split = {"backbone.embed_b": np.zeros(width, np.float32),
+                 "backbone.unembed_b": np.zeros(entries["backbone.unembed_w"].shape[0],
+                                                np.float32)}
+        for name, arr in entries.items():
+            if not name.startswith("adapter."):
+                split[name] = arr
+                continue
+            layer, ab = name.rsplit(".", 1)
+            for m, block in enumerate(np.split(arr, 4, axis=0 if ab == "a" else 1)):
+                split[f"{layer}.expert{m}.{ab}"] = block
+        ct.write_container_file(ckpt, split)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run("generate", "--checkpoint", ckpt, "--input", dataset,
+                 "--config", cfg_path, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "checkpoint is missing entry 'adapter.block0.self.q.a'" in err, err
+        assert "Traceback" not in err and not (out / "sample.fvl1").exists()
 
     def test_train_rejects_top_k_outside_the_experts(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
@@ -510,6 +556,36 @@ class TestPipeline:
         rc, err = adapt_with("unroll", {**unroll, "steps": 2, "embed_tokens": 4})
         assert rc == 0, err
         assert (tmp_path / "unroll" / "adapted.fvl1").exists()
+
+    @pytest.mark.parametrize("defect, entry", [
+        ("nan_descriptors", "descriptors"), ("1d_descriptors", "descriptors"),
+        ("nan_timestep", "timesteps"), ("huge_timestep", "timesteps"),
+        ("negative_timestep", "timesteps"), ("fractional_timestep", "timesteps"),
+        ("short_timesteps", "timesteps")])
+    def test_report_rejects_hostile_trajectory(self, tmp_path, capsys, defect, entry):
+        """`report` checks the trajectory it reads: finite (steps, 6) or
+        (steps, B, 6) descriptors, and one whole timestep >= 0 per row that int64
+        holds exactly. Anything else exits 1 naming the entry."""
+        desc = np.full((4, 1, 6), 0.5)
+        ts = np.array([999.0, 666.0, 333.0, 0.0])
+        if defect == "nan_descriptors":
+            desc[2, 0, 1] = np.nan
+        elif defect == "1d_descriptors":
+            desc = desc.ravel()
+        elif defect == "short_timesteps":
+            ts = ts[:3]
+        else:
+            ts[1] = {"nan_timestep": np.nan, "huge_timestep": 1e300,
+                     "negative_timestep": -1.0, "fractional_timestep": 2.5}[defect]
+        p = tmp_path / "sample.fvl1"
+        ct.write_container_file(str(p), {"descriptors": desc, "timesteps": ts})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run("report", "--input", str(p), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1, defect
+        assert repr(entry) in err and "Traceback" not in err, err
+        assert not (out / "spectral.csv").exists()
 
     def test_report_requires_descriptors(self, tmp_path):
         p = tmp_path / "plain.fvl1"

@@ -203,7 +203,7 @@ def test_restore_rejects_dtype_and_nonfinite_entries():
     params, stack = build_model(ModelConfig(), np.random.default_rng(0))
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     entries = ct.checkpoint_entries(params, stack, sched)
-    name = "adapter.block1.cross.v.expert2.a"
+    name = "adapter.block1.cross.v.a"
     cases = [("backbone.pos", entries["backbone.pos"].astype(np.float64), "float64"),
              ("router.w1", entries["router.w1"].astype(np.float16), "float16")]
     for value in (np.nan, np.inf, -np.inf):

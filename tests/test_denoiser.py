@@ -4,10 +4,12 @@ import pytest
 import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.config import ModelConfig
+from freqvfx.container import read_container_file, restore_state, save_checkpoint
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
                               build_model, denoise_guided, denoise_step, patchify, unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.moe import route
+from freqvfx.schedule import NoiseSchedule
 from freqvfx.spectral import joint_descriptor_detached
 
 LATENT = (2, 2, 4, 4)
@@ -79,64 +81,48 @@ class TestBuild:
         assert len(leaves) == 4 + 16 * 2
         assert leaves["adapter.block0.self.q.a"].shape == (8, WIDTH)
         assert leaves["adapter.block0.self.q.b"].shape == (WIDTH, 8)
-        # ... stored as (a, b) per expert per layer
-        entries = stack.named_arrays()
-        assert len(entries) == 4 + 16 * 4 * 2
-        assert entries["adapter.block1.cross.o.expert3.b"].shape == (WIDTH, 2)
         assert stack.n_experts == 4
 
-    def test_one_rank_layout_per_stack(self):
-        """The stack holds the expert split once; per-expert entries are views of
-        each layer's packed pair, so writing an entry writes the layer."""
-        _, stack = small_model()
-        assert stack.ranks == (2, 2, 2, 2)
-        assert stack.owner.shape == (4, 8)
-        assert stack.expert_slices == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)]
+    def test_checkpoint_holds_the_packed_pairs(self, tmp_path):
+        """At an uneven split, R=9 over four experts as (3, 2, 2, 2), a checkpoint
+        stores each layer's packed pair as `adapter.<layer>.{a,b}`, and restoring it
+        into a fresh build gives the leaves back byte for byte."""
+        cfg = ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=9)
+        params, stack = build_model(cfg, np.random.default_rng(5))
+        assert stack.ranks == (3, 2, 2, 2)
+        assert stack.owner.shape == (4, 9)
         for adapter in stack.layers.values():
             assert set(vars(adapter)) == {"a", "b"}
-        layer = stack.layers["block1.self.v"]
-        entries = stack.named_arrays()
-        entries["adapter.block1.self.v.expert2.b"].data[...] = 1.0
-        assert np.all(layer.b.data[:, 4:6] == 1.0)
-        assert np.count_nonzero(layer.b.data) == WIDTH * 2
-        np.testing.assert_array_equal(entries["adapter.block1.self.v.expert1.a"].data,
-                                      layer.a.data[2:4])
-        # the entry order fixes the checkpoint bytes: router first, then each
-        # layer's experts in order, a before b
+        rng = np.random.default_rng(6)
+        for t in stack.parameters().values():
+            t.data[...] = rng.normal(size=t.shape)
+        path = tmp_path / "ckpt.fvl1"
+        save_checkpoint(path, params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        entries = read_container_file(path)
+        # the entry order fixes the checkpoint bytes: backbone, router, then
+        # each layer's a before b
         layers = [f"block{i}.{attn}.{slot}" for i in range(2)
                   for attn in ("self", "cross") for slot in "qkvo"]
-        assert list(entries) == (
-            ["router.w1", "router.b1", "router.w2", "router.b2"]
-            + [f"adapter.{name}.expert{m}.{ab}"
-               for name in layers for m in range(4) for ab in "ab"])
+        adapter_names = [f"adapter.{name}.{ab}" for name in layers for ab in "ab"]
+        assert list(entries) == (list(params.named_arrays())
+                                 + ["router.w1", "router.b1", "router.w2", "router.b2"]
+                                 + adapter_names + ["schedule.alphas", "schedule.sigmas"])
+        assert entries["adapter.block0.self.q.a"].shape == (9, WIDTH)
+        assert entries["adapter.block1.cross.o.b"].shape == (WIDTH, 9)
 
-    def test_entries_follow_uneven_rank_split(self):
-        """With R=9 over four experts the split is (3, 2, 2, 2); each entry is
-        that expert's block of the packed pair, sharing its memory."""
-        rng = np.random.default_rng(5)
-        params, stack = build_model(
-            ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=9), rng)
-        assert stack.ranks == (3, 2, 2, 2)
-        assert stack.expert_slices == [slice(0, 3), slice(3, 5), slice(5, 7), slice(7, 9)]
-        for adapter in stack.layers.values():
-            adapter.b.data[...] = rng.normal(size=adapter.b.shape)
-        entries = stack.named_arrays()
-        for name, layer in stack.layers.items():
-            for m, s in enumerate(stack.expert_slices):
-                for ab, want in (("a", layer.a.data[s]), ("b", layer.b.data[:, s])):
-                    got = entries[f"adapter.{name}.expert{m}.{ab}"].data
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-                    assert np.shares_memory(got, getattr(layer, ab).data)
-        assert entries["adapter.block0.self.q.expert0.a"].shape == (3, WIDTH)
-        assert entries["adapter.block0.self.q.expert3.b"].shape == (WIDTH, 2)
+        fresh_params, fresh = build_model(cfg, np.random.default_rng(7))
+        restore_state(entries, fresh_params, fresh)
+        assert list(fresh.parameters()) == ["router.w1", "router.b1", "router.w2",
+                                            "router.b2"] + adapter_names
+        for name, t in stack.parameters().items():
+            assert bytes_of(fresh.parameters()[name]) == bytes_of(t), name
 
     def test_model_properties(self):
         params, _ = small_model()
         assert params.patch_dim == 2 * 2 * 2
         assert params.n_tokens == 2 * 2 * 2
         assert params.num_steps == NUM_STEPS
-        assert len(params.named_arrays()) == 8 + 2 * 2 * 4
+        assert len(params.named_arrays()) == 6 + 2 * 2 * 4
 
     def test_indivisible_patch_rejected(self):
         rng = np.random.default_rng(0)
@@ -305,7 +291,8 @@ class TestDenoiseStep:
         live_a = 0
         for adapter in stack.layers.values():
             g = grads[adapter.a].data
-            live_a += sum(bool(np.any(g[s])) for s in stack.expert_slices)
+            live_a += sum(bool(np.any(g[end - r:end]))
+                          for r, end in zip(stack.ranks, np.cumsum(stack.ranks)))
         # every layer has at least top_k of its experts selected somewhere
         assert live_a >= 16 * 3
 

@@ -7,7 +7,8 @@ sha256 in both runs. `CHAIN` is a standalone script (`python -c CHAIN DIR`), so
 the same digests can be taken from two checkouts by putting each one's `src`
 on PYTHONPATH; `python tests/test_golden_chain.py OTHER_SRC` does that for this
 tree's `src` and OTHER_SRC at one BLAS thread, prints both digest sets and exits
-1 naming every artifact that differs.
+1 naming every artifact that differs. For a differing `.fvl1` artifact it also
+names the entries only one side holds and the shared entries whose bytes differ.
 """
 
 import json
@@ -87,6 +88,21 @@ def test_chain_artifacts_are_identical_across_blas_threads(tmp_path):
     assert one == two
 
 
+def _print_entry_diff(this_path: str, other_path: str) -> None:
+    """Name the entries only one container holds and the shared entries whose
+    dtype, shape or bytes differ."""
+    sys.path.insert(0, SRC)
+    from freqvfx.container import read_container_file
+
+    ours, theirs = read_container_file(this_path), read_container_file(other_path)
+    changed = [name for name in ours if name in theirs
+               and (ours[name].dtype, ours[name].shape, ours[name].tobytes())
+               != (theirs[name].dtype, theirs[name].shape, theirs[name].tobytes())]
+    print(f"  only this: {', '.join(n for n in ours if n not in theirs) or '-'}")
+    print(f"  only other: {', '.join(n for n in theirs if n not in ours) or '-'}")
+    print(f"  shared, bytes differ: {', '.join(changed) or '-'}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/test_golden_chain.py OTHER_SRC", file=sys.stderr)
@@ -95,18 +111,23 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(src, _chain_digests(os.path.join(tmp, name), src=src))
                 for name, src in (("this", SRC), ("other", other))]
-    for src, digests in runs:
-        print(src)
-        for name in sorted(digests):
-            print(f"  {digests[name]}  {name}")
-    (_, ours), (_, theirs) = runs
-    differ = sorted(name for name in set(ours) | set(theirs)
-                    if ours.get(name) != theirs.get(name))
-    if differ:
+        for src, digests in runs:
+            print(src)
+            for name in sorted(digests):
+                print(f"  {digests[name]}  {name}")
+        (_, ours), (_, theirs) = runs
+        differ = sorted(name for name in set(ours) | set(theirs)
+                        if ours.get(name) != theirs.get(name))
+        if not differ:
+            print(f"all {len(ours)} artifacts identical")
+            return 0
         print("differ: " + ", ".join(differ))
+        for name in differ:
+            if name.endswith(".fvl1") and name in ours and name in theirs:
+                print(name)
+                _print_entry_diff(os.path.join(tmp, "this", name),
+                                  os.path.join(tmp, "other", name))
         return 1
-    print(f"all {len(ours)} artifacts identical")
-    return 0
 
 
 if __name__ == "__main__":

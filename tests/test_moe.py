@@ -168,10 +168,12 @@ def test_split_rank_budget_errors():
 
 
 def _adapter(rng, d_in, d_out, n_experts, total_rank, dtype=np.float32):
-    """An adapter over the split budget, with its rank layout's (M, R) owner."""
+    """An adapter over the split budget, with its rank layout's (M, R) owner and
+    each expert's span of the rank axis."""
     ranks = moe.split_rank_budget(total_rank, n_experts)
     adapter = moe.MoeAdapter.init(rng, d_in=d_in, d_out=d_out, ranks=ranks, dtype=dtype)
-    return adapter, moe.expert_owner(ranks, dtype), moe.expert_slices(ranks)
+    slices = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
+    return adapter, moe.expert_owner(ranks, dtype), slices
 
 
 def test_adapter_param_count():

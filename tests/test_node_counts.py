@@ -37,7 +37,7 @@ def test_train_step_nodes(model):
     with fx.Tape(stack.parameters().values()) as tape:
         diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 41
+    assert len(tape.nodes) == 40
     # every adapted projection, routing gate included, is one lora node and every
     # attention core one attention node; an unfused one would show up as linear,
     # matmul, reshape or mul nodes
@@ -58,7 +58,7 @@ def test_adapt_step_nodes(model, monkeypatch):
     monkeypatch.setattr(fx, "backward", counting_backward)
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [563]
+    assert seen == [534]
 
 
 def test_denoise_step_nodes(model):
@@ -70,7 +70,7 @@ def test_denoise_step_nodes(model):
         cond = build_conditioning(params, z0[:1], text[0])
         pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
         denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
-    assert len(tape.nodes) == 38
+    assert len(tape.nodes) == 37
 
 
 def test_freq_constraint_loss_nodes(model):

@@ -151,6 +151,10 @@ def test_build_dataset_errors():
         sg.build_dataset([(3.14, 1)], 0, MODEL)
     with pytest.raises(ParameterError, match="dataset spec count"):
         sg.build_dataset([("lowfreq_field", 10 ** 30)], 0, MODEL)
+    # a repeated class would restart its streams and copy its first rows
+    with pytest.raises(ParameterError, match="'lowfreq_field' is named twice"):
+        sg.build_dataset([("lowfreq_field", 2), ("highfreq_particles", 1),
+                          ("lowfreq_field", 3)], 4, MODEL)
 
 
 def test_text_tokens_frozen_per_class():
@@ -164,11 +168,11 @@ def test_text_tokens_frozen_per_class():
 
 
 def test_dataset_round_trips_through_a_container():
-    spec = [("bandpass_texture", 2), ("lowfreq_field", 1), ("bandpass_texture", 1)]
+    spec = [("bandpass_texture", 2), ("lowfreq_field", 1), ("highfreq_particles", 1)]
     ds = sg.build_dataset(spec, 9, MODEL)
     videos, ids, text = sg.read_dataset(read_container(write_container(ds)), "dataset")
     assert videos.tobytes() == ds["videos"].tobytes()
-    assert ids.tolist() == [2, 2, 0, 2]
+    assert ids.tolist() == [2, 2, 0, 1]
     for row, cid in enumerate(ids):
         stored = ds[f"text.{sg.CLASS_NAMES[cid]}"]
         assert text[row].tobytes() == stored.tobytes()
