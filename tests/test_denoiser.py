@@ -4,7 +4,8 @@ import pytest
 import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.config import ModelConfig
-from freqvfx.container import read_container_file, restore_state, save_checkpoint
+from freqvfx.container import (checkpoint_entries, read_container_file, restore_state,
+                               save_checkpoint)
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
                               build_model, denoise_guided, denoise_step, patchify, unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
@@ -83,39 +84,64 @@ class TestBuild:
         assert leaves["adapter.block0.self.q.b"].shape == (WIDTH, 8)
         assert stack.n_experts == 4
 
-    def test_checkpoint_holds_the_packed_pairs(self, tmp_path):
-        """At an uneven split, R=9 over four experts as (3, 2, 2, 2), a checkpoint
-        stores each layer's packed pair as `adapter.<layer>.{a,b}`, and restoring it
-        into a fresh build gives the leaves back byte for byte."""
+    def test_one_rank_layout_per_stack(self):
+        """The stack holds the expert split once: each layer is one packed (a, b)
+        pair whose rows (of a) and columns (of b) follow `ranks`, and a checkpoint
+        stores exactly that pair as `adapter.<layer>.{a,b}`."""
+        params, stack = small_model()
+        assert stack.ranks == (2, 2, 2, 2)
+        assert stack.owner.shape == (4, 8)
+        edges = np.cumsum((0,) + stack.ranks)
+        for m in range(4):
+            np.testing.assert_array_equal(stack.owner.data[m, edges[m]:edges[m + 1]], 1.0)
+            assert stack.owner.data[m].sum() == stack.ranks[m]
+        for adapter in stack.layers.values():
+            assert set(vars(adapter)) == {"a", "b"}
+            assert adapter.a.shape == (8, WIDTH)
+            assert adapter.b.shape == (WIDTH, 8)
+        # the entry order fixes the checkpoint bytes: backbone, router, then
+        # each layer's a before b
+        layers = [f"block{i}.{attn}.{slot}" for i in range(2)
+                  for attn in ("self", "cross") for slot in "qkvo"]
+        adapter_names = [f"adapter.{name}.{ab}" for name in layers for ab in "ab"]
+        assert list(stack.parameters()) == (["router.w1", "router.b1", "router.w2",
+                                              "router.b2"] + adapter_names)
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        assert list(entries) == (list(params.named_arrays()) + list(stack.parameters())
+                                 + ["schedule.alphas", "schedule.sigmas"])
+        for name, t in stack.parameters().items():
+            assert bytes_of(entries[name]) == bytes_of(t), name
+
+    def test_entries_follow_uneven_rank_split(self, tmp_path):
+        """At an uneven split, R=9 over four experts as (3, 2, 2, 2), each layer's
+        entry is the whole packed pair, and restoring a saved checkpoint into a
+        fresh build gives the leaves back byte for byte."""
         cfg = ModelConfig(latent_shape=LATENT, width=WIDTH, num_steps=NUM_STEPS, total_rank=9)
         params, stack = build_model(cfg, np.random.default_rng(5))
         assert stack.ranks == (3, 2, 2, 2)
         assert stack.owner.shape == (4, 9)
-        for adapter in stack.layers.values():
-            assert set(vars(adapter)) == {"a", "b"}
         rng = np.random.default_rng(6)
         for t in stack.parameters().values():
             t.data[...] = rng.normal(size=t.shape)
         path = tmp_path / "ckpt.fvl1"
         save_checkpoint(path, params, stack, NoiseSchedule.cosine(NUM_STEPS))
         entries = read_container_file(path)
-        # the entry order fixes the checkpoint bytes: backbone, router, then
-        # each layer's a before b
-        layers = [f"block{i}.{attn}.{slot}" for i in range(2)
-                  for attn in ("self", "cross") for slot in "qkvo"]
-        adapter_names = [f"adapter.{name}.{ab}" for name in layers for ab in "ab"]
-        assert list(entries) == (list(params.named_arrays())
-                                 + ["router.w1", "router.b1", "router.w2", "router.b2"]
-                                 + adapter_names + ["schedule.alphas", "schedule.sigmas"])
         assert entries["adapter.block0.self.q.a"].shape == (9, WIDTH)
         assert entries["adapter.block1.cross.o.b"].shape == (WIDTH, 9)
+        assert not any(".expert" in name for name in entries)
 
         fresh_params, fresh = build_model(cfg, np.random.default_rng(7))
         restore_state(entries, fresh_params, fresh)
-        assert list(fresh.parameters()) == ["router.w1", "router.b1", "router.w2",
-                                            "router.b2"] + adapter_names
+        assert list(fresh.parameters()) == list(stack.parameters())
         for name, t in stack.parameters().items():
             assert bytes_of(fresh.parameters()[name]) == bytes_of(t), name
+        # each expert's block sits at its offset in the restored pair
+        edges = np.cumsum((0,) + stack.ranks)
+        layer, saved = fresh.layers["block1.self.v"], stack.layers["block1.self.v"]
+        for m in range(4):
+            s = slice(edges[m], edges[m + 1])
+            assert layer.a.data[s].tobytes() == saved.a.data[s].tobytes()
+            assert layer.b.data[:, s].tobytes() == saved.b.data[:, s].tobytes()
 
     def test_model_properties(self):
         params, _ = small_model()
