@@ -28,9 +28,10 @@ import numpy as np
 
 from .adapt import adapt
 from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict, to_dict
-from .container import (RunManifest, check_config_compatible, manifest_path_for,
-                        read_container_file, read_manifest, require_entry, restore_state,
-                        save_checkpoint, sha256_file, write_container_file, write_manifest)
+from .container import (RunManifest, check_config_compatible, checked_entry,
+                        manifest_path_for, read_container_file, read_manifest, require_entry,
+                        restore_state, save_checkpoint, sha256_file, write_container_file,
+                        write_manifest)
 from .denoiser import build_conditioning, build_model
 from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
 from .reports import adapt_trace_csv, emit_spectral_report, train_metrics_csv, write_text
@@ -94,7 +95,8 @@ def _parse_class_spec(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def _restore_model(checkpoint_path: str):
-    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest."""
+    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest, and
+    check its stored text tokens against the model."""
     manifest_path = manifest_path_for(checkpoint_path)
     manifest = read_manifest(manifest_path)
     section = manifest.config.get("model") if isinstance(manifest.config, dict) else None
@@ -102,17 +104,16 @@ def _restore_model(checkpoint_path: str):
         raise ContainerError(f"manifest {manifest_path} has no 'model' config section "
                              f"holding a JSON object")
     try:
-        params, stack = build_model(from_dict(ModelConfig, section), np.random.default_rng(0))
+        model = from_dict(ModelConfig, section)
+        entries = read_container_file(checkpoint_path)
+        params, stack = restore_state(entries, model)
     except ParameterError as err:  # the recorded model is corrupt, not this run's usage
         raise ContainerError(f"manifest {manifest_path}: {err}") from None
-    entries = read_container_file(checkpoint_path)
-    restore_state(entries, params, stack)
-    n = params.num_steps
     for name in ("schedule.alphas", "schedule.sigmas"):
-        arr = require_entry(entries, name, checkpoint_path)
-        if arr.dtype != np.float64 or arr.shape != (n,) or not np.isfinite(arr).all():
-            raise ContainerError(f"{checkpoint_path}: {name!r} is not a float64 vector of "
-                                 f"{n} finite values")
+        checked_entry(entries, name, (model.num_steps,), np.float64, "checkpoint")
+    for name in _stored_text_tokens(entries):
+        checked_entry(entries, "cond.text." + name, (model.n_text_tokens, model.width),
+                      np.float32, "checkpoint")
     try:
         schedule = NoiseSchedule(entries["schedule.alphas"], entries["schedule.sigmas"])
     except ParameterError as err:  # not variance preserving or not decreasing
@@ -129,8 +130,9 @@ def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]
 
 def _pick_text(entries: dict[str, np.ndarray], class_name: str | None,
                source: str) -> np.ndarray:
-    """The stored text tokens of `class_name` (default: the first stored class);
-    a checkpoint with none is corrupt, an unknown class a usage error."""
+    """The stored text tokens of `class_name` (default: the first stored class),
+    as `_restore_model` checked them; a checkpoint with none is corrupt, an
+    unknown class a usage error."""
     stored = _stored_text_tokens(entries)
     if not stored:
         raise ContainerError(f"{source} has no 'cond.text.<class>' entry")

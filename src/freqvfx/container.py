@@ -33,6 +33,8 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
+from .config import ModelConfig
+from .denoiser import load_model
 from .errors import (BadMagicError, ChecksumError, ContainerError,
                      ManifestConflictError, ParameterError, TruncatedError)
 
@@ -282,23 +284,28 @@ def save_checkpoint(path, params, stack, schedule, *, embedding=None,
         write_manifest(manifest_path_for(path), manifest)
 
 
-def restore_state(entries: Mapping[str, np.ndarray], params, stack) -> None:
-    """Copy stored arrays into freshly built structures. Every entry must exist
-    with the model's shape and dtype and hold only finite values; all are
-    checked before the first is written, so a rejected checkpoint changes nothing."""
-    targets = {**params.named_arrays(), **stack.parameters()}
-    for name, tensor in targets.items():
-        if name not in entries:
-            raise ContainerError(f"checkpoint is missing entry {name!r}")
-        stored = entries[name]
-        if tuple(stored.shape) != tuple(tensor.data.shape):
-            raise ContainerError(
-                f"checkpoint entry {name!r} has shape {stored.shape}, model expects "
-                f"{tensor.data.shape}")
-        if stored.dtype != tensor.data.dtype:
-            raise ContainerError(f"checkpoint entry {name!r} is {stored.dtype}, model "
-                                 f"expects {tensor.data.dtype}")
-        if not np.isfinite(stored).all():
-            raise ContainerError(f"checkpoint entry {name!r} holds non-finite values")
-    for name, tensor in targets.items():
-        tensor.data[...] = entries[name]
+def checked_entry(entries: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...],
+                  dtype, source: str) -> np.ndarray:
+    """`entries[name]`, which must exist with `shape` and `dtype` and hold only
+    finite values; anything else is a corrupt artifact, named by its entry."""
+    if name not in entries:
+        raise ContainerError(f"{source} is missing entry {name!r}")
+    stored = entries[name]
+    if tuple(stored.shape) != tuple(shape):
+        raise ContainerError(f"{source} entry {name!r} has shape {stored.shape}, model "
+                             f"expects {tuple(shape)}")
+    if stored.dtype != dtype:
+        raise ContainerError(f"{source} entry {name!r} is {stored.dtype}, model expects "
+                             f"{np.dtype(dtype)}")
+    if not np.isfinite(stored).all():
+        raise ContainerError(f"{source} entry {name!r} holds non-finite values")
+    return stored
+
+
+def restore_state(entries: Mapping[str, np.ndarray], model: ModelConfig):
+    """(params, stack) of `model` from a checkpoint's entries. Each backbone and
+    stack entry is checked (`checked_entry`) as the model is built from it: the
+    backbone holds the entries read-only, without drawing anything, and the
+    stack's leaves are copies in its own buffer."""
+    return load_model(model, lambda name, shape: checked_entry(entries, name, shape,
+                                                               np.float32, "checkpoint"))

@@ -36,9 +36,11 @@ runs one trunk for both when no tape records it. Cross-attention into a
 single context token (the null token of the unconditional branch) skips the q/k
 projections and the softmax, whose weight over one key is exactly 1.
 
-Every backbone weight is a frozen constant: no tape lists it among the leaves
-it differentiates. The only trainable state lives in the router, the
-per-projection expert stacks (stage 1), and the vfx embedding tokens (stage 2).
+Every backbone weight is a frozen constant: a plain read-only array, which no
+tape can list among the leaves it differentiates and any write refuses. The
+ops take it as a constant, unwrapped. The only trainable state lives in the
+router and the per-projection expert pairs (stage 1), views into one flat
+buffer per stack, and in the vfx embedding tokens (stage 2).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,12 +63,12 @@ from .tensor import Tensor
 
 @dataclass
 class AttentionProjections:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
+    def named(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
@@ -82,12 +85,12 @@ class DenoiserParams:
     patch: int
     width: int
     diag_bias: float
-    embed_w: Tensor
-    unembed_w: Tensor
-    pos: Tensor
-    temb: Tensor
-    null_token: Tensor
-    cond_proj_w: Tensor
+    embed_w: np.ndarray
+    unembed_w: np.ndarray
+    pos: np.ndarray
+    temb: np.ndarray
+    null_token: np.ndarray
+    cond_proj_w: np.ndarray
     blocks: list[DenoiserBlock]
 
     @property
@@ -105,6 +108,8 @@ class DenoiserParams:
         return self.temb.shape[0]
 
     def named_arrays(self) -> dict[str, Tensor]:
+        """Every backbone array by its checkpoint entry name, each wrapped in a
+        Tensor whose `.data` is the read-only array itself."""
         out = {
             "backbone.embed_w": self.embed_w, "backbone.unembed_w": self.unembed_w,
             "backbone.pos": self.pos, "backbone.temb": self.temb,
@@ -113,7 +118,7 @@ class DenoiserParams:
         for i, blk in enumerate(self.blocks):
             out.update(blk.self_attn.named(f"backbone.block{i}.self"))
             out.update(blk.cross_attn.named(f"backbone.block{i}.cross"))
-        return out
+        return {name: Tensor(arr) for name, arr in out.items()}
 
 
 @dataclass
@@ -133,17 +138,21 @@ class AdapterStack:
     """One shared router plus a MoeAdapter per adapted projection layer.
 
     Every layer splits its rank axis into experts by the same `ranks`; the
-    stack holds that layout once, as the constant (M, R) `owner` one-hot.
+    stack holds that layout once, as the constant (M, R) `owner` one-hot. The
+    trainable leaves are views into one 1-D buffer, `flat`, in `parameters()`
+    order, which the optimizer updates in one sweep.
     """
 
     router: RouterParams
     layers: dict[str, MoeAdapter]
     top_k: int
     ranks: tuple[int, ...]
-    owner: Tensor = field(init=False)
+    owner: np.ndarray = field(init=False)
+    flat: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.owner = expert_owner(self.ranks, self.router.w1.dtype)
+        self.flat = fx.pack_leaves(list(self.parameters().values()))
 
     def parameters(self) -> dict[str, Tensor]:
         """The trainable leaves, which are also the checkpoint's entries: router
@@ -161,42 +170,54 @@ class AdapterStack:
 PROJECTION_SLOTS = ("q", "k", "v", "o")
 
 
-def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, int, int],
-                   width: int, n_blocks: int, patch: int, num_steps: int,
-                   diag_bias: float, cross_gain: float,
-                   dtype=np.float32) -> DenoiserParams:
-    """Random frozen backbone of constants, sized by the `ModelConfig` fields."""
+def _assemble(take: Callable[[str, tuple[int, ...], float], np.ndarray], *,
+              latent_shape: tuple[int, int, int, int], width: int, n_blocks: int, patch: int,
+              num_steps: int, diag_bias: float, cross_gain: float) -> DenoiserParams:
+    """The backbone whose array `name` is take(name, shape, std), held read-only.
+    `take` is called in the order `build_denoiser` draws: every block's self and
+    then cross projections, then the embedding and conditioning arrays."""
     t, c, h, w = latent_shape
     if h % patch or w % patch:
         raise ParameterError(f"spatial dims {h}x{w} must divide by patch={patch}")
     pdim = c * patch * patch
     n_tok = t * (h // patch) * (w // patch)
 
-    def const(shape, std):
-        return Tensor(rng.normal(0.0, std, size=shape).astype(dtype))
+    def const(name, shape, std):
+        return fx.frozen(take(f"backbone.{name}", shape, std))
 
-    def proj(out_std):
+    def proj(prefix, out_std):
         return AttentionProjections(
-            wq=const((width, width), 1.0 / math.sqrt(width)),
-            wk=const((width, width), 1.0 / math.sqrt(width)),
-            wv=const((width, width), 1.0 / math.sqrt(width)),
-            wo=const((width, width), out_std),
+            wq=const(f"{prefix}.wq", (width, width), 1.0 / math.sqrt(width)),
+            wk=const(f"{prefix}.wk", (width, width), 1.0 / math.sqrt(width)),
+            wv=const(f"{prefix}.wv", (width, width), 1.0 / math.sqrt(width)),
+            wo=const(f"{prefix}.wo", (width, width), out_std),
         )
 
-    blocks = [DenoiserBlock(self_attn=proj(1.0 / math.sqrt(width)),
-                            cross_attn=proj(cross_gain / math.sqrt(width)))
-              for _ in range(n_blocks)]
+    blocks = [DenoiserBlock(self_attn=proj(f"block{i}.self", 1.0 / math.sqrt(width)),
+                            cross_attn=proj(f"block{i}.cross", cross_gain / math.sqrt(width)))
+              for i in range(n_blocks)]
 
     return DenoiserParams(
         latent_shape=tuple(latent_shape), patch=patch, width=width, diag_bias=diag_bias,
-        embed_w=const((width, pdim), 1.0 / math.sqrt(pdim)),
-        unembed_w=const((pdim, width), 1.0 / math.sqrt(width)),
-        pos=const((n_tok, width), 0.5),
-        temb=const((num_steps, width), 0.5),
-        null_token=const((1, width), 0.5),
-        cond_proj_w=const((width, pdim), 1.0 / math.sqrt(pdim)),
+        embed_w=const("embed_w", (width, pdim), 1.0 / math.sqrt(pdim)),
+        unembed_w=const("unembed_w", (pdim, width), 1.0 / math.sqrt(width)),
+        pos=const("pos", (n_tok, width), 0.5),
+        temb=const("temb", (num_steps, width), 0.5),
+        null_token=const("null_token", (1, width), 0.5),
+        cond_proj_w=const("cond_proj_w", (width, pdim), 1.0 / math.sqrt(pdim)),
         blocks=blocks,
     )
+
+
+def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, int, int],
+                   width: int, n_blocks: int, patch: int, num_steps: int,
+                   diag_bias: float, cross_gain: float,
+                   dtype=np.float32) -> DenoiserParams:
+    """Random frozen backbone of read-only constants, sized by the `ModelConfig`
+    fields."""
+    return _assemble(lambda name, shape, std: rng.normal(0.0, std, size=shape).astype(dtype),
+                     latent_shape=latent_shape, width=width, n_blocks=n_blocks, patch=patch,
+                     num_steps=num_steps, diag_bias=diag_bias, cross_gain=cross_gain)
 
 
 def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: ModelConfig,
@@ -216,12 +237,28 @@ def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: M
     return AdapterStack(router=router, layers=layers, top_k=cfg.top_k, ranks=ranks)
 
 
+def _sizes(cfg: ModelConfig) -> dict:
+    """The backbone keywords of `build_denoiser` that `cfg` sets."""
+    return dict(latent_shape=tuple(cfg.latent_shape), width=cfg.width, n_blocks=cfg.n_blocks,
+                patch=cfg.patch, num_steps=cfg.num_steps, diag_bias=cfg.diag_bias,
+                cross_gain=cfg.cross_gain)
+
+
 def build_model(cfg: ModelConfig, rng: np.random.Generator):
     """Backbone, then adapter stack, drawn from `rng` in that order."""
-    params = build_denoiser(rng, latent_shape=tuple(cfg.latent_shape), width=cfg.width,
-                            n_blocks=cfg.n_blocks, patch=cfg.patch, num_steps=cfg.num_steps,
-                            diag_bias=cfg.diag_bias, cross_gain=cfg.cross_gain)
+    params = build_denoiser(rng, **_sizes(cfg))
     return params, build_adapter_stack(rng, params, cfg)
+
+
+def load_model(cfg: ModelConfig, take: Callable[[str, tuple[int, ...]], np.ndarray]):
+    """The model of `cfg` whose every array `name` is take(name, shape): the
+    backbone holds those arrays read-only, with nothing drawn, and the stack's
+    leaves are copied into its buffer (over a fixed-seed build's draws)."""
+    params = _assemble(lambda name, shape, std: take(name, shape), **_sizes(cfg))
+    stack = build_adapter_stack(np.random.default_rng(0), params, cfg)
+    for name, leaf in stack.parameters().items():
+        leaf.data[...] = take(name, leaf.shape)
+    return params, stack
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +312,7 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
                     batch: int) -> Tensor:
     d = params.width
     if cond is None:
-        return fx.broadcast_to(fx.reshape(params.null_token, (1, 1, d)), (batch, 1, d))
+        return fx.broadcast_to(fx.reshape(Tensor(params.null_token), (1, 1, d)), (batch, 1, d))
     parts = []
     for name, tok in (("image", cond.image_tokens), ("text", cond.text_tokens),
                       ("vfx", cond.vfx_tokens)):
@@ -311,9 +348,7 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections, stack: Adapter
 
 @functools.lru_cache(maxsize=8)
 def _diag(n_tokens: int, diag_bias: float, dtype) -> np.ndarray:
-    bias = diag_bias * np.eye(n_tokens, dtype=dtype)
-    bias.setflags(write=False)  # shared by every call that asks for it
-    return bias
+    return fx.frozen(diag_bias * np.eye(n_tokens, dtype=dtype))  # shared by every call
 
 
 def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
@@ -338,7 +373,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> T
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
     tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
-    temb = params.temb.data[t_arr]  # frozen table: plain gather, stays constant
+    temb = params.temb[t_arr]  # frozen table: plain gather, stays constant
     if temb.ndim == 1:
         temb = temb[None, None, :]
     else:

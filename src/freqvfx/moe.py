@@ -98,9 +98,10 @@ def split_rank_budget(r: int, m: int) -> list[int]:
     return [base + 1] * rem + [base] * (m - rem)
 
 
-def expert_owner(ranks: Sequence[int], dtype=np.float32) -> Tensor:
-    """The constant (M, R) one-hot: row m marks expert m's span of the rank axis."""
-    return Tensor(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))
+def expert_owner(ranks: Sequence[int], dtype=np.float32) -> np.ndarray:
+    """The constant (M, R) one-hot, read-only: row m marks expert m's span of the
+    rank axis."""
+    return fx.frozen(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))
 
 
 def adapter_param_count(adapter: MoeAdapter) -> int:
@@ -136,15 +137,15 @@ def route(e, params: RouterParams, top_k: int) -> Tensor:
     return pi
 
 
-def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: Tensor, w_base, h) -> Tensor:
+def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: np.ndarray, w_base, h) -> Tensor:
     """Adapted projection: h @ W^T + sum_m pi_m * (h @ A_m^T @ B_m^T).
 
     `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
     The experts run as the adapter's packed pair: rank row j of h @ A^T is
     gated by (pi @ owner)[:, j] before the up projection by B, so router
-    gradients reach `pi`. `owner` is the stack's (M, R) rank layout. The base
-    path is computed untouched; zero experts leave it bit-exact. The whole
-    projection, gate included, is one `fx.lora_linear` node, which checks every
-    shape and dtype.
+    gradients reach `pi`. `owner` is the stack's (M, R) rank layout and `w_base`
+    a frozen weight, both plain arrays. The base path is computed untouched;
+    zero experts leave it bit-exact. The whole projection, gate included, is one
+    `fx.lora_linear` node, which checks every shape and dtype.
     """
     return fx.lora_linear(h, w_base, adapter.a, adapter.b, pi, owner)

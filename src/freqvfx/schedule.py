@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, frozen
 
 COSINE_S = 0.008
 ALPHA_BAR_FLOOR = 1e-6
@@ -19,7 +19,8 @@ class NoiseSchedule:
     """Per-timestep (alpha_t, sigma_t) with alpha^2 + sigma^2 = 1.
 
     alpha decreases monotonically from (near) 1 toward (near) 0 as t grows;
-    index 0 is the exact identity for cosine schedules built here.
+    index 0 is the exact identity for cosine schedules built here. Both arrays
+    are held read-only.
     """
 
     alphas: np.ndarray
@@ -27,8 +28,8 @@ class NoiseSchedule:
     num_steps: int = field(init=False)  # len(alphas)
 
     def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
+        self.alphas = frozen(np.asarray(self.alphas, dtype=np.float64))
+        self.sigmas = frozen(np.asarray(self.sigmas, dtype=np.float64))
         if self.alphas.ndim != 1 or self.sigmas.shape != self.alphas.shape:
             raise ShapeError(f"schedule arrays must be two vectors of one length, "
                              f"got {self.alphas.shape} and {self.sigmas.shape}")

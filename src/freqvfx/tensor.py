@@ -19,8 +19,17 @@ computes itself, one node for seven) and `attention` (the scaled dot-product
 core, one node for five or six); so is the separable `gaussian_blur_depthwise`
 (one node for four). Each evaluates the numpy expressions of its chain in the
 chain's order and lists its inputs in the order the chain handed gradients
-back, so values and gradients keep the chain's bytes. `record` is how an op
-defined elsewhere joins the tape (`spectral.joint_descriptor`).
+back, so values and gradients keep the chain's bytes; where the chain made a
+temporary, the fused op may reuse an array it made itself instead (an
+elementwise op in place gives the same bytes), never one it was handed.
+`record` is how an op defined elsewhere joins the tape
+(`spectral.joint_descriptor`).
+
+A frozen weight is a plain read-only array, not a Tensor: `linear` and
+`lora_linear` take it (and `lora_linear` its expert layout) as a constant of
+the node, as `attention` takes its bias. Trainable leaves that one optimizer
+updates share one flat buffer (`pack_leaves`), each leaf's `.data` a view of
+its span.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -174,12 +183,13 @@ def is_live(t: Tensor) -> bool:
     return tape is not None and id(t) in tape._live
 
 
-def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
            vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
            ) -> Tensor:
     """Wrap `out_data`; append a node when the active tape has a live input.
 
     `vjp(g, live)` returns one gradient per input, None where `live` is False.
+    An input that is a plain array (a frozen weight) is a constant: never live.
     Every op records through this, including those defined outside this module
     (`spectral.joint_descriptor`).
     """
@@ -191,6 +201,44 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             tape._live.add(id(out))
             tape.nodes.append(_Node(op, tuple(inputs), live, out, vjp))
     return out
+
+
+def pack_leaves(leaves: Sequence[Tensor]) -> np.ndarray:
+    """The one 1-D buffer holding `leaves` end to end, in order, each leaf's
+    `.data` a view of its span. Leaves that already are such views of one buffer
+    keep it; otherwise their values are copied into a new buffer and each
+    `.data` is rebound to its view."""
+    if not leaves:
+        raise ParameterError("no leaves to pack")
+    dtype = leaves[0].dtype
+    if any(p.dtype != dtype for p in leaves):
+        raise ParameterError(f"leaves of one buffer share one dtype, got "
+                             f"{sorted({str(p.dtype) for p in leaves})}")
+    base = leaves[0].data.base
+    if base is not None and base.ndim == 1 and base.dtype == dtype:
+        start, off = base.__array_interface__["data"][0], 0
+        for p in leaves:
+            if p.data.base is not base or not p.data.flags.c_contiguous \
+                    or p.data.__array_interface__["data"][0] != start + off * dtype.itemsize:
+                break
+            off += p.size
+        else:
+            if off == base.size:
+                return base
+    flat = np.concatenate([p.data.reshape(-1) for p in leaves])
+    off = 0
+    for p in leaves:
+        p.data = flat[off:off + p.size].reshape(p.shape)
+        off += p.size
+    return flat
+
+
+def frozen(x) -> np.ndarray:
+    """A read-only view of array `x`: how frozen weights and tables are held, so
+    that any write into them raises."""
+    view = np.asarray(x).view()
+    view.setflags(write=False)
+    return view
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -209,6 +257,16 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     if a.dtype != b.dtype:
         raise ParameterError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
     return a, b
+
+
+def _operand(h: Tensor, x) -> tuple[Tensor | np.ndarray, np.ndarray]:
+    """(node input, array) of an operand read with `h`: a Tensor of h's dtype as
+    it is, or anything else as a constant array of h's dtype, not wrapped (a
+    frozen weight already is one, so this costs nothing)."""
+    if isinstance(x, Tensor):
+        return _pair(h, x)[1], x.data
+    arr = np.asarray(x, dtype=h.dtype)
+    return arr, arr
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -341,26 +399,17 @@ def gelu(a) -> Tensor:
     return record("gelu", (a,), out, vjp)
 
 
-def _softmax_forward(x: np.ndarray, tau: float, axis: int) -> np.ndarray:
-    z = (x - np.max(x, axis=axis, keepdims=True)) / tau
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def _softmax_vjp(out: np.ndarray, g: np.ndarray, tau: float, axis: int) -> np.ndarray:
-    dot = np.sum(g * out, axis=axis, keepdims=True)
-    return (out * (g - dot)) / tau
-
-
 def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     """Temperature softmax along `axis`, numerically stabilized by max subtraction."""
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {tau}")
     a = _as_tensor(a)
-    out = _softmax_forward(a.data, tau, axis)
+    e = np.exp((a.data - np.max(a.data, axis=axis, keepdims=True)) / tau)
+    out = e / np.sum(e, axis=axis, keepdims=True)
 
     def vjp(g, live):
-        return (_softmax_vjp(out, g, tau, axis),)
+        dot = np.sum(g * out, axis=axis, keepdims=True)
+        return ((out * (g - dot)) / tau,)
 
     return record("softmax", (a,), out, vjp)
 
@@ -550,17 +599,19 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(h, w) -> Tensor:
-    """h @ w^T for a 2-D weight w (d_out, d_in), as one node.
+    """h @ w^T for a 2-D weight w (d_out, d_in), as one node; a frozen `w` is a
+    plain array and a constant of the node.
 
     The same arithmetic as matmul(h, swap_last2(w)) without the transpose node.
     """
-    h, w = _pair(h, w)
-    if h.ndim < 2 or w.ndim != 2:
+    h = _as_tensor(h, w if isinstance(w, Tensor) else None)
+    w, wd = _operand(h, w)
+    if h.ndim < 2 or wd.ndim != 2:
         raise ShapeError(f"linear needs rank >= 2 inputs and a 2-D weight, "
-                         f"got {h.shape} and {w.shape}")
-    if h.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear feature dims disagree: {h.shape} @ {w.shape}^T")
-    hd, wd = h.data, w.data
+                         f"got {h.shape} and {wd.shape}")
+    if h.shape[-1] != wd.shape[1]:
+        raise ShapeError(f"linear feature dims disagree: {h.shape} @ {wd.shape}^T")
+    hd = h.data
 
     def vjp(g, live):
         gh = gw = None
@@ -589,20 +640,23 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     handed gradients back, so `backward` adds into each input in the same
     order. `h` is listed once per path because the chain added its adapter-path
     and base-path gradients into h one after the other; a pre-summed gradient
-    would round differently. `owner` gets no gradient, as `attention`'s bias.
+    would round differently. A frozen `w` and the constant `owner` are plain
+    arrays; `owner` gets no gradient, as `attention`'s bias. The up-projection is
+    added into the fresh base output in place, which gives the sum's bytes.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
-    w, a, b, pi, owner = (_pair(h, x)[1] for x in (w, a, b, pi, owner))
-    if h.ndim < 2 or w.ndim != 2 or a.ndim != 2 or b.ndim != 2:
+    a, b, pi = (_pair(h, x)[1] for x in (a, b, pi))
+    (w, wd), (_, od) = _operand(h, w), _operand(h, owner)
+    if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
-                         f"{h.shape}, w {w.shape}, a {a.shape}, b {b.shape}")
-    if not h.shape[-1] == w.shape[1] == a.shape[1] or b.shape != (w.shape[0], a.shape[0]):
-        raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {w.shape}, "
+                         f"{h.shape}, w {wd.shape}, a {a.shape}, b {b.shape}")
+    if not h.shape[-1] == wd.shape[1] == a.shape[1] or b.shape != (wd.shape[0], a.shape[0]):
+        raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {wd.shape}, "
                          f"a {a.shape}, b {b.shape}")
-    if pi.ndim != 2 or owner.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
-        raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {owner.shape} "
+    if pi.ndim != 2 or od.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
+        raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {od.shape} "
                          f"do not match batch {h.shape[0]} and rank {a.shape[0]}")
-    hd, wd, ad, bd, pd, od = h.data, w.data, a.data, b.data, pi.data, owner.data
+    hd, ad, bd, pd = h.data, a.data, b.data, pi.data
     gate = pd @ od
     gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
     down = hd @ ad.T
@@ -630,7 +684,9 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
             gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
         return gb, gpi, gh_up, ga, gh_base, gw
 
-    return record("lora", (b, pi, h, a, h, w), hd @ wd.T + gated @ bd.T, vjp)
+    out = hd @ wd.T
+    out += gated @ bd.T
+    return record("lora", (b, pi, h, a, h, w), out, vjp)
 
 
 def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
@@ -638,8 +694,12 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
 
     `bias` is a constant (N_q, N_k) array added to the scores. Forward
     and vjp evaluate the numpy expressions of the transpose, matmul, mul, add,
-    softmax, matmul chain they replace, in its order (the softmax through the
-    same code as `softmax`), so values and gradients keep their bytes.
+    softmax, matmul chain they replace, in its order (the softmax's as in
+    `softmax` at tau = 1, whose division by 1 is exact and skipped), so values
+    and gradients keep their bytes. Each elementwise step after the first matmul
+    runs in place on that matmul's fresh output, and so does the vjp's softmax
+    adjoint on the fresh g @ v^T; q, k, v, bias and the upstream gradient are
+    only read.
 
     The node's inputs are (v, q, k): the order in which the chain handed
     gradients back, so `backward` adds into each input in the same order.
@@ -657,12 +717,14 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
     qd, kd, vd = q.data, k.data, v.data
     kt = np.swapaxes(kd, -1, -2)
     try:
-        scores = qd @ kt
-        scale_arr = np.asarray(scale, dtype=scores.dtype)
-        scores = scores * scale_arr
+        p = qd @ kt  # fresh: scaled, biased and normalised in place into p
+        scale_arr = np.asarray(scale, dtype=p.dtype)
+        p *= scale_arr
         if bias is not None:
-            scores = scores + np.asarray(bias, dtype=scores.dtype)
-        p = _softmax_forward(scores, 1.0, -1)
+            p += np.asarray(bias, dtype=p.dtype)
+        p -= np.max(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=-1, keepdims=True)
         out = p @ vd
     except ValueError as e:
         raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
@@ -673,8 +735,11 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
         if live[0]:
             gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, vd.shape)
         if live[1] or live[2]:
-            g_p = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
-            g_s = _softmax_vjp(p, g_p, 1.0, -1) * scale_arr
+            # fresh: the softmax adjoint and the scale run in place into g_s
+            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
+            g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
+            g_s *= p
+            g_s *= scale_arr
             if live[1]:
                 gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), qd.shape)
             if live[2]:

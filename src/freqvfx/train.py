@@ -24,37 +24,49 @@ from .tensor import Tensor
 
 
 class AdamW:
-    """Adam with decoupled weight decay. Updates parameter data in place."""
+    """Adam with decoupled weight decay, updating the leaves in place.
+
+    The leaves (a dict by name, or a list) live end to end in one flat buffer
+    (`fx.pack_leaves`: an `AdapterStack`'s own buffer, or a new one whose views
+    the leaves' `.data` become), and so do the moments `m` and `v`. A step
+    gathers the gradients into one flat array and evaluates each update
+    expression once over the whole buffer. Every expression is elementwise, so
+    each element gets the bytes a per-leaf update would give it.
+    """
 
     def __init__(self, params, lr: float, betas: tuple[float, float], eps: float,
                  weight_decay: float):
         if lr < 0:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
-        self.params = list(params.values()) if isinstance(params, dict) else list(params)
+        if isinstance(params, dict):
+            self.names, self.params = list(params), list(params.values())
+        else:
+            self.params = list(params)
+            self.names = [f"leaf {i} {p.shape}" for i, p in enumerate(self.params)]
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._m = {id(p): np.zeros_like(p.data) for p in self.params}
-        self._v = {id(p): np.zeros_like(p.data) for p in self.params}
+        self.flat = fx.pack_leaves(self.params)
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
 
     def step(self, grads: dict[Tensor, Tensor]) -> None:
+        """One update from {leaf: gradient}, which must hold every leaf."""
+        for name, p in zip(self.names, self.params):
+            if p not in grads:
+                raise ParameterError(f"no gradient for {name}")
+        g = np.concatenate([grads[p].data.reshape(-1) for p in self.params])
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p in self.params:
-            g = grads.get(p)
-            if g is None:
-                continue
-            gd = g.data
-            m = self._m[id(p)]
-            v = self._v[id(p)]
-            m += (1.0 - b1) * (gd - m)
-            v += (1.0 - b2) * (gd * gd - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data[...] = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+        m, v, p = self._m, self._v, self.flat
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p[...] = p - self.lr * update - self.lr * self.weight_decay * p
 
 
 def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
@@ -97,7 +109,7 @@ def _dropout_conditioning(cond: Conditioning, drop: np.ndarray,
         return cond
     img = cond.image_tokens.data.copy()
     txt = cond.text_tokens.data.copy()
-    null = params.null_token.data[0]
+    null = params.null_token[0]
     img[drop] = null
     txt[drop] = null
     return Conditioning(Tensor(img), Tensor(txt), cond.vfx_tokens)

@@ -204,3 +204,36 @@ def joint_descriptor_chain(z):
     the cast runs once, so both proxies read the same float64 video."""
     z = fx.cast(z, np.float64)
     return fx.concat([sp.fei(sp.appearance_proxy(z)), sp.fei(sp.vfx_proxy(z))], axis=1)
+
+
+class AdamWPerLeaf:
+    """The AdamW that looped over its leaves one array at a time, kept as the
+    reference for the flat-buffer `freqvfx.train.AdamW`."""
+
+    def __init__(self, params, lr: float, betas: tuple[float, float], eps: float,
+                 weight_decay: float):
+        self.params = list(params.values()) if isinstance(params, dict) else list(params)
+        self.lr = float(lr)
+        self.beta1, self.beta2 = betas
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
+        self.t = 0
+        self._m = {id(p): np.zeros_like(p.data) for p in self.params}
+        self._v = {id(p): np.zeros_like(p.data) for p in self.params}
+
+    def step(self, grads) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p in self.params:
+            g = grads.get(p)
+            if g is None:
+                continue
+            gd = g.data
+            m = self._m[id(p)]
+            v = self._v[id(p)]
+            m += (1.0 - b1) * (gd - m)
+            v += (1.0 - b2) * (gd * gd - v)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data[...] = p.data - self.lr * update - self.lr * self.weight_decay * p.data

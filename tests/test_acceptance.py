@@ -328,10 +328,8 @@ def stage1_run(tmp_path_factory):
 
     ckpt = str(root / "run" / "checkpoint.fvl1")
     manifest = read_manifest(manifest_path_for(ckpt))
-    params, stack = build_model(from_dict(ModelConfig, manifest.config["model"]),
-                                np.random.default_rng(manifest.seeds["seed"]))
     entries = read_container_file(ckpt)
-    restore_state(entries, params, stack)
+    params, stack = restore_state(entries, from_dict(ModelConfig, manifest.config["model"]))
     schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
                              sigmas=entries["schedule.sigmas"])
     return SimpleNamespace(params=params, stack=stack, schedule=schedule,

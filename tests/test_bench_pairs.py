@@ -1,0 +1,89 @@
+"""The statistics of `tools/bench_pairs.py` on fake runs: quartiles, wins,
+the claim rule, the alternating run order, and the merge into an existing
+file, which keeps other workloads and adds pairs to the same one."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr():
+    parent = [90.0, 92.0, 93.0, 94.0, 95.0, 96.0, 97.0, 98.0, 99.0, 100.0]
+    change = [p + 8.0 for p in parent]
+    s = bench_pairs.compare(parent, change, "higher")
+    assert (s["wins"], s["losses"], s["pairs"]) == (10, 0, 10)
+    assert s["parent"]["median"] == 95.5 and s["change"]["median"] == 103.5
+    assert s["parent_iqr"] == pytest.approx(97.75 - 93.25)
+    assert s["claim_holds"]
+    # a gain smaller than the parent's own spread is no claim, whatever the wins
+    assert not bench_pairs.compare(parent, [p + 1.0 for p in parent], "higher")["claim_holds"]
+    # two losses in ten pairs are too many; a tie counts for neither side
+    mixed = change[:8] + [parent[8] - 1.0, parent[9]]
+    s = bench_pairs.compare(parent, mixed, "higher")
+    assert (s["wins"], s["losses"]) == (8, 1) and not s["claim_holds"]
+    # for a metric where lower is better, the signs turn round
+    s = bench_pairs.compare([1.0, 1.1, 1.2], [0.5, 0.6, 0.7], "lower")
+    assert s["wins"] == 3 and s["claim_holds"] and s["median_ratio"] == pytest.approx(0.6 / 1.1)
+    with pytest.raises(ValueError):
+        bench_pairs.compare([1.0], [], "higher")
+
+
+def test_summarize_pairs_runs_by_index():
+    runs = [{"pair": i, "side": side, "metrics": {"steps_per_s": v, "setup_s": 1.0}}
+            for i, (p, c) in enumerate([(10.0, 12.0), (11.0, 13.0)])
+            for side, v in (("parent", p), ("change", c))]
+    spec = [{"name": "steps_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
+            {"name": "absent", "better": "lower"}]
+    out = bench_pairs.summarize(runs, spec)
+    assert sorted(out) == ["setup_s", "steps_per_s"]
+    assert out["steps_per_s"]["wins"] == 2 and out["setup_s"]["wins"] == 0
+
+
+def test_main_alternates_and_merges(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        side = "change" if root == bench_pairs.ROOT else "parent"
+        calls.append(side)
+        value = 2.0 if side == "change" else 1.0
+        metrics = {"steps_per_s": {"value": value + len(calls) * 1e-3, "unit": "1/s"}}
+        return {"fingerprint": {"nproc": 2, "seed": seed}, "metrics": metrics, "problems": [],
+                **{k: [1.0] for k in bench_pairs._RAW}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
+                             "--pairs", "3", "--out", str(out), "--parent-rev", "abc"]) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["other"] == {"kept": True}
+    assert doc["revisions"]["parent"] == "abc"
+    entry = doc["workloads"]["train-desk"]
+    assert len(entry["runs"]) == 6 and entry["fingerprint"]["parent"]["nproc"] == 2
+    assert entry["runs"][0]["raw_call_seconds"] == [1.0]
+    summary = entry["summary"]["steps_per_s"]
+    assert summary["wins"] == 3 and summary["claim_holds"]
+    # a second invocation adds pairs 3 and 4 and counts all five
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["train-desk"]
+    assert [r["pair"] for r in entry["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert entry["pairs"] == 5 and entry["summary"]["steps_per_s"]["pairs"] == 5
+    with pytest.raises(SystemExit, match="seed 1"):
+        bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
+                          "--pairs", "1", "--out", str(out), "--seed", "2"])

@@ -362,6 +362,30 @@ class TestPipeline:
             assert repr(missing) in err and "Traceback" not in err, err
             assert not (out / artifact).exists()
 
+    @pytest.mark.parametrize("defect", ["nan", "float64", "wide"])
+    def test_restore_rejects_bad_text_tokens(self, tmp_path, cfg_path, capsys, defect):
+        """A checkpoint with a valid CRC whose stored text tokens hold a NaN, are
+        float64 or do not match the model's (n_text_tokens, width) exits 1 naming
+        the entry, in both stages that restore it, and writes nothing."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        entries = ct.read_container_file(ckpt)
+        name = "cond.text.lowfreq_field"
+        bad = {"nan": entries[name].copy(), "float64": entries[name].astype(np.float64),
+               "wide": np.zeros((2, CFG["model"]["width"] + 1), dtype=np.float32)}[defect]
+        if defect == "nan":
+            bad[1, 3] = np.nan
+        ct.write_container_file(ckpt, {**entries, name: bad})
+        for stage, artifact in (("generate", "sample.fvl1"), ("adapt", "adapted.fvl1")):
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--checkpoint", ckpt, "--input", dataset, "--config", cfg_path,
+                     "--class-name", "lowfreq_field", "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1, stage
+            assert repr(name) in err and "Traceback" not in err, err
+            assert not (out / artifact).exists()
+
     @pytest.mark.parametrize("section, named", [
         ([16, 2], "'model'"), ({**CFG["model"], "width": "16"}, "ModelConfig.width")],
         ids=["list", "string_width"])

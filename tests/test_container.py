@@ -9,7 +9,8 @@ import pytest
 
 from freqvfx import container as ct
 from freqvfx import reports as rp
-from freqvfx.config import ModelConfig
+from freqvfx.cli import _restore_model
+from freqvfx.config import ModelConfig, to_dict
 from freqvfx.denoiser import build_model
 from freqvfx.errors import (BadMagicError, ChecksumError, ContainerError,
                             ManifestConflictError, ParameterError, ShapeError,
@@ -174,14 +175,37 @@ def test_checkpoint_save_restore(tmp_path):
     ct.save_checkpoint(p, params, stack, sched, manifest=man)
     assert (tmp_path / "ckpt.fvl.manifest.json").exists()
 
-    params2, stack2 = build_model(ModelConfig(), np.random.default_rng(123))
     entries = ct.read_container_file(p)
-    ct.restore_state(entries, params2, stack2)
+    params2, stack2 = ct.restore_state(entries, ModelConfig())
     for name, t in params.named_arrays().items():
         assert np.array_equal(t.data, params2.named_arrays()[name].data), name
     for name, t in stack.parameters().items():
         assert np.array_equal(t.data, stack2.parameters()[name].data), name
     np.testing.assert_array_equal(entries["schedule.alphas"], sched.alphas)
+
+
+def test_frozen_arrays_refuse_writes(tmp_path):
+    """Every backbone array, the stack's expert layout and the schedule are
+    read-only, in a fresh build and in a model restored from its checkpoint: a
+    write into any of them raises numpy's read-only ValueError."""
+    model = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10)
+    params, stack = build_model(model, np.random.default_rng(0))
+    sched = NoiseSchedule.cosine(num_steps=params.num_steps)
+    path = tmp_path / "checkpoint.fvl1"
+    ct.save_checkpoint(path, params, stack, sched, manifest=ct.RunManifest(
+        stage="train", config={"model": to_dict(model)}, seeds={}))
+    restored = _restore_model(str(path))[:3]
+    for p, s, sch in ((params, stack, sched), restored):
+        frozen = {name: t.data for name, t in p.named_arrays().items()}
+        frozen.update({"owner": s.owner, "schedule.alphas": sch.alphas,
+                       "schedule.sigmas": sch.sigmas})
+        assert len(frozen) == 6 + 2 * 2 * 4 + 3
+        for name, arr in frozen.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+            assert not arr.flags.writeable, name
 
 
 def test_restore_rejects_shape_and_missing(tmp_path):
@@ -191,11 +215,11 @@ def test_restore_rejects_shape_and_missing(tmp_path):
     bad = dict(entries)
     bad["backbone.pos"] = np.zeros((1, 1), dtype=np.float32)
     with pytest.raises(ContainerError):
-        ct.restore_state(bad, params, stack)
+        ct.restore_state(bad, ModelConfig())
     missing = dict(entries)
     del missing["router.w1"]
     with pytest.raises(ContainerError):
-        ct.restore_state(missing, params, stack)
+        ct.restore_state(missing, ModelConfig())
 
 
 def test_restore_rejects_dtype_and_nonfinite_entries():
@@ -211,16 +235,15 @@ def test_restore_rejects_dtype_and_nonfinite_entries():
         arr[0, 1] = value
         cases.append((name, arr, "non-finite"))
     stored = {k: v.copy() for k, v in entries.items()}
-    for t in stack.parameters().values():
-        t.data += 0.5  # so a partial restore would show
-    moved = {k: t.data.copy() for k, t in stack.parameters().items()}
     for key, arr, message in cases:
         with pytest.raises(ContainerError, match=message) as err:
-            ct.restore_state({**stored, key: arr}, params, stack)
+            ct.restore_state({**stored, key: arr}, ModelConfig())
         assert repr(key) in str(err.value)
-        # rejected as a whole: no entry before the bad one was written either
-        for k, t in stack.parameters().items():
-            assert np.array_equal(t.data, moved[k]), (key, k)
+    # a restore builds a new model and only reads the entries: their values and
+    # write flags are left as they were
+    ct.restore_state(stored, ModelConfig())
+    for k, v in stored.items():
+        assert v.flags.writeable and v.tobytes() == entries[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------

@@ -243,3 +243,60 @@ def test_joint_descriptor_errors():
         sp.joint_descriptor(np.zeros((2, 1, 4, 8, 8)))
     with pytest.raises(ShapeError, match="empty axis"):
         sp.joint_descriptor(np.zeros((2, 3, 0, 8, 8)))
+
+
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_block_attention_at_batch_4_matches_chain_bytes(kind):
+    """The two calls a denoiser block makes, at B=4: self-attention reads q, k
+    and v from one token tensor under the diagonal bias, and cross-attention
+    reads k and v from one 22-token context."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32)
+    if kind == "self":
+        bias = _diag_bias()
+        _check_fused(lambda t: fx.attention(t, t, t, SCALE, bias),
+                     lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
+                     {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
+        return
+    arrays = {"x": x, "c": rng.normal(size=(4, 22, WIDTH)).astype(np.float32)}
+    for live in _subsets(tuple(arrays)):
+        _check_fused(lambda t, c: fx.attention(t, c, c, SCALE),
+                     lambda t, c: oracles.attention_chain(t, c, c, SCALE),
+                     arrays, live, "x", "attention", ("c", "x", "c"))
+
+
+def _vjp_twice(op, leaves, constants):
+    """Record op(*leaves) and run its node's vjp twice on one upstream gradient;
+    every input, constant and the gradient must keep its bytes throughout, and
+    the two calls must agree byte for byte."""
+    arrays = [t.data for t in leaves] + list(constants)
+    before = [a.tobytes() for a in arrays]
+    with fx.Tape(leaves) as tape:
+        out = op()
+    (node,) = tape.nodes
+    g = np.random.default_rng(42).normal(size=out.shape).astype(out.dtype)
+    g_before, out_before = g.tobytes(), out.data.tobytes()
+    first, second = ([None if x is None else x.tobytes() for x in node.vjp(g, node.live)]
+                     for _ in range(2))
+    assert first == second and None not in first[:len(leaves)]
+    assert [a.tobytes() for a in arrays] == before
+    assert (g.tobytes(), out.data.tobytes()) == (g_before, out_before)
+
+
+@pytest.mark.parametrize("n_keys, bias", [(N_TOKENS, "diag"), (22, None)])
+def test_attention_writes_only_its_own_arrays(n_keys, bias):
+    rng = np.random.default_rng(43)
+    q = fx.tensor(rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32))
+    k, v = (fx.tensor(rng.normal(size=(4, n_keys, WIDTH)).astype(np.float32)) for _ in "kv")
+    bias = _diag_bias() if bias else None
+    _vjp_twice(lambda: fx.attention(q, k, v, SCALE, bias), [q, k, v],
+               [] if bias is None else [bias])
+
+
+@pytest.mark.parametrize("n", [N_TOKENS, 22])
+def test_lora_linear_writes_only_its_own_arrays(n):
+    arrays = _lora_arrays(4, n)
+    h, a, b, pi = (fx.tensor(arrays[name]) for name in ("h", "a", "b", "pi"))
+    w = fx.frozen(arrays["w"])  # as the denoiser passes its weight and layout
+    owner = fx.frozen(OWNER.data)
+    _vjp_twice(lambda: fx.lora_linear(h, w, a, b, pi, owner), [h, a, b, pi], [w, owner])

@@ -208,8 +208,8 @@ def test_adapter_packing_layout():
     for m, (draw, s) in enumerate(zip(draws, slices)):
         assert s.stop - s.start == ranks[m]
         assert a.a.data[s].tobytes() == draw.tobytes()
-        np.testing.assert_array_equal(owner.data[m], np.repeat(np.eye(4)[m], ranks))
-        np.testing.assert_array_equal(owner.data[m, s], 1.0)
+        np.testing.assert_array_equal(owner[m], np.repeat(np.eye(4)[m], ranks))
+        np.testing.assert_array_equal(owner[m, s], 1.0)
 
 
 # ---------------------------------------------------------------------------

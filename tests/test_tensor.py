@@ -393,3 +393,36 @@ def test_shape_errors():
         fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((4, 2))))
     with pytest.raises(ShapeError):
         fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((1, 4, 3))))
+
+
+def test_frozen_weight_is_a_constant_input():
+    """A plain-array weight enters `linear` as it is: listed on the node, never
+    live, no gradient, and the gradient of h equals that of the Tensor form."""
+    rng = np.random.default_rng(31)
+    w = fx.frozen(rng.normal(size=(5, 4)))
+    x = fx.tensor(rng.normal(size=(3, 4)))
+    with fx.Tape([x]) as tape:
+        loss = fx.reduce_sum(fx.square(fx.linear(x, w)))
+    (node, *_), grads = tape.nodes, fx.backward(tape, loss)
+    assert node.op == "linear" and node.inputs[1] is w and node.live == (True, False)
+    with fx.Tape([x]) as tape2:
+        loss2 = fx.reduce_sum(fx.square(fx.linear(x, fx.Tensor(w))))
+    assert grads[x].data.tobytes() == fx.backward(tape2, loss2)[x].data.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 1.0
+
+
+def test_pack_leaves_keeps_an_ordered_buffer_and_repacks_otherwise():
+    leaves = [fx.tensor(np.full(s, i, dtype=np.float32)) for i, s in
+              enumerate([(2, 3), (4,), (1, 2)])]
+    flat = fx.pack_leaves(leaves)
+    assert flat.tolist() == [0.0] * 6 + [1.0] * 4 + [2.0] * 2
+    assert [t.shape for t in leaves] == [(2, 3), (4,), (1, 2)]
+    assert all(t.data.base is flat for t in leaves)
+    assert fx.pack_leaves(leaves) is flat
+    # another order, or only some of the leaves, is not this buffer: a new one
+    flipped = fx.pack_leaves(leaves[::-1])
+    assert flipped is not flat and flipped.tolist() == [2.0] * 2 + [1.0] * 4 + [0.0] * 6
+    assert all(t.data.base is flipped for t in leaves)
+    with pytest.raises(ParameterError, match="no leaves"):
+        fx.pack_leaves([])

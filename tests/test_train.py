@@ -12,6 +12,8 @@ from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import (AdamW, StepMetrics, _dropout_conditioning,
                            diffusion_loss, smoothed_endpoints, train_stage1)
 
+import oracles
+
 LATENT = (2, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
@@ -38,6 +40,7 @@ class TestAdamW:
         # bias-corrected first step reduces to g / (|g| + eps), decoupled decay
         expected = np.array([0.7, -1.3])
         expected = expected - lr * (g / (np.abs(g) + eps)) - lr * wd * expected
+        assert p.data.dtype == np.float64
         assert np.allclose(p.data, expected, rtol=1e-12, atol=0)
 
     def test_quadratic_convergence(self):
@@ -63,14 +66,69 @@ class TestAdamW:
         opt.step({p: fx.Tensor(np.array([0.0]))})
         assert np.allclose(p.data, np.array([2.0]) * (1.0 - lr * wd), rtol=1e-12)
 
-    def test_missing_grads_skipped(self):
+    def test_missing_grad_is_an_error_naming_the_leaf(self):
+        """`backward` returns a gradient for every leaf, so a step without one is
+        a caller's error: it names the leaf and changes nothing."""
         a = fx.tensor(np.array([1.0]))
         b = fx.tensor(np.array([2.0]))
-        before = b.data.tobytes()
         opt = adamw([a, b], lr=0.1)
-        opt.step({a: fx.Tensor(np.array([1.0]))})
-        assert b.data.tobytes() == before
-        assert a.data[0] != 1.0
+        with pytest.raises(ParameterError, match=r"no gradient for leaf 1 \(1,\)"):
+            opt.step({a: fx.Tensor(np.array([1.0]))})
+        assert (a.data[0], b.data[0], opt.t) == (1.0, 2.0, 0)
+        params, stack = small_model()
+        leaves = stack.parameters()
+        opt = adamw(leaves, lr=0.1)
+        grads = {t: fx.Tensor(np.ones_like(t.data)) for t in leaves.values()}
+        del grads[leaves["adapter.block1.cross.v.b"]]
+        with pytest.raises(ParameterError, match="no gradient for adapter.block1.cross.v.b"):
+            opt.step(grads)
+
+    def test_flat_update_matches_per_leaf_reference_bytes(self):
+        """Over 20 steps with distinct gradients and weight decay, the one sweep
+        over a stack's buffer gives every leaf the bytes of the per-leaf loop."""
+        _, stack = small_model()
+        leaves = list(stack.parameters().values())
+        copies = [fx.Tensor(t.data.copy()) for t in leaves]
+        kw = dict(lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05)
+        opt, ref = AdamW(stack.parameters(), **kw), oracles.AdamWPerLeaf(copies, **kw)
+        assert opt.flat is stack.flat  # the stack's own buffer, not a copy
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            gs = [rng.normal(0.0, 10.0 ** rng.uniform(-6, 1), size=t.shape).astype(np.float32)
+                  for t in leaves]
+            opt.step({t: fx.Tensor(g) for t, g in zip(leaves, gs)})
+            ref.step({t: fx.Tensor(g.copy()) for t, g in zip(copies, gs)})
+        for name, t, r in zip(stack.parameters(), leaves, copies):
+            assert t.data.dtype == np.float32 and t.data.tobytes() == r.data.tobytes(), name
+        assert stack.flat.tobytes() == b"".join(r.data.tobytes() for r in copies)
+
+    def test_leaves_are_views_of_the_stack_buffer(self):
+        """A write through `stack.parameters()` is a write into the buffer the
+        optimizer updates, at the leaf's offset in `parameters()` order."""
+        _, stack = small_model()
+        leaves = stack.parameters()
+        assert stack.flat.ndim == 1 and stack.flat.dtype == np.float32
+        assert stack.flat.size == sum(t.size for t in leaves.values())
+        off = 0
+        for name, t in leaves.items():
+            t.data[...] = np.arange(t.size, dtype=np.float32).reshape(t.shape) + 0.5
+            np.testing.assert_array_equal(stack.flat[off:off + t.size], t.data.reshape(-1))
+            off += t.size
+        assert adamw(leaves, lr=0.1).flat is stack.flat
+
+    def test_embedding_leaf_goes_through_the_same_buffer(self):
+        """A lone leaf that owns its array is copied into a buffer of its own,
+        its `.data` becoming a view of it with the same values."""
+        tokens = fx.tensor(np.random.default_rng(3).normal(size=(4, WIDTH)).astype(np.float32))
+        before = tokens.data.tobytes()
+        opt = adamw([tokens], lr=0.1)
+        assert tokens.data.base is opt.flat and tokens.data.tobytes() == before
+        opt.step({tokens: fx.Tensor(np.ones((4, WIDTH), dtype=np.float32))})
+        assert tokens.data.tobytes() == opt.flat.tobytes() != before
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ParameterError, match="one dtype"):
+            adamw([fx.tensor(np.ones(2)), fx.tensor(np.ones(2, dtype=np.float32))], lr=0.1)
 
     def test_dict_input_accepted(self):
         p = fx.tensor(np.array([1.0]))
@@ -167,7 +225,7 @@ class TestConditioningDropout:
         cond = build_conditioning(params, z0, text)
         orig_img = cond.image_tokens.data.copy()
         out = _dropout_conditioning(cond, np.array([True, False]), params)
-        null = params.null_token.data[0]
+        null = params.null_token[0]
         assert np.all(out.image_tokens.data[0] == null)
         assert np.all(out.text_tokens.data[0] == null)
         assert np.array_equal(out.image_tokens.data[1], orig_img[1])
