@@ -12,7 +12,8 @@ Subcommands:
 
 Every artifact-writing run drops a ``<artifact>.manifest.json`` beside its
 output recording config, seeds, and the sha256 of each input, so any stage can
-verify what its predecessor ran with. Exit codes: 0 success, 1 failed checks
+verify what its predecessor ran with. A stage checks what it reads, and what
+it writes, against `container.SCHEMA`. Exit codes: 0 success, 1 failed checks
 or incompatible/corrupt artifacts, 2 usage errors (bad flags, missing files,
 malformed config).
 """
@@ -28,9 +29,9 @@ import numpy as np
 
 from .adapt import adapt
 from .config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict, to_dict
-from .container import (RunManifest, check_config_compatible, checked_entry,
-                        manifest_path_for, read_container_file, read_manifest, require_entry,
-                        restore_state, save_checkpoint, sha256_file, write_container_file,
+from .container import (RunManifest, check_config_compatible, check_entries,
+                        checkpoint_entries, manifest_path_for, read_container_file,
+                        read_manifest, restore_state, sha256_file, write_container_file,
                         write_manifest)
 from .denoiser import build_conditioning, build_model
 from .errors import ContainerError, FreqVfxError, ParameterError, ShapeError
@@ -39,7 +40,7 @@ from .sampling import sample
 from .schedule import NoiseSchedule
 from .selfcheck import run_selfcheck
 from .spectral import joint_descriptor_detached
-from .synthgen import CLASS_NAMES, build_dataset, checked_videos, read_dataset
+from .synthgen import CLASS_NAMES, build_dataset, read_dataset
 from .tensor import Tensor
 from .train import class_routing_separation, smoothed_endpoints, train_stage1
 
@@ -95,8 +96,8 @@ def _parse_class_spec(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def _restore_model(checkpoint_path: str):
-    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest, and
-    check its stored text tokens against the model."""
+    """Rebuild params/stack/schedule bit-exactly from a checkpoint + manifest, each
+    entry checked against the recorded model (`restore_state`, `check_entries`)."""
     manifest_path = manifest_path_for(checkpoint_path)
     manifest = read_manifest(manifest_path)
     section = manifest.config.get("model") if isinstance(manifest.config, dict) else None
@@ -109,73 +110,42 @@ def _restore_model(checkpoint_path: str):
         params, stack = restore_state(entries, model)
     except ParameterError as err:  # the recorded model is corrupt, not this run's usage
         raise ContainerError(f"manifest {manifest_path}: {err}") from None
-    for name in ("schedule.alphas", "schedule.sigmas"):
-        checked_entry(entries, name, (model.num_steps,), np.float64, "checkpoint")
-    for name in _stored_text_tokens(entries):
-        checked_entry(entries, "cond.text." + name, (model.n_text_tokens, model.width),
-                      np.float32, "checkpoint")
+    check_entries("checkpoint", entries, model, "checkpoint")
     try:
         schedule = NoiseSchedule(entries["schedule.alphas"], entries["schedule.sigmas"])
     except ParameterError as err:  # not variance preserving or not decreasing
         raise ContainerError(f"{checkpoint_path}: 'schedule.alphas' and 'schedule.sigmas': "
                              f"{err}") from None
-    return params, stack, schedule, entries, manifest
+    return params, stack, schedule, entries, manifest, model
 
 
 def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     prefix = "cond.text."
-    return {name[len(prefix):]: arr for name, arr in entries.items()
-            if name.startswith(prefix)}
+    return {n[len(prefix):]: arr for n, arr in entries.items() if n.startswith(prefix)}
 
 
-def _pick_text(entries: dict[str, np.ndarray], class_name: str | None,
-               source: str) -> np.ndarray:
-    """The stored text tokens of `class_name` (default: the first stored class),
-    as `_restore_model` checked them; a checkpoint with none is corrupt, an
-    unknown class a usage error."""
+def _pick_text(entries: dict[str, np.ndarray], class_name: str | None) -> np.ndarray:
+    """The stored text tokens of `class_name` (default: the first stored class);
+    an unknown class is a usage error."""
     stored = _stored_text_tokens(entries)
-    if not stored:
-        raise ContainerError(f"{source} has no 'cond.text.<class>' entry")
-    if class_name is None:
-        class_name = sorted(stored)[0]
-    if class_name not in stored:
-        raise ParameterError(
-            f"no text tokens for class {class_name!r}; stored: {sorted(stored)}")
-    return stored[class_name]
+    name = min(stored) if class_name is None else class_name
+    if name not in stored:
+        raise ParameterError(f"no text tokens for class {name!r}; stored: {sorted(stored)}")
+    return stored[name]
 
 
-def _load_embedding(path: str, params) -> Tensor:
-    """The adapted vfx tokens of an embedding container, checked against the model."""
-    entries = read_container_file(path)
-    if "vfx_embedding.tokens" not in entries:
-        raise ContainerError(f"{path} holds no adapted embedding")
-    tokens = entries["vfx_embedding.tokens"]
-    dtype, width = params.embed_w.dtype, params.width
-    if tokens.dtype != dtype or tokens.ndim != 2 or tokens.shape[0] < 1 \
-            or tokens.shape[1] != width:
-        raise ContainerError(f"{path}: vfx_embedding.tokens is {tokens.dtype} "
-                             f"{tokens.shape}, the model needs {dtype} (L >= 1, {width})")
-    if not np.isfinite(tokens).all():
-        raise ContainerError(f"{path}: vfx_embedding.tokens holds non-finite values")
-    return Tensor(tokens)
+def _input_videos(path: str) -> np.ndarray:
+    """The `videos` entry of the container at `path`, checked."""
+    return check_entries("videos", read_container_file(path), None, path)["videos"]
 
 
-def _stored_trajectory(entries: dict[str, np.ndarray], source: str):
-    """The `descriptors` of a container and its optional `timesteps` as int64."""
-    desc = require_entry(entries, "descriptors", source)
-    if desc.ndim not in (2, 3) or desc.shape[-1] != 6 or desc.size == 0 \
-            or not np.isfinite(desc).all():
-        raise ContainerError(f"{source}: 'descriptors' {desc.shape} is not a finite "
-                             f"(steps, 6) or (steps, B, 6) array")
-    ts = entries.get("timesteps")
-    if ts is None:
-        return desc, None
-    # int64 holds every whole float below 2**63 exactly
-    whole = np.isfinite(ts) & (ts >= 0) & (ts < 2.0 ** 63) & (ts == np.floor(ts))
-    if ts.shape != desc.shape[:1] or not whole.all():
-        raise ContainerError(f"{source}: 'timesteps' is not one whole number in "
-                             f"[0, 2**63) per row of 'descriptors'")
-    return desc, ts.astype(np.int64)
+def _write_checked(path: str, kind: str, entries: dict[str, np.ndarray], model: ModelConfig,
+                   manifest: RunManifest) -> None:
+    """Write `entries` at `path`, and `manifest` beside them, once they fit the
+    table of `kind`; entries that do not write nothing."""
+    check_entries(kind, entries, model, path)
+    write_container_file(path, entries)
+    write_manifest(manifest_path_for(path), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +158,16 @@ def cmd_gen(args) -> int:
     spec = _parse_class_spec(args.classes)
     entries = build_dataset(spec, args.seed, model)
     out = os.path.join(_outdir(args), "dataset.fvl1")
-    write_container_file(out, entries)
     manifest = RunManifest(
         stage="gen", config={"classes": [list(pair) for pair in spec], "model": to_dict(model)},
         seeds={"seed": args.seed})
-    write_manifest(manifest_path_for(out), manifest)
+    _write_checked(out, "dataset", entries, model, manifest)
     print(f"wrote {out} ({len(entries['videos'])} samples)")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    entries = read_container_file(args.input)
-    desc = joint_descriptor_detached(Tensor(checked_videos(entries, args.input)))
+    desc = joint_descriptor_detached(Tensor(_input_videos(args.input)))
     csv = emit_spectral_report(desc, timesteps=np.arange(desc.shape[0]))
     out = os.path.join(_outdir(args), "descriptors.csv")
     write_text(out, csv)
@@ -218,6 +186,10 @@ def cmd_train(args) -> int:
         train_cfg.seed = args.seed
 
     videos, class_ids, text = read_dataset(read_container_file(args.input), args.input)
+    if text.shape[1] != model.n_text_tokens:  # their width is build_conditioning's to check
+        raise ParameterError(f"{args.input}: 'text.{CLASS_NAMES[class_ids[0]]}' holds "
+                             f"{text.shape[1]} text tokens, ModelConfig.n_text_tokens is "
+                             f"{model.n_text_tokens}")
     params, stack = build_model(model, np.random.default_rng(train_cfg.seed))
     schedule = NoiseSchedule.cosine(model.num_steps)
     result = train_stage1(videos, class_ids, text, train_cfg, params, stack, schedule)
@@ -241,8 +213,8 @@ def cmd_train(args) -> int:
                            config={"model": to_dict(model), "train": to_dict(train_cfg)},
                            seeds={"seed": train_cfg.seed},
                            inputs=_input_hash(args.input), extra=extra)
-    save_checkpoint(out, params, stack, schedule, text_tokens=text_tokens,
-                    manifest=manifest)
+    entries = checkpoint_entries(params, stack, schedule, text_tokens=text_tokens)
+    _write_checked(out, "checkpoint", entries, model, manifest)
     write_text(os.path.join(args.out, "metrics.csv"), train_metrics_csv(result.metrics))
     print(f"wrote {out} (loss {first:.4f} -> {last:.4f})")
     return 0
@@ -254,9 +226,9 @@ def cmd_adapt(args) -> int:
     if args.seed is not None:
         adapt_cfg.seed = args.seed
 
-    params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
-    ref = checked_videos(read_container_file(args.input), args.input).astype(np.float32)
-    text = _pick_text(entries, args.class_name, args.checkpoint)
+    params, stack, schedule, entries, ckpt_manifest, model = _restore_model(args.checkpoint)
+    ref = _input_videos(args.input).astype(np.float32)
+    text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, ref, text)
 
     result = adapt(ref, cond, adapt_cfg, params, stack, schedule)
@@ -270,8 +242,9 @@ def cmd_adapt(args) -> int:
         inputs={**_input_hash(args.checkpoint), **_input_hash(args.input)},
         extra={"smoothed_initial_loss": first, "smoothed_final_loss": last,
                "loss_reduction": 1.0 - last / first if first else 0.0})
-    save_checkpoint(out, params, stack, schedule, embedding=result.embedding,
-                    text_tokens=_stored_text_tokens(entries), manifest=manifest)
+    _write_checked(out, "adapted",
+                   checkpoint_entries(params, stack, schedule, result.embedding,
+                                      _stored_text_tokens(entries)), model, manifest)
     write_text(os.path.join(args.out, "trace.csv"), adapt_trace_csv(result.trace))
     print(f"wrote {out} (L_f {first:.4f} -> {last:.4f})")
     return 0
@@ -283,19 +256,21 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         sample_cfg.seed = args.seed
 
-    params, stack, schedule, entries, ckpt_manifest = _restore_model(args.checkpoint)
+    params, stack, schedule, entries, ckpt_manifest, model = _restore_model(args.checkpoint)
     if "model" in doc:
         _section(doc, "model", ModelConfig)  # a malformed section is a usage error
         check_config_compatible(ckpt_manifest.config["model"], doc["model"],
                                 stage=ckpt_manifest.stage)
 
-    z0 = checked_videos(read_container_file(args.input), args.input).astype(np.float32)
-    text = _pick_text(entries, args.class_name, args.checkpoint)
+    z0 = _input_videos(args.input).astype(np.float32)
+    text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, z0, text)
 
     inputs = {**_input_hash(args.checkpoint), **_input_hash(args.input)}
     if args.embedding is not None:
-        cond = cond.with_vfx(_load_embedding(args.embedding, params))
+        stored = check_entries("embedding", read_container_file(args.embedding), model,
+                               args.embedding)
+        cond = cond.with_vfx(Tensor(stored["vfx_embedding.tokens"]))
         inputs.update(_input_hash(args.embedding))
 
     result = sample(params, stack, schedule, cond, steps=sample_cfg.steps,
@@ -308,12 +283,11 @@ def cmd_generate(args) -> int:
         "timesteps": result.timesteps[:-1].astype(np.float64),
         "pi_cond": result.pi_cond,
     }
-    write_container_file(out, entries_out)
     manifest = RunManifest(
         stage="generate",
         config={"model": ckpt_manifest.config["model"], "sample": to_dict(sample_cfg)},
         seeds={"seed": sample_cfg.seed}, inputs=inputs)
-    write_manifest(manifest_path_for(out), manifest)
+    _write_checked(out, "sample", entries_out, model, manifest)
     csv = emit_spectral_report(result.descriptors, timesteps=result.timesteps[:-1])
     write_text(os.path.join(args.out, "spectral.csv"), csv)
     print(f"wrote {out} (batch {result.video.shape[0]}, {sample_cfg.steps} steps)")
@@ -321,8 +295,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    descriptors, timesteps = _stored_trajectory(read_container_file(args.input), args.input)
-    csv = emit_spectral_report(descriptors, timesteps=timesteps)
+    stored = check_entries("trajectory", read_container_file(args.input), None, args.input)
+    desc, ts = stored["descriptors"], stored["timesteps"]
+    whole = (ts >= 0) & (ts < 2.0 ** 63) & (ts == np.floor(ts))  # each exact in int64
+    if ts.shape != desc.shape[:1] or not whole.all():
+        raise ContainerError(f"{args.input}: 'timesteps' is not one whole number in "
+                             f"[0, 2**63) per row of 'descriptors'")
+    csv = emit_spectral_report(desc, timesteps=ts.astype(np.int64))
     out = os.path.join(_outdir(args), "spectral.csv")
     write_text(out, csv)
     manifest = RunManifest(stage="report", config={}, seeds={},

@@ -1,4 +1,5 @@
-"""FVL1 tensor container, run manifests, and checkpoint plumbing.
+"""FVL1 tensor container, the entries each kind of artifact holds (`SCHEMA`),
+run manifests, and checkpoint plumbing.
 
 FVL1 layout (all integers little-endian):
 
@@ -168,13 +169,6 @@ def read_container_file(path) -> dict[str, np.ndarray]:
         return read_container(f.read())
 
 
-def require_entry(entries: Mapping[str, np.ndarray], name: str, source: str) -> np.ndarray:
-    """A container entry that must be there; a missing one is a corrupt artifact."""
-    if name not in entries:
-        raise ContainerError(f"{source} has no {name!r} entry")
-    return entries[name]
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -284,22 +278,62 @@ def save_checkpoint(path, params, stack, schedule, *, embedding=None,
         write_manifest(manifest_path_for(path), manifest)
 
 
-def checked_entry(entries: Mapping[str, np.ndarray], name: str, shape: tuple[int, ...],
+def checked_entry(entries: Mapping[str, np.ndarray], name: str, shape: tuple[int | None, ...],
                   dtype, source: str) -> np.ndarray:
-    """`entries[name]`, which must exist with `shape` and `dtype` and hold only
-    finite values; anything else is a corrupt artifact, named by its entry."""
+    """`entries[name]`, which must exist with `shape` (a None axis is any size
+    >= 1) and `dtype` (None is either stored float) and hold only finite values;
+    anything else is a corrupt artifact, named by its entry."""
     if name not in entries:
         raise ContainerError(f"{source} is missing entry {name!r}")
     stored = entries[name]
-    if tuple(stored.shape) != tuple(shape):
-        raise ContainerError(f"{source} entry {name!r} has shape {stored.shape}, model "
-                             f"expects {tuple(shape)}")
-    if stored.dtype != dtype:
-        raise ContainerError(f"{source} entry {name!r} is {stored.dtype}, model expects "
+    if stored.ndim != len(shape) or any(s < 1 if d is None else s != d
+                                        for s, d in zip(stored.shape, shape)):
+        want = str(tuple(shape)).replace("None", ">=1")
+        raise ContainerError(f"{source} entry {name!r} has shape {stored.shape}, expected {want}")
+    if dtype is not None and stored.dtype != dtype:
+        raise ContainerError(f"{source} entry {name!r} is {stored.dtype}, expected "
                              f"{np.dtype(dtype)}")
-    if not np.isfinite(stored).all():
+    # min and max propagate a NaN, and unlike isfinite(stored) allocate no flag array
+    if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
         raise ContainerError(f"{source} entry {name!r} holds non-finite values")
     return stored
+
+
+# The entries of each kind of artifact: name (a trailing `*` stands for a class
+# name and matches each entry of that prefix, one at least) -> (dtype, shape of
+# the ModelConfig), as `checked_entry` reads them. A checkpoint also holds the
+# `load_model` entries that `restore_state` checks. Rules relating two entries
+# stay with their readers (`read_dataset`, `cmd_report`, `NoiseSchedule`).
+_VIDEOS = {"videos": (None, lambda m: (None,) * 5)}
+_TRAJECTORY = {"descriptors": (None, lambda m: (None, None, 6)),
+               "timesteps": (None, lambda m: (None,))}
+SCHEMA = {
+    "videos": _VIDEOS,  # the --input of analyze, adapt and generate
+    "dataset": {**_VIDEOS, "class_ids": (None, lambda m: (None,)),
+                "text.*": (np.float32, lambda m: (None, None))},
+    "checkpoint": {"schedule.alphas": (np.float64, lambda m: (m.num_steps,)),
+                   "schedule.sigmas": (np.float64, lambda m: (m.num_steps,)),
+                   "cond.text.*": (np.float32, lambda m: (m.n_text_tokens, m.width))},
+    "embedding": {"vfx_embedding.tokens": (np.float32, lambda m: (None, m.width))},
+    "trajectory": _TRAJECTORY,  # what report reads of a sample
+    "sample": {"video": (None, lambda m: (None, *m.latent_shape)), **_TRAJECTORY,
+               "pi_cond": (None, lambda m: (None, None, m.n_experts))},
+}
+SCHEMA["adapted"] = {**SCHEMA["checkpoint"], **SCHEMA["embedding"]}  # what adapt writes
+
+
+def check_entries(kind: str, entries: Mapping[str, np.ndarray], model: ModelConfig | None,
+                  source: str) -> Mapping[str, np.ndarray]:
+    """`entries` when every row of `kind`'s table in SCHEMA holds, each shape
+    computed from `model` (None will do where no row reads it); otherwise a
+    ContainerError naming the first bad entry of `source`."""
+    for row, (dtype, shape) in SCHEMA[kind].items():
+        names = [n for n in entries if n.startswith(row[:-1])] if row.endswith("*") else [row]
+        if not names:
+            raise ContainerError(f"{source} has no {row[:-1] + '<class>'!r} entry")
+        for name in names:
+            checked_entry(entries, name, shape(model), dtype, source)
+    return entries
 
 
 def restore_state(entries: Mapping[str, np.ndarray], model: ModelConfig):

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .config import ModelConfig, check_elements
-from .container import require_entry
+from .container import check_entries, checked_entry
 from .errors import ContainerError, ParameterError, ShapeError
 from .tensor import gaussian_kernel_1d
 
@@ -209,42 +209,27 @@ def build_dataset(spec, seed, model: ModelConfig) -> dict[str, np.ndarray]:
     return entries
 
 
-def checked_videos(entries: dict[str, np.ndarray], source: str) -> np.ndarray:
-    """The `videos` entry of a container: finite, of shape (N, T, C, H, W)."""
-    videos = require_entry(entries, "videos", source)
-    if videos.ndim != 5:
-        raise ContainerError(f"{source}: 'videos' has shape {videos.shape}, "
-                             f"not (N, T, C, H, W)")
-    if not np.isfinite(videos).all():
-        raise ContainerError(f"{source}: 'videos' holds non-finite values")
-    return videos
-
-
 def read_dataset(entries: dict[str, np.ndarray],
                  source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (videos, int class ids, per-row text tokens) of a dataset container.
 
-    A missing or misshapen entry, a non-finite value, or a class id that names
-    no effect class is a ContainerError naming the entry.
+    Its entries must fit the dataset table (`container.check_entries`), give
+    one class id per video, each naming an effect class, and hold the text
+    entry of every id, all of one shape; anything else is a ContainerError
+    naming the entry.
     """
-    videos = checked_videos(entries, source)
-    class_ids = require_entry(entries, "class_ids", source)
+    check_entries("dataset", entries, None, source)
+    videos, class_ids = entries["videos"], entries["class_ids"]
     if class_ids.shape != videos.shape[:1]:
         raise ContainerError(f"{source}: 'class_ids' {class_ids.shape} does not give one "
                              f"id per video of 'videos' {videos.shape}")
-    known = np.isin(class_ids, np.arange(len(CLASS_NAMES)))  # NaN is never in
+    known = np.isin(class_ids, np.arange(len(CLASS_NAMES)))
     if not known.all():
         raise ContainerError(f"{source}: 'class_ids' holds {float(class_ids[~known][0])}, which "
                              f"names no effect class; known ids: 0..{len(CLASS_NAMES) - 1}")
     ids, rows = np.unique(class_ids.astype(np.int64), return_inverse=True)
     table = []
     for cid in ids:
-        name = f"text.{CLASS_NAMES[cid]}"
-        tokens = require_entry(entries, name, source)
-        if tokens.ndim != 2 or (table and tokens.shape != table[0].shape):
-            raise ContainerError(f"{source}: {name!r} has shape {tokens.shape}; every text "
-                                 f"entry must be one (n_tokens, width) matrix")
-        if not np.isfinite(tokens).all():
-            raise ContainerError(f"{source}: {name!r} holds non-finite values")
-        table.append(tokens)
+        shape = table[0].shape if table else (None, None)
+        table.append(checked_entry(entries, f"text.{CLASS_NAMES[cid]}", shape, None, source))
     return videos, ids[rows], np.stack(table)[rows]

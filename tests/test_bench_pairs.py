@@ -1,6 +1,7 @@
 """The statistics of `tools/bench_pairs.py` on fake runs: quartiles, wins,
-the claim rule, the alternating run order, and the merge into an existing
-file, which keeps other workloads and adds pairs to the same one."""
+the claim rule, the regression bound, the alternating run order, and the merge
+into an existing file, which keeps other workloads and adds pairs to the same
+one."""
 
 import importlib.util
 import json
@@ -46,11 +47,29 @@ def test_summarize_pairs_runs_by_index():
     runs = [{"pair": i, "side": side, "metrics": {"steps_per_s": v, "setup_s": 1.0}}
             for i, (p, c) in enumerate([(10.0, 12.0), (11.0, 13.0)])
             for side, v in (("parent", p), ("change", c))]
-    spec = [{"name": "steps_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
-            {"name": "absent", "better": "lower"}]
+    spec = [{"name": "steps_per_s", "better": "higher", "bound": 0.15},
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "absent", "better": "lower", "bound": 0.1}]
     out = bench_pairs.summarize(runs, spec)
     assert sorted(out) == ["setup_s", "steps_per_s"]
     assert out["steps_per_s"]["wins"] == 2 and out["setup_s"]["wins"] == 0
+    assert out["steps_per_s"]["within_bound"] and out["setup_s"]["within_bound"]
+
+
+@pytest.mark.parametrize("better, parent, change, bound, within", [
+    ("higher", [100.0, 102.0, 98.0], [86.0, 85.0, 87.0], 0.15, True),   # -14% of 100
+    ("higher", [100.0, 102.0, 98.0], [84.0, 85.0, 83.0], 0.15, False),  # -16%
+    ("lower", [1.0, 1.1, 0.9], [1.2, 1.25, 1.15], 0.25, True),          # +20%
+    ("lower", [1.0, 1.1, 0.9], [1.3, 1.25, 1.35], 0.25, False),         # +30%
+    ("lower", [1.0, 1.1, 0.9], [0.1, 0.2, 0.3], 0.05, True),            # a gain
+    ("higher", [1.0, 1.0, 1.0], [1.0, 1.0, 0.5], 0.01, True),           # medians tie
+])
+def test_within_bound_compares_medians_relative_to_the_parent(better, parent, change, bound,
+                                                               within):
+    """A regression beyond the bound is flagged whatever the wins; a gain, or a
+    loss within the bound, is not."""
+    stats = bench_pairs.compare(parent, change, better)
+    assert bench_pairs.within_bound(stats, bound) is within
 
 
 def test_main_alternates_and_merges(tmp_path, monkeypatch):
@@ -77,7 +96,7 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
     assert len(entry["runs"]) == 6 and entry["fingerprint"]["parent"]["nproc"] == 2
     assert entry["runs"][0]["raw_call_seconds"] == [1.0]
     summary = entry["summary"]["steps_per_s"]
-    assert summary["wins"] == 3 and summary["claim_holds"]
+    assert summary["wins"] == 3 and summary["claim_holds"] and summary["within_bound"]
     # a second invocation adds pairs 3 and 4 and counts all five
     assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
                              "--pairs", "2", "--out", str(out)]) == 0

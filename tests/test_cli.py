@@ -552,6 +552,41 @@ class TestPipeline:
             assert str(emb) in err and "Traceback" not in err, err
             assert not (out / "sample.fvl1").exists(), name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize("cfg_scale", [1e20, 1e38])
+    def test_generate_writes_no_non_finite_sample(self, tmp_path, cfg_path, capsys, cfg_scale):
+        """A guidance scale that drives the sample past float32 gives non-finite
+        entries: the sample writer refuses them, exit 1 naming the entry, and
+        writes no sample, manifest or CSV."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"sample": {"steps": 3, "cfg_scale": cfg_scale}}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run("generate", "--checkpoint", ckpt, "--input", dataset, "--config", str(huge),
+                 "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "'video' holds non-finite values" in err and "Traceback" not in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_train_rejects_text_of_another_token_count(self, tmp_path, cfg_path, capsys):
+        """A dataset whose text entries hold another number of tokens than the
+        model's `n_text_tokens` is a mismatch with the model: exit 2 naming both
+        before any step, and no checkpoint, where the checkpoint once written
+        was one that `generate` refused."""
+        dataset = self._gen(tmp_path, cfg_path)
+        three = tmp_path / "three.json"
+        three.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], n_text_tokens=3))))
+        capsys.readouterr()
+        rc = run("train", "--input", dataset, "--config", str(three),
+                 "--out", str(tmp_path / "t"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "n_text_tokens" in err and "'text.lowfreq_field'" in err, err
+        assert "Traceback" not in err and not (tmp_path / "t").exists()
+
     def test_adapt_config_accepts_only_unroll(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

@@ -192,7 +192,8 @@ def test_frozen_arrays_refuse_writes(tmp_path):
     params, stack = build_model(model, np.random.default_rng(0))
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     path = tmp_path / "checkpoint.fvl1"
-    ct.save_checkpoint(path, params, stack, sched, manifest=ct.RunManifest(
+    text = {"lowfreq_field": np.zeros((model.n_text_tokens, model.width), np.float32)}
+    ct.save_checkpoint(path, params, stack, sched, text_tokens=text, manifest=ct.RunManifest(
         stage="train", config={"model": to_dict(model)}, seeds={}))
     restored = _restore_model(str(path))[:3]
     for p, s, sch in ((params, stack, sched), restored):

@@ -15,7 +15,9 @@ The output holds, per workload: every run's metrics, and for each end-to-end
 metric of `BENCHMARK.json` each side's median and quartiles, the number of
 pairs the change wins (ties count for neither side) and whether a gain may be
 claimed: the change wins at least nine tenths of the pairs and its median beats
-the parent's by more than the parent's interquartile range. An existing
+the parent's by more than the parent's interquartile range; and whether the
+change stays within the metric's `bound`: its median is not worse than the
+parent's by more than `bound` times the parent's median. An existing
 output file keeps its other workloads, so one file can collect several; the
 runs it already holds for this workload (same seed) stay, the new pairs are
 numbered after them, and the statistics cover all of them.
@@ -63,8 +65,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def within_bound(stats: dict, bound: float) -> bool:
+    """Whether the change's median in `compare`'s `stats` is worse than the
+    parent's by no more than `bound` times the parent's median."""
+    sign = 1.0 if stats["better"] == "higher" else -1.0
+    parent, change = stats["parent"]["median"], stats["change"]["median"]
+    return sign * (change - parent) >= -bound * abs(parent)
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric `compare` over the runs of both sides, paired by `pair`."""
+    """Per-metric `compare` over the runs of both sides, paired by `pair`, with
+    `within_bound` of the metric's bound."""
     by_side = {side: {r["pair"]: r["metrics"] for r in runs if r["side"] == side}
                for side in ("parent", "change")}
     pairs = sorted(set(by_side["parent"]) & set(by_side["change"]))
@@ -74,6 +85,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         vals = [(by_side["parent"][i].get(name), by_side["change"][i].get(name)) for i in pairs]
         if pairs and all(p is not None and c is not None for p, c in vals):
             out[name] = compare([p for p, _ in vals], [c for _, c in vals], spec["better"])
+            out[name]["within_bound"] = within_bound(out[name], spec["bound"])
     return out
 
 
@@ -148,7 +160,8 @@ def main(argv=None) -> int:
         f.write("\n")
     for name, s in doc["workloads"][args.workload]["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.4g} change {s['change']['median']:.4g} "
-              f"wins {s['wins']}/{s['pairs']} claim {s['claim_holds']}")
+              f"wins {s['wins']}/{s['pairs']} claim {s['claim_holds']} "
+              f"within_bound {s['within_bound']}")
     return 0
 
 
