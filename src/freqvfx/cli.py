@@ -121,7 +121,8 @@ def _restore_model(checkpoint_path: str):
 
 def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     prefix = "cond.text."
-    return {n[len(prefix):]: arr for n, arr in entries.items() if n.startswith(prefix)}
+    return {name[len(prefix):]: arr for name, arr in entries.items()
+            if name.startswith(prefix)}
 
 
 def _pick_text(entries: dict[str, np.ndarray], class_name: str | None) -> np.ndarray:

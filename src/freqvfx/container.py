@@ -269,15 +269,6 @@ def checkpoint_entries(params, stack, schedule, embedding=None,
     return out
 
 
-def save_checkpoint(path, params, stack, schedule, *, embedding=None,
-                    text_tokens: Mapping[str, np.ndarray] | None = None,
-                    manifest: RunManifest | None = None) -> None:
-    write_container_file(path, checkpoint_entries(params, stack, schedule,
-                                                  embedding, text_tokens))
-    if manifest is not None:
-        write_manifest(manifest_path_for(path), manifest)
-
-
 def checked_entry(entries: Mapping[str, np.ndarray], name: str, shape: tuple[int | None, ...],
                   dtype, source: str) -> np.ndarray:
     """`entries[name]`, which must exist with `shape` (a None axis is any size

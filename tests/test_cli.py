@@ -622,9 +622,9 @@ class TestPipeline:
         ("negative_timestep", "timesteps"), ("fractional_timestep", "timesteps"),
         ("short_timesteps", "timesteps")])
     def test_report_rejects_hostile_trajectory(self, tmp_path, capsys, defect, entry):
-        """`report` checks the trajectory it reads: finite (steps, 6) or
-        (steps, B, 6) descriptors, and one whole timestep >= 0 per row that int64
-        holds exactly. Anything else exits 1 naming the entry."""
+        """`report` checks the trajectory it reads: finite (steps, B, 6)
+        descriptors, as generate writes them, and one whole timestep >= 0 per row
+        that int64 holds exactly. Anything else exits 1 naming the entry."""
         desc = np.full((4, 1, 6), 0.5)
         ts = np.array([999.0, 666.0, 333.0, 0.0])
         if defect == "nan_descriptors":

@@ -172,7 +172,8 @@ def test_checkpoint_save_restore(tmp_path):
         t.data += 0.01
     p = tmp_path / "ckpt.fvl"
     man = ct.RunManifest(stage="train", config={"width": 64}, seeds={"train": 0})
-    ct.save_checkpoint(p, params, stack, sched, manifest=man)
+    ct.write_container_file(p, ct.checkpoint_entries(params, stack, sched))
+    ct.write_manifest(ct.manifest_path_for(p), man)
     assert (tmp_path / "ckpt.fvl.manifest.json").exists()
 
     entries = ct.read_container_file(p)
@@ -193,7 +194,8 @@ def test_frozen_arrays_refuse_writes(tmp_path):
     sched = NoiseSchedule.cosine(num_steps=params.num_steps)
     path = tmp_path / "checkpoint.fvl1"
     text = {"lowfreq_field": np.zeros((model.n_text_tokens, model.width), np.float32)}
-    ct.save_checkpoint(path, params, stack, sched, text_tokens=text, manifest=ct.RunManifest(
+    ct.write_container_file(path, ct.checkpoint_entries(params, stack, sched, text_tokens=text))
+    ct.write_manifest(ct.manifest_path_for(path), ct.RunManifest(
         stage="train", config={"model": to_dict(model)}, seeds={}))
     restored = _restore_model(str(path))[:3]
     for p, s, sch in ((params, stack, sched), restored):

@@ -5,7 +5,7 @@ import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.config import ModelConfig
 from freqvfx.container import (checkpoint_entries, read_container_file, restore_state,
-                               save_checkpoint)
+                               write_container_file)
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning, build_denoiser,
                               build_model, denoise_guided, denoise_step, patchify, unpatchify)
 from freqvfx.errors import ParameterError, ShapeError
@@ -124,7 +124,8 @@ class TestBuild:
         for t in stack.parameters().values():
             t.data[...] = rng.normal(size=t.shape)
         path = tmp_path / "ckpt.fvl1"
-        save_checkpoint(path, params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        write_container_file(path, checkpoint_entries(params, stack,
+                                                      NoiseSchedule.cosine(NUM_STEPS)))
         entries = read_container_file(path)
         assert entries["adapter.block0.self.q.a"].shape == (9, WIDTH)
         assert entries["adapter.block1.cross.o.b"].shape == (WIDTH, 9)
