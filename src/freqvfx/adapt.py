@@ -22,7 +22,7 @@ from . import tensor as fx
 from .config import AdaptConfig, check_elements
 # unused here, but bench/spans.py traces stage 2 by wrapping freqvfx.adapt.denoise_step
 from .denoiser import AdapterStack, Conditioning, DenoiserParams, denoise_step  # noqa: F401
-from .errors import AdaptationDivergedError, ParameterError, ShapeError
+from .errors import AdaptationDivergedError, ParameterError, SamplingDivergedError, ShapeError
 from .sampling import sample
 from .schedule import NoiseSchedule, forward_noise
 from .spectral import joint_descriptor
@@ -111,8 +111,11 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
         cond_e = cond.with_vfx(embedding.tokens)
 
         with fx.Tape(opt.params) as tape:
-            gen0 = sample(params, stack, schedule, cond_e, steps=config.sample_steps,
-                          cfg_scale=config.sample_cfg, seed=config.sample_seed).video
+            try:
+                gen0 = sample(params, stack, schedule, cond_e, steps=config.sample_steps,
+                              cfg_scale=config.sample_cfg, seed=config.sample_seed).video
+            except SamplingDivergedError as err:
+                raise AdaptationDivergedError(step) from err
             total = None
             first_t = 0
             for draw in range(config.n_draws):

@@ -32,9 +32,12 @@ projection of the step.
 A step is `_trunk` (embedding and block 0's self-attention, which do not read
 the conditioning) followed by `_head` (everything after). The two
 classifier-free-guidance branches differ only in the head, so `denoise_guided`
-runs one trunk for both when no tape records it. Cross-attention into a
-single context token (the null token of the unconditional branch) skips the q/k
-projections and the softmax, whose weight over one key is exactly 1.
+runs the trunk once for both. When a tape records the trunk, the
+unconditional branch reads a replay of its nodes (`fx.replay`), so the tape
+holds the nodes of two `denoise_step` calls and gradients keep their bytes.
+Cross-attention into a single context token (the null token of the
+unconditional branch) skips the q/k projections and the softmax, whose weight
+over one key is exactly 1.
 
 Every backbone weight is a frozen constant: a plain read-only array, which no
 tape can list among the leaves it differentiates and any write refuses. The
@@ -416,13 +419,18 @@ def denoise_guided(z_t, t, cond: Conditioning | None, params: DenoiserParams,
     """(eps_cond, eps_uncond): the two classifier-free-guidance branches,
     byte-identical to `denoise_step` with `cond` and with None.
 
-    When `_trunk` records nothing (no active tape, or a tape on which z_t, `pi`
-    and the stack are constant, as at every `generate` step), both branches share
-    one trunk. Otherwise each branch runs its own, so the tape holds the same
-    nodes as for two `denoise_step` calls and gradients keep their bytes.
+    The trunk runs once. When it records nothing (no active tape, or a tape on
+    which z_t, `pi` and the stack are constant, as at every `generate` step),
+    both heads read it. Otherwise its nodes are replayed after the conditional
+    head's, where a second trunk's would have been recorded, and the
+    unconditional head reads the replay: the tape holds the same nodes as for
+    two `denoise_step` calls and gradients keep their bytes.
     """
+    tape = fx.active_tape()
+    start = len(tape.nodes) if tape is not None else 0
     x = _trunk(z_t, t, params, stack, pi)
+    stop = len(tape.nodes) if tape is not None else 0
     eps_c = _head(x, cond, params, stack, pi)
     if fx.is_live(x):
-        x = _trunk(z_t, t, params, stack, pi)
+        x = fx.replay(start, stop, x)
     return eps_c, _head(x, None, params, stack, pi)

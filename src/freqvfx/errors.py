@@ -25,8 +25,9 @@ class DomainError(FreqVfxError, ValueError):
 
 class TapeConsistencyError(FreqVfxError, RuntimeError):
     """The tape machinery broke an internal invariant: an unbalanced tape
-    enter/exit corrupted the tape stack, or a vjp returned a gradient whose
-    shape differs from its input's."""
+    enter/exit corrupted the tape stack, a vjp returned a gradient whose shape
+    differs from its input's, or a replay was asked for a span the active tape
+    does not hold."""
 
 
 class TrainingDivergedError(FreqVfxError, RuntimeError):
@@ -43,6 +44,14 @@ class AdaptationDivergedError(FreqVfxError, RuntimeError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"adaptation loss became non-finite at step {step}")
+
+
+class SamplingDivergedError(FreqVfxError, RuntimeError):
+    """A sampler step produced a non-finite latent."""
+
+    def __init__(self, step: int):
+        self.step = step
+        super().__init__(f"sampled latent became non-finite at sampler step {step}")
 
 
 class ContainerError(FreqVfxError, ValueError):

@@ -3,11 +3,15 @@
 Each step computes the joint descriptor and routing weights once from the
 shared noisy latent and reuses them for both guidance branches. A guided step
 calls `denoise_guided`, which also computes the conditioning-free prefix of the
-denoiser once for both branches whenever no tape records it (every `generate`
-step, and the first step of each adapt rollout); the outputs are byte-identical
-to two `denoise_step` calls. With cfg_scale == 1 the step calls `denoise_step`
-for the conditional branch only, so guided and unguided trajectories coincide
-bit for bit.
+denoiser once for both branches; under a tape that records it (every adapt
+rollout step after the first), the unconditional branch reads a replay of its
+nodes. The outputs, tape nodes and gradients are byte-identical to two
+`denoise_step` calls. With cfg_scale == 1 the step calls `denoise_step` for the
+conditional branch only, so guided and unguided trajectories coincide bit for
+bit.
+
+A step whose latent is not finite stops the rollout with a
+`SamplingDivergedError` naming the step.
 
 The update uses the alpha-ratio form z' = (a'/a) z + (s' - (a'/a) s) eps_hat,
 algebraically identical to re-noising the predicted clean latent but without
@@ -22,7 +26,7 @@ import numpy as np
 
 from .denoiser import (AdapterStack, Conditioning, DenoiserParams, denoise_guided,
                        denoise_step)
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, SamplingDivergedError, ShapeError
 from .moe import route
 from .schedule import NoiseSchedule, sampling_grid
 from .spectral import joint_descriptor_detached
@@ -76,6 +80,8 @@ def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
         a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
         ratio = a_n / a_t
         z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
+        if not np.isfinite(z.data).all():
+            raise SamplingDivergedError(k)
 
     return SampleResult(video=z, timesteps=grid, descriptors=descriptors,
                         pi_cond=pi_cond)

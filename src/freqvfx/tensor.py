@@ -25,6 +25,13 @@ elementwise op in place gives the same bytes), never one it was handed.
 `record` is how an op defined elsewhere joins the tape
 (`spectral.joint_descriptor`).
 
+No vjp writes into an array it captured (an input's data, its own output or a
+temporary it kept), and neither does `backward`. So a vjp may be called more
+than once, and `replay` relies on that: it appends a copy of a span of the
+tape whose nodes share the originals' vjps and forward arrays, which is what
+re-running that span's ops on the same inputs would record, byte for byte,
+without the forward work (`denoiser.denoise_guided` replays its trunk so).
+
 A frozen weight is a plain read-only array, not a Tensor: `linear` and
 `lora_linear` take it (and `lora_linear` its expert layout) as a constant of
 the node, as `attention` takes its bias. Trainable leaves that one optimizer
@@ -183,24 +190,62 @@ def is_live(t: Tensor) -> bool:
     return tape is not None and id(t) in tape._live
 
 
+def _wrap(arr: np.ndarray) -> Tensor:
+    """A Tensor holding `arr` itself, a float32 or float64 ndarray, unchecked."""
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    return out
+
+
 def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
            vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
            ) -> Tensor:
     """Wrap `out_data`; append a node when the active tape has a live input.
 
-    `vjp(g, live)` returns one gradient per input, None where `live` is False.
-    An input that is a plain array (a frozen weight) is a constant: never live.
-    Every op records through this, including those defined outside this module
-    (`spectral.joint_descriptor`).
+    `out_data` is the op's float32 or float64 result: an ndarray is held as it
+    is, anything else (the numpy scalar of a full reduction) goes through
+    `Tensor`. `vjp(g, live)` returns one gradient per input, None where `live`
+    is False. An input that is a plain array (a frozen weight) is a constant:
+    never live. Every op records through this, including those defined outside
+    this module (`spectral.joint_descriptor`).
     """
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        live = tuple(id(t) in tape._live for t in inputs)
-        if any(live):
-            tape._live.add(id(out))
+    out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
+    tapes = getattr(_TLS, "stack", None)
+    if tapes:
+        tape = tapes[-1]
+        seen = tape._live
+        live = tuple([id(t) in seen for t in inputs])
+        if True in live:
+            seen.add(id(out))
             tape.nodes.append(_Node(op, tuple(inputs), live, out, vjp))
     return out
+
+
+def replay(start: int, stop: int, out: Tensor) -> Tensor:
+    """Append to the active tape a copy of its nodes[start:stop] and return the
+    copy of `out`, the output of one of them.
+
+    Each copy has its node's op, live mask and vjp, and a new output Tensor
+    sharing the original's array; an input that a node of the span made is
+    replaced by that node's copy, and every other input stays. That is the
+    span re-run on the same inputs, without its forward work. `backward` calls
+    each vjp once per copy, which is sound because no vjp writes into an array
+    it captured.
+    """
+    tape = active_tape()
+    if tape is None or not 0 <= start <= stop <= len(tape.nodes):
+        raise TapeConsistencyError(f"no span [{start}:{stop}] of an active tape to replay")
+    span = tape.nodes[start:stop]
+    if not any(node.out is out for node in span):
+        raise TapeConsistencyError(f"span [{start}:{stop}] did not make the tensor to return")
+    copies: dict[int, Tensor] = {}
+    for node in span:
+        copy = _wrap(node.out.data)
+        tape._live.add(id(copy))
+        tape.nodes.append(_Node(node.op, tuple(copies.get(id(t), t) for t in node.inputs),
+                                node.live, copy, node.vjp))
+        copies[id(node.out)] = copy
+    return copies[id(out)]
 
 
 def pack_leaves(leaves: Sequence[Tensor]) -> np.ndarray:
@@ -370,6 +415,8 @@ def cast(a, dtype) -> Tensor:
     """Dtype conversion; gradient casts back to the input dtype."""
     a = _as_tensor(a)
     dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ParameterError(f"tensors hold float32 or float64, not {dtype}")
     if a.dtype == dtype:
         return a
     in_dtype = a.dtype
@@ -645,8 +692,24 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     added into the fresh base output in place, which gives the sum's bytes.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
-    a, b, pi = (_pair(h, x)[1] for x in (a, b, pi))
-    (w, wd), (_, od) = _operand(h, w), _operand(h, owner)
+    hd = h.data
+    dt = hd.dtype
+    # each operand read as `_pair` and `_operand` read one, inline: anything but
+    # a Tensor becomes a constant of h's dtype, and a Tensor must have that dtype
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=dt))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=dt))
+    if not isinstance(pi, Tensor):
+        pi = Tensor(np.asarray(pi, dtype=dt))
+    if isinstance(w, Tensor):
+        wd = w.data
+    else:
+        w = wd = np.asarray(w, dtype=dt)
+    od = owner.data if isinstance(owner, Tensor) else np.asarray(owner, dtype=dt)
+    for x in (a.data, b.data, pi.data, wd, od):
+        if x.dtype != dt:
+            raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
     if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
                          f"{h.shape}, w {wd.shape}, a {a.shape}, b {b.shape}")
@@ -656,7 +719,7 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     if pi.ndim != 2 or od.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
         raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {od.shape} "
                          f"do not match batch {h.shape[0]} and rank {a.shape[0]}")
-    hd, ad, bd, pd = h.data, a.data, b.data, pi.data
+    ad, bd, pd = a.data, b.data, pi.data
     gate = pd @ od
     gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
     down = hd @ ad.T

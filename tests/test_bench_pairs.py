@@ -72,23 +72,29 @@ def test_within_bound_compares_medians_relative_to_the_parent(better, parent, ch
     assert bench_pairs.within_bound(stats, bound) is within
 
 
-def test_main_alternates_and_merges(tmp_path, monkeypatch):
-    calls = []
-
+def _fake_runs(calls: list):
+    """A `run_once` stand-in that notes (workload, side) in `calls` and reports
+    the change twice as fast as the parent."""
     def fake_run(root, workload, seed, seconds):
         side = "change" if root == bench_pairs.ROOT else "parent"
-        calls.append(side)
+        calls.append((workload, side))
         value = 2.0 if side == "change" else 1.0
         metrics = {"steps_per_s": {"value": value + len(calls) * 1e-3, "unit": "1/s"}}
         return {"fingerprint": {"nproc": 2, "seed": seed}, "metrics": metrics, "problems": [],
                 **{k: [1.0] for k in bench_pairs._RAW}}
 
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    return fake_run
+
+
+def test_main_alternates_and_merges(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_runs(calls))
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
     assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
                              "--pairs", "3", "--out", str(out), "--parent-rev", "abc"]) == 0
-    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [side for _, side in calls] == ["parent", "change", "change", "parent", "parent",
+                                           "change"]
     doc = json.loads(out.read_text())
     assert doc["workloads"]["other"] == {"kept": True}
     assert doc["revisions"]["parent"] == "abc"
@@ -106,3 +112,27 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="seed 1"):
         bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
                           "--pairs", "1", "--out", str(out), "--seed", "2"])
+
+
+def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
+    """A comma-separated `--workload` runs each workload's pairs in turn, in the
+    order given, into one file; a workload held at another seed stops the list
+    before any run."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_runs(calls))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload",
+                             "adapt-unroll,train-desk,generate-cfg", "--pairs", "2",
+                             "--out", str(out), "--parent-rev", "abc"]) == 0
+    assert calls == [(w, side) for w in ("adapt-unroll", "train-desk", "generate-cfg")
+                     for side in ("parent", "change", "change", "parent")]
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]) == ["adapt-unroll", "generate-cfg", "train-desk"]
+    for entry in doc["workloads"].values():
+        assert entry["pairs"] == 2 and entry["seed"] == 1
+        assert entry["summary"]["steps_per_s"]["wins"] == 2
+    calls.clear()
+    with pytest.raises(SystemExit, match="generate-cfg runs at seed 1"):
+        bench_pairs.main(["--parent", str(tmp_path), "--workload", "generate-cfg,train-desk",
+                          "--pairs", "1", "--out", str(out), "--seed", "2"])
+    assert calls == []

@@ -555,9 +555,11 @@ class TestPipeline:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     @pytest.mark.parametrize("cfg_scale", [1e20, 1e38])
     def test_generate_writes_no_non_finite_sample(self, tmp_path, cfg_path, capsys, cfg_scale):
-        """A guidance scale that drives the sample past float32 gives non-finite
-        entries: the sample writer refuses them, exit 1 naming the entry, and
-        writes no sample, manifest or CSV."""
+        """A guidance scale that drives the sample past float32 stops the sampler
+        at the first step whose latent is not finite (the second step at 1e20,
+        the first at 1e38): exit 1 naming that step, and no sample, manifest or
+        CSV written."""
+        step = {1e20: 1, 1e38: 0}[cfg_scale]
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)
         huge = tmp_path / "huge.json"
@@ -568,7 +570,7 @@ class TestPipeline:
                  "--out", str(out))
         err = capsys.readouterr().err
         assert rc == 1
-        assert "'video' holds non-finite values" in err and "Traceback" not in err, err
+        assert f"non-finite at sampler step {step}\n" in err and "Traceback" not in err, err
         assert not out.exists() or not any(out.iterdir())
 
     def test_train_rejects_text_of_another_token_count(self, tmp_path, cfg_path, capsys):

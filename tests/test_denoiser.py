@@ -348,8 +348,9 @@ class TestGuidedStep:
         assert bytes_of(eps_u) == bytes_of(denoise_step(z, t, None, params, stack, pi=pi))
 
     def test_live_trunk_records_the_nodes_of_two_steps(self):
-        """With z on the tape, or with the stack's leaves on it, each branch runs
-        its own trunk: the same nodes and gradient bytes as two denoise_step calls."""
+        """With z on the tape, or with the stack's leaves on it, the unconditional
+        branch reads a replay of the trunk's nodes: the same nodes and gradient
+        bytes as two denoise_step calls."""
         params, stack = woken_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
@@ -377,7 +378,8 @@ class TestGuidedStep:
 
     def test_constant_trunk_is_shared(self, monkeypatch):
         """With only the vfx tokens on the tape (an adapt rollout's first step),
-        the trunk records nothing and runs once for both branches."""
+        the trunk records nothing; with z on it too (every later step), the
+        trunk's nodes are replayed. Either way it runs once for both branches."""
         params, stack = woken_model()
         z, text = small_batch()
         vfx = fx.tensor(np.random.default_rng(4).standard_normal((3, WIDTH)),
@@ -391,11 +393,15 @@ class TestGuidedStep:
             return real(*args)
 
         pi = routed(z, stack)
+        expected = bytes_of(denoise_step(z, 3, None, params, stack, pi=pi))
         monkeypatch.setattr(freqvfx.denoiser, "_trunk", counting_trunk)
-        with fx.Tape([vfx]):
-            _, eps_u = denoise_guided(z, 3, cond, params, stack, pi=pi)
-        assert len(calls) == 1
-        assert bytes_of(eps_u) == bytes_of(denoise_step(z, 3, None, params, stack, pi=pi))
+        for live_z in (False, True):
+            calls.clear()
+            zt = fx.tensor(z)
+            with fx.Tape([vfx, zt] if live_z else [vfx]):
+                _, eps_u = denoise_guided(zt, 3, cond, params, stack, pi=pi)
+            assert len(calls) == 1, live_z
+            assert bytes_of(eps_u) == expected, live_z
 
     def test_single_key_shortcut_matches_full_attention(self):
         """Cross-attention into the one null token skips q, k and the softmax;

@@ -3,7 +3,7 @@ import pytest
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
-from freqvfx.errors import ParameterError, ShapeError
+from freqvfx.errors import ParameterError, ShapeError, TapeConsistencyError
 
 import oracles
 
@@ -426,3 +426,51 @@ def test_pack_leaves_keeps_an_ordered_buffer_and_repacks_otherwise():
     assert all(t.data.base is flipped for t in leaves)
     with pytest.raises(ParameterError, match="no leaves"):
         fx.pack_leaves([])
+
+
+def test_replay_records_the_span_run_again_without_recomputing_it():
+    """A replayed span is what running its ops again on the same inputs records:
+    the same ops and live masks, outputs holding the originals' arrays, inputs
+    made inside the span taken from the copies, and the same gradient bytes."""
+    rng = np.random.default_rng(5)
+    w = fx.frozen(rng.normal(size=(4, 3)))
+    x = fx.tensor(rng.normal(size=(2, 3)))
+    c = fx.tensor(rng.normal(size=(2, 4)))
+
+    def span(v):
+        return fx.gelu(fx.linear(v, w) + c)
+
+    runs = []
+    for again in (span, None):
+        with fx.Tape([x]) as tape:
+            h = fx.square(x)
+            y = span(h)
+            head = fx.reduce_sum(y * 2.0)
+            y2 = span(h) if again else fx.replay(1, 4, y)
+            loss = head + fx.reduce_sum(fx.absolute(y2))
+        runs.append((tape, y, y2, fx.backward(tape, loss)[x].data.tobytes()))
+    (tape_a, _, _, g_again), (tape_r, y, y2, g_replay) = runs
+    assert [(n.op, n.live) for n in tape_r.nodes] == [(n.op, n.live) for n in tape_a.nodes]
+    assert g_replay == g_again
+    copies, originals = tape_r.nodes[6:9], tape_r.nodes[1:4]
+    assert all(cp.out.data is orig.out.data and cp.vjp is orig.vjp and cp.out is not orig.out
+               for cp, orig in zip(copies, originals))
+    assert y2 is copies[-1].out and y is originals[-1].out
+    # the copy of `linear` reads h, made before the span; the copy of the add
+    # reads the copy of `linear`'s output, and the constant c as it is
+    assert copies[0].inputs[0] is originals[0].inputs[0]
+    assert copies[1].inputs == (copies[0].out, c)
+
+
+def test_replay_needs_a_span_of_the_active_tape_that_made_out():
+    x = fx.tensor(np.ones(3))
+    with pytest.raises(TapeConsistencyError, match="no span"):
+        fx.replay(0, 0, x)
+    with fx.Tape([x]) as tape:
+        y = fx.square(x)
+        z = fx.square(y)
+        with pytest.raises(TapeConsistencyError, match="no span"):
+            fx.replay(1, 3, z)
+        with pytest.raises(TapeConsistencyError, match="did not make"):
+            fx.replay(1, 2, y)
+    assert len(tape.nodes) == 2  # a refused replay records nothing

@@ -1,8 +1,11 @@
-"""Alternating before/after runs of one benchmark workload, with the statistics
+"""Alternating before/after runs of benchmark workloads, with the statistics
 that decide a performance claim.
 
-    python3 tools/bench_pairs.py --parent DIR --workload train-desk --pairs 10 --out BENCH_16.json
+    python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll,train-desk --pairs 10 \
+        --out BENCH_18.json
 
+`--workload` takes one workload or a comma-separated list, whose pairs run one
+workload after another into the one output file, which is written after each.
 DIR is a checkout of the commit to compare against (a `git worktree`, or a
 `git archive` of it unpacked). Pair i runs `bench/run.py --trace 0` once in
 DIR and once in this tree, the parent first in even pairs and this tree first
@@ -102,6 +105,30 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         return json.load(f)
 
 
+def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, str],
+              bench: dict) -> None:
+    """Run `pairs` more alternating pairs of `workload` and set its entry in
+    `doc` to all of its runs at `seed` with their summary."""
+    earlier = doc["workloads"].get(workload, {})
+    runs, fingerprints = earlier.get("runs", []), earlier.get("fingerprint", {})
+    first_pair = 1 + max((r["pair"] for r in runs), default=-1)
+    for i in range(first_pair, first_pair + pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], workload, seed, bench["run_seconds"])
+            fingerprints.setdefault(side, result["fingerprint"])
+            metrics = {k: m["value"] for k, m in result["metrics"].items()}
+            runs.append({"pair": i, "side": side, "first": side == order[0],
+                         "metrics": metrics, "problems": result["problems"],
+                         **{k: result[k] for k in _RAW}})
+            print(f"{workload} pair {i} {side}: " + ", ".join(
+                f"{k}={v:.4g}" for k, v in metrics.items() if v is not None), flush=True)
+    doc["workloads"][workload] = {
+        "seed": seed, "run_seconds": bench["run_seconds"], "pairs": len(runs) // 2,
+        "fingerprint": fingerprints, "summary": summarize(runs, bench["end_to_end"]),
+        "runs": runs}
+
+
 def _revision(root: str) -> str | None:
     """HEAD of the git checkout `root`, with "+changes" when tracked files differ
     from it; None outside git."""
@@ -118,8 +145,8 @@ def _revision(root: str) -> str | None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--workload", required=True, help="a workload or a comma-separated list")
+    p.add_argument("--pairs", type=int, required=True, help="pairs per workload")
     p.add_argument("--out", required=True, help="JSON file to write (other workloads kept)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--parent-rev", default=None,
@@ -132,36 +159,24 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
             doc = json.load(f)
-    earlier = doc["workloads"].get(args.workload, {})
-    if earlier and earlier["seed"] != args.seed:
-        raise SystemExit(f"{args.out} holds {args.workload} runs at seed {earlier['seed']}")
-    runs, fingerprints = earlier.get("runs", []), earlier.get("fingerprint", {})
-    first_pair = 1 + max((r["pair"] for r in runs), default=-1)
-    for i in range(first_pair, first_pair + args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed, bench["run_seconds"])
-            fingerprints.setdefault(side, result["fingerprint"])
-            metrics = {k: m["value"] for k, m in result["metrics"].items()}
-            runs.append({"pair": i, "side": side, "first": side == order[0],
-                         "metrics": metrics, "problems": result["problems"],
-                         **{k: result[k] for k in _RAW}})
-            print(f"pair {i} {side}: " + ", ".join(f"{k}={v:.4g}" for k, v in metrics.items()
-                                                  if v is not None), flush=True)
-    doc["command"] = "python3 tools/bench_pairs.py --parent DIR --workload W --pairs N --out FILE"
+    workloads = args.workload.split(",")
+    for workload in workloads:
+        earlier = doc["workloads"].get(workload, {})
+        if earlier and earlier["seed"] != args.seed:
+            raise SystemExit(f"{args.out} holds {workload} runs at seed {earlier['seed']}")
+    doc["command"] = ("python3 tools/bench_pairs.py --parent DIR --workload W[,W...] "
+                      "--pairs N --out FILE")
     doc["revisions"] = {"parent": args.parent_rev or _revision(sides["parent"]),
                         "change": _revision(ROOT)}
-    doc["workloads"][args.workload] = {
-        "seed": args.seed, "run_seconds": bench["run_seconds"], "pairs": len(runs) // 2,
-        "fingerprint": fingerprints, "summary": summarize(runs, bench["end_to_end"]),
-        "runs": runs}
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    for name, s in doc["workloads"][args.workload]["summary"].items():
-        print(f"{name}: parent {s['parent']['median']:.4g} change {s['change']['median']:.4g} "
-              f"wins {s['wins']}/{s['pairs']} claim {s['claim_holds']} "
-              f"within_bound {s['within_bound']}")
+    for workload in workloads:
+        run_pairs(doc, workload, args.pairs, args.seed, sides, bench)
+        with open(args.out, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+        for name, s in doc["workloads"][workload]["summary"].items():
+            print(f"{workload} {name}: parent {s['parent']['median']:.4g} "
+                  f"change {s['change']['median']:.4g} wins {s['wins']}/{s['pairs']} "
+                  f"claim {s['claim_holds']} within_bound {s['within_bound']}")
     return 0
 
 
