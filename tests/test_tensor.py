@@ -474,3 +474,13 @@ def test_replay_needs_a_span_of_the_active_tape_that_made_out():
         with pytest.raises(TapeConsistencyError, match="did not make"):
             fx.replay(1, 2, y)
     assert len(tape.nodes) == 2  # a refused replay records nothing
+
+
+def test_cast_refuses_non_float_dtypes():
+    """Tensors hold float32 or float64, and `record` wraps an op's result as it
+    is, so `cast` is where another dtype is refused."""
+    x = fx.tensor(np.ones(3, dtype=np.float32))
+    assert fx.cast(x, np.float64).dtype == np.float64
+    for dtype in (np.int32, np.float16, bool):
+        with pytest.raises(ParameterError, match="float32 or float64"):
+            fx.cast(x, dtype)
