@@ -11,7 +11,9 @@ conditional branch only, so guided and unguided trajectories coincide bit for
 bit.
 
 A step whose latent is not finite stops the rollout with a
-`SamplingDivergedError` naming the step.
+`SamplingDivergedError` naming the step. Each step runs with numpy's overflow
+and invalid-value warnings off, so a diverging rollout reports that one error
+and not the warnings of the arithmetic that overflowed on the way.
 
 The update uses the alpha-ratio form z' = (a'/a) z + (s' - (a'/a) s) eps_hat,
 algebraically identical to re-noising the predicted clean latent but without
@@ -67,19 +69,20 @@ def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
 
     for k in range(steps):
         t, t_next = int(grid[k]), int(grid[k + 1])
-        jd = joint_descriptor_detached(z)
-        descriptors[k] = jd
-        pi = route(jd, stack.router, stack.top_k)
-        pi_cond[k] = pi.data
-        if cfg_scale == 1.0:
-            eps_hat = denoise_step(z, t, cond, params, stack, pi=pi)
-        else:
-            eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
-            eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
-        a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
-        a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
-        ratio = a_n / a_t
-        z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
+        with np.errstate(over="ignore", invalid="ignore"):
+            jd = joint_descriptor_detached(z)
+            descriptors[k] = jd
+            pi = route(jd, stack.router, stack.top_k)
+            pi_cond[k] = pi.data
+            if cfg_scale == 1.0:
+                eps_hat = denoise_step(z, t, cond, params, stack, pi=pi)
+            else:
+                eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
+                eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
+            a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
+            a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
+            ratio = a_n / a_t
+            z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
         if not np.isfinite(z.data).all():
             raise SamplingDivergedError(k)
 

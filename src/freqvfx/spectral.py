@@ -136,6 +136,36 @@ def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
     return g_detail + fx.blur_adjoint(g_b2, mats2) + fx.blur_adjoint(g_b1, mats1)
 
 
+def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
+    """The `make_vjp` of the `descriptor` node: it keeps the VFX path's arrays
+    only when a frame slice is live and the appearance path's only when the
+    mean is, and the video's shape, not the video."""
+    t = shape[1]
+    if not (live[0] or live[1]):
+        vfx_saved = msd = diff = None
+    if not live[2]:
+        app_saved = None
+
+    def vjp(g, live):
+        g_earlier = g_later = g_app = None
+        if live[0] or live[1]:
+            g_vfx = _fei_vjp(g[:, 3:], vfx_saved, mats1, mats2)
+            g_sq = np.broadcast_to(np.expand_dims(g_vfx / (1.0 + msd), 1), diff.shape) / (t - 1)
+            g_diff = 2.0 * g_sq * diff
+            if live[0]:
+                g_earlier = np.zeros(shape)
+                g_earlier[:, :-1] = -g_diff
+            if live[1]:
+                g_later = np.zeros(shape)
+                g_later[:, 1:] = g_diff
+        if live[2]:
+            g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
+            g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), shape) / t
+        return g_earlier, g_later, g_app
+
+    return vjp
+
+
 def joint_descriptor(z) -> Tensor:
     """(B, 6) concatenation of the appearance and VFX indicators.
 
@@ -161,24 +191,8 @@ def joint_descriptor(z) -> Tensor:
     msd = np.mean(diff * diff, axis=(1,))
     vfx_fei, vfx_saved = _fei_forward(np.log1p(msd), mats1, mats2)
 
-    def vjp(g, live):
-        g_earlier = g_later = g_app = None
-        if live[0] or live[1]:
-            g_vfx = _fei_vjp(g[:, 3:], vfx_saved, mats1, mats2)
-            g_sq = np.broadcast_to(np.expand_dims(g_vfx / (1.0 + msd), 1), diff.shape) / (t - 1)
-            g_diff = 2.0 * g_sq * diff
-            if live[0]:
-                g_earlier = np.zeros(zd.shape)
-                g_earlier[:, :-1] = -g_diff
-            if live[1]:
-                g_later = np.zeros(zd.shape)
-                g_later[:, 1:] = g_diff
-        if live[2]:
-            g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
-            g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), zd.shape) / t
-        return g_earlier, g_later, g_app
-
-    return fx.record("descriptor", (z, z, z), np.concatenate([app_fei, vfx_fei], axis=1), vjp)
+    return fx.record("descriptor", (z, z, z), np.concatenate([app_fei, vfx_fei], axis=1),
+                     _descriptor_vjp, zd.shape, mats1, mats2, app_saved, vfx_saved, msd, diff)
 
 
 def joint_descriptor_detached(z) -> np.ndarray:

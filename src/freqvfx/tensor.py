@@ -3,11 +3,16 @@
 The design is a Wengert list. A Tape is built with the leaves it
 differentiates (`Tape(wrt)`); while it is active, a tensor is live when it is
 one of those leaves or the output of a recorded node, and every operation with
-at least one live input appends one node (inputs, a per-input live mask, output
-and a vjp closure). Operations on constants alone record nothing. The forward
-value is computed once, eagerly, and never re-run. `backward` walks the list
-once in reverse, asks each vjp only for the gradients of its live inputs, and
-returns a gradient for every `wrt` leaf. Reduction order
+at least one live input appends one node. The tape refers to tensors by key: a
+tensor gets a process-unique integer key when a tape first makes it live, and a
+node holds its op, its input keys and shapes, a per-input live mask, its output
+key and a vjp closure, never a Tensor or an array. Each vjp closes over shapes
+and over only the arrays that the gradients of its live inputs read, so the
+tape keeps nothing else alive: an array no vjp reads is freed as soon as its
+caller drops it. Operations on constants alone record nothing and build no
+closure. The forward value is computed once, eagerly, and never re-run.
+`backward` walks the list once in reverse, asks each vjp only for the
+gradients of its live inputs, and returns a gradient for every `wrt` leaf. Reduction order
 inside a single op is whatever numpy does, which is deterministic run to run on
 the same machine; no op here introduces platform-dependent nondeterminism of
 its own.
@@ -44,6 +49,7 @@ test suite checks them against central finite differences in float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Iterable, Sequence
@@ -72,9 +78,9 @@ def active_tape() -> "Tape | None":
 
 class Tensor:
     """A numpy array as the tape ops take and return it. Do not mutate `.data`
-    mid-graph."""
+    mid-graph. `key` is None until a tape makes the tensor live."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         if isinstance(data, Tensor):
@@ -83,6 +89,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
+        self.key = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,27 +159,45 @@ def tensor(data, dtype=None) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "live", "out", "vjp")
+    """One recorded op: `inputs` holds each input's key (None for a constant),
+    `shapes` each input's shape, `live` which inputs get a gradient, `out` the
+    output's key and `vjp(g, live)` the gradients."""
 
-    def __init__(self, op, inputs, live, out, vjp):
+    __slots__ = ("op", "inputs", "shapes", "live", "out", "vjp")
+
+    def __init__(self, op, inputs, shapes, live, out, vjp):
         self.op = op
         self.inputs = inputs
+        self.shapes = shapes
         self.live = live
         self.out = out
         self.vjp = vjp
 
 
+_KEYS = itertools.count()
+_LEAF_KEYS = threading.Lock()  # two tapes on two threads may share a leaf
+
+
 class Tape:
     """Records, in execution order, the ops that depend on the leaves in `wrt`.
 
-    Use as a context manager. The tape holds every live tensor (the `wrt`
-    leaves and each node's output), so their ids stay unique while it exists.
+    Use as a context manager. The tape holds the `wrt` leaves and the keys of
+    the live tensors (the leaves' and each node's output's), no other tensor:
+    a key is never reused, so it names one tensor however long the tape lives.
     """
 
     def __init__(self, wrt: Iterable[Tensor]):
         self.wrt: list[Tensor] = list(wrt)
+        for i, leaf in enumerate(self.wrt):
+            if not isinstance(leaf, Tensor):
+                raise ParameterError(f"wrt leaf {i} is a {type(leaf).__name__}, not a Tensor; "
+                                     f"a frozen array is a constant and gets no gradient")
+        with _LEAF_KEYS:
+            for leaf in self.wrt:
+                if leaf.key is None:
+                    leaf.key = next(_KEYS)
         self.nodes: list[_Node] = []
-        self._live: set[int] = {id(t) for t in self.wrt}
+        self._live: set[int] = {leaf.key for leaf in self.wrt}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -187,37 +212,45 @@ class Tape:
 def is_live(t: Tensor) -> bool:
     """True when the active tape records the ops that take `t` as input."""
     tape = active_tape()
-    return tape is not None and id(t) in tape._live
+    return tape is not None and t.key in tape._live
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
     """A Tensor holding `arr` itself, a float32 or float64 ndarray, unchecked."""
     out = Tensor.__new__(Tensor)
     out.data = arr
+    out.key = None
     return out
 
 
 def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
-           vjp: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]
-           ) -> Tensor:
+           make_vjp: Callable[..., Callable], *args) -> Tensor:
     """Wrap `out_data`; append a node when the active tape has a live input.
 
     `out_data` is the op's float32 or float64 result: an ndarray is held as it
     is, anything else (the numpy scalar of a full reduction) goes through
-    `Tensor`. `vjp(g, live)` returns one gradient per input, None where `live`
-    is False. An input that is a plain array (a frozen weight) is a constant:
-    never live. Every op records through this, including those defined outside
-    this module (`spectral.joint_descriptor`).
+    `Tensor`. An input that is a plain array (a frozen weight) is a constant:
+    never live. Only when a node is appended, `make_vjp(live, *args)` builds its
+    vjp from the per-input live mask; `vjp(g, live)` returns one gradient per
+    input, None where `live` is False. So `make_vjp` decides what the vjp
+    keeps, and a vjp must not close over a variable that still holds an array
+    no live input's gradient reads (rebind it to None first). Every op records
+    through this, including those defined outside this module
+    (`spectral.joint_descriptor`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
     if tapes:
         tape = tapes[-1]
         seen = tape._live
-        live = tuple([id(t) in seen for t in inputs])
+        live = tuple([isinstance(t, Tensor) and t.key in seen for t in inputs])
         if True in live:
-            seen.add(id(out))
-            tape.nodes.append(_Node(op, tuple(inputs), live, out, vjp))
+            out.key = key = next(_KEYS)
+            seen.add(key)
+            tape.nodes.append(_Node(op, tuple([t.key if hit else None
+                                               for t, hit in zip(inputs, live)]),
+                                    tuple([t.shape for t in inputs]), live, key,
+                                    make_vjp(live, *args)))
     return out
 
 
@@ -225,27 +258,30 @@ def replay(start: int, stop: int, out: Tensor) -> Tensor:
     """Append to the active tape a copy of its nodes[start:stop] and return the
     copy of `out`, the output of one of them.
 
-    Each copy has its node's op, live mask and vjp, and a new output Tensor
-    sharing the original's array; an input that a node of the span made is
-    replaced by that node's copy, and every other input stays. That is the
-    span re-run on the same inputs, without its forward work. `backward` calls
-    each vjp once per copy, which is sound because no vjp writes into an array
-    it captured.
+    Each copy has its node's op, input shapes, live mask and vjp, and a new
+    output key; an input key that a node of the span made is replaced by that
+    node's copy's, and every other input stays. The returned Tensor shares
+    `out`'s array and carries its copy's key. That is the span re-run on the
+    same inputs, without its forward work, and it creates no array. `backward`
+    calls each vjp once per copy, which is sound because no vjp writes into an
+    array it captured.
     """
     tape = active_tape()
     if tape is None or not 0 <= start <= stop <= len(tape.nodes):
         raise TapeConsistencyError(f"no span [{start}:{stop}] of an active tape to replay")
     span = tape.nodes[start:stop]
-    if not any(node.out is out for node in span):
+    if not any(node.out == out.key for node in span):
         raise TapeConsistencyError(f"span [{start}:{stop}] did not make the tensor to return")
-    copies: dict[int, Tensor] = {}
+    copies: dict[int, int] = {}
     for node in span:
-        copy = _wrap(node.out.data)
-        tape._live.add(id(copy))
-        tape.nodes.append(_Node(node.op, tuple(copies.get(id(t), t) for t in node.inputs),
-                                node.live, copy, node.vjp))
-        copies[id(node.out)] = copy
-    return copies[id(out)]
+        key = next(_KEYS)
+        tape._live.add(key)
+        tape.nodes.append(_Node(node.op, tuple([copies.get(k, k) for k in node.inputs]),
+                                node.shapes, node.live, key, node.vjp))
+        copies[node.out] = key
+    copy = _wrap(out.data)
+    copy.key = copies[out.key]
+    return copy
 
 
 def pack_leaves(leaves: Sequence[Tensor]) -> np.ndarray:
@@ -329,86 +365,117 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
+#
+# Each op's `_<op>_vjp(live, ...)` is the `make_vjp` that `record` calls when it
+# appends the op's node: it keeps what the live inputs' gradients read and
+# returns the vjp.
+
+
+def _add_vjp(live, a_shape, b_shape):
+    def vjp(g, live):
+        return (_unbroadcast(g, a_shape) if live[0] else None,
+                _unbroadcast(g, b_shape) if live[1] else None)
+
+    return vjp
 
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = a.data + b.data
+    return record("add", (a, b), a.data + b.data, _add_vjp, a.shape, b.shape)
 
+
+def _sub_vjp(live, a_shape, b_shape):
     def vjp(g, live):
-        return (_unbroadcast(g, a.shape) if live[0] else None,
-                _unbroadcast(g, b.shape) if live[1] else None)
+        return (_unbroadcast(g, a_shape) if live[0] else None,
+                _unbroadcast(-g, b_shape) if live[1] else None)
 
-    return record("add", (a, b), out, vjp)
+    return vjp
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = a.data - b.data
+    return record("sub", (a, b), a.data - b.data, _sub_vjp, a.shape, b.shape)
+
+
+def _mul_vjp(live, ad, bd):
+    a_shape, b_shape = ad.shape, bd.shape
+    ad = ad if live[1] else None
+    bd = bd if live[0] else None
 
     def vjp(g, live):
-        return (_unbroadcast(g, a.shape) if live[0] else None,
-                _unbroadcast(-g, b.shape) if live[1] else None)
+        ga = _unbroadcast(g * bd, a_shape) if live[0] else None
+        gb = _unbroadcast(g * ad, b_shape) if live[1] else None
+        return ga, gb
 
-    return record("sub", (a, b), out, vjp)
+    return vjp
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
+    return record("mul", (a, b), a.data * b.data, _mul_vjp, a.data, b.data)
+
+
+def _div_vjp(live, ad, bd):
+    a_shape, b_shape = ad.shape, bd.shape
+    ad = ad if live[1] else None
 
     def vjp(g, live):
-        ga = _unbroadcast(g * bd, a.shape) if live[0] else None
-        gb = _unbroadcast(g * ad, b.shape) if live[1] else None
+        ga = _unbroadcast(g / bd, a_shape) if live[0] else None
+        gb = _unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
         return ga, gb
 
-    return record("mul", (a, b), out, vjp)
+    return vjp
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = a.data / b.data
-    ad, bd = a.data, b.data
+    return record("div", (a, b), a.data / b.data, _div_vjp, a.data, b.data)
 
+
+def _square_vjp(live, ad):
     def vjp(g, live):
-        ga = _unbroadcast(g / bd, a.shape) if live[0] else None
-        gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if live[1] else None
-        return ga, gb
+        return (2.0 * g * ad,)
 
-    return record("div", (a, b), out, vjp)
+    return vjp
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
+    return record("square", (a,), ad * ad, _square_vjp, ad)
 
+
+def _abs_vjp(live, ad):
     def vjp(g, live):
-        return (2.0 * g * ad,)
+        return (g * np.sign(ad),)
 
-    return record("square", (a,), ad * ad, vjp)
+    return vjp
 
 
 def absolute(a) -> Tensor:
     """Elementwise |x|. Subgradient at 0 is 0 (sign(0) = 0)."""
     a = _as_tensor(a)
-    ad = a.data
+    return record("abs", (a,), np.abs(a.data), _abs_vjp, a.data)
 
+
+def _log1p_vjp(live, ad):
     def vjp(g, live):
-        return (g * np.sign(ad),)
+        return (g / (1.0 + ad),)
 
-    return record("abs", (a,), np.abs(ad), vjp)
+    return vjp
 
 
 def log1p(a) -> Tensor:
     """log(1 + x), accurate near 0. Caller guarantees x > -1."""
     a = _as_tensor(a)
-    ad = a.data
+    return record("log1p", (a,), np.log1p(a.data), _log1p_vjp, a.data)
 
+
+def _cast_vjp(live, in_dtype):
     def vjp(g, live):
-        return (g / (1.0 + ad),)
+        return (g.astype(in_dtype),)
 
-    return record("log1p", (a,), np.log1p(ad), vjp)
+    return vjp
 
 
 def cast(a, dtype) -> Tensor:
@@ -419,23 +486,13 @@ def cast(a, dtype) -> Tensor:
         raise ParameterError(f"tensors hold float32 or float64, not {dtype}")
     if a.dtype == dtype:
         return a
-    in_dtype = a.dtype
-
-    def vjp(g, live):
-        return (g.astype(in_dtype),)
-
-    return record("cast", (a,), a.data.astype(dtype), vjp)
+    return record("cast", (a,), a.data.astype(dtype), _cast_vjp, a.dtype)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    a = _as_tensor(a)
-    ad = a.data
-    out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
-
+def _gelu_vjp(live, ad):
     def vjp(g, live):
         x = ad
         u = _GELU_C * (x + 0.044715 * x ** 3)
@@ -443,7 +500,23 @@ def gelu(a) -> Tensor:
         du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du),)
 
-    return record("gelu", (a,), out, vjp)
+    return vjp
+
+
+def gelu(a) -> Tensor:
+    """Gaussian error linear unit, tanh approximation."""
+    a = _as_tensor(a)
+    ad = a.data
+    out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
+    return record("gelu", (a,), out, _gelu_vjp, ad)
+
+
+def _softmax_vjp(live, out, tau, axis):
+    def vjp(g, live):
+        dot = np.sum(g * out, axis=axis, keepdims=True)
+        return ((out * (g - dot)) / tau,)
+
+    return vjp
 
 
 def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
@@ -453,16 +526,18 @@ def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     e = np.exp((a.data - np.max(a.data, axis=axis, keepdims=True)) / tau)
     out = e / np.sum(e, axis=axis, keepdims=True)
-
-    def vjp(g, live):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return ((out * (g - dot)) / tau,)
-
-    return record("softmax", (a,), out, vjp)
+    return record("softmax", (a,), out, _softmax_vjp, out, tau, axis)
 
 
 # ---------------------------------------------------------------------------
 # shape / indexing
+
+
+def _reshape_vjp(live, in_shape):
+    def vjp(g, live):
+        return (g.reshape(in_shape),)
+
+    return vjp
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -472,12 +547,16 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from e
-    in_shape = a.shape
+    return record("reshape", (a,), out, _reshape_vjp, a.shape)
+
+
+def _transpose_vjp(live, axes):
+    inv = tuple(np.argsort(axes))
 
     def vjp(g, live):
-        return (g.reshape(in_shape),)
+        return (np.transpose(g, inv),)
 
-    return record("reshape", (a,), out, vjp)
+    return vjp
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -485,12 +564,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"invalid permutation {axes} for rank {a.ndim}")
-    inv = tuple(np.argsort(axes))
-
-    def vjp(g, live):
-        return (np.transpose(g, inv),)
-
-    return record("transpose", (a,), np.transpose(a.data, axes), vjp)
+    return record("transpose", (a,), np.transpose(a.data, axes), _transpose_vjp, axes)
 
 
 def swap_last2(a) -> Tensor:
@@ -501,6 +575,13 @@ def swap_last2(a) -> Tensor:
     return transpose(a, axes)
 
 
+def _broadcast_vjp(live, in_shape):
+    def vjp(g, live):
+        return (_unbroadcast(g, in_shape),)
+
+    return vjp
+
+
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
@@ -508,12 +589,21 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
         out = np.broadcast_to(a.data, shape)  # a read-only view of `a`
     except ValueError as e:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
-    in_shape = a.shape
+    return record("broadcast_to", (a,), out, _broadcast_vjp, a.shape)
 
+
+def _concat_vjp(live, sizes, ax):
     def vjp(g, live):
-        return (_unbroadcast(g, in_shape),)
+        grads = []
+        off = 0
+        for s, keep in zip(sizes, live):
+            idx = [slice(None)] * g.ndim
+            idx[ax] = slice(off, off + s)
+            grads.append(g[tuple(idx)] if keep else None)
+            off += s
+        return grads
 
-    return record("broadcast_to", (a,), out, vjp)
+    return vjp
 
 
 def concat(parts: Iterable, axis: int = 0) -> Tensor:
@@ -529,19 +619,16 @@ def concat(parts: Iterable, axis: int = 0) -> Tensor:
         out = np.concatenate([p.data for p in parts], axis=ax)
     except ValueError as e:
         raise ShapeError(f"concat shape mismatch: {[p.shape for p in parts]}") from e
-    sizes = [p.shape[ax] for p in parts]
+    return record("concat", tuple(parts), out, _concat_vjp, [p.shape[ax] for p in parts], ax)
 
+
+def _slice_vjp(live, in_shape, idx):
     def vjp(g, live):
-        grads = []
-        off = 0
-        for s, keep in zip(sizes, live):
-            idx = [slice(None)] * g.ndim
-            idx[ax] = slice(off, off + s)
-            grads.append(g[tuple(idx)] if keep else None)
-            off += s
-        return grads
+        full = np.zeros(in_shape, dtype=g.dtype)
+        full[idx] = g
+        return (full,)
 
-    return record("concat", tuple(parts), out, vjp)
+    return vjp
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -555,14 +642,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[ax] = slice(start, stop)
     idx = tuple(idx)
-    in_shape = a.shape
-
-    def vjp(g, live):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        full[idx] = g
-        return (full,)
-
-    return record("slice", (a,), a.data[idx].copy(), vjp)
+    return record("slice", (a,), a.data[idx].copy(), _slice_vjp, a.shape, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +665,31 @@ def _norm_axes(axes, ndim) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    ax = _norm_axes(axes, a.ndim)
-    in_shape = a.shape
-
+def _sum_vjp(live, in_shape, ax, keepdims):
     def vjp(g, live):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), vjp)
+    return vjp
+
+
+def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+    ax = _norm_axes(axes, a.ndim)
+    return record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), _sum_vjp,
+                  a.shape, ax, keepdims)
+
+
+def _mean_vjp(live, in_shape, ax, keepdims, count):
+    def vjp(g, live):
+        if not keepdims:
+            for d in ax:
+                g = np.expand_dims(g, d)
+        return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
+
+    return vjp
 
 
 def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -607,19 +700,28 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
         count *= a.shape[d]
     if count == 0:
         raise ShapeError("mean over zero elements")
-    in_shape = a.shape
-
-    def vjp(g, live):
-        if not keepdims:
-            for d in ax:
-                g = np.expand_dims(g, d)
-        return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
-
-    return record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), vjp)
+    return record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), _mean_vjp,
+                  a.shape, ax, keepdims, count)
 
 
 # ---------------------------------------------------------------------------
 # matmul
+
+
+def _matmul_vjp(live, ad, bd):
+    a_shape, b_shape = ad.shape, bd.shape
+    ad = ad if live[1] else None
+    bd = bd if live[0] else None
+
+    def vjp(g, live):
+        ga = gb = None
+        if live[0]:
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape)
+        if live[1]:
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape)
+        return ga, gb
+
+    return vjp
 
 
 def matmul(a, b) -> Tensor:
@@ -632,17 +734,23 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul batch dims disagree: {a.shape} @ {b.shape}") from e
-    ad, bd = a.data, b.data
+    return record("matmul", (a, b), out, _matmul_vjp, a.data, b.data)
+
+
+def _linear_vjp(live, hd, wd):
+    w_shape = wd.shape
+    hd = hd if live[1] else None
+    wd = wd if live[0] else None
 
     def vjp(g, live):
-        ga = gb = None
+        gh = gw = None
         if live[0]:
-            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape)
+            gh = g @ wd
         if live[1]:
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape)
-        return ga, gb
+            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
+        return gh, gw
 
-    return record("matmul", (a, b), out, vjp)
+    return vjp
 
 
 def linear(h, w) -> Tensor:
@@ -659,16 +767,44 @@ def linear(h, w) -> Tensor:
     if h.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear feature dims disagree: {h.shape} @ {wd.shape}^T")
     hd = h.data
+    return record("linear", (h, w), hd @ wd.T, _linear_vjp, hd, wd)
+
+
+def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
+    a_shape, b_shape, w_shape, down_shape = ad.shape, bd.shape, wd.shape, down.shape
+    up = live[1] or live[2] or live[3]  # the paths through g @ b
+    gated = gated if live[0] else None
+    down = down if live[1] else None
+    od = od if live[1] else None
+    gd = gd if up else None
+    bd = bd if up else None
+    ad = ad if live[2] else None
+    hd = hd if live[3] or live[5] else None
+    wd = wd if live[4] else None
 
     def vjp(g, live):
-        gh = gw = None
+        gb = gpi = gh_up = ga = gh_base = gw = None
         if live[0]:
-            gh = g @ wd
-        if live[1]:
-            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
-        return gh, gw
+            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
+        if live[1] or live[2] or live[3]:
+            g_gated = g @ bd
+            if live[1]:
+                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate_shape)
+                gpi = ggate @ od.T
+            if live[2] or live[3]:
+                g_down = _unbroadcast(g_gated * gd, down_shape)
+                if live[2]:
+                    gh_up = g_down @ ad
+                if live[3]:
+                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
+                                                   a_shape[::-1]))
+        if live[4]:
+            gh_base = g @ wd
+        if live[5]:
+            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
+        return gb, gpi, gh_up, ga, gh_base, gw
 
-    return record("linear", (h, w), hd @ wd.T, vjp)
+    return vjp
 
 
 def lora_linear(h, w, a, b, pi, owner) -> Tensor:
@@ -680,8 +816,9 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     axis, so rank row j of the down output of sample i is gated by
     (pi @ owner)[i, j]. Forward and vjp evaluate the numpy expressions of the
     matmul, reshape, linear, linear, mul, linear, add chain they replace, in its
-    order, so values and gradients keep their bytes. The vjp keeps h, the gate,
-    h @ a^T and the gated down output, not the base or up outputs.
+    order, so values and gradients keep their bytes. The vjp keeps the gated
+    down output only when b is live, h @ a^T only when pi is live and h only
+    when a or w is live, and never the base or up outputs.
 
     The node's inputs are (b, pi, h, a, h, w): the order in which the chain
     handed gradients back, so `backward` adds into each input in the same
@@ -724,32 +861,35 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
     down = hd @ ad.T
     gated = down * gd
-
-    def vjp(g, live):
-        gb = gpi = gh_up = ga = gh_base = gw = None
-        if live[0]:
-            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, bd.shape[::-1]))
-        if live[1] or live[2] or live[3]:
-            g_gated = g @ bd
-            if live[1]:
-                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate.shape)
-                gpi = ggate @ od.T
-            if live[2] or live[3]:
-                g_down = _unbroadcast(g_gated * gd, down.shape)
-                if live[2]:
-                    gh_up = g_down @ ad
-                if live[3]:
-                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
-                                                   ad.shape[::-1]))
-        if live[4]:
-            gh_base = g @ wd
-        if live[5]:
-            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, wd.shape[::-1]))
-        return gb, gpi, gh_up, ga, gh_base, gw
-
     out = hd @ wd.T
     out += gated @ bd.T
-    return record("lora", (b, pi, h, a, h, w), out, vjp)
+    return record("lora", (b, pi, h, a, h, w), out, _lora_vjp,
+                  hd, ad, bd, wd, od, gate.shape, gd, down, gated)
+
+
+def _attention_vjp(live, p, qd, kt, vd, scale_arr):
+    q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
+    vd = vd if live[1] or live[2] else None
+    kt = kt if live[1] else None
+    qd = qd if live[2] else None
+
+    def vjp(g, live):
+        gv = gq = gk = None
+        if live[0]:
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
+        if live[1] or live[2]:
+            # fresh: the softmax adjoint and the scale run in place into g_s
+            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
+            g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
+            g_s *= p
+            g_s *= scale_arr
+            if live[1]:
+                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), q_shape)
+            if live[2]:
+                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt_shape), -1, -2)
+        return gv, gq, gk
+
+    return vjp
 
 
 def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
@@ -792,24 +932,7 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}") from e
-
-    def vjp(g, live):
-        gv = gq = gk = None
-        if live[0]:
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, vd.shape)
-        if live[1] or live[2]:
-            # fresh: the softmax adjoint and the scale run in place into g_s
-            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
-            g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
-            g_s *= p
-            g_s *= scale_arr
-            if live[1]:
-                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), qd.shape)
-            if live[2]:
-                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt.shape), -1, -2)
-        return gv, gq, gk
-
-    return record("attention", (v, q, k), out, vjp)
+    return record("attention", (v, q, k), out, _attention_vjp, p, qd, kt, vd, scale_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +1012,13 @@ def blur_adjoint(g: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarr
         @ np.swapaxes(mw, -1, -2)
 
 
+def _blur_vjp(live, mats):
+    def vjp(g, live):
+        return (blur_adjoint(g, mats),)
+
+    return vjp
+
+
 def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
     """Per-channel 2-D gaussian blur of a (B, C, H, W) tensor, replicate padded,
     as one node.
@@ -907,11 +1037,7 @@ def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     mats = blur_matrices(h, w, sigma, x.dtype)
-
-    def vjp(g, live):
-        return (blur_adjoint(g, mats),)
-
-    return record("blur", (x,), blur_apply(x.data, mats), vjp)
+    return record("blur", (x,), blur_apply(x.data, mats), _blur_vjp, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -924,26 +1050,26 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
         raise ParameterError("loss must be a Tensor")
     if loss.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
-    if id(loss) not in tape._live:
+    if loss.key not in tape._live:
         raise ParameterError("loss does not depend on this tape's wrt leaves "
                              "through operations recorded on it")
-    pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
+    pending: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.dtype)}
     for node in reversed(tape.nodes):
-        g = pending.pop(id(node.out), None)
+        g = pending.pop(node.out, None)
         if g is None:
             continue
         grads = node.vjp(g, node.live)
-        for inp, live, gi in zip(node.inputs, node.live, grads):
+        for key, shape, live, gi in zip(node.inputs, node.shapes, node.live, grads):
             if not live:
                 continue
-            if gi.shape != inp.shape:  # pragma: no cover - internal invariant
+            if gi.shape != shape:  # pragma: no cover - internal invariant
                 raise TapeConsistencyError(
-                    f"vjp of {node.op} produced shape {gi.shape} for input {inp.shape}")
-            acc = pending.get(id(inp))
-            pending[id(inp)] = gi if acc is None else acc + gi
+                    f"vjp of {node.op} produced shape {gi.shape} for input {shape}")
+            acc = pending.get(key)
+            pending[key] = gi if acc is None else acc + gi
     out: dict[Tensor, Tensor] = {}
     for leaf in tape.wrt:
-        g = pending.get(id(leaf))
+        g = pending.get(leaf.key)
         if g is None:
             g = np.zeros(leaf.shape, dtype=leaf.dtype)
         out[leaf] = Tensor(np.asarray(g, dtype=leaf.dtype))

@@ -49,7 +49,7 @@ def test_adapt_step_backward_repeats(model, monkeypatch):
     backward = fx.backward
 
     def twice(tape, loss):
-        copies = len(tape.nodes) - len({id(n.out.data) for n in tape.nodes})
+        copies = len(tape.nodes) - len({id(n.vjp) for n in tape.nodes})
         seen.append((len(tape.nodes), copies, _sweeps(backward, tape, loss)))
         return backward(tape, loss)
 
@@ -60,7 +60,7 @@ def test_adapt_step_backward_repeats(model, monkeypatch):
     assert n_nodes == 534 and first == second
     assert np.any(np.frombuffer(first[0], dtype=np.float32))
     # the trunks of the 7 sampler steps after the first are replayed, and each
-    # copy holds its original's output array: 12 nodes a trunk (patchify's 3,
+    # copy shares its original's vjp: 12 nodes a trunk (patchify's 3,
     # the embedding and its 2 adds, block 0's 4 projections, its attention core
     # and the residual add)
     assert copies == 7 * 12

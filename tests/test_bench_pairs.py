@@ -1,7 +1,7 @@
 """The statistics of `tools/bench_pairs.py` on fake runs: quartiles, wins,
 the claim rule, the regression bound, the alternating run order, and the merge
-into an existing file, which keeps other workloads and adds pairs to the same
-one."""
+into an existing file, which keeps other workloads and seeds and adds pairs to
+the same workload and seed."""
 
 import importlib.util
 import json
@@ -98,7 +98,7 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["workloads"]["other"] == {"kept": True}
     assert doc["revisions"]["parent"] == "abc"
-    entry = doc["workloads"]["train-desk"]
+    entry = doc["workloads"]["train-desk"]["seed1"]
     assert len(entry["runs"]) == 6 and entry["fingerprint"]["parent"]["nproc"] == 2
     assert entry["runs"][0]["raw_call_seconds"] == [1.0]
     summary = entry["summary"]["steps_per_s"]
@@ -106,18 +106,15 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
     # a second invocation adds pairs 3 and 4 and counts all five
     assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
                              "--pairs", "2", "--out", str(out)]) == 0
-    entry = json.loads(out.read_text())["workloads"]["train-desk"]
+    entry = json.loads(out.read_text())["workloads"]["train-desk"]["seed1"]
     assert [r["pair"] for r in entry["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
     assert entry["pairs"] == 5 and entry["summary"]["steps_per_s"]["pairs"] == 5
-    with pytest.raises(SystemExit, match="seed 1"):
-        bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
-                          "--pairs", "1", "--out", str(out), "--seed", "2"])
 
 
 def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
     """A comma-separated `--workload` runs each workload's pairs in turn, in the
-    order given, into one file; a workload held at another seed stops the list
-    before any run."""
+    order given, into one file; a confirming run at another seed goes into the
+    same file beside the first seed's entries, each with its own statistics."""
     calls = []
     monkeypatch.setattr(bench_pairs, "run_once", _fake_runs(calls))
     out = tmp_path / "bench.json"
@@ -128,11 +125,18 @@ def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
                      for side in ("parent", "change", "change", "parent")]
     doc = json.loads(out.read_text())
     assert sorted(doc["workloads"]) == ["adapt-unroll", "generate-cfg", "train-desk"]
-    for entry in doc["workloads"].values():
-        assert entry["pairs"] == 2 and entry["seed"] == 1
-        assert entry["summary"]["steps_per_s"]["wins"] == 2
+    for entries in doc["workloads"].values():
+        assert list(entries) == ["seed1"]
+        assert entries["seed1"]["pairs"] == 2 and entries["seed1"]["seed"] == 1
+        assert entries["seed1"]["summary"]["steps_per_s"]["wins"] == 2
     calls.clear()
-    with pytest.raises(SystemExit, match="generate-cfg runs at seed 1"):
-        bench_pairs.main(["--parent", str(tmp_path), "--workload", "generate-cfg,train-desk",
-                          "--pairs", "1", "--out", str(out), "--seed", "2"])
-    assert calls == []
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "adapt-unroll",
+                             "--pairs", "3", "--out", str(out), "--seed", "7"]) == 0
+    assert calls == [("adapt-unroll", side) for side in ("parent", "change", "change",
+                                                          "parent", "parent", "change")]
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]["adapt-unroll"]) == ["seed1", "seed7"]
+    seed1, seed7 = (doc["workloads"]["adapt-unroll"][k] for k in ("seed1", "seed7"))
+    assert seed1["pairs"] == 2 and [r["pair"] for r in seed7["runs"]] == [0, 0, 1, 1, 2, 2]
+    assert seed7["seed"] == 7 and seed7["fingerprint"]["change"]["seed"] == 7
+    assert seed7["summary"]["steps_per_s"]["pairs"] == 3

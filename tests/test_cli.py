@@ -552,13 +552,14 @@ class TestPipeline:
             assert str(emb) in err and "Traceback" not in err, err
             assert not (out / "sample.fvl1").exists(), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cfg_scale", [1e20, 1e38])
     def test_generate_writes_no_non_finite_sample(self, tmp_path, cfg_path, capsys, cfg_scale):
         """A guidance scale that drives the sample past float32 stops the sampler
         at the first step whose latent is not finite (the second step at 1e20,
         the first at 1e38): exit 1 naming that step, and no sample, manifest or
-        CSV written."""
+        CSV written. The overflow on the way emits no RuntimeWarning, which this
+        test turns into an error."""
         step = {1e20: 1, 1e38: 0}[cfg_scale]
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

@@ -333,6 +333,18 @@ class TestDenoiseStep:
         assert np.all(np.isfinite(out.data))
 
 
+def _wiring(tape):
+    """Each node's op, live mask and input shapes, and where each input came
+    from: the index of the node that made it, a wrt leaf's index, or None for a
+    constant."""
+    made = {leaf.key: ("leaf", i) for i, leaf in enumerate(tape.wrt)}
+    rows = []
+    for i, n in enumerate(tape.nodes):
+        rows.append((n.op, n.live, n.shapes, tuple(made.get(k) for k in n.inputs)))
+        made[n.out] = i
+    return rows
+
+
 class TestGuidedStep:
     @pytest.mark.parametrize("woken", [True, False])
     @pytest.mark.parametrize("b, t", [(1, 3), (2, 3), (2, np.array([3, 7]))])
@@ -350,7 +362,7 @@ class TestGuidedStep:
     def test_live_trunk_records_the_nodes_of_two_steps(self):
         """With z on the tape, or with the stack's leaves on it, the unconditional
         branch reads a replay of the trunk's nodes: the same nodes and gradient
-        bytes as two denoise_step calls."""
+        bytes as two denoise_step calls, each input read from the same node."""
         params, stack = woken_model()
         z, text = small_batch()
         cond = build_conditioning(params, z, text)
@@ -372,7 +384,7 @@ class TestGuidedStep:
                     eps_c, eps_u = fn(zt)
                     loss = fx.reduce_sum(fx.square(eps_u + 7.5 * (eps_c - eps_u)))
                 grads = fx.backward(tape, loss)
-                seen.append(([(n.op, n.live, n.out.shape) for n in tape.nodes],
+                seen.append((_wiring(tape),
                              [bytes_of(grads[leaf]) for leaf in wrt]))
             assert seen[0] == seen[1], on_tape
 

@@ -61,9 +61,11 @@ def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
         assert not nodes
         return
     assert [n.op for n in nodes] == [op_name, "add", "mul", "sum"]
-    node = nodes[0]
+    node, residual_add = nodes[:2]
     assert node.live == tuple(name in live for name in node_inputs)
-    g = np.ones(node.out.shape, dtype=np.float32)
+    # the add reads the residual and the op's output, by key
+    assert residual_add.inputs[1] == node.out
+    g = np.ones(residual_add.shapes[1], dtype=np.float32)
     for name, grad in zip(node_inputs, node.vjp(g, node.live)):
         assert (grad is None) == (name not in live), name
 
@@ -227,6 +229,7 @@ def test_joint_descriptor_matches_chain_bytes(dtype, b, t, motion):
         assert ops.count("descriptor") == 1
         node = nodes[len(cast)]
         video = node.inputs[0]
+        assert isinstance(video, int) and node.shapes == (z.shape,) * 3
         assert node.inputs == (video, video, video) and node.live == (True, True, True)
         # the earlier slice, the later slice, the appearance mean: each gradient is
         # None exactly when its path is dead

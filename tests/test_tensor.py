@@ -396,20 +396,32 @@ def test_shape_errors():
 
 
 def test_frozen_weight_is_a_constant_input():
-    """A plain-array weight enters `linear` as it is: listed on the node, never
-    live, no gradient, and the gradient of h equals that of the Tensor form."""
+    """A plain-array weight enters `linear` as it is: listed on the node with no
+    key, never live, no gradient, and the gradient of h equals that of the
+    Tensor form."""
     rng = np.random.default_rng(31)
     w = fx.frozen(rng.normal(size=(5, 4)))
     x = fx.tensor(rng.normal(size=(3, 4)))
     with fx.Tape([x]) as tape:
         loss = fx.reduce_sum(fx.square(fx.linear(x, w)))
     (node, *_), grads = tape.nodes, fx.backward(tape, loss)
-    assert node.op == "linear" and node.inputs[1] is w and node.live == (True, False)
+    assert node.op == "linear" and node.inputs == (x.key, None) and node.live == (True, False)
+    assert node.shapes == (x.shape, w.shape)
     with fx.Tape([x]) as tape2:
         loss2 = fx.reduce_sum(fx.square(fx.linear(x, fx.Tensor(w))))
     assert grads[x].data.tobytes() == fx.backward(tape2, loss2)[x].data.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0] = 1.0
+
+
+def test_tape_refuses_a_leaf_that_is_not_a_tensor():
+    """A frozen weight is a constant, so no tape lists it among its leaves: the
+    refusal names the leaf's index and type, and no tape is made."""
+    x = fx.tensor(np.ones((3, 4)))
+    for leaf, kind in ((fx.frozen(np.ones((5, 4))), "ndarray"), (2.0, "float")):
+        with pytest.raises(ParameterError, match=rf"wrt leaf 1 is a {kind}, not a Tensor"):
+            fx.Tape([x, leaf])
+    assert fx.active_tape() is None
 
 
 def test_pack_leaves_keeps_an_ordered_buffer_and_repacks_otherwise():
@@ -430,8 +442,9 @@ def test_pack_leaves_keeps_an_ordered_buffer_and_repacks_otherwise():
 
 def test_replay_records_the_span_run_again_without_recomputing_it():
     """A replayed span is what running its ops again on the same inputs records:
-    the same ops and live masks, outputs holding the originals' arrays, inputs
-    made inside the span taken from the copies, and the same gradient bytes."""
+    the same ops, input shapes and live masks, the originals' vjps under fresh
+    output keys, inputs made inside the span taken from the copies, and the same
+    gradient bytes; the returned tensor holds the original's array."""
     rng = np.random.default_rng(5)
     w = fx.frozen(rng.normal(size=(4, 3)))
     x = fx.tensor(rng.normal(size=(2, 3)))
@@ -450,16 +463,17 @@ def test_replay_records_the_span_run_again_without_recomputing_it():
             loss = head + fx.reduce_sum(fx.absolute(y2))
         runs.append((tape, y, y2, fx.backward(tape, loss)[x].data.tobytes()))
     (tape_a, _, _, g_again), (tape_r, y, y2, g_replay) = runs
-    assert [(n.op, n.live) for n in tape_r.nodes] == [(n.op, n.live) for n in tape_a.nodes]
+    assert [(n.op, n.shapes, n.live) for n in tape_r.nodes] == \
+        [(n.op, n.shapes, n.live) for n in tape_a.nodes]
     assert g_replay == g_again
     copies, originals = tape_r.nodes[6:9], tape_r.nodes[1:4]
-    assert all(cp.out.data is orig.out.data and cp.vjp is orig.vjp and cp.out is not orig.out
-               for cp, orig in zip(copies, originals))
-    assert y2 is copies[-1].out and y is originals[-1].out
+    assert all(cp.vjp is orig.vjp and cp.shapes == orig.shapes for cp, orig in zip(copies, originals))
+    assert len({n.out for n in tape_r.nodes}) == len(tape_r.nodes)  # every key fresh
+    assert y2.data is y.data and (y2.key, y.key) == (copies[-1].out, originals[-1].out)
     # the copy of `linear` reads h, made before the span; the copy of the add
-    # reads the copy of `linear`'s output, and the constant c as it is
-    assert copies[0].inputs[0] is originals[0].inputs[0]
-    assert copies[1].inputs == (copies[0].out, c)
+    # reads the copy of `linear`'s output, and the constant c (no key) as it is
+    assert copies[0].inputs[0] == originals[0].inputs[0]
+    assert copies[1].inputs == (copies[0].out, None)
 
 
 def test_replay_needs_a_span_of_the_active_tape_that_made_out():

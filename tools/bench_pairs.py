@@ -2,7 +2,9 @@
 that decide a performance claim.
 
     python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll,train-desk --pairs 10 \
-        --out BENCH_18.json
+        --out BENCH_19.json
+    python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll --pairs 3 --seed 7 \
+        --out BENCH_19.json
 
 `--workload` takes one workload or a comma-separated list, whose pairs run one
 workload after another into the one output file, which is written after each.
@@ -14,16 +16,18 @@ in odd ones, one run at a time. After each run the tool reads the run's
 that checkout overwrites it, and keeps its metrics, its raw and scaled call
 and set-up seconds, and its fingerprint.
 
-The output holds, per workload: every run's metrics, and for each end-to-end
-metric of `BENCHMARK.json` each side's median and quartiles, the number of
-pairs the change wins (ties count for neither side) and whether a gain may be
-claimed: the change wins at least nine tenths of the pairs and its median beats
-the parent's by more than the parent's interquartile range; and whether the
-change stays within the metric's `bound`: its median is not worse than the
-parent's by more than `bound` times the parent's median. An existing
-output file keeps its other workloads, so one file can collect several; the
-runs it already holds for this workload (same seed) stay, the new pairs are
-numbered after them, and the statistics cover all of them.
+The output holds one entry per workload and seed, at
+`["workloads"][<workload>]["seed<n>"]`: every run's metrics, and for each
+end-to-end metric of `BENCHMARK.json` each side's median and quartiles, the
+number of pairs the change wins (ties count for neither side) and whether a
+gain may be claimed: the change wins at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's interquartile range; and
+whether the change stays within the metric's `bound`: its median is not worse
+than the parent's by more than `bound` times the parent's median. An existing
+output file keeps its other entries, so one file collects the pairs at one seed
+and a confirming run at another; the runs it already holds for this workload
+and seed stay, the new pairs are numbered after them, and the statistics cover
+all of them.
 """
 
 from __future__ import annotations
@@ -106,10 +110,12 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, str],
-              bench: dict) -> None:
-    """Run `pairs` more alternating pairs of `workload` and set its entry in
-    `doc` to all of its runs at `seed` with their summary."""
-    earlier = doc["workloads"].get(workload, {})
+              bench: dict) -> dict:
+    """Run `pairs` more alternating pairs of `workload` at `seed` and set its
+    entry for that seed in `doc` to all of those runs with their summary;
+    return the entry."""
+    entries = doc["workloads"].setdefault(workload, {})
+    earlier = entries.get(f"seed{seed}", {})
     runs, fingerprints = earlier.get("runs", []), earlier.get("fingerprint", {})
     first_pair = 1 + max((r["pair"] for r in runs), default=-1)
     for i in range(first_pair, first_pair + pairs):
@@ -121,12 +127,13 @@ def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, 
             runs.append({"pair": i, "side": side, "first": side == order[0],
                          "metrics": metrics, "problems": result["problems"],
                          **{k: result[k] for k in _RAW}})
-            print(f"{workload} pair {i} {side}: " + ", ".join(
+            print(f"{workload} seed {seed} pair {i} {side}: " + ", ".join(
                 f"{k}={v:.4g}" for k, v in metrics.items() if v is not None), flush=True)
-    doc["workloads"][workload] = {
+    entries[f"seed{seed}"] = entry = {
         "seed": seed, "run_seconds": bench["run_seconds"], "pairs": len(runs) // 2,
         "fingerprint": fingerprints, "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs}
+    return entry
 
 
 def _revision(root: str) -> str | None:
@@ -147,7 +154,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="checkout of the commit to compare against")
     p.add_argument("--workload", required=True, help="a workload or a comma-separated list")
     p.add_argument("--pairs", type=int, required=True, help="pairs per workload")
-    p.add_argument("--out", required=True, help="JSON file to write (other workloads kept)")
+    p.add_argument("--out", required=True,
+                   help="JSON file to write (other workloads and seeds kept)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--parent-rev", default=None,
                    help="the parent's commit, when DIR is not a git checkout")
@@ -159,22 +167,17 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
             doc = json.load(f)
-    workloads = args.workload.split(",")
-    for workload in workloads:
-        earlier = doc["workloads"].get(workload, {})
-        if earlier and earlier["seed"] != args.seed:
-            raise SystemExit(f"{args.out} holds {workload} runs at seed {earlier['seed']}")
     doc["command"] = ("python3 tools/bench_pairs.py --parent DIR --workload W[,W...] "
-                      "--pairs N --out FILE")
+                      "--pairs N [--seed S] --out FILE")
     doc["revisions"] = {"parent": args.parent_rev or _revision(sides["parent"]),
                         "change": _revision(ROOT)}
-    for workload in workloads:
-        run_pairs(doc, workload, args.pairs, args.seed, sides, bench)
+    for workload in args.workload.split(","):
+        entry = run_pairs(doc, workload, args.pairs, args.seed, sides, bench)
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
-        for name, s in doc["workloads"][workload]["summary"].items():
-            print(f"{workload} {name}: parent {s['parent']['median']:.4g} "
+        for name, s in entry["summary"].items():
+            print(f"{workload} seed {args.seed} {name}: parent {s['parent']['median']:.4g} "
                   f"change {s['change']['median']:.4g} wins {s['wins']}/{s['pairs']} "
                   f"claim {s['claim_holds']} within_bound {s['within_bound']}")
     return 0
