@@ -97,18 +97,24 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
                                            "change"]
     doc = json.loads(out.read_text())
     assert doc["workloads"]["other"] == {"kept": True}
-    assert doc["revisions"]["parent"] == "abc"
     entry = doc["workloads"]["train-desk"]["seed1"]
+    assert entry["revisions"]["parent"] == "abc"
     assert len(entry["runs"]) == 6 and entry["fingerprint"]["parent"]["nproc"] == 2
     assert entry["runs"][0]["raw_call_seconds"] == [1.0]
     summary = entry["summary"]["steps_per_s"]
     assert summary["wins"] == 3 and summary["claim_holds"] and summary["within_bound"]
     # a second invocation adds pairs 3 and 4 and counts all five
     assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
-                             "--pairs", "2", "--out", str(out)]) == 0
+                             "--pairs", "2", "--out", str(out), "--parent-rev", "abc"]) == 0
     entry = json.loads(out.read_text())["workloads"]["train-desk"]["seed1"]
     assert [r["pair"] for r in entry["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
     assert entry["pairs"] == 5 and entry["summary"]["steps_per_s"]["pairs"] == 5
+    # but not pairs of another parent, before any run
+    calls.clear()
+    with pytest.raises(SystemExit, match="holds train-desk seed 1 runs of"):
+        bench_pairs.main(["--parent", str(tmp_path), "--workload", "train-desk",
+                          "--pairs", "1", "--out", str(out), "--parent-rev", "def"])
+    assert calls == []
 
 
 def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
@@ -131,7 +137,8 @@ def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
         assert entries["seed1"]["summary"]["steps_per_s"]["wins"] == 2
     calls.clear()
     assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "adapt-unroll",
-                             "--pairs", "3", "--out", str(out), "--seed", "7"]) == 0
+                             "--pairs", "3", "--out", str(out), "--seed", "7",
+                             "--parent-rev", "def"]) == 0
     assert calls == [("adapt-unroll", side) for side in ("parent", "change", "change",
                                                           "parent", "parent", "change")]
     doc = json.loads(out.read_text())
@@ -139,4 +146,5 @@ def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
     seed1, seed7 = (doc["workloads"]["adapt-unroll"][k] for k in ("seed1", "seed7"))
     assert seed1["pairs"] == 2 and [r["pair"] for r in seed7["runs"]] == [0, 0, 1, 1, 2, 2]
     assert seed7["seed"] == 7 and seed7["fingerprint"]["change"]["seed"] == 7
+    assert (seed1["revisions"]["parent"], seed7["revisions"]["parent"]) == ("abc", "def")
     assert seed7["summary"]["steps_per_s"]["pairs"] == 3

@@ -51,6 +51,25 @@ def test_output_no_vjp_reads_is_freed_while_the_tape_is_active():
                                   np.full((64, 64), 2.0 * 64 * 64 * 2.0))
 
 
+@pytest.mark.parametrize("op", [fx.add, fx.sub, fx.mul, fx.div, fx.matmul, fx.linear])
+def test_one_live_operand_gets_the_gradient_of_both_live(op):
+    """Each vjp keeps the arrays its live inputs' gradients read: with one
+    operand live it still gives that operand the bytes it gets with both live."""
+    rng = np.random.default_rng(3)
+    second = (4, 4) if op in (fx.matmul, fx.linear) else (1, 4)  # a broadcast operand
+    arrays = [rng.normal(size=(3, 4)) + 2.0, rng.normal(size=second) + 2.0]
+    both = [fx.tensor(a) for a in arrays]
+    with fx.Tape(both) as tape:
+        loss = fx.reduce_sum(fx.square(op(*both)))
+    want = [fx.backward(tape, loss)[t].data.tobytes() for t in both]
+    for i in range(2):
+        one = [fx.tensor(a) for a in arrays]
+        with fx.Tape([one[i]]) as tape:
+            loss = fx.reduce_sum(fx.square(op(*one)))
+        assert tape.nodes[0].live == (i == 0, i == 1)
+        assert fx.backward(tape, loss)[one[i]].data.tobytes() == want[i]
+
+
 def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     params, stack = build_model(ModelConfig(), np.random.default_rng(0))
     spec = (("lowfreq_field", 2), ("highfreq_particles", 2))

@@ -467,7 +467,8 @@ def test_replay_records_the_span_run_again_without_recomputing_it():
         [(n.op, n.shapes, n.live) for n in tape_a.nodes]
     assert g_replay == g_again
     copies, originals = tape_r.nodes[6:9], tape_r.nodes[1:4]
-    assert all(cp.vjp is orig.vjp and cp.shapes == orig.shapes for cp, orig in zip(copies, originals))
+    assert all(cp.vjp is orig.vjp and cp.shapes == orig.shapes
+               for cp, orig in zip(copies, originals))
     assert len({n.out for n in tape_r.nodes}) == len(tape_r.nodes)  # every key fresh
     assert y2.data is y.data and (y2.key, y.key) == (copies[-1].out, originals[-1].out)
     # the copy of `linear` reads h, made before the span; the copy of the add

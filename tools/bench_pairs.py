@@ -17,7 +17,8 @@ that checkout overwrites it, and keeps its metrics, its raw and scaled call
 and set-up seconds, and its fingerprint.
 
 The output holds one entry per workload and seed, at
-`["workloads"][<workload>]["seed<n>"]`: every run's metrics, and for each
+`["workloads"][<workload>]["seed<n>"]`: the two revisions compared, every
+run's metrics, and for each
 end-to-end metric of `BENCHMARK.json` each side's median and quartiles, the
 number of pairs the change wins (ties count for neither side) and whether a
 gain may be claimed: the change wins at least nine tenths of the pairs and its
@@ -26,8 +27,8 @@ whether the change stays within the metric's `bound`: its median is not worse
 than the parent's by more than `bound` times the parent's median. An existing
 output file keeps its other entries, so one file collects the pairs at one seed
 and a confirming run at another; the runs it already holds for this workload
-and seed stay, the new pairs are numbered after them, and the statistics cover
-all of them.
+and seed stay (they must compare the same revisions), the new pairs are
+numbered after them, and the statistics cover all of them.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, str],
-              bench: dict) -> dict:
+              revisions: dict, bench: dict) -> dict:
     """Run `pairs` more alternating pairs of `workload` at `seed` and set its
-    entry for that seed in `doc` to all of those runs with their summary;
-    return the entry."""
+    entry for that seed in `doc` to all of those runs with their summary and
+    the `revisions` they compare; return the entry."""
     entries = doc["workloads"].setdefault(workload, {})
     earlier = entries.get(f"seed{seed}", {})
     runs, fingerprints = earlier.get("runs", []), earlier.get("fingerprint", {})
@@ -130,9 +131,9 @@ def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, 
             print(f"{workload} seed {seed} pair {i} {side}: " + ", ".join(
                 f"{k}={v:.4g}" for k, v in metrics.items() if v is not None), flush=True)
     entries[f"seed{seed}"] = entry = {
-        "seed": seed, "run_seconds": bench["run_seconds"], "pairs": len(runs) // 2,
-        "fingerprint": fingerprints, "summary": summarize(runs, bench["end_to_end"]),
-        "runs": runs}
+        "seed": seed, "revisions": revisions, "run_seconds": bench["run_seconds"],
+        "pairs": len(runs) // 2, "fingerprint": fingerprints,
+        "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
     return entry
 
 
@@ -169,10 +170,16 @@ def main(argv=None) -> int:
             doc = json.load(f)
     doc["command"] = ("python3 tools/bench_pairs.py --parent DIR --workload W[,W...] "
                       "--pairs N [--seed S] --out FILE")
-    doc["revisions"] = {"parent": args.parent_rev or _revision(sides["parent"]),
-                        "change": _revision(ROOT)}
-    for workload in args.workload.split(","):
-        entry = run_pairs(doc, workload, args.pairs, args.seed, sides, bench)
+    revisions = {"parent": args.parent_rev or _revision(sides["parent"]),
+                 "change": _revision(ROOT)}
+    workloads = args.workload.split(",")
+    for workload in workloads:
+        earlier = doc["workloads"].get(workload, {}).get(f"seed{args.seed}")
+        if earlier and earlier["revisions"] != revisions:
+            raise SystemExit(f"{args.out} holds {workload} seed {args.seed} runs of "
+                             f"{earlier['revisions']}, not {revisions}")
+    for workload in workloads:
+        entry = run_pairs(doc, workload, args.pairs, args.seed, sides, revisions, bench)
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
