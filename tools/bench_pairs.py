@@ -3,7 +3,7 @@ that decide a performance claim.
 
     python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll,train-desk --pairs 10 \
         --out BENCH_19.json
-    python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll --pairs 3 --seed 7 \
+    python3 tools/bench_pairs.py --parent DIR --workload adapt-unroll --pairs 5 --seed 7 \
         --out BENCH_19.json
 
 `--workload` takes one workload or a comma-separated list, whose pairs run one
@@ -18,13 +18,13 @@ and set-up seconds, and its fingerprint.
 
 The output holds one entry per workload and seed, at
 `["workloads"][<workload>]["seed<n>"]`: the two revisions compared, every
-run's metrics, and for each
-end-to-end metric of `BENCHMARK.json` each side's median and quartiles, the
-number of pairs the change wins (ties count for neither side) and whether a
-gain may be claimed: the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's interquartile range; and
-whether the change stays within the metric's `bound`: its median is not worse
-than the parent's by more than `bound` times the parent's median. An existing
+run's metrics, and for each end-to-end metric of `BENCHMARK.json` each side's
+median and quartiles, the number of pairs the change wins (ties count for
+neither side) and whether a gain may be claimed: the change wins at least nine
+tenths of the pairs and its median beats the parent's by more than the
+parent's interquartile range; and whether the change stays within the
+metric's `bound`: its median is not worse than the parent's by more than
+`bound` times the parent's median. An existing
 output file keeps its other entries, so one file collects the pairs at one seed
 and a confirming run at another; the runs it already holds for this workload
 and seed stay (they must compare the same revisions), the new pairs are
