@@ -331,6 +331,6 @@ def restore_state(entries: Mapping[str, np.ndarray], model: ModelConfig):
     """(params, stack) of `model` from a checkpoint's entries. Each backbone and
     stack entry is checked (`checked_entry`) as the model is built from it: the
     backbone holds the entries read-only, without drawing anything, and the
-    stack's leaves are copies in its own buffer."""
+    stack's leaves are copies."""
     return load_model(model, lambda name, shape: checked_entry(entries, name, shape,
                                                                np.float32, "checkpoint"))

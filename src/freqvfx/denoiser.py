@@ -42,8 +42,8 @@ over one key is exactly 1.
 Every backbone weight is a frozen constant: a plain read-only array, which no
 tape can list among the leaves it differentiates and any write refuses. The
 ops take it as a constant, unwrapped. The only trainable state lives in the
-router and the per-projection expert pairs (stage 1), views into one flat
-buffer per stack, and in the vfx embedding tokens (stage 2).
+router and the per-projection expert pairs (stage 1) and in the vfx embedding
+tokens (stage 2); the optimizer lays it out (`train.AdamW`).
 """
 
 from __future__ import annotations
@@ -141,9 +141,7 @@ class AdapterStack:
     """One shared router plus a MoeAdapter per adapted projection layer.
 
     Every layer splits its rank axis into experts by the same `ranks`; the
-    stack holds that layout once, as the constant (M, R) `owner` one-hot. The
-    trainable leaves are views into one 1-D buffer, `flat`, in `parameters()`
-    order, which the optimizer updates in one sweep.
+    stack holds that layout once, as the constant (M, R) `owner` one-hot.
     """
 
     router: RouterParams
@@ -151,11 +149,9 @@ class AdapterStack:
     top_k: int
     ranks: tuple[int, ...]
     owner: np.ndarray = field(init=False)
-    flat: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.owner = expert_owner(self.ranks, self.router.w1.dtype)
-        self.flat = fx.pack_leaves(list(self.parameters().values()))
 
     def parameters(self) -> dict[str, Tensor]:
         """The trainable leaves, which are also the checkpoint's entries: router
@@ -256,7 +252,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator):
 def load_model(cfg: ModelConfig, take: Callable[[str, tuple[int, ...]], np.ndarray]):
     """The model of `cfg` whose every array `name` is take(name, shape): the
     backbone holds those arrays read-only, with nothing drawn, and the stack's
-    leaves are copied into its buffer (over a fixed-seed build's draws)."""
+    leaves are copies (over a fixed-seed build's draws)."""
     params = _assemble(lambda name, shape, std: take(name, shape), **_sizes(cfg))
     stack = build_adapter_stack(np.random.default_rng(0), params, cfg)
     for name, leaf in stack.parameters().items():

@@ -33,17 +33,17 @@ class TapeConsistencyError(FreqVfxError, RuntimeError):
 class TrainingDivergedError(FreqVfxError, RuntimeError):
     """Stage-1 training hit a non-finite loss."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"training loss became non-finite at step {step}")
+        super().__init__(f"training loss became non-finite at step {step}")
 
 
 class AdaptationDivergedError(FreqVfxError, RuntimeError):
     """Test-time adaptation hit a non-finite loss."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"adaptation loss became non-finite at step {step}")
+        super().__init__(f"adaptation loss became non-finite at step {step}")
 
 
 class SamplingDivergedError(FreqVfxError, RuntimeError):

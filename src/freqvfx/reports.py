@@ -17,11 +17,11 @@ def _fmt(v: float) -> str:
     return f"{float(v):.6g}"
 
 
-def emit_spectral_report(trajectory, timesteps=None) -> str:
+def emit_spectral_report(trajectory, timesteps) -> str:
     """CSV of joint descriptors over sampling steps, 6 significant digits.
 
     `trajectory` is (steps, 6) or (steps, B, 6); batched input is averaged
-    over the batch axis. `timesteps` labels the rows (defaults to 0..steps-1).
+    over the batch axis. `timesteps` labels the rows, one per step.
     """
     traj = np.asarray(trajectory, dtype=np.float64)
     if traj.size == 0:
@@ -30,12 +30,9 @@ def emit_spectral_report(trajectory, timesteps=None) -> str:
         traj = traj.mean(axis=1)
     if traj.ndim != 2 or traj.shape[1] != 6:
         raise ShapeError(f"trajectory must be (steps, 6) or (steps, B, 6), got {np.asarray(trajectory).shape}")
-    if timesteps is None:
-        ts = list(range(traj.shape[0]))
-    else:
-        ts = [int(t) for t in np.asarray(timesteps).ravel()]
-        if len(ts) != traj.shape[0]:
-            raise ShapeError(f"{len(ts)} timesteps for {traj.shape[0]} trajectory rows")
+    ts = [int(t) for t in np.asarray(timesteps).ravel()]
+    if len(ts) != traj.shape[0]:
+        raise ShapeError(f"{len(ts)} timesteps for {traj.shape[0]} trajectory rows")
     buf = io.StringIO()
     buf.write(SPECTRAL_HEADER + "\n")
     for t, row in zip(ts, traj):

@@ -46,8 +46,6 @@ so).
 A frozen weight is a plain read-only array, not a Tensor: `linear` and
 `lora_linear` take it (and `lora_linear` its expert layout) as a constant of
 the node, as `attention` takes its bias, and `Tape` refuses it as a leaf.
-Trainable leaves that one optimizer updates share one flat buffer
-(`pack_leaves`), each leaf's `.data` a view of its span.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -288,36 +286,6 @@ def replay(start: int, stop: int, out: Tensor) -> Tensor:
     copy = _wrap(out.data)
     copy.key = copies[out.key]
     return copy
-
-
-def pack_leaves(leaves: Sequence[Tensor]) -> np.ndarray:
-    """The one 1-D buffer holding `leaves` end to end, in order, each leaf's
-    `.data` a view of its span. Leaves that already are such views of one buffer
-    keep it; otherwise their values are copied into a new buffer and each
-    `.data` is rebound to its view."""
-    if not leaves:
-        raise ParameterError("no leaves to pack")
-    dtype = leaves[0].dtype
-    if any(p.dtype != dtype for p in leaves):
-        raise ParameterError(f"leaves of one buffer share one dtype, got "
-                             f"{sorted({str(p.dtype) for p in leaves})}")
-    base = leaves[0].data.base
-    if base is not None and base.ndim == 1 and base.dtype == dtype:
-        start, off = base.__array_interface__["data"][0], 0
-        for p in leaves:
-            if p.data.base is not base or not p.data.flags.c_contiguous \
-                    or p.data.__array_interface__["data"][0] != start + off * dtype.itemsize:
-                break
-            off += p.size
-        else:
-            if off == base.size:
-                return base
-    flat = np.concatenate([p.data.reshape(-1) for p in leaves])
-    off = 0
-    for p in leaves:
-        p.data = flat[off:off + p.size].reshape(p.shape)
-        off += p.size
-    return flat
 
 
 def frozen(x) -> np.ndarray:
@@ -947,15 +915,15 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
 _BLUR_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def gaussian_kernel_1d(sigma: float, dtype=np.float64) -> np.ndarray:
-    """Normalized 1-D gaussian taps with radius max(1, ceil(3*sigma))."""
+def gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    """Normalized float64 1-D gaussian taps with radius max(1, ceil(3*sigma))."""
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     radius = max(1, math.ceil(3.0 * sigma))
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(u * u) / (2.0 * sigma * sigma))
     k /= k.sum()
-    return k.astype(dtype)
+    return k
 
 
 def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
@@ -971,7 +939,7 @@ def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
     hit = _BLUR_CACHE.get(key)
     if hit is not None:
         return hit
-    k = gaussian_kernel_1d(sigma, dtype=np.float64)
+    k = gaussian_kernel_1d(sigma)
     radius = (len(k) - 1) // 2
     m = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
@@ -985,7 +953,7 @@ def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
     return m
 
 
-def blur_matrix_t(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
+def blur_matrix_t(n: int, sigma: float, dtype) -> np.ndarray:
     """`blur_matrix(n, sigma, dtype).T` as a C-contiguous array, cached and
     read-only like the matrix itself."""
     key = (n, float(sigma), np.dtype(dtype).str, "T")

@@ -26,12 +26,13 @@ from .tensor import Tensor
 class AdamW:
     """Adam with decoupled weight decay, updating the leaves in place.
 
-    The leaves (a dict by name, or a list) live end to end in one flat buffer
-    (`fx.pack_leaves`: an `AdapterStack`'s own buffer, or a new one whose views
-    the leaves' `.data` become), and so do the moments `m` and `v`. A step
-    gathers the gradients into one flat array and evaluates each update
-    expression once over the whole buffer. Every expression is elementwise, so
-    each element gets the bytes a per-leaf update would give it.
+    The optimizer owns the layout of its trainable state: it copies the leaves
+    (a dict by name, or a list, of one dtype) end to end into one flat buffer,
+    `flat`, and rebinds each leaf's `.data` to a view of its span, so a write
+    through a leaf is a write into the buffer; the moments `m` and `v` share
+    that layout. A step gathers the gradients into one flat array and evaluates
+    each update expression once over the whole buffer. Every expression is
+    elementwise, so each element gets the bytes a per-leaf update would give it.
     """
 
     def __init__(self, params, lr: float, betas: tuple[float, float], eps: float,
@@ -48,7 +49,16 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.flat = fx.pack_leaves(self.params)
+        if not self.params:
+            raise ParameterError("no leaves to optimize")
+        dtypes = {str(p.dtype) for p in self.params}
+        if len(dtypes) > 1:
+            raise ParameterError(f"leaves of one buffer share one dtype, got {sorted(dtypes)}")
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
+        off = 0
+        for p in self.params:
+            p.data = self.flat[off:off + p.size].reshape(p.shape)
+            off += p.size
         self._m = np.zeros_like(self.flat)
         self._v = np.zeros_like(self.flat)
 
@@ -71,8 +81,9 @@ class AdamW:
 
 def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
                    stack: AdapterStack, schedule: NoiseSchedule,
-                   rng: np.random.Generator, *, return_details: bool = False):
-    """Mean over batch and elements of ||eps - eps_hat||^2 at uniform random t."""
+                   rng: np.random.Generator):
+    """(loss, details): the mean over batch and elements of ||eps - eps_hat||^2
+    at uniform random t, and the step's timesteps `t` and routing weights `pi`."""
     z0 = batch_z0 if isinstance(batch_z0, Tensor) else Tensor(np.asarray(batch_z0))
     if z0.ndim != 5 or z0.shape[0] < 1:
         raise ParameterError(f"need a nonempty (B, T, C, H, W) batch, got {z0.shape}")
@@ -83,9 +94,7 @@ def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
     pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
     eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
     loss = fx.reduce_mean(fx.square(eps_hat - Tensor(eps)))
-    if return_details:
-        return loss, {"t": t, "pi": pi.data.copy()}
-    return loss
+    return loss, {"t": t, "pi": pi.data.copy()}
 
 
 @dataclass
@@ -140,8 +149,7 @@ def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
         cond = _dropout_conditioning(cond, drop, params)
 
         with fx.Tape(opt.params) as tape:
-            loss, info = diffusion_loss(z0, cond, params, stack, schedule, rng,
-                                        return_details=True)
+            loss, info = diffusion_loss(z0, cond, params, stack, schedule, rng)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(step)
@@ -167,16 +175,16 @@ def smoothed_endpoints(losses: np.ndarray, window: int = 50) -> tuple[float, flo
     return float(losses[:k].mean()), float(losses[-k:].mean())
 
 
-def class_routing_separation(metrics: list[StepMetrics], tail_frac: float = 0.25) -> float:
+def class_routing_separation(metrics: list[StepMetrics]) -> float:
     """Largest pairwise L1 gap between per-class mean routing vectors.
 
-    Averages pi_mean per class over the trailing `tail_frac` of training steps,
+    Averages pi_mean per class over the trailing quarter of training steps,
     where specialization (if any) has had time to emerge.
     """
     if not metrics:
         raise ParameterError("empty metric trace")
     last_step = max(m.step for m in metrics)
-    cut = (1.0 - tail_frac) * last_step
+    cut = 0.75 * last_step
     tails: dict[int, list[np.ndarray]] = {}
     for m in metrics:
         if m.step >= cut:

@@ -166,10 +166,10 @@ def test_criterion_03_gradients_match_finite_differences():
 
     def train_value(*_):
         return float(diffusion_loss(z0, cond, params, stack, sched,
-                                    np.random.default_rng(77)).data)
+                                    np.random.default_rng(77))[0].data)
 
     with fx.Tape(stack.parameters().values()) as tape:
-        loss = diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(77))
+        loss, _ = diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(77))
     grads = fx.backward(tape, loss)
 
     worst = 0.0

@@ -254,7 +254,7 @@ def test_restore_rejects_dtype_and_nonfinite_entries():
 
 
 def test_spectral_report_one_step():
-    csv = rp.emit_spectral_report(np.full((1, 6), 1 / 3))
+    csv = rp.emit_spectral_report(np.full((1, 6), 1 / 3), timesteps=[0])
     lines = csv.strip().split("\n")
     assert len(lines) == 2
     assert lines[0] == "t,e_app_0,e_app_1,e_app_2,e_vfx_0,e_vfx_1,e_vfx_2"
@@ -274,7 +274,7 @@ def test_spectral_report_round_trip_precision():
 
 def test_spectral_report_batch_mean_and_rows():
     traj = np.stack([np.zeros((4, 6)), np.ones((4, 6))], axis=1)  # (4, 2, 6)
-    csv = rp.emit_spectral_report(traj)
+    csv = rp.emit_spectral_report(traj, timesteps=range(4))
     _, vals = rp.parse_spectral_report(csv)
     assert vals.shape == (4, 6)
     assert np.allclose(vals, 0.5)
@@ -282,9 +282,9 @@ def test_spectral_report_batch_mean_and_rows():
 
 def test_spectral_report_empty_rejected():
     with pytest.raises(ParameterError):
-        rp.emit_spectral_report(np.zeros((0, 6)))
+        rp.emit_spectral_report(np.zeros((0, 6)), timesteps=[])
     with pytest.raises(ShapeError):
-        rp.emit_spectral_report(np.zeros((3, 5)))
+        rp.emit_spectral_report(np.zeros((3, 5)), timesteps=range(3))
 
 
 def test_train_metrics_csv():

@@ -64,6 +64,21 @@ class TestDeterminism:
         r3 = sample(params, stack, sched, cond, steps=5, cfg_scale=7.5, seed=4)
         assert r1.video.data.tobytes() != r3.video.data.tobytes()
 
+    def test_a_tape_changes_no_byte_of_a_guided_sample(self):
+        """A guided rollout with vfx tokens gives the same bytes whether or not
+        a tape records it: adapt samples under a tape and its self-reference
+        fixpoint compares with a sample drawn without one."""
+        params, stack, sched, cond = small_setup()
+        vfx = fx.tensor(np.random.default_rng(5).normal(0.0, 0.1, (3, WIDTH)).astype(np.float32))
+        cond = cond.with_vfx(vfx)
+        free = sample(params, stack, sched, cond, steps=4, cfg_scale=3.0, seed=6)
+        with fx.Tape([vfx]):
+            taped = sample(params, stack, sched, cond, steps=4, cfg_scale=3.0, seed=6)
+            assert fx.is_live(taped.video)
+        assert taped.video.data.tobytes() == free.video.data.tobytes()
+        assert taped.descriptors.tobytes() == free.descriptors.tobytes()
+        assert taped.pi_cond.tobytes() == free.pi_cond.tobytes()
+
     def test_seed_and_rng_agree(self):
         params, stack, sched, cond = small_setup()
         r1 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, seed=11)

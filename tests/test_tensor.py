@@ -424,22 +424,6 @@ def test_tape_refuses_a_leaf_that_is_not_a_tensor():
     assert fx.active_tape() is None
 
 
-def test_pack_leaves_keeps_an_ordered_buffer_and_repacks_otherwise():
-    leaves = [fx.tensor(np.full(s, i, dtype=np.float32)) for i, s in
-              enumerate([(2, 3), (4,), (1, 2)])]
-    flat = fx.pack_leaves(leaves)
-    assert flat.tolist() == [0.0] * 6 + [1.0] * 4 + [2.0] * 2
-    assert [t.shape for t in leaves] == [(2, 3), (4,), (1, 2)]
-    assert all(t.data.base is flat for t in leaves)
-    assert fx.pack_leaves(leaves) is flat
-    # another order, or only some of the leaves, is not this buffer: a new one
-    flipped = fx.pack_leaves(leaves[::-1])
-    assert flipped is not flat and flipped.tolist() == [2.0] * 2 + [1.0] * 4 + [0.0] * 6
-    assert all(t.data.base is flipped for t in leaves)
-    with pytest.raises(ParameterError, match="no leaves"):
-        fx.pack_leaves([])
-
-
 def test_replay_records_the_span_run_again_without_recomputing_it():
     """A replayed span is what running its ops again on the same inputs records:
     the same ops, input shapes and live masks, the originals' vjps under fresh

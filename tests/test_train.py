@@ -91,7 +91,6 @@ class TestAdamW:
         copies = [fx.Tensor(t.data.copy()) for t in leaves]
         kw = dict(lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05)
         opt, ref = AdamW(stack.parameters(), **kw), oracles.AdamWPerLeaf(copies, **kw)
-        assert opt.flat is stack.flat  # the stack's own buffer, not a copy
         rng = np.random.default_rng(21)
         for _ in range(20):
             gs = [rng.normal(0.0, 10.0 ** rng.uniform(-6, 1), size=t.shape).astype(np.float32)
@@ -100,21 +99,43 @@ class TestAdamW:
             ref.step({t: fx.Tensor(g.copy()) for t, g in zip(copies, gs)})
         for name, t, r in zip(stack.parameters(), leaves, copies):
             assert t.data.dtype == np.float32 and t.data.tobytes() == r.data.tobytes(), name
-        assert stack.flat.tobytes() == b"".join(r.data.tobytes() for r in copies)
+        assert opt.flat.tobytes() == b"".join(r.data.tobytes() for r in copies)
 
-    def test_leaves_are_views_of_the_stack_buffer(self):
-        """A write through `stack.parameters()` is a write into the buffer the
-        optimizer updates, at the leaf's offset in `parameters()` order."""
+    def test_leaves_become_views_of_its_buffer_in_order(self):
+        """The optimizer copies its leaves end to end, in the order given, into
+        one buffer of their dtype, and each leaf's `.data` becomes a view of its
+        span with its shape and values kept; another optimizer over the same
+        leaves in another order copies them into a buffer of its own. No leaves
+        make no buffer."""
+        leaves = [fx.tensor(np.full(s, i, dtype=np.float32)) for i, s in
+                  enumerate([(2, 3), (4,), (1, 2)])]
+        opt = adamw(leaves, lr=0.1)
+        assert opt.flat.dtype == np.float32
+        assert opt.flat.tolist() == [0.0] * 6 + [1.0] * 4 + [2.0] * 2
+        assert [t.shape for t in leaves] == [(2, 3), (4,), (1, 2)]
+        assert all(t.data.base is opt.flat for t in leaves)
+        flipped = adamw(leaves[::-1], lr=0.1)
+        assert flipped.flat is not opt.flat
+        assert flipped.flat.tolist() == [2.0] * 2 + [1.0] * 4 + [0.0] * 6
+        assert all(t.data.base is flipped.flat for t in leaves)
+        with pytest.raises(ParameterError, match="no leaves"):
+            adamw([], lr=0.1)
+
+    def test_writes_through_stack_leaves_land_in_its_buffer(self):
+        """Over an adapter stack, a write through `stack.parameters()` is a
+        write into the buffer the optimizer updates, at the leaf's offset in
+        `parameters()` order."""
         _, stack = small_model()
         leaves = stack.parameters()
-        assert stack.flat.ndim == 1 and stack.flat.dtype == np.float32
-        assert stack.flat.size == sum(t.size for t in leaves.values())
+        before = b"".join(t.data.tobytes() for t in leaves.values())
+        opt = adamw(leaves, lr=0.1)
+        assert opt.flat.ndim == 1 and opt.flat.dtype == np.float32
+        assert opt.flat.tobytes() == before
         off = 0
         for name, t in leaves.items():
             t.data[...] = np.arange(t.size, dtype=np.float32).reshape(t.shape) + 0.5
-            np.testing.assert_array_equal(stack.flat[off:off + t.size], t.data.reshape(-1))
+            np.testing.assert_array_equal(opt.flat[off:off + t.size], t.data.reshape(-1))
             off += t.size
-        assert adamw(leaves, lr=0.1).flat is stack.flat
 
     def test_embedding_leaf_goes_through_the_same_buffer(self):
         """A lone leaf that owns its array is copied into a buffer of its own,
@@ -163,7 +184,7 @@ class TestDiffusionLoss:
 
         monkeypatch.setattr(freqvfx.train, "denoise_step", zero)
         stack = build_adapter_stack(np.random.default_rng(2), big, big_cfg)
-        loss = diffusion_loss(z0, cond, big, stack, self.sched, np.random.default_rng(7))
+        loss, _ = diffusion_loss(z0, cond, big, stack, self.sched, np.random.default_rng(7))
         # predicting zero leaves the true noise: mean eps^2 -> 1 over 16k draws
         assert abs(float(loss.data) - 1.0) < 0.06
 
@@ -181,18 +202,18 @@ class TestDiffusionLoss:
             return fx.Tensor(eps.astype(np.float32))
 
         monkeypatch.setattr(freqvfx.train, "denoise_step", perfect)
-        loss = diffusion_loss(z0, cond, self.params, self.stack, sched,
-                              np.random.default_rng(5))
+        loss, _ = diffusion_loss(z0, cond, self.params, self.stack, sched,
+                                 np.random.default_rng(5))
         assert float(loss.data) < 1e-10
 
     def test_deterministic_under_seeded_rng(self):
         rng = np.random.default_rng(0)
         z0 = rng.standard_normal((2,) + LATENT).astype(np.float32)
         cond = self._cond(z0)
-        l1 = diffusion_loss(z0, cond, self.params, self.stack, self.sched,
-                            np.random.default_rng(42))
-        l2 = diffusion_loss(z0, cond, self.params, self.stack, self.sched,
-                            np.random.default_rng(42))
+        l1, _ = diffusion_loss(z0, cond, self.params, self.stack, self.sched,
+                               np.random.default_rng(42))
+        l2, _ = diffusion_loss(z0, cond, self.params, self.stack, self.sched,
+                               np.random.default_rng(42))
         assert float(l1.data) == float(l2.data)
 
     def test_details_report_timesteps_and_routing(self):
@@ -200,7 +221,7 @@ class TestDiffusionLoss:
         z0 = rng.standard_normal((3,) + LATENT).astype(np.float32)
         cond = self._cond(z0)
         loss, info = diffusion_loss(z0, cond, self.params, self.stack, self.sched,
-                                    np.random.default_rng(1), return_details=True)
+                                    np.random.default_rng(1))
         assert info["t"].shape == (3,)
         assert np.all((info["t"] >= 0) & (info["t"] < NUM_STEPS))
         assert info["pi"].shape == (3, 4)
