@@ -335,9 +335,10 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections, stack: Adapter
 
     if kv.shape[1] == 1 and bias is None:
         # softmax over a single key is exactly 1 for any finite score, so the
-        # q/k projections and the scores cannot change the output
-        attn = Tensor(np.ones(x.shape[:2] + (1,), dtype=x.dtype))
-        mixed = fx.matmul(attn, project("v", kv))
+        # q/k projections and the scores cannot change the output: every query
+        # reads the one value
+        v = project("v", kv)
+        mixed = fx.broadcast_to(v, x.shape[:2] + v.shape[2:])
     else:
         q = project("q", x)
         k = project("k", kv)

@@ -98,7 +98,7 @@ def split_rank_budget(r: int, m: int) -> list[int]:
     return [base + 1] * rem + [base] * (m - rem)
 
 
-def expert_owner(ranks: Sequence[int], dtype=np.float32) -> np.ndarray:
+def expert_owner(ranks: Sequence[int], dtype) -> np.ndarray:
     """The constant (M, R) one-hot, read-only: row m marks expert m's span of the
     rank axis."""
     return fx.frozen(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))

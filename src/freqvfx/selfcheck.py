@@ -16,7 +16,8 @@ from .container import read_container, write_container
 from .errors import ContainerError, FreqVfxError
 from .moe import RouterParams, route
 from .schedule import NoiseSchedule, sampling_grid
-from .spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, decompose, fei, joint_descriptor_detached
+from .spectral import (SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrix, decompose, joint_descriptor,
+                       joint_descriptor_detached)
 
 # 2x2 f32 [[1,2],[3,4]] under the container layout; duplicated from the format
 # documentation so a codec regression cannot hide behind its own writer
@@ -28,7 +29,7 @@ _GOLDEN = bytes.fromhex(
 
 def _check_blur_rows_normalized(rng):
     for sigma in (SIGMA1_DEFAULT, SIGMA2_DEFAULT, 2.0):
-        m = fx.blur_matrix(17, sigma)
+        m = blur_matrix(17, sigma)
         err = np.max(np.abs(m.sum(axis=1) - 1.0))
         assert err <= 1e-12, f"blur rows off by {err:.3e} at sigma={sigma}"
         assert np.all(m >= 0)
@@ -37,7 +38,7 @@ def _check_blur_rows_normalized(rng):
 def _check_telescoping(rng):
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     coarse, band, detail = decompose(x)
-    rebuilt = coarse.data + band.data + detail.data
+    rebuilt = coarse + band + detail
     err = np.max(np.abs(rebuilt - x))
     assert err <= 1e-6, f"telescoping residual {err:.3e}"
 
@@ -74,14 +75,16 @@ def _check_routing(rng):
 
 
 def _check_gradients(rng):
-    x = rng.standard_normal((1, 1, 5, 5))
+    """The fused descriptor's gradient under a tape against central differences
+    of the detached descriptor."""
+    x = rng.standard_normal((1, 3, 1, 5, 5))
 
     def value(a):
-        return float(fx.reduce_sum(fx.square(fei(fx.Tensor(a)))).data)
+        return float(np.sum(np.square(joint_descriptor_detached(a))))
 
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
-        loss = fx.reduce_sum(fx.square(fei(p)))
+        loss = fx.reduce_sum(fx.square(joint_descriptor(p)))
     g = fx.backward(tape, loss)[p].data.ravel()
     flat = x.ravel()
     step = 1e-6

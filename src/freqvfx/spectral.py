@@ -7,22 +7,24 @@ components with two gaussian blurs (sigma1 < sigma2), per-sample band
 energies are normalized into a 3-vector, and the two 3-vectors concatenate
 into the 6-dim joint descriptor that drives expert routing.
 
-Every function takes and returns plain autodiff tensors from `freqvfx.tensor`
-(`decompose` a `(coarse, band, detail)` tuple of them), so the full descriptor
-is differentiable end to end; pass plain arrays (or use
-`joint_descriptor_detached`) when gradients are not wanted. The descriptor runs
-at the fixed scales `SIGMA1_DEFAULT`, `SIGMA2_DEFAULT` and `EPS_DEFAULT`; only
-`decompose` takes other sigmas.
+The stage functions (`appearance_proxy`, `vfx_proxy`, `decompose`,
+`band_energies`, `normalize_energies`, `fei`) take arrays and return float64
+arrays (`decompose` a `(coarse, band, detail)` tuple of them), at the fixed
+scales `SIGMA1_DEFAULT`, `SIGMA2_DEFAULT` and `EPS_DEFAULT`; only `decompose`
+takes other sigmas.
 
-The stage functions record one tape node per op. `joint_descriptor`, which the
-router reads at every sampler step and the frequency-constraint loss on every
-draw, records the float64 cast and one `descriptor` node with a hand-written
-vjp instead of the stage functions' chain of about 55 nodes, with the same
-bytes for values and gradients; `joint_descriptor_detached` runs the same node
-with nothing live, so no tape records it.
+`joint_descriptor`, which the router reads at every sampler step and the
+frequency-constraint loss on every draw, composes the stage functions and joins
+the tape as the float64 cast and one `descriptor` node with a hand-written vjp,
+so the descriptor is differentiable end to end; values and gradients have the
+bytes of the chain of tape ops that the stage functions' numpy expressions spell
+out. `joint_descriptor_detached` runs the same node with nothing live, so no
+tape records it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,97 +36,176 @@ SIGMA1_DEFAULT = 0.46875
 SIGMA2_DEFAULT = 0.9375
 EPS_DEFAULT = 1e-8
 
+# ---------------------------------------------------------------------------
+# gaussian blur (separable, replicate padding, adjoint by the transposed matrices)
 
-def _as_video(z) -> Tensor:
-    t = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
-    if t.ndim != 5:
-        raise ShapeError(f"latent video must be (B, T, C, H, W), got shape {t.shape}")
-    # Descriptors are analysis quantities; accumulate in double precision so
-    # the f32 path agrees with the reference computation to well under 1e-6.
-    return fx.cast(t, np.float64)
+_BLUR_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def appearance_proxy(z) -> Tensor:
+def gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    """Normalized float64 1-D gaussian taps with radius max(1, ceil(3*sigma))."""
+    if sigma <= 0:
+        raise ParameterError(f"sigma must be positive, got {sigma}")
+    radius = max(1, math.ceil(3.0 * sigma))
+    u = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-(u * u) / (2.0 * sigma * sigma))
+    k /= k.sum()
+    return k
+
+
+def blur_matrix(n: int, sigma: float) -> np.ndarray:
+    """(n, n) float64 matrix applying the 1-D gaussian with replicate (clamp)
+    padding.
+
+    Row i holds the weights contributing to output i; clamped taps accumulate
+    onto the edge columns, so every row sums to 1 and constants pass through.
+    The array is cached and shared, so it is read-only; copy it to modify it.
+    """
+    if n < 1:
+        raise ShapeError(f"blur needs at least one sample per axis, got {n}")
+    key = (n, float(sigma))
+    hit = _BLUR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    k = gaussian_kernel_1d(sigma)
+    radius = (len(k) - 1) // 2
+    m = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for off in range(-radius, radius + 1):
+            j = min(max(i + off, 0), n - 1)
+            m[i, j] += k[off + radius]
+    m /= m.sum(axis=1, keepdims=True)
+    m.setflags(write=False)
+    _BLUR_CACHE[key] = m
+    return m
+
+
+def blur_matrix_t(n: int, sigma: float) -> np.ndarray:
+    """`blur_matrix(n, sigma).T` as a C-contiguous array, cached and read-only
+    like the matrix itself."""
+    key = (n, float(sigma), "T")
+    hit = _BLUR_CACHE.get(key)
+    if hit is None:
+        hit = blur_matrix(n, sigma).T.copy()
+        hit.setflags(write=False)
+        _BLUR_CACHE[key] = hit
+    return hit
+
+
+def blur_matrices(h: int, w: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cached transposed blur matrices (along W, along H) that `blur_apply`
+    and `blur_adjoint` multiply an (..., h, w) array by."""
+    return blur_matrix_t(w, sigma), blur_matrix_t(h, sigma)
+
+
+def blur_apply(x: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Separable 2-D blur of the last two axes: rows along W, then columns along
+    H. Returns a view with those two axes swapped back."""
+    mw, mh = mats
+    return np.swapaxes(np.swapaxes(x @ mw, -1, -2) @ mh, -1, -2)
+
+
+def blur_adjoint(g: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient of `blur_apply` at output gradient `g`: the transposed
+    matrices in reverse order."""
+    mw, mh = mats
+    return np.swapaxes(np.swapaxes(g, -1, -2) @ np.swapaxes(mh, -1, -2), -1, -2) \
+        @ np.swapaxes(mw, -1, -2)
+
+
+# ---------------------------------------------------------------------------
+# stage functions
+
+
+def _video(z) -> np.ndarray:
+    # computed in float64, so float32 videos agree with the references well under 1e-6
+    zd = np.asarray(z, dtype=np.float64)
+    if zd.ndim != 5:
+        raise ShapeError(f"latent video must be (B, T, C, H, W), got shape {zd.shape}")
+    return zd
+
+
+def _motion(zd: np.ndarray):
+    """The VFX proxy of a float64 video, its mean squared frame difference and
+    its frame differences."""
+    diff = zd[:, 1:] - zd[:, :-1]
+    msd = np.mean(diff * diff, axis=(1,))
+    return np.log1p(msd), msd, diff
+
+
+def appearance_proxy(z) -> np.ndarray:
     """(B, C, H, W) temporal mean of the video (Eq. content proxy)."""
-    z = _as_video(z)
-    if z.shape[1] < 1:
+    zd = _video(z)
+    if zd.shape[1] < 1:
         raise ShapeError("appearance proxy needs at least one frame")
-    return fx.reduce_mean(z, axes=(1,))
+    return np.mean(zd, axis=(1,))
 
 
-def vfx_proxy(z) -> Tensor:
+def vfx_proxy(z) -> np.ndarray:
     """(B, C, H, W) log(1 + mean squared frame difference); zero exactly for
     static videos."""
-    z = _as_video(z)
-    t = z.shape[1]
-    if t < 2:
-        raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={t}")
-    later = fx.slice_axis(z, 1, 1, t)
-    earlier = fx.slice_axis(z, 1, 0, t - 1)
-    msd = fx.reduce_mean(fx.square(later - earlier), axes=(1,))
-    return fx.log1p(msd)
+    zd = _video(z)
+    if zd.shape[1] < 2:
+        raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={zd.shape[1]}")
+    return _motion(zd)[0]
 
 
 def decompose(x, sigma1: float = SIGMA1_DEFAULT, sigma2: float = SIGMA2_DEFAULT
-              ) -> tuple[Tensor, Tensor, Tensor]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-scale gaussian split of a (B, C, H, W) proxy into (coarse, band,
     detail); the three parts sum back to the input."""
     if not 0 < sigma1 < sigma2:
         raise ParameterError(f"need 0 < sigma1 < sigma2, got ({sigma1}, {sigma2})")
-    v = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+    v = np.asarray(x, dtype=np.float64)
     if v.ndim != 4:
         raise ShapeError(f"proxy must be (B, C, H, W), got shape {v.shape}")
-    v = fx.cast(v, np.float64)
-    b1 = fx.gaussian_blur_depthwise(v, sigma1)
-    b2 = fx.gaussian_blur_depthwise(v, sigma2)
+    b1 = blur_apply(v, blur_matrices(*v.shape[2:], sigma1))
+    b2 = blur_apply(v, blur_matrices(*v.shape[2:], sigma2))
     return b2, b1 - b2, v - b1
 
 
-def band_energies(parts: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+def band_energies(parts) -> np.ndarray:
     """Per-sample sum of squares of each of (coarse, band, detail), stacked to (B, 3)."""
     shapes = {part.shape for part in parts}
     if len(shapes) != 1:
         raise ShapeError(f"band components disagree in shape: {shapes}")
-    cols = []
-    for part in parts:
-        e = fx.reduce_sum(fx.square(part), axes=(1, 2, 3))
-        cols.append(fx.reshape(e, (e.shape[0], 1)))
-    return fx.concat(cols, axis=1)
+    return np.concatenate([np.sum(p * p, axis=(1, 2, 3)).reshape((p.shape[0], 1))
+                           for p in parts], axis=1)
 
 
-def normalize_energies(energies) -> Tensor:
+def normalize_energies(energies) -> np.ndarray:
     """Divide each sample's band energies by their sum plus EPS_DEFAULT; (B, 3)
     entries in [0, 1]."""
-    e = energies if isinstance(energies, Tensor) else Tensor(np.asarray(energies))
+    e = np.asarray(energies, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != 3:
         raise ShapeError(f"energies must be (B, 3), got shape {e.shape}")
-    if np.any(e.data < 0):
+    if np.any(e < 0):
         raise DomainError("band energies must be nonnegative")
-    e = fx.cast(e, np.float64)
-    return e / (fx.reduce_sum(e, axes=(1,), keepdims=True) + EPS_DEFAULT)
+    return e / (np.sum(e, axis=(1,), keepdims=True) + EPS_DEFAULT)
 
 
-def fei(x) -> Tensor:
+def fei(x) -> np.ndarray:
     """Frequency-energy indicator of one spatial proxy, (B, 3)."""
     return normalize_energies(band_energies(decompose(x)))
 
 
-def _fei_forward(x: np.ndarray, mats1, mats2):
-    """`fei` of a float64 proxy in numpy: its (B, 3) value, and the arrays
-    `_fei_vjp` reads."""
-    b1 = fx.blur_apply(x, mats1)
-    b2 = fx.blur_apply(x, mats2)
-    parts = (b2, b1 - b2, x - b1)
-    energies = np.concatenate(
-        [np.sum(p * p, axis=(1, 2, 3)).reshape((x.shape[0], 1)) for p in parts], axis=1)
-    denom = np.sum(energies, axis=(1,), keepdims=True) + EPS_DEFAULT
-    return energies / denom, (parts, energies, denom)
+# ---------------------------------------------------------------------------
+# the fused descriptor node
+
+
+def _fei_forward(x: np.ndarray):
+    """`fei` of a float64 proxy: its (B, 3) value, and the arrays `_fei_vjp`
+    reads."""
+    parts = decompose(x)
+    energies = band_energies(parts)
+    return normalize_energies(energies), (parts, energies)
 
 
 def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
     """The proxy's gradient, from the vjps of `fei`'s chain in the order
     `backward` ran them."""
-    (coarse, band, detail), energies, denom = saved
+    (coarse, band, detail), energies = saved
+    denom = np.sum(energies, axis=(1,), keepdims=True) + EPS_DEFAULT
     g_e = g / denom + np.broadcast_to(
         (-g * energies / (denom * denom)).sum(axis=(1,), keepdims=True), energies.shape)
     g_coarse, g_band, g_detail = (
@@ -133,7 +214,7 @@ def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
     # each sum adds its paths in the order `backward` reached them through the chain
     g_b1 = -g_detail + g_band
     g_b2 = g_coarse + -g_band
-    return g_detail + fx.blur_adjoint(g_b2, mats2) + fx.blur_adjoint(g_b1, mats1)
+    return g_detail + blur_adjoint(g_b2, mats2) + blur_adjoint(g_b1, mats1)
 
 
 def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
@@ -169,28 +250,25 @@ def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
 def joint_descriptor(z) -> Tensor:
     """(B, 6) concatenation of the appearance and VFX indicators.
 
-    The float64 cast, then one `descriptor` node for the rest of the chain
-    `concat([fei(appearance_proxy(z)), fei(vfx_proxy(z))])`. Forward and vjp
-    evaluate that chain's numpy expressions in its order, so values and
-    gradients keep its bytes. The node lists the float64 video once per path
-    the chain took back to it (the earlier frame slice, the later frame slice,
-    the appearance mean), the order in which `backward` reached it.
+    The float64 cast, then one `descriptor` node whose value the stage
+    functions compute, `concat([fei(appearance_proxy(z)), fei(vfx_proxy(z))])`.
+    Its vjp evaluates the vjps of the chain of tape ops they spell out, in that
+    chain's order, so gradients keep its bytes. The node lists the float64 video
+    once per path the chain took back to it (the earlier frame slice, the later
+    frame slice, the appearance mean), the order in which `backward` reached it.
     """
-    z = _as_video(z)
-    b, t, c, h, w = z.shape
+    z = fx.cast(z if isinstance(z, Tensor) else Tensor(np.asarray(z)), np.float64)
+    zd = _video(z.data)
+    b, t, c, h, w = zd.shape
     if t < 2:
         raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={t}")
     if min(b, c, h, w) < 1:
-        raise ShapeError(f"latent video has an empty axis: shape {z.shape}")
-    zd = z.data
-    mats1 = fx.blur_matrices(h, w, SIGMA1_DEFAULT, np.float64)
-    mats2 = fx.blur_matrices(h, w, SIGMA2_DEFAULT, np.float64)
-    app_fei, app_saved = _fei_forward(np.mean(zd, axis=(1,)), mats1, mats2)
-    # C-ordered copies of the two slices, as `slice_axis` takes them
-    diff = zd[:, 1:].copy() - zd[:, :-1].copy()
-    msd = np.mean(diff * diff, axis=(1,))
-    vfx_fei, vfx_saved = _fei_forward(np.log1p(msd), mats1, mats2)
-
+        raise ShapeError(f"latent video has an empty axis: shape {zd.shape}")
+    app_fei, app_saved = _fei_forward(appearance_proxy(zd))
+    vfx, msd, diff = _motion(zd)
+    vfx_fei, vfx_saved = _fei_forward(vfx)
+    mats1 = blur_matrices(h, w, SIGMA1_DEFAULT)
+    mats2 = blur_matrices(h, w, SIGMA2_DEFAULT)
     return fx.record("descriptor", (z, z, z), np.concatenate([app_fei, vfx_fei], axis=1),
                      _descriptor_vjp, zd.shape, mats1, mats2, app_saved, vfx_saved, msd, diff)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .config import ModelConfig, check_elements
 from .container import check_entries, checked_entry
 from .errors import ContainerError, ParameterError, ShapeError
-from .tensor import gaussian_kernel_1d
+from .spectral import gaussian_kernel_1d
 
 _TEXT_STREAM_TAG = 9000  # stream namespace for per-class conditioning tokens
 

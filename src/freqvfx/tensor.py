@@ -26,14 +26,16 @@ its dispatch and, under a tape, the arrays its vjp keeps, so the two hottest
 op chains of the denoiser are single ops with hand-written vjps:
 `lora_linear` (a projection plus a routed low-rank update whose gate it
 computes itself, one node for seven) and `attention` (the scaled dot-product
-core, one node for five or six); so is the separable `gaussian_blur_depthwise`
-(one node for four). Each evaluates the numpy expressions of its chain in the
-chain's order and lists its inputs in the order the chain handed gradients
-back, so values and gradients keep the chain's bytes; where the chain made a
-temporary, the fused op may reuse an array it made itself instead (an
+core, one node for five or six). Each evaluates the numpy expressions of its
+chain in the chain's order and lists its inputs in the order the chain handed
+gradients back, so values and gradients keep the chain's bytes; where the chain
+made a temporary, the fused op may reuse an array it made itself instead (an
 elementwise op in place gives the same bytes), never one it was handed.
-`record` is how an op defined elsewhere joins the tape
-(`spectral.joint_descriptor`).
+
+This module holds the tape and the ops the package records, no others
+(`tests/test_tape_ops_used.py` checks that each has a caller). `record` is how an op defined elsewhere joins the tape: the `descriptor` node
+of `spectral.joint_descriptor`, and the ops that only the unfused reference
+chains of the test suite need (their `matmul` and `log1p`).
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -145,9 +147,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __abs__(self):
         return absolute(self)
 
@@ -240,7 +239,7 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     False. So `make_vjp` decides what the vjp keeps, and a vjp must not close
     over a variable that still holds an array no live input's gradient reads
     (rebind it to None first). Every op records through this, including those
-    defined outside this module (`spectral.joint_descriptor`).
+    defined outside this module (`spectral.joint_descriptor`'s `descriptor`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
@@ -432,19 +431,6 @@ def absolute(a) -> Tensor:
     return record("abs", (a,), np.abs(a.data), _abs_vjp, a.data)
 
 
-def _log1p_vjp(live, ad):
-    def vjp(g, live):
-        return (g / (1.0 + ad),)
-
-    return vjp
-
-
-def log1p(a) -> Tensor:
-    """log(1 + x), accurate near 0. Caller guarantees x > -1."""
-    a = _as_tensor(a)
-    return record("log1p", (a,), np.log1p(a.data), _log1p_vjp, a.data)
-
-
 def _cast_vjp(live, in_dtype):
     def vjp(g, live):
         return (g.astype(in_dtype),)
@@ -539,14 +525,6 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"invalid permutation {axes} for rank {a.ndim}")
     return record("transpose", (a,), np.transpose(a.data, axes), _transpose_vjp, axes)
-
-
-def swap_last2(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError("swap_last2 needs rank >= 2")
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
 
 
 def _broadcast_vjp(live, in_shape):
@@ -679,36 +657,7 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def _matmul_vjp(live, ad, bd):
-    a_shape, b_shape = ad.shape, bd.shape
-    ad = ad if live[1] else None
-    bd = bd if live[0] else None
-
-    def vjp(g, live):
-        ga = gb = None
-        if live[0]:
-            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape)
-        if live[1]:
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape)
-        return ga, gb
-
-    return vjp
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    try:
-        out = a.data @ b.data
-    except ValueError as e:
-        raise ShapeError(f"matmul batch dims disagree: {a.shape} @ {b.shape}") from e
-    return record("matmul", (a, b), out, _matmul_vjp, a.data, b.data)
+# products
 
 
 def _linear_vjp(live, hd, wd):
@@ -731,7 +680,7 @@ def linear(h, w) -> Tensor:
     """h @ w^T for a 2-D weight w (d_out, d_in), as one node; a frozen `w` is a
     plain array and a constant of the node.
 
-    The same arithmetic as matmul(h, swap_last2(w)) without the transpose node.
+    The arithmetic is numpy's `h @ w.T`, with no transpose node.
     """
     h = _as_tensor(h, w if isinstance(w, Tensor) else None)
     w, wd = _operand(h, w)
@@ -907,111 +856,6 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}") from e
     return record("attention", (v, q, k), out, _attention_vjp, p, qd, kt, vd, scale_arr)
-
-
-# ---------------------------------------------------------------------------
-# gaussian blur (separable, replicate padding, adjoint by the transposed matrices)
-
-_BLUR_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Normalized float64 1-D gaussian taps with radius max(1, ceil(3*sigma))."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    radius = max(1, math.ceil(3.0 * sigma))
-    u = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(u * u) / (2.0 * sigma * sigma))
-    k /= k.sum()
-    return k
-
-
-def blur_matrix(n: int, sigma: float, dtype=np.float64) -> np.ndarray:
-    """(n, n) matrix applying the 1-D gaussian with replicate (clamp) padding.
-
-    Row i holds the weights contributing to output i; clamped taps accumulate
-    onto the edge columns, so every row sums to 1 and constants pass through.
-    The array is cached and shared, so it is read-only; copy it to modify it.
-    """
-    if n < 1:
-        raise ShapeError(f"blur needs at least one sample per axis, got {n}")
-    key = (n, float(sigma), np.dtype(dtype).str)
-    hit = _BLUR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = gaussian_kernel_1d(sigma)
-    radius = (len(k) - 1) // 2
-    m = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for off in range(-radius, radius + 1):
-            j = min(max(i + off, 0), n - 1)
-            m[i, j] += k[off + radius]
-    m /= m.sum(axis=1, keepdims=True)
-    m = m.astype(dtype)
-    m.setflags(write=False)
-    _BLUR_CACHE[key] = m
-    return m
-
-
-def blur_matrix_t(n: int, sigma: float, dtype) -> np.ndarray:
-    """`blur_matrix(n, sigma, dtype).T` as a C-contiguous array, cached and
-    read-only like the matrix itself."""
-    key = (n, float(sigma), np.dtype(dtype).str, "T")
-    hit = _BLUR_CACHE.get(key)
-    if hit is None:
-        hit = blur_matrix(n, sigma, dtype).T.copy()
-        hit.setflags(write=False)
-        _BLUR_CACHE[key] = hit
-    return hit
-
-
-def blur_matrices(h: int, w: int, sigma: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The cached transposed blur matrices (along W, along H) that `blur_apply`
-    and `blur_adjoint` multiply an (..., h, w) array by."""
-    return blur_matrix_t(w, sigma, dtype), blur_matrix_t(h, sigma, dtype)
-
-
-def blur_apply(x: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Separable 2-D blur of the last two axes: rows along W, then columns along
-    H. Returns a view with those two axes swapped back."""
-    mw, mh = mats
-    return np.swapaxes(np.swapaxes(x @ mw, -1, -2) @ mh, -1, -2)
-
-
-def blur_adjoint(g: np.ndarray, mats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The gradient of `blur_apply` at output gradient `g`: the transposed
-    matrices in reverse order."""
-    mw, mh = mats
-    return np.swapaxes(np.swapaxes(g, -1, -2) @ np.swapaxes(mh, -1, -2), -1, -2) \
-        @ np.swapaxes(mw, -1, -2)
-
-
-def _blur_vjp(live, mats):
-    def vjp(g, live):
-        return (blur_adjoint(g, mats),)
-
-    return vjp
-
-
-def gaussian_blur_depthwise(x, sigma: float) -> Tensor:
-    """Per-channel 2-D gaussian blur of a (B, C, H, W) tensor, replicate padded,
-    as one node.
-
-    Two 1-D blur-matrix matmuls (separable), which is identical to the full 2-D
-    convolution with the outer-product kernel. `blur_apply` and `blur_adjoint`
-    evaluate the numpy expressions of the matmul, swap, matmul, swap chain and
-    of its vjps, in its order, so values and gradients keep that chain's bytes.
-    """
-    x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"expected (B, C, H, W), got shape {x.shape}")
-    b, c, h, w = x.shape
-    if h < 1 or w < 1 or b < 1 or c < 1:
-        raise ShapeError(f"empty blur input {x.shape}")
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    mats = blur_matrices(h, w, sigma, x.dtype)
-    return record("blur", (x,), blur_apply(x.data, mats), _blur_vjp, mats)
 
 
 # ---------------------------------------------------------------------------

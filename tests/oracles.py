@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
 with the package under test. The exceptions are the unfused op chains at the
 end: a fused op must reproduce its chain byte for byte, so the chain is built
-from the package's own primitives.
+from the package's own primitives, plus the `matmul`, `swap_last2` and
+`log1p` ops that only these chains record, defined here on `fx.record`.
 """
 
 import numpy as np
@@ -174,11 +175,43 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         assert err <= bound, f"grad mismatch at flat index {j}: {a[j]} vs {n[j]} (err {err})"
 
 
+def _matmul_vjp(live, ad, bd):
+    def vjp(g, live):
+        ga = fx._unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if live[0] else None
+        gb = fx._unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if live[1] else None
+        return ga, gb
+
+    return vjp
+
+
+def matmul(a, b):
+    """a @ b over the last two axes of two tensors of one dtype, broadcasting
+    the others, as one node."""
+    return fx.record("matmul", (a, b), a.data @ b.data, _matmul_vjp, a.data, b.data)
+
+
+def swap_last2(a):
+    """The transpose of the last two axes."""
+    return fx.transpose(a, tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2))
+
+
+def _log1p_vjp(live, ad):
+    def vjp(g, live):
+        return (g / (1.0 + ad),)
+
+    return vjp
+
+
+def log1p(a):
+    """log(1 + x) of a tensor, as one node."""
+    return fx.record("log1p", (a,), np.log1p(a.data), _log1p_vjp, a.data)
+
+
 def lora_linear_chain(h, w, a, b, pi, owner):
     """The matmul, reshape, linear, linear, mul, linear, add chain that
     `fx.lora_linear` fuses."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
-    gate = fx.reshape(fx.matmul(pi, owner), gate_shape)
+    gate = fx.reshape(matmul(pi, owner), gate_shape)
     out = fx.linear(h, w)
     down = fx.linear(h, a) * gate
     return out + fx.linear(down, b)
@@ -186,24 +219,40 @@ def lora_linear_chain(h, w, a, b, pi, owner):
 
 def attention_chain(q, k, v, scale, bias=None):
     """The transpose, matmul, mul, add, softmax, matmul chain that `fx.attention` fuses."""
-    scores = fx.matmul(q, fx.swap_last2(k)) * scale
+    scores = matmul(q, swap_last2(k)) * scale
     if bias is not None:
         scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
-    return fx.matmul(fx.softmax(scores, axis=-1), v)
+    return matmul(fx.softmax(scores, axis=-1), v)
 
 
-def gaussian_blur_chain(x, sigma):
-    """The matmul, swap, matmul, swap chain that `fx.gaussian_blur_depthwise` fuses."""
-    mw = fx.Tensor(fx.blur_matrix_t(x.shape[3], sigma, dtype=x.dtype))
-    mh = fx.Tensor(fx.blur_matrix_t(x.shape[2], sigma, dtype=x.dtype))
-    return fx.swap_last2(fx.matmul(fx.swap_last2(fx.matmul(x, mw)), mh))
+def _fei_chain(x):
+    """`spectral.fei` of a float64 proxy tensor as tape ops; each blur is the
+    matmul, swap, matmul, swap chain of `spectral.blur_apply`."""
+    def blur(sigma):
+        mw = fx.Tensor(sp.blur_matrix_t(x.shape[3], sigma))
+        mh = fx.Tensor(sp.blur_matrix_t(x.shape[2], sigma))
+        return swap_last2(matmul(swap_last2(matmul(x, mw)), mh))
+
+    b1 = blur(sp.SIGMA1_DEFAULT)
+    b2 = blur(sp.SIGMA2_DEFAULT)
+    cols = []
+    for part in (b2, b1 - b2, x - b1):
+        e = fx.reduce_sum(fx.square(part), axes=(1, 2, 3))
+        cols.append(fx.reshape(e, (e.shape[0], 1)))
+    e = fx.concat(cols, axis=1)
+    return e / (fx.reduce_sum(e, axes=(1,), keepdims=True) + sp.EPS_DEFAULT)
 
 
 def joint_descriptor_chain(z):
-    """The cast and the stage functions that `spectral.joint_descriptor` fuses;
-    the cast runs once, so both proxies read the same float64 video."""
+    """The cast and the stage functions that `spectral.joint_descriptor` fuses,
+    as tape ops; the cast runs once, so both proxies read the same float64
+    video."""
     z = fx.cast(z, np.float64)
-    return fx.concat([sp.fei(sp.appearance_proxy(z)), sp.fei(sp.vfx_proxy(z))], axis=1)
+    t = z.shape[1]
+    app = _fei_chain(fx.reduce_mean(z, axes=(1,)))
+    diff = fx.slice_axis(z, 1, 1, t) - fx.slice_axis(z, 1, 0, t - 1)
+    vfx = _fei_chain(log1p(fx.reduce_mean(fx.square(diff), axes=(1,))))
+    return fx.concat([app, vfx], axis=1)
 
 
 class AdamWPerLeaf:

@@ -83,7 +83,7 @@ def test_criterion_01_spectral_pipeline_matches_oracles():
         for proxy_fn, proxy_ref in ((appearance_proxy, oracles.appearance_scalar(z)),
                                     (vfx_proxy, oracles.vfx_scalar(z))):
             proxy = proxy_fn(z)
-            worst = max(worst, _maxerr(proxy.data, proxy_ref))
+            worst = max(worst, _maxerr(proxy, proxy_ref))
 
             b1 = np.stack([[oracles.conv2d_replicate_scalar(proxy_ref[i, j], k1)
                             for j in range(c)] for i in range(b)])
@@ -92,16 +92,16 @@ def test_criterion_01_spectral_pipeline_matches_oracles():
             coarse_ref, band_ref, detail_ref = b2, b1 - b2, proxy_ref - b1
             parts = decompose(proxy)
             coarse, band, detail = parts
-            worst = max(worst, _maxerr(coarse.data, coarse_ref),
-                        _maxerr(band.data, band_ref),
-                        _maxerr(detail.data, detail_ref))
+            worst = max(worst, _maxerr(coarse, coarse_ref),
+                        _maxerr(band, band_ref),
+                        _maxerr(detail, detail_ref))
 
             e_ref = np.stack([oracles.energy_scalar(part)
                               for part in (coarse_ref, band_ref, detail_ref)], axis=1)
-            worst = max(worst, _maxerr(band_energies(parts).data, e_ref))
+            worst = max(worst, _maxerr(band_energies(parts), e_ref))
 
             n_ref = np.stack([oracles.normalize_mp(row, EPS_DEFAULT) for row in e_ref])
-            worst = max(worst, _maxerr(normalize_energies(e_ref).data, n_ref))
+            worst = max(worst, _maxerr(normalize_energies(e_ref), n_ref))
             halves.append(n_ref)
 
         worst = max(worst, _maxerr(joint_descriptor_detached(z),
@@ -131,7 +131,7 @@ def test_criterion_02_telescoping_identity():
                  int(rng.integers(4, 9)), int(rng.integers(4, 9)))
         x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-1.0, 1.0)).astype(np.float32)
         coarse, band, detail = decompose(x, s1, s2)
-        rebuilt = coarse.data + band.data + detail.data
+        rebuilt = coarse + band + detail
         worst = max(worst, _maxerr(rebuilt, x.astype(np.float64)))
     dt = time.time() - t0
     ok = worst <= tol and dt < 60.0

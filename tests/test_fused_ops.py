@@ -9,10 +9,10 @@ self-attention diagonal bias. The loss adds each op's output to an
 input it read, so that input's gradient is summed from several paths and any
 change in the order `backward` adds them would show in its bytes.
 
-`fx.gaussian_blur_depthwise` and `spectral.joint_descriptor` are held to the
-same bytes against their chains, in float32 and float64, at B=1 and B=4; the
-descriptor also on static videos and at T=2, under a loss that reads the video
-itself too.
+`spectral.joint_descriptor` is held to the same bytes against the chain of
+tape ops that its stage functions spell out (the blurs as matmul and swap
+ops), in float32 and float64, at B=1 and B=4, on static videos and at T=2,
+under a loss that reads the video itself too.
 """
 
 import itertools
@@ -176,17 +176,6 @@ def test_attention_errors():
         fx.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
     with pytest.raises(ParameterError, match="dtype mismatch"):
         fx.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(1, 4, 8, 8), (4, 4, 8, 8), (2, 3, 5, 7)])
-@pytest.mark.parametrize("sigma", [sp.SIGMA1_DEFAULT, sp.SIGMA2_DEFAULT])
-def test_gaussian_blur_matches_chain_bytes(dtype, shape, sigma):
-    x = np.random.default_rng(sum(shape)).normal(size=shape).astype(dtype)
-    for live in _subsets(("x",)):
-        _check_fused(lambda t: fx.gaussian_blur_depthwise(t, sigma),
-                     lambda t: oracles.gaussian_blur_chain(t, sigma),
-                     {"x": x}, live, "x", "blur", ("x",))
 
 
 def _video(b, t, dtype, motion):

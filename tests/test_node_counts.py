@@ -18,7 +18,7 @@ from freqvfx.denoiser import build_conditioning, build_model, denoise_step
 from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
-from freqvfx.spectral import decompose, joint_descriptor_detached
+from freqvfx.spectral import joint_descriptor_detached
 from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import diffusion_loss
 
@@ -82,16 +82,6 @@ def test_freq_constraint_loss_nodes(model):
         freq_constraint_loss(z, z0[::-1].copy())
     assert [node.op for node in tape.nodes] == ["cast", "descriptor", "sub", "abs", "sum",
                                                 "mean"]
-
-
-def test_decompose_nodes(model):
-    """The stage function that criteria 1 and 2 check: one node per blur and per
-    band difference."""
-    _, _, _, z0, _ = model
-    x = fx.tensor(z0[:, 0].astype(np.float64))
-    with fx.Tape([x]) as tape:
-        decompose(x)
-    assert [node.op for node in tape.nodes] == ["blur", "blur", "sub", "sub"]
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])
