@@ -80,7 +80,6 @@ class ModelConfig:
     n_experts: int = 4
     total_rank: int = 16
     top_k: int = 3
-    alpha: None = None  # the only value; kept so manifests that record it still load
     tau: float = 1.5  # router temperature; >1 softens routing and delays expert collapse
     router_hidden: int = 16
     n_text_tokens: int = 2
@@ -94,9 +93,6 @@ class ModelConfig:
             "diag_bias": _REAL, "cross_gain": _POSITIVE, "n_experts": _COUNT,
             "total_rank": _COUNT, "top_k": _INT, "tau": _POSITIVE, "router_hidden": _COUNT,
             "n_text_tokens": _COUNT})
-        if self.alpha is not None:
-            raise ParameterError(
-                f"alpha must be null, got {self.alpha!r}; expert updates are unscaled")
         # elements of the backbone, the adapter stack and one latent video, in
         # integers, keyed by the fields that size them
         t, c, h, w = self.latent_shape

@@ -97,11 +97,6 @@ class DenoiserParams:
     blocks: list[DenoiserBlock]
 
     @property
-    def patch_dim(self) -> int:
-        _, c, _, _ = self.latent_shape
-        return c * self.patch * self.patch
-
-    @property
     def n_tokens(self) -> int:
         t, _, h, w = self.latent_shape
         return t * (h // self.patch) * (w // self.patch)
@@ -297,7 +292,7 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens,
     z0 = z0 if isinstance(z0, Tensor) else Tensor(np.asarray(z0))
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
-    frame0 = fx.slice_axis(z0.detach(), 1, 0, 1)
+    frame0 = Tensor(z0.data[:, :1])
     img = fx.linear(patchify(frame0, params.patch), params.cond_proj_w)
     text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))
     if text.ndim not in (2, 3) or text.shape[-1] != params.width:

@@ -126,7 +126,7 @@ def route(e, params: RouterParams, top_k: int) -> Tensor:
     ec = _descriptor_constant(e, params.w1.dtype)
     h = fx.gelu(fx.linear(ec, params.w1) + params.b1)
     logits = fx.linear(h, params.w2) + params.b2
-    pi = fx.softmax(logits, tau=params.tau, axis=-1)
+    pi = fx.softmax(logits, tau=params.tau)
     if top_k < m:
         # stable argsort on negated weights: ties resolve to the lower index
         order = np.argsort(-pi.data, axis=-1, kind="stable")

@@ -55,7 +55,7 @@ def _check_descriptor_simplex(rng):
 
 def _check_softmax(rng):
     x = rng.standard_normal((5, 7))
-    got = fx.softmax(fx.Tensor(x), axis=-1).data
+    got = fx.softmax(fx.Tensor(x), tau=1.0).data
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
     assert np.max(np.abs(got - want)) <= 1e-12

@@ -218,30 +218,21 @@ def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
 
 
 def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
-    """The `make_vjp` of the `descriptor` node: it keeps the VFX path's arrays
-    only when a frame slice is live and the appearance path's only when the
-    mean is, and the video's shape, not the video."""
+    """The `make_vjp` of the `descriptor` node, whose three inputs are one
+    video, so all are live: it keeps both paths' arrays and the video's shape,
+    not the video."""
     t = shape[1]
-    if not (live[0] or live[1]):
-        vfx_saved = msd = diff = None
-    if not live[2]:
-        app_saved = None
 
-    def vjp(g, live):
-        g_earlier = g_later = g_app = None
-        if live[0] or live[1]:
-            g_vfx = _fei_vjp(g[:, 3:], vfx_saved, mats1, mats2)
-            g_sq = np.broadcast_to(np.expand_dims(g_vfx / (1.0 + msd), 1), diff.shape) / (t - 1)
-            g_diff = 2.0 * g_sq * diff
-            if live[0]:
-                g_earlier = np.zeros(shape)
-                g_earlier[:, :-1] = -g_diff
-            if live[1]:
-                g_later = np.zeros(shape)
-                g_later[:, 1:] = g_diff
-        if live[2]:
-            g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
-            g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), shape) / t
+    def vjp(g):
+        g_vfx = _fei_vjp(g[:, 3:], vfx_saved, mats1, mats2)
+        g_sq = np.broadcast_to(np.expand_dims(g_vfx / (1.0 + msd), 1), diff.shape) / (t - 1)
+        g_diff = 2.0 * g_sq * diff
+        g_earlier = np.zeros(shape)
+        g_earlier[:, :-1] = -g_diff
+        g_later = np.zeros(shape)
+        g_later[:, 1:] = g_diff
+        g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
+        g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), shape) / t
         return g_earlier, g_later, g_app
 
     return vjp
@@ -255,7 +246,8 @@ def joint_descriptor(z) -> Tensor:
     Its vjp evaluates the vjps of the chain of tape ops they spell out, in that
     chain's order, so gradients keep its bytes. The node lists the float64 video
     once per path the chain took back to it (the earlier frame slice, the later
-    frame slice, the appearance mean), the order in which `backward` reached it.
+    frame slice, the appearance mean), the order in which `backward` reached it;
+    the three are one key, so they are live together or no node is recorded.
     """
     z = fx.cast(z if isinstance(z, Tensor) else Tensor(np.asarray(z)), np.float64)
     zd = _video(z.data)

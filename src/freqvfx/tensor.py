@@ -5,14 +5,15 @@ differentiates (`Tape(wrt)`); while it is active, a tensor is live when it is
 one of those leaves or the output of a recorded node, and every operation with
 at least one live input appends one node. The tape refers to tensors by key: a
 tensor gets a process-unique integer key when a tape first makes it live, and a
-node holds its op, its input keys and shapes, a per-input live mask, its output
-key and a vjp closure, never a Tensor or an array. Each vjp closes over shapes
-and over only the arrays that the gradients of its live inputs read, so the
-tape keeps nothing else alive: an array no vjp reads is freed as soon as its
-caller drops it. Operations on constants alone record nothing and build no
-closure. The forward value is computed once, eagerly, and never re-run.
-`backward` walks the list once in reverse, asks each vjp only for the
-gradients of its live inputs, and returns a gradient for every `wrt` leaf.
+node holds its op, its input keys (None for a constant input) and shapes, its
+output key and a vjp closure, never a Tensor or an array. Each vjp takes only
+the upstream gradient and closes over shapes and over only the arrays that the
+gradients of its live inputs read, so the tape keeps nothing else alive: an
+array no vjp reads is freed as soon as its caller drops it. Operations on
+constants alone record nothing and build no closure. The forward value is
+computed once, eagerly, and never re-run. `backward` walks the list once in
+reverse, adds each gradient into the input whose key it holds, and returns a
+gradient for every `wrt` leaf.
 Reduction order inside a single op is whatever numpy does, which is
 deterministic run to run on the same machine; no op here introduces
 platform-dependent nondeterminism of its own.
@@ -33,9 +34,11 @@ made a temporary, the fused op may reuse an array it made itself instead (an
 elementwise op in place gives the same bytes), never one it was handed.
 
 This module holds the tape and the ops the package records, no others
-(`tests/test_tape_ops_used.py` checks that each has a caller). `record` is how an op defined elsewhere joins the tape: the `descriptor` node
+(`tests/test_tape_ops_used.py` checks that each has a caller, and
+`tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
+`record` is how an op defined elsewhere joins the tape: the `descriptor` node
 of `spectral.joint_descriptor`, and the ops that only the unfused reference
-chains of the test suite need (their `matmul` and `log1p`).
+chains of the test suite need (their `matmul`, `log1p` and `slice`).
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -162,17 +165,16 @@ def tensor(data, dtype=None) -> Tensor:
 
 
 class _Node:
-    """One recorded op: `inputs` holds each input's key (None for a constant),
-    `shapes` each input's shape, `live` which inputs get a gradient, `out` the
-    output's key and `vjp(g, live)` the gradients."""
+    """One recorded op: `inputs` holds each input's key (None for a constant,
+    which gets no gradient), `shapes` each input's shape, `out` the output's
+    key and `vjp(g)` one gradient per input, None for a constant."""
 
-    __slots__ = ("op", "inputs", "shapes", "live", "out", "vjp")
+    __slots__ = ("op", "inputs", "shapes", "out", "vjp")
 
-    def __init__(self, op, inputs, shapes, live, out, vjp):
+    def __init__(self, op, inputs, shapes, out, vjp):
         self.op = op
         self.inputs = inputs
         self.shapes = shapes
-        self.live = live
         self.out = out
         self.vjp = vjp
 
@@ -234,12 +236,12 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     is, anything else (the numpy scalar of a full reduction) goes through
     `Tensor`. An input that is a plain array (a frozen weight) is a constant:
     never live. Only when a node is appended, `make_vjp(live, *args)` builds its
-    vjp from the per-input live mask; `vjp(g, live)`, for that mask or one with
-    fewer inputs live, returns one gradient per input, None where `live` is
-    False. So `make_vjp` decides what the vjp keeps, and a vjp must not close
-    over a variable that still holds an array no live input's gradient reads
-    (rebind it to None first). Every op records through this, including those
-    defined outside this module (`spectral.joint_descriptor`'s `descriptor`).
+    vjp from the per-input live mask, the node lists None as a dead input's key,
+    and `vjp(g)` returns one gradient per input, None for a dead one. So
+    `make_vjp` decides what the vjp keeps, and a vjp must not close over a
+    variable that still holds an array no live input's gradient reads (rebind it
+    to None first). Every op records through this, including those defined
+    outside this module (`spectral.joint_descriptor`'s `descriptor`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
@@ -252,7 +254,7 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
             seen.add(key)
             tape.nodes.append(_Node(op, tuple([t.key if hit else None
                                                for t, hit in zip(inputs, live)]),
-                                    tuple([t.shape for t in inputs]), live, key,
+                                    tuple([t.shape for t in inputs]), key,
                                     make_vjp(live, *args)))
     return out
 
@@ -261,13 +263,13 @@ def replay(start: int, stop: int, out: Tensor) -> Tensor:
     """Append to the active tape a copy of its nodes[start:stop] and return the
     copy of `out`, the output of one of them.
 
-    Each copy has its node's op, input shapes, live mask and vjp, and a new
-    output key; an input key that a node of the span made is replaced by that
-    node's copy's, and every other input stays. The returned Tensor shares
-    `out`'s array and carries its copy's key. That is the span re-run on the
-    same inputs, without its forward work, and it creates no array. `backward`
-    calls each vjp once per copy, which is sound because no vjp writes into an
-    array it captured.
+    Each copy has its node's op, input shapes and vjp, and a new output key; an
+    input key that a node of the span made is replaced by that node's copy's,
+    and every other input (a constant's None among them) stays. The returned
+    Tensor shares `out`'s array and carries its copy's key. That is the span
+    re-run on the same inputs, without its forward work, and it creates no
+    array. `backward` calls each vjp once per copy, which is sound because no
+    vjp writes into an array it captured.
     """
     tape = active_tape()
     if tape is None or not 0 <= start <= stop <= len(tape.nodes):
@@ -280,7 +282,7 @@ def replay(start: int, stop: int, out: Tensor) -> Tensor:
         key = next(_KEYS)
         tape._live.add(key)
         tape.nodes.append(_Node(node.op, tuple([copies.get(k, k) for k in node.inputs]),
-                                node.shapes, node.live, key, node.vjp))
+                                node.shapes, key, node.vjp))
         copies[node.out] = key
     copy = _wrap(out.data)
     copy.key = copies[out.key]
@@ -345,7 +347,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _add_vjp(live, a_shape, b_shape):
-    def vjp(g, live):
+    def vjp(g):
         return (_unbroadcast(g, a_shape) if live[0] else None,
                 _unbroadcast(g, b_shape) if live[1] else None)
 
@@ -358,7 +360,7 @@ def add(a, b) -> Tensor:
 
 
 def _sub_vjp(live, a_shape, b_shape):
-    def vjp(g, live):
+    def vjp(g):
         return (_unbroadcast(g, a_shape) if live[0] else None,
                 _unbroadcast(-g, b_shape) if live[1] else None)
 
@@ -375,7 +377,7 @@ def _mul_vjp(live, ad, bd):
     ad = ad if live[1] else None
     bd = bd if live[0] else None
 
-    def vjp(g, live):
+    def vjp(g):
         ga = _unbroadcast(g * bd, a_shape) if live[0] else None
         gb = _unbroadcast(g * ad, b_shape) if live[1] else None
         return ga, gb
@@ -392,7 +394,7 @@ def _div_vjp(live, ad, bd):
     a_shape, b_shape = ad.shape, bd.shape
     ad = ad if live[1] else None
 
-    def vjp(g, live):
+    def vjp(g):
         ga = _unbroadcast(g / bd, a_shape) if live[0] else None
         gb = _unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
         return ga, gb
@@ -406,7 +408,7 @@ def div(a, b) -> Tensor:
 
 
 def _square_vjp(live, ad):
-    def vjp(g, live):
+    def vjp(g):
         return (2.0 * g * ad,)
 
     return vjp
@@ -419,7 +421,7 @@ def square(a) -> Tensor:
 
 
 def _abs_vjp(live, ad):
-    def vjp(g, live):
+    def vjp(g):
         return (g * np.sign(ad),)
 
     return vjp
@@ -432,7 +434,7 @@ def absolute(a) -> Tensor:
 
 
 def _cast_vjp(live, in_dtype):
-    def vjp(g, live):
+    def vjp(g):
         return (g.astype(in_dtype),)
 
     return vjp
@@ -453,7 +455,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_vjp(live, ad):
-    def vjp(g, live):
+    def vjp(g):
         x = ad
         u = _GELU_C * (x + 0.044715 * x ** 3)
         th = np.tanh(u)
@@ -471,22 +473,23 @@ def gelu(a) -> Tensor:
     return record("gelu", (a,), out, _gelu_vjp, ad)
 
 
-def _softmax_vjp(live, out, tau, axis):
-    def vjp(g, live):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
+def _softmax_vjp(live, out, tau):
+    def vjp(g):
+        dot = np.sum(g * out, axis=-1, keepdims=True)
         return ((out * (g - dot)) / tau,)
 
     return vjp
 
 
-def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
-    """Temperature softmax along `axis`, numerically stabilized by max subtraction."""
+def softmax(a, tau: float) -> Tensor:
+    """Temperature softmax over the last axis, numerically stabilized by max
+    subtraction."""
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {tau}")
     a = _as_tensor(a)
-    e = np.exp((a.data - np.max(a.data, axis=axis, keepdims=True)) / tau)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-    return record("softmax", (a,), out, _softmax_vjp, out, tau, axis)
+    e = np.exp((a.data - np.max(a.data, axis=-1, keepdims=True)) / tau)
+    out = e / np.sum(e, axis=-1, keepdims=True)
+    return record("softmax", (a,), out, _softmax_vjp, out, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +497,7 @@ def softmax(a, tau: float = 1.0, axis: int = -1) -> Tensor:
 
 
 def _reshape_vjp(live, in_shape):
-    def vjp(g, live):
+    def vjp(g):
         return (g.reshape(in_shape),)
 
     return vjp
@@ -513,7 +516,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 def _transpose_vjp(live, axes):
     inv = tuple(np.argsort(axes))
 
-    def vjp(g, live):
+    def vjp(g):
         return (np.transpose(g, inv),)
 
     return vjp
@@ -528,7 +531,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
 
 
 def _broadcast_vjp(live, in_shape):
-    def vjp(g, live):
+    def vjp(g):
         return (_unbroadcast(g, in_shape),)
 
     return vjp
@@ -545,7 +548,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
 
 
 def _concat_vjp(live, sizes, ax):
-    def vjp(g, live):
+    def vjp(g):
         grads = []
         off = 0
         for s, keep in zip(sizes, live):
@@ -558,7 +561,7 @@ def _concat_vjp(live, sizes, ax):
     return vjp
 
 
-def concat(parts: Iterable, axis: int = 0) -> Tensor:
+def concat(parts: Iterable, axis: int) -> Tensor:
     parts = [x if isinstance(x, Tensor) else _as_tensor(x) for x in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
@@ -572,29 +575,6 @@ def concat(parts: Iterable, axis: int = 0) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"concat shape mismatch: {[p.shape for p in parts]}") from e
     return record("concat", tuple(parts), out, _concat_vjp, [p.shape[ax] for p in parts], ax)
-
-
-def _slice_vjp(live, in_shape, idx):
-    def vjp(g, live):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        full[idx] = g
-        return (full,)
-
-    return vjp
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    ax = axis if axis >= 0 else a.ndim + axis
-    if not 0 <= ax < a.ndim:
-        raise ShapeError(f"slice axis {axis} out of range for rank {a.ndim}")
-    n = a.shape[ax]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice [{start}:{stop}] out of bounds for axis of size {n}")
-    idx = [slice(None)] * a.ndim
-    idx[ax] = slice(start, stop)
-    idx = tuple(idx)
-    return record("slice", (a,), a.data[idx].copy(), _slice_vjp, a.shape, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +598,7 @@ def _norm_axes(axes, ndim) -> tuple[int, ...]:
 
 
 def _sum_vjp(live, in_shape, ax, keepdims):
-    def vjp(g, live):
+    def vjp(g):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
@@ -635,7 +615,7 @@ def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def _mean_vjp(live, in_shape, ax, keepdims, count):
-    def vjp(g, live):
+    def vjp(g):
         if not keepdims:
             for d in ax:
                 g = np.expand_dims(g, d)
@@ -665,7 +645,7 @@ def _linear_vjp(live, hd, wd):
     hd = hd if live[1] else None
     wd = wd if live[0] else None
 
-    def vjp(g, live):
+    def vjp(g):
         gh = gw = None
         if live[0]:
             gh = g @ wd
@@ -694,7 +674,7 @@ def linear(h, w) -> Tensor:
 
 
 def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
-    a_shape, b_shape, w_shape, down_shape = ad.shape, bd.shape, wd.shape, down.shape
+    a_shape, b_shape, down_shape = ad.shape, bd.shape, down.shape
     up = live[1] or live[2] or live[3]  # the paths through g @ b
     gated = gated if live[0] else None
     down = down if live[1] else None
@@ -702,11 +682,11 @@ def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
     gd = gd if up else None
     bd = bd if up else None
     ad = ad if live[2] else None
-    hd = hd if live[3] or live[5] else None
+    hd = hd if live[3] else None
     wd = wd if live[4] else None
 
-    def vjp(g, live):
-        gb = gpi = gh_up = ga = gh_base = gw = None
+    def vjp(g):
+        gb = gpi = gh_up = ga = gh_base = None
         if live[0]:
             gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
         if live[1] or live[2] or live[3]:
@@ -723,9 +703,7 @@ def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
                                                    a_shape[::-1]))
         if live[4]:
             gh_base = g @ wd
-        if live[5]:
-            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
-        return gb, gpi, gh_up, ga, gh_base, gw
+        return gb, gpi, gh_up, ga, gh_base
 
     return vjp
 
@@ -741,15 +719,16 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     matmul, reshape, linear, linear, mul, linear, add chain they replace, in its
     order, so values and gradients keep their bytes. The vjp keeps the gated
     down output only when b is live, h @ a^T only when pi is live and h only
-    when a or w is live, and never the base or up outputs.
+    when a is live, and never the base or up outputs.
 
-    The node's inputs are (b, pi, h, a, h, w): the order in which the chain
-    handed gradients back, so `backward` adds into each input in the same
-    order. `h` is listed once per path because the chain added its adapter-path
-    and base-path gradients into h one after the other; a pre-summed gradient
-    would round differently. A frozen `w` and the constant `owner` are plain
-    arrays; `owner` gets no gradient, as `attention`'s bias. The up-projection is
-    added into the fresh base output in place, which gives the sum's bytes.
+    The frozen weight `w` and the layout `owner` are plain arrays, constants of
+    the node that get no gradient, as `attention`'s bias; a Tensor passed as
+    either is refused. The node's inputs are (b, pi, h, a, h): the order in
+    which the chain handed gradients back, so `backward` adds into each input in
+    the same order. `h` is listed once per path because the chain added its
+    adapter-path and base-path gradients into h one after the other; a
+    pre-summed gradient would round differently. The up-projection is added
+    into the fresh base output in place, which gives the sum's bytes.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
     hd = h.data
@@ -762,12 +741,10 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
         b = Tensor(np.asarray(b, dtype=dt))
     if not isinstance(pi, Tensor):
         pi = Tensor(np.asarray(pi, dtype=dt))
-    if isinstance(w, Tensor):
-        wd = w.data
-    else:
-        w = wd = np.asarray(w, dtype=dt)
-    od = owner.data if isinstance(owner, Tensor) else np.asarray(owner, dtype=dt)
-    for x in (a.data, b.data, pi.data, wd, od):
+    if isinstance(w, Tensor) or isinstance(owner, Tensor):
+        raise ParameterError("lora_linear takes w and owner as constant arrays, not Tensors")
+    wd, od = np.asarray(w, dtype=dt), np.asarray(owner, dtype=dt)
+    for x in (a.data, b.data, pi.data):
         if x.dtype != dt:
             raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
     if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:
@@ -786,7 +763,7 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     gated = down * gd
     out = hd @ wd.T
     out += gated @ bd.T
-    return record("lora", (b, pi, h, a, h, w), out, _lora_vjp,
+    return record("lora", (b, pi, h, a, h), out, _lora_vjp,
                   hd, ad, bd, wd, od, gate.shape, gd, down, gated)
 
 
@@ -796,7 +773,7 @@ def _attention_vjp(live, p, qd, kt, vd, scale_arr):
     kt = kt if live[1] else None
     qd = qd if live[2] else None
 
-    def vjp(g, live):
+    def vjp(g):
         gv = gq = gk = None
         if live[0]:
             gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
@@ -876,9 +853,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
         g = pending.pop(node.out, None)
         if g is None:
             continue
-        grads = node.vjp(g, node.live)
-        for key, shape, live, gi in zip(node.inputs, node.shapes, node.live, grads):
-            if not live:
+        for key, shape, gi in zip(node.inputs, node.shapes, node.vjp(g)):
+            if key is None:
                 continue
             if gi.shape != shape:  # pragma: no cover - internal invariant
                 raise TapeConsistencyError(

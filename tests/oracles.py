@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
 with the package under test. The exceptions are the unfused op chains at the
 end: a fused op must reproduce its chain byte for byte, so the chain is built
-from the package's own primitives, plus the `matmul`, `swap_last2` and
-`log1p` ops that only these chains record, defined here on `fx.record`.
+from the package's own primitives, plus the `matmul`, `swap_last2`, `log1p`
+and `slice_axis` ops that only these chains record, defined here on
+`fx.record`.
 """
 
 import numpy as np
@@ -176,7 +177,7 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
 
 
 def _matmul_vjp(live, ad, bd):
-    def vjp(g, live):
+    def vjp(g):
         ga = fx._unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if live[0] else None
         gb = fx._unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if live[1] else None
         return ga, gb
@@ -196,7 +197,7 @@ def swap_last2(a):
 
 
 def _log1p_vjp(live, ad):
-    def vjp(g, live):
+    def vjp(g):
         return (g / (1.0 + ad),)
 
     return vjp
@@ -207,11 +208,26 @@ def log1p(a):
     return fx.record("log1p", (a,), np.log1p(a.data), _log1p_vjp, a.data)
 
 
+def _slice_vjp(live, in_shape, idx):
+    def vjp(g):
+        full = np.zeros(in_shape, dtype=g.dtype)
+        full[idx] = g
+        return (full,)
+
+    return vjp
+
+
+def slice_axis(a, axis, start, stop):
+    """a[start:stop] along `axis` of a tensor, copied, as one node."""
+    idx = (slice(None),) * axis + (slice(start, stop),)
+    return fx.record("slice", (a,), a.data[idx].copy(), _slice_vjp, a.shape, idx)
+
+
 def lora_linear_chain(h, w, a, b, pi, owner):
     """The matmul, reshape, linear, linear, mul, linear, add chain that
-    `fx.lora_linear` fuses."""
+    `fx.lora_linear` fuses; `w` and `owner` are arrays, constants of the chain."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
-    gate = fx.reshape(matmul(pi, owner), gate_shape)
+    gate = fx.reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
     out = fx.linear(h, w)
     down = fx.linear(h, a) * gate
     return out + fx.linear(down, b)
@@ -222,7 +238,7 @@ def attention_chain(q, k, v, scale, bias=None):
     scores = matmul(q, swap_last2(k)) * scale
     if bias is not None:
         scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
-    return matmul(fx.softmax(scores, axis=-1), v)
+    return matmul(fx.softmax(scores, tau=1.0), v)
 
 
 def _fei_chain(x):
@@ -250,7 +266,7 @@ def joint_descriptor_chain(z):
     z = fx.cast(z, np.float64)
     t = z.shape[1]
     app = _fei_chain(fx.reduce_mean(z, axes=(1,)))
-    diff = fx.slice_axis(z, 1, 1, t) - fx.slice_axis(z, 1, 0, t - 1)
+    diff = slice_axis(z, 1, 1, t) - slice_axis(z, 1, 0, t - 1)
     vfx = _fei_chain(log1p(fx.reduce_mean(fx.square(diff), axes=(1,))))
     return fx.concat([app, vfx], axis=1)
 

@@ -469,19 +469,20 @@ class TestPipeline:
                 assert "'videos'" in err and "Traceback" not in err, err
                 assert not out.exists() or not any(out.iterdir()), (defect, stage)
 
-    def test_model_config_accepts_only_null_alpha(self, tmp_path, cfg_path, capsys):
-        """Expert updates are unscaled: `alpha` survives only as null, the value
-        every stored manifest records."""
+    def test_model_config_refuses_an_alpha_key(self, tmp_path, cfg_path, capsys):
+        """Expert updates are unscaled and `ModelConfig` has no `alpha`: the key is
+        an unknown field, null (what older manifests recorded) or not."""
         dataset = self._gen(tmp_path, cfg_path)
-        bad = tmp_path / "alpha.json"
-        bad.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], alpha=8.0))))
-        capsys.readouterr()
-        rc = run("train", "--input", dataset, "--config", str(bad),
-                 "--out", str(tmp_path / "alpha"))
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "alpha must be null, got 8.0" in err and "Traceback" not in err, err
-        assert not (tmp_path / "alpha" / "checkpoint.fvl1").exists()
+        for value in (None, 8.0):
+            bad = tmp_path / "alpha.json"
+            bad.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], alpha=value))))
+            capsys.readouterr()
+            rc = run("train", "--input", dataset, "--config", str(bad),
+                     "--out", str(tmp_path / "alpha"))
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "unknown ModelConfig field 'alpha'" in err and "Traceback" not in err, err
+            assert not (tmp_path / "alpha").exists() or not any((tmp_path / "alpha").iterdir())
 
     @pytest.mark.parametrize("stage, config, field", [
         ("train", {"train": {"steps": "5"}}, "steps"),

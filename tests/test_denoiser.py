@@ -145,7 +145,6 @@ class TestBuild:
 
     def test_model_properties(self):
         params, _ = small_model()
-        assert params.patch_dim == 2 * 2 * 2
         assert params.n_tokens == 2 * 2 * 2
         assert params.num_steps == NUM_STEPS
         assert len(params.named_arrays()) == 6 + 2 * 2 * 4
@@ -334,13 +333,14 @@ class TestDenoiseStep:
 
 
 def _wiring(tape):
-    """Each node's op, live mask and input shapes, and where each input came
+    """Each node's op, live inputs and input shapes, and where each input came
     from: the index of the node that made it, a wrt leaf's index, or None for a
     constant."""
     made = {leaf.key: ("leaf", i) for i, leaf in enumerate(tape.wrt)}
     rows = []
     for i, n in enumerate(tape.nodes):
-        rows.append((n.op, n.live, n.shapes, tuple(made.get(k) for k in n.inputs)))
+        rows.append((n.op, tuple(k is not None for k in n.inputs), n.shapes,
+                     tuple(made.get(k) for k in n.inputs)))
         made[n.out] = i
     return rows
 

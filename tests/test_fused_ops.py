@@ -2,7 +2,8 @@
 
 `fx.lora_linear` and `fx.attention` must give the bytes of their chains: the
 forward value and the gradient of every live input (for `lora_linear`, the
-routing weights among them), for every subset of live inputs, at the model's
+routing weights among them; its frozen weight and expert layout are arrays,
+never live), for every subset of live inputs, at the model's
 sizes (width 64, 128 latent tokens, a 22-token context and the one-token null
 context), at B=1 and B=4, and for attention with and without the
 self-attention diagonal bias. The loss adds each op's output to an
@@ -29,7 +30,7 @@ import oracles
 
 WIDTH, RANK, N_TOKENS = 64, 16, 128
 # the (M, R) expert layout of a default stack: 4 experts of rank 4
-OWNER = fx.Tensor(np.repeat(np.eye(4, dtype=np.float32), RANK // 4, axis=1))
+OWNER = fx.frozen(np.repeat(np.eye(4, dtype=np.float32), RANK // 4, axis=1))
 SCALE = WIDTH ** -0.5
 
 
@@ -62,38 +63,41 @@ def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
         return
     assert [n.op for n in nodes] == [op_name, "add", "mul", "sum"]
     node, residual_add = nodes[:2]
-    assert node.live == tuple(name in live for name in node_inputs)
+    keyed = tuple(k is not None for k in node.inputs)
+    assert keyed == tuple(name in live for name in node_inputs)
     # the add reads the residual and the op's output, by key
     assert residual_add.inputs[1] == node.out
     g = np.ones(residual_add.shapes[1], dtype=np.float32)
-    for name, grad in zip(node_inputs, node.vjp(g, node.live)):
+    for name, grad in zip(node_inputs, node.vjp(g)):
         assert (grad is None) == (name not in live), name
 
 
 def _lora_arrays(b, n):
+    """The inputs h, a, b, pi, and the frozen weight w as the denoiser holds it."""
     rng = np.random.default_rng(7 * b + n)
-    return {
+    arrays = {
         "h": rng.normal(size=(b, n, WIDTH)).astype(np.float32),
         "w": rng.normal(0.0, WIDTH ** -0.5, size=(WIDTH, WIDTH)).astype(np.float32),
         "a": rng.normal(0.0, 0.02, size=(RANK, WIDTH)).astype(np.float32),
         "b": rng.normal(0.0, 0.1, size=(WIDTH, RANK)).astype(np.float32),
         "pi": rng.dirichlet(np.ones(4), size=b).astype(np.float32),
     }
+    return arrays, fx.frozen(arrays.pop("w"))
 
 
 @pytest.mark.parametrize("b", [1, 4])
 @pytest.mark.parametrize("n", [N_TOKENS, 22, 1])
 def test_lora_linear_matches_chain_bytes(b, n):
-    arrays = _lora_arrays(b, n)
+    arrays, w = _lora_arrays(b, n)
 
-    def fused(h, w, a, b, pi):
+    def fused(h, a, b, pi):
         return fx.lora_linear(h, w, a, b, pi, OWNER)
 
-    def chain(h, w, a, b, pi):
+    def chain(h, a, b, pi):
         return oracles.lora_linear_chain(h, w, a, b, pi, OWNER)
 
     for live in _subsets(tuple(arrays)):
-        _check_fused(fused, chain, arrays, live, "h", "lora", ("b", "pi", "h", "a", "h", "w"))
+        _check_fused(fused, chain, arrays, live, "h", "lora", ("b", "pi", "h", "a", "h"))
 
 
 def _diag_bias():
@@ -139,7 +143,9 @@ def test_lora_linear_errors():
         ("owner", (2, 5)))}
 
     def call(**bad):
-        return fx.lora_linear(*(fx.tensor(x) for x in dict(good, **bad).values()))
+        args = dict(good, **bad)
+        return fx.lora_linear(*(x if name in ("w", "owner") else fx.tensor(x)
+                                for name, x in args.items()))
 
     bad = {
         "h": np.ones(6, dtype=f32), "w": np.ones((4, 7), dtype=f32),
@@ -154,9 +160,12 @@ def test_lora_linear_errors():
         call(b=np.ones((3, 5), dtype=f32))
     with pytest.raises(ShapeError, match=r"owner \(2, 4\)"):  # rank 4 against a's rank 5
         call(owner=np.ones((2, 4), dtype=f32))
-    for name in ("a", "owner"):
-        with pytest.raises(ParameterError, match="dtype mismatch"):
-            call(**{name: good[name].astype(np.float64)})
+    with pytest.raises(ParameterError, match="dtype mismatch"):
+        call(a=good["a"].astype(np.float64))
+    for name in ("w", "owner"):  # constants of the node: a Tensor is refused
+        with pytest.raises(ParameterError, match="w and owner as constant arrays"):
+            fx.lora_linear(*(fx.tensor(x) if key in ("h", "a", "b", "pi", name) else x
+                             for key, x in good.items()))
 
 
 def test_attention_errors():
@@ -219,13 +228,7 @@ def test_joint_descriptor_matches_chain_bytes(dtype, b, t, motion):
         node = nodes[len(cast)]
         video = node.inputs[0]
         assert isinstance(video, int) and node.shapes == (z.shape,) * 3
-        assert node.inputs == (video, video, video) and node.live == (True, True, True)
-        # the earlier slice, the later slice, the appearance mean: each gradient is
-        # None exactly when its path is dead
-        g = np.ones((b, 6))
-        for mask in itertools.product((False, True), repeat=3):
-            grads = node.vjp(g, mask)
-            assert [x is None for x in grads] == [not m for m in mask], mask
+        assert node.inputs == (video, video, video)
 
 
 def test_joint_descriptor_errors():
@@ -268,7 +271,7 @@ def _vjp_twice(op, leaves, constants):
     (node,) = tape.nodes
     g = np.random.default_rng(42).normal(size=out.shape).astype(out.dtype)
     g_before, out_before = g.tobytes(), out.data.tobytes()
-    first, second = ([None if x is None else x.tobytes() for x in node.vjp(g, node.live)]
+    first, second = ([None if x is None else x.tobytes() for x in node.vjp(g)]
                      for _ in range(2))
     assert first == second and None not in first[:len(leaves)]
     assert [a.tobytes() for a in arrays] == before
@@ -287,8 +290,6 @@ def test_attention_writes_only_its_own_arrays(n_keys, bias):
 
 @pytest.mark.parametrize("n", [N_TOKENS, 22])
 def test_lora_linear_writes_only_its_own_arrays(n):
-    arrays = _lora_arrays(4, n)
+    arrays, w = _lora_arrays(4, n)
     h, a, b, pi = (fx.tensor(arrays[name]) for name in ("h", "a", "b", "pi"))
-    w = fx.frozen(arrays["w"])  # as the denoiser passes its weight and layout
-    owner = fx.frozen(OWNER.data)
-    _vjp_twice(lambda: fx.lora_linear(h, w, a, b, pi, owner), [h, a, b, pi], [w, owner])
+    _vjp_twice(lambda: fx.lora_linear(h, w, a, b, pi, OWNER), [h, a, b, pi], [w, OWNER])

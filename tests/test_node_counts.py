@@ -3,9 +3,14 @@
 At these sizes Python dispatch per tape node sets the cost, and a node count is
 the same on every machine and BLAS. A change that lowers a count updates the
 number here and says so in CHANGES.md; none may raise one silently.
+
+The same two tapes, a train step's and an adapt step's, hold every op that
+`tensor.py` records: an op neither records is one no production path needs.
 """
 
+import ast
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +36,32 @@ def model():
     return params, stack, NoiseSchedule.cosine(params.num_steps), z0, text
 
 
-def test_train_step_nodes(model):
+@pytest.fixture(scope="module")
+def step_ops(model):
+    """The ops of the nodes of one train step and of one adapt step in the
+    acceptance-criterion-7 setting (8-step unroll, cfg 3, 4 draws), in order."""
     params, stack, sched, z0, text = model
-    cond = build_conditioning(params, z0, text)
     with fx.Tape(stack.parameters().values()) as tape:
-        diffusion_loss(z0, cond, params, stack, sched, np.random.default_rng(0))
-    ops = collections.Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 40
+        diffusion_loss(z0, build_conditioning(params, z0, text), params, stack, sched,
+                       np.random.default_rng(0))
+    seen = []
+    backward = fx.backward
+
+    def listing_backward(tape, loss):
+        seen.append([node.op for node in tape.nodes])
+        return backward(tape, loss)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fx, "backward", listing_backward)
+        adapt(z0, build_conditioning(params, z0, text),
+              AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
+    (adapt_ops,) = seen
+    return [node.op for node in tape.nodes], adapt_ops
+
+
+def test_train_step_nodes(step_ops):
+    ops = collections.Counter(step_ops[0])
+    assert len(step_ops[0]) == 40
     # every adapted projection, routing gate included, is one lora node and every
     # attention core one attention node; an unfused one would show up as linear,
     # matmul, reshape or mul nodes
@@ -45,20 +69,23 @@ def test_train_step_nodes(model):
             ops["concat"], ops["mul"]) == (16, 4, 3, 0, 1, 0, 1)
 
 
-def test_adapt_step_nodes(model, monkeypatch):
-    """One step in the acceptance-criterion-7 setting: 8-step unroll, cfg 3, 4 draws."""
-    params, stack, sched, z0, text = model
-    seen = []
-    backward = fx.backward
+def test_adapt_step_nodes(step_ops):
+    assert len(step_ops[1]) == 534
 
-    def counting_backward(tape, loss):
-        seen.append(len(tape.nodes))
-        return backward(tape, loss)
 
-    monkeypatch.setattr(fx, "backward", counting_backward)
-    adapt(z0, build_conditioning(params, z0, text),
-          AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
-    assert seen == [534]
+def recorded_ops(tree: ast.Module) -> set[str]:
+    """The op names a module passes to `record` as string literals."""
+    return {call.args[0].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "record" and call.args
+            and isinstance(call.args[0], ast.Constant)}
+
+
+def test_every_op_tensor_records_is_on_a_step_tape(step_ops):
+    ops = recorded_ops(ast.parse(Path(fx.__file__).read_text(encoding="utf-8")))
+    assert len(ops) > 10
+    missing = ops - set(step_ops[0]) - set(step_ops[1])
+    assert not missing, f"tensor.py records ops no train or adapt step records: {sorted(missing)}"
 
 
 def test_denoise_step_nodes(model):

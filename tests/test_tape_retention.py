@@ -66,7 +66,7 @@ def test_one_live_operand_gets_the_gradient_of_both_live(op):
         one = [fx.tensor(a) for a in arrays]
         with fx.Tape([one[i]]) as tape:
             loss = fx.reduce_sum(fx.square(op(*one)))
-        assert tape.nodes[0].live == (i == 0, i == 1)
+        assert tuple(k is not None for k in tape.nodes[0].inputs) == (i == 0, i == 1)
         assert fx.backward(tape, loss)[one[i]].data.tobytes() == want[i]
 
 
@@ -103,7 +103,7 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
     assert n_nodes == 534
-    # a node holds its op, keys, shapes, live mask and vjp: no Tensor, no array
+    # a node holds its op, keys, shapes and vjp: no Tensor, no array
     assert not in_fields
     # and a vjp keeps arrays, never a Tensor (which would keep its key's array)
     assert not in_cells
