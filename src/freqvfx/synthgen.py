@@ -11,9 +11,14 @@ Three effect classes cover the corners of the joint descriptor space:
   flicker; the band-pass share is the largest appearance component.
 
 All randomness comes from counter-based Philox streams keyed by
-``(seed, class_id, sample_index)``, so any sample can be regenerated
-bit-exactly on any platform. Videos are rescaled to unit RMS; class identity
-lives in the spectrum and dynamics, not in energy scale.
+``(seed, class_id, sample_index)``; those draws are the same on every
+platform. The bytes of a video also depend on numpy's float64 ``exp`` (the
+gaussian taps), on the C library's ``cos`` and ``sin`` (the lowfreq phases)
+and on the order in which each blur sums its taps, so the same seed and shape
+give the same bytes from run to run on one machine, and
+`tests/test_synthgen.py` checks them there against the per-frame loops kept in
+`tests/oracles.py`. Videos are rescaled to unit RMS; class identity lives in
+the spectrum and dynamics, not in energy scale.
 
 A dataset exists only as the entries of one ``.fvl1`` container:
 `build_dataset` makes them and `read_dataset` checks them and returns the
@@ -30,6 +35,7 @@ that narrow feasible region.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,23 +72,32 @@ def _stream(seed: int, class_id: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, class_id, index))))
 
 
-def _blur2d(x: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable clamp-to-edge gaussian blur over the trailing two axes."""
+@functools.lru_cache(maxsize=64)
+def _clamp_taps(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2r+1) clamp-to-edge sample index and the gaussian taps of a blur
+    along an axis of length n, read-only and shared."""
     taps = gaussian_kernel_1d(sigma)
     r = (len(taps) - 1) // 2
-    offs = np.arange(-r, r + 1)
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-r, r + 1)[None, :], 0, n - 1)
+    idx.setflags(write=False)
+    taps.setflags(write=False)
+    return idx, taps
 
-    def along(a, axis):
-        n = a.shape[axis]
-        idx = np.clip(np.arange(n)[:, None] + offs[None, :], 0, n - 1)
-        moved = np.moveaxis(a, axis, -1)
-        out = (moved[..., idx] * taps).sum(-1)
-        return np.moveaxis(out, -1, axis)
 
-    return along(along(x, -1), -2)
+def _blur_last(a: np.ndarray, sigma: float) -> np.ndarray:
+    idx, taps = _clamp_taps(a.shape[-1], sigma)
+    return (a[..., idx] * taps).sum(-1)
+
+
+def _blur2d(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable clamp-to-edge gaussian blur over the trailing two axes, rows
+    first; each output sums its taps in tap order."""
+    return _blur_last(_blur_last(x, sigma).swapaxes(-1, -2), sigma).swapaxes(-1, -2)
 
 
 def _unit_rms(z: np.ndarray) -> np.ndarray:
+    """z over its root mean square; the mean sums in z's memory order, so the
+    bytes also depend on z's layout."""
     rms = math.sqrt(float((z ** 2).mean()))
     return z / rms if rms > 0 else z
 
@@ -97,26 +112,43 @@ def gen_lowfreq_field(seed, shape) -> np.ndarray:
         p1 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
         p2 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
         phi0 = rng.uniform(0.0, 2.0 * math.pi)
-        for ti in range(t):
-            theta = phi0 + 2.0 * math.pi * 0.35 * (ti / t)  # 0.35 cycles per clip
-            out[bi, ti] = math.cos(theta) * p1 + math.sin(theta) * p2
+        theta = [phi0 + 2.0 * math.pi * 0.35 * (ti / t) for ti in range(t)]  # 0.35 cycles per clip
+        cos = np.array([math.cos(x) for x in theta]).reshape(t, 1, 1, 1)
+        sin = np.array([math.sin(x) for x in theta]).reshape(t, 1, 1, 1)
+        out[bi] = cos * p1 + sin * p2  # rescaled in out's C order, as the frame loop did
         out[bi] = _unit_rms(out[bi])
     return out.astype(np.float32)
 
 
 def _spark_sites(rng: np.random.Generator, k: int, h: int, w: int,
                  min_sep: int = 3, tries: int = 400) -> list[tuple[int, int]]:
-    """Up to k interior sites with pairwise Chebyshev distance >= min_sep."""
+    """Up to k interior sites with pairwise Chebyshev distance >= min_sep.
+
+    Each try draws a row, then a column. The tries are drawn as one block, and
+    once the scan has counted the tries it read, the stream is rewound and
+    advanced by exactly those, so it ends where one scalar draw per coordinate
+    leaves it.
+    """
     lo_i, hi_i = (1, h - 2) if h >= 3 else (0, h - 1)
     lo_j, hi_j = (1, w - 2) if w >= 3 else (0, w - 1)
+    # equal bounds take numpy's scalar-bounds fill, which is cheaper than broadcasting
+    low, high = (lo_i, hi_i + 1) if (lo_i, hi_i) == (lo_j, hi_j) else \
+        ([lo_i, lo_j], [hi_i + 1, hi_j + 1])
+    start = rng.bit_generator.state
+    draws = iter(rng.integers(low, high, size=(tries, 2)).ravel().tolist())
     sites: list[tuple[int, int]] = []
-    for _ in range(tries):
+    used = 0
+    for i, j in zip(draws, draws):
         if len(sites) == k:
             break
-        i = int(rng.integers(lo_i, hi_i + 1))
-        j = int(rng.integers(lo_j, hi_j + 1))
-        if all(max(abs(i - a), abs(j - b)) >= min_sep for a, b in sites):
+        used += 1
+        for a, b in sites:
+            if abs(i - a) < min_sep and abs(j - b) < min_sep:
+                break
+        else:
             sites.append((i, j))
+    rng.bit_generator.state = start
+    rng.integers(low, high, size=(used, 2))
     return sites
 
 
@@ -132,6 +164,7 @@ def gen_highfreq_particles(seed, shape) -> np.ndarray:
         return out.astype(np.float32)
     ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     carrier = (-1.0) ** (ii + jj)
+    flips = (-1.0) ** np.arange(t)  # a spark's sign flips every frame
     for bi in range(b):
         rng = _stream(seed, 1, bi)
         env = 1.0 + 0.2 * _blur2d(rng.standard_normal((c, h, w)), 1.5)
@@ -140,8 +173,7 @@ def gen_highfreq_particles(seed, shape) -> np.ndarray:
         for ci in range(c):
             for (i, j) in _spark_sites(rng, k, h, w):
                 s0 = -1.0 if rng.random() < 0.5 else 1.0
-                for ti in range(t):
-                    sparks[ti, ci, i, j] = s0 * ((-1.0) ** ti) * rng.uniform(0.9, 1.1)
+                sparks[:, ci, i, j] = s0 * flips * rng.uniform(0.9, 1.1, size=t)
         srms = math.sqrt(float((sparks ** 2).mean()))
         if srms > 0:
             sparks /= srms
@@ -153,14 +185,13 @@ def gen_bandpass_texture(seed, shape) -> np.ndarray:
     """Difference-of-gaussians texture whose brightness flickers per frame."""
     seed = _check_seed(seed)
     b, t, c, h, w = _check_shape(shape)
-    out = np.zeros((b, t, c, h, w), dtype=np.float64)
+    out = np.empty((b, t, c, h, w), dtype=np.float64)
     for bi in range(b):
         rng = _stream(seed, 2, bi)
         noise = rng.standard_normal((c, h, w))
         pattern = _blur2d(noise, 0.5) - _blur2d(noise, 1.2)
         mod = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size=t)
-        for ti in range(t):
-            out[bi, ti] = mod[ti] * pattern
+        out[bi] = mod.reshape(t, 1, 1, 1) * pattern  # rescaled in out's C order
         out[bi] = _unit_rms(out[bi])
     return out.astype(np.float32)
 

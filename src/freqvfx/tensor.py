@@ -721,9 +721,10 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     down output only when b is live, h @ a^T only when pi is live and h only
     when a is live, and never the base or up outputs.
 
-    The frozen weight `w` and the layout `owner` are plain arrays, constants of
-    the node that get no gradient, as `attention`'s bias; a Tensor passed as
-    either is refused. The node's inputs are (b, pi, h, a, h): the order in
+    The frozen weight `w` and the layout `owner` are plain arrays of h's dtype,
+    constants of the node that get no gradient, as `attention`'s bias; a Tensor
+    passed as either is refused, and so is an array of another dtype, as for a, b
+    and pi. The node's inputs are (b, pi, h, a, h): the order in
     which the chain handed gradients back, so `backward` adds into each input in
     the same order. `h` is listed once per path because the chain added its
     adapter-path and base-path gradients into h one after the other; a
@@ -743,8 +744,8 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
         pi = Tensor(np.asarray(pi, dtype=dt))
     if isinstance(w, Tensor) or isinstance(owner, Tensor):
         raise ParameterError("lora_linear takes w and owner as constant arrays, not Tensors")
-    wd, od = np.asarray(w, dtype=dt), np.asarray(owner, dtype=dt)
-    for x in (a.data, b.data, pi.data):
+    wd, od = np.asarray(w), np.asarray(owner)
+    for x in (a.data, b.data, pi.data, wd, od):
         if x.dtype != dt:
             raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
     if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:

@@ -6,14 +6,19 @@ with the package under test. The exceptions are the unfused op chains at the
 end: a fused op must reproduce its chain byte for byte, so the chain is built
 from the package's own primitives, plus the `matmul`, `swap_last2`, `log1p`
 and `slice_axis` ops that only these chains record, defined here on
-`fx.record`.
+`fx.record`; and the synthetic-data generators, whose loops must give the
+bytes of the package's vectorised ones from the same streams.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
+from freqvfx.spectral import gaussian_kernel_1d
+from freqvfx.synthgen import _check_seed, _check_shape, _stream, _unit_rms
 
 
 def conv2d_replicate_scalar(img: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -36,7 +41,6 @@ def conv2d_replicate_scalar(img: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
 def gaussian_taps_scalar(sigma: float) -> np.ndarray:
     """Normalized gaussian taps with radius max(1, ceil(3*sigma)), from first principles."""
-    import math
     radius = max(1, math.ceil(3.0 * sigma))
     taps = [math.exp(-(u * u) / (2.0 * sigma * sigma)) for u in range(-radius, radius + 1)]
     s = sum(taps)
@@ -302,3 +306,104 @@ class AdamWPerLeaf:
             v += (1.0 - b2) * (gd * gd - v)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data[...] = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+
+
+# ---------------------------------------------------------------------------
+# synthetic-data generators: the per-frame and per-scalar loops that
+# `freqvfx.synthgen` vectorised, kept as its byte reference. They share the
+# stream keying, the shape and seed checks and the unit-RMS scaling with the
+# package, because what they check is that the same draws give the same bytes.
+
+
+def _blur2d(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable clamp-to-edge gaussian blur over the trailing two axes."""
+    taps = gaussian_kernel_1d(sigma)
+    r = (len(taps) - 1) // 2
+    offs = np.arange(-r, r + 1)
+
+    def along(a, axis):
+        n = a.shape[axis]
+        idx = np.clip(np.arange(n)[:, None] + offs[None, :], 0, n - 1)
+        moved = np.moveaxis(a, axis, -1)
+        out = (moved[..., idx] * taps).sum(-1)
+        return np.moveaxis(out, -1, axis)
+
+    return along(along(x, -1), -2)
+
+
+def gen_lowfreq_field(seed, shape) -> np.ndarray:
+    """Smooth blurred patterns rotating slowly between two phases."""
+    seed = _check_seed(seed)
+    b, t, c, h, w = _check_shape(shape)
+    out = np.empty((b, t, c, h, w), dtype=np.float64)
+    for bi in range(b):
+        rng = _stream(seed, 0, bi)
+        p1 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
+        p2 = _blur2d(rng.standard_normal((c, h, w)), 2.0)
+        phi0 = rng.uniform(0.0, 2.0 * math.pi)
+        for ti in range(t):
+            theta = phi0 + 2.0 * math.pi * 0.35 * (ti / t)  # 0.35 cycles per clip
+            out[bi, ti] = math.cos(theta) * p1 + math.sin(theta) * p2
+        out[bi] = _unit_rms(out[bi])
+    return out.astype(np.float32)
+
+
+def _spark_sites(rng: np.random.Generator, k: int, h: int, w: int,
+                 min_sep: int = 3, tries: int = 400) -> list[tuple[int, int]]:
+    """Up to k interior sites with pairwise Chebyshev distance >= min_sep."""
+    lo_i, hi_i = (1, h - 2) if h >= 3 else (0, h - 1)
+    lo_j, hi_j = (1, w - 2) if w >= 3 else (0, w - 1)
+    sites: list[tuple[int, int]] = []
+    for _ in range(tries):
+        if len(sites) == k:
+            break
+        i = int(rng.integers(lo_i, hi_i + 1))
+        j = int(rng.integers(lo_j, hi_j + 1))
+        if all(max(abs(i - a), abs(j - b)) >= min_sep for a, b in sites):
+            sites.append((i, j))
+    return sites
+
+
+def gen_highfreq_particles(seed, shape) -> np.ndarray:
+    """Checkerboard sparkle plus isolated sign-flipping spark sites, one site per
+    16 pixels of frame area; a frame too small for one site gives an all-zero
+    video."""
+    seed = _check_seed(seed)
+    b, t, c, h, w = _check_shape(shape)
+    k = int(round(h * w / 16.0))
+    out = np.zeros((b, t, c, h, w), dtype=np.float64)
+    if k == 0:
+        return out.astype(np.float32)
+    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    carrier = (-1.0) ** (ii + jj)
+    for bi in range(b):
+        rng = _stream(seed, 1, bi)
+        env = 1.0 + 0.2 * _blur2d(rng.standard_normal((c, h, w)), 1.5)
+        sparkle = _unit_rms(env * carrier)
+        sparks = np.zeros((t, c, h, w))
+        for ci in range(c):
+            for (i, j) in _spark_sites(rng, k, h, w):
+                s0 = -1.0 if rng.random() < 0.5 else 1.0
+                for ti in range(t):
+                    sparks[ti, ci, i, j] = s0 * ((-1.0) ** ti) * rng.uniform(0.9, 1.1)
+        srms = math.sqrt(float((sparks ** 2).mean()))
+        if srms > 0:
+            sparks /= srms
+        out[bi] = _unit_rms(sparkle[None] + 0.8 * sparks)
+    return out.astype(np.float32)
+
+
+def gen_bandpass_texture(seed, shape) -> np.ndarray:
+    """Difference-of-gaussians texture whose brightness flickers per frame."""
+    seed = _check_seed(seed)
+    b, t, c, h, w = _check_shape(shape)
+    out = np.zeros((b, t, c, h, w), dtype=np.float64)
+    for bi in range(b):
+        rng = _stream(seed, 2, bi)
+        noise = rng.standard_normal((c, h, w))
+        pattern = _blur2d(noise, 0.5) - _blur2d(noise, 1.2)
+        mod = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size=t)
+        for ti in range(t):
+            out[bi, ti] = mod[ti] * pattern
+        out[bi] = _unit_rms(out[bi])
+    return out.astype(np.float32)

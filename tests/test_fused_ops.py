@@ -160,8 +160,9 @@ def test_lora_linear_errors():
         call(b=np.ones((3, 5), dtype=f32))
     with pytest.raises(ShapeError, match=r"owner \(2, 4\)"):  # rank 4 against a's rank 5
         call(owner=np.ones((2, 4), dtype=f32))
-    with pytest.raises(ParameterError, match="dtype mismatch"):
-        call(a=good["a"].astype(np.float64))
+    for name in ("a", "w", "owner"):  # w and owner are not converted to h's dtype either
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            call(**{name: good[name].astype(np.float64)})
     for name in ("w", "owner"):  # constants of the node: a Tensor is refused
         with pytest.raises(ParameterError, match="w and owner as constant arrays"):
             fx.lora_linear(*(fx.tensor(x) if key in ("h", "a", "b", "pi", name) else x

@@ -8,7 +8,9 @@ the same digests can be taken from two checkouts by putting each one's `src`
 on PYTHONPATH; `python tests/test_golden_chain.py OTHER_SRC` does that for this
 tree's `src` and OTHER_SRC at one BLAS thread, prints both digest sets and exits
 1 naming every artifact that differs. For a differing `.fvl1` artifact it also
-names the entries only one side holds and the shared entries whose bytes differ.
+names the entries only one side holds and the shared entries whose bytes differ,
+each with its largest absolute and relative difference from the other side's
+values (or both dtypes and shapes, where those differ).
 """
 
 import json
@@ -88,9 +90,36 @@ def test_chain_artifacts_are_identical_across_blas_threads(tmp_path):
     assert one == two
 
 
+def _difference(ours, theirs) -> str:
+    """How far an entry of this side is from the other side's: the largest
+    absolute difference and the largest difference relative to the other side's
+    value (inf where that is 0 and ours is not), or both dtypes and shapes where
+    those differ."""
+    import numpy as np
+
+    if (ours.dtype, ours.shape) != (theirs.dtype, theirs.shape):
+        return f"this {ours.dtype} {ours.shape}, other {theirs.dtype} {theirs.shape}"
+    a, b = ours.astype(np.float64), theirs.astype(np.float64)
+    diff = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(diff == 0, 0.0, diff / np.abs(b))
+    return f"max abs {diff.max(initial=0.0):.3g}, max rel {rel.max(initial=0.0):.3g}"
+
+
+
+def test_difference_reads_largest_absolute_and_relative_moves():
+    import numpy as np
+
+    theirs = np.array([[1.0, -2.0], [0.0, 4.0]], dtype=np.float32)
+    ours = np.array([[1.0, -2.5], [0.0, 4.0]], dtype=np.float32)
+    assert _difference(ours, theirs) == "max abs 0.5, max rel 0.25"
+    ours[1, 0] = 1e-3  # a move off a zero is infinitely far, relatively
+    assert _difference(ours, theirs) == "max abs 0.5, max rel inf"
+    assert _difference(ours[:1], theirs) == "this float32 (1, 2), other float32 (2, 2)"
+
 def _print_entry_diff(this_path: str, other_path: str) -> None:
-    """Name the entries only one container holds and the shared entries whose
-    dtype, shape or bytes differ."""
+    """Name the entries only one container holds, and the shared entries whose
+    dtype, shape or bytes differ with how far they moved."""
     sys.path.insert(0, SRC)
     from freqvfx.container import read_container_file
 
@@ -100,7 +129,9 @@ def _print_entry_diff(this_path: str, other_path: str) -> None:
                != (theirs[name].dtype, theirs[name].shape, theirs[name].tobytes())]
     print(f"  only this: {', '.join(n for n in ours if n not in theirs) or '-'}")
     print(f"  only other: {', '.join(n for n in theirs if n not in ours) or '-'}")
-    print(f"  shared, bytes differ: {', '.join(changed) or '-'}")
+    print(f"  shared, bytes differ: {'' if changed else '-'}")
+    for name in changed:
+        print(f"    {name}: {_difference(ours[name], theirs[name])}")
 
 
 def main(argv: list[str]) -> int:

@@ -9,6 +9,7 @@ from freqvfx.container import read_container, write_container
 from freqvfx.errors import ParameterError, ShapeError
 from freqvfx.spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, joint_descriptor_detached
 
+import oracles
 from oracles import joint_descriptor_scalar
 
 SHAPE = (1, 8, 4, 8, 8)
@@ -56,6 +57,40 @@ def test_unit_rms(gen, kwargs):
     z = gen(5, SHAPE, **kwargs)
     rms = np.sqrt((z.astype(np.float64) ** 2).mean())
     assert abs(rms - 1.0) < 1e-5
+
+
+# (B, T, C, H, W): square and non-square frames, H or W below 3, frames with
+# no room for a spark (k = 0) and with more sites asked for than fit (5 x 5:
+# two sites 3 apart in a 3 x 3 interior, so every try is spent), T of 1 and 2,
+# and C and B of 1 and more
+REFERENCE_SHAPES = [(2, 8, 4, 8, 8), (1, 3, 1, 5, 9), (2, 2, 3, 9, 6), (1, 1, 2, 5, 5),
+                    (2, 4, 2, 2, 12), (1, 5, 2, 11, 2), (2, 3, 2, 2, 3), (1, 2, 1, 1, 1),
+                    (1, 2, 3, 16, 13)]
+
+
+@pytest.mark.parametrize("name", ["gen_lowfreq_field", "gen_highfreq_particles",
+                                  "gen_bandpass_texture"])
+def test_generators_match_loop_references_bytes(name):
+    for seed in (0, 1, 7):
+        for shape in REFERENCE_SHAPES:
+            ours, ref = getattr(sg, name)(seed, shape), getattr(oracles, name)(seed, shape)
+            assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape), (seed, shape)
+            assert ours.tobytes() == ref.tobytes(), (seed, shape)
+
+
+@pytest.mark.parametrize("k, h, w", [(4, 8, 8), (9, 8, 8), (2, 2, 12), (3, 11, 1), (1, 1, 1),
+                                     (0, 8, 8)])
+def test_spark_sites_match_scalar_draws_and_leave_the_stream_alike(k, h, w):
+    """The same sites, and the stream where the scalar draws leave it, also after
+    an odd number of 32-bit draws and when the tries run out (k = 9)."""
+    for seed in (0, 1, 7):
+        for skew in (0, 1):
+            ours, ref = (sg._stream(seed, 1, 0) for _ in range(2))
+            for rng in (ours, ref):
+                rng.integers(0, 5, size=skew)
+            assert sg._spark_sites(ours, k, h, w) == oracles._spark_sites(ref, k, h, w)
+            assert ours.random(3).tobytes() == ref.random(3).tobytes()
+            assert ours.integers(0, 9, size=5).tobytes() == ref.integers(0, 9, size=5).tobytes()
 
 
 def test_bad_shape_and_seed():
