@@ -131,9 +131,7 @@ def _spark_sites(rng: np.random.Generator, k: int, h: int, w: int,
     """
     lo_i, hi_i = (1, h - 2) if h >= 3 else (0, h - 1)
     lo_j, hi_j = (1, w - 2) if w >= 3 else (0, w - 1)
-    # equal bounds take numpy's scalar-bounds fill, which is cheaper than broadcasting
-    low, high = (lo_i, hi_i + 1) if (lo_i, hi_i) == (lo_j, hi_j) else \
-        ([lo_i, lo_j], [hi_i + 1, hi_j + 1])
+    low, high = [lo_i, lo_j], [hi_i + 1, hi_j + 1]
     start = rng.bit_generator.state
     draws = iter(rng.integers(low, high, size=(tries, 2)).ravel().tolist())
     sites: list[tuple[int, int]] = []

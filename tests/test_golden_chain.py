@@ -106,7 +106,6 @@ def _difference(ours, theirs) -> str:
     return f"max abs {diff.max(initial=0.0):.3g}, max rel {rel.max(initial=0.0):.3g}"
 
 
-
 def test_difference_reads_largest_absolute_and_relative_moves():
     import numpy as np
 
@@ -116,6 +115,7 @@ def test_difference_reads_largest_absolute_and_relative_moves():
     ours[1, 0] = 1e-3  # a move off a zero is infinitely far, relatively
     assert _difference(ours, theirs) == "max abs 0.5, max rel inf"
     assert _difference(ours[:1], theirs) == "this float32 (1, 2), other float32 (2, 2)"
+
 
 def _print_entry_diff(this_path: str, other_path: str) -> None:
     """Name the entries only one container holds, and the shared entries whose
