@@ -122,31 +122,21 @@ def gen_lowfreq_field(seed, shape) -> np.ndarray:
 
 def _spark_sites(rng: np.random.Generator, k: int, h: int, w: int,
                  min_sep: int = 3, tries: int = 400) -> list[tuple[int, int]]:
-    """Up to k interior sites with pairwise Chebyshev distance >= min_sep.
-
-    Each try draws a row, then a column. The tries are drawn as one block, and
-    once the scan has counted the tries it read, the stream is rewound and
-    advanced by exactly those, so it ends where one scalar draw per coordinate
-    leaves it.
-    """
+    """Up to k interior sites with pairwise Chebyshev distance >= min_sep; each
+    try draws a row, then a column."""
     lo_i, hi_i = (1, h - 2) if h >= 3 else (0, h - 1)
     lo_j, hi_j = (1, w - 2) if w >= 3 else (0, w - 1)
-    low, high = [lo_i, lo_j], [hi_i + 1, hi_j + 1]
-    start = rng.bit_generator.state
-    draws = iter(rng.integers(low, high, size=(tries, 2)).ravel().tolist())
     sites: list[tuple[int, int]] = []
-    used = 0
-    for i, j in zip(draws, draws):
+    for _ in range(tries):
         if len(sites) == k:
             break
-        used += 1
+        i = int(rng.integers(lo_i, hi_i + 1))
+        j = int(rng.integers(lo_j, hi_j + 1))
         for a, b in sites:
             if abs(i - a) < min_sep and abs(j - b) < min_sep:
                 break
         else:
             sites.append((i, j))
-    rng.bit_generator.state = start
-    rng.integers(low, high, size=(used, 2))
     return sites
 
 
