@@ -1,7 +1,9 @@
 """Descriptor-driven routing over rank-budgeted LoRA experts.
 
 A shared two-layer MLP turns the 6-dim joint descriptor into M mixture
-weights (temperature softmax, optional top-k masking with renormalization).
+weights (temperature softmax, optional top-k masking with renormalization);
+the whole router is one `router` tape node with a hand-written vjp, recorded
+through `fx.record` as `spectral.joint_descriptor` records its node.
 Each adapted projection layer owns M low-rank experts whose ranks split a
 fixed total budget r, so the trainable parameter count is r * (d_in + d_out)
 regardless of how many experts share it. The experts are stored packed: one
@@ -16,6 +18,7 @@ router only through its own weights, never back into the descriptor pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,32 +112,75 @@ def adapter_param_count(adapter: MoeAdapter) -> int:
     return adapter.a.size + adapter.b.size
 
 
-def _descriptor_constant(e, dtype) -> Tensor:
-    data = e.data if isinstance(e, Tensor) else np.asarray(e)
-    if data.ndim != 2 or data.shape[1] != DESCRIPTOR_DIM:
-        raise ShapeError(f"routing descriptor must be (B, {DESCRIPTOR_DIM}), got {data.shape}")
-    # constant leaf: no gradient path into the descriptor
-    return Tensor(np.ascontiguousarray(data, dtype=dtype))
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _router_vjp(live, ed, w2d, a1, h, pi, tau, masked, s, mask):
+    """The `make_vjp` of the `router` node on (w1, b1, w2, b2). The vjp runs the
+    vjps of the linear, add, gelu, linear, add, softmax (mul, sum, div) chain in
+    the order `backward` ran them, so each leaf gets the chain's bytes; it keeps
+    the descriptor for w1, the hidden pre-activation and w2 for w1 or b1, and the
+    hidden activation for w2."""
+    deep = live[0] or live[1]
+    ed = ed if live[0] else None
+    w2d = w2d if deep else None
+    a1 = a1 if deep else None
+    h = h if live[2] else None
+
+    def vjp(g):
+        if masked is not None:
+            # div; sum (broadcast into the add, the bytes of its copy); the two
+            # masked gradients added in that order; mul by the constant mask
+            g = (g / s + (-g * masked / (s * s)).sum(axis=(1,), keepdims=True)) * mask
+        dot = np.sum(g * pi, axis=-1, keepdims=True)
+        g = (pi * (g - dot)) / tau
+        gb2 = g.sum(axis=(0,)) if live[3] else None
+        gw2 = np.transpose(h.T @ g) if live[2] else None
+        if not deep:
+            return None, None, gw2, gb2
+        g = g @ w2d
+        th = np.tanh(_GELU_C * (a1 + 0.044715 * a1 ** 3))
+        du = _GELU_C * (1.0 + 3.0 * 0.044715 * a1 ** 2)
+        g = g * (0.5 * (1.0 + th) + 0.5 * a1 * (1.0 - th ** 2) * du)
+        return (np.transpose(ed.T @ g) if live[0] else None,
+                g.sum(axis=(0,)) if live[1] else None, gw2, gb2)
+
+    return vjp
 
 
 def route(e, params: RouterParams, top_k: int) -> Tensor:
-    """(B, M) mixture weights from a descriptor: rows sum to 1, at most top_k
-    nonzero (top-k masked and renormalized)."""
+    """(B, M) mixture weights from a (B, 6) descriptor: rows sum to 1, at most
+    top_k nonzero (top-k masked and renormalized).
+
+    One `router` node on (w1, b1, w2, b2), whose value is the numpy expressions
+    of the linear, add, gelu, linear, add, temperature-softmax chain, then, when
+    top_k < M, the mul by the top-k mask, the row sum and the div, in the chain's
+    order, so values and gradients keep the chain's bytes. The descriptor is a
+    constant: no gradient reaches it.
+    """
     m = params.n_experts
     if not 1 <= top_k <= m:
         raise ParameterError(f"top_k must lie in [1, {m}], got {top_k}")
-    ec = _descriptor_constant(e, params.w1.dtype)
-    h = fx.gelu(fx.linear(ec, params.w1) + params.b1)
-    logits = fx.linear(h, params.w2) + params.b2
-    pi = fx.softmax(logits, tau=params.tau)
+    w1, b1, w2, b2, tau = params.w1, params.b1, params.w2, params.b2, params.tau
+    ed = np.ascontiguousarray(e.data if isinstance(e, Tensor) else e, dtype=w1.dtype)
+    if ed.ndim != 2 or ed.shape[1] != DESCRIPTOR_DIM:
+        raise ShapeError(f"routing descriptor must be (B, {DESCRIPTOR_DIM}), got {ed.shape}")
+    a1 = ed @ w1.data.T + b1.data
+    h = 0.5 * a1 * (1.0 + np.tanh(_GELU_C * (a1 + 0.044715 * a1 ** 3)))
+    logits = h @ w2.data.T + b2.data
+    ex = np.exp((logits - np.max(logits, axis=-1, keepdims=True)) / tau)
+    pi = out = ex / np.sum(ex, axis=-1, keepdims=True)
+    masked = s = mask = None
     if top_k < m:
         # stable argsort on negated weights: ties resolve to the lower index
-        order = np.argsort(-pi.data, axis=-1, kind="stable")
-        mask = np.zeros_like(pi.data)
+        order = np.argsort(-pi, axis=-1, kind="stable")
+        mask = np.zeros_like(pi)
         np.put_along_axis(mask, order[:, :top_k], 1.0, axis=-1)
-        masked = pi * Tensor(mask)
-        pi = masked / fx.reduce_sum(masked, axes=(-1,), keepdims=True)
-    return pi
+        masked = pi * mask
+        s = np.sum(masked, axis=(1,), keepdims=True)
+        out = masked / s
+    return fx.record("router", (w1, b1, w2, b2), out, _router_vjp,
+                     ed, w2.data, a1, h, pi, tau, masked, s, mask)
 
 
 def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: np.ndarray, w_base, h) -> Tensor:

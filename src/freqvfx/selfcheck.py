@@ -53,9 +53,24 @@ def _check_descriptor_simplex(rng):
         assert err <= 1e-6, f"descriptor half sums off by {err:.3e}"
 
 
+def _router(rng, dtype):
+    """A default-sized router with its second layer off the zero init."""
+    m = ModelConfig()
+    router = RouterParams.init(rng, n_experts=m.n_experts, hidden=m.router_hidden, tau=m.tau,
+                               dtype=dtype)
+    router.w2.data[...] = rng.normal(0.0, 0.3, size=router.w2.shape)
+    return router
+
+
 def _check_softmax(rng):
-    x = rng.standard_normal((5, 7))
-    got = fx.softmax(fx.Tensor(x), tau=1.0).data
+    """`route` keeping every expert is the temperature softmax of the router's
+    logits, here in plain numpy."""
+    router = _router(rng, np.float64)
+    d = rng.dirichlet(np.ones(6), size=5)
+    got = route(d, router, top_k=router.n_experts).data
+    a1 = d @ router.w1.data.T + router.b1.data
+    h = 0.5 * a1 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (a1 + 0.044715 * a1 ** 3)))
+    x = (h @ router.w2.data.T + router.b2.data) / router.tau
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -63,42 +78,57 @@ def _check_softmax(rng):
 
 
 def _check_routing(rng):
-    m = ModelConfig()
-    router = RouterParams.init(rng, n_experts=m.n_experts, hidden=m.router_hidden, tau=m.tau)
-    router.w2.data[...] = rng.normal(0.0, 0.3, size=router.w2.shape)
+    top_k = ModelConfig().top_k
     d = np.abs(rng.standard_normal((8, 6)))
     d = d / d.sum(axis=1, keepdims=True)
-    pi = route(d, router, top_k=m.top_k).data
+    pi = route(d, _router(rng, np.float32), top_k=top_k).data
     assert np.all(pi >= 0)
     assert np.max(np.abs(pi.sum(axis=1) - 1.0)) <= 1e-6
-    assert np.all((pi > 0).sum(axis=1) <= m.top_k)
+    assert np.all((pi > 0).sum(axis=1) <= top_k)
+
+
+def _agree_with_central_differences(g, value, x, coords, floor):
+    """Flat gradient g of value() against central differences in x's flat coords,
+    to relative 1e-5 of the larger magnitude or of `floor`."""
+    flat = x.reshape(-1)  # a view: x is contiguous
+    step = 1e-6
+    for j in coords:
+        orig = flat[j]
+        flat[j] = orig + step
+        fp = value()
+        flat[j] = orig - step
+        fm = value()
+        flat[j] = orig
+        num = (fp - fm) / (2 * step)
+        assert abs(g[j] - num) <= 1e-5 * max(abs(g[j]), abs(num), floor), (
+            f"gradient mismatch at {j}: analytic {g[j]:.6e} vs fd {num:.6e}")
 
 
 def _check_gradients(rng):
     """The fused descriptor's gradient under a tape against central differences
-    of the detached descriptor."""
+    of the detached descriptor, and the `router` node's float64 leaf gradients
+    against central differences of untaped `route`."""
     x = rng.standard_normal((1, 3, 1, 5, 5))
-
-    def value(a):
-        return float(np.sum(np.square(joint_descriptor_detached(a))))
-
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
         loss = fx.reduce_sum(fx.square(joint_descriptor(p)))
     g = fx.backward(tape, loss)[p].data.ravel()
-    flat = x.ravel()
-    step = 1e-6
-    for j in rng.choice(x.size, size=6, replace=False):
-        orig = flat[j]
-        flat[j] = orig + step
-        fp = value(x)
-        flat[j] = orig - step
-        fm = value(x)
-        flat[j] = orig
-        num = (fp - fm) / (2 * step)
-        denom = max(abs(g[j]), abs(num), 1e-10)
-        assert abs(g[j] - num) / denom <= 1e-5, (
-            f"gradient mismatch at {j}: analytic {g[j]:.6e} vs fd {num:.6e}")
+    _agree_with_central_differences(
+        g, lambda: float(np.sum(np.square(joint_descriptor_detached(x)))), x,
+        rng.choice(x.size, size=6, replace=False), 1e-10)
+
+    router = _router(rng, np.float64)
+    d = rng.dirichlet(np.ones(6), size=4)
+    w = rng.standard_normal((4, router.n_experts))
+    top_k = ModelConfig().top_k
+    with fx.Tape(router.parameters().values()) as tape:
+        loss = fx.reduce_sum(route(d, router, top_k) * fx.tensor(w))
+    grads = fx.backward(tape, loss)
+    for leaf in router.parameters().values():
+        # criterion 3's floor: a masked expert's logit has a gradient of 0 up to rounding
+        _agree_with_central_differences(
+            grads[leaf].data.ravel(), lambda: float(np.sum(route(d, router, top_k).data * w)),
+            leaf.data, rng.choice(leaf.size, size=min(4, leaf.size), replace=False), 1e-4)
 
 
 def _check_schedule(rng):

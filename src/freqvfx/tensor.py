@@ -37,8 +37,10 @@ This module holds the tape and the ops the package records, no others
 (`tests/test_tape_ops_used.py` checks that each has a caller, and
 `tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
 `record` is how an op defined elsewhere joins the tape: the `descriptor` node
-of `spectral.joint_descriptor`, and the ops that only the unfused reference
-chains of the test suite need (their `matmul`, `log1p` and `slice`).
+of `spectral.joint_descriptor` and the `router` node of `moe.route`, and the
+ops that only the unfused reference chains of the test suite need (their
+`matmul`, `log1p`, `slice`, `gelu`, `softmax`, `div` and a `linear` whose
+weight is a Tensor).
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -50,7 +52,8 @@ so).
 
 A frozen weight is a plain read-only array, not a Tensor: `linear` and
 `lora_linear` take it (and `lora_linear` its expert layout) as a constant of
-the node, as `attention` takes its bias, and `Tape` refuses it as a leaf.
+the node, as `attention` takes its bias, refuse a Tensor in its place, and
+`Tape` refuses it as a leaf.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -59,7 +62,6 @@ test suite checks them against central finite differences in float64.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -143,12 +145,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __abs__(self):
         return absolute(self)
@@ -241,7 +237,8 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     `make_vjp` decides what the vjp keeps, and a vjp must not close over a
     variable that still holds an array no live input's gradient reads (rebind it
     to None first). Every op records through this, including those defined
-    outside this module (`spectral.joint_descriptor`'s `descriptor`).
+    outside this module (`spectral.joint_descriptor`'s `descriptor` and
+    `moe.route`'s `router`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
@@ -315,16 +312,6 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return a, b
 
 
-def _operand(h: Tensor, x) -> tuple[Tensor | np.ndarray, np.ndarray]:
-    """(node input, array) of an operand read with `h`: a Tensor of h's dtype as
-    it is, or anything else as a constant array of h's dtype, not wrapped (a
-    frozen weight already is one, so this costs nothing)."""
-    if isinstance(x, Tensor):
-        return _pair(h, x)[1], x.data
-    arr = np.asarray(x, dtype=h.dtype)
-    return arr, arr
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -390,23 +377,6 @@ def mul(a, b) -> Tensor:
     return record("mul", (a, b), a.data * b.data, _mul_vjp, a.data, b.data)
 
 
-def _div_vjp(live, ad, bd):
-    a_shape, b_shape = ad.shape, bd.shape
-    ad = ad if live[1] else None
-
-    def vjp(g):
-        ga = _unbroadcast(g / bd, a_shape) if live[0] else None
-        gb = _unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
-        return ga, gb
-
-    return vjp
-
-
-def div(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    return record("div", (a, b), a.data / b.data, _div_vjp, a.data, b.data)
-
-
 def _square_vjp(live, ad):
     def vjp(g):
         return (2.0 * g * ad,)
@@ -449,47 +419,6 @@ def cast(a, dtype) -> Tensor:
     if a.dtype == dtype:
         return a
     return record("cast", (a,), a.data.astype(dtype), _cast_vjp, a.dtype)
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def _gelu_vjp(live, ad):
-    def vjp(g):
-        x = ad
-        u = _GELU_C * (x + 0.044715 * x ** 3)
-        th = np.tanh(u)
-        du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
-        return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du),)
-
-    return vjp
-
-
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    a = _as_tensor(a)
-    ad = a.data
-    out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
-    return record("gelu", (a,), out, _gelu_vjp, ad)
-
-
-def _softmax_vjp(live, out, tau):
-    def vjp(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return ((out * (g - dot)) / tau,)
-
-    return vjp
-
-
-def softmax(a, tau: float) -> Tensor:
-    """Temperature softmax over the last axis, numerically stabilized by max
-    subtraction."""
-    if tau <= 0:
-        raise ParameterError(f"softmax temperature must be positive, got {tau}")
-    a = _as_tensor(a)
-    e = np.exp((a.data - np.max(a.data, axis=-1, keepdims=True)) / tau)
-    out = e / np.sum(e, axis=-1, keepdims=True)
-    return record("softmax", (a,), out, _softmax_vjp, out, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -640,37 +569,30 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
 # products
 
 
-def _linear_vjp(live, hd, wd):
-    w_shape = wd.shape
-    hd = hd if live[1] else None
-    wd = wd if live[0] else None
-
+def _linear_vjp(live, wd):
     def vjp(g):
-        gh = gw = None
-        if live[0]:
-            gh = g @ wd
-        if live[1]:
-            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
-        return gh, gw
+        return g @ wd, None
 
     return vjp
 
 
 def linear(h, w) -> Tensor:
-    """h @ w^T for a 2-D weight w (d_out, d_in), as one node; a frozen `w` is a
-    plain array and a constant of the node.
+    """h @ w^T for a frozen 2-D weight w (d_out, d_in), as one node.
 
-    The arithmetic is numpy's `h @ w.T`, with no transpose node.
+    `w` is a plain array, a constant of the node that gets no gradient, as in
+    `lora_linear`; a Tensor is refused. The arithmetic is numpy's `h @ w.T`,
+    with no transpose node.
     """
-    h = _as_tensor(h, w if isinstance(w, Tensor) else None)
-    w, wd = _operand(h, w)
+    if isinstance(w, Tensor):
+        raise ParameterError("linear takes its weight as a constant array, not a Tensor")
+    h = _as_tensor(h)
+    wd = np.asarray(w, dtype=h.dtype)
     if h.ndim < 2 or wd.ndim != 2:
         raise ShapeError(f"linear needs rank >= 2 inputs and a 2-D weight, "
                          f"got {h.shape} and {wd.shape}")
     if h.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear feature dims disagree: {h.shape} @ {wd.shape}^T")
-    hd = h.data
-    return record("linear", (h, w), hd @ wd.T, _linear_vjp, hd, wd)
+    return record("linear", (h, wd), h.data @ wd.T, _linear_vjp, wd)
 
 
 def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
@@ -734,8 +656,8 @@ def lora_linear(h, w, a, b, pi, owner) -> Tensor:
     h = h if isinstance(h, Tensor) else Tensor(h)
     hd = h.data
     dt = hd.dtype
-    # each operand read as `_pair` and `_operand` read one, inline: anything but
-    # a Tensor becomes a constant of h's dtype, and a Tensor must have that dtype
+    # each operand read as `_pair` reads one, inline: anything but a Tensor
+    # becomes a constant of h's dtype, and a Tensor must have that dtype
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=dt))
     if not isinstance(b, Tensor):
@@ -798,12 +720,11 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
 
     `bias` is a constant (N_q, N_k) array added to the scores. Forward
     and vjp evaluate the numpy expressions of the transpose, matmul, mul, add,
-    softmax, matmul chain they replace, in its order (the softmax's as in
-    `softmax` at tau = 1, whose division by 1 is exact and skipped), so values
-    and gradients keep their bytes. Each elementwise step after the first matmul
-    runs in place on that matmul's fresh output, and so does the vjp's softmax
-    adjoint on the fresh g @ v^T; q, k, v, bias and the upstream gradient are
-    only read.
+    softmax, matmul chain they replace, in its order (the softmax's at tau = 1,
+    whose division by 1 is exact and skipped), so values and gradients keep
+    their bytes. Each elementwise step after the first matmul runs in place on
+    that matmul's fresh output, and so does the vjp's softmax adjoint on the
+    fresh g @ v^T; q, k, v, bias and the upstream gradient are only read.
 
     The node's inputs are (v, q, k): the order in which the chain handed
     gradients back, so `backward` adds into each input in the same order.

@@ -4,10 +4,11 @@ Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
 with the package under test. The exceptions are the unfused op chains at the
 end: a fused op must reproduce its chain byte for byte, so the chain is built
-from the package's own primitives, plus the `matmul`, `swap_last2`, `log1p`
-and `slice_axis` ops that only these chains record, defined here on
-`fx.record`; and the synthetic-data generators, whose loops must give the
-bytes of the package's vectorised ones from the same streams.
+from the package's own primitives, plus the `matmul`, `swap_last2`, `log1p`,
+`slice_axis`, `gelu`, `softmax`, `div` and trainable-weight `linear` ops that
+only these chains record, defined here on `fx.record`; and the synthetic-data
+generators, whose loops must give the bytes of the package's vectorised ones
+from the same streams.
 """
 
 import math
@@ -17,6 +18,7 @@ from mpmath import mp, mpf
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
+from freqvfx.errors import ParameterError
 from freqvfx.spectral import gaussian_kernel_1d
 from freqvfx.synthgen import _check_seed, _check_shape, _stream, _unit_rms
 
@@ -227,14 +229,109 @@ def slice_axis(a, axis, start, stop):
     return fx.record("slice", (a,), a.data[idx].copy(), _slice_vjp, a.shape, idx)
 
 
+def _linear_vjp(live, hd, wd):
+    w_shape = wd.shape
+    hd = hd if live[1] else None
+    wd = wd if live[0] else None
+
+    def vjp(g):
+        gh = gw = None
+        if live[0]:
+            gh = g @ wd
+        if live[1]:
+            gw = np.transpose(fx._unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
+        return gh, gw
+
+    return vjp
+
+
+def linear(h, w):
+    """h @ w^T of two tensors of one dtype, w a 2-D (d_out, d_in) weight that may
+    be live, as one node."""
+    return fx.record("linear", (h, w), h.data @ w.data.T, _linear_vjp, h.data, w.data)
+
+
+def _div_vjp(live, ad, bd):
+    a_shape, b_shape = ad.shape, bd.shape
+    ad = ad if live[1] else None
+
+    def vjp(g):
+        ga = fx._unbroadcast(g / bd, a_shape) if live[0] else None
+        gb = fx._unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
+        return ga, gb
+
+    return vjp
+
+
+def div(a, b):
+    """a / b of two tensors of one dtype, broadcasting, as one node."""
+    return fx.record("div", (a, b), a.data / b.data, _div_vjp, a.data, b.data)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu_vjp(live, ad):
+    def vjp(g):
+        x = ad
+        u = _GELU_C * (x + 0.044715 * x ** 3)
+        th = np.tanh(u)
+        du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
+        return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du),)
+
+    return vjp
+
+
+def gelu(a):
+    """Gaussian error linear unit of a tensor, tanh approximation, as one node."""
+    ad = a.data
+    out = 0.5 * ad * (1.0 + np.tanh(_GELU_C * (ad + 0.044715 * ad ** 3)))
+    return fx.record("gelu", (a,), out, _gelu_vjp, ad)
+
+
+def _softmax_vjp(live, out, tau):
+    def vjp(g):
+        dot = np.sum(g * out, axis=-1, keepdims=True)
+        return ((out * (g - dot)) / tau,)
+
+    return vjp
+
+
+def softmax(a, tau: float):
+    """Temperature softmax of a tensor over the last axis, numerically
+    stabilized by max subtraction, as one node."""
+    if tau <= 0:
+        raise ParameterError(f"softmax temperature must be positive, got {tau}")
+    e = np.exp((a.data - np.max(a.data, axis=-1, keepdims=True)) / tau)
+    out = e / np.sum(e, axis=-1, keepdims=True)
+    return fx.record("softmax", (a,), out, _softmax_vjp, out, tau)
+
+
+def route_chain(e, params, top_k):
+    """The linear, add, gelu, linear, add, softmax chain, then for top_k < M the
+    top-k mask's mul, the row sum and the div, that `moe.route` fuses into its
+    `router` node; the descriptor `e` is a constant."""
+    ec = fx.Tensor(np.ascontiguousarray(e, dtype=params.w1.dtype))
+    h = gelu(linear(ec, params.w1) + params.b1)
+    pi = softmax(linear(h, params.w2) + params.b2, params.tau)
+    if top_k < params.n_experts:
+        # stable argsort on negated weights: ties resolve to the lower index
+        order = np.argsort(-pi.data, axis=-1, kind="stable")
+        mask = np.zeros_like(pi.data)
+        np.put_along_axis(mask, order[:, :top_k], 1.0, axis=-1)
+        masked = pi * fx.Tensor(mask)
+        pi = div(masked, fx.reduce_sum(masked, axes=(-1,), keepdims=True))
+    return pi
+
+
 def lora_linear_chain(h, w, a, b, pi, owner):
     """The matmul, reshape, linear, linear, mul, linear, add chain that
     `fx.lora_linear` fuses; `w` and `owner` are arrays, constants of the chain."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
     gate = fx.reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
     out = fx.linear(h, w)
-    down = fx.linear(h, a) * gate
-    return out + fx.linear(down, b)
+    down = linear(h, a) * gate
+    return out + linear(down, b)
 
 
 def attention_chain(q, k, v, scale, bias=None):
@@ -242,7 +339,7 @@ def attention_chain(q, k, v, scale, bias=None):
     scores = matmul(q, swap_last2(k)) * scale
     if bias is not None:
         scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
-    return matmul(fx.softmax(scores, tau=1.0), v)
+    return matmul(softmax(scores, tau=1.0), v)
 
 
 def _fei_chain(x):
@@ -260,7 +357,7 @@ def _fei_chain(x):
         e = fx.reduce_sum(fx.square(part), axes=(1, 2, 3))
         cols.append(fx.reshape(e, (e.shape[0], 1)))
     e = fx.concat(cols, axis=1)
-    return e / (fx.reduce_sum(e, axes=(1,), keepdims=True) + sp.EPS_DEFAULT)
+    return div(e, fx.reduce_sum(e, axes=(1,), keepdims=True) + sp.EPS_DEFAULT)
 
 
 def joint_descriptor_chain(z):

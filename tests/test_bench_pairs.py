@@ -1,11 +1,12 @@
 """The statistics of `tools/bench_pairs.py` on fake runs: quartiles, wins,
-the claim rule, the regression bound, the alternating run order, and the merge
+the claim rule, the regression bound, the alternating run order, the merge
 into an existing file, which keeps other workloads and seeds and adds pairs to
-the same workload and seed."""
+the same workload and seed, and the revision a record names."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -148,3 +149,24 @@ def test_main_runs_a_list_of_workloads_into_one_file(tmp_path, monkeypatch):
     assert seed7["seed"] == 7 and seed7["fingerprint"]["change"]["seed"] == 7
     assert (seed1["revisions"]["parent"], seed7["revisions"]["parent"]) == ("abc", "def")
     assert seed7["summary"]["steps_per_s"]["pairs"] == 3
+
+
+def test_revision_marks_changes_to_program_files_only(tmp_path):
+    """An edited document leaves the bare commit; an edited source file adds
+    "+changes"."""
+    def git(*cmd):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c",
+                        "user.email=t@t", *cmd], check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "NOTES.md").write_text("notes\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = bench_pairs._revision(str(tmp_path))
+    assert len(head) == 40 and "+" not in head
+    (tmp_path / "NOTES.md").write_text("edited\n")
+    assert bench_pairs._revision(str(tmp_path)) == head
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert bench_pairs._revision(str(tmp_path)) == head + "+changes"

@@ -13,7 +13,10 @@ change in the order `backward` adds them would show in its bytes.
 `spectral.joint_descriptor` is held to the same bytes against the chain of
 tape ops that its stage functions spell out (the blurs as matmul and swap
 ops), in float32 and float64, at B=1 and B=4, on static videos and at T=2,
-under a loss that reads the video itself too.
+under a loss that reads the video itself too. So is `moe.route`'s `router`
+node against its linear, add, gelu, linear, add, softmax (mul, sum, div)
+chain, for every subset of live router leaves, in float32 and float64, at B=1
+and B=4, with top-3 and top-4 of 4 experts.
 """
 
 import itertools
@@ -24,6 +27,7 @@ import pytest
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
+from freqvfx import moe
 from freqvfx.errors import ParameterError, ShapeError
 
 import oracles
@@ -294,3 +298,34 @@ def test_lora_linear_writes_only_its_own_arrays(n):
     arrays, w = _lora_arrays(4, n)
     h, a, b, pi = (fx.tensor(arrays[name]) for name in ("h", "a", "b", "pi"))
     _vjp_twice(lambda: fx.lora_linear(h, w, a, b, pi, OWNER), [h, a, b, pi], [w, OWNER])
+
+
+def _router(dtype, b):
+    """A default-sized router (4 experts, hidden 16, tau 1.5) with its second
+    layer off the zero init, and a (B, 6) simplex descriptor."""
+    rng = np.random.default_rng(17 * b)
+    router = moe.RouterParams.init(rng, n_experts=4, hidden=16, tau=1.5, dtype=dtype)
+    router.w2.data[...] = rng.normal(0.0, 0.8, size=router.w2.shape)
+    router.b2.data[...] = rng.normal(0.0, 0.3, size=router.b2.shape)
+    return router, rng.dirichlet(np.ones(6), size=b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("top_k", [3, 4])
+def test_router_matches_chain_bytes(dtype, b, top_k):
+    router, e = _router(dtype, b)
+    leaves = list(router.parameters().values())
+    weight = fx.tensor(np.random.default_rng(99).normal(size=(b, 4)).astype(dtype))
+    for live in _subsets(range(4)):
+        runs = []
+        for op in (moe.route, oracles.route_chain):
+            with fx.Tape([leaves[i] for i in live]) as tape:
+                pi = op(e, router, top_k)
+                loss = fx.reduce_sum(fx.square(pi) * weight)
+            grads = fx.backward(tape, loss) if live else {}
+            runs.append(([n.op for n in tape.nodes], pi.data.tobytes(),
+                         [grads[leaves[i]].data.tobytes() for i in live]))
+        (ops, out, grads), (_, ref_out, ref_grads) = runs
+        assert (out, grads) == (ref_out, ref_grads)
+        assert ops == (["router", "square", "mul", "sum"] if live else [])

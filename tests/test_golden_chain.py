@@ -10,7 +10,9 @@ tree's `src` and OTHER_SRC at one BLAS thread, prints both digest sets and exits
 1 naming every artifact that differs. For a differing `.fvl1` artifact it also
 names the entries only one side holds and the shared entries whose bytes differ,
 each with its largest absolute and relative difference from the other side's
-values (or both dtypes and shapes, where those differ).
+values (or both dtypes and shapes, where those differ); for a differing CSV
+artifact, each column's largest absolute and relative difference (or both
+tables' shapes, where the row or column counts differ).
 """
 
 import json
@@ -117,6 +119,31 @@ def test_difference_reads_largest_absolute_and_relative_moves():
     assert _difference(ours[:1], theirs) == "this float32 (1, 2), other float32 (2, 2)"
 
 
+def _csv_differences(ours: str, theirs: str) -> list[str]:
+    """Each column of two numeric CSV texts with one header row, named with its
+    `_difference` from the other side's, or both (rows, columns) shapes where
+    those differ."""
+    import numpy as np
+
+    def table(text):
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+    (names, a), (_, b) = table(ours), table(theirs)
+    if a.shape != b.shape:
+        return [f"this {a.shape}, other {b.shape}"]
+    return [f"{name}: {_difference(a[:, j], b[:, j])}" for j, name in enumerate(names)]
+
+
+def test_csv_differences_read_each_column_or_both_shapes():
+    theirs = "step,loss\n0,2.0\n1,-4.0\n"
+    ours = "step,loss\n0,2.5\n1,-4.0\n"
+    assert _csv_differences(ours, theirs) == ["step: max abs 0, max rel 0",
+                                              "loss: max abs 0.5, max rel 0.25"]
+    assert _csv_differences(ours + "2,1.0\n", theirs) == ["this (3, 2), other (2, 2)"]
+    assert _csv_differences("step\n0\n1\n", theirs) == ["this (2, 1), other (2, 2)"]
+
+
 def _print_entry_diff(this_path: str, other_path: str) -> None:
     """Name the entries only one container holds, and the shared entries whose
     dtype, shape or bytes differ with how far they moved."""
@@ -154,10 +181,17 @@ def main(argv: list[str]) -> int:
             return 0
         print("differ: " + ", ".join(differ))
         for name in differ:
-            if name.endswith(".fvl1") and name in ours and name in theirs:
+            if name in ours and name in theirs:
                 print(name)
-                _print_entry_diff(os.path.join(tmp, "this", name),
-                                  os.path.join(tmp, "other", name))
+                this_path, other_path = (os.path.join(tmp, side, name)
+                                         for side in ("this", "other"))
+                if name.endswith(".fvl1"):
+                    _print_entry_diff(this_path, other_path)
+                    continue
+                with open(this_path, encoding="utf-8") as a, \
+                        open(other_path, encoding="utf-8") as b:
+                    for line in _csv_differences(a.read(), b.read()):
+                        print(f"  {line}")
         return 1
 
 

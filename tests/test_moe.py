@@ -141,6 +141,28 @@ def test_route_descriptor_is_detached():
     assert np.any(grads[p.w2].data != 0)  # router itself still learns
 
 
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("top_k", [3, 4])
+def test_router_gradients_match_finite_differences(b, top_k):
+    """Every coordinate of the four float64 router leaves, at criterion 3's
+    relative 1e-5 above its 1e-9 floor."""
+    rng = np.random.default_rng(20 + b)
+    p = _router(rng, tau=1.5)
+    e = rng.dirichlet(np.ones(6), size=b)
+    wmix = rng.normal(size=(b, 4))
+    leaves = list(p.parameters().values())
+    with fx.Tape(leaves) as tape:
+        loss = fx.reduce_sum(moe.route(e, p, top_k) * fx.tensor(wmix))
+    grads = fx.backward(tape, loss)
+
+    def value(*_):
+        return float(np.sum(moe.route(e, p, top_k).data * wmix))
+
+    for leaf in leaves:
+        num = oracles.fd_grad(value, [leaf.data], 0)
+        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # rank budget
 

@@ -61,12 +61,13 @@ def step_ops(model):
 
 def test_train_step_nodes(step_ops):
     ops = collections.Counter(step_ops[0])
-    assert len(step_ops[0]) == 40
-    # every adapted projection, routing gate included, is one lora node and every
-    # attention core one attention node; an unfused one would show up as linear,
-    # matmul, reshape or mul nodes
+    assert len(step_ops[0]) == 32
+    # every adapted projection, routing gate included, is one lora node, every
+    # attention core one attention node and the router one router node; an
+    # unfused one would show up as linear, matmul, reshape or mul nodes
+    assert ops["router"] == 1
     assert (ops["lora"], ops["attention"], ops["linear"], ops["matmul"], ops["transpose"],
-            ops["concat"], ops["mul"]) == (16, 4, 3, 0, 1, 0, 1)
+            ops["concat"], ops["mul"]) == (16, 4, 1, 0, 1, 0, 0)
 
 
 def test_adapt_step_nodes(step_ops):
@@ -97,7 +98,7 @@ def test_denoise_step_nodes(model):
         cond = build_conditioning(params, z0[:1], text[0])
         pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
         denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
-    assert len(tape.nodes) == 37
+    assert len(tape.nodes) == 29
 
 
 def test_freq_constraint_loss_nodes(model):

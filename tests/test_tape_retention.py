@@ -9,6 +9,7 @@ under the 51 MB that a tape holding every node's inputs and output did.
 """
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -19,8 +20,11 @@ import freqvfx.tensor as fx
 from freqvfx.adapt import adapt
 from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
+from freqvfx.moe import RouterParams, route
 from freqvfx.schedule import NoiseSchedule
 from freqvfx.synthgen import build_dataset, read_dataset
+
+import oracles
 
 ADAPT_TAPE_MB = 25.0
 
@@ -51,12 +55,13 @@ def test_output_no_vjp_reads_is_freed_while_the_tape_is_active():
                                   np.full((64, 64), 2.0 * 64 * 64 * 2.0))
 
 
-@pytest.mark.parametrize("op", [fx.add, fx.sub, fx.mul, fx.div, fx.linear])
+@pytest.mark.parametrize("op", [fx.add, fx.sub, fx.mul, oracles.div, oracles.linear])
 def test_one_live_operand_gets_the_gradient_of_both_live(op):
     """Each vjp keeps the arrays its live inputs' gradients read: with one
-    operand live it still gives that operand the bytes it gets with both live."""
+    operand live it still gives that operand the bytes it gets with both live
+    (`div` and the trainable-weight `linear` are the reference chains' ops)."""
     rng = np.random.default_rng(3)
-    second = (4, 4) if op is fx.linear else (1, 4)  # a broadcast operand
+    second = (4, 4) if op is oracles.linear else (1, 4)  # a broadcast operand
     arrays = [rng.normal(size=(3, 4)) + 2.0, rng.normal(size=second) + 2.0]
     both = [fx.tensor(a) for a in arrays]
     with fx.Tape(both) as tape:
@@ -68,6 +73,48 @@ def test_one_live_operand_gets_the_gradient_of_both_live(op):
             loss = fx.reduce_sum(fx.square(op(*one)))
         assert tuple(k is not None for k in tape.nodes[0].inputs) == (i == 0, i == 1)
         assert fx.backward(tape, loss)[one[i]].data.tobytes() == want[i]
+
+
+def _router_reads(live, masks):
+    """The arrays the `router` vjp's gradients read, by its names for them: the
+    softmax output always, the top-k mask, its product and row sum when it masks,
+    the hidden activation for w2, the hidden pre-activation and w2 for w1 or b1,
+    and the descriptor for w1."""
+    w1, b1, w2, _ = live
+    return ({"pi"} | ({"masked", "s", "mask"} if masks else set()) | ({"h"} if w2 else set())
+            | ({"a1", "w2d"} if w1 or b1 else set()) | ({"ed"} if w1 else set()))
+
+
+@pytest.mark.parametrize("top_k", [3, 4])
+def test_router_vjp_keeps_only_what_its_live_leaves_read(top_k):
+    """With any subset of (w1, b1, w2, b2) live, the `router` node lists no key
+    and its vjp no gradient for exactly the dead leaves, keeps only the arrays the
+    live leaves' gradients read, and gives each live leaf the bytes it gets with
+    all four live."""
+    rng = np.random.default_rng(8)
+    router = RouterParams.init(rng, n_experts=4, hidden=16, tau=1.5)
+    router.w2.data[...] = rng.normal(0.0, 0.8, size=router.w2.shape)
+    e = rng.dirichlet(np.ones(6), size=4)
+    leaves = list(router.parameters().values())
+    want = None
+    for n in range(4, 0, -1):
+        for subset in itertools.combinations(range(4), n):
+            live = tuple(i in subset for i in range(4))
+            with fx.Tape([leaves[i] for i in subset]) as tape:
+                loss = fx.reduce_sum(fx.square(route(e, router, top_k)))
+            node = tape.nodes[0]
+            assert tuple(k is not None for k in node.inputs) == live
+            g = np.ones((4, 4), dtype=np.float32)
+            assert tuple(x is not None for x in node.vjp(g)) == live
+            cells = dict(zip(node.vjp.__code__.co_freevars,
+                             (c.cell_contents for c in node.vjp.__closure__)))
+            kept = {name for name, v in cells.items() if isinstance(v, np.ndarray)}
+            assert kept == _router_reads(live, top_k < 4)
+            assert not any(isinstance(v, fx.Tensor) for v in cells.values())
+            grads = fx.backward(tape, loss)
+            got = {i: grads[leaves[i]].data.tobytes() for i in subset}
+            want = want or got
+            assert got == {i: want[i] for i in subset}
 
 
 def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):

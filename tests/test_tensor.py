@@ -64,7 +64,7 @@ def test_scalar_promotion_matches_dtype():
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = fx.softmax(fx.tensor([0.5, 0.5, 0.5, 0.5], dtype=np.float64), tau=1.0)
+    out = oracles.softmax(fx.tensor([0.5, 0.5, 0.5, 0.5], dtype=np.float64), tau=1.0)
     assert np.allclose(out.data, 0.25, atol=1e-15)
     assert abs(out.data.sum() - 1.0) < 1e-12
 
@@ -74,23 +74,23 @@ def test_softmax_matches_high_precision(tau):
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(scale=4.0, size=6)
-        got = fx.softmax(fx.tensor(x, dtype=np.float64), tau=tau).data
+        got = oracles.softmax(fx.tensor(x, dtype=np.float64), tau=tau).data
         want = oracles.softmax_mp(x, tau)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_softmax_large_tau_flattens():
     x = fx.tensor([3.0, -1.0, 0.5], dtype=np.float64)
-    out = fx.softmax(x, tau=1e6).data
+    out = oracles.softmax(x, tau=1e6).data
     assert np.max(np.abs(out - 1.0 / 3.0)) < 1e-5
 
 
 def test_softmax_bad_temperature():
     x = fx.tensor([1.0, 2.0])
     with pytest.raises(ParameterError):
-        fx.softmax(x, tau=0.0)
+        oracles.softmax(x, tau=0.0)
     with pytest.raises(ParameterError):
-        fx.softmax(x, tau=-1.0)
+        oracles.softmax(x, tau=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_grad_add_sub_broadcast():
 
 def test_grad_mul_div_broadcast():
     grad_check(lambda a, b: fx.mul(a, b), [(2, 3, 4), (3, 4)], seed=3)
-    grad_check(lambda a, b: fx.div(a, b), [(3, 4), (4,)], seed=4,
+    grad_check(oracles.div, [(3, 4), (4,)], seed=4,
                transform=lambda a: a + 3.0 * np.sign(a) + 0.5)  # keep denominators off 0
 
 
@@ -186,20 +186,20 @@ def test_grad_unary():
     grad_check(fx.absolute, [(4, 4)], seed=7,
                transform=lambda a: a + 0.2 * np.sign(a))  # stay away from the kink
     grad_check(oracles.log1p, [(3, 5)], seed=8, transform=lambda a: np.abs(a) * 0.5)
-    grad_check(fx.gelu, [(4, 3)], seed=10, rtol=1e-5, atol=1e-7)
+    grad_check(oracles.gelu, [(4, 3)], seed=10, rtol=1e-5, atol=1e-7)
 
 
 @pytest.mark.parametrize("tau", [0.7, 1.0, 2.5])
 def test_grad_softmax(tau):
-    grad_check(lambda a: fx.softmax(a, tau=tau), [(3, 5)], seed=11, rtol=1e-5, atol=1e-8)
+    grad_check(lambda a: oracles.softmax(a, tau=tau), [(3, 5)], seed=11, rtol=1e-5, atol=1e-8)
 
 
 def test_grad_matmul_variants():
     grad_check(oracles.matmul, [(3, 4), (4, 5)], seed=12)
     grad_check(oracles.matmul, [(2, 3, 4), (4, 5)], seed=13)
     grad_check(oracles.matmul, [(2, 3, 4), (2, 4, 5)], seed=14)
-    grad_check(fx.linear, [(3, 4), (5, 4)], seed=27)
-    grad_check(fx.linear, [(2, 3, 4), (5, 4)], seed=28)
+    grad_check(oracles.linear, [(3, 4), (5, 4)], seed=27)
+    grad_check(oracles.linear, [(2, 3, 4), (5, 4)], seed=28)
 
 
 def test_grad_lora_linear():
@@ -225,24 +225,31 @@ def test_grad_attention(bias):
 
 @pytest.mark.parametrize("h_shape", [(3, 4), (2, 3, 4)])
 def test_linear_is_bit_identical_to_matmul_of_transpose(h_shape):
-    """linear replaces the oracle chain matmul(h, swap_last2(w)) without changing a byte."""
+    """linear replaces the oracle chain matmul(h, swap_last2(w)) without changing a
+    byte: the reference's trainable-weight linear for both operands, and the
+    package's, whose weight is a constant, for h."""
     rng = np.random.default_rng(29)
     h0 = rng.normal(size=h_shape).astype(np.float32)
     w0 = rng.normal(size=(5, 4)).astype(np.float32)
     g0 = rng.normal(size=h_shape[:-1] + (5,)).astype(np.float32)
 
-    def run(project):
+    def run(project, n_live):
         h, w = fx.tensor(h0), fx.tensor(w0)
-        with fx.Tape([h, w]) as tape:
+        live = [h, w][:n_live]
+        with fx.Tape(live) as tape:
             out = project(h, w)
             loss = fx.reduce_sum(out * fx.tensor(g0))
         grads = fx.backward(tape, loss)
-        return [x.tobytes() for x in (out.data, grads[h].data, grads[w].data)], len(tape.nodes)
+        return [x.data.tobytes() for x in (out, *(grads[t] for t in live))], len(tape.nodes)
 
-    fused, n_fused = run(fx.linear)
-    plain, n_plain = run(lambda h, w: oracles.matmul(h, oracles.swap_last2(w)))
+    def chain(h, w):
+        return oracles.matmul(h, oracles.swap_last2(w))
+
+    fused, n_fused = run(oracles.linear, 2)
+    plain, n_plain = run(chain, 2)
     assert fused == plain
     assert n_fused == n_plain - 1
+    assert run(lambda h, w: fx.linear(h, w.data), 1) == run(chain, 1)
 
 
 def test_fd_grad_perturbs_column_views():
@@ -252,7 +259,7 @@ def test_fd_grad_perturbs_column_views():
     w = fx.tensor(rng.normal(size=(5, 4)))
     coef = rng.normal(size=(3, 5))
     with fx.Tape([w]) as tape:
-        loss = fx.reduce_sum(fx.linear(fx.tensor(h), w) * fx.tensor(coef))
+        loss = fx.reduce_sum(oracles.linear(fx.tensor(h), w) * fx.tensor(coef))
     grad = fx.backward(tape, loss)[w].data
     view = w.data[:, 1:3]
     assert not view.flags.c_contiguous
@@ -360,7 +367,7 @@ def test_tape_records_only_ops_on_live_tensors():
     assert not fx.is_live(x)  # no active tape
     with fx.Tape([x]) as tape:
         k = c * 3.0 + 1.0  # constants alone: no node
-        h = fx.linear(x, k)
+        h = fx.linear(x, k.data)
         loss = fx.reduce_sum(h * h)
         assert [fx.is_live(t) for t in (x, c, k, h, loss)] == [True, False, False, True, True]
     assert [(n.op, tuple(k is not None for k in n.inputs)) for n in tape.nodes] == [
@@ -376,7 +383,8 @@ def test_forward_determinism_same_bytes():
         rng = np.random.default_rng(42)
         a = fx.tensor(rng.normal(size=(8, 8)).astype(np.float32))
         b = fx.tensor(rng.normal(size=(8, 8)).astype(np.float32))
-        out = fx.softmax(fx.gelu(fx.linear(a, b)), tau=0.8)
+        h = fx.linear(a, b.data)
+        out = fx.attention(h, h, h, 0.8)
         return fx.reduce_sum(out).data.tobytes()
 
     assert run() == run()
@@ -390,15 +398,15 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         fx.transpose(fx.tensor(np.ones((2, 3))), (0, 0))
     with pytest.raises(ShapeError):
-        fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((4, 2))))
+        fx.linear(fx.tensor(np.ones((2, 3))), np.ones((4, 2)))
     with pytest.raises(ShapeError):
-        fx.linear(fx.tensor(np.ones((2, 3))), fx.tensor(np.ones((1, 4, 3))))
+        fx.linear(fx.tensor(np.ones((2, 3))), np.ones((1, 4, 3)))
 
 
 def test_frozen_weight_is_a_constant_input():
     """A plain-array weight enters `linear` as it is: listed on the node with no
     key, never live, no gradient, and the gradient of h equals that of the
-    Tensor form."""
+    reference's trainable-weight linear; a Tensor weight is refused."""
     rng = np.random.default_rng(31)
     w = fx.frozen(rng.normal(size=(5, 4)))
     x = fx.tensor(rng.normal(size=(3, 4)))
@@ -408,8 +416,10 @@ def test_frozen_weight_is_a_constant_input():
     assert node.op == "linear" and node.inputs == (x.key, None)
     assert node.shapes == (x.shape, w.shape)
     with fx.Tape([x]) as tape2:
-        loss2 = fx.reduce_sum(fx.square(fx.linear(x, fx.Tensor(w))))
+        loss2 = fx.reduce_sum(fx.square(oracles.linear(x, fx.Tensor(w))))
     assert grads[x].data.tobytes() == fx.backward(tape2, loss2)[x].data.tobytes()
+    with pytest.raises(ParameterError, match="constant array, not a Tensor"):
+        fx.linear(x, fx.Tensor(w))
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0] = 1.0
 
@@ -435,7 +445,7 @@ def test_replay_records_the_span_run_again_without_recomputing_it():
     c = fx.tensor(rng.normal(size=(2, 4)))
 
     def span(v):
-        return fx.gelu(fx.linear(v, w) + c)
+        return fx.square(fx.linear(v, w) + c)
 
     runs = []
     for again in (span, None):

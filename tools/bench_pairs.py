@@ -138,15 +138,17 @@ def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, 
 
 
 def _revision(root: str) -> str | None:
-    """HEAD of the git checkout `root`, with "+changes" when tracked files differ
-    from it; None outside git."""
+    """HEAD of the git checkout `root`, with "+changes" when a tracked file of the
+    program (under src/, bench/ or tools/) differs from it, so an edited document
+    leaves the bare commit; None outside git."""
     def git(*cmd):
         return subprocess.run(["git", "-C", root, *cmd], capture_output=True, text=True)
 
     head = git("rev-parse", "HEAD")
     if head.returncode != 0:
         return None
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    dirty = git("status", "--porcelain", "--untracked-files=no", "--",
+                "src", "bench", "tools").stdout.strip()
     return head.stdout.strip() + ("+changes" if dirty else "")
 
 
