@@ -13,7 +13,6 @@ seed policy) the loss is exactly zero and stays there.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,11 +135,3 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
         opt.step(grads)
         result.trace.append(AdaptStep(step=step, t=first_t, loss=loss_val))
     return result
-
-
-def state_hashes(params: DenoiserParams, stack: AdapterStack) -> dict[str, int]:
-    """CRC32 of every frozen/trainable array, for parameter-isolation checks."""
-    out = {}
-    for name, tensor in {**params.named_arrays(), **stack.parameters()}.items():
-        out[name] = zlib.crc32(np.ascontiguousarray(tensor.data).tobytes())
-    return out

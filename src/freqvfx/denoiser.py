@@ -23,7 +23,9 @@ Every query, key, value and output projection is adapted: each is one
 `fx.lora_linear` tape node (through `moe_forward`), routing gate included, and
 each attention core, scores to mixed values, one `fx.attention` node. A step
 therefore needs an `AdapterStack`; zero-initialised experts leave the frozen
-backbone's output bit-exact.
+backbone's output bit-exact. Tokens enter through one `patch_embed` node
+(patchify, embedding, `pos` and `temb`) and leave through one `unembed` node
+(output projection and unpatchify), recorded here through `fx.record`.
 
 Routing is the caller's: `sample` and `diffusion_loss` route each step's
 descriptor once and hand the (B, M) weights `pi`, a required keyword, to every
@@ -259,41 +261,83 @@ def load_model(cfg: ModelConfig, take: Callable[[str, tuple[int, ...]], np.ndarr
 # token plumbing
 
 
-def patchify(z, patch: int) -> Tensor:
+def patchify(z: np.ndarray, patch: int) -> np.ndarray:
     """(B, T, C, H, W) -> (B, T*(H/p)*(W/p), C*p*p) tokens."""
-    z = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
     if z.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z.shape}")
     b, t, c, h, w = z.shape
     if h % patch or w % patch:
         raise ShapeError(f"spatial dims {h}x{w} must divide by patch={patch}")
     hp, wp = h // patch, w // patch
-    x = fx.reshape(z, (b, t, c, hp, patch, wp, patch))
-    x = fx.transpose(x, (0, 1, 3, 5, 2, 4, 6))
-    return fx.reshape(x, (b, t * hp * wp, c * patch * patch))
+    x = z.reshape(b, t, c, hp, patch, wp, patch).transpose(0, 1, 3, 5, 2, 4, 6)
+    return x.reshape(b, t * hp * wp, c * patch * patch)
 
 
-def unpatchify(tokens, latent_shape: tuple[int, int, int, int], patch: int) -> Tensor:
+def unpatchify(tokens: np.ndarray, latent_shape: tuple[int, int, int, int],
+               patch: int) -> np.ndarray:
     """Inverse of patchify for the given (T, C, H, W)."""
-    tokens = tokens if isinstance(tokens, Tensor) else Tensor(np.asarray(tokens))
     t, c, h, w = latent_shape
     hp, wp = h // patch, w // patch
     b = tokens.shape[0]
     if tokens.shape != (b, t * hp * wp, c * patch * patch):
         raise ShapeError(f"token tensor {tokens.shape} does not match latent {latent_shape}")
-    x = fx.reshape(tokens, (b, t, hp, wp, c, patch, patch))
-    x = fx.transpose(x, (0, 1, 4, 2, 5, 3, 6))
-    return fx.reshape(x, (b, t, c, h, w))
+    x = tokens.reshape(b, t, hp, wp, c, patch, patch).transpose(0, 1, 4, 2, 5, 3, 6)
+    return x.reshape(b, t, c, h, w)
+
+
+def _patch_embed_vjp(live, latent_shape, patch, wd):
+    def vjp(g):
+        return (unpatchify(g @ wd, latent_shape, patch),)
+
+    return vjp
+
+
+def patch_embed(z: Tensor, t: np.ndarray, params: DenoiserParams) -> Tensor:
+    """patchify(z) @ embed_w^T + pos + temb[t] as one `patch_embed` node on z.
+
+    It evaluates the numpy expressions of the reshape, transpose, reshape,
+    linear, add, add chain in its order, the adds in place on the fresh
+    product, so the value keeps the chain's bytes; the vjp's unpatchify is
+    the chain's inverse permutation, so the gradient keeps them too. `t` is a
+    checked scalar or (B,) timestep.
+    """
+    wd = params.embed_w
+    if z.dtype != wd.dtype:
+        raise ParameterError(f"dtype mismatch: latent {z.dtype} vs model {wd.dtype}")
+    temb = params.temb[t]
+    out = patchify(z.data, params.patch) @ wd.T
+    out += params.pos
+    out += temb[None, None, :] if temb.ndim == 1 else temb[:, None, :]
+    return fx.record("patch_embed", (z,), out, _patch_embed_vjp, params.latent_shape,
+                     params.patch, wd)
+
+
+def _unembed_vjp(live, patch, wd):
+    def vjp(g):
+        return (patchify(g, patch) @ wd,)
+
+    return vjp
+
+
+def unembed(x: Tensor, params: DenoiserParams) -> Tensor:
+    """unpatchify(x @ unembed_w^T) as one `unembed` node on x, evaluating the
+    linear, reshape, transpose, reshape chain's numpy expressions; its vjp
+    patchifies g, the chain's layout, before the matmul."""
+    wd = params.unembed_w
+    out = unpatchify(x.data @ wd.T, params.latent_shape, params.patch)
+    return fx.record("unembed", (x,), out, _unembed_vjp, params.patch, wd)
 
 
 def build_conditioning(params: DenoiserParams, z0, text_tokens,
                        vfx_tokens: Tensor | None = None) -> Conditioning:
-    """Image tokens from frozen-projected frame 0, plus text (and vfx) tokens."""
+    """Image tokens from frozen-projected frame 0, plus text (and vfx) tokens.
+    The image tokens are constants: frame 0 is read as a plain array, so no
+    tape records its projection."""
     z0 = z0 if isinstance(z0, Tensor) else Tensor(np.asarray(z0))
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
-    frame0 = Tensor(z0.data[:, :1])
-    img = fx.linear(patchify(frame0, params.patch), params.cond_proj_w)
+    frame0 = patchify(z0.data[:, :1], params.patch)
+    img = Tensor(frame0 @ np.asarray(params.cond_proj_w, dtype=frame0.dtype).T)
     text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))
     if text.ndim not in (2, 3) or text.shape[-1] != params.width:
         raise ShapeError(f"text tokens {text.shape} do not match the model width {params.width}")
@@ -367,14 +411,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> T
     if np.any(t_arr < 0) or np.any(t_arr >= params.num_steps):
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
-    tokens = fx.linear(patchify(z_t, params.patch), params.embed_w)
-    temb = params.temb[t_arr]  # frozen table: plain gather, stays constant
-    if temb.ndim == 1:
-        temb = temb[None, None, :]
-    else:
-        temb = temb[:, None, :]
-    x = tokens + params.pos + Tensor(temb)
-
+    x = patch_embed(z_t, t_arr, params)
     blk = params.blocks[0]
     x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self",
                        1.0 / math.sqrt(params.width), _self_bias(params, x.dtype))
@@ -394,8 +431,7 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
         x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
         x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale)
 
-    out = fx.linear(x, params.unembed_w)
-    return unpatchify(out, params.latent_shape, params.patch)
+    return unembed(x, params)
 
 
 def denoise_step(z_t, t, cond: Conditioning | None, params: DenoiserParams,

@@ -107,11 +107,6 @@ def expert_owner(ranks: Sequence[int], dtype) -> np.ndarray:
     return fx.frozen(np.repeat(np.eye(len(ranks), dtype=dtype), ranks, axis=1))
 
 
-def adapter_param_count(adapter: MoeAdapter) -> int:
-    """Trainable scalars in the adapter: r * (d_in + d_out), independent of M."""
-    return adapter.a.size + adapter.b.size
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 

@@ -40,21 +40,6 @@ def emit_spectral_report(trajectory, timesteps) -> str:
     return buf.getvalue()
 
 
-def parse_spectral_report(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of emit_spectral_report: (timesteps, (steps, 6) values)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SPECTRAL_HEADER:
-        raise ParameterError("not a spectral report: header mismatch")
-    ts, rows = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 7:
-            raise ParameterError(f"malformed report row: {ln!r}")
-        ts.append(int(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
-    return np.array(ts), np.array(rows, dtype=np.float64)
-
-
 def train_metrics_csv(metrics) -> str:
     """Stage-1 trace: step,loss,pi_mean_0..pi_mean_{M-1},class_id."""
     if not metrics:

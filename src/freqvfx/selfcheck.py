@@ -13,6 +13,7 @@ import numpy as np
 from . import tensor as fx
 from .config import ModelConfig
 from .container import read_container, write_container
+from .denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
 from .errors import ContainerError, FreqVfxError
 from .moe import RouterParams, route
 from .schedule import NoiseSchedule, sampling_grid
@@ -106,8 +107,10 @@ def _agree_with_central_differences(g, value, x, coords, floor):
 
 def _check_gradients(rng):
     """The fused descriptor's gradient under a tape against central differences
-    of the detached descriptor, and the `router` node's float64 leaf gradients
-    against central differences of untaped `route`."""
+    of the detached descriptor, the `router` node's float64 leaf gradients
+    against central differences of untaped `route`, and the latent gradient of
+    one float64 `denoise_step`, through `patch_embed` and `unembed`, against
+    central differences of untaped steps."""
     x = rng.standard_normal((1, 3, 1, 5, 5))
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
@@ -129,6 +132,29 @@ def _check_gradients(rng):
         _agree_with_central_differences(
             grads[leaf].data.ravel(), lambda: float(np.sum(route(d, router, top_k).data * w)),
             leaf.data, rng.choice(leaf.size, size=min(4, leaf.size), replace=False), 1e-4)
+
+    # criterion 3's small model, its experts off their zero init, at B=2 with a
+    # timestep per sample, constant routing and a constant conditioning video
+    m = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10, total_rank=8)
+    params = build_denoiser(rng, latent_shape=m.latent_shape, width=m.width,
+                            n_blocks=m.n_blocks, patch=m.patch, num_steps=m.num_steps,
+                            diag_bias=m.diag_bias, cross_gain=m.cross_gain, dtype=np.float64)
+    stack = build_adapter_stack(rng, params, m, dtype=np.float64)
+    for leaf in stack.parameters().values():
+        leaf.data[...] = rng.normal(0.0, 0.1, size=leaf.shape)
+    cond = build_conditioning(params, rng.standard_normal((2,) + m.latent_shape),
+                              rng.standard_normal((m.n_text_tokens, m.width)))
+    pi = fx.tensor(rng.dirichlet(np.ones(m.n_experts), size=2))
+    t = np.array([3, 7])
+    z = rng.standard_normal((2,) + m.latent_shape)
+    w = rng.standard_normal(z.shape)
+    latent = fx.tensor(z.copy())
+    with fx.Tape([latent]) as tape:
+        loss = fx.reduce_sum(denoise_step(latent, t, cond, params, stack, pi=pi) * fx.tensor(w))
+    _agree_with_central_differences(
+        fx.backward(tape, loss)[latent].data.ravel(),
+        lambda: float(np.sum(denoise_step(z, t, cond, params, stack, pi=pi).data * w)), z,
+        rng.choice(z.size, size=6, replace=False), 1e-4)
 
 
 def _check_schedule(rng):

@@ -18,8 +18,8 @@ frequency-constraint loss on every draw, composes the stage functions and joins
 the tape as the float64 cast and one `descriptor` node with a hand-written vjp,
 so the descriptor is differentiable end to end; values and gradients have the
 bytes of the chain of tape ops that the stage functions' numpy expressions spell
-out. `joint_descriptor_detached` runs the same node with nothing live, so no
-tape records it.
+out. `joint_descriptor_detached` composes the stage functions on a plain
+array, so no tape records it.
 """
 
 from __future__ import annotations
@@ -238,6 +238,17 @@ def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
     return vjp
 
 
+def _descriptor_input(z) -> np.ndarray:
+    """The float64 video that both descriptor halves read, checked."""
+    zd = _video(z)
+    b, t, c, h, w = zd.shape
+    if t < 2:
+        raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={t}")
+    if min(b, c, h, w) < 1:
+        raise ShapeError(f"latent video has an empty axis: shape {zd.shape}")
+    return zd
+
+
 def joint_descriptor(z) -> Tensor:
     """(B, 6) concatenation of the appearance and VFX indicators.
 
@@ -250,12 +261,8 @@ def joint_descriptor(z) -> Tensor:
     the three are one key, so they are live together or no node is recorded.
     """
     z = fx.cast(z if isinstance(z, Tensor) else Tensor(np.asarray(z)), np.float64)
-    zd = _video(z.data)
-    b, t, c, h, w = zd.shape
-    if t < 2:
-        raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={t}")
-    if min(b, c, h, w) < 1:
-        raise ShapeError(f"latent video has an empty axis: shape {zd.shape}")
+    zd = _descriptor_input(z.data)
+    h, w = zd.shape[3:]
     app_fei, app_saved = _fei_forward(appearance_proxy(zd))
     vfx, msd, diff = _motion(zd)
     vfx_fei, vfx_saved = _fei_forward(vfx)
@@ -266,7 +273,7 @@ def joint_descriptor(z) -> Tensor:
 
 
 def joint_descriptor_detached(z) -> np.ndarray:
-    """Plain-array descriptor of a fresh constant, so no tape records it (for
-    routing inputs)."""
-    data = z.data if isinstance(z, Tensor) else np.asarray(z)
-    return joint_descriptor(Tensor(data)).data
+    """`joint_descriptor`'s value as a plain array, which no tape records (for
+    routing inputs): the stage functions on the float64 video."""
+    zd = _descriptor_input(z.data if isinstance(z, Tensor) else z)
+    return np.concatenate([fei(appearance_proxy(zd)), fei(vfx_proxy(zd))], axis=1)

@@ -37,10 +37,9 @@ This module holds the tape and the ops the package records, no others
 (`tests/test_tape_ops_used.py` checks that each has a caller, and
 `tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
 `record` is how an op defined elsewhere joins the tape: the `descriptor` node
-of `spectral.joint_descriptor` and the `router` node of `moe.route`, and the
-ops that only the unfused reference chains of the test suite need (their
-`matmul`, `log1p`, `slice`, `gelu`, `softmax`, `div` and a `linear` whose
-weight is a Tensor).
+of `spectral.joint_descriptor`, the `router` node of `moe.route`, and the
+`patch_embed` and `unembed` nodes of `denoiser`, and the ops that only the
+unfused reference chains of the test suite need.
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -50,10 +49,9 @@ what re-running that span's ops on the same inputs would record, byte for
 byte, without the forward work (`denoiser.denoise_guided` replays its trunk
 so).
 
-A frozen weight is a plain read-only array, not a Tensor: `linear` and
-`lora_linear` take it (and `lora_linear` its expert layout) as a constant of
-the node, as `attention` takes its bias, refuse a Tensor in its place, and
-`Tape` refuses it as a leaf.
+A frozen weight is a plain read-only array, not a Tensor: `lora_linear` takes
+it and its expert layout as constants of the node, as `attention` takes its
+bias, and refuses a Tensor in their place, and `Tape` refuses it as a leaf.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -442,23 +440,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     return record("reshape", (a,), out, _reshape_vjp, a.shape)
 
 
-def _transpose_vjp(live, axes):
-    inv = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return vjp
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"invalid permutation {axes} for rank {a.ndim}")
-    return record("transpose", (a,), np.transpose(a.data, axes), _transpose_vjp, axes)
-
-
 def _broadcast_vjp(live, in_shape):
     def vjp(g):
         return (_unbroadcast(g, in_shape),)
@@ -567,32 +548,6 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # products
-
-
-def _linear_vjp(live, wd):
-    def vjp(g):
-        return g @ wd, None
-
-    return vjp
-
-
-def linear(h, w) -> Tensor:
-    """h @ w^T for a frozen 2-D weight w (d_out, d_in), as one node.
-
-    `w` is a plain array, a constant of the node that gets no gradient, as in
-    `lora_linear`; a Tensor is refused. The arithmetic is numpy's `h @ w.T`,
-    with no transpose node.
-    """
-    if isinstance(w, Tensor):
-        raise ParameterError("linear takes its weight as a constant array, not a Tensor")
-    h = _as_tensor(h)
-    wd = np.asarray(w, dtype=h.dtype)
-    if h.ndim < 2 or wd.ndim != 2:
-        raise ShapeError(f"linear needs rank >= 2 inputs and a 2-D weight, "
-                         f"got {h.shape} and {wd.shape}")
-    if h.shape[-1] != wd.shape[1]:
-        raise ShapeError(f"linear feature dims disagree: {h.shape} @ {wd.shape}^T")
-    return record("linear", (h, wd), h.data @ wd.T, _linear_vjp, wd)
 
 
 def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):

@@ -4,18 +4,22 @@ Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
 with the package under test. The exceptions are the unfused op chains at the
 end: a fused op must reproduce its chain byte for byte, so the chain is built
-from the package's own primitives, plus the `matmul`, `swap_last2`, `log1p`,
-`slice_axis`, `gelu`, `softmax`, `div` and trainable-weight `linear` ops that
-only these chains record, defined here on `fx.record`; and the synthetic-data
-generators, whose loops must give the bytes of the package's vectorised ones
-from the same streams.
+from the package's own primitives, plus the `matmul`, `transpose`,
+`swap_last2`, `log1p`, `slice_axis`, `gelu`, `softmax`, `div` and `linear`
+ops that only these chains record, defined here on `fx.record`; the
+synthetic-data generators, whose loops must give the bytes of the package's
+vectorised ones from the same streams; and the helpers that only tests read
+the package with (`adapter_param_count`, `state_hashes`,
+`parse_spectral_report`).
 """
 
 import math
+import zlib
 
 import numpy as np
 from mpmath import mp, mpf
 
+import freqvfx.reports as rp
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
 from freqvfx.errors import ParameterError
@@ -197,9 +201,24 @@ def matmul(a, b):
     return fx.record("matmul", (a, b), a.data @ b.data, _matmul_vjp, a.data, b.data)
 
 
+def _transpose_vjp(live, axes):
+    inv = tuple(np.argsort(axes))
+
+    def vjp(g):
+        return (np.transpose(g, inv),)
+
+    return vjp
+
+
+def transpose(a, axes):
+    """The axes of a tensor permuted, as one node."""
+    axes = tuple(axes)
+    return fx.record("transpose", (a,), np.transpose(a.data, axes), _transpose_vjp, axes)
+
+
 def swap_last2(a):
     """The transpose of the last two axes."""
-    return fx.transpose(a, tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2))
+    return transpose(a, tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2))
 
 
 def _log1p_vjp(live, ad):
@@ -246,9 +265,11 @@ def _linear_vjp(live, hd, wd):
 
 
 def linear(h, w):
-    """h @ w^T of two tensors of one dtype, w a 2-D (d_out, d_in) weight that may
-    be live, as one node."""
-    return fx.record("linear", (h, w), h.data @ w.data.T, _linear_vjp, h.data, w.data)
+    """h @ w^T, w a 2-D (d_out, d_in) weight, as one node: a tensor of h's dtype
+    that may be live, or a frozen array, a constant of the node read in h's
+    dtype."""
+    wd = w.data if isinstance(w, fx.Tensor) else np.asarray(w, dtype=h.dtype)
+    return fx.record("linear", (h, w), h.data @ wd.T, _linear_vjp, h.data, wd)
 
 
 def _div_vjp(live, ad, bd):
@@ -329,7 +350,7 @@ def lora_linear_chain(h, w, a, b, pi, owner):
     `fx.lora_linear` fuses; `w` and `owner` are arrays, constants of the chain."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
     gate = fx.reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
-    out = fx.linear(h, w)
+    out = linear(h, w)
     down = linear(h, a) * gate
     return out + linear(down, b)
 
@@ -340,6 +361,33 @@ def attention_chain(q, k, v, scale, bias=None):
     if bias is not None:
         scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
     return matmul(softmax(scores, tau=1.0), v)
+
+
+def _patchify_chain(z, patch):
+    b, t, c, h, w = z.shape
+    hp, wp = h // patch, w // patch
+    x = transpose(fx.reshape(z, (b, t, c, hp, patch, wp, patch)), (0, 1, 3, 5, 2, 4, 6))
+    return fx.reshape(x, (b, t * hp * wp, c * patch * patch))
+
+
+def patch_embed_chain(z, t, params):
+    """The reshape, transpose, reshape, linear, add, add chain that
+    `denoiser.patch_embed` fuses: patchify, embed, `+ pos`, `+ temb[t]`."""
+    tokens = linear(_patchify_chain(z, params.patch), params.embed_w)
+    temb = params.temb[t]
+    temb = temb[None, None, :] if temb.ndim == 1 else temb[:, None, :]
+    return tokens + params.pos + fx.Tensor(temb)
+
+
+def unembed_chain(x, params):
+    """The linear, reshape, transpose, reshape chain that `denoiser.unembed`
+    fuses: the output projection, then unpatchify."""
+    t, c, h, w = params.latent_shape
+    p = params.patch
+    out = linear(x, params.unembed_w)
+    b = out.shape[0]
+    y = transpose(fx.reshape(out, (b, t, h // p, w // p, c, p, p)), (0, 1, 4, 2, 5, 3, 6))
+    return fx.reshape(y, (b, t, c, h, w))
 
 
 def _fei_chain(x):
@@ -403,6 +451,36 @@ class AdamWPerLeaf:
             v += (1.0 - b2) * (gd * gd - v)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data[...] = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests read the package with
+
+
+def adapter_param_count(adapter) -> int:
+    """Trainable scalars in a `moe.MoeAdapter`: r * (d_in + d_out), independent of M."""
+    return adapter.a.size + adapter.b.size
+
+
+def state_hashes(params, stack) -> dict[str, int]:
+    """CRC32 of every frozen and trainable array, for parameter-isolation checks."""
+    return {name: zlib.crc32(np.ascontiguousarray(tensor.data).tobytes())
+            for name, tensor in {**params.named_arrays(), **stack.parameters()}.items()}
+
+
+def parse_spectral_report(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `reports.emit_spectral_report`: (timesteps, (steps, 6) values)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != rp.SPECTRAL_HEADER:
+        raise ParameterError("not a spectral report: header mismatch")
+    ts, rows = [], []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != 7:
+            raise ParameterError(f"malformed report row: {ln!r}")
+        ts.append(int(cells[0]))
+        rows.append([float(c) for c in cells[1:]])
+    return np.array(ts), np.array(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from freqvfx import container as ct
 from freqvfx.cli import main
-from freqvfx.reports import parse_spectral_report
+
+import oracles
 
 CFG = {
     "model": {"latent_shape": [2, 2, 4, 4], "width": 16, "num_steps": 10},
@@ -156,7 +157,7 @@ class TestPipeline:
         entries = ct.read_container_file(sample)
         assert entries["video"].shape == (6, 2, 2, 4, 4)
         assert entries["descriptors"].shape == (4, 6, 6)
-        ts, vals = parse_spectral_report(
+        ts, vals = oracles.parse_spectral_report(
             (report_dir / "spectral.csv").read_text())
         assert len(ts) == 4
         assert np.all(np.isfinite(vals))
@@ -666,7 +667,7 @@ class TestAnalyze:
         ct.write_container_file(str(p), {"videos": static})
         out = tmp_path / "an"
         assert run("analyze", "--input", str(p), "--out", str(out)) == 0
-        ts, vals = parse_spectral_report((out / "descriptors.csv").read_text())
+        ts, vals = oracles.parse_spectral_report((out / "descriptors.csv").read_text())
         assert np.array_equal(ts, [0])
         assert np.all(vals[:, 3:] == 0.0)
         assert abs(vals[0, :3].sum() - 1.0) < 1e-5
@@ -690,7 +691,7 @@ class TestAnalyze:
         out = tmp_path / "an"
         assert run("analyze", "--input", str(d / "dataset.fvl1"),
                    "--out", str(out)) == 0
-        _, vals = parse_spectral_report((out / "descriptors.csv").read_text())
+        _, vals = oracles.parse_spectral_report((out / "descriptors.csv").read_text())
         # spec order: two low-frequency rows then two high-frequency rows
         assert np.argmax(vals[0, :3]) == 0 and np.argmax(vals[1, :3]) == 0
         assert np.argmax(vals[2, :3]) == 2 and np.argmax(vals[3, :3]) == 2

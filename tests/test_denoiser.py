@@ -13,6 +13,8 @@ from freqvfx.moe import route
 from freqvfx.schedule import NoiseSchedule
 from freqvfx.spectral import joint_descriptor_detached
 
+import oracles
+
 LATENT = (2, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
@@ -160,14 +162,14 @@ class TestTokenPlumbing:
         rng = np.random.default_rng(5)
         z = rng.standard_normal((3, 8, 4, 8, 8)).astype(np.float32)
         back = unpatchify(patchify(z, 2), (8, 4, 8, 8), 2)
-        assert np.array_equal(back.data, z)
+        assert np.array_equal(back, z)
 
     def test_token_layout(self):
         rng = np.random.default_rng(6)
         t, c, h, w, p = 8, 4, 8, 8, 2
         hp, wp = h // p, w // p
         z = rng.standard_normal((2, t, c, h, w)).astype(np.float32)
-        tok = patchify(z, p).data
+        tok = patchify(z, p)
         for _ in range(50):
             bi = rng.integers(2)
             ti, ci = rng.integers(t), rng.integers(c)
@@ -274,7 +276,7 @@ class TestDenoiseStep:
         pi = routed(z, stack)
         with_stack = denoise_step(z, 3, cond, params, stack, pi=pi)
         monkeypatch.setattr(freqvfx.denoiser, "moe_forward",
-                            lambda adapter, pi, owner, w, h: fx.linear(h, w))
+                            lambda adapter, pi, owner, w, h: oracles.linear(h, w))
         base = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert np.array_equal(with_stack.data, base.data)
 

@@ -16,9 +16,15 @@ ops), in float32 and float64, at B=1 and B=4, on static videos and at T=2,
 under a loss that reads the video itself too. So is `moe.route`'s `router`
 node against its linear, add, gelu, linear, add, softmax (mul, sum, div)
 chain, for every subset of live router leaves, in float32 and float64, at B=1
-and B=4, with top-3 and top-4 of 4 experts.
+and B=4, with top-3 and top-4 of 4 experts. So are the denoiser's
+`patch_embed` node, against its reshape, transpose, reshape, linear, add, add
+chain with one shared t and with a t per sample, and its `unembed` node,
+against its linear, reshape, transpose, reshape chain, in float32 and float64
+at B=1 and B=4 on the default backbone; their float64 gradients also agree
+with central differences.
 """
 
+import functools
 import itertools
 import re
 
@@ -27,7 +33,8 @@ import pytest
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
-from freqvfx import moe
+from freqvfx import denoiser, moe
+from freqvfx.config import ModelConfig
 from freqvfx.errors import ParameterError, ShapeError
 
 import oracles
@@ -329,3 +336,77 @@ def test_router_matches_chain_bytes(dtype, b, top_k):
         (ops, out, grads), (_, ref_out, ref_grads) = runs
         assert (out, grads) == (ref_out, ref_grads)
         assert ops == (["router", "square", "mul", "sum"] if live else [])
+
+
+@functools.lru_cache(maxsize=2)
+def _backbone(dtype: str):
+    """The default-sized frozen backbone in `dtype`."""
+    m = ModelConfig()
+    return denoiser.build_denoiser(
+        np.random.default_rng(23), latent_shape=m.latent_shape, width=m.width,
+        n_blocks=m.n_blocks, patch=m.patch, num_steps=m.num_steps, diag_bias=m.diag_bias,
+        cross_gain=m.cross_gain, dtype=np.dtype(dtype))
+
+
+def _token_op(kind, dtype, b, t_kind="shared"):
+    """(op, chain, input array) of the `patch_embed` or `unembed` node."""
+    params = _backbone(np.dtype(dtype).name)
+    rng = np.random.default_rng(19 * b + len(t_kind))
+    if kind == "unembed":
+        x = rng.normal(size=(b, params.n_tokens, params.width)).astype(dtype)
+        return (lambda h: denoiser.unembed(h, params),
+                lambda h: oracles.unembed_chain(h, params), x)
+    t = (rng.integers(0, params.num_steps, size=b) if t_kind == "per-sample"
+         else np.asarray(int(rng.integers(params.num_steps))))
+    z = rng.normal(size=(b,) + params.latent_shape).astype(dtype)
+    return (lambda v: denoiser.patch_embed(v, t, params),
+            lambda v: oracles.patch_embed_chain(v, t, params), z)
+
+
+def _run_token_op(op, x, live):
+    """Forward bytes, the input's gradient bytes when it is live, and the
+    recorded nodes, for a loss that reads the output and then the input itself."""
+    leaf = fx.tensor(x)
+    rng = np.random.default_rng(99)
+    with fx.Tape([leaf] if live else []) as tape:
+        out = op(leaf)
+        w, wx = (fx.tensor(rng.normal(size=s).astype(x.dtype)) for s in (out.shape, x.shape))
+        loss = fx.reduce_sum(out * w) + fx.reduce_sum(leaf * wx)
+    grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
+    return out.data.tobytes(), grad, tape.nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("kind, t_kind", [("patch_embed", "shared"),
+                                          ("patch_embed", "per-sample"), ("unembed", None)])
+def test_token_plumbing_matches_chain_bytes(kind, t_kind, b, dtype):
+    fused, chain, x = _token_op(kind, dtype, b, t_kind or "shared")
+    for live in (False, True):
+        out, grad, nodes = _run_token_op(fused, x, live)
+        ref_out, ref_grad, _ = _run_token_op(chain, x, live)
+        assert out == ref_out
+        assert grad == ref_grad
+        if not live:
+            assert not nodes
+            continue
+        assert [n.op for n in nodes] == [kind, "mul", "sum", "mul", "sum", "add"]
+        # the node lists the input once, by the key the residual's mul reads
+        assert nodes[0].inputs == (nodes[3].inputs[0],) and nodes[0].shapes == (x.shape,)
+
+
+@pytest.mark.parametrize("kind, t_kind", [("patch_embed", "shared"),
+                                          ("patch_embed", "per-sample"), ("unembed", None)])
+def test_token_plumbing_gradients_match_finite_differences(kind, t_kind):
+    """Criterion 3's tolerance: relative 1e-5 above an absolute floor of 1e-9."""
+    fused, _, x = _token_op(kind, np.float64, 2, t_kind or "shared")
+    w = np.random.default_rng(98).normal(size=fused(fx.tensor(x)).shape)
+    leaf = fx.tensor(x.copy())
+    with fx.Tape([leaf]) as tape:
+        loss = fx.reduce_sum(fused(leaf) * fx.tensor(w))
+    got = fx.backward(tape, loss)[leaf].data
+    coords = np.random.default_rng(97).choice(x.size, size=24, replace=False)
+    num = oracles.fd_grad(lambda v: np.sum(fused(fx.tensor(v)).data * w), [x], 0,
+                          coords=coords)
+    assert np.any(num.ravel()[coords] != 0.0)
+    oracles.assert_grads_close(got, num, rtol=1e-5, atol=1e-9, coords=coords)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
+from freqvfx import denoiser
 from freqvfx.adapt import adapt
 from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
@@ -73,6 +74,26 @@ def test_one_live_operand_gets_the_gradient_of_both_live(op):
             loss = fx.reduce_sum(fx.square(op(*one)))
         assert tuple(k is not None for k in tape.nodes[0].inputs) == (i == 0, i == 1)
         assert fx.backward(tape, loss)[one[i]].data.tobytes() == want[i]
+
+
+def test_token_plumbing_vjps_keep_only_shapes_and_the_frozen_weight():
+    """A constant latent records no `patch_embed` node; on a live one, neither
+    token node's vjp keeps an activation, only shapes, the patch size and its
+    frozen weight."""
+    m = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10)
+    params, _ = build_model(m, np.random.default_rng(4))
+    z = fx.tensor(np.random.default_rng(5).normal(size=(2,) + m.latent_shape).astype(np.float32))
+    with fx.Tape([]) as tape:
+        denoiser.patch_embed(z, np.asarray(3), params)
+    assert not tape.nodes
+    with fx.Tape([z]) as tape:
+        denoiser.unembed(denoiser.patch_embed(z, np.asarray(3), params), params)
+    assert [n.op for n in tape.nodes] == ["patch_embed", "unembed"]
+    for node, weight in zip(tape.nodes, (params.embed_w, params.unembed_w)):
+        cells = [c.cell_contents for c in node.vjp.__closure__]
+        arrays = [v for v in cells if isinstance(v, (np.ndarray, fx.Tensor))]
+        assert len(arrays) == 1 and arrays[0] is weight
+        assert all(isinstance(v, (int, tuple)) for v in cells if v is not weight)
 
 
 def _router_reads(live, masks):
@@ -149,7 +170,7 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     finally:
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
-    assert n_nodes == 534
+    assert n_nodes == 419
     # a node holds its op, keys, shapes and vjp: no Tensor, no array
     assert not in_fields
     # and a vjp keeps arrays, never a Tensor (which would keep its key's array)

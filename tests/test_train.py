@@ -3,7 +3,6 @@ import pytest
 
 import freqvfx.tensor as fx
 import freqvfx.train
-from freqvfx.adapt import state_hashes
 from freqvfx.config import ModelConfig, TrainConfig
 from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_model
 from freqvfx.errors import ParameterError, TrainingDivergedError
@@ -269,10 +268,10 @@ class TestStageOne:
     def test_smoke_run_trains_only_adapters(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
-        before = state_hashes(params, stack)
+        before = oracles.state_hashes(params, stack)
         cfg = TrainConfig(steps=25, batch_size=2, lr=1e-3, seed=0)
         result = train_stage1(*self._dataset(), cfg, params, stack, sched)
-        after = state_hashes(params, stack)
+        after = oracles.state_hashes(params, stack)
 
         assert result.losses.shape == (25,)
         assert np.all(np.isfinite(result.losses))
@@ -312,10 +311,10 @@ class TestStageOne:
     def test_zero_lr_changes_nothing(self):
         params, stack = small_model()
         sched = NoiseSchedule.cosine(NUM_STEPS)
-        before = state_hashes(params, stack)
+        before = oracles.state_hashes(params, stack)
         cfg = TrainConfig(steps=5, batch_size=2, lr=0.0, seed=0)
         train_stage1(*self._dataset(), cfg, params, stack, sched)
-        assert state_hashes(params, stack) == before
+        assert oracles.state_hashes(params, stack) == before
 
     def test_repeat_run_is_deterministic(self):
         sched = NoiseSchedule.cosine(NUM_STEPS)
