@@ -37,7 +37,7 @@ This module holds the tape and the ops the package records, no others
 (`tests/test_tape_ops_used.py` checks that each has a caller, and
 `tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
 `record` is how an op defined elsewhere joins the tape: the `descriptor` node
-of `spectral.joint_descriptor`, the `router` node of `moe.route`, and the
+of `spectral.joint_descriptor`, the `router` node of `moe.route`, the
 `patch_embed` and `unembed` nodes of `denoiser`, and the ops that only the
 unfused reference chains of the test suite need.
 
@@ -235,8 +235,8 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     `make_vjp` decides what the vjp keeps, and a vjp must not close over a
     variable that still holds an array no live input's gradient reads (rebind it
     to None first). Every op records through this, including those defined
-    outside this module (`spectral.joint_descriptor`'s `descriptor` and
-    `moe.route`'s `router`).
+    outside this module (`spectral.joint_descriptor`'s `descriptor`,
+    `moe.route`'s `router` and `denoiser`'s `patch_embed` and `unembed`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
