@@ -332,10 +332,14 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens,
                        vfx_tokens: Tensor | None = None) -> Conditioning:
     """Image tokens from frozen-projected frame 0, plus text (and vfx) tokens.
     The image tokens are constants: frame 0 is read as a plain array, so no
-    tape records its projection."""
+    tape records its projection. Its (C, H, W) must be the model's latent's,
+    or the projection would fail or give another number of tokens."""
     z0 = z0 if isinstance(z0, Tensor) else Tensor(np.asarray(z0))
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
+    if z0.shape[2:] != params.latent_shape[1:]:
+        raise ShapeError(f"conditioning video frames (C, H, W) = {z0.shape[2:]} do not match "
+                         f"the model's latent (C, H, W) = {params.latent_shape[1:]}")
     frame0 = patchify(z0.data[:, :1], params.patch)
     img = Tensor(frame0 @ np.asarray(params.cond_proj_w, dtype=frame0.dtype).T)
     text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))

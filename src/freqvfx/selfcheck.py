@@ -16,6 +16,7 @@ from .container import read_container, write_container
 from .denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
 from .errors import ContainerError, FreqVfxError
 from .moe import RouterParams, route
+from .sampling import ddim_update
 from .schedule import NoiseSchedule, sampling_grid
 from .spectral import (SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrix, decompose, joint_descriptor,
                        joint_descriptor_detached)
@@ -108,9 +109,11 @@ def _agree_with_central_differences(g, value, x, coords, floor):
 def _check_gradients(rng):
     """The fused descriptor's gradient under a tape against central differences
     of the detached descriptor, the `router` node's float64 leaf gradients
-    against central differences of untaped `route`, and the latent gradient of
+    against central differences of untaped `route`, the latent gradient of
     one float64 `denoise_step`, through `patch_embed` and `unembed`, against
-    central differences of untaped steps."""
+    central differences of untaped steps, and the gradients of a guided float64
+    `ddim` node, all three inputs live, against central differences of the
+    untaped update."""
     x = rng.standard_normal((1, 3, 1, 5, 5))
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
@@ -155,6 +158,19 @@ def _check_gradients(rng):
         fx.backward(tape, loss)[latent].data.ravel(),
         lambda: float(np.sum(denoise_step(z, t, cond, params, stack, pi=pi).data * w)), z,
         rng.choice(z.size, size=6, replace=False), 1e-4)
+
+    # the sampler's guided update at cfg 3, from t=7 to t=3 of a 10-step schedule
+    sched = NoiseSchedule.cosine(m.num_steps)
+    noisy = [rng.standard_normal(z.shape) for _ in range(3)]  # z, eps_c, eps_u
+    leaves = [fx.tensor(x.copy()) for x in noisy]
+    with fx.Tape(leaves) as tape:
+        loss = fx.reduce_sum(ddim_update(*leaves, 3.0, sched, 7, 3) * fx.tensor(w))
+    grads = fx.backward(tape, loss)
+    for leaf, arr in zip(leaves, noisy):
+        _agree_with_central_differences(
+            grads[leaf].data.ravel(),
+            lambda: float(np.sum(ddim_update(*map(fx.Tensor, noisy), 3.0, sched, 7, 3).data
+                                 * w)), arr, rng.choice(arr.size, size=4, replace=False), 1e-4)
 
 
 def _check_schedule(rng):

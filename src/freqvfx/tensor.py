@@ -38,8 +38,9 @@ This module holds the tape and the ops the package records, no others
 `tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
 `record` is how an op defined elsewhere joins the tape: the `descriptor` node
 of `spectral.joint_descriptor`, the `router` node of `moe.route`, the
-`patch_embed` and `unembed` nodes of `denoiser`, and the ops that only the
-unfused reference chains of the test suite need.
+`patch_embed` and `unembed` nodes of `denoiser`, the `ddim` node of
+`sampling.ddim_update`, and the ops that only the unfused reference chains of
+the test suite need.
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -236,7 +237,8 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     variable that still holds an array no live input's gradient reads (rebind it
     to None first). Every op records through this, including those defined
     outside this module (`spectral.joint_descriptor`'s `descriptor`,
-    `moe.route`'s `router` and `denoiser`'s `patch_embed` and `unembed`).
+    `moe.route`'s `router`, `denoiser`'s `patch_embed` and `unembed` and
+    `sampling.ddim_update`'s `ddim`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)

@@ -420,6 +420,17 @@ def joint_descriptor_chain(z):
     return fx.concat([app, vfx], axis=1)
 
 
+def ddim_update_chain(z, eps_c, eps_u, cfg_scale, schedule, t, t_next):
+    """The sub, mul, add (guidance combine) and mul, mul, add (DDIM update) chain
+    that `sampling.ddim_update` fuses into its `ddim` node; eps_u None is the
+    cfg-1 step, which runs the update on eps_c alone."""
+    eps_hat = eps_c if eps_u is None else eps_u + cfg_scale * (eps_c - eps_u)
+    a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
+    a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
+    ratio = a_n / a_t
+    return float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
+
+
 class AdamWPerLeaf:
     """The AdamW that looped over its leaves one array at a time, kept as the
     reference for the flat-buffer `freqvfx.train.AdamW`."""

@@ -592,6 +592,33 @@ class TestPipeline:
         assert "n_text_tokens" in err and "'text.lowfreq_field'" in err, err
         assert "Traceback" not in err and not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("defect", ["channels", "frame_size"])
+    def test_stages_reject_videos_of_another_frame_shape(self, tmp_path, cfg_path, capsys,
+                                                         defect):
+        """Videos whose (C, H, W) differ from the model's latent are a mismatch
+        with the model in the three stages that condition on them: exit 2 with one
+        error line naming the shapes, and no artifact. Fewer channels cannot be
+        projected to image tokens, and smaller frames would give fewer of them."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        entries = ct.read_container_file(dataset)
+        videos = entries["videos"][:, :, :1] if defect == "channels" else \
+            entries["videos"][..., :2, :2]
+        path = str(tmp_path / f"{defect}.fvl1")
+        ct.write_container_file(path, {**entries, "videos": np.ascontiguousarray(videos)})
+        stages = {"train": ("--config", cfg_path),
+                  "adapt": ("--checkpoint", ckpt, "--config", cfg_path),
+                  "generate": ("--checkpoint", ckpt, "--config", cfg_path)}
+        for stage, extra in stages.items():
+            out = tmp_path / f"out_{stage}"
+            capsys.readouterr()
+            rc = run(stage, "--input", path, *extra, "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 2, stage
+            assert err.count("error:") == 1 and "(C, H, W)" in err, err
+            assert "Traceback" not in err, err
+            assert not out.exists() or not any(out.iterdir()), stage
+
     def test_adapt_config_accepts_only_unroll(self, tmp_path, cfg_path, capsys):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

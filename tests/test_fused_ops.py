@@ -21,7 +21,11 @@ and B=4, with top-3 and top-4 of 4 experts. So are the denoiser's
 chain with one shared t and with a t per sample, and its `unembed` node,
 against its linear, reshape, transpose, reshape chain, in float32 and float64
 at B=1 and B=4 on the default backbone; their float64 gradients also agree
-with central differences.
+with central differences. So is the sampler's `ddim` node
+(`sampling.ddim_update`), against its sub, mul, add, mul, mul, add chain,
+guided and at cfg 1, for every live subset a rollout records, in float32 and
+float64 at B=1 and B=4, at the first and a later step of the 8-step grid;
+its float64 gradients also agree with central differences.
 """
 
 import functools
@@ -33,9 +37,10 @@ import pytest
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
-from freqvfx import denoiser, moe
+from freqvfx import denoiser, moe, sampling
 from freqvfx.config import ModelConfig
 from freqvfx.errors import ParameterError, ShapeError
+from freqvfx.schedule import NoiseSchedule, sampling_grid
 
 import oracles
 
@@ -410,3 +415,79 @@ def test_token_plumbing_gradients_match_finite_differences(kind, t_kind):
                           coords=coords)
     assert np.any(num.ravel()[coords] != 0.0)
     oracles.assert_grads_close(got, num, rtol=1e-5, atol=1e-9, coords=coords)
+
+
+SCHEDULE = NoiseSchedule.cosine(1000)
+# the first step of criterion 7's 8-step grid, whose ratio a_n / a_t is 193.8,
+# and a later one
+DDIM_STEPS = [tuple(int(x) for x in sampling_grid(1000, 8)[k:k + 2]) for k in (0, 5)]
+
+
+def _ddim_arrays(dtype, b, guided):
+    rng = np.random.default_rng(31 * b + np.dtype(dtype).itemsize)
+    names = ("z", "eps_c", "eps_u") if guided else ("z", "eps_c")
+    return {name: rng.normal(size=(b, 2, 4, 8, 8)).astype(dtype) for name in names}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("cfg_scale", [3.0, 1.0])
+def test_ddim_update_matches_chain_bytes(dtype, b, cfg_scale):
+    """z is live after the first step and eps_u whenever z is; eps_c is live
+    whenever vfx tokens are. The loss adds the output to eps_u when guided, so
+    eps_u's two gradients from the node are added into one it already holds, in
+    the order `backward` adds them, and to eps_c at cfg 1."""
+    guided = cfg_scale != 1.0
+    arrays = _ddim_arrays(dtype, b, guided)
+    node_inputs, residual = ((("z", "eps_u", "eps_c", "eps_u"), "eps_u") if guided
+                             else (("z", "eps_c"), "eps_c"))
+    subsets = [("eps_c",) + s for s in _subsets(("z", "eps_u") if guided else ("z",))]
+    for t, t_next in DDIM_STEPS:
+        def fused(z, eps_c, eps_u=None):
+            return sampling.ddim_update(z, eps_c, eps_u, cfg_scale, SCHEDULE, t, t_next)
+
+        def chain(z, eps_c, eps_u=None):
+            return oracles.ddim_update_chain(z, eps_c, eps_u, cfg_scale, SCHEDULE, t, t_next)
+
+        for live in subsets:
+            _check_fused(fused, chain, arrays, live, residual, "ddim", node_inputs)
+
+
+def test_ddim_update_gradients_match_finite_differences():
+    """A guided float64 node with all inputs live: criterion 3's tolerance,
+    relative 1e-5 above an absolute floor of 1e-9."""
+    arrays = list(_ddim_arrays(np.float64, 2, True).values())
+    t, t_next = DDIM_STEPS[1]
+    w = np.random.default_rng(96).normal(size=arrays[0].shape)
+
+    def value(*xs):
+        out = sampling.ddim_update(*(fx.Tensor(x) for x in xs), 3.0, SCHEDULE, t, t_next)
+        return np.sum(out.data * w)
+
+    leaves = [fx.tensor(x.copy()) for x in arrays]
+    with fx.Tape(leaves) as tape:
+        loss = fx.reduce_sum(sampling.ddim_update(*leaves, 3.0, SCHEDULE, t, t_next)
+                             * fx.tensor(w))
+    grads = fx.backward(tape, loss)
+    coords = np.random.default_rng(95).choice(arrays[0].size, size=12, replace=False)
+    for i, leaf in enumerate(leaves):
+        num = oracles.fd_grad(value, arrays, i, coords=coords)
+        assert np.any(num.ravel()[coords] != 0.0)
+        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)
+
+
+def test_ddim_update_errors():
+    """The noise predictions must have the latent's dtype and shape: no cast, and
+    no broadcast that the chain's ops would have allowed."""
+    z = fx.tensor(np.ones((2, 2, 4, 8, 8), dtype=np.float32))
+    good = fx.tensor(np.ones(z.shape, dtype=np.float32))
+    t, t_next = DDIM_STEPS[0]
+    wide = fx.tensor(np.ones(z.shape, dtype=np.float64))
+    for eps_c, eps_u in ((wide, good), (good, wide), (wide, None)):
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            sampling.ddim_update(z, eps_c, eps_u, 3.0, SCHEDULE, t, t_next)
+    short = fx.tensor(np.ones((1,) + z.shape[1:], dtype=np.float32))
+    for eps_c, eps_u, name in ((short, good, "eps_c"), (good, short, "eps_u"),
+                               (short, None, "eps_c")):
+        with pytest.raises(ShapeError, match=rf"{name} \(1, 2, 4, 8, 8\)"):
+            sampling.ddim_update(z, eps_c, eps_u, 3.0, SCHEDULE, t, t_next)

@@ -73,7 +73,10 @@ def test_train_step_nodes(step_ops):
 
 
 def test_adapt_step_nodes(step_ops):
-    assert len(step_ops[1]) == 419
+    assert len(step_ops[1]) == 380
+    # each of the 8 sampler steps records its guidance combine and DDIM update as
+    # one ddim node; unfused they would show up as sub, mul and add nodes
+    assert collections.Counter(step_ops[1])["ddim"] == 8
 
 
 def recorded_ops(tree: ast.Module) -> set[str]:

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ LATENT = (4, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
 CFG = SampleConfig().cfg_scale
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_setup(seed=0, b=2):
@@ -207,3 +211,40 @@ class TestLoggingAndShapes:
         bad = np.zeros((2, 4, 2, 4, 5), dtype=np.float32)
         with pytest.raises(ShapeError):
             sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=bad)
+
+
+class TestRoundingProbeArithmetics:
+    """`tools/rounding_probe.py` runs outside tier-1, so this keeps its two
+    patched arithmetics working: each replaces `sampling.ddim_update` in a taped
+    guided rollout with vfx tokens, differs from it in rounding only, and still
+    passes a gradient to the tokens."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        spec = importlib.util.spec_from_file_location(
+            "rounding_probe", os.path.join(ROOT, "tools", "rounding_probe.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def rollout(seed):
+        """The sample and the vfx gradient of a 4-step cfg-3 rollout under a tape."""
+        params, stack, sched, cond = small_setup(seed)
+        vfx = fx.tensor(np.random.default_rng(5).normal(0.0, 0.1, (3, WIDTH)).astype(np.float32))
+        with fx.Tape([vfx]) as tape:
+            z = sample(params, stack, sched, cond.with_vfx(vfx), steps=4, cfg_scale=3.0,
+                       seed=6).video
+            loss = fx.reduce_sum(fx.square(z))
+        return z.data, fx.backward(tape, loss)[vfx].data
+
+    @pytest.mark.parametrize("name", ["combine", "update"])
+    def test_variant_differs_from_today_only_in_rounding(self, probe, monkeypatch, name):
+        assert probe.ARITHMETICS["today"] is freqvfx.sampling.ddim_update
+        z, grad = self.rollout(0)
+        monkeypatch.setattr(freqvfx.sampling, "ddim_update", probe.ARITHMETICS[name])
+        z_var, grad_var = self.rollout(0)
+        assert z_var.tobytes() != z.tobytes()
+        assert np.max(np.abs(z_var - z)) <= 1e-5 * np.max(np.abs(z))
+        assert np.max(np.abs(grad_var - grad)) <= 1e-5 * np.max(np.abs(grad))
+        assert np.any(grad_var != 0.0)

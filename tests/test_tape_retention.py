@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
-from freqvfx import denoiser
+from freqvfx import denoiser, sampling
 from freqvfx.adapt import adapt
 from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
@@ -96,6 +96,30 @@ def test_token_plumbing_vjps_keep_only_shapes_and_the_frozen_weight():
         assert all(isinstance(v, (int, tuple)) for v in cells if v is not weight)
 
 
+@pytest.mark.parametrize("guided", [True, False])
+def test_ddim_vjp_keeps_only_its_scalars(guided):
+    """For every live subset a rollout records (z and eps_u live or dead, eps_c
+    live), the `ddim` node lists no key and its vjp no gradient for exactly the
+    dead inputs, and the vjp keeps no array but the 0-d scalars r, c and w."""
+    rng = np.random.default_rng(9)
+    shape = (2, 2, 4, 4, 4)
+    sched = NoiseSchedule.cosine(10)
+    for z_live, u_live in itertools.product((False, True), (False, True) if guided else (None,)):
+        z, eps_c = (fx.tensor(rng.normal(size=shape).astype(np.float32)) for _ in range(2))
+        eps_u = fx.tensor(rng.normal(size=shape).astype(np.float32)) if guided else None
+        wrt = [eps_c] + ([z] if z_live else []) + ([eps_u] if u_live else [])
+        with fx.Tape(wrt) as tape:
+            sampling.ddim_update(z, eps_c, eps_u, 3.0, sched, 7, 3)
+        (node,) = tape.nodes
+        live = (z_live, u_live, True, u_live) if guided else (z_live, True)
+        assert tuple(k is not None for k in node.inputs) == live
+        g = np.ones(shape, dtype=np.float32)
+        assert tuple(x is not None for x in node.vjp(g)) == live
+        cells = [c.cell_contents for c in node.vjp.__closure__]
+        assert not any(isinstance(v, fx.Tensor) for v in cells)
+        assert all(v.shape == () for v in cells if isinstance(v, np.ndarray))
+
+
 def _router_reads(live, masks):
     """The arrays the `router` vjp's gradients read, by its names for them: the
     softmax output always, the top-k mask, its product and row sum when it masks,
@@ -170,7 +194,7 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     finally:
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
-    assert n_nodes == 419
+    assert n_nodes == 380
     # a node holds its op, keys, shapes and vjp: no Tensor, no array
     assert not in_fields
     # and a vjp keeps arrays, never a Tensor (which would keep its key's array)
