@@ -11,7 +11,8 @@ layers, which keeps the backbone a fixed random feature map.
 Self-attention logits carry a +diag_bias identity term so each token mostly
 attends to itself; that lets the value/output LoRA paths realize per-token
 linear maps, which is what makes the frozen-backbone stage-1 objective
-learnable at this scale.
+learnable at this scale. The term is one constant (N, N) array, built with
+the backbone.
 
 The cross-attention output projections are drawn with a larger scale
 (cross_gain) than the 1/sqrt(width) used elsewhere. With a frozen random
@@ -43,14 +44,17 @@ over one key is exactly 1.
 
 Every backbone weight is a frozen constant: a plain read-only array, which no
 tape can list among the leaves it differentiates and any write refuses. The
-ops take it as a constant, unwrapped. The only trainable state lives in the
-router and the per-projection expert pairs (stage 1) and in the vfx embedding
-tokens (stage 2); the optimizer lays it out (`train.AdamW`).
+ops take it as a constant, unwrapped. The attention weights are one dict keyed
+by checkpoint entry name (`block0.self.wq`), which also names the adapter
+layers (`block0.self.q`). The conditioning is constant too: `build_conditioning`
+joins each sample's image and text tokens into one read-only array, and only
+the vfx tokens are appended per head, as tape nodes. The only trainable state
+lives in the router and the per-projection expert pairs (stage 1) and in the
+vfx embedding tokens (stage 2); the optimizer lays it out (`train.AdamW`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,41 +71,24 @@ from .tensor import Tensor
 
 
 @dataclass
-class AttentionProjections:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-
-    def named(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
-                f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
-
-
-@dataclass
-class DenoiserBlock:
-    self_attn: AttentionProjections
-    cross_attn: AttentionProjections
-
-
-@dataclass
 class DenoiserParams:
+    """The frozen backbone. `projections` holds every attention weight by its
+    checkpoint entry name without `backbone.`: `block<i>.<self|cross>.w<q|k|v|o>`,
+    in draw order. `self_bias` is the constant diag_bias * I added to every
+    self-attention's scores, None when diag_bias is 0."""
+
     latent_shape: tuple[int, int, int, int]
     patch: int
     width: int
-    diag_bias: float
+    n_blocks: int
     embed_w: np.ndarray
     unembed_w: np.ndarray
     pos: np.ndarray
     temb: np.ndarray
     null_token: np.ndarray
     cond_proj_w: np.ndarray
-    blocks: list[DenoiserBlock]
-
-    @property
-    def n_tokens(self) -> int:
-        t, _, h, w = self.latent_shape
-        return t * (h // self.patch) * (w // self.patch)
+    projections: dict[str, np.ndarray]
+    self_bias: np.ndarray | None
 
     @property
     def num_steps(self) -> int:
@@ -115,22 +102,31 @@ class DenoiserParams:
             "backbone.pos": self.pos, "backbone.temb": self.temb,
             "backbone.null_token": self.null_token, "backbone.cond_proj_w": self.cond_proj_w,
         }
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.self_attn.named(f"backbone.block{i}.self"))
-            out.update(blk.cross_attn.named(f"backbone.block{i}.cross"))
+        out.update((f"backbone.{name}", arr) for name, arr in self.projections.items())
         return {name: Tensor(arr) for name, arr in out.items()}
 
 
 @dataclass
 class Conditioning:
-    """Cross-attention context: image tokens, text tokens, optional vfx tokens."""
+    """Cross-attention context. `tokens` is the read-only (B, L, width) array of
+    each sample's image tokens then text tokens; `vfx_tokens`, when set, are
+    (L_vfx, width) tokens of the same dtype appended to every sample's context."""
 
-    image_tokens: Tensor
-    text_tokens: Tensor
-    vfx_tokens: Tensor | None = None
+    tokens: np.ndarray
+    vfx_tokens: Tensor | None
+
+    def __post_init__(self):
+        vfx = self.vfx_tokens
+        if vfx is None:
+            return
+        if vfx.ndim != 2 or vfx.shape[1] != self.tokens.shape[2]:
+            raise ShapeError(f"vfx tokens {vfx.shape} are not (L, {self.tokens.shape[2]})")
+        if vfx.dtype != self.tokens.dtype:
+            raise ParameterError(f"dtype mismatch: vfx tokens {vfx.dtype} vs "
+                                 f"conditioning {self.tokens.dtype}")
 
     def with_vfx(self, vfx_tokens: Tensor | None) -> "Conditioning":
-        return Conditioning(self.image_tokens, self.text_tokens, vfx_tokens)
+        return Conditioning(self.tokens, vfx_tokens)
 
 
 @dataclass
@@ -181,27 +177,25 @@ def _assemble(take: Callable[[str, tuple[int, ...], float], np.ndarray], *,
     def const(name, shape, std):
         return fx.frozen(take(f"backbone.{name}", shape, std))
 
-    def proj(prefix, out_std):
-        return AttentionProjections(
-            wq=const(f"{prefix}.wq", (width, width), 1.0 / math.sqrt(width)),
-            wk=const(f"{prefix}.wk", (width, width), 1.0 / math.sqrt(width)),
-            wv=const(f"{prefix}.wv", (width, width), 1.0 / math.sqrt(width)),
-            wo=const(f"{prefix}.wo", (width, width), out_std),
-        )
+    projections = {}
+    for i in range(n_blocks):
+        for attn, out_std in (("self", 1.0), ("cross", cross_gain)):
+            for slot in PROJECTION_SLOTS:
+                std = out_std if slot == "o" else 1.0
+                name = f"block{i}.{attn}.w{slot}"
+                projections[name] = const(name, (width, width), std / math.sqrt(width))
 
-    blocks = [DenoiserBlock(self_attn=proj(f"block{i}.self", 1.0 / math.sqrt(width)),
-                            cross_attn=proj(f"block{i}.cross", cross_gain / math.sqrt(width)))
-              for i in range(n_blocks)]
-
+    embed_w = const("embed_w", (width, pdim), 1.0 / math.sqrt(pdim))
     return DenoiserParams(
-        latent_shape=tuple(latent_shape), patch=patch, width=width, diag_bias=diag_bias,
-        embed_w=const("embed_w", (width, pdim), 1.0 / math.sqrt(pdim)),
+        latent_shape=tuple(latent_shape), patch=patch, width=width, n_blocks=n_blocks,
+        embed_w=embed_w,
         unembed_w=const("unembed_w", (pdim, width), 1.0 / math.sqrt(width)),
         pos=const("pos", (n_tok, width), 0.5),
         temb=const("temb", (num_steps, width), 0.5),
         null_token=const("null_token", (1, width), 0.5),
         cond_proj_w=const("cond_proj_w", (width, pdim), 1.0 / math.sqrt(pdim)),
-        blocks=blocks,
+        projections=projections,
+        self_bias=fx.frozen(diag_bias * np.eye(n_tok, dtype=embed_w.dtype)) if diag_bias else None,
     )
 
 
@@ -224,12 +218,10 @@ def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: M
     ranks = tuple(split_rank_budget(cfg.total_rank, cfg.n_experts))
     router = RouterParams.init(rng, n_experts=cfg.n_experts, hidden=cfg.router_hidden,
                                tau=cfg.tau, dtype=dtype)
-    layers: dict[str, MoeAdapter] = {}
-    for i in range(len(params.blocks)):
-        for attn in ("self", "cross"):
-            for slot in PROJECTION_SLOTS:
-                layers[f"block{i}.{attn}.{slot}"] = MoeAdapter.init(
-                    rng, d_in=params.width, d_out=params.width, ranks=ranks, dtype=dtype)
+    # the adapter of projection `block0.self.wq` is layer `block0.self.q`
+    layers = {name[:-2] + name[-1]: MoeAdapter.init(rng, d_in=params.width, d_out=params.width,
+                                                    ranks=ranks, dtype=dtype)
+              for name in params.projections}
     return AdapterStack(router=router, layers=layers, top_k=cfg.top_k, ranks=ranks)
 
 
@@ -328,53 +320,53 @@ def unembed(x: Tensor, params: DenoiserParams) -> Tensor:
     return fx.record("unembed", (x,), out, _unembed_vjp, params.patch, wd)
 
 
-def build_conditioning(params: DenoiserParams, z0, text_tokens,
-                       vfx_tokens: Tensor | None = None) -> Conditioning:
-    """Image tokens from frozen-projected frame 0, plus text (and vfx) tokens.
-    The image tokens are constants: frame 0 is read as a plain array, so no
-    tape records its projection. Its (C, H, W) must be the model's latent's,
-    or the projection would fail or give another number of tokens."""
-    z0 = z0 if isinstance(z0, Tensor) else Tensor(np.asarray(z0))
+def build_conditioning(params: DenoiserParams, z0, text_tokens) -> Conditioning:
+    """Each sample's image tokens, frame 0 projected by the frozen `cond_proj_w`,
+    then its text tokens, as one read-only array that no tape records. The
+    video's (C, H, W) must be the model's latent's; the text is (L, width) for
+    every sample or (B, L, width), of the video's dtype."""
+    z0 = Tensor(z0).data
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
     if z0.shape[2:] != params.latent_shape[1:]:
         raise ShapeError(f"conditioning video frames (C, H, W) = {z0.shape[2:]} do not match "
                          f"the model's latent (C, H, W) = {params.latent_shape[1:]}")
-    frame0 = patchify(z0.data[:, :1], params.patch)
-    img = Tensor(frame0 @ np.asarray(params.cond_proj_w, dtype=frame0.dtype).T)
-    text = text_tokens if isinstance(text_tokens, Tensor) else Tensor(np.asarray(text_tokens))
+    frame0 = patchify(z0[:, :1], params.patch)
+    img = frame0 @ np.asarray(params.cond_proj_w, dtype=frame0.dtype).T
+    text = Tensor(text_tokens).data
     if text.ndim not in (2, 3) or text.shape[-1] != params.width:
         raise ShapeError(f"text tokens {text.shape} do not match the model width {params.width}")
-    if text.ndim == 2:
-        text = fx.broadcast_to(fx.reshape(text, (1,) + text.shape), (z0.shape[0],) + text.shape)
-    return Conditioning(image_tokens=img, text_tokens=text, vfx_tokens=vfx_tokens)
+    b = z0.shape[0]
+    if text.ndim == 3 and text.shape[0] != b:
+        raise ShapeError(f"text tokens {text.shape} do not match the video batch {b}")
+    if text.dtype != img.dtype:
+        raise ParameterError(f"dtype mismatch: text tokens {text.dtype} vs video {img.dtype}")
+    tokens = np.concatenate([img, np.broadcast_to(text, (b,) + text.shape[-2:])], axis=1)
+    return Conditioning(fx.frozen(tokens), None)
 
 
 def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
-                    batch: int) -> Tensor:
-    d = params.width
+                    batch: int) -> Tensor | np.ndarray:
+    """Cross-attention's keys and values: the null token as a constant for the
+    unconditional branch, else the conditioning tokens, with the vfx tokens
+    appended to each sample's by one `concat` node."""
     if cond is None:
-        return fx.broadcast_to(fx.reshape(Tensor(params.null_token), (1, 1, d)), (batch, 1, d))
-    parts = []
-    for name, tok in (("image", cond.image_tokens), ("text", cond.text_tokens),
-                      ("vfx", cond.vfx_tokens)):
-        if tok is None:
-            continue
-        tok = tok if isinstance(tok, Tensor) else Tensor(np.asarray(tok))
-        if tok.ndim == 2:
-            tok = fx.broadcast_to(fx.reshape(tok, (1,) + tok.shape), (batch,) + tok.shape)
-        if tok.ndim != 3 or tok.shape[0] != batch or tok.shape[2] != d:
-            raise ShapeError(f"{name} tokens {tok.shape} incompatible with "
-                             f"batch {batch}, width {d}")
-        parts.append(tok)
-    return fx.concat(parts, axis=1)
+        return np.broadcast_to(params.null_token, (batch, 1, params.width))
+    if cond.tokens.shape[0] != batch:
+        raise ShapeError(f"conditioning of batch {cond.tokens.shape[0]} for a latent of "
+                         f"batch {batch}")
+    tokens, vfx = Tensor(cond.tokens), cond.vfx_tokens
+    if vfx is None:
+        return tokens
+    vfx = fx.broadcast_to(fx.reshape(vfx, (1,) + vfx.shape), (batch,) + vfx.shape)
+    return fx.concat([tokens, vfx], axis=1)
 
 
-def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections, stack: AdapterStack,
-               pi: Tensor, layer: str, scale: float, bias: np.ndarray | None = None) -> Tensor:
-    def project(slot: str, h: Tensor) -> Tensor:
+def _attention(x: Tensor, kv, params: DenoiserParams, stack: AdapterStack, pi: Tensor,
+               layer: str, bias: np.ndarray | None = None) -> Tensor:
+    def project(slot: str, h) -> Tensor:
         return moe_forward(stack.layers[f"{layer}.{slot}"], pi, stack.owner,
-                           getattr(proj, "w" + slot), h)
+                           params.projections[f"{layer}.w{slot}"], h)
 
     if kv.shape[1] == 1 and bias is None:
         # softmax over a single key is exactly 1 for any finite score, so the
@@ -385,19 +377,8 @@ def _attention(x: Tensor, kv: Tensor, proj: AttentionProjections, stack: Adapter
     else:
         q = project("q", x)
         k = project("k", kv)
-        mixed = fx.attention(q, k, project("v", kv), scale, bias)
+        mixed = fx.attention(q, k, project("v", kv), 1.0 / math.sqrt(params.width), bias)
     return project("o", mixed)
-
-
-@functools.lru_cache(maxsize=8)
-def _diag(n_tokens: int, diag_bias: float, dtype) -> np.ndarray:
-    return fx.frozen(diag_bias * np.eye(n_tokens, dtype=dtype))  # shared by every call
-
-
-def _self_bias(params: DenoiserParams, dtype) -> np.ndarray | None:
-    if not params.diag_bias:
-        return None
-    return _diag(params.n_tokens, params.diag_bias, np.dtype(dtype))
 
 
 def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> Tensor:
@@ -416,10 +397,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> T
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
     x = patch_embed(z_t, t_arr, params)
-    blk = params.blocks[0]
-    x = x + _attention(x, x, blk.self_attn, stack, pi, "block0.self",
-                       1.0 / math.sqrt(params.width), _self_bias(params, x.dtype))
-    return x
+    return x + _attention(x, x, params, stack, pi, "block0.self", params.self_bias)
 
 
 def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
@@ -427,14 +405,10 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
     """The rest of a step after `_trunk`: block 0's cross-attention, every later
     block, unembed and unpatchify."""
     kv = _context_tokens(params, cond, x.shape[0])
-    scale = 1.0 / math.sqrt(params.width)
-    diag = _self_bias(params, x.dtype)
-    x = x + _attention(x, kv, params.blocks[0].cross_attn, stack, pi, "block0.cross",
-                       scale)
-    for i, blk in enumerate(params.blocks[1:], start=1):
-        x = x + _attention(x, x, blk.self_attn, stack, pi, f"block{i}.self", scale, diag)
-        x = x + _attention(x, kv, blk.cross_attn, stack, pi, f"block{i}.cross", scale)
-
+    x = x + _attention(x, kv, params, stack, pi, "block0.cross")
+    for i in range(1, params.n_blocks):
+        x = x + _attention(x, x, params, stack, pi, f"block{i}.self", params.self_bias)
+        x = x + _attention(x, kv, params, stack, pi, f"block{i}.cross")
     return unembed(x, params)
 
 

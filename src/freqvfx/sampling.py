@@ -114,7 +114,7 @@ def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
         raise ParameterError(
             f"schedule length {schedule.num_steps} != model timestep table {params.num_steps}")
     grid = sampling_grid(schedule.num_steps, steps)
-    b = cond.image_tokens.shape[0]
+    b = cond.tokens.shape[0]
     shape = (b,) + params.latent_shape
     dtype = params.embed_w.dtype
     if init_noise is not None:

@@ -187,10 +187,10 @@ def gen_bandpass_texture(seed, shape) -> np.ndarray:
 _GENERATORS = (gen_lowfreq_field, gen_highfreq_particles, gen_bandpass_texture)  # by class id
 
 
-def class_text_tokens(seed: int, class_id: int, *, n_tokens: int, width: int) -> np.ndarray:
+def class_text_tokens(seed: int, class_id: int, *, n_text_tokens: int, width: int) -> np.ndarray:
     """Frozen per-class conditioning tokens, stream (seed, 9000 + class_id)."""
     rng = _stream(seed, _TEXT_STREAM_TAG + class_id, 0)
-    return (0.5 * rng.standard_normal((n_tokens, width))).astype(np.float32)
+    return (0.5 * rng.standard_normal((n_text_tokens, width))).astype(np.float32)
 
 
 def build_dataset(spec, seed, model: ModelConfig) -> dict[str, np.ndarray]:
@@ -224,7 +224,7 @@ def build_dataset(spec, seed, model: ModelConfig) -> dict[str, np.ndarray]:
     }
     for cid in counts:
         entries[f"text.{CLASS_NAMES[cid]}"] = class_text_tokens(
-            seed, cid, n_tokens=model.n_text_tokens, width=model.width)
+            seed, cid, n_text_tokens=model.n_text_tokens, width=model.width)
     return entries
 
 

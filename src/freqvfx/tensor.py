@@ -474,11 +474,15 @@ def _concat_vjp(live, sizes, ax):
 
 
 def concat(parts: Iterable, axis: int) -> Tensor:
-    parts = [x if isinstance(x, Tensor) else _as_tensor(x) for x in parts]
+    parts = list(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
-    first = parts[0]
-    parts = [first] + [_pair(first, p)[1] for p in parts[1:]]
+    # a plain part is read at the first Tensor part's dtype, as `_pair` reads one
+    like = next((p for p in parts if isinstance(p, Tensor)), None)
+    parts = [_as_tensor(p, like) for p in parts]
+    for p in parts[1:]:
+        if p.dtype != parts[0].dtype:
+            raise ParameterError(f"dtype mismatch: {parts[0].dtype} vs {p.dtype}")
     ax = axis if axis >= 0 else parts[0].ndim + axis
     if not 0 <= ax < parts[0].ndim:
         raise ShapeError(f"concat axis {axis} out of range for rank {parts[0].ndim}")

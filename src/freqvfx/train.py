@@ -116,12 +116,9 @@ def _dropout_conditioning(cond: Conditioning, drop: np.ndarray,
     """Replace dropped samples' conditioning tokens with the null token."""
     if not drop.any():
         return cond
-    img = cond.image_tokens.data.copy()
-    txt = cond.text_tokens.data.copy()
-    null = params.null_token[0]
-    img[drop] = null
-    txt[drop] = null
-    return Conditioning(Tensor(img), Tensor(txt), cond.vfx_tokens)
+    tokens = cond.tokens.copy()
+    tokens[drop] = params.null_token[0]
+    return Conditioning(fx.frozen(tokens), cond.vfx_tokens)
 
 
 def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
@@ -130,7 +127,7 @@ def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
     """Train router + experts on the diffusion objective; backbone untouched.
 
     Row i of the dataset is `videos[i]` (T, C, H, W) of class `class_ids[i]`
-    with text tokens `text[i]` (n_tokens, width).
+    with text tokens `text[i]` (n_text_tokens, width).
     """
     if len(videos) == 0:
         raise ParameterError("dataset is empty")

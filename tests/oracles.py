@@ -431,6 +431,26 @@ def ddim_update_chain(z, eps_c, eps_u, cfg_scale, schedule, t, t_next):
     return float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
 
 
+def context_tokens_chain(params, cond, batch):
+    """`denoiser._context_tokens` as it read the conditioning in three groups:
+    image, text and vfx tokens, each made (B, L, width) by reshape and
+    broadcast_to when 2-D, joined by one concat; the null token by reshape and
+    broadcast_to. The image and text groups are cut back out of `cond.tokens`."""
+    d = params.width
+    if cond is None:
+        return fx.broadcast_to(fx.reshape(fx.Tensor(params.null_token), (1, 1, d)), (batch, 1, d))
+    n_img = params.pos.shape[0] // params.latent_shape[0]
+    parts = []
+    for tok in (fx.Tensor(cond.tokens[:, :n_img]), fx.Tensor(cond.tokens[:, n_img:]),
+                cond.vfx_tokens):
+        if tok is None:
+            continue
+        if tok.ndim == 2:
+            tok = fx.broadcast_to(fx.reshape(tok, (1,) + tok.shape), (batch,) + tok.shape)
+        parts.append(tok)
+    return fx.concat(parts, axis=1)
+
+
 class AdamWPerLeaf:
     """The AdamW that looped over its leaves one array at a time, kept as the
     reference for the flat-buffer `freqvfx.train.AdamW`."""

@@ -37,10 +37,10 @@ def small_batch(seed=10, b=2, dtype=np.float32):
     return z, text
 
 
-def woken_model():
+def woken_model(dtype=np.float32):
     """small_model with the cold-start zeros (expert B matrices, router second
     layer) moved, so adapters change the output and gradients do not vanish."""
-    params, stack = small_model()
+    params, stack = small_model(dtype=dtype)
     for name, t in stack.parameters().items():
         if name.endswith(".b") or name == "router.w2":
             t.data[...] += 0.05
@@ -147,7 +147,7 @@ class TestBuild:
 
     def test_model_properties(self):
         params, _ = small_model()
-        assert params.n_tokens == 2 * 2 * 2
+        assert params.self_bias.shape == (2 * 2 * 2, 2 * 2 * 2)
         assert params.num_steps == NUM_STEPS
         assert len(params.named_arrays()) == 6 + 2 * 2 * 4
 
@@ -193,11 +193,30 @@ class TestTokenPlumbing:
         params, _ = small_model()
         z, text = small_batch(b=3)
         cond = build_conditioning(params, z, text)
-        assert cond.image_tokens.shape == (3, 2 * 2, WIDTH)
-        assert cond.text_tokens.shape == (3, 2, WIDTH)
+        assert cond.tokens.shape == (3, 2 * 2 + 2, WIDTH)
         assert cond.vfx_tokens is None
-        vfx = fx.Tensor(np.zeros((3, 5, WIDTH), dtype=np.float32))
+        vfx = fx.Tensor(np.zeros((5, WIDTH), dtype=np.float32))
         assert cond.with_vfx(vfx).vfx_tokens is vfx
+
+    def test_build_conditioning_refusals(self):
+        """A context that would not fit the step is refused where it is built."""
+        params, stack = small_model()
+        z, text = small_batch(b=3)
+        shared = build_conditioning(params, z, text)
+        per_sample = build_conditioning(params, z, np.stack([text] * 3))
+        assert per_sample.tokens.tobytes() == shared.tokens.tobytes()
+        assert not shared.tokens.flags.writeable
+        with pytest.raises(ShapeError, match="batch 3"):
+            build_conditioning(params, z, np.stack([text] * 2))
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            build_conditioning(params, z, text.astype(np.float64))
+        for shape in ((3, 5, WIDTH), (5, WIDTH + 1), (WIDTH,)):
+            with pytest.raises(ShapeError, match="vfx tokens"):
+                shared.with_vfx(fx.Tensor(np.zeros(shape, dtype=np.float32)))
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            shared.with_vfx(fx.Tensor(np.zeros((5, WIDTH))))
+        with pytest.raises(ShapeError, match="batch 3"):
+            denoise_step(z[:2], 3, shared, params, stack, pi=routed(z[:2], stack))
 
 
 class TestDenoiseStep:
@@ -398,7 +417,7 @@ class TestGuidedStep:
         z, text = small_batch()
         vfx = fx.tensor(np.random.default_rng(4).standard_normal((3, WIDTH)),
                         dtype=np.float32)
-        cond = build_conditioning(params, z, text, vfx)
+        cond = build_conditioning(params, z, text).with_vfx(vfx)
         calls = []
         real = freqvfx.denoiser._trunk
 
@@ -417,13 +436,41 @@ class TestGuidedStep:
             assert len(calls) == 1, live_z
             assert bytes_of(eps_u) == expected, live_z
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_context_matches_three_group_chain(self, monkeypatch, b, dtype):
+        """One read-only context array, with the vfx tokens appended per head,
+        gives the bytes of the three-group concat it replaced: both guided heads'
+        outputs and the gradients of the vfx tokens and of z, with z dead (an
+        adapt rollout's first step) and live, and without vfx tokens."""
+        params, stack = woken_model(dtype)
+        z, text = small_batch(b=b, dtype=dtype)
+        cond = build_conditioning(params, z, text)
+        vfx0 = np.random.default_rng(4).standard_normal((3, WIDTH)).astype(dtype)
+        pi = routed(z, stack)
+        runs = []
+        for context in (freqvfx.denoiser._context_tokens, oracles.context_tokens_chain):
+            monkeypatch.setattr(freqvfx.denoiser, "_context_tokens", context)
+            for with_vfx, live_z in ((True, False), (True, True), (False, True)):
+                vfx, zt = fx.tensor(vfx0), fx.tensor(z)
+                wrt = ([vfx] if with_vfx else []) + ([zt] if live_z else [])
+                with fx.Tape(wrt) as tape:
+                    eps_c, eps_u = denoise_guided(zt, 3, cond.with_vfx(vfx if with_vfx else None),
+                                                  params, stack, pi=pi)
+                    loss = fx.reduce_sum(fx.square(eps_u + 3.0 * (eps_c - eps_u)))
+                grads = fx.backward(tape, loss)
+                runs.append(([n.op for n in tape.nodes], bytes_of(eps_c), bytes_of(eps_u),
+                             [bytes_of(grads[leaf]) for leaf in wrt]))
+        assert runs[:3] == runs[3:]
+        assert runs[0][0].count("concat") == 1
+
     def test_single_key_shortcut_matches_full_attention(self):
         """Cross-attention into the one null token skips q, k and the softmax;
         a zero bias forces the full path, which must agree with it."""
         params, stack = woken_model()
         z, _ = small_batch()
         kv = freqvfx.denoiser._context_tokens(params, None, z.shape[0])
-        zero = np.zeros((params.n_tokens, 1), dtype=np.float32)
+        zero = np.zeros((params.pos.shape[0], 1), dtype=np.float32)
         leaves = stack.parameters()
         runs = []
         for bias in (None, zero):
@@ -433,8 +480,8 @@ class TestGuidedStep:
             with fx.Tape(leaves.values()) as tape:
                 pi = routed(z, stack)
                 x = freqvfx.denoiser._trunk(z, 3, params, stack, pi)
-                out = freqvfx.denoiser._attention(x, kv, params.blocks[0].cross_attn, stack,
-                                                  pi, "block0.cross", WIDTH ** -0.5, bias)
+                out = freqvfx.denoiser._attention(x, kv, params, stack, pi, "block0.cross",
+                                                  bias)
                 loss = fx.reduce_sum(fx.square(x + out))
             runs.append((bytes_of(out), len(tape.nodes), fx.backward(tape, loss)))
         (short, n_short, g_short), (full, n_full, g_full) = runs

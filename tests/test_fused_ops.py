@@ -358,7 +358,7 @@ def _token_op(kind, dtype, b, t_kind="shared"):
     params = _backbone(np.dtype(dtype).name)
     rng = np.random.default_rng(19 * b + len(t_kind))
     if kind == "unembed":
-        x = rng.normal(size=(b, params.n_tokens, params.width)).astype(dtype)
+        x = rng.normal(size=(b, params.pos.shape[0], params.width)).astype(dtype)
         return (lambda h: denoiser.unembed(h, params),
                 lambda h: oracles.unembed_chain(h, params), x)
     t = (rng.integers(0, params.num_steps, size=b) if t_kind == "per-sample"

@@ -397,6 +397,20 @@ def test_shape_errors():
         fx.reduce_sum(fx.tensor(np.ones(3)), axes=(2,))
 
 
+def test_concat_reads_plain_parts_at_the_tensor_dtype():
+    """A plain part takes the dtype of the first Tensor part, wherever it sits, as
+    a binary op's plain operand does; Tensor parts of two dtypes are refused."""
+    wide = np.arange(6.0).reshape(2, 3)
+    live = fx.tensor(np.ones((2, 2)), dtype=np.float64)
+    for parts in ([wide, live], [live, wide]):
+        out = fx.concat(parts, axis=1)
+        assert out.dtype == np.float64
+        assert np.array_equal(out.data[:, :3] if parts[0] is wide else out.data[:, 2:], wide)
+    assert fx.concat([wide, wide], axis=0).dtype == np.float32
+    with pytest.raises(ParameterError, match="dtype mismatch"):
+        fx.concat([live, fx.tensor(wide, dtype=np.float32)], axis=1)
+
+
 def test_frozen_weight_is_a_constant_input():
     """A plain-array input of `record` enters the node as it is: listed with no
     key, never live, no gradient, and the gradient of the live input equals the

@@ -243,14 +243,13 @@ class TestConditioningDropout:
         z0 = rng.standard_normal((2,) + LATENT).astype(np.float32)
         text = rng.standard_normal((2, WIDTH)).astype(np.float32)
         cond = build_conditioning(params, z0, text)
-        orig_img = cond.image_tokens.data.copy()
+        orig = cond.tokens.copy()
         out = _dropout_conditioning(cond, np.array([True, False]), params)
         null = params.null_token[0]
-        assert np.all(out.image_tokens.data[0] == null)
-        assert np.all(out.text_tokens.data[0] == null)
-        assert np.array_equal(out.image_tokens.data[1], orig_img[1])
+        assert np.all(out.tokens[0] == null)
+        assert np.array_equal(out.tokens[1], orig[1])
         # the original conditioning is left untouched
-        assert np.array_equal(cond.image_tokens.data, orig_img)
+        assert np.array_equal(cond.tokens, orig)
 
     def test_no_drop_returns_same_object(self):
         params, _ = small_model()
