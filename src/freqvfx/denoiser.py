@@ -20,13 +20,17 @@ backbone the conditioning read would otherwise be a faint additive term, and
 test-time updates to the vfx tokens could barely move the output spectrum;
 the gain keeps the context injection comparable to the token content itself.
 
-Every query, key, value and output projection is adapted: each is one
-`fx.lora_linear` tape node (through `moe_forward`), routing gate included, and
-each attention core, scores to mixed values, one `fx.attention` node. A step
-therefore needs an `AdapterStack`; zero-initialised experts leave the frozen
-backbone's output bit-exact. Tokens enter through one `patch_embed` node
-(patchify, embedding, `pos` and `temb`) and leave through one `unembed` node
-(output projection and unpatchify), recorded here through `fx.record`.
+Every query, key, value and output projection is adapted, each one
+`moe_forward` call, so a step needs an `AdapterStack`; zero-initialised experts
+leave the frozen backbone's output bit-exact. Each attention block, its four
+projections, the routing gate they share, the attention core and the residual
+add, is one `attn_block` tape node (`_attention`). Tokens enter through one
+`patch_embed` node (patchify, embedding, `pos` and `temb`) and leave through
+one `unembed` node (output projection and unpatchify). All three are recorded
+here through `fx.record`, with the numpy expressions of the op chains they
+replace, in the chains' order, so values and gradients keep the chains' bytes;
+`tests/oracles.py` keeps the chains. Without a tape a step records nothing
+and builds no vjp.
 
 Routing is the caller's: `sample` and `diffusion_loss` route each step's
 descriptor once and hand the (B, M) weights `pi`, a required keyword, to every
@@ -323,16 +327,19 @@ def unembed(x: Tensor, params: DenoiserParams) -> Tensor:
 def build_conditioning(params: DenoiserParams, z0, text_tokens) -> Conditioning:
     """Each sample's image tokens, frame 0 projected by the frozen `cond_proj_w`,
     then its text tokens, as one read-only array that no tape records. The
-    video's (C, H, W) must be the model's latent's; the text is (L, width) for
-    every sample or (B, L, width), of the video's dtype."""
+    video's (C, H, W) must be the model's latent's and its dtype the model's;
+    the text is (L, width) for every sample or (B, L, width), of that dtype."""
     z0 = Tensor(z0).data
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be 5-axis, got {z0.shape}")
     if z0.shape[2:] != params.latent_shape[1:]:
         raise ShapeError(f"conditioning video frames (C, H, W) = {z0.shape[2:]} do not match "
                          f"the model's latent (C, H, W) = {params.latent_shape[1:]}")
+    if z0.dtype != params.cond_proj_w.dtype:
+        raise ParameterError(f"dtype mismatch: conditioning video {z0.dtype} vs model "
+                             f"{params.cond_proj_w.dtype}")
     frame0 = patchify(z0[:, :1], params.patch)
-    img = frame0 @ np.asarray(params.cond_proj_w, dtype=frame0.dtype).T
+    img = frame0 @ params.cond_proj_w.T
     text = Tensor(text_tokens).data
     if text.ndim not in (2, 3) or text.shape[-1] != params.width:
         raise ShapeError(f"text tokens {text.shape} do not match the model width {params.width}")
@@ -362,23 +369,197 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
     return fx.concat([tokens, vfx], axis=1)
 
 
+# An `attn_block` node's inputs after the residual stream x: each projection's
+# (b, pi, h, a, h), as the chain's `lora` node listed them, in the order
+# `backward` reached the projections: o, whose h (the mixed values) the block
+# makes itself, so that only its (b, pi, a) are inputs, then v and k, whose h
+# is the context, then q, whose h is x; this maps v, k and q to the index of
+# their first input. The single-key shortcut has only o and v.
+_SLOT_START = {"v": 4, "k": 9, "q": 14}
+# the names under which an `attn_block` vjp keeps a projection's arrays
+_KEPT = {slot: tuple(f"{slot}.{name}" for name in ("gated", "down", "b", "a", "h", "w"))
+         for slot in "qkvo"}
+
+
+def _sum_tokens(g: np.ndarray) -> np.ndarray:
+    """A (B, N, d) gradient summed to (B, 1, d): the gradient of a (B, 1, d)
+    array broadcast over N tokens."""
+    return g.sum(axis=(1,), keepdims=True) if g.shape[1] != 1 else g
+
+
+def _project_grads(g: np.ndarray, kept: dict, slot: str):
+    """Yield the (b, pi, h, a, h) gradients of projection `slot` from its
+    output's gradient g, as the vjp of its `lora` chain computed them; each is
+    None unless `kept` holds what it reads. Each is computed when it is asked
+    for, so a caller that adds each into its sum before asking for the next
+    holds no more gradients at once than that vjp did."""
+    gated, down, bd, ad, hd, wd = map(kept.get, _KEPT[slot])
+    yield None if gated is None else np.transpose((np.swapaxes(gated, -1, -2) @ g).sum(axis=(0,)))
+    gate = kept.get("gate")
+    g_gated = None if bd is None else g @ bd
+    yield None if down is None else (
+        _sum_tokens(g_gated * down).reshape(gate.shape[0], gate.shape[2]) @ kept["owner"].T)
+    g_down = None if ad is None and hd is None else g_gated * gate
+    del g_gated
+    yield None if ad is None else g_down @ ad
+    yield None if hd is None else np.transpose((np.swapaxes(hd, -1, -2) @ g_down).sum(axis=(0,)))
+    del g_down
+    yield None if wd is None else g @ wd
+
+
+def _core_grads(g: np.ndarray, kept: dict, lv: bool, lq: bool, lk: bool) -> dict:
+    """The gradients of the attention core's v, q and k (those live) from the
+    mixed values' gradient g. The softmax adjoint and the scale run in place
+    into the fresh g @ v^T."""
+    p = kept["p"]
+    out = {}
+    if lv:
+        out["v"] = np.swapaxes(p, -1, -2) @ g
+    if lq or lk:
+        g_s = g @ np.swapaxes(kept["vd"], -1, -2)
+        g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
+        g_s *= p
+        g_s *= kept["scale"]
+        if lq:
+            out["q"] = g_s @ np.swapaxes(kept["kt"], -1, -2)
+        if lk:
+            out["k"] = np.swapaxes(np.swapaxes(kept["qd"], -1, -2) @ g_s, -1, -2)
+    return out
+
+
+def _attn_block_vjp(live, saved, gate, owner, core):
+    """The `make_vjp` of an `attn_block` node. `saved` maps each projection the
+    block ran to its (gated, down, b, a, h, w) arrays, and `core` is the
+    attention core's (p, q, kt, v, scale), None for the single-key shortcut.
+
+    A projection's output is live when one of its inputs is, and the mixed
+    values when one of v, k and q is. The vjp keeps what the vjps of the
+    chain's live nodes kept: per projection, the gated down output when b is
+    live, the down output and `owner` when pi is, b and the gate when any of
+    pi, h and a is, a and w when h is and h when a is; for the core, p and the
+    scale, and v when q or k is live, k^T when q is and q when k is. It runs
+    those vjps in the order `backward` ran them: the residual add, o, the core
+    (or the shortcut's broadcast), then v, k and q. It yields the gradients one
+    at a time, so `backward` adds each into its sum before the next is made and
+    holds no more of them at once than it did for the chain's nodes.
+    """
+    masks = {slot: live[i:i + 5] for slot, i in _SLOT_START.items() if slot in saved}
+    lv, lk, lq = (True in masks.get(slot, ()) for slot in "vkq")
+    lm = lv or lk or lq
+    masks["o"] = (live[1], live[2], lm, live[3], lm)
+    kept = {}
+    for slot, (lb, lpi, lh, la, _) in masks.items():
+        for name, arr, keep in zip(_KEPT[slot], saved[slot],
+                                   (lb, lpi, lpi or lh or la, lh, la, lh)):
+            if keep:
+                kept[name] = arr
+        if lpi or lh or la:
+            kept["gate"] = gate
+    if live[2]:
+        kept["owner"] = owner
+    shortcut = core is None
+    if lm and not shortcut:
+        p, qd, kt, vd, scale = core
+        kept.update(p=p, scale=scale)
+        if lq or lk:
+            kept["vd"] = vd
+        if lq:
+            kept["kt"] = kt
+        if lk:
+            kept["qd"] = qd
+
+    def vjp(g):
+        yield g if live[0] else None
+        gb, gpi, g_up, ga, g_base = _project_grads(g, kept, "o")
+        yield from (gb, gpi, ga)
+        into = {}
+        if lm:
+            g_mixed = g_up + g_base
+            del g_up, g_base
+            into = {"v": _sum_tokens(g_mixed)} if shortcut else _core_grads(g_mixed, kept, lv,
+                                                                           lq, lk)
+            del g_mixed
+        for slot in masks:
+            if slot != "o":
+                gi = into.pop(slot, None)
+                yield from (_project_grads(gi, kept, slot) if gi is not None else (None,) * 5)
+
+    return vjp
+
+
 def _attention(x: Tensor, kv, params: DenoiserParams, stack: AdapterStack, pi: Tensor,
                layer: str, bias: np.ndarray | None = None) -> Tensor:
-    def project(slot: str, h) -> Tensor:
-        return moe_forward(stack.layers[f"{layer}.{slot}"], pi, stack.owner,
-                           params.projections[f"{layer}.w{slot}"], h)
+    """x plus attention block `layer` of x into the context `kv` (x itself for
+    self-attention), as one `attn_block` node.
 
-    if kv.shape[1] == 1 and bias is None:
-        # softmax over a single key is exactly 1 for any finite score, so the
-        # q/k projections and the scores cannot change the output: every query
-        # reads the one value
-        v = project("v", kv)
-        mixed = fx.broadcast_to(v, x.shape[:2] + v.shape[2:])
+    The routing gate pi @ owner is formed once; each of the q, k, v and o
+    projections is one `moe_forward` call, and the core is softmax(q k^T *
+    scale + bias) v, each elementwise step in place on the fresh scores. The
+    numpy expressions are those of the lora, lora, lora, attention, lora, add
+    chain, in its order, so the value and every gradient keep the chain's
+    bytes. Attention into a single key with no bias skips the q and k
+    projections and the softmax, whose weight over one key is exactly 1: every
+    query reads the one value.
+
+    The node's inputs are x, then o's (b, pi, a), then v's, k's and q's (b, pi,
+    h, a, h) (`_SLOT_START`): an input is listed once per path by which the
+    chain handed a gradient back to it, in that order, so `backward` adds its
+    gradients as it did. `kv` is a Tensor, or a plain array that is a constant.
+    x, kv, pi, the bias and the backbone must have one dtype.
+    """
+    xd, pd, owner = x.data, pi.data, stack.owner
+    kvd = kv.data if isinstance(kv, Tensor) else kv
+    dt = xd.dtype
+    for arr in (kvd, pd, owner) if bias is None else (kvd, pd, owner, bias):
+        if arr.dtype != dt:
+            raise ParameterError(f"dtype mismatch: {dt} vs {arr.dtype}")
+    b = xd.shape[0]
+    if xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[0] != b or kvd.shape[2] != xd.shape[2]:
+        raise ShapeError(f"attention block needs (B, N, d) tokens and a (B, L, d) context, "
+                         f"got x {xd.shape} and kv {kvd.shape}")
+    if pd.shape != (b, owner.shape[0]):
+        raise ShapeError(f"routing weights {pd.shape} do not match batch {b} and "
+                         f"{owner.shape[0]} experts")
+    if bias is not None and bias.shape != (xd.shape[1], kvd.shape[1]):
+        raise ShapeError(f"attention bias {bias.shape} is not (N_q, N_k) for x {xd.shape} "
+                         f"and kv {kvd.shape}")
+    gate = (pd @ owner).reshape(b, 1, owner.shape[1])
+    adapters, saved = {}, {}
+
+    def project(slot: str, h: np.ndarray) -> np.ndarray:
+        adapter = adapters[slot] = stack.layers[f"{layer}.{slot}"]
+        w, a, b_ = params.projections[f"{layer}.w{slot}"], adapter.a.data, adapter.b.data
+        out, down, gated = moe_forward(h, w, a, b_, gate)
+        saved[slot] = (gated, down, b_, a, h, w)
+        return out
+
+    if kvd.shape[1] == 1 and bias is None:
+        v = project("v", kvd)
+        mixed = np.broadcast_to(v, xd.shape[:2] + v.shape[2:])
+        core = None
     else:
-        q = project("q", x)
-        k = project("k", kv)
-        mixed = fx.attention(q, k, project("v", kv), 1.0 / math.sqrt(params.width), bias)
-    return project("o", mixed)
+        q = project("q", xd)
+        k = project("k", kvd)
+        v = project("v", kvd)
+        kt = np.swapaxes(k, -1, -2)
+        p = q @ kt  # fresh: scaled, biased and normalised in place
+        scale = np.asarray(1.0 / math.sqrt(params.width), dtype=dt)
+        p *= scale
+        if bias is not None:
+            p += bias
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        mixed = p @ v
+        core = (p, q, kt, v, scale)
+    out = project("o", mixed)
+    out += xd  # the residual add, into the fresh projection (x + o's bytes)
+    on_o, on_v = adapters["o"], adapters["v"]
+    inputs = [x, on_o.b, pi, on_o.a, on_v.b, pi, kv, on_v.a, kv]
+    if core is not None:
+        on_k, on_q = adapters["k"], adapters["q"]
+        inputs += (on_k.b, pi, kv, on_k.a, kv, on_q.b, pi, x, on_q.a, x)
+    return fx.record("attn_block", inputs, out, _attn_block_vjp, saved, gate, owner, core)
 
 
 def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> Tensor:
@@ -397,7 +578,7 @@ def _trunk(z_t, t, params: DenoiserParams, stack: AdapterStack, pi: Tensor) -> T
         raise ParameterError(f"timestep {t} outside [0, {params.num_steps})")
 
     x = patch_embed(z_t, t_arr, params)
-    return x + _attention(x, x, params, stack, pi, "block0.self", params.self_bias)
+    return _attention(x, x, params, stack, pi, "block0.self", params.self_bias)
 
 
 def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
@@ -405,10 +586,10 @@ def _head(x: Tensor, cond: Conditioning | None, params: DenoiserParams,
     """The rest of a step after `_trunk`: block 0's cross-attention, every later
     block, unembed and unpatchify."""
     kv = _context_tokens(params, cond, x.shape[0])
-    x = x + _attention(x, kv, params, stack, pi, "block0.cross")
+    x = _attention(x, kv, params, stack, pi, "block0.cross")
     for i in range(1, params.n_blocks):
-        x = x + _attention(x, x, params, stack, pi, f"block{i}.self", params.self_bias)
-        x = x + _attention(x, kv, params, stack, pi, f"block{i}.cross")
+        x = _attention(x, x, params, stack, pi, f"block{i}.self", params.self_bias)
+        x = _attention(x, kv, params, stack, pi, f"block{i}.cross")
     return unembed(x, params)
 
 

@@ -9,8 +9,10 @@ fixed total budget r, so the trainable parameter count is r * (d_in + d_out)
 regardless of how many experts share it. The experts are stored packed: one
 trainable (r, d_in) down factor and one (d_out, r) up factor per layer, with
 each expert a block of the rank axis. Every layer of a stack splits the rank
-axis the same way, so the stack holds that layout once. An adapted projection,
-its routing gate included, is one `fx.lora_linear` tape node.
+axis the same way, so the stack holds that layout once. An adapted projection
+is `moe_forward`, plain numpy on a routing gate its caller forms once for all
+the projections that share a routing: the denoiser's attention block, whose
+one `attn_block` tape node covers its four projections.
 
 The descriptor is always treated as a constant here: gradients reach the
 router only through its own weights, never back into the descriptor pipeline.
@@ -178,15 +180,35 @@ def route(e, params: RouterParams, top_k: int) -> Tensor:
                      ed, w2.data, a1, h, pi, tau, masked, s, mask)
 
 
-def moe_forward(adapter: MoeAdapter, pi: Tensor, owner: np.ndarray, w_base, h) -> Tensor:
-    """Adapted projection: h @ W^T + sum_m pi_m * (h @ A_m^T @ B_m^T).
+def moe_forward(h: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                gate: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adapted projection of plain arrays: h @ w^T + ((h @ a^T) * gate) @ b^T.
 
-    `h` carries samples on axis 0 and features last: (B, d_in) or (B, N, d_in).
-    The experts run as the adapter's packed pair: rank row j of h @ A^T is
-    gated by (pi @ owner)[:, j] before the up projection by B, so router
-    gradients reach `pi`. `owner` is the stack's (M, R) rank layout and `w_base`
-    a frozen weight, both plain arrays. The base path is computed untouched;
-    zero experts leave it bit-exact. The whole projection, gate included, is one
-    `fx.lora_linear` node, which checks every shape and dtype.
+    `h` is (B, N, d_in) or (B, d_in), `w` the frozen (d_out, d_in) weight, `a`
+    (R, d_in) and `b` (d_out, R) one layer's packed expert pair, and `gate` the
+    routing gate pi @ owner shaped (B, 1, R) or (B, R) to broadcast against
+    h @ a^T, so rank row j of the down output of sample i is scaled by the
+    weight of the expert that owns it. The base path is computed
+    untouched; zero experts leave it bit-exact. Returns the output, the down
+    output h @ a^T and the gated down output, which the projection's gradients
+    read. The numpy expressions are the matmul, linear, mul, linear, add chain's,
+    the up projection added into the fresh base output in place (the sum's
+    bytes). `w`, `a`, `b` and `gate` must have h's dtype, and the shapes must
+    agree.
     """
-    return fx.lora_linear(h, w_base, adapter.a, adapter.b, pi, owner)
+    dt = h.dtype
+    for x in (w, a, b, gate):
+        if x.dtype != dt:
+            raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
+    if w.ndim != 2 or a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"a projection needs 2-D weights, got w {w.shape}, a {a.shape}, "
+                         f"b {b.shape}")
+    if (not h.shape[-1] == w.shape[1] == a.shape[1] or b.shape != (w.shape[0], a.shape[0])
+            or gate.shape[-1] != a.shape[0]):
+        raise ShapeError(f"projection dims disagree: h {h.shape}, w {w.shape}, a {a.shape}, "
+                         f"b {b.shape}, gate {gate.shape}")
+    down = h @ a.T
+    gated = down * gate
+    out = h @ w.T
+    out += gated @ b.T
+    return out, down, gated

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as fx
 from .config import ModelConfig
 from .container import read_container, write_container
-from .denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_step
+from .denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_guided
 from .errors import ContainerError, FreqVfxError
 from .moe import RouterParams, route
 from .sampling import ddim_update
@@ -89,11 +89,10 @@ def _check_routing(rng):
     assert np.all((pi > 0).sum(axis=1) <= top_k)
 
 
-def _agree_with_central_differences(g, value, x, coords, floor):
-    """Flat gradient g of value() against central differences in x's flat coords,
-    to relative 1e-5 of the larger magnitude or of `floor`."""
+def _agree_with_central_differences(g, value, x, coords, floor, step=1e-6):
+    """Flat gradient g of value() against central differences of width 2 `step`
+    in x's flat coords, to relative 1e-5 of the larger magnitude or of `floor`."""
     flat = x.reshape(-1)  # a view: x is contiguous
-    step = 1e-6
     for j in coords:
         orig = flat[j]
         flat[j] = orig + step
@@ -109,11 +108,12 @@ def _agree_with_central_differences(g, value, x, coords, floor):
 def _check_gradients(rng):
     """The fused descriptor's gradient under a tape against central differences
     of the detached descriptor, the `router` node's float64 leaf gradients
-    against central differences of untaped `route`, the latent gradient of
-    one float64 `denoise_step`, through `patch_embed` and `unembed`, against
-    central differences of untaped steps, and the gradients of a guided float64
-    `ddim` node, all three inputs live, against central differences of the
-    untaped update."""
+    against central differences of untaped `route`, the gradients of the
+    latent, the routing weights and four projections' a and b through one
+    float64 guided step (`patch_embed`, `attn_block` nodes of all three forms
+    and `unembed`) against central differences of untaped steps, and the
+    gradients of a guided float64 `ddim` node, all three inputs live, against
+    central differences of the untaped update."""
     x = rng.standard_normal((1, 3, 1, 5, 5))
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
@@ -152,12 +152,30 @@ def _check_gradients(rng):
     z = rng.standard_normal((2,) + m.latent_shape)
     w = rng.standard_normal(z.shape)
     latent = fx.tensor(z.copy())
-    with fx.Tape([latent]) as tape:
-        loss = fx.reduce_sum(denoise_step(latent, t, cond, params, stack, pi=pi) * fx.tensor(w))
-    _agree_with_central_differences(
-        fx.backward(tape, loss)[latent].data.ravel(),
-        lambda: float(np.sum(denoise_step(z, t, cond, params, stack, pi=pi).data * w)), z,
-        rng.choice(z.size, size=6, replace=False), 1e-4)
+    # both guided heads: `attn_block` nodes of self-attention (block0.self),
+    # cross-attention (block0.cross in the conditional head) and the null token's
+    # shortcut (block1.cross in the unconditional one, whose v and o the
+    # conditional head reads too), with the latent, pi and four expert pairs live
+    pairs = [stack.layers[name] for name in ("block0.self.q", "block0.cross.k",
+                                             "block1.cross.v", "block1.cross.o")]
+    leaves = [latent, pi] + [leaf for pair in pairs for leaf in (pair.a, pair.b)]
+
+    with fx.Tape(leaves) as tape:
+        eps_c, eps_u = denoise_guided(latent, t, cond, params, stack, pi=pi)
+        loss = fx.reduce_sum(eps_c * fx.tensor(w)) + fx.reduce_sum(eps_u * fx.tensor(w[::-1]))
+    grads = fx.backward(tape, loss)
+
+    def value():
+        eps_c, eps_u = denoise_guided(z, t, cond, params, stack, pi=pi)
+        return float(np.sum(eps_c.data * w) + np.sum(eps_u.data * w[::-1]))
+
+    # the step's output sums terms far larger than it, so its rounding is about
+    # 1e-14: a step of 1e-4 keeps that below 1e-5 of the smallest gradient here
+    for leaf in leaves:
+        arr = z if leaf is latent else leaf.data
+        _agree_with_central_differences(grads[leaf].data.ravel(), value, arr,
+                                        rng.choice(arr.size, size=4, replace=False), 1e-4,
+                                        step=1e-4)
 
     # the sampler's guided update at cfg 3, from t=7 to t=3 of a 10-step schedule
     sched = NoiseSchedule.cosine(m.num_steps)

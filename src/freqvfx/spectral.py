@@ -274,6 +274,11 @@ def joint_descriptor(z) -> Tensor:
 
 def joint_descriptor_detached(z) -> np.ndarray:
     """`joint_descriptor`'s value as a plain array, which no tape records (for
-    routing inputs): the stage functions on the float64 video."""
+    routing inputs): the stage functions on the float64 video, with `fei` run
+    once on the two proxies stacked along the batch axis. Every stage works per
+    sample, so each half of its (2B, 3) result has the bytes of `fei` on that
+    proxy alone."""
     zd = _descriptor_input(z.data if isinstance(z, Tensor) else z)
-    return np.concatenate([fei(appearance_proxy(zd)), fei(vfx_proxy(zd))], axis=1)
+    b = zd.shape[0]
+    e = fei(np.concatenate([appearance_proxy(zd), vfx_proxy(zd)]))
+    return np.concatenate([e[:b], e[b:]], axis=1)

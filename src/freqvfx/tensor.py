@@ -19,28 +19,27 @@ deterministic run to run on the same machine; no op here introduces
 platform-dependent nondeterminism of its own.
 
 At batch 4 numpy's arithmetic, not Python dispatch per node, sets most of the
-cost. With one BLAS thread on a 2-core x86 machine (numpy 2.4, OpenBLAS 0.3),
-`lora_linear` at B=1 spends 34-43 of its 41-52 us in its numpy expressions,
-and `attention`'s vjp at B=4, N=128 takes 730-820 us, of which 350-480 us are
-its four matmuls and most of the rest its softmax adjoint. A node still costs
-its dispatch and, under a tape, the arrays its vjp keeps, so the two hottest
-op chains of the denoiser are single ops with hand-written vjps:
-`lora_linear` (a projection plus a routed low-rank update whose gate it
-computes itself, one node for seven) and `attention` (the scaled dot-product
-core, one node for five or six). Each evaluates the numpy expressions of its
-chain in the chain's order and lists its inputs in the order the chain handed
-gradients back, so values and gradients keep the chain's bytes; where the chain
-made a temporary, the fused op may reuse an array it made itself instead (an
-elementwise op in place gives the same bytes), never one it was handed.
+cost; at batch 1, in tape-free sampling, a node's input checks, output wrapping
+and `record` call are a visible share of it. A node also costs, under a tape,
+the arrays its vjp keeps. So the denoiser's hot op chains are single nodes with
+hand-written vjps, recorded from the modules that define them: each attention
+block (four routed projections, the attention core and the residual add) is
+one `attn_block` node of `denoiser`. A fused node evaluates the numpy
+expressions of its chain in the chain's order and lists its inputs in the
+order the chain handed gradients back, so values and gradients keep the
+chain's bytes; where the chain made a temporary, the fused op may reuse an
+array it made itself instead (an elementwise op in place gives the same
+bytes), never one it was handed.
 
 This module holds the tape and the ops the package records, no others
 (`tests/test_tape_ops_used.py` checks that each has a caller, and
 `tests/test_node_counts.py` that each is on a train-step or adapt-step tape).
 `record` is how an op defined elsewhere joins the tape: the `descriptor` node
 of `spectral.joint_descriptor`, the `router` node of `moe.route`, the
-`patch_embed` and `unembed` nodes of `denoiser`, the `ddim` node of
-`sampling.ddim_update`, and the ops that only the unfused reference chains of
-the test suite need.
+`patch_embed`, `attn_block` and `unembed` nodes of `denoiser`, the `ddim` node
+of `sampling.ddim_update`, and the ops that only the unfused reference chains
+of the test suite need (`tests/oracles.py`, where the `lora_linear` and
+`attention` ops that `attn_block` fuses are kept as its byte reference).
 
 No vjp writes into an array it captured (an input's data, its own output or a
 temporary it kept), and neither does `backward`. So a vjp may be called more
@@ -50,9 +49,8 @@ what re-running that span's ops on the same inputs would record, byte for
 byte, without the forward work (`denoiser.denoise_guided` replays its trunk
 so).
 
-A frozen weight is a plain read-only array, not a Tensor: `lora_linear` takes
-it and its expert layout as constants of the node, as `attention` takes its
-bias, and refuses a Tensor in their place, and `Tape` refuses it as a leaf.
+A frozen weight is a plain read-only array, not a Tensor: a node takes it as a
+constant, never among its inputs, and `Tape` refuses it as a leaf.
 
 Gradients are exact (no numeric differentiation anywhere in this module); the
 test suite checks them against central finite differences in float64.
@@ -162,7 +160,8 @@ def tensor(data, dtype=None) -> Tensor:
 class _Node:
     """One recorded op: `inputs` holds each input's key (None for a constant,
     which gets no gradient), `shapes` each input's shape, `out` the output's
-    key and `vjp(g)` one gradient per input, None for a constant."""
+    key and `vjp(g)` one gradient per input, None for a constant, as a sequence
+    or one at a time from a generator."""
 
     __slots__ = ("op", "inputs", "shapes", "out", "vjp")
 
@@ -237,8 +236,8 @@ def record(op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
     variable that still holds an array no live input's gradient reads (rebind it
     to None first). Every op records through this, including those defined
     outside this module (`spectral.joint_descriptor`'s `descriptor`,
-    `moe.route`'s `router`, `denoiser`'s `patch_embed` and `unembed` and
-    `sampling.ddim_update`'s `ddim`).
+    `moe.route`'s `router`, `denoiser`'s `patch_embed`, `attn_block` and
+    `unembed` and `sampling.ddim_update`'s `ddim`).
     """
     out = _wrap(out_data) if type(out_data) is np.ndarray else Tensor(out_data)
     tapes = getattr(_TLS, "stack", None)
@@ -550,172 +549,6 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
         raise ShapeError("mean over zero elements")
     return record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), _mean_vjp,
                   a.shape, ax, keepdims, count)
-
-
-# ---------------------------------------------------------------------------
-# products
-
-
-def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
-    a_shape, b_shape, down_shape = ad.shape, bd.shape, down.shape
-    up = live[1] or live[2] or live[3]  # the paths through g @ b
-    gated = gated if live[0] else None
-    down = down if live[1] else None
-    od = od if live[1] else None
-    gd = gd if up else None
-    bd = bd if up else None
-    ad = ad if live[2] else None
-    hd = hd if live[3] else None
-    wd = wd if live[4] else None
-
-    def vjp(g):
-        gb = gpi = gh_up = ga = gh_base = None
-        if live[0]:
-            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
-        if live[1] or live[2] or live[3]:
-            g_gated = g @ bd
-            if live[1]:
-                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate_shape)
-                gpi = ggate @ od.T
-            if live[2] or live[3]:
-                g_down = _unbroadcast(g_gated * gd, down_shape)
-                if live[2]:
-                    gh_up = g_down @ ad
-                if live[3]:
-                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
-                                                   a_shape[::-1]))
-        if live[4]:
-            gh_base = g @ wd
-        return gb, gpi, gh_up, ga, gh_base
-
-    return vjp
-
-
-def lora_linear(h, w, a, b, pi, owner) -> Tensor:
-    """h @ w^T + ((h @ a^T) * gate) @ b^T as one node, gate = pi @ owner: a
-    projection plus a routed low-rank update with down factor a (R, d_in), up
-    factor b (d_out, R) and routing weights pi (B, M).
-
-    `owner` is a constant (M, R) one-hot marking each expert's span of the rank
-    axis, so rank row j of the down output of sample i is gated by
-    (pi @ owner)[i, j]. Forward and vjp evaluate the numpy expressions of the
-    matmul, reshape, linear, linear, mul, linear, add chain they replace, in its
-    order, so values and gradients keep their bytes. The vjp keeps the gated
-    down output only when b is live, h @ a^T only when pi is live and h only
-    when a is live, and never the base or up outputs.
-
-    The frozen weight `w` and the layout `owner` are plain arrays of h's dtype,
-    constants of the node that get no gradient, as `attention`'s bias; a Tensor
-    passed as either is refused, and so is an array of another dtype, as for a, b
-    and pi. The node's inputs are (b, pi, h, a, h): the order in
-    which the chain handed gradients back, so `backward` adds into each input in
-    the same order. `h` is listed once per path because the chain added its
-    adapter-path and base-path gradients into h one after the other; a
-    pre-summed gradient would round differently. The up-projection is added
-    into the fresh base output in place, which gives the sum's bytes.
-    """
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    hd = h.data
-    dt = hd.dtype
-    # each operand read as `_pair` reads one, inline: anything but a Tensor
-    # becomes a constant of h's dtype, and a Tensor must have that dtype
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=dt))
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=dt))
-    if not isinstance(pi, Tensor):
-        pi = Tensor(np.asarray(pi, dtype=dt))
-    if isinstance(w, Tensor) or isinstance(owner, Tensor):
-        raise ParameterError("lora_linear takes w and owner as constant arrays, not Tensors")
-    wd, od = np.asarray(w), np.asarray(owner)
-    for x in (a.data, b.data, pi.data, wd, od):
-        if x.dtype != dt:
-            raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
-    if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
-                         f"{h.shape}, w {wd.shape}, a {a.shape}, b {b.shape}")
-    if not h.shape[-1] == wd.shape[1] == a.shape[1] or b.shape != (wd.shape[0], a.shape[0]):
-        raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {wd.shape}, "
-                         f"a {a.shape}, b {b.shape}")
-    if pi.ndim != 2 or od.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
-        raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {od.shape} "
-                         f"do not match batch {h.shape[0]} and rank {a.shape[0]}")
-    ad, bd, pd = a.data, b.data, pi.data
-    gate = pd @ od
-    gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
-    down = hd @ ad.T
-    gated = down * gd
-    out = hd @ wd.T
-    out += gated @ bd.T
-    return record("lora", (b, pi, h, a, h), out, _lora_vjp,
-                  hd, ad, bd, wd, od, gate.shape, gd, down, gated)
-
-
-def _attention_vjp(live, p, qd, kt, vd, scale_arr):
-    q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
-    vd = vd if live[1] or live[2] else None
-    kt = kt if live[1] else None
-    qd = qd if live[2] else None
-
-    def vjp(g):
-        gv = gq = gk = None
-        if live[0]:
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
-        if live[1] or live[2]:
-            # fresh: the softmax adjoint and the scale run in place into g_s
-            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
-            g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
-            g_s *= p
-            g_s *= scale_arr
-            if live[1]:
-                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), q_shape)
-            if live[2]:
-                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt_shape), -1, -2)
-        return gv, gq, gk
-
-    return vjp
-
-
-def attention(q, k, v, scale: float, bias: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
-
-    `bias` is a constant (N_q, N_k) array added to the scores. Forward
-    and vjp evaluate the numpy expressions of the transpose, matmul, mul, add,
-    softmax, matmul chain they replace, in its order (the softmax's at tau = 1,
-    whose division by 1 is exact and skipped), so values and gradients keep
-    their bytes. Each elementwise step after the first matmul runs in place on
-    that matmul's fresh output, and so does the vjp's softmax adjoint on the
-    fresh g @ v^T; q, k, v, bias and the upstream gradient are only read.
-
-    The node's inputs are (v, q, k): the order in which the chain handed
-    gradients back, so `backward` adds into each input in the same order.
-    """
-    q = _as_tensor(q)
-    k, v = _pair(q, k)[1], _pair(q, v)[1]
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError(f"attention needs rank >= 2 operands, got q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention dims disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    if bias is not None and np.shape(bias) != (q.shape[-2], k.shape[-2]):
-        raise ShapeError(f"attention bias {np.shape(bias)} is not (N_q, N_k) for q {q.shape}, "
-                         f"k {k.shape}")
-    qd, kd, vd = q.data, k.data, v.data
-    kt = np.swapaxes(kd, -1, -2)
-    try:
-        p = qd @ kt  # fresh: scaled, biased and normalised in place into p
-        scale_arr = np.asarray(scale, dtype=p.dtype)
-        p *= scale_arr
-        if bias is not None:
-            p += np.asarray(bias, dtype=p.dtype)
-        p -= np.max(p, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        out = p @ vd
-    except ValueError as e:
-        raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}") from e
-    return record("attention", (v, q, k), out, _attention_vjp, p, qd, kt, vd, scale_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """The fused tape ops against the op chains they replace (tests/oracles.py).
 
-`fx.lora_linear` and `fx.attention` must give the bytes of their chains: the
-forward value and the gradient of every live input (for `lora_linear`, the
-routing weights among them; its frozen weight and expert layout are arrays,
-never live), for every subset of live inputs, at the model's
+The denoiser's `attn_block` node (`denoiser._attention`) must give the bytes
+of its chain of `oracles.lora_linear`, `oracles.attention` and `add` nodes,
+for all three forms of a block (self-attention under the diagonal bias,
+cross-attention into a 22-token context and the null token's single-key
+shortcut), in float32 and float64 at B=1 and B=4, for every live subset of
+its inputs that a train, adapt or guided tape records; its float64 gradients
+also agree with central differences. Those two fused ops, kept in
+`tests/oracles.py` as the block's byte reference, are held in turn to their
+own chains: the forward value and the gradient of every live input (for
+`lora_linear`, the routing weights among them; its frozen weight and expert
+layout are arrays, never live), for every subset of live inputs, at the model's
 sizes (width 64, 128 latent tokens, a 22-token context and the one-token null
 context), at B=1 and B=4, and for attention with and without the
 self-attention diagonal bias. The loss adds each op's output to an
@@ -107,7 +114,7 @@ def test_lora_linear_matches_chain_bytes(b, n):
     arrays, w = _lora_arrays(b, n)
 
     def fused(h, a, b, pi):
-        return fx.lora_linear(h, w, a, b, pi, OWNER)
+        return oracles.lora_linear(h, w, a, b, pi, OWNER)
 
     def chain(h, a, b, pi):
         return oracles.lora_linear_chain(h, w, a, b, pi, OWNER)
@@ -133,7 +140,7 @@ def test_attention_matches_chain_bytes(b, n_keys, bias):
     bias = _diag_bias() if bias == "diag" else None
 
     def fused(q, k, v):
-        return fx.attention(q, k, v, SCALE, bias)
+        return oracles.attention(q, k, v, SCALE, bias)
 
     def chain(q, k, v):
         return oracles.attention_chain(q, k, v, SCALE, bias)
@@ -147,7 +154,7 @@ def test_self_attention_on_one_tensor_matches_chain_bytes(bias):
     """q, k and v all one tensor: its three gradients are summed in chain order."""
     x = np.random.default_rng(5).normal(size=(2, N_TOKENS, WIDTH)).astype(np.float32)
     bias = _diag_bias() if bias == "diag" else None
-    _check_fused(lambda t: fx.attention(t, t, t, SCALE, bias),
+    _check_fused(lambda t: oracles.attention(t, t, t, SCALE, bias),
                  lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
                  {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
 
@@ -160,7 +167,7 @@ def test_lora_linear_errors():
 
     def call(**bad):
         args = dict(good, **bad)
-        return fx.lora_linear(*(x if name in ("w", "owner") else fx.tensor(x)
+        return oracles.lora_linear(*(x if name in ("w", "owner") else fx.tensor(x)
                                 for name, x in args.items()))
 
     bad = {
@@ -181,7 +188,7 @@ def test_lora_linear_errors():
             call(**{name: good[name].astype(np.float64)})
     for name in ("w", "owner"):  # constants of the node: a Tensor is refused
         with pytest.raises(ParameterError, match="w and owner as constant arrays"):
-            fx.lora_linear(*(fx.tensor(x) if key in ("h", "a", "b", "pi", name) else x
+            oracles.lora_linear(*(fx.tensor(x) if key in ("h", "a", "b", "pi", name) else x
                              for key, x in good.items()))
 
 
@@ -194,14 +201,14 @@ def test_attention_errors():
         args = dict(q=q, k=k, v=v)
         args[name] = arr
         with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
-            fx.attention(*(fx.tensor(args[x]) for x in "qkv"), SCALE)
+            oracles.attention(*(fx.tensor(args[x]) for x in "qkv"), SCALE)
     with pytest.raises(ShapeError, match=r"\(3, 5, 4\)"):  # batch 3 against batch 2
-        fx.attention(fx.tensor(q), fx.tensor(np.ones((3, 5, 4), dtype=f32)), fx.tensor(v),
+        oracles.attention(fx.tensor(q), fx.tensor(np.ones((3, 5, 4), dtype=f32)), fx.tensor(v),
                      SCALE)
     with pytest.raises(ShapeError, match=r"bias \(5, 5\)"):  # scores are (3, 5)
-        fx.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
+        oracles.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
     with pytest.raises(ParameterError, match="dtype mismatch"):
-        fx.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)
+        oracles.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)
 
 
 def _video(b, t, dtype, motion):
@@ -266,13 +273,13 @@ def test_block_attention_at_batch_4_matches_chain_bytes(kind):
     x = rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32)
     if kind == "self":
         bias = _diag_bias()
-        _check_fused(lambda t: fx.attention(t, t, t, SCALE, bias),
+        _check_fused(lambda t: oracles.attention(t, t, t, SCALE, bias),
                      lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
                      {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
         return
     arrays = {"x": x, "c": rng.normal(size=(4, 22, WIDTH)).astype(np.float32)}
     for live in _subsets(tuple(arrays)):
-        _check_fused(lambda t, c: fx.attention(t, c, c, SCALE),
+        _check_fused(lambda t, c: oracles.attention(t, c, c, SCALE),
                      lambda t, c: oracles.attention_chain(t, c, c, SCALE),
                      arrays, live, "x", "attention", ("c", "x", "c"))
 
@@ -301,7 +308,7 @@ def test_attention_writes_only_its_own_arrays(n_keys, bias):
     q = fx.tensor(rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32))
     k, v = (fx.tensor(rng.normal(size=(4, n_keys, WIDTH)).astype(np.float32)) for _ in "kv")
     bias = _diag_bias() if bias else None
-    _vjp_twice(lambda: fx.attention(q, k, v, SCALE, bias), [q, k, v],
+    _vjp_twice(lambda: oracles.attention(q, k, v, SCALE, bias), [q, k, v],
                [] if bias is None else [bias])
 
 
@@ -309,7 +316,7 @@ def test_attention_writes_only_its_own_arrays(n_keys, bias):
 def test_lora_linear_writes_only_its_own_arrays(n):
     arrays, w = _lora_arrays(4, n)
     h, a, b, pi = (fx.tensor(arrays[name]) for name in ("h", "a", "b", "pi"))
-    _vjp_twice(lambda: fx.lora_linear(h, w, a, b, pi, OWNER), [h, a, b, pi], [w, OWNER])
+    _vjp_twice(lambda: oracles.lora_linear(h, w, a, b, pi, OWNER), [h, a, b, pi], [w, OWNER])
 
 
 def _router(dtype, b):
@@ -491,3 +498,170 @@ def test_ddim_update_errors():
                                (short, None, "eps_c")):
         with pytest.raises(ShapeError, match=rf"{name} \(1, 2, 4, 8, 8\)"):
             sampling.ddim_update(z, eps_c, eps_u, 3.0, SCHEDULE, t, t_next)
+
+
+# ---------------------------------------------------------------------------
+# the denoiser's attention block
+
+
+@functools.lru_cache(maxsize=2)
+def _block_model(dtype: str):
+    """The default-sized backbone in `dtype` and a stack whose experts and
+    router are off their zero init."""
+    params = _backbone(dtype)
+    rng = np.random.default_rng(29)
+    stack = denoiser.build_adapter_stack(rng, params, ModelConfig(), dtype=np.dtype(dtype))
+    for leaf in stack.parameters().values():
+        leaf.data[...] = rng.normal(0.0, 0.1, size=leaf.shape)
+    return params, stack
+
+
+# the three forms of a block: self-attention under the diagonal bias, cross-
+# attention into a 22-token context, and the single null token's shortcut
+BLOCK_FORMS = {"self": "block1.self", "cross": "block0.cross", "null": "block1.cross"}
+PROJECTIONS = tuple(f"{leaf}.{slot}" for slot in "qkvo" for leaf in "ab")
+
+
+def _block_slots(form):
+    """The names of an `attn_block` node's inputs, in its order."""
+    kv = "x" if form == "self" else "kv"
+    slots = ["x", "b.o", "pi", "a.o"]
+    for slot, h in (("v", kv), ("k", kv), ("q", "x")):
+        slots += [f"b.{slot}", "pi", h, f"a.{slot}", h]
+    return slots[:9] if form == "null" else slots
+
+
+def _block_inputs(form, dtype, b):
+    """(params, stack, layer, bias, arrays): x, the routing weights and, for the
+    cross form, the context; the null form's context is the constant null token
+    broadcast, and the self form's is x."""
+    params, stack = _block_model(np.dtype(dtype).name)
+    rng = np.random.default_rng(37 * b + len(form))
+    arrays = {"x": rng.normal(size=(b, N_TOKENS, WIDTH)).astype(dtype),
+              "pi": rng.dirichlet(np.ones(4), size=b).astype(dtype)}
+    if form == "cross":
+        arrays["kv"] = rng.normal(size=(b, 22, WIDTH)).astype(dtype)
+    bias = params.self_bias if form == "self" else None
+    return params, stack, BLOCK_FORMS[form], bias, arrays
+
+
+def _block_leaves(form, arrays, stack, layer):
+    leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
+    for name in PROJECTIONS:
+        leaf, slot = name.split(".")
+        leaves[name] = getattr(stack.layers[f"{layer}.{slot}"], leaf)
+    return leaves
+
+
+def _run_block(op, form, dtype, b, live):
+    """Forward bytes, the live leaves' gradient bytes and the recorded nodes of
+    op's block under a loss that adds x to the block's output."""
+    params, stack, layer, bias, arrays = _block_inputs(form, dtype, b)
+    leaves = _block_leaves(form, arrays, stack, layer)
+    if form == "null":
+        kv = np.broadcast_to(params.null_token, (b, 1, WIDTH))
+    else:
+        kv = leaves["x" if form == "self" else "kv"]
+    weight = fx.tensor(np.random.default_rng(99).normal(size=(b, N_TOKENS, WIDTH)).astype(dtype))
+    with fx.Tape([leaves[name] for name in live]) as tape:
+        out = op(leaves["x"], kv, params, stack, leaves["pi"], layer, bias)
+        loss = fx.reduce_sum((leaves["x"] + out) * weight)
+    if not tape.nodes:
+        return out.data.tobytes(), {}, []
+    grads = fx.backward(tape, loss)
+    return (out.data.tobytes(), {name: grads[leaves[name]].data.tobytes() for name in live},
+            tape.nodes)
+
+
+def _block_subsets(form):
+    """The live subsets to check: every subset of x, the context, pi and the
+    layer's a and b leaves taken together, and each a or b leaf alone."""
+    groups = ["x", "pi", "a", "b"] + (["kv"] if form == "cross" else [])
+    out = []
+    for subset in _subsets(groups):
+        names = [n for g in subset for n in ([g] if g in ("x", "pi", "kv") else
+                                            [p for p in PROJECTIONS if p[0] == g])]
+        out.append(tuple(names))
+    return out + [(name,) for name in PROJECTIONS]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("form", list(BLOCK_FORMS))
+def test_attn_block_matches_chain_bytes(form, b, dtype):
+    """The value and every live leaf's gradient equal the chain of `oracles`
+    ops; the node lists a key and its vjp a gradient for exactly the live
+    slots. The train tape has x dead in the trunk and live after it, with pi
+    and every a and b live; adapt and guided tapes have x, the context or both
+    live and the stack constant."""
+    slots = _block_slots(form)
+    for live in _block_subsets(form):
+        out, grads, nodes = _run_block(denoiser._attention, form, dtype, b, live)
+        ref_out, ref_grads, ref_nodes = _run_block(oracles.attn_block_chain, form, dtype, b, live)
+        assert out == ref_out, live
+        assert grads == ref_grads, live
+        if not ref_nodes:
+            assert not nodes
+            continue
+        assert [n.op for n in nodes] == ["attn_block", "add", "mul", "sum"]
+        node = nodes[0]
+        live_slots = tuple(name in live for name in slots)
+        assert tuple(k is not None for k in node.inputs) == live_slots, live
+        g = np.ones(node.shapes[0], dtype=dtype)
+        assert tuple(x is not None for x in node.vjp(g)) == live_slots, live
+
+
+@pytest.mark.parametrize("form", list(BLOCK_FORMS))
+def test_attn_block_gradients_match_finite_differences(form):
+    """Every input live, in float64 at B=2: criterion 3's tolerance, relative
+    1e-5 above an absolute floor of 1e-9, at a few coordinates of each leaf."""
+    params, stack, layer, bias, arrays = _block_inputs(form, np.float64, 2)
+    leaves = _block_leaves(form, arrays, stack, layer)
+    w = np.random.default_rng(94).normal(size=(2, N_TOKENS, WIDTH))
+
+    def block(inputs):
+        kv = (np.broadcast_to(params.null_token, (2, 1, WIDTH)) if form == "null"
+              else inputs["x" if form == "self" else "kv"])
+        return denoiser._attention(inputs["x"], kv, params, stack, inputs["pi"], layer, bias)
+
+    def value(*_):
+        return np.sum(block({name: fx.Tensor(leaf.data) for name, leaf in leaves.items()}).data
+                      * w)
+
+    with fx.Tape(leaves.values()) as tape:
+        loss = fx.reduce_sum(block(leaves) * fx.tensor(w))
+    grads = fx.backward(tape, loss)
+    rng = np.random.default_rng(93)
+    for name, leaf in leaves.items():
+        if form == "null" and name[-1] in "qk":
+            continue
+        coords = rng.choice(leaf.size, size=4, replace=False)
+        num = oracles.fd_grad(value, [leaf.data], 0, coords=coords)
+        assert np.any(num.ravel()[coords] != 0.0), name
+        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)
+
+
+def test_attn_block_errors():
+    """Tokens, context, routing weights and bias must have the backbone's dtype
+    and agreeing shapes: nothing is cast or broadcast."""
+    params, stack, layer, bias, arrays = _block_inputs("self", np.float32, 2)
+    x, pi = fx.tensor(arrays["x"]), fx.tensor(arrays["pi"])
+    kv = np.random.default_rng(3).normal(size=(2, 22, WIDTH)).astype(np.float32)
+
+    def call(x=x, kv=kv, pi=pi, bias=None, layer="block0.cross"):
+        return denoiser._attention(x, kv, params, stack, pi, layer, bias)
+
+    f64 = fx.tensor(arrays["x"].astype(np.float64))
+    for kwargs in ({"x": f64}, {"kv": kv.astype(np.float64)},
+                   {"pi": fx.tensor(arrays["pi"].astype(np.float64))},
+                   {"bias": np.zeros((N_TOKENS, 22)), "layer": layer}):
+        with pytest.raises(ParameterError, match="dtype mismatch"):
+            call(**kwargs)
+    for kwargs, shape in (({"x": fx.tensor(arrays["x"][0])}, (N_TOKENS, WIDTH)),
+                          ({"kv": kv[:1]}, (1, 22, WIDTH)),
+                          ({"kv": kv[..., :32]}, (2, 22, 32)),
+                          ({"pi": fx.tensor(arrays["pi"][:1])}, (1, 4)),
+                          ({"pi": fx.tensor(arrays["pi"][:, :3])}, (2, 3)),
+                          ({"bias": bias, "layer": layer}, bias.shape)):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            call(**kwargs)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 import freqvfx.tensor as fx
-from freqvfx import moe, spectral as sp
+from freqvfx import denoiser, moe, spectral as sp
+from freqvfx.config import ModelConfig
 from freqvfx.errors import ParameterError, ShapeError
 
 import oracles
@@ -238,8 +241,14 @@ def test_adapter_packing_layout():
 # moe_forward
 
 
+def _gate(pi, owner, h):
+    """The routing gate pi @ owner, shaped to broadcast against h @ a^T."""
+    gate = np.asarray(pi) @ owner
+    return gate.reshape((gate.shape[0],) + (1,) * (np.ndim(h) - 2) + (gate.shape[1],))
+
+
 def _uniform_weights(b, m, dtype=np.float64):
-    return fx.tensor(np.full((b, m), 1.0 / m, dtype=dtype))
+    return np.full((b, m), 1.0 / m, dtype=dtype)
 
 
 def test_moe_forward_zero_experts_is_base_path():
@@ -248,7 +257,7 @@ def test_moe_forward_zero_experts_is_base_path():
     a.a.data[...] = 0.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(2, 5, 6))
-    out = moe.moe_forward(a, _uniform_weights(2, 4), owner, w, h).data
+    out, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(_uniform_weights(2, 4), owner, h))
     np.testing.assert_array_equal(out, h @ w.T)
 
 
@@ -261,10 +270,25 @@ def test_moe_forward_one_hot_reduces_to_single_expert():
     pi[:, j] = 1.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(3, 6))
-    out = moe.moe_forward(a, fx.tensor(pi), owner, w, h).data
+    out, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(pi, owner, h))
     s = slices[j]
     want = h @ w.T + (h @ a.a.data[s].T) @ a.b.data[:, s].T
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def _block_model(dtype, total_rank):
+    """A width-16 backbone and stack whose experts and router are off their zero
+    init, and block 0's cross-attention layer name."""
+    cfg = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10, total_rank=total_rank)
+    rng = np.random.default_rng(15)
+    params = denoiser.build_denoiser(rng, latent_shape=cfg.latent_shape, width=cfg.width,
+                                     n_blocks=cfg.n_blocks, patch=cfg.patch,
+                                     num_steps=cfg.num_steps, diag_bias=cfg.diag_bias,
+                                     cross_gain=cfg.cross_gain, dtype=dtype)
+    stack = denoiser.build_adapter_stack(rng, params, cfg, dtype=dtype)
+    for leaf in stack.parameters().values():
+        leaf.data[...] = rng.normal(0.0, 0.2, size=leaf.shape)
+    return params, stack, "block0.cross"
 
 
 def test_moe_forward_matches_scalar_oracle_f32():
@@ -277,7 +301,7 @@ def test_moe_forward_matches_scalar_oracle_f32():
     # last row as route() leaves it under top_k=2: experts 1 and 3 masked to exact zeros
     pi[2, [1, 3]] = 0.0
     pi[2] /= pi[2].sum()
-    got = moe.moe_forward(a, fx.tensor(pi), owner, w, h).data
+    got, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(pi, owner, h))
 
     want = np.zeros((3, 3, 5), dtype=np.float64)
     for b in range(3):
@@ -291,73 +315,87 @@ def test_moe_forward_matches_scalar_oracle_f32():
             want[b, n] = acc
     assert np.max(np.abs(got - want)) < 1e-6
 
-    # the masked row alone: its masked experts' slices receive exactly zero gradient
-    with fx.Tape([a.a, a.b]) as tape:
-        out = moe.moe_forward(a, fx.tensor(pi[2:]), owner, w, h[2:])
+    # that routing alone through an attention block: the masked experts' slices of
+    # every projection receive exactly zero gradient
+    params, stack, layer = _block_model(np.float32, 9)
+    x = fx.Tensor(rng.normal(size=(1, 8, 16)).astype(np.float32))
+    kv = rng.normal(size=(1, 5, 16)).astype(np.float32)
+    adapters = [stack.layers[f"{layer}.{slot}"] for slot in "qkvo"]
+    leaves = [t for ad in adapters for t in (ad.a, ad.b)]
+    with fx.Tape(leaves) as tape:
+        out = denoiser._attention(x, kv, params, stack, fx.tensor(pi[2:]), layer)
         loss = fx.reduce_sum(fx.square(out))
     grads = fx.backward(tape, loss)
-    for m, s in enumerate(slices):
-        for g in (grads[a.a].data[s], grads[a.b].data[:, s]):
-            if m in (1, 3):
-                assert np.all(g == 0.0)
-            else:
-                assert np.any(g != 0.0)
+    for ad in adapters:
+        for m, s in enumerate(slices):
+            for g in (grads[ad.a].data[s], grads[ad.b].data[:, s]):
+                if m in (1, 3):
+                    assert np.all(g == 0.0)
+                else:
+                    assert np.any(g != 0.0)
 
 
 def test_moe_forward_shape_errors():
     rng = np.random.default_rng(12)
     a, owner, _ = _adapter(rng, 6, 4, n_experts=2, total_rank=4, dtype=np.float64)
-    pi = _uniform_weights(2, 2)
-    with pytest.raises(ShapeError):
-        moe.moe_forward(a, pi, owner, np.zeros((4, 7)), np.zeros((2, 6)))
-    with pytest.raises(ShapeError):
-        moe.moe_forward(a, pi, owner, np.zeros((4, 6)), np.zeros((2, 7)))
-    with pytest.raises(ShapeError):
-        moe.moe_forward(a, _uniform_weights(3, 2), owner, np.zeros((4, 6)), np.zeros((2, 6)))
-    with pytest.raises(ShapeError):
-        moe.moe_forward(a, _uniform_weights(2, 3), owner, np.zeros((4, 6)), np.zeros((2, 6)))
-    # packed leaves whose rank axes disagree with each other or with the owner map
+    h, w = np.zeros((2, 6)), np.zeros((4, 6))
+    gate = _gate(_uniform_weights(2, 2), owner, h)
+    with pytest.raises(ShapeError, match=r"w \(4, 7\)"):
+        moe.moe_forward(h, np.zeros((4, 7)), a.a.data, a.b.data, gate)
+    with pytest.raises(ShapeError, match=r"h \(2, 7\)"):
+        moe.moe_forward(np.zeros((2, 7)), w, a.a.data, a.b.data, gate)
+    with pytest.raises(ShapeError, match=r"gate \(2, 3\)"):
+        moe.moe_forward(h, w, a.a.data, a.b.data, np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="2-D weights"):
+        moe.moe_forward(h, np.zeros(6), a.a.data, a.b.data, gate)
+    # packed leaves whose rank axes disagree with each other or with the gate
     for leaf, shape in (("b", (4, 3)), ("a", (3, 6))):
-        bad, _, _ = _adapter(rng, 6, 4, n_experts=2, total_rank=4, dtype=np.float64)
-        getattr(bad, leaf).data = np.zeros(shape)
-        with pytest.raises(ShapeError):
-            moe.moe_forward(bad, pi, owner, np.zeros((4, 6)), np.zeros((2, 6)))
+        pair = {"a": a.a.data, "b": a.b.data, leaf: np.zeros(shape)}
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            moe.moe_forward(h, w, pair["a"], pair["b"], gate)
+    for name in ("w", "a", "b", "gate"):  # nothing is converted to h's dtype
+        args = {"w": w, "a": a.a.data, "b": a.b.data, "gate": gate}
+        args[name] = args[name].astype(np.float32)
+        with pytest.raises(ParameterError, match="dtype mismatch: float64 vs float32"):
+            moe.moe_forward(h, *args.values())
 
 
 def test_route_and_moe_forward_gradients():
+    """The router's leaves and every expert's a-rows and b-columns of the four
+    projections of an attention block, routed inside the tape, against central
+    differences."""
     rng = np.random.default_rng(13)
-    router = _router(rng, hidden=5)
-    adapter, owner, slices = _adapter(rng, 4, 3, n_experts=4, total_rank=9,
-                                      dtype=np.float64)
-    adapter.b.data[...] = rng.normal(0.0, 0.2, size=adapter.b.shape)
+    params, stack, layer = _block_model(np.float64, 9)
+    router = stack.router
     e = rng.normal(size=(2, 6))
-    wbase = rng.normal(size=(3, 4))
-    h = rng.normal(size=(2, 4))
-    wmix = rng.normal(size=(2, 3))
-
+    x = rng.normal(size=(2, 8, 16))
+    kv = rng.normal(size=(2, 5, 16))
+    wmix = rng.normal(size=(2, 8, 16))
+    slices = [slice(end - r, end) for r, end in zip(stack.ranks, np.cumsum(stack.ranks))]
     assert [s.stop - s.start for s in slices] == [3, 2, 2, 2]
 
     # (leaf, index): whole router tensors, and every expert's a-rows and b-columns
-    checks = {name: (p, ...) for name, p in
-              (("w1", router.w1), ("w2", router.w2), ("b1", router.b1), ("b2", router.b2))}
-    for m, s in enumerate(slices):
-        checks[f"a{m}"] = (adapter.a, (s, slice(None)))
-        checks[f"b{m}"] = (adapter.b, (slice(None), s))
-    with fx.Tape([*router.parameters().values(), adapter.a, adapter.b]) as tape:
+    checks = {name: (p, ...) for name, p in router.parameters().items()}
+    for slot in "qkvo":
+        adapter = stack.layers[f"{layer}.{slot}"]
+        for m, s in enumerate(slices):
+            checks[f"{slot}.a{m}"] = (adapter.a, (s, slice(None)))
+            checks[f"{slot}.b{m}"] = (adapter.b, (slice(None), s))
+    with fx.Tape(stack.parameters().values()) as tape:
         pi = moe.route(e, router, top_k=3)
-        out = moe.moe_forward(adapter, pi, owner, wbase, h)
+        out = denoiser._attention(fx.Tensor(x), kv, params, stack, pi, layer)
         loss = fx.reduce_sum(out * fx.tensor(wmix))
     grads = fx.backward(tape, loss)
 
     def f_scalar():
         pi2 = moe.route(e, router, top_k=3)
-        o = moe.moe_forward(adapter, pi2, owner, wbase, h)
+        o = denoiser._attention(fx.Tensor(x), kv, params, stack, pi2, layer)
         return float(np.sum(o.data * wmix))
 
     nonzero = 0
     for p, idx in checks.values():
-        num = oracles.fd_grad(lambda *_: f_scalar(), [p.data[idx]], 0, step=1e-6)
+        num = oracles.fd_grad(lambda *_: f_scalar(), [p.data[idx]], 0, step=1e-5)
         nonzero += bool(np.any(num != 0.0))
         oracles.assert_grads_close(grads[p].data[idx], num, rtol=2e-4, atol=1e-8)
     # top-3 of 4 over two samples masks at most one expert out of both rows
-    assert nonzero >= len(checks) - 2
+    assert nonzero >= len(checks) - 2 * 4

@@ -61,19 +61,20 @@ def step_ops(model):
 
 def test_train_step_nodes(step_ops):
     ops = collections.Counter(step_ops[0])
-    assert len(step_ops[0]) == 29
-    # every adapted projection, routing gate included, is one lora node, every
-    # attention core one attention node, the router one router node and the
-    # output projection with unpatchify one unembed node; an unfused one would
-    # show up as linear, matmul, transpose, reshape or mul nodes. The latent is
-    # constant, so the embedding records nothing
-    assert (ops["router"], ops["unembed"], ops["patch_embed"]) == (1, 1, 0)
+    assert len(step_ops[0]) == 9
+    # every attention block, its four adapted projections, routing gate, core
+    # and residual add included, is one attn_block node, the router one router
+    # node and the output projection with unpatchify one unembed node; an
+    # unfused one would show up as lora, attention, add, linear, matmul,
+    # transpose, reshape or mul nodes. The latent is constant, so the embedding
+    # records nothing
+    assert (ops["attn_block"], ops["router"], ops["unembed"], ops["patch_embed"]) == (4, 1, 1, 0)
     assert (ops["lora"], ops["attention"], ops["linear"], ops["matmul"], ops["transpose"],
-            ops["concat"], ops["mul"]) == (16, 4, 0, 0, 0, 0, 0)
+            ops["concat"], ops["mul"]) == (0, 0, 0, 0, 0, 0, 0)
 
 
 def test_adapt_step_nodes(step_ops):
-    assert len(step_ops[1]) == 380
+    assert len(step_ops[1]) == 156
     # each of the 8 sampler steps records its guidance combine and DDIM update as
     # one ddim node; unfused they would show up as sub, mul and add nodes
     assert collections.Counter(step_ops[1])["ddim"] == 8
@@ -103,7 +104,7 @@ def test_denoise_step_nodes(model):
         cond = build_conditioning(params, z0[:1], text[0])
         pi = route(joint_descriptor_detached(z0[:1]), stack.router, stack.top_k)
         denoise_step(z0[:1], 500, cond, params, stack, pi=pi)
-    assert len(tape.nodes) == 26
+    assert len(tape.nodes) == 6
 
 
 def test_freq_constraint_loss_nodes(model):

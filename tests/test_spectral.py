@@ -323,3 +323,16 @@ def test_appearance_descriptor_scale_invariant():
     for s in (0.1, 0.5, 2.0, 10.0):
         scaled = sp.joint_descriptor_detached((s * z).astype(np.float32))[:, :3]
         np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 2, 1, 5, 5), (2, 3, 4, 8, 8), (3, 8, 4, 16, 16),
+                                   (7, 5, 3, 6, 10), (16, 2, 4, 9, 7), (128, 8, 4, 16, 16)])
+def test_detached_descriptor_matches_two_pass_bytes(shape, dtype):
+    """`fei` run once on both proxies stacked along the batch axis gives the
+    bytes of one `fei` per proxy, on moving and on static videos."""
+    rng = np.random.default_rng(shape[0] * 31 + shape[-1])
+    z = rng.normal(size=shape).astype(dtype)
+    for video in (z, np.repeat(z[:, :1], shape[1], axis=1)):
+        got = sp.joint_descriptor_detached(video)
+        assert got.tobytes() == oracles.joint_descriptor_two_pass(video).tobytes()

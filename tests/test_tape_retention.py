@@ -194,9 +194,75 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     finally:
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
-    assert n_nodes == 380
+    assert n_nodes == 156
     # a node holds its op, keys, shapes and vjp: no Tensor, no array
     assert not in_fields
     # and a vjp keeps arrays, never a Tensor (which would keep its key's array)
     assert not in_cells
     assert 0 < tape_mb <= ADAPT_TAPE_MB, f"adapt step tape holds {tape_mb:.1f} MB"
+
+
+def _block_reads(live, form):
+    """The arrays an `attn_block` vjp's gradients read, by its names for them.
+    A projection's output is live when b, a, pi or its input is, and the mixed
+    values (o's input) when the v, k or q output is. Per projection: the gated
+    down output for b, the down output for pi, b and the gate for pi, the input
+    or a, a and the frozen weight for the input, the input for a; `owner` for
+    pi; the core's scores and scale for the mixed values, v for q or k, k^T for
+    q and q for k."""
+    slots = "vo" if form == "null" else "qkvo"
+    context = ("x" if form == "self" else "kv") in live
+    h_live = {"q": "x" in live, "k": context, "v": context}
+    out_live = {s: h_live[s] or "pi" in live or f"a.{s}" in live or f"b.{s}" in live
+                for s in slots if s != "o"}
+    h_live["o"] = True in out_live.values()
+    reads = {"owner"} if "pi" in live else set()
+    for s in slots:
+        lb, la, lh, lpi = f"b.{s}" in live, f"a.{s}" in live, h_live[s], "pi" in live
+        reads |= {f"{s}.{name}" for name, keep in (
+            ("gated", lb), ("down", lpi), ("b", lpi or lh or la), ("a", lh), ("h", la),
+            ("w", lh)) if keep}
+        if lpi or lh or la:
+            reads.add("gate")
+    if form != "null" and h_live["o"]:
+        reads |= {"p", "scale"}
+        reads |= ({"vd"} if out_live["q"] or out_live["k"] else set())
+        reads |= ({"kt"} if out_live["q"] else set()) | ({"qd"} if out_live["k"] else set())
+    return reads
+
+
+@pytest.mark.parametrize("form", ["self", "cross", "null"])
+def test_attn_block_vjp_keeps_only_what_its_live_slots_read(form):
+    """For every subset of x, the context, pi and the layer's eight a and b
+    leaves that records a node, the `attn_block` vjp's closure holds no Tensor,
+    and its arrays are exactly those the live slots' gradients read."""
+    cfg = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10)
+    params, stack = build_model(cfg, np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    layer = "block1.self" if form == "self" else "block0.cross"
+    x = fx.tensor(rng.normal(size=(2, 8, 16)).astype(np.float32))
+    leaves = {"x": x, "pi": fx.tensor(rng.dirichlet(np.ones(4), size=2).astype(np.float32))}
+    if form == "cross":
+        leaves["kv"] = fx.tensor(rng.normal(size=(2, 5, 16)).astype(np.float32))
+    kv = {"self": x, "cross": leaves.get("kv"),
+          "null": np.broadcast_to(params.null_token, (2, 1, 16))}[form]
+    for slot in "qkvo":
+        adapter = stack.layers[f"{layer}.{slot}"]
+        leaves[f"a.{slot}"], leaves[f"b.{slot}"] = adapter.a, adapter.b
+    bias = params.self_bias if form == "self" else None
+    names = list(leaves)
+    for live in itertools.chain.from_iterable(itertools.combinations(names, n)
+                                              for n in range(1, len(names) + 1)):
+        with fx.Tape([leaves[name] for name in live]) as tape:
+            denoiser._attention(x, kv, params, stack, leaves["pi"], layer, bias)
+        if not tape.nodes:
+            assert form == "null" and set(live) <= {"a.q", "b.q", "a.k", "b.k"}
+            continue
+        (node,) = tape.nodes
+        cells = dict(zip(node.vjp.__code__.co_freevars,
+                         (c.cell_contents for c in node.vjp.__closure__)))
+        kept = cells.pop("kept")
+        assert set(kept) == _block_reads(set(live), form), live
+        assert all(isinstance(v, np.ndarray) for v in kept.values())
+        others = _flat(list(cells.values()))
+        assert not any(isinstance(v, (fx.Tensor, np.ndarray)) for v in others), live
