@@ -96,10 +96,11 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
     if ref.ndim != 5 or ref.shape[1:] != params.latent_shape:
         raise ShapeError(f"reference {ref.shape} does not match model {params.latent_shape}")
     rng = np.random.default_rng(config.seed)
+    dtype = params.embed_w.dtype  # the embedding and each noise draw take the model's
     if embedding is None:
         check_elements("AdaptConfig.embed_tokens", config.embed_tokens, params.width)
         embedding = VfxEmbedding.init(rng, length=config.embed_tokens,
-                                      width=params.width, std=config.embed_std)
+                                      width=params.width, std=config.embed_std, dtype=dtype)
     opt = AdamW([embedding.tokens], lr=config.lr, betas=config.betas,
                 eps=config.adam_eps, weight_decay=config.weight_decay)
     window = timestep_window(schedule, config.t_low_frac, config.t_high_frac)
@@ -119,7 +120,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
             first_t = 0
             for draw in range(config.n_draws):
                 t = int(rng.choice(window))
-                eps = Tensor(rng.standard_normal(shape).astype(np.float32))
+                eps = Tensor(rng.standard_normal(shape).astype(dtype))
                 if draw == 0:
                     first_t = t
                 z_gen = forward_noise(gen0, t, eps, schedule)

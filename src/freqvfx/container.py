@@ -164,17 +164,22 @@ def write_container_file(path, entries) -> None:
     atomic_write_bytes(os.fspath(path), write_container(entries))
 
 
-def read_container_file(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        return read_container(f.read())
+class ContainerEntries(dict):
+    """A container's arrays by name, with `sha256`: the digest of the bytes they
+    were decoded from."""
+
+    def __init__(self, entries: dict[str, np.ndarray], sha256: str):
+        super().__init__(entries)
+        self.sha256 = sha256
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
+def read_container_file(path) -> ContainerEntries:
+    """The entries of the container file at `path`. The file is read once and
+    its bytes both decoded and hashed, so a writer replacing it meanwhile cannot
+    make the digest name bytes that were not decoded."""
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        blob = f.read()
+    return ContainerEntries(read_container(blob), hashlib.sha256(blob).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ class RunManifest:
     stage: str
     config: dict
     seeds: dict
-    inputs: dict = field(default_factory=dict)   # name -> sha256 of input file
+    inputs: dict = field(default_factory=dict)   # file name -> sha256 of the bytes read
     extra: dict = field(default_factory=dict)
     code_version: str = __version__
 

@@ -11,10 +11,11 @@ on `fx.record` (the last two are themselves fused ops, checked against their
 own chains, of which `denoiser`'s `attn_block` node is fused in turn); the
 synthetic-data generators, whose loops must give the bytes of the package's
 vectorised ones from the same streams; and the helpers that only tests read
-the package with (`adapter_param_count`, `state_hashes`,
+the package with (`adapter_param_count`, `state_hashes`, `sha256_file`,
 `parse_spectral_report`).
 """
 
+import hashlib
 import math
 import zlib
 
@@ -691,6 +692,16 @@ def state_hashes(params, stack) -> dict[str, int]:
     """CRC32 of every frozen and trainable array, for parameter-isolation checks."""
     return {name: zlib.crc32(np.ascontiguousarray(tensor.data).tobytes())
             for name, tensor in {**params.named_arrays(), **stack.parameters()}.items()}
+
+
+def sha256_file(path) -> str:
+    """The sha256 of the file at `path` as it is now, read in chunks apart from
+    the package's reader, against which a manifest's `inputs` are checked."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def parse_spectral_report(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -142,16 +142,16 @@ class TestPipeline:
 
         # each stage's manifest records the sha256 of its actual inputs
         train_m = ct.read_manifest(ct.manifest_path_for(ckpt))
-        assert train_m.inputs["dataset.fvl1"] == ct.sha256_file(dataset)
+        assert train_m.inputs["dataset.fvl1"] == oracles.sha256_file(dataset)
         assert 0.0 < train_m.extra["loss_ratio_threshold"] <= 0.5
 
         adapt_m = ct.read_manifest(ct.manifest_path_for(adapted))
-        assert adapt_m.inputs["checkpoint.fvl1"] == ct.sha256_file(ckpt)
-        assert adapt_m.inputs["dataset.fvl1"] == ct.sha256_file(dataset)
+        assert adapt_m.inputs["checkpoint.fvl1"] == oracles.sha256_file(ckpt)
+        assert adapt_m.inputs["dataset.fvl1"] == oracles.sha256_file(dataset)
 
         gen_m = ct.read_manifest(ct.manifest_path_for(sample))
-        assert gen_m.inputs["checkpoint.fvl1"] == ct.sha256_file(ckpt)
-        assert gen_m.inputs["adapted.fvl1"] == ct.sha256_file(adapted)
+        assert gen_m.inputs["checkpoint.fvl1"] == oracles.sha256_file(ckpt)
+        assert gen_m.inputs["adapted.fvl1"] == oracles.sha256_file(adapted)
         assert gen_m.config["model"] == train_m.config["model"]
 
         entries = ct.read_container_file(sample)
