@@ -1,7 +1,8 @@
 """The statistics of `tools/bench_pairs.py` on fake runs: quartiles, wins,
 the claim rule, the regression bound, the alternating run order, the merge
 into an existing file, which keeps other workloads and seeds and adds pairs to
-the same workload and seed, and the revision a record names."""
+the same workload and seed, the revision a record names, and each run's own
+resource use."""
 
 import importlib.util
 import json
@@ -75,14 +76,16 @@ def test_within_bound_compares_medians_relative_to_the_parent(better, parent, ch
 
 def _fake_runs(calls: list):
     """A `run_once` stand-in that notes (workload, side) in `calls` and reports
-    the change twice as fast as the parent."""
+    the change twice as fast as the parent, with a tenth of its page faults."""
     def fake_run(root, workload, seed, seconds):
         side = "change" if root == bench_pairs.ROOT else "parent"
         calls.append((workload, side))
         value = 2.0 if side == "change" else 1.0
         metrics = {"steps_per_s": {"value": value + len(calls) * 1e-3, "unit": "1/s"}}
+        faults = 100 if side == "change" else 1000
+        resources = {"minor_faults": faults + len(calls), "user_s": 1.0, "sys_s": faults * 1e-5}
         return {"fingerprint": {"nproc": 2, "seed": seed}, "metrics": metrics, "problems": [],
-                **{k: [1.0] for k in bench_pairs._RAW}}
+                "resources": resources, **{k: [1.0] for k in bench_pairs._RAW}}
 
     return fake_run
 
@@ -170,3 +173,47 @@ def test_revision_marks_changes_to_program_files_only(tmp_path):
     assert bench_pairs._revision(str(tmp_path)) == head
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
     assert bench_pairs._revision(str(tmp_path)) == head + "+changes"
+
+
+def test_run_once_records_the_run_processes_own_resource_use(tmp_path):
+    """`run_once` runs a checkout's `bench/run.py` and adds the `getrusage` deltas
+    of that one child: a fake run that touches 32 MiB shows the faults and time."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, os, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "block = bytearray(32 << 20)\n"
+        "block[::4096] = b'x' * len(block[::4096])\n"
+        "d = os.path.join('.bench_work', 'results')\n"
+        "os.makedirs(d, exist_ok=True)\n"
+        "name = f\"{args['--workload']}-seed{args['--seed']}-trace0.json\"\n"
+        "with open(os.path.join(d, name), 'w') as f:\n"
+        "    json.dump({'metrics': {}, 'seconds': float(args['--seconds'])}, f)\n")
+    result = bench_pairs.run_once(str(tmp_path), "fake", 3, 0.5)
+    assert result["seconds"] == 0.5
+    used = result["resources"]
+    assert sorted(used) == sorted(bench_pairs.RESOURCES)
+    assert isinstance(used["minor_faults"], int) and used["minor_faults"] >= (32 << 20) // 4096
+    assert used["user_s"] >= 0.0 and used["sys_s"] >= 0.0 and used["user_s"] + used["sys_s"] > 0
+
+
+def test_entry_keeps_each_runs_resources_and_each_sides_median(tmp_path, monkeypatch):
+    """Resource use rides beside the metrics: every run keeps its own, the entry
+    keeps each side's median, and the claim statistics do not read it."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_runs(calls))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "adapt-unroll",
+                             "--pairs", "2", "--out", str(out), "--parent-rev", "abc"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["adapt-unroll"]["seed1"]
+    faults = [(r["side"], r["resources"]["minor_faults"]) for r in entry["runs"]]
+    assert faults == [("parent", 1001), ("change", 102), ("change", 103), ("parent", 1004)]
+    assert entry["resources"]["parent"] == {"minor_faults": 1002.5, "user_s": 1.0,
+                                            "sys_s": pytest.approx(0.01)}
+    assert entry["resources"]["change"]["minor_faults"] == 102.5
+    assert sorted(entry["summary"]) == ["steps_per_s"]
+    # runs recorded before resources were kept count for neither side's median
+    old = [{"side": "parent", "pair": 0}, {"side": "parent", "pair": 1, "resources":
+                                           {"minor_faults": 7, "user_s": 2.0, "sys_s": 0.5}}]
+    assert bench_pairs.resource_medians(old) == {
+        "parent": {"minor_faults": 7, "user_s": 2.0, "sys_s": 0.5}}

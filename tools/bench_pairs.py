@@ -14,11 +14,13 @@ DIR and once in this tree, the parent first in even pairs and this tree first
 in odd ones, one run at a time. After each run the tool reads the run's
 `.bench_work/results/<workload>-seed<n>-trace0.json` before the next run in
 that checkout overwrites it, and keeps its metrics, its raw and scaled call
-and set-up seconds, and its fingerprint.
+and set-up seconds, its fingerprint, and what the run's process cost: its
+minor page faults and user and system seconds, `getrusage(RUSAGE_CHILDREN)`
+deltas around the run.
 
 The output holds one entry per workload and seed, at
 `["workloads"][<workload>]["seed<n>"]`: the two revisions compared, every
-run's metrics, and for each end-to-end metric of `BENCHMARK.json` each side's
+run's metrics, each side's median resource use, and for each end-to-end metric of `BENCHMARK.json` each side's
 median and quartiles, the number of pairs the change wins (ties count for
 neither side) and whether a gain may be claimed: the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than the
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the per-call and per-set-up times of a results file, before and after scaling
 _RAW = ("raw_call_seconds", "call_scale", "raw_setup_seconds", "setup_scale")
+# what a run's process cost, from `getrusage` deltas; recorded, never claimed on
+RESOURCES = ("minor_faults", "user_s", "sys_s")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -97,17 +102,34 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def resource_medians(runs: list[dict]) -> dict:
+    """Each side's median of each of `RESOURCES` over the runs that record it."""
+    out = {}
+    for side in ("parent", "change"):
+        used = [r["resources"] for r in runs if r["side"] == side and "resources" in r]
+        if used:
+            out[side] = {k: statistics.median(u[k] for u in used) for k in RESOURCES}
+    return out
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced `bench/run.py` run in checkout `root`: its results file."""
+    """One untraced `bench/run.py` run in checkout `root`: its results file, with
+    `resources`, the run process's own `RESOURCES`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py in {root} exited {proc.returncode}:\n{proc.stderr}")
     path = os.path.join(root, ".bench_work", "results", f"{workload}-seed{seed}-trace0.json")
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        result = json.load(f)
+    result["resources"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
+                           "user_s": after.ru_utime - before.ru_utime,
+                           "sys_s": after.ru_stime - before.ru_stime}
+    return result
 
 
 def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, str],
@@ -126,14 +148,15 @@ def run_pairs(doc: dict, workload: str, pairs: int, seed: int, sides: dict[str, 
             fingerprints.setdefault(side, result["fingerprint"])
             metrics = {k: m["value"] for k, m in result["metrics"].items()}
             runs.append({"pair": i, "side": side, "first": side == order[0],
-                         "metrics": metrics, "problems": result["problems"],
-                         **{k: result[k] for k in _RAW}})
+                         "metrics": metrics, "resources": result["resources"],
+                         "problems": result["problems"], **{k: result[k] for k in _RAW}})
             print(f"{workload} seed {seed} pair {i} {side}: " + ", ".join(
                 f"{k}={v:.4g}" for k, v in metrics.items() if v is not None), flush=True)
     entries[f"seed{seed}"] = entry = {
         "seed": seed, "revisions": revisions, "run_seconds": bench["run_seconds"],
         "pairs": len(runs) // 2, "fingerprint": fingerprints,
-        "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
+        "summary": summarize(runs, bench["end_to_end"]),
+        "resources": resource_medians(runs), "runs": runs}
     return entry
 
 
