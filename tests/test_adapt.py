@@ -5,7 +5,7 @@ import freqvfx.tensor as fx
 from freqvfx.adapt import (VfxEmbedding, adapt, freq_constraint_loss,
                            reference_latents, timestep_window)
 from freqvfx.config import AdaptConfig, ModelConfig, from_dict
-from freqvfx.denoiser import build_conditioning, build_model
+from freqvfx.denoiser import build_adapter_stack, build_conditioning, build_denoiser, build_model
 from freqvfx.errors import AdaptationDivergedError, ParameterError, ShapeError
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule
@@ -180,6 +180,45 @@ class TestAdapt:
         result = adapt(self._reference(), cond, quick_config(steps=2, sample_cfg=3.0),
                        params, stack, sched)
         assert seen == [[result.embedding.tokens]] * 2
+
+    def test_float64_step_gradient_matches_finite_differences(self, monkeypatch):
+        """A float64 model adapts in float64: its default embedding and every noise
+        draw take the model's dtype, and one step's embedding gradient agrees with
+        central differences of that step's loss."""
+        rng = np.random.default_rng(0)
+        params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=MODEL.n_blocks,
+                                patch=MODEL.patch, num_steps=NUM_STEPS,
+                                diag_bias=MODEL.diag_bias, cross_gain=MODEL.cross_gain,
+                                dtype=np.float64)
+        stack = build_adapter_stack(rng, params, MODEL, dtype=np.float64)
+        sched = NoiseSchedule.cosine(NUM_STEPS)
+        ref = self._reference().astype(np.float64)
+        cond = build_conditioning(params, ref, rng.standard_normal((2, WIDTH)))
+        cfg = quick_config(steps=1, sample_cfg=3.0, n_draws=2)
+        assert adapt(ref, cond, cfg, params, stack, sched).embedding.tokens.dtype == np.float64
+
+        grads = []
+        backward = fx.backward
+
+        def capture(tape, loss):
+            out = backward(tape, loss)
+            grads.extend(g.data.copy() for g in out.values())
+            return out
+
+        def step_loss(tokens):
+            emb = VfxEmbedding(fx.tensor(tokens.copy()))
+            return adapt(ref, cond, cfg, params, stack, sched, embedding=emb).trace[0].loss
+
+        tokens = VfxEmbedding.init(np.random.default_rng(1), length=cfg.embed_tokens,
+                                   width=WIDTH, std=cfg.embed_std,
+                                   dtype=np.float64).tokens.data.copy()
+        monkeypatch.setattr(fx, "backward", capture)
+        step_loss(tokens)
+        monkeypatch.undo()
+        assert len(grads) == 1 and grads[0].dtype == np.float64 and np.any(grads[0] != 0)
+        coords = range(0, tokens.size, 5)
+        numeric = oracles.fd_grad(step_loss, [tokens], 0, coords=coords)
+        oracles.assert_grads_close(grads[0], numeric, coords=coords)
 
     def test_fresh_embedding_created_when_missing(self):
         params, stack, sched, cond = small_setup()

@@ -1,10 +1,19 @@
+import ctypes
+import hashlib
 import json
+import os
+import platform
+import resource
 import struct
+import subprocess
+import sys
+import textwrap
 import zlib
 
 import numpy as np
 import pytest
 
+from freqvfx import cli
 from freqvfx import container as ct
 from freqvfx.cli import main
 
@@ -161,6 +170,59 @@ class TestPipeline:
             (report_dir / "spectral.csv").read_text())
         assert len(ts) == 4
         assert np.all(np.isfinite(vals))
+
+        # and what each stage cost its own process
+        for artifact in (dataset, ckpt, adapted, sample, str(report_dir / "spectral.csv")):
+            used = ct.read_manifest(ct.manifest_path_for(artifact)).extra["resources"]
+            assert sorted(used) == ["max_rss_mb", "minor_faults", "sys_s", "user_s", "wall_s"]
+            assert all(isinstance(v, (int, float)) and v >= 0 for v in used.values()), used
+            assert isinstance(used["minor_faults"], int), used
+
+    def test_each_stage_hashes_the_bytes_it_parsed(self, tmp_path, cfg_path, monkeypatch):
+        """An input replaced right after a stage read it, as by a concurrent run
+        writing the same file, leaves the manifest naming the bytes the stage used."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        assert run("adapt", "--checkpoint", ckpt, "--input", dataset, "--config", cfg_path,
+                   "--out", str(tmp_path / "adapted")) == 0
+        adapted = str(tmp_path / "adapted" / "adapted.fvl1")
+        assert run("generate", "--checkpoint", ckpt, "--input", dataset, "--embedding",
+                   adapted, "--config", cfg_path, "--out", str(tmp_path / "sampled")) == 0
+        sample = str(tmp_path / "sampled" / "sample.fvl1")
+        originals = {}
+        for path in (dataset, ckpt, adapted, sample):
+            with open(path, "rb") as f:
+                originals[path] = f.read()
+        decode = ct.read_container
+
+        def decode_then_replace(blob):
+            entries = decode(blob)
+            for path, data in originals.items():
+                if data == blob:
+                    ct.write_container_file(path, {"replaced": np.zeros(1, np.float32)})
+            return entries
+
+        monkeypatch.setattr(ct, "read_container", decode_then_replace)
+        stages = [
+            (["train", "--input", dataset, "--config", cfg_path], "checkpoint.fvl1", [dataset]),
+            (["adapt", "--checkpoint", ckpt, "--input", dataset, "--config", cfg_path],
+             "adapted.fvl1", [ckpt, dataset]),
+            (["generate", "--checkpoint", ckpt, "--input", dataset, "--embedding", adapted,
+              "--config", cfg_path], "sample.fvl1", [ckpt, dataset, adapted]),
+            (["analyze", "--input", dataset], "descriptors.csv", [dataset]),
+            (["report", "--input", sample], "spectral.csv", [sample]),
+        ]
+        for k, (argv, artifact, read) in enumerate(stages):
+            out = tmp_path / f"again{k}"
+            assert run(*argv, "--out", str(out)) == 0, argv[0]
+            manifest = ct.read_manifest(ct.manifest_path_for(str(out / artifact)))
+            assert manifest.inputs == {os.path.basename(path):
+                                       hashlib.sha256(originals[path]).hexdigest()
+                                       for path in read}, argv[0]
+            for path in read:
+                assert oracles.sha256_file(path) != manifest.inputs[os.path.basename(path)]
+                with open(path, "wb") as f:
+                    f.write(originals[path])
 
     def test_generate_is_seed_deterministic(self, tmp_path, cfg_path):
         dataset = self._gen(tmp_path, cfg_path)
@@ -683,6 +745,53 @@ class TestPipeline:
         ct.write_container_file(str(p), {"videos": np.zeros((1, 2, 1, 4, 4),
                                                             dtype=np.float32)})
         assert run("report", "--input", str(p), "--out", str(tmp_path)) == 1
+
+
+class TestMallocPin:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc")
+    def test_freed_arrays_stay_in_the_process(self, tmp_path):
+        """After `main` ran once, even only to a usage error, 64 arrays of 256 KiB
+        allocated and dropped 20 times reuse the same pages: under glibc's dynamic
+        thresholds every round gives its 16 MiB back and faults it in again."""
+        script = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from freqvfx.cli import main
+            assert main(["report", "--input", sys.argv[1], "--out", sys.argv[2]]) == 2
+
+            def rounds(n):
+                for _ in range(n):
+                    arrays = [np.ones(32768) for _ in range(64)]
+                    del arrays
+
+            rounds(1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            rounds(20)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "missing.fvl1"),
+                               str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        one_round = 64 * (256 << 10) // resource.getpagesize()
+        assert int(proc.stdout.split()[-1]) < one_round // 4
+
+    @pytest.mark.parametrize("library", ["no mallopt", "no C library"])
+    def test_cli_runs_without_mallopt(self, tmp_path, monkeypatch, library):
+        """Where the C library has no `mallopt` (macOS), or none can be loaded,
+        `main` leaves malloc alone and runs as usual."""
+        class NoMallopt:
+            def __init__(self, name):
+                if library == "no C library":
+                    raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        assert run("report", "--input", str(tmp_path / "missing.fvl1"),
+                   "--out", str(tmp_path)) == 2
+        p = tmp_path / "videos.fvl1"
+        ct.write_container_file(str(p), {"videos": np.zeros((1, 2, 1, 4, 4), np.float32)})
+        assert run("analyze", "--input", str(p), "--out", str(tmp_path / "an")) == 0
 
 
 class TestAnalyze:

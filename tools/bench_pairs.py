@@ -20,8 +20,9 @@ deltas around the run.
 
 The output holds one entry per workload and seed, at
 `["workloads"][<workload>]["seed<n>"]`: the two revisions compared, every
-run's metrics, each side's median resource use, and for each end-to-end metric of `BENCHMARK.json` each side's
-median and quartiles, the number of pairs the change wins (ties count for
+run's metrics, each side's median resource use (recorded, never claimed on),
+and for each end-to-end metric of `BENCHMARK.json` each side's median and
+quartiles, the number of pairs the change wins (ties count for
 neither side) and whether a gain may be claimed: the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than the
 parent's interquartile range; and whether the change stays within the
