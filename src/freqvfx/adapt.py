@@ -44,15 +44,55 @@ class VfxEmbedding:
         return cls(tokens=fx.tensor(data))
 
 
+def _freq_loss_vjp(live, d):
+    """The `make_vjp` of the `freq_loss` node on the two descriptors: the
+    vjps of the chain's mean, sum, abs and sub in that order, keeping the
+    descriptor difference d."""
+    def vjp(g):
+        g_sum = (np.broadcast_to(np.expand_dims(g, 0), d.shape[:1]) / d.shape[0]).astype(
+            g.dtype, copy=False)
+        g_d = np.broadcast_to(np.expand_dims(g_sum, 1), d.shape).copy() * np.sign(d)
+        return (g_d if live[0] else None, -g_d if live[1] else None)
+
+    return vjp
+
+
 def freq_constraint_loss(z_gen, z_ref) -> Tensor:
-    """Batch-mean L1 distance between the two joint descriptors; range [0, 4]."""
+    """Batch-mean L1 distance between the two joint descriptors; range [0, 4].
+
+    One `freq_loss` node on the two `descriptor` nodes' outputs: the sub, abs,
+    sum, mean chain's numpy expressions in its order, so values and gradients
+    keep its bytes."""
     g = z_gen if isinstance(z_gen, Tensor) else Tensor(np.asarray(z_gen))
     r = z_ref if isinstance(z_ref, Tensor) else Tensor(np.asarray(z_ref))
     if g.shape != r.shape:
         raise ShapeError(f"generated {g.shape} and reference {r.shape} latents disagree")
-    per_sample = fx.reduce_sum(fx.absolute(joint_descriptor(g) - joint_descriptor(r)),
-                               axes=(1,))
-    return fx.reduce_mean(per_sample)
+    dg, dr = joint_descriptor(g), joint_descriptor(r)
+    d = dg.data - dr.data
+    return fx.record("freq_loss", (dg, dr), np.mean(np.sum(np.abs(d), axis=(1,)), axis=(0,)),
+                     _freq_loss_vjp, d)
+
+
+def _draw_mean_vjp(live, w):
+    def vjp(g):
+        gw = g * w
+        return tuple(gw if hit else None for hit in live)
+
+    return vjp
+
+
+def _draw_mean(terms: list[Tensor]) -> Tensor:
+    """The mean of the draws' losses as one `draw_mean` node: the adds in draw
+    order, then the mul by 1/n cast to the losses' dtype, as the chain ran
+    them; its vjp gives every draw g / n as the chain's mul and adds did. One
+    draw is its own mean and records nothing."""
+    if len(terms) == 1:
+        return terms[0]
+    total = terms[0].data
+    for term in terms[1:]:
+        total = total + term.data
+    w = np.asarray(1.0 / len(terms), dtype=total.dtype)
+    return fx.record("draw_mean", terms, total * w, _draw_mean_vjp, w)
 
 
 def reference_latents(ref_video, t, eps, schedule: NoiseSchedule) -> Tensor:
@@ -116,7 +156,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
                               cfg_scale=config.sample_cfg, seed=config.sample_seed).video
             except SamplingDivergedError as err:
                 raise AdaptationDivergedError(step) from err
-            total = None
+            terms = []
             first_t = 0
             for draw in range(config.n_draws):
                 t = int(rng.choice(window))
@@ -125,9 +165,8 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
                     first_t = t
                 z_gen = forward_noise(gen0, t, eps, schedule)
                 z_ref = reference_latents(ref, t, eps, schedule)
-                term = freq_constraint_loss(z_gen, z_ref)
-                total = term if total is None else total + term
-            loss = total if config.n_draws == 1 else total * (1.0 / config.n_draws)
+                terms.append(freq_constraint_loss(z_gen, z_ref))
+            loss = _draw_mean(terms)
 
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):

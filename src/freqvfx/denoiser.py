@@ -26,11 +26,12 @@ leave the frozen backbone's output bit-exact. Each attention block, its four
 projections, the routing gate they share, the attention core and the residual
 add, is one `attn_block` tape node (`_attention`). Tokens enter through one
 `patch_embed` node (patchify, embedding, `pos` and `temb`) and leave through
-one `unembed` node (output projection and unpatchify). All three are recorded
-here through `fx.record`, with the numpy expressions of the op chains they
-replace, in the chains' order, so values and gradients keep the chains' bytes;
-`tests/oracles.py` keeps the chains. Without a tape a step records nothing
-and builds no vjp.
+one `unembed` node (output projection and unpatchify), and the vfx tokens
+join the cross-attention context through one `context` node. All four are
+recorded here through `fx.record`, with the numpy expressions of the op chains
+they replace, in the chains' order, so values and gradients keep the chains'
+bytes; `tests/oracles.py` keeps the chains. Without a tape a step records
+nothing and builds no vjp.
 
 Routing is the caller's: `sample` and `diffusion_loss` route each step's
 descriptor once and hand the (B, M) weights `pi`, a required keyword, to every
@@ -52,9 +53,9 @@ ops take it as a constant, unwrapped. The attention weights are one dict keyed
 by checkpoint entry name (`block0.self.wq`), which also names the adapter
 layers (`block0.self.q`). The conditioning is constant too: `build_conditioning`
 joins each sample's image and text tokens into one read-only array, and only
-the vfx tokens are appended per head, as tape nodes. The only trainable state
-lives in the router and the per-projection expert pairs (stage 1) and in the
-vfx embedding tokens (stage 2); the optimizer lays it out (`train.AdamW`).
+the vfx tokens are appended per head, by one `context` node. The only trainable
+state lives in the router and the per-projection expert pairs (stage 1) and in
+the vfx embedding tokens (stage 2); the optimizer lays it out (`train.AdamW`).
 """
 
 from __future__ import annotations
@@ -352,21 +353,36 @@ def build_conditioning(params: DenoiserParams, z0, text_tokens) -> Conditioning:
     return Conditioning(fx.frozen(tokens), None)
 
 
+def _context_vjp(live, start, batch):
+    """The `make_vjp` of the `context` node on the vfx tokens: the concat's,
+    broadcast_to's and reshape's vjps in the order `backward` ran them. It slices
+    out the vfx rows, sums them over the batch when there is more than one
+    sample, and keeps no array."""
+    def vjp(g):
+        g = g[:, start:]
+        if batch > 1:
+            g = g.sum(axis=(0,), keepdims=True)
+        return (g.reshape(g.shape[1:]),)
+
+    return vjp
+
+
 def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
                     batch: int) -> Tensor | np.ndarray:
     """Cross-attention's keys and values: the null token as a constant for the
     unconditional branch, else the conditioning tokens, with the vfx tokens
-    appended to each sample's by one `concat` node."""
+    appended to each sample's by one `context` node."""
     if cond is None:
         return np.broadcast_to(params.null_token, (batch, 1, params.width))
     if cond.tokens.shape[0] != batch:
         raise ShapeError(f"conditioning of batch {cond.tokens.shape[0]} for a latent of "
                          f"batch {batch}")
-    tokens, vfx = Tensor(cond.tokens), cond.vfx_tokens
+    tokens, vfx = cond.tokens, cond.vfx_tokens
     if vfx is None:
         return tokens
-    vfx = fx.broadcast_to(fx.reshape(vfx, (1,) + vfx.shape), (batch,) + vfx.shape)
-    return fx.concat([tokens, vfx], axis=1)
+    out = np.concatenate([tokens, np.broadcast_to(vfx.data.reshape((1,) + vfx.shape),
+                                                  (batch,) + vfx.shape)], axis=1)
+    return fx.record("context", (vfx,), out, _context_vjp, tokens.shape[1], batch)
 
 
 # An `attn_block` node's inputs after the residual stream x: each projection's

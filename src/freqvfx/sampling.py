@@ -48,11 +48,11 @@ class SampleResult:
 
 
 def _ddim_vjp(live, r, c, w):
-    """The `make_vjp` of the `ddim` node on (z, eps_u, eps_c, eps_u), or (z, eps_c)
-    at cfg 1. It gives the gradients of the mul, mul, add (update) and sub, mul,
+    """The `make_vjp` of the `ddim` node on (z, eps_u, eps_c), or (z, eps_c) at
+    cfg 1. It gives the gradients of the mul, mul, add (update) and sub, mul,
     add (combine) chain's vjps in its expression order: g r for z, g c for the
-    guided noise, g c w for eps_c and -(g c w) for eps_u's second slot. It keeps
-    only the 0-d scalars its live inputs' gradients read."""
+    guided noise, g c w for eps_c and g c - g c w for eps_u. It keeps only the
+    0-d scalars its live inputs' gradients read."""
     r = r if live[0] else None
     noise = True in live[1:]
     c = c if noise else None
@@ -66,8 +66,7 @@ def _ddim_vjp(live, r, c, w):
         if w is None:
             return gz, gc
         gcw = gc * w
-        return (gz, gc if live[1] else None, gcw if live[2] else None,
-                -gcw if live[3] else None)
+        return gz, (gc - gcw) if live[1] else None, gcw if live[2] else None
 
     return vjp
 
@@ -80,9 +79,8 @@ def ddim_update(z: Tensor, eps_c: Tensor, eps_u: Tensor | None, cfg_scale: float
     None, the cfg-1 step), then z' = r z + c eps_hat with r = a_n / a_t and
     c = s_n - r s_t. Each scalar is cast to the latents' dtype and the numpy
     expressions run in the order of the tape-op chain they replace, so values and
-    gradients keep its bytes. The node's inputs are (z, eps_u, eps_c, eps_u), or
-    (z, eps_c) unguided: eps_u is listed twice because the chain added its two
-    gradients into it one after the other, first the combine's add, then its sub.
+    gradients keep its bytes. The node's inputs are (z, eps_u, eps_c), or
+    (z, eps_c) unguided.
     """
     dt = z.dtype
     for name, eps in (("eps_c", eps_c), ("eps_u", eps_u)):
@@ -99,7 +97,7 @@ def ddim_update(z: Tensor, eps_c: Tensor, eps_u: Tensor | None, cfg_scale: float
         inputs, eps_hat, w = (z, eps_c), eps_c.data, None
     else:
         w = np.asarray(cfg_scale, dtype=dt)
-        inputs = (z, eps_u, eps_c, eps_u)
+        inputs = (z, eps_u, eps_c)
         eps_hat = eps_u.data + w * (eps_c.data - eps_u.data)
     return fx.record("ddim", inputs, r * z.data + c * eps_hat, _ddim_vjp, r, c, w)
 

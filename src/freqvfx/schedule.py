@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as fx
 from .errors import ParameterError, ShapeError
 from .tensor import Tensor, frozen
 
@@ -71,14 +72,32 @@ class NoiseSchedule:
         return self.alphas[t], self.sigmas[t]
 
 
+def _noise_vjp(live, a, s):
+    """The `make_vjp` of the `noise` node on (z0, eps): the gradients g a and
+    g s of the chain's two muls, keeping only the 0-d or (B, 1, 1, 1, 1)
+    scalars its live inputs read."""
+    a = a if live[0] else None
+    s = s if live[1] else None
+
+    def vjp(g):
+        return (None if a is None else g * a, None if s is None else g * s)
+
+    return vjp
+
+
 def forward_noise(z0, t, eps, schedule: NoiseSchedule) -> Tensor:
-    """z_t = alpha_t * z0 + sigma_t * eps, with t scalar or per-sample (B,)."""
+    """z_t = alpha_t * z0 + sigma_t * eps, with t scalar or per-sample (B,), as
+    one `noise` node: each coefficient cast to the latent's dtype, then the mul,
+    mul, add chain's numpy expressions in its order, so values and gradients
+    keep its bytes."""
     z0 = z0 if isinstance(z0, Tensor) else Tensor(np.asarray(z0))
     eps = eps if isinstance(eps, Tensor) else Tensor(np.asarray(eps))
     if z0.ndim != 5:
         raise ShapeError(f"latent video must be (B, T, C, H, W), got {z0.shape}")
     if eps.shape != z0.shape:
         raise ShapeError(f"noise shape {eps.shape} != latent shape {z0.shape}")
+    if eps.dtype != z0.dtype:
+        raise ParameterError(f"dtype mismatch: latent {z0.dtype} vs noise {eps.dtype}")
     alpha, sigma = schedule.coefficients(t)
     if np.ndim(alpha) == 1:
         if alpha.shape[0] != z0.shape[0]:
@@ -86,9 +105,9 @@ def forward_noise(z0, t, eps, schedule: NoiseSchedule) -> Tensor:
         shape = (z0.shape[0], 1, 1, 1, 1)
         alpha = alpha.reshape(shape)
         sigma = sigma.reshape(shape)
-    a = Tensor(np.asarray(alpha, dtype=z0.dtype))
-    s = Tensor(np.asarray(sigma, dtype=z0.dtype))
-    return a * z0 + s * eps
+    a = np.asarray(alpha, dtype=z0.dtype)
+    s = np.asarray(sigma, dtype=z0.dtype)
+    return fx.record("noise", (z0, eps), a * z0.data + s * eps.data, _noise_vjp, a, s)
 
 
 def sampling_grid(num_steps: int, steps: int) -> np.ndarray:

@@ -89,6 +89,23 @@ def _check_routing(rng):
     assert np.all((pi > 0).sum(axis=1) <= top_k)
 
 
+def _probe_vjp(live, weights):
+    weights = [w if hit else None for w, hit in zip(weights, live)]
+
+    def vjp(g):
+        return tuple(None if w is None else g * w for w in weights)
+
+    return vjp
+
+
+def _probe(outputs, weights):
+    """sum_i sum(outputs[i] * weights[i]) as one `probe` node: the scalar a
+    gradient check differentiates, linear in each output so that the output's
+    gradient is its weight."""
+    value = sum(float(np.sum(out.data * w)) for out, w in zip(outputs, weights))
+    return fx.record("probe", outputs, np.float64(value), _probe_vjp, weights)
+
+
 def _agree_with_central_differences(g, value, x, coords, floor, step=1e-6):
     """Flat gradient g of value() against central differences of width 2 `step`
     in x's flat coords, to relative 1e-5 of the larger magnitude or of `floor`."""
@@ -115,12 +132,13 @@ def _check_gradients(rng):
     gradients of a guided float64 `ddim` node, all three inputs live, against
     central differences of the untaped update."""
     x = rng.standard_normal((1, 3, 1, 5, 5))
+    wd = rng.standard_normal((1, 6))
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
-        loss = fx.reduce_sum(fx.square(joint_descriptor(p)))
+        loss = _probe([joint_descriptor(p)], [wd])
     g = fx.backward(tape, loss)[p].data.ravel()
     _agree_with_central_differences(
-        g, lambda: float(np.sum(np.square(joint_descriptor_detached(x)))), x,
+        g, lambda: float(np.sum(joint_descriptor_detached(x) * wd)), x,
         rng.choice(x.size, size=6, replace=False), 1e-10)
 
     router = _router(rng, np.float64)
@@ -128,7 +146,7 @@ def _check_gradients(rng):
     w = rng.standard_normal((4, router.n_experts))
     top_k = ModelConfig().top_k
     with fx.Tape(router.parameters().values()) as tape:
-        loss = fx.reduce_sum(route(d, router, top_k) * fx.tensor(w))
+        loss = _probe([route(d, router, top_k)], [w])
     grads = fx.backward(tape, loss)
     for leaf in router.parameters().values():
         # criterion 3's floor: a masked expert's logit has a gradient of 0 up to rounding
@@ -162,7 +180,7 @@ def _check_gradients(rng):
 
     with fx.Tape(leaves) as tape:
         eps_c, eps_u = denoise_guided(latent, t, cond, params, stack, pi=pi)
-        loss = fx.reduce_sum(eps_c * fx.tensor(w)) + fx.reduce_sum(eps_u * fx.tensor(w[::-1]))
+        loss = _probe([eps_c, eps_u], [w, w[::-1]])
     grads = fx.backward(tape, loss)
 
     def value():
@@ -182,7 +200,7 @@ def _check_gradients(rng):
     noisy = [rng.standard_normal(z.shape) for _ in range(3)]  # z, eps_c, eps_u
     leaves = [fx.tensor(x.copy()) for x in noisy]
     with fx.Tape(leaves) as tape:
-        loss = fx.reduce_sum(ddim_update(*leaves, 3.0, sched, 7, 3) * fx.tensor(w))
+        loss = _probe([ddim_update(*leaves, 3.0, sched, 7, 3)], [w])
     grads = fx.backward(tape, loss)
     for leaf, arr in zip(leaves, noisy):
         _agree_with_central_differences(

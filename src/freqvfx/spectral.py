@@ -13,12 +13,12 @@ arrays (`decompose` a `(coarse, band, detail)` tuple of them), at the fixed
 scales `SIGMA1_DEFAULT`, `SIGMA2_DEFAULT` and `EPS_DEFAULT`; only `decompose`
 takes other sigmas.
 
-`joint_descriptor`, which the router reads at every sampler step and the
-frequency-constraint loss on every draw, composes the stage functions and joins
-the tape as the float64 cast and one `descriptor` node with a hand-written vjp,
-so the descriptor is differentiable end to end; values and gradients have the
-bytes of the chain of tape ops that the stage functions' numpy expressions spell
-out. `joint_descriptor_detached` composes the stage functions on a plain
+`joint_descriptor`, which the frequency-constraint loss reads on every draw,
+composes the stage functions and joins the tape as one `descriptor` node with a
+hand-written vjp, so the descriptor is differentiable end to end; values and
+gradients have the bytes of the chain of tape ops (a float64 cast, then the ops
+that the stage functions' numpy expressions spell out) that `tests/oracles.py`
+keeps. `joint_descriptor_detached` composes the stage functions on a plain
 array, so no tape records it.
 """
 
@@ -217,10 +217,12 @@ def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
     return g_detail + blur_adjoint(g_b2, mats2) + blur_adjoint(g_b1, mats1)
 
 
-def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
-    """The `make_vjp` of the `descriptor` node, whose three inputs are one
-    video, so all are live: it keeps both paths' arrays and the video's shape,
-    not the video."""
+def _descriptor_vjp(live, shape, dtype, mats1, mats2, app_saved, vfx_saved, msd, diff):
+    """The `make_vjp` of the `descriptor` node on the video: it keeps both
+    paths' arrays, the video's shape and dtype, not the video. The gradient is
+    the sum of the earlier frame slice's, the later frame slice's and the
+    appearance mean's, in the order `backward` added them into the float64
+    video, then cast back to the video's dtype, as the chain's cast did."""
     t = shape[1]
 
     def vjp(g):
@@ -233,7 +235,7 @@ def _descriptor_vjp(live, shape, mats1, mats2, app_saved, vfx_saved, msd, diff):
         g_later[:, 1:] = g_diff
         g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
         g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), shape) / t
-        return g_earlier, g_later, g_app
+        return (((g_earlier + g_later) + g_app).astype(dtype, copy=False),)
 
     return vjp
 
@@ -252,15 +254,14 @@ def _descriptor_input(z) -> np.ndarray:
 def joint_descriptor(z) -> Tensor:
     """(B, 6) concatenation of the appearance and VFX indicators.
 
-    The float64 cast, then one `descriptor` node whose value the stage
-    functions compute, `concat([fei(appearance_proxy(z)), fei(vfx_proxy(z))])`.
-    Its vjp evaluates the vjps of the chain of tape ops they spell out, in that
-    chain's order, so gradients keep its bytes. The node lists the float64 video
-    once per path the chain took back to it (the earlier frame slice, the later
-    frame slice, the appearance mean), the order in which `backward` reached it;
-    the three are one key, so they are live together or no node is recorded.
+    One `descriptor` node on the video in its own dtype, whose value the stage
+    functions compute on the float64 video,
+    `concat([fei(appearance_proxy(z)), fei(vfx_proxy(z))])`. Its vjp evaluates
+    the vjps of the chain of tape ops they spell out, the float64 cast first, in
+    that chain's order, so gradients keep its bytes wherever the node is the
+    video's only consumer, as it is on every path of the package.
     """
-    z = fx.cast(z if isinstance(z, Tensor) else Tensor(np.asarray(z)), np.float64)
+    z = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
     zd = _descriptor_input(z.data)
     h, w = zd.shape[3:]
     app_fei, app_saved = _fei_forward(appearance_proxy(zd))
@@ -268,8 +269,9 @@ def joint_descriptor(z) -> Tensor:
     vfx_fei, vfx_saved = _fei_forward(vfx)
     mats1 = blur_matrices(h, w, SIGMA1_DEFAULT)
     mats2 = blur_matrices(h, w, SIGMA2_DEFAULT)
-    return fx.record("descriptor", (z, z, z), np.concatenate([app_fei, vfx_fei], axis=1),
-                     _descriptor_vjp, zd.shape, mats1, mats2, app_saved, vfx_saved, msd, diff)
+    return fx.record("descriptor", (z,), np.concatenate([app_fei, vfx_fei], axis=1),
+                     _descriptor_vjp, zd.shape, z.dtype, mats1, mats2, app_saved, vfx_saved,
+                     msd, diff)
 
 
 def joint_descriptor_detached(z) -> np.ndarray:

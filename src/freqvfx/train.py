@@ -79,6 +79,25 @@ class AdamW:
         p[...] = p - self.lr * update - self.lr * self.weight_decay * p
 
 
+def _mse_vjp(live, d):
+    """The `make_vjp` of the `mse` node: the mean's, the square's and the sub's
+    vjps in the order `backward` ran them, keeping the difference d."""
+    def vjp(g):
+        return (2.0 * (np.broadcast_to(g, d.shape) / d.size).astype(g.dtype, copy=False) * d,)
+
+    return vjp
+
+
+def _mse(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
+    """The mean over every axis of (eps_hat - eps)^2 as one `mse` node: the sub,
+    square, mean chain's numpy expressions in its order, so values and gradients
+    keep its bytes."""
+    if eps.dtype != eps_hat.dtype:
+        raise ParameterError(f"dtype mismatch: prediction {eps_hat.dtype} vs noise {eps.dtype}")
+    d = eps_hat.data - eps
+    return fx.record("mse", (eps_hat,), np.mean(d * d, axis=tuple(range(d.ndim))), _mse_vjp, d)
+
+
 def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
                    stack: AdapterStack, schedule: NoiseSchedule,
                    rng: np.random.Generator):
@@ -93,7 +112,7 @@ def diffusion_loss(batch_z0, cond: Conditioning, params: DenoiserParams,
     z_t = forward_noise(z0.detach(), t, eps, schedule)
     pi = route(joint_descriptor_detached(z_t), stack.router, stack.top_k)
     eps_hat = denoise_step(z_t, t, cond, params, stack, pi=pi)
-    loss = fx.reduce_mean(fx.square(eps_hat - Tensor(eps)))
+    loss = _mse(eps_hat, eps)
     return loss, {"t": t, "pi": pi.data.copy()}
 
 

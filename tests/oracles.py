@@ -2,12 +2,14 @@
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
 mpmath extended precision, central finite differences) and shares no code
-with the package under test. The exceptions are the unfused op chains at the
-end: a fused op must reproduce its chain byte for byte, so the chain is built
-from the package's own primitives, plus the `matmul`, `transpose`,
-`swap_last2`, `log1p`, `slice_axis`, `gelu`, `softmax`, `div`, `linear`,
-`lora_linear` and `attention` ops that only these chains record, defined here
-on `fx.record` (the last two are themselves fused ops, checked against their
+with the package under test. The exceptions are the unfused op chains: a
+package node must reproduce its chain byte for byte, so the chain is built on
+the package's tape (`fx.record`) from the generic broadcasting ops that the
+package no longer records (`add`, `sub`, `mul`, `square`, `absolute`, `cast`,
+`reshape`, `broadcast_to`, `concat`, `reduce_sum`, `reduce_mean`), plus the
+`matmul`, `transpose`, `swap_last2`, `log1p`, `slice_axis`, `gelu`,
+`softmax`, `div`, `linear`, `lora_linear` and `attention` ops that only these
+chains record (the last two are themselves fused ops, checked against their
 own chains, of which `denoiser`'s `attn_block` node is fused in turn); the
 synthetic-data generators, whose loops must give the bytes of the package's
 vectorised ones from the same streams; and the helpers that only tests read
@@ -189,10 +191,278 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         assert err <= bound, f"grad mismatch at flat index {j}: {a[j]} vs {n[j]} (err {err})"
 
 
+# ---------------------------------------------------------------------------
+# the generic broadcasting ops, byte references of the package's nodes
+#
+# A plain operand of a binary op (a Python scalar or an array) becomes a
+# constant Tensor of the other operand's dtype; two Tensors must share one. The
+# package records none of these, and `fx.Tensor` has no arithmetic operators,
+# so the chains below call them by name.
+
+
+def _as_tensor(x, like: "fx.Tensor | None" = None) -> fx.Tensor:
+    if isinstance(x, fx.Tensor):
+        return x
+    dtype = like.dtype if like is not None else fx.DEFAULT_DTYPE
+    return fx.Tensor(np.asarray(x, dtype=dtype))
+
+
+def _pair(a, b) -> tuple[fx.Tensor, fx.Tensor]:
+    if isinstance(a, fx.Tensor) and not isinstance(b, fx.Tensor):
+        return a, _as_tensor(b, a)
+    if isinstance(b, fx.Tensor) and not isinstance(a, fx.Tensor):
+        return _as_tensor(a, b), b
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.dtype != b.dtype:
+        raise ParameterError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
+    return a, b
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+# elementwise arithmetic
+#
+# Each op's `_<op>_vjp(live, ...)` is the `make_vjp` that `fx.record` calls when
+# it appends the op's node: it keeps what the live inputs' gradients read and
+# returns the vjp.
+
+
+def _add_vjp(live, a_shape, b_shape):
+    def vjp(g):
+        return (_unbroadcast(g, a_shape) if live[0] else None,
+                _unbroadcast(g, b_shape) if live[1] else None)
+
+    return vjp
+
+
+def add(a, b) -> fx.Tensor:
+    a, b = _pair(a, b)
+    return fx.record("add", (a, b), a.data + b.data, _add_vjp, a.shape, b.shape)
+
+
+def _sub_vjp(live, a_shape, b_shape):
+    def vjp(g):
+        return (_unbroadcast(g, a_shape) if live[0] else None,
+                _unbroadcast(-g, b_shape) if live[1] else None)
+
+    return vjp
+
+
+def sub(a, b) -> fx.Tensor:
+    a, b = _pair(a, b)
+    return fx.record("sub", (a, b), a.data - b.data, _sub_vjp, a.shape, b.shape)
+
+
+def _mul_vjp(live, ad, bd):
+    a_shape, b_shape = ad.shape, bd.shape
+    ad = ad if live[1] else None
+    bd = bd if live[0] else None
+
+    def vjp(g):
+        ga = _unbroadcast(g * bd, a_shape) if live[0] else None
+        gb = _unbroadcast(g * ad, b_shape) if live[1] else None
+        return ga, gb
+
+    return vjp
+
+
+def mul(a, b) -> fx.Tensor:
+    a, b = _pair(a, b)
+    return fx.record("mul", (a, b), a.data * b.data, _mul_vjp, a.data, b.data)
+
+
+def _square_vjp(live, ad):
+    def vjp(g):
+        return (2.0 * g * ad,)
+
+    return vjp
+
+
+def square(a) -> fx.Tensor:
+    a = _as_tensor(a)
+    ad = a.data
+    return fx.record("square", (a,), ad * ad, _square_vjp, ad)
+
+
+def _abs_vjp(live, ad):
+    def vjp(g):
+        return (g * np.sign(ad),)
+
+    return vjp
+
+
+def absolute(a) -> fx.Tensor:
+    """Elementwise |x|. Subgradient at 0 is 0 (sign(0) = 0)."""
+    a = _as_tensor(a)
+    return fx.record("abs", (a,), np.abs(a.data), _abs_vjp, a.data)
+
+
+def _cast_vjp(live, in_dtype):
+    def vjp(g):
+        return (g.astype(in_dtype),)
+
+    return vjp
+
+
+def cast(a, dtype) -> fx.Tensor:
+    """Dtype conversion; gradient casts back to the input dtype."""
+    a = _as_tensor(a)
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ParameterError(f"tensors hold float32 or float64, not {dtype}")
+    if a.dtype == dtype:
+        return a
+    return fx.record("cast", (a,), a.data.astype(dtype), _cast_vjp, a.dtype)
+
+
+# shape / indexing
+
+
+def _reshape_vjp(live, in_shape):
+    def vjp(g):
+        return (g.reshape(in_shape),)
+
+    return vjp
+
+
+def reshape(a, shape) -> fx.Tensor:
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"cannot reshape {a.shape} to {shape}") from e
+    return fx.record("reshape", (a,), out, _reshape_vjp, a.shape)
+
+
+def _broadcast_vjp(live, in_shape):
+    def vjp(g):
+        return (_unbroadcast(g, in_shape),)
+
+    return vjp
+
+
+def broadcast_to(a, shape) -> fx.Tensor:
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    try:
+        out = np.broadcast_to(a.data, shape)  # a read-only view of `a`
+    except ValueError as e:
+        raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
+    return fx.record("broadcast_to", (a,), out, _broadcast_vjp, a.shape)
+
+
+def _concat_vjp(live, sizes, ax):
+    def vjp(g):
+        grads = []
+        off = 0
+        for s, keep in zip(sizes, live):
+            idx = [slice(None)] * g.ndim
+            idx[ax] = slice(off, off + s)
+            grads.append(g[tuple(idx)] if keep else None)
+            off += s
+        return grads
+
+    return vjp
+
+
+def concat(parts, axis: int) -> fx.Tensor:
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    # a plain part is read at the first Tensor part's dtype, as `_pair` reads one
+    like = next((p for p in parts if isinstance(p, fx.Tensor)), None)
+    parts = [_as_tensor(p, like) for p in parts]
+    for p in parts[1:]:
+        if p.dtype != parts[0].dtype:
+            raise ParameterError(f"dtype mismatch: {parts[0].dtype} vs {p.dtype}")
+    ax = axis if axis >= 0 else parts[0].ndim + axis
+    if not 0 <= ax < parts[0].ndim:
+        raise ShapeError(f"concat axis {axis} out of range for rank {parts[0].ndim}")
+    try:
+        out = np.concatenate([p.data for p in parts], axis=ax)
+    except ValueError as e:
+        raise ShapeError(f"concat shape mismatch: {[p.shape for p in parts]}") from e
+    return fx.record("concat", tuple(parts), out, _concat_vjp, [p.shape[ax] for p in parts], ax)
+
+
+# reductions
+
+
+def _norm_axes(axes, ndim) -> tuple[int, ...]:
+    if axes is None:
+        return tuple(range(ndim))
+    if isinstance(axes, int):
+        axes = (axes,)
+    out = []
+    for ax in axes:
+        a = ax if ax >= 0 else ndim + ax
+        if not 0 <= a < ndim:
+            raise ShapeError(f"reduction axis {ax} out of range for rank {ndim}")
+        out.append(a)
+    if len(set(out)) != len(out):
+        raise ShapeError(f"duplicate reduction axes {axes}")
+    return tuple(sorted(out))
+
+
+def _sum_vjp(live, in_shape, ax, keepdims):
+    def vjp(g):
+        if not keepdims:
+            for d in ax:
+                g = np.expand_dims(g, d)
+        return (np.broadcast_to(g, in_shape).copy(),)
+
+    return vjp
+
+
+def reduce_sum(a, axes=None, keepdims: bool = False) -> fx.Tensor:
+    a = _as_tensor(a)
+    ax = _norm_axes(axes, a.ndim)
+    return fx.record("sum", (a,), np.sum(a.data, axis=ax, keepdims=keepdims), _sum_vjp,
+                     a.shape, ax, keepdims)
+
+
+def _mean_vjp(live, in_shape, ax, keepdims, count):
+    def vjp(g):
+        if not keepdims:
+            for d in ax:
+                g = np.expand_dims(g, d)
+        return ((np.broadcast_to(g, in_shape) / count).astype(g.dtype, copy=False),)
+
+    return vjp
+
+
+def reduce_mean(a, axes=None, keepdims: bool = False) -> fx.Tensor:
+    a = _as_tensor(a)
+    ax = _norm_axes(axes, a.ndim)
+    count = 1
+    for d in ax:
+        count *= a.shape[d]
+    if count == 0:
+        raise ShapeError("mean over zero elements")
+    return fx.record("mean", (a,), np.mean(a.data, axis=ax, keepdims=keepdims), _mean_vjp,
+                     a.shape, ax, keepdims, count)
+
+
+# ---------------------------------------------------------------------------
+# the ops and chains that the fused nodes are checked against
+
+
 def _matmul_vjp(live, ad, bd):
     def vjp(g):
-        ga = fx._unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if live[0] else None
-        gb = fx._unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if live[1] else None
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if live[0] else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if live[1] else None
         return ga, gb
 
     return vjp
@@ -261,7 +531,7 @@ def _linear_vjp(live, hd, wd):
         if live[0]:
             gh = g @ wd
         if live[1]:
-            gw = np.transpose(fx._unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
+            gw = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g, w_shape[::-1]))
         return gh, gw
 
     return vjp
@@ -280,8 +550,8 @@ def _div_vjp(live, ad, bd):
     ad = ad if live[1] else None
 
     def vjp(g):
-        ga = fx._unbroadcast(g / bd, a_shape) if live[0] else None
-        gb = fx._unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
+        ga = _unbroadcast(g / bd, a_shape) if live[0] else None
+        gb = _unbroadcast(-g * ad / (bd * bd), b_shape) if live[1] else None
         return ga, gb
 
     return vjp
@@ -336,15 +606,15 @@ def route_chain(e, params, top_k):
     top-k mask's mul, the row sum and the div, that `moe.route` fuses into its
     `router` node; the descriptor `e` is a constant."""
     ec = fx.Tensor(np.ascontiguousarray(e, dtype=params.w1.dtype))
-    h = gelu(linear(ec, params.w1) + params.b1)
-    pi = softmax(linear(h, params.w2) + params.b2, params.tau)
+    h = gelu(add(linear(ec, params.w1), params.b1))
+    pi = softmax(add(linear(h, params.w2), params.b2), params.tau)
     if top_k < params.n_experts:
         # stable argsort on negated weights: ties resolve to the lower index
         order = np.argsort(-pi.data, axis=-1, kind="stable")
         mask = np.zeros_like(pi.data)
         np.put_along_axis(mask, order[:, :top_k], 1.0, axis=-1)
-        masked = pi * fx.Tensor(mask)
-        pi = div(masked, fx.reduce_sum(masked, axes=(-1,), keepdims=True))
+        masked = mul(pi, fx.Tensor(mask))
+        pi = div(masked, reduce_sum(masked, axes=(-1,), keepdims=True))
     return pi
 
 
@@ -365,18 +635,18 @@ def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
     def vjp(g):
         gb = gpi = gh_up = ga = gh_base = None
         if live[0]:
-            gb = np.transpose(fx._unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
+            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
         if live[1] or live[2] or live[3]:
             g_gated = g @ bd
             if live[1]:
-                ggate = fx._unbroadcast(g_gated * down, gd.shape).reshape(gate_shape)
+                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate_shape)
                 gpi = ggate @ od.T
             if live[2] or live[3]:
-                g_down = fx._unbroadcast(g_gated * gd, down_shape)
+                g_down = _unbroadcast(g_gated * gd, down_shape)
                 if live[2]:
                     gh_up = g_down @ ad
                 if live[3]:
-                    ga = np.transpose(fx._unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
+                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
                                                    a_shape[::-1]))
         if live[4]:
             gh_base = g @ wd
@@ -454,17 +724,17 @@ def _attention_vjp(live, p, qd, kt, vd, scale_arr):
     def vjp(g):
         gv = gq = gk = None
         if live[0]:
-            gv = fx._unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
         if live[1] or live[2]:
             # fresh: the softmax adjoint and the scale run in place into g_s
-            g_s = fx._unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
+            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
             g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
             g_s *= p
             g_s *= scale_arr
             if live[1]:
-                gq = fx._unbroadcast(g_s @ np.swapaxes(kt, -1, -2), q_shape)
+                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), q_shape)
             if live[2]:
-                gk = np.swapaxes(fx._unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt_shape), -1, -2)
+                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt_shape), -1, -2)
         return gv, gq, gk
 
     return vjp
@@ -484,8 +754,8 @@ def attention(q, k, v, scale: float, bias: np.ndarray | None = None):
     The node's inputs are (v, q, k): the order in which the chain handed
     gradients back, so `backward` adds into each input in the same order.
     """
-    q = fx._as_tensor(q)
-    k, v = fx._pair(q, k)[1], fx._pair(q, v)[1]
+    q = _as_tensor(q)
+    k, v = _pair(q, k)[1], _pair(q, v)[1]
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeError(f"attention needs rank >= 2 operands, got q {q.shape}, "
                          f"k {k.shape}, v {v.shape}")
@@ -516,17 +786,17 @@ def lora_linear_chain(h, w, a, b, pi, owner):
     """The matmul, reshape, linear, linear, mul, linear, add chain that
     `fx.lora_linear` fuses; `w` and `owner` are arrays, constants of the chain."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
-    gate = fx.reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
+    gate = reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
     out = linear(h, w)
-    down = linear(h, a) * gate
-    return out + linear(down, b)
+    down = mul(linear(h, a), gate)
+    return add(out, linear(down, b))
 
 
 def attention_chain(q, k, v, scale, bias=None):
     """The transpose, matmul, mul, add, softmax, matmul chain that `fx.attention` fuses."""
-    scores = matmul(q, swap_last2(k)) * scale
+    scores = mul(matmul(q, swap_last2(k)), scale)
     if bias is not None:
-        scores = scores + fx.Tensor(np.asarray(bias, dtype=scores.dtype))
+        scores = add(scores, fx.Tensor(np.asarray(bias, dtype=scores.dtype)))
     return matmul(softmax(scores, tau=1.0), v)
 
 
@@ -543,19 +813,19 @@ def attn_block_chain(x, kv, params, stack, pi, layer, bias=None):
 
     if kv.shape[1] == 1 and bias is None:
         v = project("v", kv)
-        mixed = fx.broadcast_to(v, x.shape[:2] + v.shape[2:])
+        mixed = broadcast_to(v, x.shape[:2] + v.shape[2:])
     else:
         q = project("q", x)
         k = project("k", kv)
         mixed = attention(q, k, project("v", kv), 1.0 / math.sqrt(params.width), bias)
-    return x + project("o", mixed)
+    return add(x, project("o", mixed))
 
 
 def _patchify_chain(z, patch):
     b, t, c, h, w = z.shape
     hp, wp = h // patch, w // patch
-    x = transpose(fx.reshape(z, (b, t, c, hp, patch, wp, patch)), (0, 1, 3, 5, 2, 4, 6))
-    return fx.reshape(x, (b, t * hp * wp, c * patch * patch))
+    x = transpose(reshape(z, (b, t, c, hp, patch, wp, patch)), (0, 1, 3, 5, 2, 4, 6))
+    return reshape(x, (b, t * hp * wp, c * patch * patch))
 
 
 def patch_embed_chain(z, t, params):
@@ -564,7 +834,7 @@ def patch_embed_chain(z, t, params):
     tokens = linear(_patchify_chain(z, params.patch), params.embed_w)
     temb = params.temb[t]
     temb = temb[None, None, :] if temb.ndim == 1 else temb[:, None, :]
-    return tokens + params.pos + fx.Tensor(temb)
+    return add(add(tokens, params.pos), fx.Tensor(temb))
 
 
 def unembed_chain(x, params):
@@ -574,8 +844,8 @@ def unembed_chain(x, params):
     p = params.patch
     out = linear(x, params.unembed_w)
     b = out.shape[0]
-    y = transpose(fx.reshape(out, (b, t, h // p, w // p, c, p, p)), (0, 1, 4, 2, 5, 3, 6))
-    return fx.reshape(y, (b, t, c, h, w))
+    y = transpose(reshape(out, (b, t, h // p, w // p, c, p, p)), (0, 1, 4, 2, 5, 3, 6))
+    return reshape(y, (b, t, c, h, w))
 
 
 def _fei_chain(x):
@@ -589,23 +859,23 @@ def _fei_chain(x):
     b1 = blur(sp.SIGMA1_DEFAULT)
     b2 = blur(sp.SIGMA2_DEFAULT)
     cols = []
-    for part in (b2, b1 - b2, x - b1):
-        e = fx.reduce_sum(fx.square(part), axes=(1, 2, 3))
-        cols.append(fx.reshape(e, (e.shape[0], 1)))
-    e = fx.concat(cols, axis=1)
-    return div(e, fx.reduce_sum(e, axes=(1,), keepdims=True) + sp.EPS_DEFAULT)
+    for part in (b2, sub(b1, b2), sub(x, b1)):
+        e = reduce_sum(square(part), axes=(1, 2, 3))
+        cols.append(reshape(e, (e.shape[0], 1)))
+    e = concat(cols, axis=1)
+    return div(e, add(reduce_sum(e, axes=(1,), keepdims=True), sp.EPS_DEFAULT))
 
 
 def joint_descriptor_chain(z):
     """The cast and the stage functions that `spectral.joint_descriptor` fuses,
     as tape ops; the cast runs once, so both proxies read the same float64
     video."""
-    z = fx.cast(z, np.float64)
+    z = cast(z, np.float64)
     t = z.shape[1]
-    app = _fei_chain(fx.reduce_mean(z, axes=(1,)))
-    diff = slice_axis(z, 1, 1, t) - slice_axis(z, 1, 0, t - 1)
-    vfx = _fei_chain(log1p(fx.reduce_mean(fx.square(diff), axes=(1,))))
-    return fx.concat([app, vfx], axis=1)
+    app = _fei_chain(reduce_mean(z, axes=(1,)))
+    diff = sub(slice_axis(z, 1, 1, t), slice_axis(z, 1, 0, t - 1))
+    vfx = _fei_chain(log1p(reduce_mean(square(diff), axes=(1,))))
+    return concat([app, vfx], axis=1)
 
 
 def joint_descriptor_two_pass(z):
@@ -619,11 +889,11 @@ def ddim_update_chain(z, eps_c, eps_u, cfg_scale, schedule, t, t_next):
     """The sub, mul, add (guidance combine) and mul, mul, add (DDIM update) chain
     that `sampling.ddim_update` fuses into its `ddim` node; eps_u None is the
     cfg-1 step, which runs the update on eps_c alone."""
-    eps_hat = eps_c if eps_u is None else eps_u + cfg_scale * (eps_c - eps_u)
+    eps_hat = eps_c if eps_u is None else add(eps_u, mul(cfg_scale, sub(eps_c, eps_u)))
     a_t, s_t = schedule.alphas[t], schedule.sigmas[t]
     a_n, s_n = schedule.alphas[t_next], schedule.sigmas[t_next]
     ratio = a_n / a_t
-    return float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
+    return add(mul(float(ratio), z), mul(float(s_n - ratio * s_t), eps_hat))
 
 
 def context_tokens_chain(params, cond, batch):
@@ -633,7 +903,7 @@ def context_tokens_chain(params, cond, batch):
     broadcast_to. The image and text groups are cut back out of `cond.tokens`."""
     d = params.width
     if cond is None:
-        return fx.broadcast_to(fx.reshape(fx.Tensor(params.null_token), (1, 1, d)), (batch, 1, d))
+        return broadcast_to(reshape(fx.Tensor(params.null_token), (1, 1, d)), (batch, 1, d))
     n_img = params.pos.shape[0] // params.latent_shape[0]
     parts = []
     for tok in (fx.Tensor(cond.tokens[:, :n_img]), fx.Tensor(cond.tokens[:, n_img:]),
@@ -641,9 +911,45 @@ def context_tokens_chain(params, cond, batch):
         if tok is None:
             continue
         if tok.ndim == 2:
-            tok = fx.broadcast_to(fx.reshape(tok, (1,) + tok.shape), (batch,) + tok.shape)
+            tok = broadcast_to(reshape(tok, (1,) + tok.shape), (batch,) + tok.shape)
         parts.append(tok)
-    return fx.concat(parts, axis=1)
+    return concat(parts, axis=1)
+
+
+def noise_chain(z0, t, eps, schedule):
+    """The mul, mul, add chain that `schedule.forward_noise` fuses into its
+    `noise` node: alpha_t z0 + sigma_t eps, each coefficient a constant of the
+    latent's dtype."""
+    alpha, sigma = schedule.coefficients(t)
+    if np.ndim(alpha) == 1:
+        alpha = alpha.reshape((-1, 1, 1, 1, 1))
+        sigma = sigma.reshape((-1, 1, 1, 1, 1))
+    a = fx.Tensor(np.asarray(alpha, dtype=z0.dtype))
+    s = fx.Tensor(np.asarray(sigma, dtype=z0.dtype))
+    return add(mul(a, z0), mul(s, eps))
+
+
+def mse_chain(eps_hat, eps):
+    """The sub, square, mean chain that `train.diffusion_loss` fuses into its
+    `mse` node; the noise `eps` is a constant."""
+    return reduce_mean(square(sub(eps_hat, fx.Tensor(eps))))
+
+
+def freq_loss_chain(z_gen, z_ref):
+    """The sub, abs, sum, mean chain on the two descriptors that
+    `adapt.freq_constraint_loss` fuses into its `freq_loss` node, each
+    descriptor the cast and `descriptor` chain of `joint_descriptor_chain`."""
+    diff = sub(joint_descriptor_chain(z_gen), joint_descriptor_chain(z_ref))
+    return reduce_mean(reduce_sum(absolute(diff), axes=(1,)))
+
+
+def draw_mean_chain(terms):
+    """The adds in draw order and the mul by 1 / n that `adapt`'s `draw_mean`
+    node fuses; one draw is its own mean."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return total if len(terms) == 1 else mul(total, 1.0 / len(terms))
 
 
 class AdamWPerLeaf:

@@ -375,7 +375,8 @@ def test_criterion_07_stage2_desk_run(stage1_run):
             gen = sample(params, stack, sched, cond.with_vfx(emb.tokens),
                          steps=8, cfg_scale=3.0, seed=0).video
             jd = joint_descriptor(gen)
-            loss = fx.reduce_mean(fx.reduce_sum(fx.absolute(jd - target), axes=(1,)))
+            diff = oracles.sub(jd, target)
+            loss = oracles.reduce_mean(oracles.reduce_sum(oracles.absolute(diff), axes=(1,)))
         bias_last = float(loss.data)
         if i == 0:
             bias_first = bias_last
@@ -484,7 +485,8 @@ def test_criterion_09_sampling_contracts(monkeypatch):
         a_t, s_t = sched.alphas[t], sched.sigmas[t]
         a_n, s_n = sched.alphas[t_next], sched.sigmas[t_next]
         ratio = a_n / a_t
-        z = float(ratio) * z + float(s_n - ratio * s_t) * eps_c
+        c = float(s_n - ratio * s_t)
+        z = oracles.add(oracles.mul(float(ratio), z), oracles.mul(c, eps_c))
     cond_only_ok = np.array_equal(got.video.data, z.data)
 
     # both guidance branches must be fed the very same routing object: per

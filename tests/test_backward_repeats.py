@@ -57,7 +57,7 @@ def test_adapt_step_backward_repeats(model, monkeypatch):
     adapt(z0, build_conditioning(params, z0, text),
           AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
     [(n_nodes, copies, (first, second))] = seen
-    assert n_nodes == 156 and first == second
+    assert n_nodes == 117 and first == second
     assert np.any(np.frombuffer(first[0], dtype=np.float32))
     # the trunks of the 7 sampler steps after the first are replayed, and each
     # copy shares its original's vjp: 2 nodes a trunk (patch_embed and block 0's

@@ -47,6 +47,11 @@ def woken_model(dtype=np.float32):
     return params, stack
 
 
+def guided_eps(eps_c, eps_u, w):
+    """The guidance combine eps_u + w (eps_c - eps_u) as the chain's ops."""
+    return oracles.add(eps_u, oracles.mul(w, oracles.sub(eps_c, eps_u)))
+
+
 def routed(z, stack):
     """The routing weights of latent z, computed as the sampler computes them."""
     return route(joint_descriptor_detached(z), stack.router, stack.top_k)
@@ -339,7 +344,7 @@ class TestDenoiseStep:
         cond = build_conditioning(params, z, text)
         with fx.Tape(stack.parameters().values()) as tape:
             out = denoise_step(z, 3, cond, params, stack, pi=routed(z, stack))
-            loss = fx.reduce_sum(fx.square(out))
+            loss = oracles.reduce_sum(oracles.square(out))
         grads = fx.backward(tape, loss)
         for name, t in params.named_arrays().items():
             g = grads.get(t)
@@ -416,7 +421,7 @@ class TestGuidedStep:
                 wrt = [zt] if on_tape == "z" else list(stack.parameters().values())
                 with fx.Tape(wrt) as tape:
                     eps_c, eps_u = fn(zt)
-                    loss = fx.reduce_sum(fx.square(eps_u + 7.5 * (eps_c - eps_u)))
+                    loss = oracles.reduce_sum(oracles.square(guided_eps(eps_c, eps_u, 7.5)))
                 grads = fx.backward(tape, loss)
                 seen.append((_wiring(tape),
                              [bytes_of(grads[leaf]) for leaf in wrt]))
@@ -452,16 +457,17 @@ class TestGuidedStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b", [1, 4])
     def test_context_matches_three_group_chain(self, monkeypatch, b, dtype):
-        """One read-only context array, with the vfx tokens appended per head,
-        gives the bytes of the three-group concat it replaced: both guided heads'
-        outputs and the gradients of the vfx tokens and of z, with z dead (an
-        adapt rollout's first step) and live, and without vfx tokens."""
+        """One read-only context array, with the vfx tokens appended per head
+        by one `context` node, gives the bytes of the three-group concat it
+        replaced: both guided heads' outputs and the gradients of the vfx
+        tokens and of z, with z dead (an adapt rollout's first step) and live,
+        and without vfx tokens."""
         params, stack = woken_model(dtype)
         z, text = small_batch(b=b, dtype=dtype)
         cond = build_conditioning(params, z, text)
         vfx0 = np.random.default_rng(4).standard_normal((3, WIDTH)).astype(dtype)
         pi = routed(z, stack)
-        runs = []
+        runs, ops = [], []
         for context in (freqvfx.denoiser._context_tokens, oracles.context_tokens_chain):
             monkeypatch.setattr(freqvfx.denoiser, "_context_tokens", context)
             for with_vfx, live_z in ((True, False), (True, True), (False, True)):
@@ -470,12 +476,14 @@ class TestGuidedStep:
                 with fx.Tape(wrt) as tape:
                     eps_c, eps_u = denoise_guided(zt, 3, cond.with_vfx(vfx if with_vfx else None),
                                                   params, stack, pi=pi)
-                    loss = fx.reduce_sum(fx.square(eps_u + 3.0 * (eps_c - eps_u)))
+                    loss = oracles.reduce_sum(oracles.square(guided_eps(eps_c, eps_u, 3.0)))
                 grads = fx.backward(tape, loss)
-                runs.append(([n.op for n in tape.nodes], bytes_of(eps_c), bytes_of(eps_u),
+                ops.append([n.op for n in tape.nodes])
+                runs.append((bytes_of(eps_c), bytes_of(eps_u),
                              [bytes_of(grads[leaf]) for leaf in wrt]))
         assert runs[:3] == runs[3:]
-        assert runs[0][0].count("concat") == 1
+        assert [op.count("context") for op in ops[:3]] == [1, 1, 0]
+        assert [op.count("concat") for op in ops[3:]] == [1, 1, 0]
 
     def test_single_key_shortcut_matches_full_attention(self):
         """Cross-attention into the one null token skips q, k and the softmax;
@@ -495,7 +503,7 @@ class TestGuidedStep:
                 x = freqvfx.denoiser._trunk(z, 3, params, stack, pi)
                 out = freqvfx.denoiser._attention(x, kv, params, stack, pi, "block0.cross",
                                                   bias)
-                loss = fx.reduce_sum(fx.square(out))
+                loss = oracles.reduce_sum(oracles.square(out))
             block = [node for node in tape.nodes if node.op == "attn_block"][-1]
             runs.append((bytes_of(out), len(block.inputs), fx.backward(tape, loss)))
         (short, n_short, g_short), (full, n_full, g_full) = runs

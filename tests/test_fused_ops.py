@@ -17,10 +17,13 @@ self-attention diagonal bias. The loss adds each op's output to an
 input it read, so that input's gradient is summed from several paths and any
 change in the order `backward` adds them would show in its bytes.
 
-`spectral.joint_descriptor` is held to the same bytes against the chain of
-tape ops that its stage functions spell out (the blurs as matmul and swap
-ops), in float32 and float64, at B=1 and B=4, on static videos and at T=2,
-under a loss that reads the video itself too. So is `moe.route`'s `router`
+`spectral.joint_descriptor` is held to the same bytes against the float64
+cast and the chain of tape ops that its stage functions spell out (the blurs
+as matmul and swap ops), in float32 and float64, at B=1 and B=4, on static
+videos and at T=2; in float32 under a loss that reads the video itself too,
+and in float64, where the chain's three slots would add into such a loss's
+gradient one at a time, under one that does not (its float64 gradients, read
+beside the video and alone, agree with central differences). So is `moe.route`'s `router`
 node against its linear, add, gelu, linear, add, softmax (mul, sum, div)
 chain, for every subset of live router leaves, in float32 and float64, at B=1
 and B=4, with top-3 and top-4 of 4 experts. So are the denoiser's
@@ -33,6 +36,17 @@ with central differences. So is the sampler's `ddim` node
 guided and at cfg 1, for every live subset a rollout records, in float32 and
 float64 at B=1 and B=4, at the first and a later step of the 8-step grid;
 its float64 gradients also agree with central differences.
+
+So are the nodes of the loss tails, in float32 and float64 for every live
+subset: `schedule.forward_noise`'s `noise` (mul, mul, add) with one t and a t
+per sample and `train`'s `mse` (sub, square, mean) at B=1 and B=4,
+`adapt.freq_constraint_loss`'s `freq_loss` (sub, abs, sum, mean, against the
+full descriptor chain of each latent) at B=1 and B=4, and `adapt`'s
+`draw_mean` (add, add, add, mul) over 2 and 4 scalar draw losses. The
+`context` node that appends the vfx tokens is checked against its
+reshape, broadcast_to, concat chain through a guided step in
+`tests/test_denoiser.py`, and here its value and vjp at B=1 and B=4. The
+float64 gradients of all five agree with central differences.
 """
 
 import functools
@@ -44,10 +58,10 @@ import pytest
 
 import freqvfx.spectral as sp
 import freqvfx.tensor as fx
-from freqvfx import denoiser, moe, sampling
+from freqvfx import adapt, denoiser, moe, sampling, train
 from freqvfx.config import ModelConfig
 from freqvfx.errors import ParameterError, ShapeError
-from freqvfx.schedule import NoiseSchedule, sampling_grid
+from freqvfx.schedule import NoiseSchedule, forward_noise, sampling_grid
 
 import oracles
 
@@ -68,7 +82,7 @@ def _run(op, arrays, live, residual):
     with fx.Tape([leaves[name] for name in live]) as tape:
         out = op(*inputs)
         weight = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(out.dtype))
-        loss = fx.reduce_sum((leaves[residual] + out) * weight)
+        loss = oracles.reduce_sum(oracles.mul(oracles.add(leaves[residual], out), weight))
     if not live:
         return out.data.tobytes(), {}, tape.nodes
     grads = fx.backward(tape, loss)
@@ -218,16 +232,20 @@ def _video(b, t, dtype, motion):
     return z.astype(dtype)
 
 
-def _run_descriptor(op, z, live):
+def _run_descriptor(op, z, live, reads_z):
     """Forward bytes, the gradient bytes of z when it is live, and the recorded
-    nodes, for a loss that reads the descriptor and then z itself."""
+    nodes, for a loss that reads the descriptor and, when `reads_z`, then z
+    itself."""
     leaf = fx.tensor(z)
     rng = np.random.default_rng(99)
     w = fx.tensor(rng.normal(size=(z.shape[0], 6)))
     wz = fx.tensor(rng.normal(size=z.shape).astype(z.dtype))
     with fx.Tape([leaf] if live else []) as tape:
         d = op(leaf)
-        loss = fx.reduce_sum(d * w) + fx.cast(fx.reduce_sum(leaf * wz), np.float64)
+        loss = oracles.reduce_sum(oracles.mul(d, w))
+        if reads_z:
+            loss = oracles.add(loss, oracles.cast(oracles.reduce_sum(oracles.mul(leaf, wz)),
+                                                  np.float64))
     grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
     return d.data.tobytes(), grad, tape.nodes
 
@@ -236,23 +254,47 @@ def _run_descriptor(op, z, live):
 @pytest.mark.parametrize("b, t, motion", [(1, 8, "moving"), (4, 8, "moving"),
                                           (4, 8, "static"), (1, 2, "moving"), (4, 2, "static")])
 def test_joint_descriptor_matches_chain_bytes(dtype, b, t, motion):
+    """The node lists the video once, in its own dtype. In float32 the loss reads
+    z too: the chain's cast made the float64 video a key of its own, so its three
+    slots were summed before they reached z. In float64 the chain's cast is a
+    no-op and its slots add into z's gradient one at a time, so the loss reads
+    the descriptor only; the float64 finite-difference test below reads both."""
     z = _video(b, t, dtype, motion)
+    reads_z = dtype == np.float32
     for live in (False, True):
-        out, grad, nodes = _run_descriptor(sp.joint_descriptor, z, live)
-        ref_out, ref_grad, _ = _run_descriptor(oracles.joint_descriptor_chain, z, live)
+        out, grad, nodes = _run_descriptor(sp.joint_descriptor, z, live, reads_z)
+        ref_out, ref_grad, _ = _run_descriptor(oracles.joint_descriptor_chain, z, live, reads_z)
         assert out == ref_out
         assert grad == ref_grad
         if not live:
             assert not nodes
             continue
         ops = [n.op for n in nodes]
-        cast = ["cast"] if dtype == np.float32 else []
-        assert ops[:len(cast) + 1] == cast + ["descriptor"]
-        assert ops.count("descriptor") == 1
-        node = nodes[len(cast)]
-        video = node.inputs[0]
-        assert isinstance(video, int) and node.shapes == (z.shape,) * 3
-        assert node.inputs == (video, video, video)
+        assert ops[0] == "descriptor" and ops.count("descriptor") == 1
+        assert "cast" not in ops[:2]
+        node = nodes[0]
+        assert isinstance(node.inputs[0], int) and len(node.inputs) == 1
+        assert node.shapes == (z.shape,)
+
+
+@pytest.mark.parametrize("reads_z", [False, True])
+def test_joint_descriptor_gradients_match_finite_differences(reads_z):
+    """A float64 video, its descriptor read alone and beside the video itself:
+    criterion 3's tolerance, relative 1e-5 above an absolute floor of 1e-9."""
+    z = _video(2, 3, np.float64, "moving")
+    rng = np.random.default_rng(99)
+    w = rng.normal(size=(2, 6))
+    wz = rng.normal(size=z.shape)
+
+    def value(v):
+        return np.sum(sp.joint_descriptor(v).data * w) + (np.sum(v * wz) if reads_z else 0.0)
+
+    _, grad, _ = _run_descriptor(sp.joint_descriptor, z, True, reads_z)
+    coords = np.random.default_rng(98).choice(z.size, size=24, replace=False)
+    num = oracles.fd_grad(value, [z.copy()], 0, coords=coords)
+    assert np.any(num.ravel()[coords] != 0.0)
+    oracles.assert_grads_close(np.frombuffer(grad).reshape(z.shape), num, rtol=1e-5, atol=1e-9,
+                               coords=coords)
 
 
 def test_joint_descriptor_errors():
@@ -341,7 +383,7 @@ def test_router_matches_chain_bytes(dtype, b, top_k):
         for op in (moe.route, oracles.route_chain):
             with fx.Tape([leaves[i] for i in live]) as tape:
                 pi = op(e, router, top_k)
-                loss = fx.reduce_sum(fx.square(pi) * weight)
+                loss = oracles.reduce_sum(oracles.mul(oracles.square(pi), weight))
             grads = fx.backward(tape, loss) if live else {}
             runs.append(([n.op for n in tape.nodes], pi.data.tobytes(),
                          [grads[leaves[i]].data.tobytes() for i in live]))
@@ -383,7 +425,8 @@ def _run_token_op(op, x, live):
     with fx.Tape([leaf] if live else []) as tape:
         out = op(leaf)
         w, wx = (fx.tensor(rng.normal(size=s).astype(x.dtype)) for s in (out.shape, x.shape))
-        loss = fx.reduce_sum(out * w) + fx.reduce_sum(leaf * wx)
+        loss = oracles.add(oracles.reduce_sum(oracles.mul(out, w)),
+                           oracles.reduce_sum(oracles.mul(leaf, wx)))
     grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
     return out.data.tobytes(), grad, tape.nodes
 
@@ -415,7 +458,7 @@ def test_token_plumbing_gradients_match_finite_differences(kind, t_kind):
     w = np.random.default_rng(98).normal(size=fused(fx.tensor(x)).shape)
     leaf = fx.tensor(x.copy())
     with fx.Tape([leaf]) as tape:
-        loss = fx.reduce_sum(fused(leaf) * fx.tensor(w))
+        loss = oracles.reduce_sum(oracles.mul(fused(leaf), fx.tensor(w)))
     got = fx.backward(tape, loss)[leaf].data
     coords = np.random.default_rng(97).choice(x.size, size=24, replace=False)
     num = oracles.fd_grad(lambda v: np.sum(fused(fx.tensor(v)).data * w), [x], 0,
@@ -441,13 +484,12 @@ def _ddim_arrays(dtype, b, guided):
 @pytest.mark.parametrize("cfg_scale", [3.0, 1.0])
 def test_ddim_update_matches_chain_bytes(dtype, b, cfg_scale):
     """z is live after the first step and eps_u whenever z is; eps_c is live
-    whenever vfx tokens are. The loss adds the output to eps_u when guided, so
-    eps_u's two gradients from the node are added into one it already holds, in
-    the order `backward` adds them, and to eps_c at cfg 1."""
+    whenever vfx tokens are. The loss adds the output to eps_c, so eps_c's
+    gradient from the node is added into one it already holds, in the order
+    `backward` adds them."""
     guided = cfg_scale != 1.0
     arrays = _ddim_arrays(dtype, b, guided)
-    node_inputs, residual = ((("z", "eps_u", "eps_c", "eps_u"), "eps_u") if guided
-                             else (("z", "eps_c"), "eps_c"))
+    node_inputs = ("z", "eps_u", "eps_c") if guided else ("z", "eps_c")
     subsets = [("eps_c",) + s for s in _subsets(("z", "eps_u") if guided else ("z",))]
     for t, t_next in DDIM_STEPS:
         def fused(z, eps_c, eps_u=None):
@@ -457,7 +499,7 @@ def test_ddim_update_matches_chain_bytes(dtype, b, cfg_scale):
             return oracles.ddim_update_chain(z, eps_c, eps_u, cfg_scale, SCHEDULE, t, t_next)
 
         for live in subsets:
-            _check_fused(fused, chain, arrays, live, residual, "ddim", node_inputs)
+            _check_fused(fused, chain, arrays, live, "eps_c", "ddim", node_inputs)
 
 
 def test_ddim_update_gradients_match_finite_differences():
@@ -473,8 +515,8 @@ def test_ddim_update_gradients_match_finite_differences():
 
     leaves = [fx.tensor(x.copy()) for x in arrays]
     with fx.Tape(leaves) as tape:
-        loss = fx.reduce_sum(sampling.ddim_update(*leaves, 3.0, SCHEDULE, t, t_next)
-                             * fx.tensor(w))
+        loss = oracles.reduce_sum(oracles.mul(
+            sampling.ddim_update(*leaves, 3.0, SCHEDULE, t, t_next), fx.tensor(w)))
     grads = fx.backward(tape, loss)
     coords = np.random.default_rng(95).choice(arrays[0].size, size=12, replace=False)
     for i, leaf in enumerate(leaves):
@@ -565,7 +607,7 @@ def _run_block(op, form, dtype, b, live):
     weight = fx.tensor(np.random.default_rng(99).normal(size=(b, N_TOKENS, WIDTH)).astype(dtype))
     with fx.Tape([leaves[name] for name in live]) as tape:
         out = op(leaves["x"], kv, params, stack, leaves["pi"], layer, bias)
-        loss = fx.reduce_sum((leaves["x"] + out) * weight)
+        loss = oracles.reduce_sum(oracles.mul(oracles.add(leaves["x"], out), weight))
     if not tape.nodes:
         return out.data.tobytes(), {}, []
     grads = fx.backward(tape, loss)
@@ -629,7 +671,7 @@ def test_attn_block_gradients_match_finite_differences(form):
                       * w)
 
     with fx.Tape(leaves.values()) as tape:
-        loss = fx.reduce_sum(block(leaves) * fx.tensor(w))
+        loss = oracles.reduce_sum(oracles.mul(block(leaves), fx.tensor(w)))
     grads = fx.backward(tape, loss)
     rng = np.random.default_rng(93)
     for name, leaf in leaves.items():
@@ -665,3 +707,179 @@ def test_attn_block_errors():
                           ({"bias": bias, "layer": layer}, bias.shape)):
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
             call(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the loss tails and the vfx context
+
+
+def _tail_arrays(dtype, b, names, seed):
+    rng = np.random.default_rng(seed * b + np.dtype(dtype).itemsize)
+    return {name: rng.normal(size=(b, 2, 4, 8, 8)).astype(dtype) for name in names}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("t_kind", ["shared", "per-sample"])
+def test_forward_noise_matches_chain_bytes(dtype, b, t_kind):
+    """Every live subset of (z0, eps). The loss adds the output to z0, so z0's
+    gradient from the node is added into one it already holds."""
+    arrays = _tail_arrays(dtype, b, ("z0", "eps"), 43)
+    t = 370 if t_kind == "shared" else np.arange(b) * 211 + 40
+
+    def fused(z0, eps):
+        return forward_noise(z0, t, eps, SCHEDULE)
+
+    def chain(z0, eps):
+        return oracles.noise_chain(z0, t, eps, SCHEDULE)
+
+    for live in _subsets(("z0", "eps")):
+        _check_fused(fused, chain, arrays, live, "z0", "noise", ("z0", "eps"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+def test_mse_matches_chain_bytes(dtype, b):
+    """The prediction live and dead; the noise is a constant. The loss adds the
+    scalar output to the prediction, so the prediction's gradient from the node
+    is added into one it already holds."""
+    arrays = _tail_arrays(dtype, b, ("eps_hat", "eps"), 47)
+    eps = arrays.pop("eps")
+    for live in _subsets(("eps_hat",)):
+        _check_fused(lambda e: train._mse(e, eps), lambda e: oracles.mse_chain(e, eps),
+                     arrays, live, "eps_hat", "mse", ("eps_hat",))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+def test_freq_constraint_loss_matches_chain_bytes(dtype, b):
+    """Every live subset of the two latents, against the full reference chain:
+    the cast and the descriptor's stage ops for each latent, then the sub, abs,
+    sum, mean tail. The loss reads the node's output alone, so each descriptor
+    is its latent's only consumer."""
+    arrays = _tail_arrays(dtype, b, ("z_gen", "z_ref"), 53)
+    for live in _subsets(("z_gen", "z_ref")):
+        runs = []
+        for op in (adapt.freq_constraint_loss, oracles.freq_loss_chain):
+            leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
+            with fx.Tape([leaves[name] for name in live]) as tape:
+                out = op(leaves["z_gen"], leaves["z_ref"])
+                loss = oracles.mul(out, 0.75)
+            grads = fx.backward(tape, loss) if live else {}
+            runs.append((out.data.tobytes(),
+                         {name: grads[leaves[name]].data.tobytes() for name in live}, tape.nodes))
+        (out, grads, nodes), (ref_out, ref_grads, _) = runs
+        assert out == ref_out
+        assert grads == ref_grads
+        if not live:
+            assert not nodes
+            continue
+        assert [n.op for n in nodes] == ["descriptor"] * len(live) + ["freq_loss", "mul"]
+        node = nodes[len(live)]
+        mask = tuple(name in live for name in ("z_gen", "z_ref"))
+        assert tuple(k is not None for k in node.inputs) == mask
+        assert tuple(g is not None for g in node.vjp(np.ones(()))) == mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 4])
+def test_draw_mean_matches_chain_bytes(dtype, n):
+    """Every live subset of n scalar draw losses. The loss adds the output to
+    the first draw's loss, so its gradient from the node is added into one it
+    already holds. One draw is its own mean and records nothing."""
+    rng = np.random.default_rng(59 + n)
+    names = tuple(f"l{i}" for i in range(n))
+    arrays = {name: np.asarray(rng.uniform(0.5, 2.0), dtype=dtype) for name in names}
+    for live in _subsets(names):
+        _check_fused(lambda *terms: adapt._draw_mean(list(terms)),
+                     lambda *terms: oracles.draw_mean_chain(list(terms)),
+                     arrays, live, "l0", "draw_mean", names)
+    one = fx.tensor(arrays["l0"])
+    with fx.Tape([one]) as tape:
+        assert adapt._draw_mean([one]) is one
+    assert not tape.nodes
+
+
+def _context_op(dtype, b):
+    """`denoiser._context_tokens` of a small model's conditioning with the vfx
+    tokens given to it appended, at batch b."""
+    cfg = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10)
+    params = denoiser.build_denoiser(np.random.default_rng(61), **denoiser._sizes(cfg),
+                                     dtype=dtype)
+    rng = np.random.default_rng(62 + b)
+    z = rng.normal(size=(b,) + cfg.latent_shape).astype(dtype)
+    text = rng.normal(size=(cfg.n_text_tokens, cfg.width)).astype(dtype)
+    cond = denoiser.build_conditioning(params, z, text)
+
+    def op(vfx):
+        return denoiser._context_tokens(params, cond.with_vfx(vfx), b)
+
+    return op, cond, rng.normal(size=(3, cfg.width)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+def test_context_node_reads_the_vfx_rows_of_its_gradient(dtype, b):
+    """The node's value is the conditioning tokens then the vfx tokens per
+    sample; its vjp gives the vfx tokens the batch sum of the gradient's vfx
+    rows (the rows themselves at B=1, a -0.0 kept), and without vfx tokens the
+    context is the plain conditioning array."""
+    op, cond, vfx0 = _context_op(dtype, b)
+    vfx = fx.tensor(vfx0)
+    with fx.Tape([vfx]) as tape:
+        out = op(vfx)
+    (node,) = tape.nodes
+    n = cond.tokens.shape[1]
+    assert node.op == "context" and node.inputs == (vfx.key,) and node.shapes == (vfx0.shape,)
+    assert out.data.tobytes() == np.concatenate(
+        [cond.tokens, np.broadcast_to(vfx0, (b,) + vfx0.shape)], axis=1).tobytes()
+    g = np.random.default_rng(63).normal(size=out.shape).astype(dtype)
+    g[0, n, 0] = -0.0
+    (got,) = node.vjp(g)
+    want = g[0, n:] if b == 1 else g[:, n:].sum(axis=(0,))
+    assert got.tobytes() == want.tobytes()
+    assert denoiser._context_tokens(None, cond, b) is cond.tokens
+
+
+@pytest.mark.parametrize("name", ["noise", "mse", "freq_loss", "draw_mean", "context"])
+def test_node_gradients_match_finite_differences(name):
+    """Each node in float64, every input live, under a random linear loss:
+    criterion 3's tolerance, relative 1e-5 above an absolute floor of 1e-9."""
+    rng = np.random.default_rng(67)
+    latent = (2, 3, 2, 6, 6)
+    if name == "noise":
+        arrays = [rng.normal(size=latent) for _ in range(2)]
+        t = np.array([300, 650])
+
+        def op(z0, eps):
+            return forward_noise(z0, t, eps, SCHEDULE)
+    elif name == "mse":
+        arrays, eps = [rng.normal(size=latent)], rng.normal(size=latent)
+
+        def op(eps_hat):
+            return train._mse(eps_hat, eps)
+    elif name == "freq_loss":
+        arrays = [rng.normal(size=latent) for _ in range(2)]
+        op = adapt.freq_constraint_loss
+    elif name == "draw_mean":
+        arrays = [np.asarray(rng.uniform(0.5, 2.0)) for _ in range(4)]
+
+        def op(*terms):
+            return adapt._draw_mean(list(terms))
+    else:
+        op, _, vfx0 = _context_op(np.float64, 2)
+        arrays = [vfx0]
+    w = rng.normal(size=op(*map(fx.Tensor, arrays)).shape)
+    leaves = [fx.tensor(a.copy()) for a in arrays]
+    with fx.Tape(leaves) as tape:
+        loss = oracles.reduce_sum(oracles.mul(op(*leaves), fx.tensor(w)))
+    grads = fx.backward(tape, loss)
+
+    def value(*xs):
+        return np.sum(op(*map(fx.Tensor, xs)).data * w)
+
+    for i, leaf in enumerate(leaves):
+        coords = rng.choice(leaf.size, size=min(leaf.size, 12), replace=False)
+        num = oracles.fd_grad(value, arrays, i, coords=coords)
+        assert np.any(num.ravel()[coords] != 0.0)
+        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)

@@ -138,7 +138,7 @@ def test_route_descriptor_is_detached():
     with fx.Tape([z, *p.parameters().values()]) as tape:
         d = sp.joint_descriptor(z)
         pi = moe.route(d, p, top_k=3)
-        loss = fx.reduce_sum(fx.square(pi))
+        loss = oracles.reduce_sum(oracles.square(pi))
     grads = fx.backward(tape, loss)
     np.testing.assert_array_equal(grads[z].data, np.zeros_like(z.data))
     assert np.any(grads[p.w2].data != 0)  # router itself still learns
@@ -155,7 +155,7 @@ def test_router_gradients_match_finite_differences(b, top_k):
     wmix = rng.normal(size=(b, 4))
     leaves = list(p.parameters().values())
     with fx.Tape(leaves) as tape:
-        loss = fx.reduce_sum(moe.route(e, p, top_k) * fx.tensor(wmix))
+        loss = oracles.reduce_sum(oracles.mul(moe.route(e, p, top_k), fx.tensor(wmix)))
     grads = fx.backward(tape, loss)
 
     def value(*_):
@@ -324,7 +324,7 @@ def test_moe_forward_matches_scalar_oracle_f32():
     leaves = [t for ad in adapters for t in (ad.a, ad.b)]
     with fx.Tape(leaves) as tape:
         out = denoiser._attention(x, kv, params, stack, fx.tensor(pi[2:]), layer)
-        loss = fx.reduce_sum(fx.square(out))
+        loss = oracles.reduce_sum(oracles.square(out))
     grads = fx.backward(tape, loss)
     for ad in adapters:
         for m, s in enumerate(slices):
@@ -384,7 +384,7 @@ def test_route_and_moe_forward_gradients():
     with fx.Tape(stack.parameters().values()) as tape:
         pi = moe.route(e, router, top_k=3)
         out = denoiser._attention(fx.Tensor(x), kv, params, stack, pi, layer)
-        loss = fx.reduce_sum(out * fx.tensor(wmix))
+        loss = oracles.reduce_sum(oracles.mul(out, fx.tensor(wmix)))
     grads = fx.backward(tape, loss)
 
     def f_scalar():

@@ -5,7 +5,9 @@ the same on every machine and BLAS. A change that lowers a count updates the
 number here and says so in CHANGES.md; none may raise one silently.
 
 The same two tapes, a train step's and an adapt step's, hold every op that
-`tensor.py` records: an op neither records is one no production path needs.
+`src/freqvfx` records: an op neither records is one no production path needs.
+`selfcheck`'s private `probe` node, the scalar its gradient checks
+differentiate, is the one exception.
 """
 
 import ast
@@ -26,6 +28,8 @@ from freqvfx.schedule import NoiseSchedule
 from freqvfx.spectral import joint_descriptor_detached
 from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import diffusion_loss
+
+PACKAGE = Path(freqvfx.denoiser.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -61,38 +65,55 @@ def step_ops(model):
 
 def test_train_step_nodes(step_ops):
     ops = collections.Counter(step_ops[0])
-    assert len(step_ops[0]) == 9
+    assert len(step_ops[0]) == 7
     # every attention block, its four adapted projections, routing gate, core
     # and residual add included, is one attn_block node, the router one router
-    # node and the output projection with unpatchify one unembed node; an
-    # unfused one would show up as lora, attention, add, linear, matmul,
-    # transpose, reshape or mul nodes. The latent is constant, so the embedding
-    # records nothing
-    assert (ops["attn_block"], ops["router"], ops["unembed"], ops["patch_embed"]) == (4, 1, 1, 0)
-    assert (ops["lora"], ops["attention"], ops["linear"], ops["matmul"], ops["transpose"],
-            ops["concat"], ops["mul"]) == (0, 0, 0, 0, 0, 0, 0)
+    # node, the output projection with unpatchify one unembed node and the loss
+    # one mse node; an unfused one would show up as lora, attention, add,
+    # linear, matmul, transpose, reshape, sub, square, mean or mul nodes. The
+    # latent is constant, so the embedding records nothing
+    assert (ops["attn_block"], ops["router"], ops["unembed"], ops["mse"],
+            ops["patch_embed"]) == (4, 1, 1, 1, 0)
 
 
 def test_adapt_step_nodes(step_ops):
-    assert len(step_ops[1]) == 156
     # each of the 8 sampler steps records its guidance combine and DDIM update as
-    # one ddim node; unfused they would show up as sub, mul and add nodes
-    assert collections.Counter(step_ops[1])["ddim"] == 8
+    # one ddim node and its conditional head's vfx context as one context node;
+    # each of the 4 draws noises the sample in one noise node and reads it through
+    # one descriptor and one freq_loss node, and one draw_mean node averages them
+    assert collections.Counter(step_ops[1]) == {
+        "attn_block": 59, "unembed": 15, "patch_embed": 14, "context": 8, "ddim": 8,
+        "noise": 4, "descriptor": 4, "freq_loss": 4, "draw_mean": 1}
+    assert len(step_ops[1]) == 117
 
 
 def recorded_ops(tree: ast.Module) -> set[str]:
-    """The op names a module passes to `record` as string literals."""
+    """The op names a module passes to `record` as string literals, called by
+    its name or as an attribute (`fx.record`)."""
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
     return {call.args[0].value for call in ast.walk(tree)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "record" and call.args
+            if isinstance(call, ast.Call) and name(call.func) == "record" and call.args
             and isinstance(call.args[0], ast.Constant)}
 
 
-def test_every_op_tensor_records_is_on_a_step_tape(step_ops):
-    ops = recorded_ops(ast.parse(Path(fx.__file__).read_text(encoding="utf-8")))
-    assert len(ops) > 10
-    missing = ops - set(step_ops[0]) - set(step_ops[1])
-    assert not missing, f"tensor.py records ops no train or adapt step records: {sorted(missing)}"
+def test_every_op_the_package_records_is_on_a_step_tape(step_ops):
+    ops = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ops |= recorded_ops(ast.parse(path.read_text(encoding="utf-8")))
+    assert ops - {"probe"} == {"attn_block", "router", "unembed", "mse", "patch_embed",
+                               "context", "ddim", "noise", "descriptor", "freq_loss",
+                               "draw_mean"}
+    missing = ops - {"probe"} - set(step_ops[0]) - set(step_ops[1])
+    assert not missing, f"ops no train or adapt step records: {sorted(missing)}"
+
+
+def test_recorded_ops_reads_names_and_attributes():
+    tree = ast.parse("from . import tensor as fx\nfrom .tensor import record\n"
+                     "fx.record('a', (x,), y, vjp)\nrecord('b', (x,), y, vjp)\n"
+                     "record(op)\n")
+    assert recorded_ops(tree) == {"a", "b"}
 
 
 def test_denoise_step_nodes(model):
@@ -108,14 +129,13 @@ def test_denoise_step_nodes(model):
 
 
 def test_freq_constraint_loss_nodes(model):
-    """One draw on a live float32 latent: cast, descriptor, sub, abs, sum, mean.
-    The reference's descriptor reads a constant and records nothing."""
+    """One draw on a live float32 latent: its descriptor, then the loss. The
+    reference's descriptor reads a constant and records nothing."""
     _, _, _, z0, _ = model
     z = fx.tensor(z0)
     with fx.Tape([z]) as tape:
         freq_constraint_loss(z, z0[::-1].copy())
-    assert [node.op for node in tape.nodes] == ["cast", "descriptor", "sub", "abs", "sum",
-                                                "mean"]
+    assert [node.op for node in tape.nodes] == ["descriptor", "freq_loss"]
 
 
 @pytest.mark.parametrize("cfg_scale, per_step", [(7.5, 24), (1.0, 16)])

@@ -15,6 +15,8 @@ from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule, sampling_grid
 from freqvfx.spectral import joint_descriptor_detached
 
+import oracles
+
 LATENT = (4, 2, 4, 4)
 WIDTH = 16
 NUM_STEPS = 10
@@ -49,11 +51,12 @@ def manual_sample(params, stack, sched, cond, steps, cfg_scale, init_noise):
             eps_hat = eps_c
         else:
             eps_u = denoise_step(z, t, None, params, stack, pi=pi)
-            eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
+            eps_hat = oracles.add(eps_u, oracles.mul(cfg_scale, oracles.sub(eps_c, eps_u)))
         a_t, s_t = sched.alphas[t], sched.sigmas[t]
         a_n, s_n = sched.alphas[t_next], sched.sigmas[t_next]
         ratio = a_n / a_t
-        z = float(ratio) * z + float(s_n - ratio * s_t) * eps_hat
+        c = float(s_n - ratio * s_t)
+        z = oracles.add(oracles.mul(float(ratio), z), oracles.mul(c, eps_hat))
     return z.data
 
 
@@ -235,7 +238,7 @@ class TestRoundingProbeArithmetics:
         with fx.Tape([vfx]) as tape:
             z = sample(params, stack, sched, cond.with_vfx(vfx), steps=4, cfg_scale=3.0,
                        seed=6).video
-            loss = fx.reduce_sum(fx.square(z))
+            loss = oracles.reduce_sum(oracles.square(z))
         return z.data, fx.backward(tape, loss)[vfx].data
 
     @pytest.mark.parametrize("name", ["combine", "update"])

@@ -154,6 +154,16 @@ class TestForwardNoise:
         with pytest.raises(ParameterError):
             forward_noise(z0, 7, np.zeros_like(z0), sched)
 
+    def test_dtype_mismatch_is_refused(self):
+        """The `noise` node computes in the latent's dtype and promotes nothing:
+        noise of another dtype is refused, either way round, naming both."""
+        sched = two_step_schedule()
+        z0 = np.zeros((2, 2, 1, 4, 4), dtype=np.float32)
+        with pytest.raises(ParameterError, match="latent float32 vs noise float64"):
+            forward_noise(z0, 1, np.zeros(z0.shape), sched)
+        with pytest.raises(ParameterError, match="latent float64 vs noise float32"):
+            forward_noise(fx.tensor(z0, dtype=np.float64), 1, fx.tensor(z0), sched)
+
     def test_unit_variance_preserved(self):
         sched = NoiseSchedule.cosine(1000)
         rng = np.random.default_rng(7)
@@ -171,13 +181,13 @@ class TestForwardNoise:
 
         def value(z0a, epsa):
             zt = forward_noise(fx.Tensor(z0a), 1, fx.Tensor(epsa), sched)
-            return float(fx.reduce_sum(fx.square(zt)).data)
+            return float(oracles.reduce_sum(oracles.square(zt)).data)
 
         for wrt in (0, 1):
             z0 = fx.tensor(z0_arr.copy())
             ep = fx.tensor(eps_arr.copy())
             with fx.Tape([z0, ep]) as tape:
-                loss = fx.reduce_sum(fx.square(forward_noise(z0, 1, ep, sched)))
+                loss = oracles.reduce_sum(oracles.square(forward_noise(z0, 1, ep, sched)))
             grads = fx.backward(tape, loss)
             target = (z0, ep)[wrt]
             num = oracles.fd_grad(value, [z0_arr, eps_arr], wrt=wrt)

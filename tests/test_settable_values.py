@@ -20,7 +20,7 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-SETTABLE_VALUES = 65
+SETTABLE_VALUES = 61
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

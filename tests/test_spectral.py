@@ -294,7 +294,7 @@ def test_joint_descriptor_gradients_flow():
     p = fx.tensor(z.copy())
     with fx.Tape([p]) as tape:
         jd = sp.joint_descriptor(p)
-        loss = fx.reduce_sum(jd * fx.tensor(w))
+        loss = oracles.reduce_sum(oracles.mul(jd, fx.tensor(w)))
     got = fx.backward(tape, loss)[p].data
 
     def f(arr):

@@ -4,11 +4,11 @@ A stdlib-`ast` check over every module of the package, with no allow-list. A
 public function defined at module level must be read by the package: by
 another module, as an attribute of a name that module binds to its module
 (`fx.record`) or as a name it imports from there (`from .tensor import
-frozen`), or by its own module under its name (`Tensor.__add__` calls `add`,
-`cli`'s parser dispatches to `cmd_gen`). A public method must be read as an
-attribute by some module of the package. So `tensor.py` holds the tape and
-the ops the package records, no others: an op that only the test suite
-records, and a helper that only tests call, is defined under `tests/`.
+frozen`), or by its own module under its name (`is_live` calls
+`active_tape`, `cli`'s parser dispatches to `cmd_gen`). A public method must
+be read as an attribute by some module of the package. So `tensor.py` holds
+the tape, no op: the generic ops that only the test suite's reference chains
+record, and a helper that only tests call, are defined under `tests/`.
 """
 
 import ast

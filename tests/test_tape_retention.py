@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import freqvfx.tensor as fx
-from freqvfx import denoiser, sampling
-from freqvfx.adapt import adapt
+from freqvfx import denoiser, sampling, train
+from freqvfx.adapt import _draw_mean, adapt, freq_constraint_loss
 from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
 from freqvfx.moe import RouterParams, route
-from freqvfx.schedule import NoiseSchedule
+from freqvfx.schedule import NoiseSchedule, forward_noise
 from freqvfx.synthgen import build_dataset, read_dataset
 
 import oracles
@@ -42,12 +42,12 @@ def _flat(x):
 def test_output_no_vjp_reads_is_freed_while_the_tape_is_active():
     x = fx.tensor(np.ones((64, 64)))
     with fx.Tape([x]) as tape:
-        y = x + 1.0
+        y = oracles.add(x, 1.0)
         freed = weakref.ref(y.data)
-        loss = fx.reduce_sum(y)  # the sum's vjp reads only y's shape
+        loss = oracles.reduce_sum(y)  # the sum's vjp reads only y's shape
         del y
         assert freed() is None
-        kept = fx.square(loss)
+        kept = oracles.square(loss)
         read = weakref.ref(loss.data)  # the square's vjp reads its input
         del loss
         assert read() is not None
@@ -56,7 +56,7 @@ def test_output_no_vjp_reads_is_freed_while_the_tape_is_active():
                                   np.full((64, 64), 2.0 * 64 * 64 * 2.0))
 
 
-@pytest.mark.parametrize("op", [fx.add, fx.sub, fx.mul, oracles.div, oracles.linear])
+@pytest.mark.parametrize("op", [oracles.add, oracles.sub, oracles.mul, oracles.div, oracles.linear])
 def test_one_live_operand_gets_the_gradient_of_both_live(op):
     """Each vjp keeps the arrays its live inputs' gradients read: with one
     operand live it still gives that operand the bytes it gets with both live
@@ -66,12 +66,12 @@ def test_one_live_operand_gets_the_gradient_of_both_live(op):
     arrays = [rng.normal(size=(3, 4)) + 2.0, rng.normal(size=second) + 2.0]
     both = [fx.tensor(a) for a in arrays]
     with fx.Tape(both) as tape:
-        loss = fx.reduce_sum(fx.square(op(*both)))
+        loss = oracles.reduce_sum(oracles.square(op(*both)))
     want = [fx.backward(tape, loss)[t].data.tobytes() for t in both]
     for i in range(2):
         one = [fx.tensor(a) for a in arrays]
         with fx.Tape([one[i]]) as tape:
-            loss = fx.reduce_sum(fx.square(op(*one)))
+            loss = oracles.reduce_sum(oracles.square(op(*one)))
         assert tuple(k is not None for k in tape.nodes[0].inputs) == (i == 0, i == 1)
         assert fx.backward(tape, loss)[one[i]].data.tobytes() == want[i]
 
@@ -111,13 +111,70 @@ def test_ddim_vjp_keeps_only_its_scalars(guided):
         with fx.Tape(wrt) as tape:
             sampling.ddim_update(z, eps_c, eps_u, 3.0, sched, 7, 3)
         (node,) = tape.nodes
-        live = (z_live, u_live, True, u_live) if guided else (z_live, True)
+        live = (z_live, u_live, True) if guided else (z_live, True)
         assert tuple(k is not None for k in node.inputs) == live
         g = np.ones(shape, dtype=np.float32)
         assert tuple(x is not None for x in node.vjp(g)) == live
         cells = [c.cell_contents for c in node.vjp.__closure__]
         assert not any(isinstance(v, fx.Tensor) for v in cells)
         assert all(v.shape == () for v in cells if isinstance(v, np.ndarray))
+
+
+def _kept_arrays(node):
+    """The arrays a node's vjp closes over, by its names for them; it must close
+    over no Tensor."""
+    cells = dict(zip(node.vjp.__code__.co_freevars,
+                     (c.cell_contents for c in node.vjp.__closure__ or ())))
+    assert not any(isinstance(v, fx.Tensor) for v in _flat(list(cells.values())))
+    return {name: v for name, v in cells.items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("t", [7, np.array([3, 8])])
+def test_noise_vjp_keeps_only_the_scalars_its_live_inputs_read(t):
+    """With z0, eps or both live, the `noise` node lists no key and its vjp no
+    gradient for exactly the dead input, and the vjp keeps only the coefficient
+    a (for z0) or s (for eps), 0-d or one per sample, never the latent or the
+    noise."""
+    rng = np.random.default_rng(10)
+    sched = NoiseSchedule.cosine(10)
+    for live in ((True, False), (False, True), (True, True)):
+        z0, eps = (fx.tensor(rng.normal(size=(2, 2, 4, 4, 4)).astype(np.float32))
+                   for _ in range(2))
+        with fx.Tape([x for x, hit in zip((z0, eps), live) if hit]) as tape:
+            forward_noise(z0, t, eps, sched)
+        (node,) = tape.nodes
+        assert tuple(k is not None for k in node.inputs) == live
+        assert tuple(g is not None for g in node.vjp(np.ones(z0.shape, np.float32))) == live
+        kept = _kept_arrays(node)
+        assert {name for name, v in kept.items() if v is not None} == {
+            name for name, hit in zip("as", live) if hit}
+        assert all(v.size == np.size(t) for v in kept.values())
+
+
+def test_loss_vjps_keep_only_their_differences():
+    """The `mse` vjp keeps the (B, T, C, H, W) difference d and the `freq_loss`
+    vjp the (B, 6) descriptor difference, nothing else; the `draw_mean` vjp keeps
+    its 0-d weight and the `context` vjp no array."""
+    rng = np.random.default_rng(11)
+    shape = (2, 2, 2, 4, 4)
+    z, eps_hat = (fx.tensor(rng.normal(size=shape).astype(np.float32)) for _ in range(2))
+    terms = [fx.tensor(np.float64(v)) for v in (0.5, 1.5)]
+    cfg = ModelConfig(latent_shape=(2, 2, 4, 4), width=16, num_steps=10)
+    params, _ = build_model(cfg, np.random.default_rng(12))
+    vfx = fx.tensor(rng.normal(size=(3, 16)).astype(np.float32))
+    cond = build_conditioning(params, z.data, rng.normal(size=(2, 16)).astype(np.float32))
+    with fx.Tape([z, eps_hat, vfx] + terms) as tape:
+        train._mse(eps_hat, rng.normal(size=shape).astype(np.float32))
+        freq_constraint_loss(z, z.data[::-1].copy())
+        _draw_mean(terms)
+        denoiser._context_tokens(params, cond.with_vfx(vfx), 2)
+    assert [n.op for n in tape.nodes] == ["mse", "descriptor", "freq_loss", "draw_mean",
+                                          "context"]
+    mse, _, freq_loss, draw_mean, context = (_kept_arrays(n) for n in tape.nodes)
+    assert list(mse) == ["d"] and mse["d"].shape == shape
+    assert list(freq_loss) == ["d"] and freq_loss["d"].shape == (2, 6)
+    assert list(draw_mean) == ["w"] and draw_mean["w"].shape == ()
+    assert context == {}
 
 
 def _router_reads(live, masks):
@@ -146,16 +203,12 @@ def test_router_vjp_keeps_only_what_its_live_leaves_read(top_k):
         for subset in itertools.combinations(range(4), n):
             live = tuple(i in subset for i in range(4))
             with fx.Tape([leaves[i] for i in subset]) as tape:
-                loss = fx.reduce_sum(fx.square(route(e, router, top_k)))
+                loss = oracles.reduce_sum(oracles.square(route(e, router, top_k)))
             node = tape.nodes[0]
             assert tuple(k is not None for k in node.inputs) == live
             g = np.ones((4, 4), dtype=np.float32)
             assert tuple(x is not None for x in node.vjp(g)) == live
-            cells = dict(zip(node.vjp.__code__.co_freevars,
-                             (c.cell_contents for c in node.vjp.__closure__)))
-            kept = {name for name, v in cells.items() if isinstance(v, np.ndarray)}
-            assert kept == _router_reads(live, top_k < 4)
-            assert not any(isinstance(v, fx.Tensor) for v in cells.values())
+            assert set(_kept_arrays(node)) == _router_reads(live, top_k < 4)
             grads = fx.backward(tape, loss)
             got = {i: grads[leaves[i]].data.tobytes() for i in subset}
             want = want or got
@@ -194,7 +247,7 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     finally:
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
-    assert n_nodes == 156
+    assert n_nodes == 117
     # a node holds its op, keys, shapes and vjp: no Tensor, no array
     assert not in_fields
     # and a vjp keeps arrays, never a Tensor (which would keep its key's array)

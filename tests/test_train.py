@@ -47,7 +47,8 @@ class TestAdamW:
         opt = adamw([p], lr=0.1)
         for _ in range(300):
             with fx.Tape(opt.params) as tape:
-                loss = fx.reduce_sum(fx.square(p - fx.Tensor(np.array([3.0]))))
+                gap = oracles.sub(p, fx.Tensor(np.array([3.0])))
+                loss = oracles.reduce_sum(oracles.square(gap))
             opt.step(fx.backward(tape, loss))
         assert abs(float(p.data[0]) - 3.0) < 1e-3
 

@@ -17,10 +17,11 @@ each sampling with it, and the tool prints the drop 1 - last / first of the
 - `combine`: the guidance combine written (1 - w) eps_u + w eps_c;
 - `update`: the DDIM update written r (z + (c / r) eps_hat).
 
-Each variant is a replacement for `ddim_update` written with tape ops, with
-the one expression swapped, and the run patches it in at
-`freqvfx.sampling.ddim_update`, where `sample` looks it up; everything else is
-the package's sampler. A run takes a few minutes on one core.
+Each variant is a replacement for `ddim_update` written with the generic tape
+ops of `tests/oracles.py`, with the one expression swapped, and the run
+patches it in at `freqvfx.sampling.ddim_update`, where `sample` looks it up;
+everything else is the package's sampler. The warm-up's L1 loss is those ops
+too, as in criterion 7. A run takes a few minutes on one core.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from freqvfx.synthgen import build_dataset
 from freqvfx.tensor import Tensor
 from freqvfx.train import AdamW, smoothed_endpoints
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402
+
 
 def _coefficients(schedule, t, t_next):
     """The update's r = a_n / a_t and c = s_n - r s_t, as `ddim_update` forms them."""
@@ -54,16 +58,17 @@ def _coefficients(schedule, t, t_next):
 
 def combine_variant(z, eps_c, eps_u, cfg_scale, schedule, t, t_next):
     """`ddim_update` for a guided step with the combine written (1 - w) eps_u + w eps_c."""
-    eps_hat = float(1.0 - cfg_scale) * eps_u + float(cfg_scale) * eps_c
+    eps_hat = oracles.add(oracles.mul(float(1.0 - cfg_scale), eps_u),
+                          oracles.mul(float(cfg_scale), eps_c))
     ratio, c = _coefficients(schedule, t, t_next)
-    return float(ratio) * z + float(c) * eps_hat
+    return oracles.add(oracles.mul(float(ratio), z), oracles.mul(float(c), eps_hat))
 
 
 def update_variant(z, eps_c, eps_u, cfg_scale, schedule, t, t_next):
     """`ddim_update` for a guided step with the update written r (z + (c / r) eps_hat)."""
-    eps_hat = eps_u + cfg_scale * (eps_c - eps_u)
+    eps_hat = oracles.add(eps_u, oracles.mul(cfg_scale, oracles.sub(eps_c, eps_u)))
     ratio, c = _coefficients(schedule, t, t_next)
-    return float(ratio) * (z + float(c / ratio) * eps_hat)
+    return oracles.mul(float(ratio), oracles.add(z, oracles.mul(float(c / ratio), eps_hat)))
 
 
 ARITHMETICS = {
@@ -112,7 +117,8 @@ def adapt_drop(params, stack, sched, update) -> tuple[float, float]:
                 gen = freqvfx.sampling.sample(params, stack, sched, cond.with_vfx(emb.tokens),
                                               steps=8, cfg_scale=3.0, seed=0).video
                 jd = joint_descriptor(gen)
-                loss = fx.reduce_mean(fx.reduce_sum(fx.absolute(jd - target), axes=(1,)))
+                diff = oracles.sub(jd, target)
+                loss = oracles.reduce_mean(oracles.reduce_sum(oracles.absolute(diff), axes=(1,)))
             opt.step(fx.backward(tape, loss))
         result = adapt(high["videos"], cond, AdaptConfig(steps=100, sample_cfg=3.0, n_draws=4),
                        params, stack, sched, embedding=emb)
