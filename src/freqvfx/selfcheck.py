@@ -131,8 +131,8 @@ def _check_gradients(rng):
     and `unembed`) against central differences of untaped steps, and the
     gradients of a guided float64 `ddim` node, all three inputs live, against
     central differences of the untaped update."""
-    x = rng.standard_normal((1, 3, 1, 5, 5))
-    wd = rng.standard_normal((1, 6))
+    x = rng.standard_normal((2, 3, 1, 5, 5))  # B > 1 tells the stacked halves apart
+    wd = rng.standard_normal((2, 6))
     p = fx.tensor(x.copy())
     with fx.Tape([p]) as tape:
         loss = _probe([joint_descriptor(p)], [wd])

@@ -11,19 +11,23 @@ The stage functions (`appearance_proxy`, `vfx_proxy`, `decompose`,
 `band_energies`, `normalize_energies`, `fei`) take arrays and return float64
 arrays (`decompose` a `(coarse, band, detail)` tuple of them), at the fixed
 scales `SIGMA1_DEFAULT`, `SIGMA2_DEFAULT` and `EPS_DEFAULT`; only `decompose`
-takes other sigmas.
+takes other sigmas. Each blur is a matrix product with the clamp-to-edge
+gaussian that `clamp_taps` tabulates, the table `synthgen` blurs with too.
 
-`joint_descriptor`, which the frequency-constraint loss reads on every draw,
-composes the stage functions and joins the tape as one `descriptor` node with a
-hand-written vjp, so the descriptor is differentiable end to end; values and
-gradients have the bytes of the chain of tape ops (a float64 cast, then the ops
-that the stage functions' numpy expressions spell out) that `tests/oracles.py`
-keeps. `joint_descriptor_detached` composes the stage functions on a plain
-array, so no tape records it.
+`joint_descriptor` is the one descriptor forward: `fei` run once on both
+proxies stacked along the batch axis, recorded as one `descriptor` node with a
+hand-written vjp, so the descriptor is differentiable end to end. The vjp keeps
+only the float64 video and the stacked proxies and recomputes the rest of the
+forward from them when it runs; values and gradients have the bytes of the
+chain of tape ops (a float64 cast, then the ops that the stage functions'
+numpy expressions spell out) that `tests/oracles.py` keeps.
+`joint_descriptor_detached` runs it on the video's plain array, which no tape
+records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,8 +43,6 @@ EPS_DEFAULT = 1e-8
 # ---------------------------------------------------------------------------
 # gaussian blur (separable, replicate padding, adjoint by the transposed matrices)
 
-_BLUR_CACHE: dict[tuple, np.ndarray] = {}
-
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized float64 1-D gaussian taps with radius max(1, ceil(3*sigma))."""
@@ -53,43 +55,45 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k
 
 
+@functools.lru_cache(maxsize=64)
+def clamp_taps(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2r+1) clamp-to-edge sample index and the gaussian taps of a blur
+    along an axis of length n, read-only and shared."""
+    taps = gaussian_kernel_1d(sigma)
+    r = (len(taps) - 1) // 2
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-r, r + 1)[None, :], 0, n - 1)
+    idx.setflags(write=False)
+    taps.setflags(write=False)
+    return idx, taps
+
+
+@functools.lru_cache(maxsize=64)
 def blur_matrix(n: int, sigma: float) -> np.ndarray:
     """(n, n) float64 matrix applying the 1-D gaussian with replicate (clamp)
     padding.
 
     Row i holds the weights contributing to output i; clamped taps accumulate
-    onto the edge columns, so every row sums to 1 and constants pass through.
-    The array is cached and shared, so it is read-only; copy it to modify it.
+    onto the edge columns in tap order, so every row sums to 1 and constants
+    pass through. The array is cached and shared, so it is read-only; copy it
+    to modify it.
     """
     if n < 1:
         raise ShapeError(f"blur needs at least one sample per axis, got {n}")
-    key = (n, float(sigma))
-    hit = _BLUR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = gaussian_kernel_1d(sigma)
-    radius = (len(k) - 1) // 2
+    idx, taps = clamp_taps(n, sigma)
     m = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for off in range(-radius, radius + 1):
-            j = min(max(i + off, 0), n - 1)
-            m[i, j] += k[off + radius]
+    np.add.at(m, (np.arange(n)[:, None], idx), taps)
     m /= m.sum(axis=1, keepdims=True)
     m.setflags(write=False)
-    _BLUR_CACHE[key] = m
     return m
 
 
+@functools.lru_cache(maxsize=64)
 def blur_matrix_t(n: int, sigma: float) -> np.ndarray:
     """`blur_matrix(n, sigma).T` as a C-contiguous array, cached and read-only
     like the matrix itself."""
-    key = (n, float(sigma), "T")
-    hit = _BLUR_CACHE.get(key)
-    if hit is None:
-        hit = blur_matrix(n, sigma).T.copy()
-        hit.setflags(write=False)
-        _BLUR_CACHE[key] = hit
-    return hit
+    m = blur_matrix(n, sigma).T.copy()
+    m.setflags(write=False)
+    return m
 
 
 def blur_matrices(h: int, w: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,14 +129,6 @@ def _video(z) -> np.ndarray:
     return zd
 
 
-def _motion(zd: np.ndarray):
-    """The VFX proxy of a float64 video, its mean squared frame difference and
-    its frame differences."""
-    diff = zd[:, 1:] - zd[:, :-1]
-    msd = np.mean(diff * diff, axis=(1,))
-    return np.log1p(msd), msd, diff
-
-
 def appearance_proxy(z) -> np.ndarray:
     """(B, C, H, W) temporal mean of the video (Eq. content proxy)."""
     zd = _video(z)
@@ -147,7 +143,8 @@ def vfx_proxy(z) -> np.ndarray:
     zd = _video(z)
     if zd.shape[1] < 2:
         raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={zd.shape[1]}")
-    return _motion(zd)[0]
+    diff = zd[:, 1:] - zd[:, :-1]
+    return np.log1p(np.mean(diff * diff, axis=(1,)))
 
 
 def decompose(x, sigma1: float = SIGMA1_DEFAULT, sigma2: float = SIGMA2_DEFAULT
@@ -190,97 +187,83 @@ def fei(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the fused descriptor node
+# the descriptor node
 
 
-def _fei_forward(x: np.ndarray):
-    """`fei` of a float64 proxy: its (B, 3) value, and the arrays `_fei_vjp`
-    reads."""
-    parts = decompose(x)
+def _fei_vjp(g: np.ndarray, x: np.ndarray, mats1, mats2) -> np.ndarray:
+    """The gradient of `fei` at the float64 proxy x, from the vjps of its chain
+    in the order `backward` ran them; the parts and energies they read are
+    recomputed from x."""
+    coarse, band, detail = parts = decompose(x)
     energies = band_energies(parts)
-    return normalize_energies(energies), (parts, energies)
-
-
-def _fei_vjp(g: np.ndarray, saved, mats1, mats2) -> np.ndarray:
-    """The proxy's gradient, from the vjps of `fei`'s chain in the order
-    `backward` ran them."""
-    (coarse, band, detail), energies = saved
     denom = np.sum(energies, axis=(1,), keepdims=True) + EPS_DEFAULT
     g_e = g / denom + np.broadcast_to(
         (-g * energies / (denom * denom)).sum(axis=(1,), keepdims=True), energies.shape)
     g_coarse, g_band, g_detail = (
         2.0 * np.broadcast_to(g_e[:, i].reshape((-1, 1, 1, 1)), p.shape).copy() * p
-        for i, p in enumerate((coarse, band, detail)))
+        for i, p in enumerate(parts))
     # each sum adds its paths in the order `backward` reached them through the chain
     g_b1 = -g_detail + g_band
     g_b2 = g_coarse + -g_band
     return g_detail + blur_adjoint(g_b2, mats2) + blur_adjoint(g_b1, mats1)
 
 
-def _descriptor_vjp(live, shape, dtype, mats1, mats2, app_saved, vfx_saved, msd, diff):
-    """The `make_vjp` of the `descriptor` node on the video: it keeps both
-    paths' arrays, the video's shape and dtype, not the video. The gradient is
-    the sum of the earlier frame slice's, the later frame slice's and the
-    appearance mean's, in the order `backward` added them into the float64
-    video, then cast back to the video's dtype, as the chain's cast did."""
-    t = shape[1]
+def _descriptor_vjp(live, zd, proxies, dtype):
+    """The `make_vjp` of the `descriptor` node on the video: it keeps the
+    float64 video, the (2B, C, H, W) stacked proxies, their two blur-matrix
+    pairs and the video's dtype, and recomputes the frame differences and
+    `fei`'s intermediates when it runs. The gradient is the sum of the earlier
+    frame slice's, the later frame slice's and the appearance mean's, in the
+    order `backward` added them into the float64 video, then cast back to the
+    video's dtype, as the chain's cast did."""
+    mats1 = blur_matrices(*zd.shape[3:], SIGMA1_DEFAULT)
+    mats2 = blur_matrices(*zd.shape[3:], SIGMA2_DEFAULT)
 
     def vjp(g):
-        g_vfx = _fei_vjp(g[:, 3:], vfx_saved, mats1, mats2)
-        g_sq = np.broadcast_to(np.expand_dims(g_vfx / (1.0 + msd), 1), diff.shape) / (t - 1)
+        b, t = zd.shape[:2]
+        diff = zd[:, 1:] - zd[:, :-1]
+        msd = np.mean(diff * diff, axis=(1,))
+        g_proxies = _fei_vjp(np.concatenate([g[:, :3], g[:, 3:]]), proxies, mats1, mats2)
+        g_sq = np.broadcast_to(np.expand_dims(g_proxies[b:] / (1.0 + msd), 1),
+                               diff.shape) / (t - 1)
         g_diff = 2.0 * g_sq * diff
-        g_earlier = np.zeros(shape)
+        g_earlier = np.zeros(zd.shape)
         g_earlier[:, :-1] = -g_diff
-        g_later = np.zeros(shape)
+        g_later = np.zeros(zd.shape)
         g_later[:, 1:] = g_diff
-        g_proxy = _fei_vjp(g[:, :3], app_saved, mats1, mats2)
-        g_app = np.broadcast_to(np.expand_dims(g_proxy, 1), shape) / t
+        g_app = np.broadcast_to(np.expand_dims(g_proxies[:b], 1), zd.shape) / t
         return (((g_earlier + g_later) + g_app).astype(dtype, copy=False),)
 
     return vjp
 
 
-def _descriptor_input(z) -> np.ndarray:
-    """The float64 video that both descriptor halves read, checked."""
-    zd = _video(z)
+def joint_descriptor(z) -> Tensor:
+    """(B, 6) concatenation of the appearance and VFX indicators.
+
+    One `descriptor` node on the video in its own dtype (a plain array is a
+    constant, which no tape records). Its value is `fei` run once on the two
+    proxies of the float64 video stacked along the batch axis, its (2B, 3)
+    result split into the (B, 3) halves; every stage works per sample, so each
+    half has the bytes of `fei` on that proxy alone. Its vjp evaluates the vjps
+    of the chain of tape ops the stage functions spell out, the float64 cast
+    first, in that chain's order, so gradients keep its bytes wherever the node
+    is the video's only consumer, as it is on every path of the package.
+    """
+    if not isinstance(z, Tensor):
+        z = np.asarray(z)
+    zd = _video(z.data if isinstance(z, Tensor) else z)
     b, t, c, h, w = zd.shape
     if t < 2:
         raise ShapeError(f"vfx proxy needs T >= 2 frames, got T={t}")
     if min(b, c, h, w) < 1:
         raise ShapeError(f"latent video has an empty axis: shape {zd.shape}")
-    return zd
-
-
-def joint_descriptor(z) -> Tensor:
-    """(B, 6) concatenation of the appearance and VFX indicators.
-
-    One `descriptor` node on the video in its own dtype, whose value the stage
-    functions compute on the float64 video,
-    `concat([fei(appearance_proxy(z)), fei(vfx_proxy(z))])`. Its vjp evaluates
-    the vjps of the chain of tape ops they spell out, the float64 cast first, in
-    that chain's order, so gradients keep its bytes wherever the node is the
-    video's only consumer, as it is on every path of the package.
-    """
-    z = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
-    zd = _descriptor_input(z.data)
-    h, w = zd.shape[3:]
-    app_fei, app_saved = _fei_forward(appearance_proxy(zd))
-    vfx, msd, diff = _motion(zd)
-    vfx_fei, vfx_saved = _fei_forward(vfx)
-    mats1 = blur_matrices(h, w, SIGMA1_DEFAULT)
-    mats2 = blur_matrices(h, w, SIGMA2_DEFAULT)
-    return fx.record("descriptor", (z,), np.concatenate([app_fei, vfx_fei], axis=1),
-                     _descriptor_vjp, zd.shape, z.dtype, mats1, mats2, app_saved, vfx_saved,
-                     msd, diff)
+    proxies = np.concatenate([appearance_proxy(zd), vfx_proxy(zd)])
+    e = fei(proxies)
+    return fx.record("descriptor", (z,), np.concatenate([e[:b], e[b:]], axis=1),
+                     _descriptor_vjp, zd, proxies, z.dtype)
 
 
 def joint_descriptor_detached(z) -> np.ndarray:
-    """`joint_descriptor`'s value as a plain array, which no tape records (for
-    routing inputs): the stage functions on the float64 video, with `fei` run
-    once on the two proxies stacked along the batch axis. Every stage works per
-    sample, so each half of its (2B, 3) result has the bytes of `fei` on that
-    proxy alone."""
-    zd = _descriptor_input(z.data if isinstance(z, Tensor) else z)
-    b = zd.shape[0]
-    e = fei(np.concatenate([appearance_proxy(zd), vfx_proxy(zd)]))
-    return np.concatenate([e[:b], e[b:]], axis=1)
+    """`joint_descriptor`'s value on the video's plain array (for routing
+    inputs), which no tape records, even with the video live."""
+    return joint_descriptor(z.data if isinstance(z, Tensor) else z).data

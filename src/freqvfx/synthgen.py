@@ -35,7 +35,6 @@ that narrow feasible region.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from .config import ModelConfig, check_elements
 from .container import check_entries, checked_entry
 from .errors import ContainerError, ParameterError, ShapeError
-from .spectral import gaussian_kernel_1d
+from .spectral import clamp_taps
 
 _TEXT_STREAM_TAG = 9000  # stream namespace for per-class conditioning tokens
 
@@ -72,20 +71,8 @@ def _stream(seed: int, class_id: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, class_id, index))))
 
 
-@functools.lru_cache(maxsize=64)
-def _clamp_taps(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2r+1) clamp-to-edge sample index and the gaussian taps of a blur
-    along an axis of length n, read-only and shared."""
-    taps = gaussian_kernel_1d(sigma)
-    r = (len(taps) - 1) // 2
-    idx = np.clip(np.arange(n)[:, None] + np.arange(-r, r + 1)[None, :], 0, n - 1)
-    idx.setflags(write=False)
-    taps.setflags(write=False)
-    return idx, taps
-
-
 def _blur_last(a: np.ndarray, sigma: float) -> np.ndarray:
-    idx, taps = _clamp_taps(a.shape[-1], sigma)
+    idx, taps = clamp_taps(a.shape[-1], sigma)
     return (a[..., idx] * taps).sum(-1)
 
 

@@ -114,9 +114,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 

@@ -58,6 +58,19 @@ def gaussian_taps_scalar(sigma: float) -> np.ndarray:
     return np.array([t / s for t in taps], dtype=np.float64)
 
 
+def blur_matrix_loop(n: int, sigma: float) -> np.ndarray:
+    """`spectral.blur_matrix` as a double loop over rows and taps: each clamped
+    tap adds onto its edge column in tap order, then every row is normalized."""
+    k = gaussian_kernel_1d(sigma)
+    radius = (len(k) - 1) // 2
+    m = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for off in range(-radius, radius + 1):
+            j = min(max(i + off, 0), n - 1)
+            m[i, j] += k[off + radius]
+    return m / m.sum(axis=1, keepdims=True)
+
+
 def softmax_mp(x, tau: float, dps: int = 60) -> np.ndarray:
     """Temperature softmax of a 1-D vector at `dps` decimal digits."""
     old = mp.dps
@@ -879,9 +892,9 @@ def joint_descriptor_chain(z):
 
 
 def joint_descriptor_two_pass(z):
-    """`spectral.joint_descriptor_detached` as it ran `fei` once per proxy and
-    joined the two (B, 3) results."""
-    zd = sp._descriptor_input(z.data if isinstance(z, fx.Tensor) else z)
+    """The descriptor as `fei` run once per proxy of the float64 video, the two
+    (B, 3) results joined."""
+    zd = np.asarray(z.data if isinstance(z, fx.Tensor) else z, dtype=np.float64)
     return np.concatenate([sp.fei(sp.appearance_proxy(zd)), sp.fei(sp.vfx_proxy(zd))], axis=1)
 
 

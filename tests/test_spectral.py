@@ -306,11 +306,15 @@ def test_joint_descriptor_gradients_flow():
 
 
 def test_detached_descriptor_never_records():
-    z = fx.tensor(np.random.default_rng(18).normal(size=(1, 3, 1, 4, 4)))
+    """On a live video under a tape, the detached descriptor appends no node and
+    has the bytes of the `descriptor` node's value."""
+    z = fx.tensor(np.random.default_rng(18).normal(size=(2, 3, 1, 4, 4)).astype(np.float32))
     with fx.Tape([z]) as tape:
         d = sp.joint_descriptor_detached(z)
         assert len(tape.nodes) == 0
-    assert d.shape == (1, 6)
+        value = sp.joint_descriptor(z).data
+    assert [n.op for n in tape.nodes] == ["descriptor"]
+    assert d.shape == (2, 6) and d.tobytes() == value.tobytes()
 
 
 def test_appearance_descriptor_scale_invariant():
@@ -330,9 +334,16 @@ def test_appearance_descriptor_scale_invariant():
                                    (7, 5, 3, 6, 10), (16, 2, 4, 9, 7), (128, 8, 4, 16, 16)])
 def test_detached_descriptor_matches_two_pass_bytes(shape, dtype):
     """`fei` run once on both proxies stacked along the batch axis gives the
-    bytes of one `fei` per proxy, on moving and on static videos."""
+    bytes of one `fei` per proxy, on moving and on static videos: the
+    `descriptor` node's value on a constant video and on a live one under a
+    tape, and the detached descriptor."""
     rng = np.random.default_rng(shape[0] * 31 + shape[-1])
     z = rng.normal(size=shape).astype(dtype)
     for video in (z, np.repeat(z[:, :1], shape[1], axis=1)):
-        got = sp.joint_descriptor_detached(video)
-        assert got.tobytes() == oracles.joint_descriptor_two_pass(video).tobytes()
+        want = oracles.joint_descriptor_two_pass(video).tobytes()
+        assert sp.joint_descriptor(video).data.tobytes() == want
+        live = fx.Tensor(video)
+        with fx.Tape([live]) as tape:
+            assert sp.joint_descriptor(live).data.tobytes() == want
+        assert [n.op for n in tape.nodes] == ["descriptor"]
+        assert sp.joint_descriptor_detached(video).tobytes() == want

@@ -23,6 +23,7 @@ from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
 from freqvfx.moe import RouterParams, route
 from freqvfx.schedule import NoiseSchedule, forward_noise
+from freqvfx.spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrices, joint_descriptor
 from freqvfx.synthgen import build_dataset, read_dataset
 
 import oracles
@@ -175,6 +176,27 @@ def test_loss_vjps_keep_only_their_differences():
     assert list(freq_loss) == ["d"] and freq_loss["d"].shape == (2, 6)
     assert list(draw_mean) == ["w"] and draw_mean["w"].shape == ()
     assert context == {}
+
+
+def test_descriptor_vjp_keeps_only_the_video_and_the_proxies():
+    """The `descriptor` vjp keeps the float64 video, the (2B, C, H, W) stacked
+    proxies, the two cached read-only blur-matrix pairs and the video's dtype,
+    and recomputes the rest of the forward from them."""
+    z = fx.tensor(np.random.default_rng(13).normal(size=(2, 3, 2, 4, 6)).astype(np.float32))
+    with fx.Tape([z]) as tape:
+        joint_descriptor(z)
+    (node,) = tape.nodes
+    kept = _kept_arrays(node)
+    assert set(kept) == {"zd", "proxies"}
+    assert kept["zd"].tobytes() == z.data.astype(np.float64).tobytes()
+    assert kept["proxies"].shape == (4, 2, 4, 6) and kept["proxies"].dtype == np.float64
+    cells = dict(zip(node.vjp.__code__.co_freevars,
+                     (c.cell_contents for c in node.vjp.__closure__)))
+    assert set(cells) == {"zd", "proxies", "mats1", "mats2", "dtype"}
+    for name, sigma in (("mats1", SIGMA1_DEFAULT), ("mats2", SIGMA2_DEFAULT)):
+        assert all(m is c and not m.flags.writeable
+                   for m, c in zip(cells[name], blur_matrices(4, 6, sigma), strict=True))
+    assert cells["dtype"] == np.float32
 
 
 def _router_reads(live, masks):

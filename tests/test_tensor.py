@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freqvfx.spectral as sp
+import freqvfx.synthgen as sg
 import freqvfx.tensor as fx
 from freqvfx.errors import ParameterError, ShapeError, TapeConsistencyError
 
@@ -164,6 +165,29 @@ def test_blur_matrix_cache_is_read_only():
     assert mt.flags.c_contiguous and not mt.flags.writeable
     with pytest.raises(ValueError):
         mt[:] = 0
+
+
+def test_blur_matrix_matches_the_tap_loop_bytes():
+    """`blur_matrix` adds each clamped tap onto its column in the loop's (row,
+    tap) order, so it has the loop's bytes."""
+    for sigma in (0.1, 0.3, 0.46875, 0.5, 0.9375, 1.2, 1.5, 2.0, 3.7, 10.0):
+        for n in range(1, 71):
+            assert sp.blur_matrix(n, sigma).tobytes() == \
+                oracles.blur_matrix_loop(n, sigma).tobytes(), (n, sigma)
+
+
+def test_synthgen_and_spectral_read_the_same_clamp_taps():
+    """`synthgen`'s blur and a `blur_matrix` build read the one cached table:
+    each of the blur's two passes and the build hit the entry already made."""
+    assert sg.clamp_taps is sp.clamp_taps
+    idx, taps = sp.clamp_taps(13, 1.5)
+    assert not idx.flags.writeable and not taps.flags.writeable
+    before = sp.clamp_taps.cache_info()
+    sg._blur2d(np.ones((2, 13, 13)), 1.5)
+    sp.blur_matrix.__wrapped__(13, 1.5)  # the build, past its own cache
+    after = sp.clamp_taps.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    assert sp.clamp_taps(13, 1.5) == (idx, taps)
 
 
 # ---------------------------------------------------------------------------
