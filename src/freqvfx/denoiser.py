@@ -69,7 +69,8 @@ import numpy as np
 from . import tensor as fx
 from .config import ModelConfig
 from .errors import ParameterError, ShapeError
-from .moe import MoeAdapter, RouterParams, expert_owner, moe_forward, split_rank_budget
+from .moe import (LeafSource, MoeAdapter, RouterParams, drawing, expert_owner, moe_forward,
+                  split_rank_budget)
 # unused here, but bench/spans.py traces routing by wrapping freqvfx.denoiser.route
 from .moe import route  # noqa: F401
 from .tensor import Tensor
@@ -80,7 +81,15 @@ class DenoiserParams:
     """The frozen backbone. `projections` holds every attention weight by its
     checkpoint entry name without `backbone.`: `block<i>.<self|cross>.w<q|k|v|o>`,
     in draw order. `self_bias` is the constant diag_bias * I added to every
-    self-attention's scores, None when diag_bias is 0."""
+    self-attention's scores, None when diag_bias is 0.
+
+    `transposed` holds a read-only, C-contiguous copy of the transpose of each
+    weight that multiplies the token stream, built with the backbone: the
+    layout it is multiplied in (`moe.moe_forward`). Those are every
+    self-attention projection, cross-attention's q and o, keyed as
+    `projections`, and `embed_w` and `unembed_w`; cross-attention's k and v
+    multiply the context rows by `.T` views. They are not arrays of the
+    checkpoint, and every vjp reads the weights themselves."""
 
     latent_shape: tuple[int, int, int, int]
     patch: int
@@ -94,6 +103,14 @@ class DenoiserParams:
     cond_proj_w: np.ndarray
     projections: dict[str, np.ndarray]
     self_bias: np.ndarray | None
+    transposed: dict[str, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        weights = {name: w for name, w in self.projections.items()
+                   if ".self." in name or name.endswith(("wq", "wo"))}
+        weights.update(embed_w=self.embed_w, unembed_w=self.unembed_w)
+        self.transposed = {name: fx.frozen(np.ascontiguousarray(w.T))
+                           for name, w in weights.items()}
 
     @property
     def num_steps(self) -> int:
@@ -215,19 +232,27 @@ def build_denoiser(rng: np.random.Generator, *, latent_shape: tuple[int, int, in
                      num_steps=num_steps, diag_bias=diag_bias, cross_gain=cross_gain)
 
 
-def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: ModelConfig,
-                        dtype=np.float32) -> AdapterStack:
-    """Router and an expert pair per projection of `params`, sized and routed by `cfg`."""
+def _stack(leaf: LeafSource, params: DenoiserParams, cfg: ModelConfig) -> AdapterStack:
+    """Router and an expert pair per projection of `params`, sized and routed by
+    `cfg`, whose leaves `leaf` gives in `AdapterStack.parameters` order."""
     if not 1 <= cfg.top_k <= cfg.n_experts:
         raise ParameterError(f"top_k must lie in [1, {cfg.n_experts}], got {cfg.top_k}")
     ranks = tuple(split_rank_budget(cfg.total_rank, cfg.n_experts))
-    router = RouterParams.init(rng, n_experts=cfg.n_experts, hidden=cfg.router_hidden,
-                               tau=cfg.tau, dtype=dtype)
-    # the adapter of projection `block0.self.wq` is layer `block0.self.q`
-    layers = {name[:-2] + name[-1]: MoeAdapter.init(rng, d_in=params.width, d_out=params.width,
-                                                    ranks=ranks, dtype=dtype)
-              for name in params.projections}
+    router = RouterParams.build(leaf, n_experts=cfg.n_experts, hidden=cfg.router_hidden,
+                                tau=cfg.tau)
+    layers = {}
+    for name in params.projections:
+        layer = name[:-2] + name[-1]  # the adapter of `block0.self.wq` is `block0.self.q`
+        layers[layer] = MoeAdapter.build(leaf, f"adapter.{layer}", d_in=params.width,
+                                         d_out=params.width, ranks=ranks)
     return AdapterStack(router=router, layers=layers, top_k=cfg.top_k, ranks=ranks)
+
+
+def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: ModelConfig,
+                        dtype=np.float32) -> AdapterStack:
+    """Router and an expert pair per projection of `params`, sized and routed by
+    `cfg`, drawn from `rng`."""
+    return _stack(drawing(rng, dtype), params, cfg)
 
 
 def _sizes(cfg: ModelConfig) -> dict:
@@ -244,14 +269,12 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator):
 
 
 def load_model(cfg: ModelConfig, take: Callable[[str, tuple[int, ...]], np.ndarray]):
-    """The model of `cfg` whose every array `name` is take(name, shape): the
-    backbone holds those arrays read-only, with nothing drawn, and the stack's
-    leaves are copies (over a fixed-seed build's draws)."""
+    """The model of `cfg` whose every array `name` is take(name, shape), with
+    nothing drawn: the backbone holds those arrays read-only, and each leaf of
+    the stack is a fresh writable copy, for `AdamW` to update in place."""
     params = _assemble(lambda name, shape, std: take(name, shape), **_sizes(cfg))
-    stack = build_adapter_stack(np.random.default_rng(0), params, cfg)
-    for name, leaf in stack.parameters().items():
-        leaf.data[...] = take(name, leaf.shape)
-    return params, stack
+    return params, _stack(lambda name, shape, fill: Tensor(np.array(take(name, shape))),
+                          params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,7 @@ def patch_embed(z: Tensor, t: np.ndarray, params: DenoiserParams) -> Tensor:
     if z.dtype != wd.dtype:
         raise ParameterError(f"dtype mismatch: latent {z.dtype} vs model {wd.dtype}")
     temb = params.temb[t]
-    out = patchify(z.data, params.patch) @ wd.T
+    out = patchify(z.data, params.patch) @ params.transposed["embed_w"]
     out += params.pos
     out += temb[None, None, :] if temb.ndim == 1 else temb[:, None, :]
     return fx.record("patch_embed", (z,), out, _patch_embed_vjp, params.latent_shape,
@@ -321,7 +344,8 @@ def unembed(x: Tensor, params: DenoiserParams) -> Tensor:
     linear, reshape, transpose, reshape chain's numpy expressions; its vjp
     patchifies g, the chain's layout, before the matmul."""
     wd = params.unembed_w
-    out = unpatchify(x.data @ wd.T, params.latent_shape, params.patch)
+    out = unpatchify(x.data @ params.transposed["unembed_w"], params.latent_shape,
+                     params.patch)
     return fx.record("unembed", (x,), out, _unembed_vjp, params.patch, wd)
 
 
@@ -542,21 +566,29 @@ def _attention(x: Tensor, kv, params: DenoiserParams, stack: AdapterStack, pi: T
     gate = (pd @ owner).reshape(b, 1, owner.shape[1])
     adapters, saved = {}, {}
 
-    def project(slot: str, h: np.ndarray) -> np.ndarray:
+    def project(slot: str, h: np.ndarray, stream: bool) -> np.ndarray:
         adapter = adapters[slot] = stack.layers[f"{layer}.{slot}"]
-        w, a, b_ = params.projections[f"{layer}.w{slot}"], adapter.a.data, adapter.b.data
-        out, down, gated = moe_forward(h, w, a, b_, gate)
+        name = f"{layer}.w{slot}"
+        w, a, b_ = params.projections[name], adapter.a.data, adapter.b.data
+        if stream:
+            ops = params.transposed[name], np.ascontiguousarray(a.T), np.ascontiguousarray(b_.T)
+        else:
+            ops = w.T, a.T, b_.T
+        out, down, gated = moe_forward(h, *ops, gate)
         saved[slot] = (gated, down, b_, a, h, w)
         return out
 
+    # the token stream's projections take contiguous transposes, the context's
+    # `.T` views: over a few context rows the two layouts round differently
+    on_x = kvd is xd
     if kvd.shape[1] == 1 and bias is None:
-        v = project("v", kvd)
+        v = project("v", kvd, on_x)
         mixed = np.broadcast_to(v, xd.shape[:2] + v.shape[2:])
         core = None
     else:
-        q = project("q", xd)
-        k = project("k", kvd)
-        v = project("v", kvd)
+        q = project("q", xd, True)
+        k = project("k", kvd, on_x)
+        v = project("v", kvd, on_x)
         kt = np.swapaxes(k, -1, -2)
         p = q @ kt  # fresh: scaled, biased and normalised in place
         scale = np.asarray(1.0 / math.sqrt(params.width), dtype=dt)
@@ -568,7 +600,7 @@ def _attention(x: Tensor, kv, params: DenoiserParams, stack: AdapterStack, pi: T
         p /= p.sum(axis=-1, keepdims=True)
         mixed = p @ v
         core = (p, q, kt, v, scale)
-    out = project("o", mixed)
+    out = project("o", mixed, True)
     out += xd  # the residual add, into the fresh projection (x + o's bytes)
     on_o, on_v = adapters["o"], adapters["v"]
     inputs = [x, on_o.b, pi, on_o.a, on_v.b, pi, kv, on_v.a, kv]

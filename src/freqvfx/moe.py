@@ -12,7 +12,10 @@ each expert a block of the rank axis. Every layer of a stack splits the rank
 axis the same way, so the stack holds that layout once. An adapted projection
 is `moe_forward`, plain numpy on a routing gate its caller forms once for all
 the projections that share a routing: the denoiser's attention block, whose
-one `attn_block` tape node covers its four projections.
+one `attn_block` tape node covers its four projections. `moe_forward` takes
+the frozen weight and the expert pair transposed, in the layout it multiplies
+by, so its caller picks that layout: contiguous copies over the token stream,
+`.T` views over the few context rows, where the two round differently.
 
 The descriptor is always treated as a constant here: gradients reach the
 router only through its own weights, never back into the descriptor pipeline.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +34,21 @@ from .errors import ParameterError, ShapeError
 from .tensor import Tensor
 
 DESCRIPTOR_DIM = 6
+
+# leaf(name, shape, fill) is the trainable leaf of checkpoint entry `name`; a
+# fresh build takes fill(rng, shape), the leaf's initial value, and a restore
+# ignores it and copies the entry.
+LeafSource = Callable[[str, tuple, Callable], Tensor]
+
+
+def drawing(rng: np.random.Generator, dtype) -> LeafSource:
+    """The leaf source of a fresh build: each leaf is its initial value drawn
+    from `rng`, in the order the leaves are built, cast to `dtype`."""
+    return lambda name, shape, fill: fx.tensor(fill(rng, shape).astype(dtype))
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
 
 
 @dataclass
@@ -46,13 +64,19 @@ class RouterParams:
     @classmethod
     def init(cls, rng: np.random.Generator, n_experts: int, hidden: int, tau: float,
              dtype=np.float32) -> "RouterParams":
-        """Second layer starts at zero so routing begins uniform."""
-        w1 = rng.normal(0.0, 0.5, size=(hidden, DESCRIPTOR_DIM)).astype(dtype)
+        """A fresh router drawn from `rng`."""
+        return cls.build(drawing(rng, dtype), n_experts, hidden, tau)
+
+    @classmethod
+    def build(cls, leaf: LeafSource, n_experts: int, hidden: int, tau: float) -> "RouterParams":
+        """The router whose leaves `leaf` gives, in `parameters` order. Fresh, W1
+        is drawn and the second layer starts at zero so routing begins uniform."""
         return cls(
-            w1=fx.tensor(w1),
-            b1=fx.tensor(np.zeros(hidden, dtype=dtype)),
-            w2=fx.tensor(np.zeros((n_experts, hidden), dtype=dtype)),
-            b2=fx.tensor(np.zeros(n_experts, dtype=dtype)),
+            w1=leaf("router.w1", (hidden, DESCRIPTOR_DIM),
+                    lambda rng, shape: rng.normal(0.0, 0.5, size=shape)),
+            b1=leaf("router.b1", (hidden,), _zeros),
+            w2=leaf("router.w2", (n_experts, hidden), _zeros),
+            b2=leaf("router.b2", (n_experts,), _zeros),
             tau=tau,
         )
 
@@ -79,15 +103,17 @@ class MoeAdapter:
     b: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
-             ranks: Sequence[int], dtype=np.float32) -> "MoeAdapter":
-        """A ~ N(0, 0.02), B = 0: the adapter starts as an exact identity.
-
+    def build(cls, leaf: LeafSource, prefix: str, d_in: int, d_out: int,
+              ranks: Sequence[int]) -> "MoeAdapter":
+        """The pair whose leaves `leaf` gives as `<prefix>.a` and `<prefix>.b`.
+        Fresh, A ~ N(0, 0.02) and B = 0: the adapter starts as an exact identity.
         A is drawn one expert block at a time, in expert order.
         """
-        a = np.concatenate([rng.normal(0.0, 0.02, size=(r, d_in)).astype(dtype)
-                            for r in ranks], axis=0)
-        return cls(a=fx.tensor(a), b=fx.tensor(np.zeros((d_out, sum(ranks)), dtype=dtype)))
+        def draw_a(rng, shape):
+            return np.concatenate([rng.normal(0.0, 0.02, size=(r, d_in)) for r in ranks])
+
+        return cls(a=leaf(f"{prefix}.a", (sum(ranks), d_in), draw_a),
+                   b=leaf(f"{prefix}.b", (d_out, sum(ranks)), _zeros))
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.a": self.a, f"{prefix}.b": self.b}
@@ -180,35 +206,45 @@ def route(e, params: RouterParams, top_k: int) -> Tensor:
                      ed, w2.data, a1, h, pi, tau, masked, s, mask)
 
 
-def moe_forward(h: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+def moe_forward(h: np.ndarray, w_t: np.ndarray, a_t: np.ndarray, b_t: np.ndarray,
                 gate: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adapted projection of plain arrays: h @ w^T + ((h @ a^T) * gate) @ b^T.
+    """Adapted projection of plain arrays: h @ w_t + ((h @ a_t) * gate) @ b_t.
 
-    `h` is (B, N, d_in) or (B, d_in), `w` the frozen (d_out, d_in) weight, `a`
-    (R, d_in) and `b` (d_out, R) one layer's packed expert pair, and `gate` the
-    routing gate pi @ owner shaped (B, 1, R) or (B, R) to broadcast against
-    h @ a^T, so rank row j of the down output of sample i is scaled by the
-    weight of the expert that owns it. The base path is computed
-    untouched; zero experts leave it bit-exact. Returns the output, the down
-    output h @ a^T and the gated down output, which the projection's gradients
-    read. The numpy expressions are the matmul, linear, mul, linear, add chain's,
-    the up projection added into the fresh base output in place (the sum's
-    bytes). `w`, `a`, `b` and `gate` must have h's dtype, and the shapes must
-    agree.
+    `h` is (B, N, d_in) or (B, d_in). The weights come in the layout they are
+    multiplied by: `w_t` is the frozen (d_out, d_in) weight transposed to
+    (d_in, d_out), and `a_t` (d_in, R) and `b_t` (R, d_out) are one layer's
+    packed expert pair (a, b) transposed. `gate` is the routing gate pi @ owner
+    shaped (B, 1, R) or (B, R) to broadcast against h @ a_t, so rank row j of
+    the down output of sample i is scaled by the weight of the expert that owns
+    it. The base path is computed untouched; zero experts leave it bit-exact.
+    Returns the output, the down output h @ a_t and the gated down output, which
+    the projection's gradients read. The numpy expressions are the matmul,
+    linear, mul, linear, add chain's, the up projection added into the fresh
+    base output in place (the sum's bytes). `w_t`, `a_t`, `b_t` and `gate` must
+    have h's dtype, and the shapes must agree.
+
+    A transposed operand may be a `.T` view or a C-contiguous copy. The BLAS
+    packs the two differently, so their bytes can differ. They agree over the
+    default model's (B, 128, 64) token stream, where the copy is the faster,
+    but not over a few context rows, whose projections take views. The
+    agreement needs enough rows: with numpy's OpenBLAS at width 64 and rank 16,
+    from 19 rows for the weight and from 76 for the down factor. A model
+    configured with fewer tokens still takes the copies, and its outputs are
+    then as exact as the views' but not their bytes.
     """
     dt = h.dtype
-    for x in (w, a, b, gate):
+    for x in (w_t, a_t, b_t, gate):
         if x.dtype != dt:
             raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
-    if w.ndim != 2 or a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"a projection needs 2-D weights, got w {w.shape}, a {a.shape}, "
-                         f"b {b.shape}")
-    if (not h.shape[-1] == w.shape[1] == a.shape[1] or b.shape != (w.shape[0], a.shape[0])
-            or gate.shape[-1] != a.shape[0]):
-        raise ShapeError(f"projection dims disagree: h {h.shape}, w {w.shape}, a {a.shape}, "
-                         f"b {b.shape}, gate {gate.shape}")
-    down = h @ a.T
+    if w_t.ndim != 2 or a_t.ndim != 2 or b_t.ndim != 2:
+        raise ShapeError(f"a projection needs 2-D weights, got w_t {w_t.shape}, "
+                         f"a_t {a_t.shape}, b_t {b_t.shape}")
+    if (not h.shape[-1] == w_t.shape[0] == a_t.shape[0]
+            or b_t.shape != (a_t.shape[1], w_t.shape[1]) or gate.shape[-1] != a_t.shape[1]):
+        raise ShapeError(f"projection dims disagree: h {h.shape}, w_t {w_t.shape}, "
+                         f"a_t {a_t.shape}, b_t {b_t.shape}, gate {gate.shape}")
+    down = h @ a_t
     gated = down * gate
-    out = h @ w.T
-    out += gated @ b.T
+    out = h @ w_t
+    out += gated @ b_t
     return out, down, gated

@@ -30,7 +30,7 @@ from freqvfx.container import (manifest_path_for, read_container, read_container
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning,
                               build_denoiser, build_model, denoise_step)
 from freqvfx.errors import ChecksumError, ContainerError
-from freqvfx.moe import MoeAdapter, RouterParams, route, split_rank_budget
+from freqvfx.moe import MoeAdapter, RouterParams, drawing, route, split_rank_budget
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule, forward_noise, sampling_grid
 from freqvfx.spectral import (EPS_DEFAULT, SIGMA1_DEFAULT, SIGMA2_DEFAULT,
@@ -256,7 +256,8 @@ def test_criterion_04_routing_contracts_and_param_count():
     for m in (1, 2, 4, 8):
         ranks = split_rank_budget(r, m)
         assert sum(ranks) == r
-        ad = MoeAdapter.init(np.random.default_rng(m), d_in=d_in, d_out=d_out, ranks=ranks)
+        ad = MoeAdapter.build(drawing(np.random.default_rng(m), np.float32), "adapter",
+                              d_in=d_in, d_out=d_out, ranks=ranks)
         counts.append(oracles.adapter_param_count(ad))
     budget_ok = all(n == r * (d_in + d_out) for n in counts)
     dt = time.time() - t0

@@ -161,6 +161,53 @@ class TestBuild:
         with pytest.raises(ParameterError):
             build_model(ModelConfig(latent_shape=(2, 2, 5, 4), patch=2), rng)
 
+    def test_held_transposes_are_frozen_copies_outside_the_checkpoint(self):
+        """A build and a restore each hold a read-only, C-contiguous transpose of
+        each weight that multiplies the token stream (self-attention's four
+        projections, cross-attention's q and o, `embed_w` and `unembed_w`) and of
+        no other, bit-equal to the weight's `.T` and sharing no memory with it,
+        and none is a backbone array or a checkpoint entry."""
+        params, stack = small_model()
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        restored, _ = restore_state(entries, MODEL)
+        for model in (params, restored):
+            weights = {f"block{i}.{attn}.w{slot}": model.projections[f"block{i}.{attn}.w{slot}"]
+                       for i in range(model.n_blocks)
+                       for attn, slots in (("self", "qkvo"), ("cross", "qo")) for slot in slots}
+            weights.update(embed_w=model.embed_w, unembed_w=model.unembed_w)
+            assert sorted(model.transposed) == sorted(weights)
+            held = [t.data for t in model.named_arrays().values()] + list(entries.values())
+            for name, w in weights.items():
+                w_t = model.transposed[name]
+                assert w_t.flags.c_contiguous and not w_t.flags.writeable, name
+                assert w_t.dtype == w.dtype and w_t.tobytes() == w.T.tobytes(), name
+                assert not any(np.shares_memory(w_t, arr) for arr in held), name
+                with pytest.raises(ValueError, match="read-only"):
+                    w_t[0, 0] = 1.0
+
+    def test_restore_draws_nothing_and_copies_every_leaf(self, monkeypatch):
+        """A restore builds the stack from the checkpoint's entries without any
+        random draw, and each leaf is a fresh writable array equal to its entry
+        but sharing no memory with it, so `AdamW` can update it in place."""
+        params, stack = woken_model()
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a restore drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(freqvfx.denoiser, "drawing", no_draw)
+        monkeypatch.setattr(freqvfx.denoiser.RouterParams, "init", no_draw)
+        _, fresh = restore_state(entries, MODEL)
+        assert fresh.ranks == stack.ranks and fresh.top_k == stack.top_k
+        assert fresh.router.tau == stack.router.tau
+        assert list(fresh.parameters()) == list(stack.parameters())
+        for name, leaf in fresh.parameters().items():
+            assert bytes_of(leaf) == entries[name].tobytes(), name
+            assert leaf.dtype == entries[name].dtype, name
+            assert leaf.data.flags.writeable and leaf.data.flags.c_contiguous, name
+            assert not np.shares_memory(leaf.data, entries[name]), name
+
 
 class TestTokenPlumbing:
     def test_roundtrip_is_exact(self):
@@ -313,7 +360,7 @@ class TestDenoiseStep:
         pi = routed(z, stack)
         with_stack = denoise_step(z, 3, cond, params, stack, pi=pi)
         monkeypatch.setattr(freqvfx.denoiser, "moe_forward",
-                            lambda h, w, a, b, gate: (h @ w.T, None, None))
+                            lambda h, w_t, a_t, b_t, gate: (h @ w_t, None, None))
         base = denoise_step(z, 3, cond, params, stack, pi=pi)
         assert np.array_equal(with_stack.data, base.data)
 

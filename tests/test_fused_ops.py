@@ -16,6 +16,9 @@ context), at B=1 and B=4, and for attention with and without the
 self-attention diagonal bias. The loss adds each op's output to an
 input it read, so that input's gradient is summed from several paths and any
 change in the order `backward` adds them would show in its bytes.
+`moe.moe_forward` fed the token stream's contiguous transposes gives the
+`lora_linear` chain's bytes over 128 tokens at B=1 and B=4, and a premise
+check names numpy's BLAS should it stop rounding the two layouts alike there.
 
 `spectral.joint_descriptor` is held to the same bytes against the float64
 cast and the chain of tape ops that its stage functions spell out (the blurs
@@ -135,6 +138,59 @@ def test_lora_linear_matches_chain_bytes(b, n):
 
     for live in _subsets(tuple(arrays)):
         _check_fused(fused, chain, arrays, live, "h", "lora", ("b", "pi", "h", "a", "h"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+def test_moe_forward_on_the_token_stream_matches_chain_bytes(b, dtype):
+    """`moe_forward` handed the token stream's operands, a projection's held
+    transpose and contiguous transposes of its expert pair, gives the bytes of
+    the `lora_linear` chain, which multiplies by `.T` views, over the default
+    model's 128 tokens."""
+    params = _backbone(np.dtype(dtype).name)
+    w, w_t = params.projections["block1.self.wv"], params.transposed["block1.self.wv"]
+    arrays, _ = _lora_arrays(b, N_TOKENS)
+    h, a, b_, pi = (arrays[k].astype(dtype) for k in ("h", "a", "b", "pi"))
+    owner = OWNER.astype(dtype)
+    gate = (pi @ owner).reshape(b, 1, RANK)
+    out, down, gated = moe.moe_forward(h, w_t, np.ascontiguousarray(a.T),
+                                       np.ascontiguousarray(b_.T), gate)
+    want = oracles.lora_linear_chain(fx.Tensor(h), w, fx.Tensor(a), fx.Tensor(b_),
+                                     fx.Tensor(pi), owner)
+    assert out.tobytes() == want.data.tobytes()
+    assert down.tobytes() == (h @ a.T).tobytes()
+    assert gated.tobytes() == (h @ a.T * gate).tobytes()
+
+
+def _blas() -> str:
+    """numpy's version and the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} with {blas.get('name')} {blas.get('version')}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4])
+def test_blas_rounds_both_layouts_alike_on_the_token_stream(b, dtype):
+    """The premise of the held transposes: over the default model's 128 tokens,
+    multiplying by a C-contiguous transpose gives the bytes of multiplying by
+    the `.T` view, for a (64, 64) projection, a (16, 64) down factor or
+    `unembed_w`, and a (64, 16) up factor or `embed_w`, also from a token stream
+    broadcast from one row (the single-key shortcut's o projection). The BLAS
+    packs the two layouts differently, so an upgrade of numpy or of its BLAS may
+    move this; then the token stream's projections must take `.T` views again."""
+    rng = np.random.default_rng(41 + b)
+    d, r = WIDTH, RANK
+    cases = {"w": ((b, N_TOKENS, d), (d, d)), "a": ((b, N_TOKENS, d), (r, d)),
+             "b": ((b, N_TOKENS, r), (d, r))}
+    for name, (h_shape, w_shape) in cases.items():
+        for _ in range(3):
+            h = rng.normal(size=h_shape).astype(dtype)
+            w = rng.normal(size=w_shape).astype(dtype)
+            ones = np.broadcast_to(h[:, :1], h.shape)
+            for x in (h, ones):
+                assert (x @ w.T).tobytes() == (x @ np.ascontiguousarray(w.T)).tobytes(), (
+                    f"{_blas()} rounds h {x.shape} @ {name}.T differently for a transposed "
+                    f"view and a C-contiguous transpose")
 
 
 def _diag_bias():

@@ -196,7 +196,8 @@ def _adapter(rng, d_in, d_out, n_experts, total_rank, dtype=np.float32):
     """An adapter over the split budget, with its rank layout's (M, R) owner and
     each expert's span of the rank axis."""
     ranks = moe.split_rank_budget(total_rank, n_experts)
-    adapter = moe.MoeAdapter.init(rng, d_in=d_in, d_out=d_out, ranks=ranks, dtype=dtype)
+    adapter = moe.MoeAdapter.build(moe.drawing(rng, dtype), "adapter", d_in=d_in, d_out=d_out,
+                                   ranks=ranks)
     slices = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
     return adapter, moe.expert_owner(ranks, dtype), slices
 
@@ -257,7 +258,8 @@ def test_moe_forward_zero_experts_is_base_path():
     a.a.data[...] = 0.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(2, 5, 6))
-    out, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(_uniform_weights(2, 4), owner, h))
+    out, _, _ = moe.moe_forward(h, w.T, a.a.data.T, a.b.data.T,
+                                _gate(_uniform_weights(2, 4), owner, h))
     np.testing.assert_array_equal(out, h @ w.T)
 
 
@@ -270,7 +272,7 @@ def test_moe_forward_one_hot_reduces_to_single_expert():
     pi[:, j] = 1.0
     w = rng.normal(size=(4, 6))
     h = rng.normal(size=(3, 6))
-    out, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(pi, owner, h))
+    out, _, _ = moe.moe_forward(h, w.T, a.a.data.T, a.b.data.T, _gate(pi, owner, h))
     s = slices[j]
     want = h @ w.T + (h @ a.a.data[s].T) @ a.b.data[:, s].T
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -301,7 +303,7 @@ def test_moe_forward_matches_scalar_oracle_f32():
     # last row as route() leaves it under top_k=2: experts 1 and 3 masked to exact zeros
     pi[2, [1, 3]] = 0.0
     pi[2] /= pi[2].sum()
-    got, _, _ = moe.moe_forward(h, w, a.a.data, a.b.data, _gate(pi, owner, h))
+    got, _, _ = moe.moe_forward(h, w.T, a.a.data.T, a.b.data.T, _gate(pi, owner, h))
 
     want = np.zeros((3, 3, 5), dtype=np.float64)
     for b in range(3):
@@ -338,23 +340,24 @@ def test_moe_forward_matches_scalar_oracle_f32():
 def test_moe_forward_shape_errors():
     rng = np.random.default_rng(12)
     a, owner, _ = _adapter(rng, 6, 4, n_experts=2, total_rank=4, dtype=np.float64)
-    h, w = np.zeros((2, 6)), np.zeros((4, 6))
+    h, w_t = np.zeros((2, 6)), np.zeros((6, 4))
+    a_t, b_t = a.a.data.T, a.b.data.T
     gate = _gate(_uniform_weights(2, 2), owner, h)
-    with pytest.raises(ShapeError, match=r"w \(4, 7\)"):
-        moe.moe_forward(h, np.zeros((4, 7)), a.a.data, a.b.data, gate)
+    with pytest.raises(ShapeError, match=r"w_t \(7, 4\)"):
+        moe.moe_forward(h, np.zeros((7, 4)), a_t, b_t, gate)
     with pytest.raises(ShapeError, match=r"h \(2, 7\)"):
-        moe.moe_forward(np.zeros((2, 7)), w, a.a.data, a.b.data, gate)
+        moe.moe_forward(np.zeros((2, 7)), w_t, a_t, b_t, gate)
     with pytest.raises(ShapeError, match=r"gate \(2, 3\)"):
-        moe.moe_forward(h, w, a.a.data, a.b.data, np.zeros((2, 3)))
+        moe.moe_forward(h, w_t, a_t, b_t, np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="2-D weights"):
-        moe.moe_forward(h, np.zeros(6), a.a.data, a.b.data, gate)
+        moe.moe_forward(h, np.zeros(6), a_t, b_t, gate)
     # packed leaves whose rank axes disagree with each other or with the gate
-    for leaf, shape in (("b", (4, 3)), ("a", (3, 6))):
-        pair = {"a": a.a.data, "b": a.b.data, leaf: np.zeros(shape)}
+    for leaf, shape in (("b_t", (3, 4)), ("a_t", (6, 3))):
+        pair = {"a_t": a_t, "b_t": b_t, leaf: np.zeros(shape)}
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
-            moe.moe_forward(h, w, pair["a"], pair["b"], gate)
-    for name in ("w", "a", "b", "gate"):  # nothing is converted to h's dtype
-        args = {"w": w, "a": a.a.data, "b": a.b.data, "gate": gate}
+            moe.moe_forward(h, w_t, pair["a_t"], pair["b_t"], gate)
+    for name in ("w_t", "a_t", "b_t", "gate"):  # nothing is converted to h's dtype
+        args = {"w_t": w_t, "a_t": a_t, "b_t": b_t, "gate": gate}
         args[name] = args[name].astype(np.float32)
         with pytest.raises(ParameterError, match="dtype mismatch: float64 vs float32"):
             moe.moe_forward(h, *args.values())
