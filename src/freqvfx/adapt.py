@@ -13,7 +13,7 @@ seed policy) the loss is exactly zero and stays there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,12 @@ class VfxEmbedding:
 
 
 def _freq_loss_vjp(live, d):
-    """The `make_vjp` of the `freq_loss` node on the two descriptors: the
-    vjps of the chain's mean, sum, abs and sub in that order, keeping the
-    descriptor difference d."""
+    """The `make_vjp` of the `freq_loss` node on the two descriptors, keeping
+    the descriptor difference d: (g / B) sign(d) and its negation, the closed
+    form of the chain's mean, sum, abs and sub vjps, with the bytes they gave
+    in that order."""
     def vjp(g):
-        g_sum = (np.broadcast_to(np.expand_dims(g, 0), d.shape[:1]) / d.shape[0]).astype(
-            g.dtype, copy=False)
-        g_d = np.broadcast_to(np.expand_dims(g_sum, 1), d.shape).copy() * np.sign(d)
+        g_d = (g / d.shape[0]) * np.sign(d)
         return (g_d if live[0] else None, -g_d if live[1] else None)
 
     return vjp
@@ -111,7 +110,7 @@ class AdaptStep:
 @dataclass
 class AdaptResult:
     embedding: VfxEmbedding
-    trace: list[AdaptStep] = field(default_factory=list)
+    trace: list[AdaptStep]
 
     @property
     def losses(self) -> np.ndarray:
@@ -145,7 +144,7 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
                 eps=config.adam_eps, weight_decay=config.weight_decay)
     window = timestep_window(schedule, config.t_low_frac, config.t_high_frac)
     shape = ref.shape
-    result = AdaptResult(embedding=embedding)
+    trace = []
 
     for step in range(config.steps):
         cond_e = cond.with_vfx(embedding.tokens)
@@ -173,5 +172,5 @@ def adapt(ref_video, cond: Conditioning, config: AdaptConfig, params: DenoiserPa
             raise AdaptationDivergedError(step)
         grads = fx.backward(tape, loss)
         opt.step(grads)
-        result.trace.append(AdaptStep(step=step, t=first_t, loss=loss_val))
-    return result
+        trace.append(AdaptStep(step=step, t=first_t, loss=loss_val))
+    return AdaptResult(embedding, trace)

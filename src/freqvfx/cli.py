@@ -265,7 +265,7 @@ def cmd_train(args) -> int:
     manifest = RunManifest(stage="train",
                            config={"model": to_dict(model), "train": to_dict(train_cfg)},
                            seeds={"seed": train_cfg.seed}, inputs=inputs, extra=extra)
-    entries = checkpoint_entries(params, stack, schedule, text_tokens=text_tokens)
+    entries = checkpoint_entries(params, stack, schedule, text_tokens)
     _write_checked(out, "checkpoint", entries, model, manifest, args.started)
     write_text(os.path.join(args.out, "metrics.csv"), train_metrics_csv(result.metrics))
     print(f"wrote {out} (loss {first:.4f} -> {last:.4f})")
@@ -296,8 +296,8 @@ def cmd_adapt(args) -> int:
         extra={"smoothed_initial_loss": first, "smoothed_final_loss": last,
                "loss_reduction": 1.0 - last / first if first else 0.0})
     _write_checked(out, "adapted",
-                   checkpoint_entries(params, stack, schedule, result.embedding,
-                                      _stored_text_tokens(entries)), model, manifest,
+                   checkpoint_entries(params, stack, schedule, _stored_text_tokens(entries),
+                                      result.embedding), model, manifest,
                    args.started)
     write_text(os.path.join(args.out, "trace.csv"), adapt_trace_csv(result.trace))
     print(f"wrote {out} (L_f {first:.4f} -> {last:.4f})")

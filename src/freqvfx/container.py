@@ -46,19 +46,11 @@ _TAG_BY_DTYPE = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _DTYPE_BY_TAG = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
-def _normalize_entries(entries) -> list[tuple[str, np.ndarray]]:
-    if isinstance(entries, Mapping):
-        pairs = list(entries.items())
-    else:
-        pairs = [(n, a) for n, a in entries]
-    seen = set()
+def _normalize_entries(entries: Mapping[str, np.ndarray]) -> list[tuple[str, np.ndarray]]:
     out = []
-    for name, arr in pairs:
+    for name, arr in entries.items():
         if not isinstance(name, str) or not name:
             raise ParameterError(f"entry name must be a nonempty string, got {name!r}")
-        if name in seen:
-            raise ParameterError(f"duplicate entry name {name!r}")
-        seen.add(name)
         arr = np.asarray(arr)
         if arr.dtype not in _TAG_BY_DTYPE:
             raise ParameterError(
@@ -67,7 +59,7 @@ def _normalize_entries(entries) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def write_container(entries) -> bytes:
+def write_container(entries: Mapping[str, np.ndarray]) -> bytes:
     """Serialize named float arrays; read_container(write_container(x)) == x."""
     pairs = _normalize_entries(entries)
     if len(pairs) > 0xFFFF:
@@ -160,7 +152,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_container_file(path, entries) -> None:
+def write_container_file(path, entries: Mapping[str, np.ndarray]) -> None:
     atomic_write_bytes(os.fspath(path), write_container(entries))
 
 
@@ -257,9 +249,11 @@ def _json_round(v):
 # checkpoints
 
 
-def checkpoint_entries(params, stack, schedule, embedding=None,
-                       text_tokens: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Flatten model state into container entries."""
+def checkpoint_entries(params, stack, schedule, text_tokens: Mapping[str, np.ndarray],
+                       embedding=None) -> dict[str, np.ndarray]:
+    """Flatten model state into container entries: the backbone, the stack, the
+    schedule, the embedding if any, then each class's text tokens as
+    `cond.text.<class>`, which `SCHEMA["checkpoint"]` requires."""
     out: dict[str, np.ndarray] = {}
     for name, t in params.named_arrays().items():
         out[name] = t.data
@@ -269,7 +263,7 @@ def checkpoint_entries(params, stack, schedule, embedding=None,
     out["schedule.sigmas"] = schedule.sigmas
     if embedding is not None:
         out["vfx_embedding.tokens"] = embedding.tokens.data
-    for cname, toks in (text_tokens or {}).items():
+    for cname, toks in text_tokens.items():
         out[f"cond.text.{cname}"] = np.asarray(toks)
     return out
 

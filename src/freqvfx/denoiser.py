@@ -248,11 +248,11 @@ def _stack(leaf: LeafSource, params: DenoiserParams, cfg: ModelConfig) -> Adapte
     return AdapterStack(router=router, layers=layers, top_k=cfg.top_k, ranks=ranks)
 
 
-def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams, cfg: ModelConfig,
-                        dtype=np.float32) -> AdapterStack:
+def build_adapter_stack(rng: np.random.Generator, params: DenoiserParams,
+                        cfg: ModelConfig) -> AdapterStack:
     """Router and an expert pair per projection of `params`, sized and routed by
-    `cfg`, drawn from `rng`."""
-    return _stack(drawing(rng, dtype), params, cfg)
+    `cfg`, drawn from `rng` in the backbone's dtype."""
+    return _stack(drawing(rng, params.embed_w.dtype), params, cfg)
 
 
 def _sizes(cfg: ModelConfig) -> dict:

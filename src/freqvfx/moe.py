@@ -62,15 +62,10 @@ class RouterParams:
     tau: float
 
     @classmethod
-    def init(cls, rng: np.random.Generator, n_experts: int, hidden: int, tau: float,
-             dtype=np.float32) -> "RouterParams":
-        """A fresh router drawn from `rng`."""
-        return cls.build(drawing(rng, dtype), n_experts, hidden, tau)
-
-    @classmethod
     def build(cls, leaf: LeafSource, n_experts: int, hidden: int, tau: float) -> "RouterParams":
-        """The router whose leaves `leaf` gives, in `parameters` order. Fresh, W1
-        is drawn and the second layer starts at zero so routing begins uniform."""
+        """The router whose leaves `leaf` gives, in `parameters` order; a fresh
+        one is `build(drawing(rng, dtype), ...)`. Fresh, W1 is drawn and the
+        second layer starts at zero so routing begins uniform."""
         return cls(
             w1=leaf("router.w1", (hidden, DESCRIPTOR_DIM),
                     lambda rng, shape: rng.normal(0.0, 0.5, size=shape)),

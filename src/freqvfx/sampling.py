@@ -103,9 +103,10 @@ def ddim_update(z: Tensor, eps_c: Tensor, eps_u: Tensor | None, cfg_scale: float
 
 
 def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
-           cond: Conditioning, *, steps: int, cfg_scale: float,
-           seed: int | None = None, init_noise: np.ndarray | None = None) -> SampleResult:
-    """Iteratively denoise pure noise under the given conditioning."""
+           cond: Conditioning, *, steps: int, cfg_scale: float, seed: int) -> SampleResult:
+    """Iteratively denoise pure noise under the given conditioning. The noise is
+    default_rng(seed)'s standard normal draw of the latent batch, cast to the
+    model's dtype, so a seed fixes the rollout bit for bit."""
     if cfg_scale < 0:
         raise ParameterError(f"cfg_scale must be >= 0, got {cfg_scale}")
     if schedule.num_steps != params.num_steps:
@@ -114,15 +115,7 @@ def sample(params: DenoiserParams, stack: AdapterStack, schedule: NoiseSchedule,
     grid = sampling_grid(schedule.num_steps, steps)
     b = cond.tokens.shape[0]
     shape = (b,) + params.latent_shape
-    dtype = params.embed_w.dtype
-    if init_noise is not None:
-        init_noise = np.asarray(init_noise, dtype=dtype)
-        if init_noise.shape != shape:
-            raise ShapeError(f"init noise {init_noise.shape} != latent batch {shape}")
-    else:
-        init_noise = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
-
-    z = Tensor(init_noise)
+    z = Tensor(np.random.default_rng(seed).standard_normal(shape).astype(params.embed_w.dtype))
     descriptors = np.zeros((steps, b, 6), dtype=np.float64)
     pi_cond = np.zeros((steps, b, stack.n_experts), dtype=np.float64)
 

@@ -15,7 +15,7 @@ from .config import ModelConfig
 from .container import read_container, write_container
 from .denoiser import build_adapter_stack, build_conditioning, build_denoiser, denoise_guided
 from .errors import ContainerError, FreqVfxError
-from .moe import RouterParams, route
+from .moe import RouterParams, drawing, route
 from .sampling import ddim_update
 from .schedule import NoiseSchedule, sampling_grid
 from .spectral import (SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrix, decompose, joint_descriptor,
@@ -58,8 +58,8 @@ def _check_descriptor_simplex(rng):
 def _router(rng, dtype):
     """A default-sized router with its second layer off the zero init."""
     m = ModelConfig()
-    router = RouterParams.init(rng, n_experts=m.n_experts, hidden=m.router_hidden, tau=m.tau,
-                               dtype=dtype)
+    router = RouterParams.build(drawing(rng, dtype), n_experts=m.n_experts,
+                                hidden=m.router_hidden, tau=m.tau)
     router.w2.data[...] = rng.normal(0.0, 0.3, size=router.w2.shape)
     return router
 
@@ -160,7 +160,7 @@ def _check_gradients(rng):
     params = build_denoiser(rng, latent_shape=m.latent_shape, width=m.width,
                             n_blocks=m.n_blocks, patch=m.patch, num_steps=m.num_steps,
                             diag_bias=m.diag_bias, cross_gain=m.cross_gain, dtype=np.float64)
-    stack = build_adapter_stack(rng, params, m, dtype=np.float64)
+    stack = build_adapter_stack(rng, params, m)
     for leaf in stack.parameters().values():
         leaf.data[...] = rng.normal(0.0, 0.1, size=leaf.shape)
     cond = build_conditioning(params, rng.standard_normal((2,) + m.latent_shape),
@@ -256,7 +256,7 @@ CHECKS = (
 )
 
 
-def run_selfcheck(seed: int = 0) -> int:
+def run_selfcheck(seed: int) -> int:
     """Run every check; returns the number of failures (0 on a green build)."""
     failures = 0
     for name, check in CHECKS:

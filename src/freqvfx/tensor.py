@@ -118,11 +118,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def tensor(data, dtype=None) -> Tensor:
+def tensor(data) -> Tensor:
     """Public constructor. Rejects NaN/Inf."""
-    arr = np.asarray(data, dtype=dtype)
+    arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(dtype or DEFAULT_DTYPE)
+        arr = arr.astype(DEFAULT_DTYPE)
     if arr.size and not np.isfinite(arr).all():
         raise ParameterError("tensor construction rejected non-finite values")
     return Tensor(arr)

@@ -9,7 +9,7 @@ mean routing weights so expert specialization is observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +80,11 @@ class AdamW:
 
 
 def _mse_vjp(live, d):
-    """The `make_vjp` of the `mse` node: the mean's, the square's and the sub's
-    vjps in the order `backward` ran them, keeping the difference d."""
+    """The `make_vjp` of the `mse` node, keeping the difference d: 2 (g / n) d,
+    the closed form of the mean's, the square's and the sub's vjps, with the
+    bytes they gave in the order `backward` ran them."""
     def vjp(g):
-        return (2.0 * (np.broadcast_to(g, d.shape) / d.size).astype(g.dtype, copy=False) * d,)
+        return ((2.0 * (g / d.size)) * d,)
 
     return vjp
 
@@ -126,8 +127,8 @@ class StepMetrics:
 
 @dataclass
 class StageOneResult:
-    metrics: list[StepMetrics] = field(default_factory=list)
-    losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    metrics: list[StepMetrics]
+    losses: np.ndarray
 
 
 def _dropout_conditioning(cond: Conditioning, drop: np.ndarray,
@@ -154,8 +155,7 @@ def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
     rng = np.random.default_rng(config.seed)
     opt = AdamW(stack.parameters(), lr=config.lr, betas=config.betas,
                 eps=config.adam_eps, weight_decay=config.weight_decay)
-    result = StageOneResult()
-    losses = []
+    metrics, losses = [], []
     for step in range(config.steps):
         idx = rng.integers(0, len(videos), size=config.batch_size)
         z0 = videos[idx].astype(np.float32, copy=False)
@@ -176,10 +176,9 @@ def train_stage1(videos: np.ndarray, class_ids: np.ndarray, text: np.ndarray,
         pi = info["pi"]
         for cid in np.unique(batch_ids):
             rows = pi[batch_ids == cid]
-            result.metrics.append(StepMetrics(step=step, loss=loss_val, class_id=int(cid),
-                                              pi_mean=rows.mean(axis=0)))
-    result.losses = np.array(losses)
-    return result
+            metrics.append(StepMetrics(step=step, loss=loss_val, class_id=int(cid),
+                                       pi_mean=rows.mean(axis=0)))
+    return StageOneResult(metrics, np.array(losses))
 
 
 def smoothed_endpoints(losses: np.ndarray, window: int = 50) -> tuple[float, float]:

@@ -153,7 +153,7 @@ def test_criterion_03_gradients_match_finite_differences():
     params = build_denoiser(rng, latent_shape=m.latent_shape, width=m.width,
                             n_blocks=m.n_blocks, patch=m.patch, num_steps=m.num_steps,
                             diag_bias=m.diag_bias, cross_gain=m.cross_gain, dtype=np.float64)
-    stack = build_adapter_stack(rng, params, m, dtype=np.float64)
+    stack = build_adapter_stack(rng, params, m)
     sched = NoiseSchedule.cosine(10)
     for p in stack.parameters().values():
         # move router and experts off their degenerate init (zeros give
@@ -233,7 +233,7 @@ def test_criterion_03_gradients_match_finite_differences():
 def test_criterion_04_routing_contracts_and_param_count():
     t0 = time.time()
     rng = np.random.default_rng(404)
-    router = RouterParams.init(rng, n_experts=4, hidden=16, tau=1.5)
+    router = RouterParams.build(drawing(rng, np.float32), n_experts=4, hidden=16, tau=1.5)
     router.w2.data[...] = rng.normal(0.0, 0.4, size=router.w2.shape)
     router.b2.data[...] = rng.normal(0.0, 0.2, size=router.b2.shape)
     desc = np.abs(rng.standard_normal((64, 6)))
@@ -475,8 +475,7 @@ def test_criterion_09_sampling_contracts(monkeypatch):
     # cfg 1 must equal a conditional-only rollout, rebuilt here step by step
     init = np.random.default_rng(321).standard_normal(
         (2,) + params.latent_shape).astype(np.float32)
-    got = sample(params, stack, sched, cond, steps=scfg.steps, cfg_scale=1.0,
-                 init_noise=init)
+    got = sample(params, stack, sched, cond, steps=scfg.steps, cfg_scale=1.0, seed=321)
     grid = sampling_grid(sched.num_steps, scfg.steps)
     z = Tensor(init.copy())
     for k in range(scfg.steps):

@@ -190,7 +190,7 @@ class TestAdapt:
                                 patch=MODEL.patch, num_steps=NUM_STEPS,
                                 diag_bias=MODEL.diag_bias, cross_gain=MODEL.cross_gain,
                                 dtype=np.float64)
-        stack = build_adapter_stack(rng, params, MODEL, dtype=np.float64)
+        stack = build_adapter_stack(rng, params, MODEL)
         sched = NoiseSchedule.cosine(NUM_STEPS)
         ref = self._reference().astype(np.float64)
         cond = build_conditioning(params, ref, rng.standard_normal((2, WIDTH)))

@@ -105,7 +105,7 @@ class TestSelfcheck:
             raise AssertionError("injected")
 
         monkeypatch.setattr(sc, "CHECKS", (sc.CHECKS[0], ("boom", boom)))
-        assert sc.run_selfcheck() == 1
+        assert sc.run_selfcheck(0) == 1
         assert "FAIL boom: injected" in capsys.readouterr().out
 
     def test_cli_maps_failures_to_exit_one(self, monkeypatch):

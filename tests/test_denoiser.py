@@ -26,7 +26,7 @@ def small_model(seed=0, dtype=np.float32):
     params = build_denoiser(rng, latent_shape=LATENT, width=WIDTH, n_blocks=2,
                             patch=2, num_steps=NUM_STEPS, diag_bias=MODEL.diag_bias,
                             cross_gain=MODEL.cross_gain, dtype=dtype)
-    stack = build_adapter_stack(rng, params, MODEL, dtype=dtype)
+    stack = build_adapter_stack(rng, params, MODEL)
     return params, stack
 
 
@@ -72,6 +72,15 @@ class TestBuild:
         p3, _ = small_model(seed=4)
         assert p1.embed_w.tobytes() != p3.embed_w.tobytes()
 
+    def test_stack_takes_the_backbone_dtype(self):
+        """Every leaf of a stack and its `owner` take the backbone's dtype."""
+        for dtype in (np.float32, np.float64):
+            params, stack = small_model(dtype=dtype)
+            assert params.embed_w.dtype == dtype
+            for name, t in stack.parameters().items():
+                assert t.dtype == dtype, name
+            assert stack.owner.dtype == dtype
+
     def test_backbone_frozen_adapters_trainable(self):
         params, stack = small_model()
         leaves = list(stack.parameters().values())
@@ -113,7 +122,7 @@ class TestBuild:
         adapter_names = [f"adapter.{name}.{ab}" for name in layers for ab in "ab"]
         assert list(stack.parameters()) == (["router.w1", "router.b1", "router.w2",
                                               "router.b2"] + adapter_names)
-        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS), {})
         assert list(entries) == (list(params.named_arrays()) + list(stack.parameters())
                                  + ["schedule.alphas", "schedule.sigmas"])
         for name, t in stack.parameters().items():
@@ -132,7 +141,7 @@ class TestBuild:
             t.data[...] = rng.normal(size=t.shape)
         path = tmp_path / "ckpt.fvl1"
         write_container_file(path, checkpoint_entries(params, stack,
-                                                      NoiseSchedule.cosine(NUM_STEPS)))
+                                                      NoiseSchedule.cosine(NUM_STEPS), {}))
         entries = read_container_file(path)
         assert entries["adapter.block0.self.q.a"].shape == (9, WIDTH)
         assert entries["adapter.block1.cross.o.b"].shape == (WIDTH, 9)
@@ -168,7 +177,7 @@ class TestBuild:
         no other, bit-equal to the weight's `.T` and sharing no memory with it,
         and none is a backbone array or a checkpoint entry."""
         params, stack = small_model()
-        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS), {})
         restored, _ = restore_state(entries, MODEL)
         for model in (params, restored):
             weights = {f"block{i}.{attn}.w{slot}": model.projections[f"block{i}.{attn}.w{slot}"]
@@ -190,14 +199,13 @@ class TestBuild:
         random draw, and each leaf is a fresh writable array equal to its entry
         but sharing no memory with it, so `AdamW` can update it in place."""
         params, stack = woken_model()
-        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS))
+        entries = checkpoint_entries(params, stack, NoiseSchedule.cosine(NUM_STEPS), {})
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a restore drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         monkeypatch.setattr(freqvfx.denoiser, "drawing", no_draw)
-        monkeypatch.setattr(freqvfx.denoiser.RouterParams, "init", no_draw)
         _, fresh = restore_state(entries, MODEL)
         assert fresh.ranks == stack.ranks and fresh.top_k == stack.top_k
         assert fresh.router.tau == stack.router.tau
@@ -480,8 +488,7 @@ class TestGuidedStep:
         trunk's nodes are replayed. Either way it runs once for both branches."""
         params, stack = woken_model()
         z, text = small_batch()
-        vfx = fx.tensor(np.random.default_rng(4).standard_normal((3, WIDTH)),
-                        dtype=np.float32)
+        vfx = fx.tensor(np.random.default_rng(4).standard_normal((3, WIDTH)).astype(np.float32))
         cond = build_conditioning(params, z, text).with_vfx(vfx)
         calls = []
         real = freqvfx.denoiser._trunk

@@ -421,7 +421,7 @@ def _router(dtype, b):
     """A default-sized router (4 experts, hidden 16, tau 1.5) with its second
     layer off the zero init, and a (B, 6) simplex descriptor."""
     rng = np.random.default_rng(17 * b)
-    router = moe.RouterParams.init(rng, n_experts=4, hidden=16, tau=1.5, dtype=dtype)
+    router = moe.RouterParams.build(moe.drawing(rng, dtype), n_experts=4, hidden=16, tau=1.5)
     router.w2.data[...] = rng.normal(0.0, 0.8, size=router.w2.shape)
     router.b2.data[...] = rng.normal(0.0, 0.3, size=router.b2.shape)
     return router, rng.dirichlet(np.ones(6), size=b)
@@ -608,7 +608,7 @@ def _block_model(dtype: str):
     router are off their zero init."""
     params = _backbone(dtype)
     rng = np.random.default_rng(29)
-    stack = denoiser.build_adapter_stack(rng, params, ModelConfig(), dtype=np.dtype(dtype))
+    stack = denoiser.build_adapter_stack(rng, params, ModelConfig())
     for leaf in stack.parameters().values():
         leaf.data[...] = rng.normal(0.0, 0.1, size=leaf.shape)
     return params, stack

@@ -13,9 +13,10 @@ import oracles
 
 
 def _router(rng, n_experts=4, hidden=16, tau=1.0, dtype=np.float64, zero=False):
-    p = moe.RouterParams.init(rng, n_experts=n_experts, hidden=hidden, tau=tau, dtype=dtype)
+    p = moe.RouterParams.build(moe.drawing(rng, dtype), n_experts=n_experts, hidden=hidden,
+                               tau=tau)
     if not zero:
-        # give the second layer signal; init() starts it at zero on purpose
+        # give the second layer signal; a fresh build starts it at zero on purpose
         p.w2.data[...] = rng.normal(0.0, 0.8, size=p.w2.shape).astype(dtype)
         p.b2.data[...] = rng.normal(0.0, 0.3, size=p.b2.shape).astype(dtype)
     return p
@@ -73,9 +74,9 @@ def test_route_uniform_when_router_is_zero():
 
 
 def test_route_fresh_init_is_uniform():
-    # init() zeroes the second layer, so routing starts uniform by construction
+    # a fresh build zeroes the second layer, so routing starts uniform by construction
     rng = np.random.default_rng(1)
-    p = moe.RouterParams.init(rng, n_experts=4, hidden=16, tau=1.0, dtype=np.float64)
+    p = moe.RouterParams.build(moe.drawing(rng, np.float64), n_experts=4, hidden=16, tau=1.0)
     out = moe.route(rng.normal(size=(2, 6)), p, top_k=4).data
     np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-12)
 
@@ -287,7 +288,7 @@ def _block_model(dtype, total_rank):
                                      n_blocks=cfg.n_blocks, patch=cfg.patch,
                                      num_steps=cfg.num_steps, diag_bias=cfg.diag_bias,
                                      cross_gain=cfg.cross_gain, dtype=dtype)
-    stack = denoiser.build_adapter_stack(rng, params, cfg, dtype=dtype)
+    stack = denoiser.build_adapter_stack(rng, params, cfg)
     for leaf in stack.parameters().values():
         leaf.data[...] = rng.normal(0.0, 0.2, size=leaf.shape)
     return params, stack, "block0.cross"

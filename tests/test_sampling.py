@@ -9,7 +9,7 @@ import freqvfx.sampling
 import freqvfx.tensor as fx
 from freqvfx.config import ModelConfig, SampleConfig
 from freqvfx.denoiser import build_conditioning, build_model, denoise_guided, denoise_step
-from freqvfx.errors import ParameterError, ShapeError
+from freqvfx.errors import ParameterError
 from freqvfx.moe import route
 from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule, sampling_grid
@@ -87,56 +87,40 @@ class TestDeterminism:
         assert taped.pi_cond.tobytes() == free.pi_cond.tobytes()
 
     def test_seed_and_rng_agree(self):
+        """`sample(seed=k)` starts from default_rng(k)'s standard normal draw of
+        the latent batch, in the model's dtype."""
         params, stack, sched, cond = small_setup()
         r1 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, seed=11)
         noise = np.random.default_rng(11).standard_normal((2,) + LATENT).astype(np.float32)
-        r2 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
-        assert r1.video.data.tobytes() == r2.video.data.tobytes()
-
-    def test_explicit_init_noise(self):
-        params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(0)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        r1 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
-        r2 = sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=noise)
-        assert r1.video.data.tobytes() == r2.video.data.tobytes()
+        ref = manual_sample(params, stack, sched, cond, 3, CFG, noise)
+        assert r1.video.data.tobytes() == ref.tobytes()
 
 
 class TestGuidance:
     def test_unguided_run_matches_conditional_only_loop(self):
         params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(1)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        got = sample(params, stack, sched, cond, steps=4, cfg_scale=1.0,
-                     init_noise=noise)
+        noise = np.random.default_rng(1).standard_normal((2,) + LATENT).astype(np.float32)
+        got = sample(params, stack, sched, cond, steps=4, cfg_scale=1.0, seed=1)
         ref = manual_sample(params, stack, sched, cond, 4, 1.0, noise)
         assert got.video.data.tobytes() == ref.tobytes()
 
     def test_guided_run_matches_manual_update(self):
         params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(2)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        got = sample(params, stack, sched, cond, steps=4, cfg_scale=7.5,
-                     init_noise=noise)
+        noise = np.random.default_rng(2).standard_normal((2,) + LATENT).astype(np.float32)
+        got = sample(params, stack, sched, cond, steps=4, cfg_scale=7.5, seed=2)
         ref = manual_sample(params, stack, sched, cond, 4, 7.5, noise)
         assert got.video.data.tobytes() == ref.tobytes()
 
     def test_guidance_strength_changes_result(self):
         params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(3)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        a = sample(params, stack, sched, cond, steps=3, cfg_scale=1.0,
-                   init_noise=noise)
-        b = sample(params, stack, sched, cond, steps=3, cfg_scale=7.5,
-                   init_noise=noise)
+        a = sample(params, stack, sched, cond, steps=3, cfg_scale=1.0, seed=3)
+        b = sample(params, stack, sched, cond, steps=3, cfg_scale=7.5, seed=3)
         assert not np.array_equal(a.video.data, b.video.data)
 
     def test_cfg_zero_is_purely_unconditional(self):
         params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(4)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        got = sample(params, stack, sched, cond, steps=3, cfg_scale=0.0,
-                     init_noise=noise)
+        noise = np.random.default_rng(4).standard_normal((2,) + LATENT).astype(np.float32)
+        got = sample(params, stack, sched, cond, steps=3, cfg_scale=0.0, seed=4)
         ref = manual_sample(params, stack, sched, cond, 3, 0.0, noise)
         assert got.video.data.tobytes() == ref.tobytes()
 
@@ -196,24 +180,19 @@ class TestLoggingAndShapes:
 
     def test_descriptors_track_the_trajectory(self):
         params, stack, sched, cond = small_setup()
-        rng = np.random.default_rng(5)
-        noise = rng.standard_normal((2,) + LATENT).astype(np.float32)
-        r = sample(params, stack, sched, cond, steps=3, cfg_scale=1.0,
-                   init_noise=noise)
+        noise = np.random.default_rng(5).standard_normal((2,) + LATENT).astype(np.float32)
+        r = sample(params, stack, sched, cond, steps=3, cfg_scale=1.0, seed=5)
         first = joint_descriptor_detached(fx.Tensor(noise))
         assert np.allclose(r.descriptors[0], first, atol=1e-12)
 
     def test_validation(self):
         params, stack, sched, cond = small_setup()
         with pytest.raises(ParameterError):
-            sample(params, stack, sched, cond, steps=3, cfg_scale=-0.5)
+            sample(params, stack, sched, cond, steps=3, cfg_scale=-0.5, seed=0)
         with pytest.raises(ParameterError):
-            sample(params, stack, NoiseSchedule.cosine(20), cond, steps=3, cfg_scale=CFG)
+            sample(params, stack, NoiseSchedule.cosine(20), cond, steps=3, cfg_scale=CFG, seed=0)
         with pytest.raises(ParameterError):
-            sample(params, stack, sched, cond, steps=NUM_STEPS, cfg_scale=CFG)
-        bad = np.zeros((2, 4, 2, 4, 5), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            sample(params, stack, sched, cond, steps=3, cfg_scale=CFG, init_noise=bad)
+            sample(params, stack, sched, cond, steps=NUM_STEPS, cfg_scale=CFG, seed=0)
 
 
 class TestRoundingProbeArithmetics:

@@ -162,7 +162,7 @@ class TestForwardNoise:
         with pytest.raises(ParameterError, match="latent float32 vs noise float64"):
             forward_noise(z0, 1, np.zeros(z0.shape), sched)
         with pytest.raises(ParameterError, match="latent float64 vs noise float32"):
-            forward_noise(fx.tensor(z0, dtype=np.float64), 1, fx.tensor(z0), sched)
+            forward_noise(fx.tensor(z0.astype(np.float64)), 1, fx.tensor(z0), sched)
 
     def test_unit_variance_preserved(self):
         sched = NoiseSchedule.cosine(1000)

@@ -10,17 +10,19 @@ A change that removes settable values lowers the pin and says so in CHANGES.md;
 none may raise it silently.
 
 `python tests/test_settable_values.py OTHER_SRC` prints the count of this tree's
-`src` and of OTHER_SRC.
+`src` and of OTHER_SRC, then each `<module>.<name>` that one tree holds more
+often than the other, once per value, under the tree that holds it.
 """
 
 import ast
 import os
 import re
 import sys
+from collections import Counter
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-SETTABLE_VALUES = 60
+SETTABLE_VALUES = 50
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -66,8 +68,15 @@ def _modules(src: str) -> dict[str, ast.Module]:
             for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
 
 
-def count(src: str = SRC) -> int:
-    return sum(len(settable_values(tree)) for tree in _modules(src).values())
+def names(src: str = SRC) -> list[str]:
+    """`<module>.<name>` of each settable value under `src`, module by module."""
+    return [f"{module[:-3]}.{name}" for module, tree in _modules(src).items()
+            for name in settable_values(tree)]
+
+
+def only_in(ours: list[str], theirs: list[str]) -> list[str]:
+    """The names `ours` holds more often than `theirs`, once per extra value."""
+    return sorted((Counter(ours) - Counter(theirs)).elements())
 
 
 def test_settable_value_count_is_pinned():
@@ -87,7 +96,19 @@ def test_settable_value_count_is_pinned():
         "    def method(self, g=4): pass\n"
         "    def _hidden(self, h=5): pass\n")
     assert settable_values(rule) == ["f", "f", "C.y", "C.z", "C.__init__", "C.method"]
-    assert count() == SETTABLE_VALUES
+    assert len(names()) == SETTABLE_VALUES
+
+
+def test_only_in_lists_each_value_one_tree_lacks():
+    old = settable_values(ast.parse("def f(a=1, b=2): pass\n"
+                                    "def g(c=3): pass\n"
+                                    "def h(d=4): pass\n"))
+    new = settable_values(ast.parse("def f(a, b=2): pass\n"
+                                    "def h(d=4, e=5): pass\n"
+                                    "def k(x=6): pass\n"))
+    assert only_in(old, new) == ["f", "g"]
+    assert only_in(new, old) == ["h", "k"]
+    assert only_in(old, old) == []
 
 
 def test_no_default_constants_beside_the_configs():
@@ -104,8 +125,14 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/test_settable_values.py OTHER_SRC", file=sys.stderr)
         return 2
-    for src in (SRC, os.path.abspath(argv[0])):
-        print(f"{count(src):5d}  {src}")
+    other = os.path.abspath(argv[0])
+    found = {src: names(src) for src in (SRC, other)}
+    for src in (SRC, other):
+        print(f"{len(found[src]):5d}  {src}")
+    for src, rest in ((SRC, other), (other, SRC)):
+        print(f"only in {src}:")
+        for name in only_in(found[src], found[rest]):
+            print(f"  {name}")
     return 0
 
 

@@ -21,7 +21,7 @@ from freqvfx import denoiser, sampling, train
 from freqvfx.adapt import _draw_mean, adapt, freq_constraint_loss
 from freqvfx.config import AdaptConfig, ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
-from freqvfx.moe import RouterParams, route
+from freqvfx.moe import RouterParams, drawing, route
 from freqvfx.schedule import NoiseSchedule, forward_noise
 from freqvfx.spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrices, joint_descriptor
 from freqvfx.synthgen import build_dataset, read_dataset
@@ -216,7 +216,7 @@ def test_router_vjp_keeps_only_what_its_live_leaves_read(top_k):
     live leaves' gradients read, and gives each live leaf the bytes it gets with
     all four live."""
     rng = np.random.default_rng(8)
-    router = RouterParams.init(rng, n_experts=4, hidden=16, tau=1.5)
+    router = RouterParams.build(drawing(rng, np.float32), n_experts=4, hidden=16, tau=1.5)
     router.w2.data[...] = rng.normal(0.0, 0.8, size=router.w2.shape)
     e = rng.dirichlet(np.ones(6), size=4)
     leaves = list(router.parameters().values())

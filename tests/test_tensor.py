@@ -65,7 +65,7 @@ def test_scalar_promotion_matches_dtype():
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = oracles.softmax(fx.tensor([0.5, 0.5, 0.5, 0.5], dtype=np.float64), tau=1.0)
+    out = oracles.softmax(fx.tensor(np.array([0.5, 0.5, 0.5, 0.5], dtype=np.float64)), tau=1.0)
     assert np.allclose(out.data, 0.25, atol=1e-15)
     assert abs(out.data.sum() - 1.0) < 1e-12
 
@@ -75,13 +75,13 @@ def test_softmax_matches_high_precision(tau):
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(scale=4.0, size=6)
-        got = oracles.softmax(fx.tensor(x, dtype=np.float64), tau=tau).data
+        got = oracles.softmax(fx.tensor(x), tau=tau).data
         want = oracles.softmax_mp(x, tau)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_softmax_large_tau_flattens():
-    x = fx.tensor([3.0, -1.0, 0.5], dtype=np.float64)
+    x = fx.tensor(np.array([3.0, -1.0, 0.5], dtype=np.float64))
     out = oracles.softmax(x, tau=1e6).data
     assert np.max(np.abs(out - 1.0 / 3.0)) < 1e-5
 
@@ -426,14 +426,14 @@ def test_concat_reads_plain_parts_at_the_tensor_dtype():
     """A plain part takes the dtype of the first Tensor part, wherever it sits, as
     a binary op's plain operand does; Tensor parts of two dtypes are refused."""
     wide = np.arange(6.0).reshape(2, 3)
-    live = fx.tensor(np.ones((2, 2)), dtype=np.float64)
+    live = fx.tensor(np.ones((2, 2)))
     for parts in ([wide, live], [live, wide]):
         out = oracles.concat(parts, axis=1)
         assert out.dtype == np.float64
         assert np.array_equal(out.data[:, :3] if parts[0] is wide else out.data[:, 2:], wide)
     assert oracles.concat([wide, wide], axis=0).dtype == np.float32
     with pytest.raises(ParameterError, match="dtype mismatch"):
-        oracles.concat([live, fx.tensor(wide, dtype=np.float32)], axis=1)
+        oracles.concat([live, fx.tensor(wide.astype(np.float32))], axis=1)
 
 
 def test_frozen_weight_is_a_constant_input():
