@@ -24,9 +24,8 @@ import freqvfx.sampling
 import freqvfx.tensor as fx
 from freqvfx import cli
 from freqvfx.adapt import VfxEmbedding, adapt, freq_constraint_loss
-from freqvfx.config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig, from_dict
-from freqvfx.container import (manifest_path_for, read_container, read_container_file,
-                               read_manifest, restore_state, write_container)
+from freqvfx.config import AdaptConfig, ModelConfig, SampleConfig, TrainConfig
+from freqvfx.container import read_container, write_container
 from freqvfx.denoiser import (build_adapter_stack, build_conditioning,
                               build_denoiser, build_model, denoise_step)
 from freqvfx.errors import ChecksumError, ContainerError
@@ -35,13 +34,14 @@ from freqvfx.sampling import sample
 from freqvfx.schedule import NoiseSchedule, forward_noise, sampling_grid
 from freqvfx.spectral import (EPS_DEFAULT, SIGMA1_DEFAULT, SIGMA2_DEFAULT,
                               appearance_proxy, band_energies, decompose,
-                              joint_descriptor, joint_descriptor_detached,
+                              joint_descriptor_detached,
                               normalize_energies, vfx_proxy)
 from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.tensor import Tensor
-from freqvfx.train import AdamW, diffusion_loss, smoothed_endpoints, train_stage1
+from freqvfx.train import diffusion_loss, train_stage1
 
 import oracles
+import scenarios
 
 RESULTS: list[str] = []
 
@@ -317,23 +317,13 @@ def test_criterion_05_freeze_contracts():
 
 @pytest.fixture(scope="module")
 def stage1_run(tmp_path_factory):
-    """Dataset generation plus the 2000-step training run, through the CLI."""
+    """Dataset generation plus the 2000-step training run, through the CLI, and
+    the checked restore of its checkpoint."""
     root = tmp_path_factory.mktemp("desk")
     t0 = time.time()
-    assert cli.main(["gen", "--classes", "lowfreq_field:64,highfreq_particles:64",
-                     "--seed", "2024", "--out", str(root / "data")]) == 0
-    assert cli.main(["train", "--input", str(root / "data" / "dataset.fvl1"),
-                     "--out", str(root / "run")]) == 0
-    train_time = time.time() - t0
-
-    ckpt = str(root / "run" / "checkpoint.fvl1")
-    manifest = read_manifest(manifest_path_for(ckpt))
-    entries = read_container_file(ckpt)
-    params, stack = restore_state(entries, from_dict(ModelConfig, manifest.config["model"]))
-    schedule = NoiseSchedule(alphas=entries["schedule.alphas"],
-                             sigmas=entries["schedule.sigmas"])
+    params, stack, schedule, manifest = scenarios.stage1_model(root)
     return SimpleNamespace(params=params, stack=stack, schedule=schedule,
-                           manifest=manifest, train_time=train_time)
+                           manifest=manifest, train_time=time.time() - t0)
 
 
 def test_criterion_06_stage1_desk_run(stage1_run):
@@ -355,41 +345,14 @@ def test_criterion_06_stage1_desk_run(stage1_run):
 def test_criterion_07_stage2_desk_run(stage1_run):
     params, stack, sched = stage1_run.params, stage1_run.stack, stage1_run.schedule
     t0 = time.time()
-    high = build_dataset((("highfreq_particles", 4),), 7, ModelConfig())
-    low = build_dataset((("lowfreq_field", 4),), 11, ModelConfig())
-    ref_high = high["videos"]
-    cond = build_conditioning(params, ref_high, high["text.highfreq_particles"])
-
-    # Deterministic warm-up that drags the fresh embedding toward the
-    # low-frequency look, so adaptation starts from a genuinely mismatched
-    # operating point instead of near-neutral noise.
-    target = Tensor(joint_descriptor_detached(
-        low["videos"]).mean(axis=0, keepdims=True))
-    acfg = AdaptConfig()
-    emb = VfxEmbedding.init(np.random.default_rng(0), length=acfg.embed_tokens,
-                            width=params.width, std=acfg.embed_std)
-    opt = AdamW([emb.tokens], lr=0.01, betas=acfg.betas, eps=acfg.adam_eps,
-                weight_decay=acfg.weight_decay)
-    bias_first = bias_last = 0.0
-    for i in range(150):
-        with fx.Tape(opt.params) as tape:
-            gen = sample(params, stack, sched, cond.with_vfx(emb.tokens),
-                         steps=8, cfg_scale=3.0, seed=0).video
-            jd = joint_descriptor(gen)
-            diff = oracles.sub(jd, target)
-            loss = oracles.reduce_mean(oracles.reduce_sum(oracles.absolute(diff), axes=(1,)))
-        bias_last = float(loss.data)
-        if i == 0:
-            bias_first = bias_last
-        opt.step(fx.backward(tape, loss))
+    ref_high, cond, target = scenarios.stage2_setting(params)
+    emb, bias_first, bias_last = scenarios.warm_up(params, stack, sched, cond, target)
     assert bias_last < bias_first, "warm-up failed to bias the embedding"
 
     frozen_before = {k: t.data.copy()
                      for k, t in {**params.named_arrays(), **stack.parameters()}.items()}
     emb_before = emb.tokens.data.copy()
-    cfg = AdaptConfig(steps=100, sample_cfg=3.0, n_draws=4)
-    result = adapt(ref_high, cond, cfg, params, stack, sched, embedding=emb)
-    first, last = smoothed_endpoints(result.losses, window=50)
+    first, last = scenarios.adapt_drop(params, stack, sched, ref_high, cond, emb)
     drop = 1.0 - last / first
     frozen_ok = all(np.array_equal(t.data, frozen_before[k])
                     for k, t in {**params.named_arrays(), **stack.parameters()}.items())
@@ -397,13 +360,13 @@ def test_criterion_07_stage2_desk_run(stage1_run):
 
     # Self-reference fixpoint: the reference is the model's own sample under
     # the run's seed policy, so the loss must start at zero and stay there.
+    cfg = scenarios.adapt_config(10)
     emb2 = VfxEmbedding.init(np.random.default_rng(cfg.seed), length=cfg.embed_tokens,
                              width=params.width, std=cfg.embed_std)
     own = sample(params, stack, sched, cond.with_vfx(emb2.tokens),
                  steps=cfg.sample_steps, cfg_scale=cfg.sample_cfg,
                  seed=cfg.sample_seed).video.data
-    fix = adapt(own, cond, AdaptConfig(steps=10, sample_cfg=3.0, n_draws=4),
-                params, stack, sched, embedding=emb2)
+    fix = adapt(own, cond, cfg, params, stack, sched, embedding=emb2)
     fix_max = float(np.max(np.abs(fix.losses)))
 
     dt = time.time() - t0

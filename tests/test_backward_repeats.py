@@ -13,19 +13,15 @@ import pytest
 
 import freqvfx.tensor as fx
 from freqvfx.adapt import adapt
-from freqvfx.config import AdaptConfig, ModelConfig
-from freqvfx.denoiser import build_conditioning, build_model
-from freqvfx.schedule import NoiseSchedule
-from freqvfx.synthgen import build_dataset, read_dataset
+from freqvfx.denoiser import build_conditioning
 from freqvfx.train import diffusion_loss
+
+import scenarios
 
 
 @pytest.fixture(scope="module")
 def model():
-    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
-    spec = (("lowfreq_field", 2), ("highfreq_particles", 2))
-    z0, _, text = read_dataset(build_dataset(spec, 1, ModelConfig()), "dataset")
-    return params, stack, NoiseSchedule.cosine(params.num_steps), z0, text
+    return scenarios.step_model()
 
 
 def _sweeps(backward, tape, loss) -> list[list[bytes]]:
@@ -55,7 +51,7 @@ def test_adapt_step_backward_repeats(model, monkeypatch):
 
     monkeypatch.setattr(fx, "backward", twice)
     adapt(z0, build_conditioning(params, z0, text),
-          AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
+          scenarios.adapt_config(1), params, stack, sched)
     [(n_nodes, copies, (first, second))] = seen
     assert n_nodes == 117 and first == second
     assert np.any(np.frombuffer(first[0], dtype=np.float32))

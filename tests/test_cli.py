@@ -18,6 +18,7 @@ from freqvfx import container as ct
 from freqvfx.cli import main
 
 import oracles
+from test_bench_targets import load_bench
 
 CFG = {
     "model": {"latent_shape": [2, 2, 4, 4], "width": 16, "num_steps": 10},
@@ -704,8 +705,8 @@ class TestPipeline:
             assert rc == 2, name
             assert message in err and "Traceback" not in err, err
             assert not (tmp_path / name / "adapted.fvl1").exists()
-        # the benchmark's adapt-unroll settings (bench/workloads.py ADAPT_UNROLL)
-        unroll = {"mode": "unroll", "sample_steps": 8, "sample_cfg": 3.0, "n_draws": 4}
+        # the benchmark's adapt-unroll settings
+        unroll = load_bench("workloads").ADAPT_UNROLL
         rc, err = adapt_with("unroll", {**unroll, "steps": 2, "embed_tokens": 4})
         assert rc == 0, err
         assert (tmp_path / "unroll" / "adapted.fvl1").exists()

@@ -1,4 +1,5 @@
-"""No module in the package or the test suite imports a name it never uses.
+"""No module in the package, the test suite or `tools/` imports a name it never
+uses.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): every name an
 import statement binds must be read somewhere in the same module. The one
@@ -14,7 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "freqvfx"
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "tools")
+           for path in sorted(folder.glob("*.py"))]
 SPANS = ROOT / "bench" / "spans.py"
 
 
@@ -62,7 +64,7 @@ def unused_names(source: str, traced: set[str]) -> list[tuple[int, str]]:
 
 
 def test_no_unused_imports():
-    assert {"moe.py", "test_imports.py"} <= {p.name for p in SOURCES}
+    assert {"moe.py", "test_imports.py", "rounding_probe.py"} <= {p.name for p in SOURCES}
     traced = traced_names()
     found = []
     for path in SOURCES:

@@ -20,24 +20,20 @@ import pytest
 import freqvfx.denoiser
 import freqvfx.tensor as fx
 from freqvfx.adapt import adapt, freq_constraint_loss
-from freqvfx.config import AdaptConfig, ModelConfig
-from freqvfx.denoiser import build_conditioning, build_model, denoise_step
+from freqvfx.denoiser import build_conditioning, denoise_step
 from freqvfx.moe import route
 from freqvfx.sampling import sample
-from freqvfx.schedule import NoiseSchedule
 from freqvfx.spectral import joint_descriptor_detached
-from freqvfx.synthgen import build_dataset, read_dataset
 from freqvfx.train import diffusion_loss
+
+import scenarios
 
 PACKAGE = Path(freqvfx.denoiser.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
 def model():
-    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
-    spec = (("lowfreq_field", 2), ("highfreq_particles", 2))
-    z0, _, text = read_dataset(build_dataset(spec, 1, ModelConfig()), "dataset")
-    return params, stack, NoiseSchedule.cosine(params.num_steps), z0, text
+    return scenarios.step_model()
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +54,7 @@ def step_ops(model):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fx, "backward", listing_backward)
         adapt(z0, build_conditioning(params, z0, text),
-              AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4), params, stack, sched)
+              scenarios.adapt_config(1), params, stack, sched)
     (adapt_ops,) = seen
     return [node.op for node in tape.nodes], adapt_ops
 

@@ -19,14 +19,14 @@ import pytest
 import freqvfx.tensor as fx
 from freqvfx import denoiser, sampling, train
 from freqvfx.adapt import _draw_mean, adapt, freq_constraint_loss
-from freqvfx.config import AdaptConfig, ModelConfig
+from freqvfx.config import ModelConfig
 from freqvfx.denoiser import build_conditioning, build_model
 from freqvfx.moe import RouterParams, drawing, route
 from freqvfx.schedule import NoiseSchedule, forward_noise
 from freqvfx.spectral import SIGMA1_DEFAULT, SIGMA2_DEFAULT, blur_matrices, joint_descriptor
-from freqvfx.synthgen import build_dataset, read_dataset
 
 import oracles
+import scenarios
 
 ADAPT_TAPE_MB = 25.0
 
@@ -238,11 +238,8 @@ def test_router_vjp_keeps_only_what_its_live_leaves_read(top_k):
 
 
 def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
-    params, stack = build_model(ModelConfig(), np.random.default_rng(0))
-    spec = (("lowfreq_field", 2), ("highfreq_particles", 2))
-    z0, _, text = read_dataset(build_dataset(spec, 1, ModelConfig()), "dataset")
+    params, stack, sched, z0, text = scenarios.step_model()
     cond = build_conditioning(params, z0, text)
-    sched = NoiseSchedule.cosine(params.num_steps)
     seen = []
 
     def measure(tape, loss):
@@ -264,8 +261,7 @@ def test_adapt_step_tape_keeps_only_what_backward_reads(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            adapt(z0, cond, AdaptConfig(steps=1, sample_cfg=3.0, n_draws=4),
-                  params, stack, sched)
+            adapt(z0, cond, scenarios.adapt_config(1), params, stack, sched)
     finally:
         tracemalloc.stop()
     (n_nodes, in_fields, in_cells), tape_mb = seen
