@@ -410,11 +410,12 @@ def _context_tokens(params: DenoiserParams, cond: Conditioning | None,
 
 
 # An `attn_block` node's inputs after the residual stream x: each projection's
-# (b, pi, h, a, h), as the chain's `lora` node listed them, in the order
-# `backward` reached the projections: o, whose h (the mixed values) the block
-# makes itself, so that only its (b, pi, a) are inputs, then v and k, whose h
-# is the context, then q, whose h is x; this maps v, k and q to the index of
-# their first input. The single-key shortcut has only o and v.
+# (b, pi, h, a, h), h once for its chain's down linear and once for its base
+# linear, in the order `backward` reached the projections: o, whose h (the
+# mixed values) the block makes itself, so that only its (b, pi, a) are
+# inputs, then v and k, whose h is the context, then q, whose h is x; this maps
+# v, k and q to the index of their first input. The single-key shortcut has
+# only o and v.
 _SLOT_START = {"v": 4, "k": 9, "q": 14}
 # the names under which an `attn_block` vjp keeps a projection's arrays
 _KEPT = {slot: tuple(f"{slot}.{name}" for name in ("gated", "down", "b", "a", "h", "w"))
@@ -429,7 +430,7 @@ def _sum_tokens(g: np.ndarray) -> np.ndarray:
 
 def _project_grads(g: np.ndarray, kept: dict, slot: str):
     """Yield the (b, pi, h, a, h) gradients of projection `slot` from its
-    output's gradient g, as the vjp of its `lora` chain computed them; each is
+    output's gradient g, as the vjps of its op chain computed them; each is
     None unless `kept` holds what it reads. Each is computed when it is asked
     for, so a caller that adds each into its sum before asking for the next
     holds no more gradients at once than that vjp did."""
@@ -535,11 +536,13 @@ def _attention(x: Tensor, kv, params: DenoiserParams, stack: AdapterStack, pi: T
     The routing gate pi @ owner is formed once; each of the q, k, v and o
     projections is one `moe_forward` call, and the core is softmax(q k^T *
     scale + bias) v, each elementwise step in place on the fresh scores. The
-    numpy expressions are those of the lora, lora, lora, attention, lora, add
-    chain, in its order, so the value and every gradient keep the chain's
-    bytes. Attention into a single key with no bias skips the q and k
-    projections and the softmax, whose weight over one key is exactly 1: every
-    query reads the one value.
+    numpy expressions are those of the op chain it replaces, in its order: per
+    projection a matmul, reshape, linear, linear, mul, linear, add chain, for
+    the core a transpose, matmul, mul, add, softmax, matmul chain, then the
+    residual add; so the value and every gradient keep the chain's bytes.
+    Attention into a single key with no bias skips the q and k projections and
+    the softmax, whose weight over one key is exactly 1: every query reads the
+    one value.
 
     The node's inputs are x, then o's (b, pi, a), then v's, k's and q's (b, pi,
     h, a, h) (`_SLOT_START`): an input is listed once per path by which the

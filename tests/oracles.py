@@ -8,9 +8,7 @@ the package's tape (`fx.record`) from the generic broadcasting ops that the
 package no longer records (`add`, `sub`, `mul`, `square`, `absolute`, `cast`,
 `reshape`, `broadcast_to`, `concat`, `reduce_sum`, `reduce_mean`), plus the
 `matmul`, `transpose`, `swap_last2`, `log1p`, `slice_axis`, `gelu`,
-`softmax`, `div`, `linear`, `lora_linear` and `attention` ops that only these
-chains record (the last two are themselves fused ops, checked against their
-own chains, of which `denoiser`'s `attn_block` node is fused in turn); the
+`softmax`, `div` and `linear` ops that only these chains record; the
 synthetic-data generators, whose loops must give the bytes of the package's
 vectorised ones from the same streams; and the helpers that only tests read
 the package with (`adapter_param_count`, `state_hashes`, `sha256_file`,
@@ -631,173 +629,10 @@ def route_chain(e, params, top_k):
     return pi
 
 
-
-
-def _lora_vjp(live, hd, ad, bd, wd, od, gate_shape, gd, down, gated):
-    a_shape, b_shape, down_shape = ad.shape, bd.shape, down.shape
-    up = live[1] or live[2] or live[3]  # the paths through g @ b
-    gated = gated if live[0] else None
-    down = down if live[1] else None
-    od = od if live[1] else None
-    gd = gd if up else None
-    bd = bd if up else None
-    ad = ad if live[2] else None
-    hd = hd if live[3] else None
-    wd = wd if live[4] else None
-
-    def vjp(g):
-        gb = gpi = gh_up = ga = gh_base = None
-        if live[0]:
-            gb = np.transpose(_unbroadcast(np.swapaxes(gated, -1, -2) @ g, b_shape[::-1]))
-        if live[1] or live[2] or live[3]:
-            g_gated = g @ bd
-            if live[1]:
-                ggate = _unbroadcast(g_gated * down, gd.shape).reshape(gate_shape)
-                gpi = ggate @ od.T
-            if live[2] or live[3]:
-                g_down = _unbroadcast(g_gated * gd, down_shape)
-                if live[2]:
-                    gh_up = g_down @ ad
-                if live[3]:
-                    ga = np.transpose(_unbroadcast(np.swapaxes(hd, -1, -2) @ g_down,
-                                                   a_shape[::-1]))
-        if live[4]:
-            gh_base = g @ wd
-        return gb, gpi, gh_up, ga, gh_base
-
-    return vjp
-
-
-def lora_linear(h, w, a, b, pi, owner):
-    """h @ w^T + ((h @ a^T) * gate) @ b^T as one node, gate = pi @ owner: a
-    projection plus a routed low-rank update with down factor a (R, d_in), up
-    factor b (d_out, R) and routing weights pi (B, M).
-
-    `owner` is a constant (M, R) one-hot marking each expert's span of the rank
-    axis, so rank row j of the down output of sample i is gated by
-    (pi @ owner)[i, j]. Forward and vjp evaluate the numpy expressions of the
-    matmul, reshape, linear, linear, mul, linear, add chain they replace, in its
-    order, so values and gradients keep their bytes. The vjp keeps the gated
-    down output only when b is live, h @ a^T only when pi is live and h only
-    when a is live, and never the base or up outputs.
-
-    The frozen weight `w` and the layout `owner` are plain arrays of h's dtype,
-    constants of the node that get no gradient, as `attention`'s bias; a Tensor
-    passed as either is refused, and so is an array of another dtype, as for a, b
-    and pi. The node's inputs are (b, pi, h, a, h): the order in
-    which the chain handed gradients back, so `backward` adds into each input in
-    the same order. `h` is listed once per path because the chain added its
-    adapter-path and base-path gradients into h one after the other; a
-    pre-summed gradient would round differently. The up-projection is added
-    into the fresh base output in place, which gives the sum's bytes.
-    """
-    h = h if isinstance(h, fx.Tensor) else fx.Tensor(h)
-    hd = h.data
-    dt = hd.dtype
-    # each operand read as `_pair` reads one, inline: anything but a Tensor
-    # becomes a constant of h's dtype, and a Tensor must have that dtype
-    if not isinstance(a, fx.Tensor):
-        a = fx.Tensor(np.asarray(a, dtype=dt))
-    if not isinstance(b, fx.Tensor):
-        b = fx.Tensor(np.asarray(b, dtype=dt))
-    if not isinstance(pi, fx.Tensor):
-        pi = fx.Tensor(np.asarray(pi, dtype=dt))
-    if isinstance(w, fx.Tensor) or isinstance(owner, fx.Tensor):
-        raise ParameterError("lora_linear takes w and owner as constant arrays, not Tensors")
-    wd, od = np.asarray(w), np.asarray(owner)
-    for x in (a.data, b.data, pi.data, wd, od):
-        if x.dtype != dt:
-            raise ParameterError(f"dtype mismatch: {dt} vs {x.dtype}")
-    if h.ndim < 2 or wd.ndim != 2 or a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"lora_linear needs rank >= 2 inputs and 2-D weights, got h "
-                         f"{h.shape}, w {wd.shape}, a {a.shape}, b {b.shape}")
-    if not h.shape[-1] == wd.shape[1] == a.shape[1] or b.shape != (wd.shape[0], a.shape[0]):
-        raise ShapeError(f"lora_linear dims disagree: h {h.shape}, w {wd.shape}, "
-                         f"a {a.shape}, b {b.shape}")
-    if pi.ndim != 2 or od.shape != (pi.shape[1], a.shape[0]) or pi.shape[0] != h.shape[0]:
-        raise ShapeError(f"lora_linear routing weights {pi.shape} and owner {od.shape} "
-                         f"do not match batch {h.shape[0]} and rank {a.shape[0]}")
-    ad, bd, pd = a.data, b.data, pi.data
-    gate = pd @ od
-    gd = gate.reshape((h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],))
-    down = hd @ ad.T
-    gated = down * gd
-    out = hd @ wd.T
-    out += gated @ bd.T
-    return fx.record("lora", (b, pi, h, a, h), out, _lora_vjp,
-                  hd, ad, bd, wd, od, gate.shape, gd, down, gated)
-
-
-def _attention_vjp(live, p, qd, kt, vd, scale_arr):
-    q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
-    vd = vd if live[1] or live[2] else None
-    kt = kt if live[1] else None
-    qd = qd if live[2] else None
-
-    def vjp(g):
-        gv = gq = gk = None
-        if live[0]:
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
-        if live[1] or live[2]:
-            # fresh: the softmax adjoint and the scale run in place into g_s
-            g_s = _unbroadcast(g @ np.swapaxes(vd, -1, -2), p.shape)
-            g_s -= np.sum(g_s * p, axis=-1, keepdims=True)
-            g_s *= p
-            g_s *= scale_arr
-            if live[1]:
-                gq = _unbroadcast(g_s @ np.swapaxes(kt, -1, -2), q_shape)
-            if live[2]:
-                gk = np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_s, kt_shape), -1, -2)
-        return gv, gq, gk
-
-    return vjp
-
-
-def attention(q, k, v, scale: float, bias: np.ndarray | None = None):
-    """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
-
-    `bias` is a constant (N_q, N_k) array added to the scores. Forward
-    and vjp evaluate the numpy expressions of the transpose, matmul, mul, add,
-    softmax, matmul chain they replace, in its order (the softmax's at tau = 1,
-    whose division by 1 is exact and skipped), so values and gradients keep
-    their bytes. Each elementwise step after the first matmul runs in place on
-    that matmul's fresh output, and so does the vjp's softmax adjoint on the
-    fresh g @ v^T; q, k, v, bias and the upstream gradient are only read.
-
-    The node's inputs are (v, q, k): the order in which the chain handed
-    gradients back, so `backward` adds into each input in the same order.
-    """
-    q = _as_tensor(q)
-    k, v = _pair(q, k)[1], _pair(q, v)[1]
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError(f"attention needs rank >= 2 operands, got q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention dims disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    if bias is not None and np.shape(bias) != (q.shape[-2], k.shape[-2]):
-        raise ShapeError(f"attention bias {np.shape(bias)} is not (N_q, N_k) for q {q.shape}, "
-                         f"k {k.shape}")
-    qd, kd, vd = q.data, k.data, v.data
-    kt = np.swapaxes(kd, -1, -2)
-    try:
-        p = qd @ kt  # fresh: scaled, biased and normalised in place into p
-        scale_arr = np.asarray(scale, dtype=p.dtype)
-        p *= scale_arr
-        if bias is not None:
-            p += np.asarray(bias, dtype=p.dtype)
-        p -= np.max(p, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        out = p @ vd
-    except ValueError as e:
-        raise ShapeError(f"attention batch dims disagree: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}") from e
-    return fx.record("attention", (v, q, k), out, _attention_vjp, p, qd, kt, vd, scale_arr)
-
-
 def lora_linear_chain(h, w, a, b, pi, owner):
-    """The matmul, reshape, linear, linear, mul, linear, add chain that
-    `fx.lora_linear` fuses; `w` and `owner` are arrays, constants of the chain."""
+    """h @ w^T + ((h @ a^T) * gate) @ b^T, gate = pi @ owner: one projection of
+    `denoiser._attention` as its matmul, reshape, linear, linear, mul, linear,
+    add chain; `w` and `owner` are arrays, constants of the chain."""
     gate_shape = (h.shape[0],) + (1,) * (h.ndim - 2) + (a.shape[0],)
     gate = reshape(matmul(pi, fx.Tensor(owner)), gate_shape)
     out = linear(h, w)
@@ -806,7 +641,9 @@ def lora_linear_chain(h, w, a, b, pi, owner):
 
 
 def attention_chain(q, k, v, scale, bias=None):
-    """The transpose, matmul, mul, add, softmax, matmul chain that `fx.attention` fuses."""
+    """softmax(q @ k^T * scale + bias) @ v, the attention core of
+    `denoiser._attention`, as its transpose, matmul, mul, add, softmax, matmul
+    chain; `bias` is a constant (N_q, N_k) array."""
     scores = mul(matmul(q, swap_last2(k)), scale)
     if bias is not None:
         scores = add(scores, fx.Tensor(np.asarray(bias, dtype=scores.dtype)))
@@ -814,15 +651,17 @@ def attention_chain(q, k, v, scale, bias=None):
 
 
 def attn_block_chain(x, kv, params, stack, pi, layer, bias=None):
-    """The lora, lora, lora, attention, lora, add chain that `denoiser._attention`
-    fuses into its `attn_block` node: x plus attention block `layer` of x into
-    `kv`, each projection one `lora_linear` node and the core one `attention`
-    node; into a single key with no bias, the v projection broadcast over x's
-    tokens, with no q, k or core."""
+    """The chain that `denoiser._attention` fuses into its `attn_block` node: x
+    plus attention block `layer` of x into `kv`, each projection a
+    `lora_linear_chain` and the core an `attention_chain`; into a single key
+    with no bias, the v projection broadcast over x's tokens, with no q, k or
+    core. A plain `kv` is a constant."""
+    kv = _as_tensor(kv, x)
+
     def project(slot, h):
         adapter = stack.layers[f"{layer}.{slot}"]
-        return lora_linear(h, params.projections[f"{layer}.w{slot}"], adapter.a, adapter.b,
-                           pi, stack.owner)
+        return lora_linear_chain(h, params.projections[f"{layer}.w{slot}"], adapter.a,
+                                 adapter.b, pi, stack.owner)
 
     if kv.shape[1] == 1 and bias is None:
         v = project("v", kv)
@@ -830,7 +669,7 @@ def attn_block_chain(x, kv, params, stack, pi, layer, bias=None):
     else:
         q = project("q", x)
         k = project("k", kv)
-        mixed = attention(q, k, project("v", kv), 1.0 / math.sqrt(params.width), bias)
+        mixed = attention_chain(q, k, project("v", kv), 1.0 / math.sqrt(params.width), bias)
     return add(x, project("o", mixed))
 
 

@@ -1,23 +1,19 @@
 """The fused tape ops against the op chains they replace (tests/oracles.py).
 
 The denoiser's `attn_block` node (`denoiser._attention`) must give the bytes
-of its chain of `oracles.lora_linear`, `oracles.attention` and `add` nodes,
+of its chain of generic tape ops (`oracles.attn_block_chain`: each projection
+a matmul, reshape, linear, linear, mul, linear, add chain, the core a
+transpose, matmul, mul, add, softmax, matmul chain, then the residual add),
 for all three forms of a block (self-attention under the diagonal bias,
 cross-attention into a 22-token context and the null token's single-key
 shortcut), in float32 and float64 at B=1 and B=4, for every live subset of
-its inputs that a train, adapt or guided tape records; its float64 gradients
-also agree with central differences. Those two fused ops, kept in
-`tests/oracles.py` as the block's byte reference, are held in turn to their
-own chains: the forward value and the gradient of every live input (for
-`lora_linear`, the routing weights among them; its frozen weight and expert
-layout are arrays, never live), for every subset of live inputs, at the model's
-sizes (width 64, 128 latent tokens, a 22-token context and the one-token null
-context), at B=1 and B=4, and for attention with and without the
-self-attention diagonal bias. The loss adds each op's output to an
-input it read, so that input's gradient is summed from several paths and any
-change in the order `backward` adds them would show in its bytes.
+its inputs that a train, adapt or guided tape records. The loss adds the
+block's output to x, so x's gradient is summed from several paths and any
+change in the order `backward` adds them would show in its bytes. Its float64
+gradients also agree with central differences, and its vjp, run twice with
+every leaf live, gives the same bytes and writes no array it reads.
 `moe.moe_forward` fed the token stream's contiguous transposes gives the
-`lora_linear` chain's bytes over 128 tokens at B=1 and B=4, and a premise
+projection chain's bytes over 128 tokens at B=1 and B=4, and a premise
 check names numpy's BLAS should it stop rounding the two layouts alike there.
 
 `spectral.joint_descriptor` is held to the same bytes against the float64
@@ -71,7 +67,6 @@ import oracles
 WIDTH, RANK, N_TOKENS = 64, 16, 128
 # the (M, R) expert layout of a default stack: 4 experts of rank 4
 OWNER = fx.frozen(np.repeat(np.eye(4, dtype=np.float32), RANK // 4, axis=1))
-SCALE = WIDTH ** -0.5
 
 
 def _subsets(names):
@@ -113,7 +108,7 @@ def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
 
 
 def _lora_arrays(b, n):
-    """The inputs h, a, b, pi, and the frozen weight w as the denoiser holds it."""
+    """A projection's inputs h, a, b and pi, and a weight w."""
     rng = np.random.default_rng(7 * b + n)
     arrays = {
         "h": rng.normal(size=(b, n, WIDTH)).astype(np.float32),
@@ -122,22 +117,7 @@ def _lora_arrays(b, n):
         "b": rng.normal(0.0, 0.1, size=(WIDTH, RANK)).astype(np.float32),
         "pi": rng.dirichlet(np.ones(4), size=b).astype(np.float32),
     }
-    return arrays, fx.frozen(arrays.pop("w"))
-
-
-@pytest.mark.parametrize("b", [1, 4])
-@pytest.mark.parametrize("n", [N_TOKENS, 22, 1])
-def test_lora_linear_matches_chain_bytes(b, n):
-    arrays, w = _lora_arrays(b, n)
-
-    def fused(h, a, b, pi):
-        return oracles.lora_linear(h, w, a, b, pi, OWNER)
-
-    def chain(h, a, b, pi):
-        return oracles.lora_linear_chain(h, w, a, b, pi, OWNER)
-
-    for live in _subsets(tuple(arrays)):
-        _check_fused(fused, chain, arrays, live, "h", "lora", ("b", "pi", "h", "a", "h"))
+    return arrays
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -145,11 +125,11 @@ def test_lora_linear_matches_chain_bytes(b, n):
 def test_moe_forward_on_the_token_stream_matches_chain_bytes(b, dtype):
     """`moe_forward` handed the token stream's operands, a projection's held
     transpose and contiguous transposes of its expert pair, gives the bytes of
-    the `lora_linear` chain, which multiplies by `.T` views, over the default
-    model's 128 tokens."""
+    the projection chain (`oracles.lora_linear_chain`), which multiplies by
+    `.T` views, over the default model's 128 tokens."""
     params = _backbone(np.dtype(dtype).name)
     w, w_t = params.projections["block1.self.wv"], params.transposed["block1.self.wv"]
-    arrays, _ = _lora_arrays(b, N_TOKENS)
+    arrays = _lora_arrays(b, N_TOKENS)
     h, a, b_, pi = (arrays[k].astype(dtype) for k in ("h", "a", "b", "pi"))
     owner = OWNER.astype(dtype)
     gate = (pi @ owner).reshape(b, 1, RANK)
@@ -191,94 +171,6 @@ def test_blas_rounds_both_layouts_alike_on_the_token_stream(b, dtype):
                 assert (x @ w.T).tobytes() == (x @ np.ascontiguousarray(w.T)).tobytes(), (
                     f"{_blas()} rounds h {x.shape} @ {name}.T differently for a transposed "
                     f"view and a C-contiguous transpose")
-
-
-def _diag_bias():
-    bias = 8.0 * np.eye(N_TOKENS, dtype=np.float32)
-    bias.setflags(write=False)
-    return bias
-
-
-@pytest.mark.parametrize("b", [1, 4])
-@pytest.mark.parametrize("n_keys, bias", [(N_TOKENS, None), (N_TOKENS, "diag"), (22, None),
-                                          (1, None)])
-def test_attention_matches_chain_bytes(b, n_keys, bias):
-    rng = np.random.default_rng(11 * b + n_keys)
-    arrays = {"q": rng.normal(size=(b, N_TOKENS, WIDTH)).astype(np.float32),
-              "k": rng.normal(size=(b, n_keys, WIDTH)).astype(np.float32),
-              "v": rng.normal(size=(b, n_keys, WIDTH)).astype(np.float32)}
-    bias = _diag_bias() if bias == "diag" else None
-
-    def fused(q, k, v):
-        return oracles.attention(q, k, v, SCALE, bias)
-
-    def chain(q, k, v):
-        return oracles.attention_chain(q, k, v, SCALE, bias)
-
-    for live in _subsets(tuple(arrays)):
-        _check_fused(fused, chain, arrays, live, "q", "attention", ("v", "q", "k"))
-
-
-@pytest.mark.parametrize("bias", [None, "diag"])
-def test_self_attention_on_one_tensor_matches_chain_bytes(bias):
-    """q, k and v all one tensor: its three gradients are summed in chain order."""
-    x = np.random.default_rng(5).normal(size=(2, N_TOKENS, WIDTH)).astype(np.float32)
-    bias = _diag_bias() if bias == "diag" else None
-    _check_fused(lambda t: oracles.attention(t, t, t, SCALE, bias),
-                 lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
-                 {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
-
-
-def test_lora_linear_errors():
-    f32 = np.float32
-    good = {name: np.ones(shape, dtype=f32) for name, shape in (
-        ("h", (2, 3, 6)), ("w", (4, 6)), ("a", (5, 6)), ("b", (4, 5)), ("pi", (2, 2)),
-        ("owner", (2, 5)))}
-
-    def call(**bad):
-        args = dict(good, **bad)
-        return oracles.lora_linear(*(x if name in ("w", "owner") else fx.tensor(x)
-                                for name, x in args.items()))
-
-    bad = {
-        "h": np.ones(6, dtype=f32), "w": np.ones((4, 7), dtype=f32),
-        "a": np.ones((5, 7), dtype=f32), "b": np.ones((4, 3), dtype=f32),
-        "pi": np.ones((3, 2), dtype=f32),  # batch 3 against h's batch 2
-        "owner": np.ones((3, 5), dtype=f32),  # 3 experts against pi's 2
-    }
-    for name, arr in bad.items():
-        with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
-            call(**{name: arr})
-    with pytest.raises(ShapeError, match=r"\(3, 5\)"):  # up factor's rank off by its d_out
-        call(b=np.ones((3, 5), dtype=f32))
-    with pytest.raises(ShapeError, match=r"owner \(2, 4\)"):  # rank 4 against a's rank 5
-        call(owner=np.ones((2, 4), dtype=f32))
-    for name in ("a", "w", "owner"):  # w and owner are not converted to h's dtype either
-        with pytest.raises(ParameterError, match="dtype mismatch"):
-            call(**{name: good[name].astype(np.float64)})
-    for name in ("w", "owner"):  # constants of the node: a Tensor is refused
-        with pytest.raises(ParameterError, match="w and owner as constant arrays"):
-            oracles.lora_linear(*(fx.tensor(x) if key in ("h", "a", "b", "pi", name) else x
-                             for key, x in good.items()))
-
-
-def test_attention_errors():
-    f32 = np.float32
-    q, k, v = (np.ones(s, dtype=f32) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
-    bad = {"q": np.ones(4, dtype=f32), "k": np.ones((2, 5, 3), dtype=f32),
-           "v": np.ones((2, 7, 6), dtype=f32)}
-    for name, arr in bad.items():
-        args = dict(q=q, k=k, v=v)
-        args[name] = arr
-        with pytest.raises(ShapeError, match=re.escape(str(arr.shape))):
-            oracles.attention(*(fx.tensor(args[x]) for x in "qkv"), SCALE)
-    with pytest.raises(ShapeError, match=r"\(3, 5, 4\)"):  # batch 3 against batch 2
-        oracles.attention(fx.tensor(q), fx.tensor(np.ones((3, 5, 4), dtype=f32)), fx.tensor(v),
-                     SCALE)
-    with pytest.raises(ShapeError, match=r"bias \(5, 5\)"):  # scores are (3, 5)
-        oracles.attention(fx.tensor(q), fx.tensor(k), fx.tensor(v), SCALE, np.eye(5, dtype=f32))
-    with pytest.raises(ParameterError, match="dtype mismatch"):
-        oracles.attention(fx.tensor(q), fx.tensor(k.astype(np.float64)), fx.tensor(v), SCALE)
 
 
 def _video(b, t, dtype, motion):
@@ -360,61 +252,6 @@ def test_joint_descriptor_errors():
         sp.joint_descriptor(np.zeros((2, 1, 4, 8, 8)))
     with pytest.raises(ShapeError, match="empty axis"):
         sp.joint_descriptor(np.zeros((2, 3, 0, 8, 8)))
-
-
-@pytest.mark.parametrize("kind", ["self", "cross"])
-def test_block_attention_at_batch_4_matches_chain_bytes(kind):
-    """The two calls a denoiser block makes, at B=4: self-attention reads q, k
-    and v from one token tensor under the diagonal bias, and cross-attention
-    reads k and v from one 22-token context."""
-    rng = np.random.default_rng(41)
-    x = rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32)
-    if kind == "self":
-        bias = _diag_bias()
-        _check_fused(lambda t: oracles.attention(t, t, t, SCALE, bias),
-                     lambda t: oracles.attention_chain(t, t, t, SCALE, bias),
-                     {"x": x}, ("x",), "x", "attention", ("x", "x", "x"))
-        return
-    arrays = {"x": x, "c": rng.normal(size=(4, 22, WIDTH)).astype(np.float32)}
-    for live in _subsets(tuple(arrays)):
-        _check_fused(lambda t, c: oracles.attention(t, c, c, SCALE),
-                     lambda t, c: oracles.attention_chain(t, c, c, SCALE),
-                     arrays, live, "x", "attention", ("c", "x", "c"))
-
-
-def _vjp_twice(op, leaves, constants):
-    """Record op(*leaves) and run its node's vjp twice on one upstream gradient;
-    every input, constant and the gradient must keep its bytes throughout, and
-    the two calls must agree byte for byte."""
-    arrays = [t.data for t in leaves] + list(constants)
-    before = [a.tobytes() for a in arrays]
-    with fx.Tape(leaves) as tape:
-        out = op()
-    (node,) = tape.nodes
-    g = np.random.default_rng(42).normal(size=out.shape).astype(out.dtype)
-    g_before, out_before = g.tobytes(), out.data.tobytes()
-    first, second = ([None if x is None else x.tobytes() for x in node.vjp(g)]
-                     for _ in range(2))
-    assert first == second and None not in first[:len(leaves)]
-    assert [a.tobytes() for a in arrays] == before
-    assert (g.tobytes(), out.data.tobytes()) == (g_before, out_before)
-
-
-@pytest.mark.parametrize("n_keys, bias", [(N_TOKENS, "diag"), (22, None)])
-def test_attention_writes_only_its_own_arrays(n_keys, bias):
-    rng = np.random.default_rng(43)
-    q = fx.tensor(rng.normal(size=(4, N_TOKENS, WIDTH)).astype(np.float32))
-    k, v = (fx.tensor(rng.normal(size=(4, n_keys, WIDTH)).astype(np.float32)) for _ in "kv")
-    bias = _diag_bias() if bias else None
-    _vjp_twice(lambda: oracles.attention(q, k, v, SCALE, bias), [q, k, v],
-               [] if bias is None else [bias])
-
-
-@pytest.mark.parametrize("n", [N_TOKENS, 22])
-def test_lora_linear_writes_only_its_own_arrays(n):
-    arrays, w = _lora_arrays(4, n)
-    h, a, b, pi = (fx.tensor(arrays[name]) for name in ("h", "a", "b", "pi"))
-    _vjp_twice(lambda: oracles.lora_linear(h, w, a, b, pi, OWNER), [h, a, b, pi], [w, OWNER])
 
 
 def _router(dtype, b):
@@ -651,15 +488,19 @@ def _block_leaves(form, arrays, stack, layer):
     return leaves
 
 
+def _block_context(form, params, leaves, b):
+    """The context a block of `form` reads: the null token broadcast, x or kv."""
+    if form == "null":
+        return np.broadcast_to(params.null_token, (b, 1, WIDTH))
+    return leaves["x" if form == "self" else "kv"]
+
+
 def _run_block(op, form, dtype, b, live):
     """Forward bytes, the live leaves' gradient bytes and the recorded nodes of
     op's block under a loss that adds x to the block's output."""
     params, stack, layer, bias, arrays = _block_inputs(form, dtype, b)
     leaves = _block_leaves(form, arrays, stack, layer)
-    if form == "null":
-        kv = np.broadcast_to(params.null_token, (b, 1, WIDTH))
-    else:
-        kv = leaves["x" if form == "self" else "kv"]
+    kv = _block_context(form, params, leaves, b)
     weight = fx.tensor(np.random.default_rng(99).normal(size=(b, N_TOKENS, WIDTH)).astype(dtype))
     with fx.Tape([leaves[name] for name in live]) as tape:
         out = op(leaves["x"], kv, params, stack, leaves["pi"], layer, bias)
@@ -718,8 +559,7 @@ def test_attn_block_gradients_match_finite_differences(form):
     w = np.random.default_rng(94).normal(size=(2, N_TOKENS, WIDTH))
 
     def block(inputs):
-        kv = (np.broadcast_to(params.null_token, (2, 1, WIDTH)) if form == "null"
-              else inputs["x" if form == "self" else "kv"])
+        kv = _block_context(form, params, inputs, 2)
         return denoiser._attention(inputs["x"], kv, params, stack, inputs["pi"], layer, bias)
 
     def value(*_):
@@ -737,6 +577,40 @@ def test_attn_block_gradients_match_finite_differences(form):
         num = oracles.fd_grad(value, [leaf.data], 0, coords=coords)
         assert np.any(num.ravel()[coords] != 0.0), name
         oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)
+
+
+def _vjp_twice(op, leaves, constants):
+    """Record op() on a tape of `leaves` and run its node's vjp twice on one
+    upstream gradient; every input, constant and the gradient must keep its
+    bytes throughout, the two calls must agree byte for byte, and each must give
+    a gradient for exactly the keyed inputs."""
+    arrays = [t.data for t in leaves] + list(constants)
+    before = [a.tobytes() for a in arrays]
+    with fx.Tape(leaves) as tape:
+        out = op()
+    (node,) = tape.nodes
+    g = np.random.default_rng(42).normal(size=out.shape).astype(out.dtype)
+    g_before, out_before = g.tobytes(), out.data.tobytes()
+    first, second = ([None if x is None else x.tobytes() for x in node.vjp(g)]
+                     for _ in range(2))
+    assert first == second
+    assert [x is None for x in first] == [k is None for k in node.inputs]
+    assert [a.tobytes() for a in arrays] == before
+    assert (g.tobytes(), out.data.tobytes()) == (g_before, out_before)
+
+
+@pytest.mark.parametrize("form", list(BLOCK_FORMS))
+def test_attn_block_writes_only_its_own_arrays(form):
+    """Every leaf live at B=4: the vjp writes none of x, the context, pi and the
+    expert leaves, nor the four backbone weights, `owner` and the bias or the
+    broadcast null token."""
+    params, stack, layer, bias, arrays = _block_inputs(form, np.float32, 4)
+    leaves = _block_leaves(form, arrays, stack, layer)
+    kv = _block_context(form, params, leaves, 4)
+    constants = [params.projections[f"{layer}.w{slot}"] for slot in "qkvo"] + [stack.owner]
+    constants += {"self": [bias], "cross": [], "null": [kv]}[form]
+    _vjp_twice(lambda: denoiser._attention(leaves["x"], kv, params, stack, leaves["pi"], layer,
+                                           bias), list(leaves.values()), constants)
 
 
 def test_attn_block_errors():

@@ -65,8 +65,8 @@ def test_train_step_nodes(step_ops):
     # every attention block, its four adapted projections, routing gate, core
     # and residual add included, is one attn_block node, the router one router
     # node, the output projection with unpatchify one unembed node and the loss
-    # one mse node; an unfused one would show up as lora, attention, add,
-    # linear, matmul, transpose, reshape, sub, square, mean or mul nodes. The
+    # one mse node; an unfused one would show up as add, linear, matmul,
+    # transpose, reshape, softmax, sub, square, mean or mul nodes. The
     # latent is constant, so the embedding records nothing
     assert (ops["attn_block"], ops["router"], ops["unembed"], ops["mse"],
             ops["patch_embed"]) == (4, 1, 1, 1, 0)

@@ -3,6 +3,7 @@ import pytest
 
 import freqvfx.tensor as fx
 from freqvfx import spectral as sp
+from freqvfx import synthgen as sg
 from freqvfx.errors import DomainError, ParameterError, ShapeError
 
 import oracles
@@ -132,6 +133,77 @@ def test_decompose_sigma_order_enforced():
         sp.decompose(x, 1.0, 1.0)
     with pytest.raises(ParameterError):
         sp.decompose(x, 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# gaussian blur: the separable blur of `decompose`
+
+
+def _blur(x, sigma):
+    return sp.blur_apply(x, sp.blur_matrices(x.shape[-2], x.shape[-1], sigma))
+
+
+def test_blur_requires_rank4():
+    with pytest.raises(ShapeError):
+        sp.decompose(np.zeros((4, 4)))
+
+
+def test_blur_linearity():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, 2, 6, 6))
+    y = rng.normal(size=(1, 2, 6, 6))
+    a, b = 1.7, -0.4
+    lhs = _blur(a * x + b * y, 0.9375)
+    rhs = a * _blur(x, 0.9375) + b * _blur(y, 0.9375)
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-6)
+
+
+def test_blur_matrix_cache_is_read_only():
+    m = sp.blur_matrix(8, 0.5)
+    with pytest.raises(ValueError):
+        m[:] = 0
+    np.testing.assert_allclose(sp.blur_matrix(8, 0.5).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # the transposed copy the blur multiplies by is cached once and read-only
+    mt = sp.blur_matrix_t(8, 0.5)
+    assert sp.blur_matrix_t(8, 0.5) is mt
+    assert mt.flags.c_contiguous and not mt.flags.writeable
+    with pytest.raises(ValueError):
+        mt[:] = 0
+
+
+def test_blur_matrix_matches_the_tap_loop_bytes():
+    """`blur_matrix` adds each clamped tap onto its column in the loop's (row,
+    tap) order, so it has the loop's bytes."""
+    for sigma in (0.1, 0.3, 0.46875, 0.5, 0.9375, 1.2, 1.5, 2.0, 3.7, 10.0):
+        for n in range(1, 71):
+            assert sp.blur_matrix(n, sigma).tobytes() == \
+                oracles.blur_matrix_loop(n, sigma).tobytes(), (n, sigma)
+
+
+def test_synthgen_and_spectral_read_the_same_clamp_taps():
+    """`synthgen`'s blur and a `blur_matrix` build read the one cached table:
+    each of the blur's two passes and the build hit the entry already made."""
+    assert sg.clamp_taps is sp.clamp_taps
+    idx, taps = sp.clamp_taps(13, 1.5)
+    assert not idx.flags.writeable and not taps.flags.writeable
+    before = sp.clamp_taps.cache_info()
+    sg._blur2d(np.ones((2, 13, 13)), 1.5)
+    sp.blur_matrix.__wrapped__(13, 1.5)  # the build, past its own cache
+    after = sp.clamp_taps.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    assert sp.clamp_taps(13, 1.5) == (idx, taps)
+
+
+def test_grad_blur():
+    """The blur's gradient is its adjoint: <blur_apply(x), g> == <x, blur_adjoint(g)>
+    in float64."""
+    rng = np.random.default_rng(26)
+    for shape, sigma in (((1, 2, 4, 5), 0.8), ((3, 1, 6, 3), 0.46875)):
+        mats = sp.blur_matrices(shape[2], shape[3], sigma)
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        lhs = np.sum(sp.blur_apply(x, mats) * g)
+        rhs = np.sum(x * sp.blur_adjoint(g, mats))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,12 @@ REFERENCE_SHAPES = [(2, 8, 4, 8, 8), (1, 3, 1, 5, 9), (2, 2, 3, 9, 6), (1, 1, 2,
                     (1, 2, 3, 16, 13)]
 
 
-@pytest.mark.parametrize("name", ["gen_lowfreq_field", "gen_highfreq_particles",
-                                  "gen_bandpass_texture"])
-def test_generators_match_loop_references_bytes(name):
+@pytest.mark.parametrize("loop", [oracles.gen_lowfreq_field, oracles.gen_highfreq_particles,
+                                  oracles.gen_bandpass_texture], ids=lambda f: f.__name__)
+def test_generators_match_loop_references_bytes(loop):
     for seed in (0, 1, 7):
         for shape in REFERENCE_SHAPES:
-            ours, ref = getattr(sg, name)(seed, shape), getattr(oracles, name)(seed, shape)
+            ours, ref = getattr(sg, loop.__name__)(seed, shape), loop(seed, shape)
             assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape), (seed, shape)
             assert ours.tobytes() == ref.tobytes(), (seed, shape)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import freqvfx.spectral as sp
-import freqvfx.synthgen as sg
 import freqvfx.tensor as fx
 from freqvfx.errors import ParameterError, ShapeError, TapeConsistencyError
 
@@ -118,11 +117,6 @@ def test_kernel_rejects_bad_sigma():
         sp.decompose(np.zeros((1, 1, 4, 4)), -0.5, 1.0)
 
 
-def test_blur_requires_rank4():
-    with pytest.raises(ShapeError):
-        sp.decompose(np.zeros((4, 4)))
-
-
 @pytest.mark.parametrize("sigma", [0.46875, 0.9375, 1.7])
 def test_blur_preserves_constants(sigma):
     x = np.full((2, 3, 6, 5), 2.75, dtype=np.float64)
@@ -142,52 +136,6 @@ def test_blur_matches_scalar_convolution(sigma, hw):
         for c in range(2):
             want = oracles.conv2d_replicate_scalar(x[b, c], k2)
             np.testing.assert_allclose(out[b, c], want, rtol=0, atol=1e-12)
-
-
-def test_blur_linearity():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 2, 6, 6))
-    y = rng.normal(size=(1, 2, 6, 6))
-    a, b = 1.7, -0.4
-    lhs = _blur(a * x + b * y, 0.9375)
-    rhs = a * _blur(x, 0.9375) + b * _blur(y, 0.9375)
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-6)
-
-
-def test_blur_matrix_cache_is_read_only():
-    m = sp.blur_matrix(8, 0.5)
-    with pytest.raises(ValueError):
-        m[:] = 0
-    np.testing.assert_allclose(sp.blur_matrix(8, 0.5).sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    # the transposed copy the blur multiplies by is cached once and read-only
-    mt = sp.blur_matrix_t(8, 0.5)
-    assert sp.blur_matrix_t(8, 0.5) is mt
-    assert mt.flags.c_contiguous and not mt.flags.writeable
-    with pytest.raises(ValueError):
-        mt[:] = 0
-
-
-def test_blur_matrix_matches_the_tap_loop_bytes():
-    """`blur_matrix` adds each clamped tap onto its column in the loop's (row,
-    tap) order, so it has the loop's bytes."""
-    for sigma in (0.1, 0.3, 0.46875, 0.5, 0.9375, 1.2, 1.5, 2.0, 3.7, 10.0):
-        for n in range(1, 71):
-            assert sp.blur_matrix(n, sigma).tobytes() == \
-                oracles.blur_matrix_loop(n, sigma).tobytes(), (n, sigma)
-
-
-def test_synthgen_and_spectral_read_the_same_clamp_taps():
-    """`synthgen`'s blur and a `blur_matrix` build read the one cached table:
-    each of the blur's two passes and the build hit the entry already made."""
-    assert sg.clamp_taps is sp.clamp_taps
-    idx, taps = sp.clamp_taps(13, 1.5)
-    assert not idx.flags.writeable and not taps.flags.writeable
-    before = sp.clamp_taps.cache_info()
-    sg._blur2d(np.ones((2, 13, 13)), 1.5)
-    sp.blur_matrix.__wrapped__(13, 1.5)  # the build, past its own cache
-    after = sp.clamp_taps.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
-    assert sp.clamp_taps(13, 1.5) == (idx, taps)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +172,6 @@ def test_grad_matmul_variants():
     grad_check(oracles.matmul, [(2, 3, 4), (2, 4, 5)], seed=14)
     grad_check(oracles.linear, [(3, 4), (5, 4)], seed=27)
     grad_check(oracles.linear, [(2, 3, 4), (5, 4)], seed=28)
-
-
-def test_grad_lora_linear():
-    """Every input, the routing weights pi included; the frozen weight w and the
-    (M, R) owner are constants (two experts over rank 3, ranks 2 and 1)."""
-    w = fx.frozen(np.random.default_rng(30).normal(size=(5, 4)))
-    owner = fx.frozen(np.repeat(np.eye(2), (2, 1), axis=1))
-
-    def op(h, a, b, pi):
-        return oracles.lora_linear(h, w, a, b, pi, owner)
-
-    grad_check(op, [(2, 3, 4), (3, 4), (5, 3), (2, 2)], seed=31)
-    grad_check(op, [(2, 4), (3, 4), (5, 3), (2, 2)], seed=32)
-
-
-@pytest.mark.parametrize("bias", [None, 2.0 * np.eye(5)])
-def test_grad_attention(bias):
-    grad_check(lambda q, k, v: oracles.attention(q, k, v, 0.5, bias),
-               [(2, 5, 4), (2, 5, 4), (2, 5, 6)], seed=33, rtol=1e-5)
-    grad_check(lambda q, k, v: oracles.attention(q, k, v, 0.5),
-               [(2, 3, 4), (2, 1, 4), (2, 1, 6)], seed=34, rtol=1e-5)
 
 
 @pytest.mark.parametrize("h_shape", [(3, 4), (2, 3, 4)])
@@ -319,18 +246,6 @@ def test_grad_reductions():
     grad_check(lambda a: oracles.reduce_sum(a, axes=(0, 2), keepdims=True), [(3, 4, 2)], seed=22)
     grad_check(lambda a: oracles.reduce_mean(a, axes=(1, 2)), [(2, 3, 4)], seed=23)
     grad_check(lambda a: oracles.reduce_mean(a), [(4, 4)], seed=24)
-
-
-def test_grad_blur():
-    """The blur's gradient is its adjoint: <blur_apply(x), g> == <x, blur_adjoint(g)>
-    in float64."""
-    rng = np.random.default_rng(26)
-    for shape, sigma in (((1, 2, 4, 5), 0.8), ((3, 1, 6, 3), 0.46875)):
-        mats = sp.blur_matrices(shape[2], shape[3], sigma)
-        x, g = rng.normal(size=shape), rng.normal(size=shape)
-        lhs = np.sum(sp.blur_apply(x, mats) * g)
-        rhs = np.sum(x * sp.blur_adjoint(g, mats))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 2, 4, 5), (2, 2, 1, 5, 4)])
@@ -409,7 +324,7 @@ def test_forward_determinism_same_bytes():
         a = fx.tensor(rng.normal(size=(8, 8)).astype(np.float32))
         b = fx.tensor(rng.normal(size=(8, 8)).astype(np.float32))
         h = oracles.linear(a, b.data)
-        out = oracles.attention(h, h, h, 0.8)
+        out = oracles.attention_chain(h, h, h, 0.8)
         return oracles.reduce_sum(out).data.tobytes()
 
     assert run() == run()
