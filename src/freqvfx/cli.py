@@ -167,6 +167,15 @@ def _restore_model(checkpoint_path: str):
     return params, stack, schedule, entries, manifest, model, inputs
 
 
+def _check_model_section(doc: dict, manifest: RunManifest) -> None:
+    """A `model` section in this run's config `doc` must be well formed (else a
+    usage error) and agree with the model that the restored checkpoint's
+    `manifest` records."""
+    if "model" in doc:
+        _section(doc, "model", ModelConfig)
+        check_config_compatible(manifest.config["model"], doc["model"], stage=manifest.stage)
+
+
 def _stored_text_tokens(entries: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     prefix = "cond.text."
     return {name[len(prefix):]: arr for name, arr in entries.items()
@@ -280,6 +289,7 @@ def cmd_adapt(args) -> int:
 
     params, stack, schedule, entries, ckpt_manifest, model, inputs = \
         _restore_model(args.checkpoint)
+    _check_model_section(doc, ckpt_manifest)
     ref = _input_videos(args.input, inputs).astype(np.float32)
     text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, ref, text)
@@ -312,11 +322,7 @@ def cmd_generate(args) -> int:
 
     params, stack, schedule, entries, ckpt_manifest, model, inputs = \
         _restore_model(args.checkpoint)
-    if "model" in doc:
-        _section(doc, "model", ModelConfig)  # a malformed section is a usage error
-        check_config_compatible(ckpt_manifest.config["model"], doc["model"],
-                                stage=ckpt_manifest.stage)
-
+    _check_model_section(doc, ckpt_manifest)
     z0 = _input_videos(args.input, inputs).astype(np.float32)
     text = _pick_text(entries, args.class_name)
     cond = build_conditioning(params, z0, text)

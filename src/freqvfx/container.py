@@ -28,7 +28,7 @@ import hashlib
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -190,15 +190,7 @@ class RunManifest:
     code_version: str = __version__
 
     def to_json(self) -> str:
-        doc = {
-            "stage": self.stage,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": self.inputs,
-            "extra": self.extra,
-            "code_version": self.code_version,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
@@ -214,13 +206,11 @@ def read_manifest(path) -> RunManifest:
     if not isinstance(doc, dict):
         raise ContainerError(f"manifest {path} must hold a JSON object, got "
                              f"{type(doc).__name__}")
-    required = {"stage", "config", "seeds", "inputs", "extra", "code_version"}
-    missing = required - doc.keys()
+    names = [f.name for f in fields(RunManifest)]
+    missing = set(names) - doc.keys()
     if missing:
         raise ContainerError(f"manifest {path} missing fields: {sorted(missing)}")
-    return RunManifest(stage=doc["stage"], config=doc["config"], seeds=doc["seeds"],
-                       inputs=doc["inputs"], extra=doc["extra"],
-                       code_version=doc["code_version"])
+    return RunManifest(**{name: doc[name] for name in names})
 
 
 def manifest_path_for(artifact_path) -> str:

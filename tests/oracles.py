@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
-mpmath extended precision, central finite differences) and shares no code
+mpmath extended precision, central finite differences, which
+`check_gradients` holds a tape's gradients to) and shares no code
 with the package under test. The exceptions are the unfused op chains: a
 package node must reproduce its chain byte for byte, so the chain is built on
 the package's tape (`fx.record`) from the generic broadcasting ops that the
@@ -200,6 +201,23 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         err = abs(a[j] - n[j])
         bound = atol + rtol * max(abs(a[j]), abs(n[j]))
         assert err <= bound, f"grad mismatch at flat index {j}: {a[j]} vs {n[j]} (err {err})"
+
+
+def check_gradients(loss, value, arrays: list, coords=None, rtol: float = 1e-5,
+                    atol: float = 1e-9, step: float = 1e-5) -> None:
+    """`backward` of loss(*leaves), on one tape of fresh leaves holding copies of
+    `arrays`, agrees with central differences of value(*arrays) for each leaf at
+    its `coords` (one entry per array; None checks every coordinate), and the
+    differences there are not all zero."""
+    leaves = [fx.tensor(a.copy()) for a in arrays]
+    with fx.Tape(leaves) as tape:
+        total = loss(*leaves)
+    grads = fx.backward(tape, total)
+    for i, leaf in enumerate(leaves):
+        at = None if coords is None else coords[i]
+        num = fd_grad(value, arrays, i, step=step, coords=at)
+        assert np.any(num != 0.0), f"leaf {i}: every central difference is 0"
+        assert_grads_close(grads[leaf].data, num, rtol=rtol, atol=atol, coords=at)
 
 
 # ---------------------------------------------------------------------------

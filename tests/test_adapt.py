@@ -89,15 +89,10 @@ class TestFreqConstraintLoss:
         zg_arr = rng.standard_normal((1, 2, 1, 5, 5))
         zr_arr = rng.standard_normal((1, 2, 1, 5, 5))
 
-        def value(zg, zr):
-            return float(freq_constraint_loss(fx.Tensor(zg), fx.Tensor(zr)).data)
-
-        zg = fx.tensor(zg_arr.copy())
-        with fx.Tape([zg]) as tape:
-            loss = freq_constraint_loss(zg, fx.Tensor(zr_arr))
-        grads = fx.backward(tape, loss)
-        num = oracles.fd_grad(value, [zg_arr, zr_arr], wrt=0, step=1e-6)
-        oracles.assert_grads_close(grads[zg].data, num, rtol=1e-5, atol=1e-8)
+        oracles.check_gradients(
+            lambda zg: freq_constraint_loss(zg, fx.Tensor(zr_arr)),
+            lambda zg: float(freq_constraint_loss(fx.Tensor(zg), fx.Tensor(zr_arr)).data),
+            [zg_arr], atol=1e-8, step=1e-6)
 
 
 class TestLatentConstruction:

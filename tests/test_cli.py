@@ -263,6 +263,26 @@ class TestPipeline:
                  "--config", str(clash_path), "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    @pytest.mark.parametrize("width, code", [(32, 1), ("wide", 2)],
+                             ids=["conflicting", "malformed"])
+    def test_adapt_checks_the_config_model_section(self, tmp_path, cfg_path, capsys, width,
+                                                   code):
+        """`adapt` holds its config's model section to the checkpoint's recorded
+        model as `generate` does: a conflicting one exits 1 and a malformed one 2,
+        each naming the field and writing nothing."""
+        dataset = self._gen(tmp_path, cfg_path)
+        ckpt = self._train(tmp_path, cfg_path, dataset)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(CFG, model=dict(CFG["model"], width=width))))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run("adapt", "--checkpoint", ckpt, "--input", dataset, "--config", str(bad),
+                 "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "width" in err and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_fails_cleanly(self, tmp_path, cfg_path):
         dataset = self._gen(tmp_path, cfg_path)
         ckpt = self._train(tmp_path, cfg_path, dataset)

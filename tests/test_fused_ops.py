@@ -46,6 +46,12 @@ full descriptor chain of each latent) at B=1 and B=4, and `adapt`'s
 reshape, broadcast_to, concat chain through a guided step in
 `tests/test_denoiser.py`, and here its value and vjp at B=1 and B=4. The
 float64 gradients of all five agree with central differences.
+
+Every byte comparison against a chain runs through one harness,
+`_matches_chain`: equal output and live-gradient bytes, the exact op list,
+and the node's keyed inputs and its vjp's gradients for exactly the live
+slots. Every central-difference check except `attn_block`'s, which perturbs
+the stack's own leaves, runs through `oracles.check_gradients`.
 """
 
 import functools
@@ -73,38 +79,59 @@ def _subsets(names):
     return [s for n in range(len(names) + 1) for s in itertools.combinations(names, n)]
 
 
-def _run(op, arrays, live, residual):
-    """Forward bytes, gradient bytes of the live leaves, and the recorded nodes."""
-    leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
-    inputs = [leaves[name] for name in arrays]
+def _taped(op, leaves, live, loss):
+    """op(*leaves.values()), then loss(out), on a tape of the `live` leaves (names
+    of `leaves`): the output, the live leaves' gradient bytes and the recorded
+    nodes; a tape that records nothing gives no gradients."""
     with fx.Tape([leaves[name] for name in live]) as tape:
-        out = op(*inputs)
-        weight = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(out.dtype))
-        loss = oracles.reduce_sum(oracles.mul(oracles.add(leaves[residual], out), weight))
-    if not live:
-        return out.data.tobytes(), {}, tape.nodes
-    grads = fx.backward(tape, loss)
-    return (out.data.tobytes(), {name: grads[leaves[name]].data.tobytes() for name in live},
-            tape.nodes)
+        out = op(*leaves.values())
+        total = loss(out)
+    if not tape.nodes:
+        return out, {}, []
+    grads = fx.backward(tape, total)
+    return out, {name: grads[leaves[name]].data.tobytes() for name in live}, tape.nodes
+
+
+def _matches_chain(fused, chain, leaves, live, loss, ops, node_inputs, at=0):
+    """fused gives chain's output and live-gradient bytes; its tape records `ops`
+    (nothing when the chain's records nothing), and its node at `at` made the
+    output and lists a key, and its vjp a gradient, for exactly the live names of
+    `node_inputs`. Returns fused's nodes."""
+    out, grads, nodes = _taped(fused, leaves, live, loss)
+    ref_out, ref_grads, ref_nodes = _taped(chain, leaves, live, loss)
+    assert out.data.tobytes() == ref_out.data.tobytes(), live
+    assert grads == ref_grads, live
+    assert [n.op for n in nodes] == (ops if ref_nodes else []), live
+    if nodes:
+        node = nodes[at]
+        mask = tuple(name in live for name in node_inputs)
+        assert node.out == out.key, live
+        assert tuple(k is not None for k in node.inputs) == mask, live
+        assert tuple(g is not None for g in node.vjp(np.ones(out.shape, out.dtype))) == mask, live
+    return nodes
+
+
+def _residual_loss(residual):
+    """sum((residual + out) * w), w drawn from default_rng(99) after the op: the
+    residual's gradient from the op is added into one it already holds."""
+    def loss(out):
+        w = fx.tensor(np.random.default_rng(99).normal(size=out.shape).astype(out.dtype))
+        return oracles.reduce_sum(oracles.mul(oracles.add(residual, out), w))
+    return loss
 
 
 def _check_fused(fused, chain, arrays, live, residual, op_name, node_inputs):
-    out, grads, nodes = _run(fused, arrays, live, residual)
-    ref_out, ref_grads, _ = _run(chain, arrays, live, residual)
-    assert out == ref_out
-    assert grads == ref_grads
-    if not live:
-        assert not nodes
-        return
-    assert [n.op for n in nodes] == [op_name, "add", "mul", "sum"]
-    node, residual_add = nodes[:2]
-    keyed = tuple(k is not None for k in node.inputs)
-    assert keyed == tuple(name in live for name in node_inputs)
-    # the add reads the residual and the op's output, by key
-    assert residual_add.inputs[1] == node.out
-    g = np.ones(residual_add.shapes[1], dtype=np.float32)
-    for name, grad in zip(node_inputs, node.vjp(g)):
-        assert (grad is None) == (name not in live), name
+    leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
+    _matches_chain(fused, chain, leaves, live, _residual_loss(leaves[residual]),
+                   [op_name, "add", "mul", "sum"], node_inputs)
+
+
+def _check_linear_gradients(op, arrays, w, coords):
+    """The gradients of sum(op(*arrays) * w) agree with central differences at
+    `coords`: criterion 3's tolerance, relative 1e-5 above an absolute floor of
+    1e-9."""
+    oracles.check_gradients(lambda *xs: oracles.reduce_sum(oracles.mul(op(*xs), fx.tensor(w))),
+                            lambda *xs: np.sum(op(*map(fx.Tensor, xs)).data * w), arrays, coords)
 
 
 def _lora_arrays(b, n):
@@ -180,22 +207,20 @@ def _video(b, t, dtype, motion):
     return z.astype(dtype)
 
 
-def _run_descriptor(op, z, live, reads_z):
-    """Forward bytes, the gradient bytes of z when it is live, and the recorded
-    nodes, for a loss that reads the descriptor and, when `reads_z`, then z
-    itself."""
-    leaf = fx.tensor(z)
+def _descriptor_loss(leaf, reads_z):
+    """sum(d * w) of a descriptor d and, when `reads_z`, then the float64 sum(z *
+    wz) of the video leaf itself, w then wz drawn from default_rng(99)."""
     rng = np.random.default_rng(99)
-    w = fx.tensor(rng.normal(size=(z.shape[0], 6)))
-    wz = fx.tensor(rng.normal(size=z.shape).astype(z.dtype))
-    with fx.Tape([leaf] if live else []) as tape:
-        d = op(leaf)
-        loss = oracles.reduce_sum(oracles.mul(d, w))
+    w = fx.tensor(rng.normal(size=(leaf.shape[0], 6)))
+    wz = fx.tensor(rng.normal(size=leaf.shape).astype(leaf.dtype))
+
+    def loss(d):
+        total = oracles.reduce_sum(oracles.mul(d, w))
         if reads_z:
-            loss = oracles.add(loss, oracles.cast(oracles.reduce_sum(oracles.mul(leaf, wz)),
-                                                  np.float64))
-    grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
-    return d.data.tobytes(), grad, tape.nodes
+            total = oracles.add(total, oracles.cast(oracles.reduce_sum(oracles.mul(leaf, wz)),
+                                                    np.float64))
+        return total
+    return loss
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -209,20 +234,12 @@ def test_joint_descriptor_matches_chain_bytes(dtype, b, t, motion):
     the descriptor only; the float64 finite-difference test below reads both."""
     z = _video(b, t, dtype, motion)
     reads_z = dtype == np.float32
-    for live in (False, True):
-        out, grad, nodes = _run_descriptor(sp.joint_descriptor, z, live, reads_z)
-        ref_out, ref_grad, _ = _run_descriptor(oracles.joint_descriptor_chain, z, live, reads_z)
-        assert out == ref_out
-        assert grad == ref_grad
-        if not live:
-            assert not nodes
-            continue
-        ops = [n.op for n in nodes]
-        assert ops[0] == "descriptor" and ops.count("descriptor") == 1
-        assert "cast" not in ops[:2]
-        node = nodes[0]
-        assert isinstance(node.inputs[0], int) and len(node.inputs) == 1
-        assert node.shapes == (z.shape,)
+    leaves = {"z": fx.tensor(z)}
+    ops = ["descriptor", "mul", "sum"] + (["mul", "sum", "cast", "add"] if reads_z else [])
+    for live in _subsets(("z",)):
+        nodes = _matches_chain(sp.joint_descriptor, oracles.joint_descriptor_chain, leaves, live,
+                               _descriptor_loss(leaves["z"], reads_z), ops, ("z",))
+        assert not nodes or nodes[0].shapes == (z.shape,)
 
 
 @pytest.mark.parametrize("reads_z", [False, True])
@@ -237,12 +254,9 @@ def test_joint_descriptor_gradients_match_finite_differences(reads_z):
     def value(v):
         return np.sum(sp.joint_descriptor(v).data * w) + (np.sum(v * wz) if reads_z else 0.0)
 
-    _, grad, _ = _run_descriptor(sp.joint_descriptor, z, True, reads_z)
     coords = np.random.default_rng(98).choice(z.size, size=24, replace=False)
-    num = oracles.fd_grad(value, [z.copy()], 0, coords=coords)
-    assert np.any(num.ravel()[coords] != 0.0)
-    oracles.assert_grads_close(np.frombuffer(grad).reshape(z.shape), num, rtol=1e-5, atol=1e-9,
-                               coords=coords)
+    oracles.check_gradients(lambda v: _descriptor_loss(v, reads_z)(sp.joint_descriptor(v)),
+                            value, [z], [coords])
 
 
 def test_joint_descriptor_errors():
@@ -269,20 +283,16 @@ def _router(dtype, b):
 @pytest.mark.parametrize("top_k", [3, 4])
 def test_router_matches_chain_bytes(dtype, b, top_k):
     router, e = _router(dtype, b)
-    leaves = list(router.parameters().values())
+    leaves = router.parameters()
     weight = fx.tensor(np.random.default_rng(99).normal(size=(b, 4)).astype(dtype))
-    for live in _subsets(range(4)):
-        runs = []
-        for op in (moe.route, oracles.route_chain):
-            with fx.Tape([leaves[i] for i in live]) as tape:
-                pi = op(e, router, top_k)
-                loss = oracles.reduce_sum(oracles.mul(oracles.square(pi), weight))
-            grads = fx.backward(tape, loss) if live else {}
-            runs.append(([n.op for n in tape.nodes], pi.data.tobytes(),
-                         [grads[leaves[i]].data.tobytes() for i in live]))
-        (ops, out, grads), (_, ref_out, ref_grads) = runs
-        assert (out, grads) == (ref_out, ref_grads)
-        assert ops == (["router", "square", "mul", "sum"] if live else [])
+
+    def loss(pi):
+        return oracles.reduce_sum(oracles.mul(oracles.square(pi), weight))
+
+    for live in _subsets(tuple(leaves)):
+        _matches_chain(lambda *_: moe.route(e, router, top_k),
+                       lambda *_: oracles.route_chain(e, router, top_k), leaves, live, loss,
+                       ["router", "square", "mul", "sum"], tuple(leaves))
 
 
 @functools.lru_cache(maxsize=2)
@@ -310,18 +320,15 @@ def _token_op(kind, dtype, b, t_kind="shared"):
             lambda v: oracles.patch_embed_chain(v, t, params), z)
 
 
-def _run_token_op(op, x, live):
-    """Forward bytes, the input's gradient bytes when it is live, and the
-    recorded nodes, for a loss that reads the output and then the input itself."""
-    leaf = fx.tensor(x)
-    rng = np.random.default_rng(99)
-    with fx.Tape([leaf] if live else []) as tape:
-        out = op(leaf)
-        w, wx = (fx.tensor(rng.normal(size=s).astype(x.dtype)) for s in (out.shape, x.shape))
-        loss = oracles.add(oracles.reduce_sum(oracles.mul(out, w)),
+def _token_loss(leaf):
+    """sum(out * w) + sum(x * wx) of the node's output and its input leaf, w then
+    wx drawn from default_rng(99) after the op."""
+    def loss(out):
+        rng = np.random.default_rng(99)
+        w, wx = (fx.tensor(rng.normal(size=s).astype(leaf.dtype)) for s in (out.shape, leaf.shape))
+        return oracles.add(oracles.reduce_sum(oracles.mul(out, w)),
                            oracles.reduce_sum(oracles.mul(leaf, wx)))
-    grad = fx.backward(tape, loss)[leaf].data.tobytes() if live else None
-    return out.data.tobytes(), grad, tape.nodes
+    return loss
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -330,17 +337,13 @@ def _run_token_op(op, x, live):
                                           ("patch_embed", "per-sample"), ("unembed", None)])
 def test_token_plumbing_matches_chain_bytes(kind, t_kind, b, dtype):
     fused, chain, x = _token_op(kind, dtype, b, t_kind or "shared")
-    for live in (False, True):
-        out, grad, nodes = _run_token_op(fused, x, live)
-        ref_out, ref_grad, _ = _run_token_op(chain, x, live)
-        assert out == ref_out
-        assert grad == ref_grad
-        if not live:
-            assert not nodes
-            continue
-        assert [n.op for n in nodes] == [kind, "mul", "sum", "mul", "sum", "add"]
+    leaves = {"x": fx.tensor(x)}
+    for live in _subsets(("x",)):
+        nodes = _matches_chain(fused, chain, leaves, live, _token_loss(leaves["x"]),
+                               [kind, "mul", "sum", "mul", "sum", "add"], ("x",))
         # the node lists the input once, by the key the residual's mul reads
-        assert nodes[0].inputs == (nodes[3].inputs[0],) and nodes[0].shapes == (x.shape,)
+        assert not nodes or (nodes[0].inputs == (nodes[3].inputs[0],)
+                             and nodes[0].shapes == (x.shape,))
 
 
 @pytest.mark.parametrize("kind, t_kind", [("patch_embed", "shared"),
@@ -349,15 +352,8 @@ def test_token_plumbing_gradients_match_finite_differences(kind, t_kind):
     """Criterion 3's tolerance: relative 1e-5 above an absolute floor of 1e-9."""
     fused, _, x = _token_op(kind, np.float64, 2, t_kind or "shared")
     w = np.random.default_rng(98).normal(size=fused(fx.tensor(x)).shape)
-    leaf = fx.tensor(x.copy())
-    with fx.Tape([leaf]) as tape:
-        loss = oracles.reduce_sum(oracles.mul(fused(leaf), fx.tensor(w)))
-    got = fx.backward(tape, loss)[leaf].data
     coords = np.random.default_rng(97).choice(x.size, size=24, replace=False)
-    num = oracles.fd_grad(lambda v: np.sum(fused(fx.tensor(v)).data * w), [x], 0,
-                          coords=coords)
-    assert np.any(num.ravel()[coords] != 0.0)
-    oracles.assert_grads_close(got, num, rtol=1e-5, atol=1e-9, coords=coords)
+    _check_linear_gradients(fused, [x], w, [coords])
 
 
 SCHEDULE = NoiseSchedule.cosine(1000)
@@ -401,21 +397,9 @@ def test_ddim_update_gradients_match_finite_differences():
     arrays = list(_ddim_arrays(np.float64, 2, True).values())
     t, t_next = DDIM_STEPS[1]
     w = np.random.default_rng(96).normal(size=arrays[0].shape)
-
-    def value(*xs):
-        out = sampling.ddim_update(*(fx.Tensor(x) for x in xs), 3.0, SCHEDULE, t, t_next)
-        return np.sum(out.data * w)
-
-    leaves = [fx.tensor(x.copy()) for x in arrays]
-    with fx.Tape(leaves) as tape:
-        loss = oracles.reduce_sum(oracles.mul(
-            sampling.ddim_update(*leaves, 3.0, SCHEDULE, t, t_next), fx.tensor(w)))
-    grads = fx.backward(tape, loss)
     coords = np.random.default_rng(95).choice(arrays[0].size, size=12, replace=False)
-    for i, leaf in enumerate(leaves):
-        num = oracles.fd_grad(value, arrays, i, coords=coords)
-        assert np.any(num.ravel()[coords] != 0.0)
-        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)
+    _check_linear_gradients(lambda *xs: sampling.ddim_update(*xs, 3.0, SCHEDULE, t, t_next),
+                            arrays, w, [coords] * 3)
 
 
 def test_ddim_update_errors():
@@ -495,23 +479,6 @@ def _block_context(form, params, leaves, b):
     return leaves["x" if form == "self" else "kv"]
 
 
-def _run_block(op, form, dtype, b, live):
-    """Forward bytes, the live leaves' gradient bytes and the recorded nodes of
-    op's block under a loss that adds x to the block's output."""
-    params, stack, layer, bias, arrays = _block_inputs(form, dtype, b)
-    leaves = _block_leaves(form, arrays, stack, layer)
-    kv = _block_context(form, params, leaves, b)
-    weight = fx.tensor(np.random.default_rng(99).normal(size=(b, N_TOKENS, WIDTH)).astype(dtype))
-    with fx.Tape([leaves[name] for name in live]) as tape:
-        out = op(leaves["x"], kv, params, stack, leaves["pi"], layer, bias)
-        loss = oracles.reduce_sum(oracles.mul(oracles.add(leaves["x"], out), weight))
-    if not tape.nodes:
-        return out.data.tobytes(), {}, []
-    grads = fx.backward(tape, loss)
-    return (out.data.tobytes(), {name: grads[leaves[name]].data.tobytes() for name in live},
-            tape.nodes)
-
-
 def _block_subsets(form):
     """The live subsets to check: every subset of x, the context, pi and the
     layer's a and b leaves taken together, and each a or b leaf alone."""
@@ -533,21 +500,17 @@ def test_attn_block_matches_chain_bytes(form, b, dtype):
     slots. The train tape has x dead in the trunk and live after it, with pi
     and every a and b live; adapt and guided tapes have x, the context or both
     live and the stack constant."""
-    slots = _block_slots(form)
+    params, stack, layer, bias, arrays = _block_inputs(form, dtype, b)
+    leaves = _block_leaves(form, arrays, stack, layer)
+    kv = _block_context(form, params, leaves, b)
+
+    def block(op):
+        return lambda *_: op(leaves["x"], kv, params, stack, leaves["pi"], layer, bias)
+
     for live in _block_subsets(form):
-        out, grads, nodes = _run_block(denoiser._attention, form, dtype, b, live)
-        ref_out, ref_grads, ref_nodes = _run_block(oracles.attn_block_chain, form, dtype, b, live)
-        assert out == ref_out, live
-        assert grads == ref_grads, live
-        if not ref_nodes:
-            assert not nodes
-            continue
-        assert [n.op for n in nodes] == ["attn_block", "add", "mul", "sum"]
-        node = nodes[0]
-        live_slots = tuple(name in live for name in slots)
-        assert tuple(k is not None for k in node.inputs) == live_slots, live
-        g = np.ones(node.shapes[0], dtype=dtype)
-        assert tuple(x is not None for x in node.vjp(g)) == live_slots, live
+        _matches_chain(block(denoiser._attention), block(oracles.attn_block_chain), leaves, live,
+                       _residual_loss(leaves["x"]), ["attn_block", "add", "mul", "sum"],
+                       _block_slots(form))
 
 
 @pytest.mark.parametrize("form", list(BLOCK_FORMS))
@@ -688,27 +651,12 @@ def test_freq_constraint_loss_matches_chain_bytes(dtype, b):
     sum, mean tail. The loss reads the node's output alone, so each descriptor
     is its latent's only consumer."""
     arrays = _tail_arrays(dtype, b, ("z_gen", "z_ref"), 53)
-    for live in _subsets(("z_gen", "z_ref")):
-        runs = []
-        for op in (adapt.freq_constraint_loss, oracles.freq_loss_chain):
-            leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
-            with fx.Tape([leaves[name] for name in live]) as tape:
-                out = op(leaves["z_gen"], leaves["z_ref"])
-                loss = oracles.mul(out, 0.75)
-            grads = fx.backward(tape, loss) if live else {}
-            runs.append((out.data.tobytes(),
-                         {name: grads[leaves[name]].data.tobytes() for name in live}, tape.nodes))
-        (out, grads, nodes), (ref_out, ref_grads, _) = runs
-        assert out == ref_out
-        assert grads == ref_grads
-        if not live:
-            assert not nodes
-            continue
-        assert [n.op for n in nodes] == ["descriptor"] * len(live) + ["freq_loss", "mul"]
-        node = nodes[len(live)]
-        mask = tuple(name in live for name in ("z_gen", "z_ref"))
-        assert tuple(k is not None for k in node.inputs) == mask
-        assert tuple(g is not None for g in node.vjp(np.ones(()))) == mask
+    leaves = {name: fx.tensor(arr) for name, arr in arrays.items()}
+    for live in _subsets(tuple(leaves)):
+        _matches_chain(adapt.freq_constraint_loss, oracles.freq_loss_chain, leaves, live,
+                       lambda out: oracles.mul(out, 0.75),
+                       ["descriptor"] * len(live) + ["freq_loss", "mul"], tuple(leaves),
+                       at=len(live))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -800,16 +748,5 @@ def test_node_gradients_match_finite_differences(name):
         op, _, vfx0 = _context_op(np.float64, 2)
         arrays = [vfx0]
     w = rng.normal(size=op(*map(fx.Tensor, arrays)).shape)
-    leaves = [fx.tensor(a.copy()) for a in arrays]
-    with fx.Tape(leaves) as tape:
-        loss = oracles.reduce_sum(oracles.mul(op(*leaves), fx.tensor(w)))
-    grads = fx.backward(tape, loss)
-
-    def value(*xs):
-        return np.sum(op(*map(fx.Tensor, xs)).data * w)
-
-    for i, leaf in enumerate(leaves):
-        coords = rng.choice(leaf.size, size=min(leaf.size, 12), replace=False)
-        num = oracles.fd_grad(value, arrays, i, coords=coords)
-        assert np.any(num.ravel()[coords] != 0.0)
-        oracles.assert_grads_close(grads[leaf].data, num, rtol=1e-5, atol=1e-9, coords=coords)
+    coords = [rng.choice(a.size, size=min(a.size, 12), replace=False) for a in arrays]
+    _check_linear_gradients(op, arrays, w, coords)

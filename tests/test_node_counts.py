@@ -8,6 +8,12 @@ The same two tapes, a train step's and an adapt step's, hold every op that
 `src/freqvfx` records: an op neither records is one no production path needs.
 `selfcheck`'s private `probe` node, the scalar its gradient checks
 differentiate, is the one exception.
+
+`backward` run twice over either recorded step gives the same gradient bytes.
+No vjp writes into an array it captured, and `fx.replay` relies on that: a
+replayed node calls its original's vjp again, with the forward arrays that vjp
+captured. A vjp that wrote into one of them would change the second sweep's
+gradients; the adapt step's tape holds replayed trunks.
 """
 
 import ast
@@ -36,32 +42,44 @@ def model():
     return scenarios.step_model()
 
 
+Step = collections.namedtuple("Step", "ops sweeps copies")
+
+
+def _step(backward, tape, loss) -> Step:
+    """A recorded step: its nodes' ops in order, the gradient bytes of every wrt
+    leaf from two backward sweeps, and how many nodes are replay copies (a copy
+    shares its original's vjp)."""
+    sweeps = [[g.data.tobytes() for g in backward(tape, loss).values()] for _ in range(2)]
+    copies = len(tape.nodes) - len({id(n.vjp) for n in tape.nodes})
+    return Step([node.op for node in tape.nodes], sweeps, copies)
+
+
 @pytest.fixture(scope="module")
-def step_ops(model):
-    """The ops of the nodes of one train step and of one adapt step in the
-    acceptance-criterion-7 setting (8-step unroll, cfg 3, 4 draws), in order."""
+def steps(model):
+    """One train step and one adapt step in the acceptance-criterion-7 setting
+    (8-step unroll, cfg 3, 4 draws), each recorded once."""
     params, stack, sched, z0, text = model
     with fx.Tape(stack.parameters().values()) as tape:
-        diffusion_loss(z0, build_conditioning(params, z0, text), params, stack, sched,
-                       np.random.default_rng(0))
-    seen = []
+        loss, _ = diffusion_loss(z0, build_conditioning(params, z0, text), params, stack, sched,
+                                 np.random.default_rng(0))
+    recorded = [_step(fx.backward, tape, loss)]
     backward = fx.backward
 
-    def listing_backward(tape, loss):
-        seen.append([node.op for node in tape.nodes])
+    def recording_backward(tape, loss):
+        recorded.append(_step(backward, tape, loss))
         return backward(tape, loss)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fx, "backward", listing_backward)
+        patch.setattr(fx, "backward", recording_backward)
         adapt(z0, build_conditioning(params, z0, text),
               scenarios.adapt_config(1), params, stack, sched)
-    (adapt_ops,) = seen
-    return [node.op for node in tape.nodes], adapt_ops
+    train_step, adapt_step = recorded
+    return train_step, adapt_step
 
 
-def test_train_step_nodes(step_ops):
-    ops = collections.Counter(step_ops[0])
-    assert len(step_ops[0]) == 7
+def test_train_step_nodes(steps):
+    ops = collections.Counter(steps[0].ops)
+    assert len(steps[0].ops) == 7
     # every attention block, its four adapted projections, routing gate, core
     # and residual add included, is one attn_block node, the router one router
     # node, the output projection with unpatchify one unembed node and the loss
@@ -72,15 +90,31 @@ def test_train_step_nodes(step_ops):
             ops["patch_embed"]) == (4, 1, 1, 1, 0)
 
 
-def test_adapt_step_nodes(step_ops):
+def test_adapt_step_nodes(steps):
     # each of the 8 sampler steps records its guidance combine and DDIM update as
     # one ddim node and its conditional head's vfx context as one context node;
     # each of the 4 draws noises the sample in one noise node and reads it through
     # one descriptor and one freq_loss node, and one draw_mean node averages them
-    assert collections.Counter(step_ops[1]) == {
+    assert collections.Counter(steps[1].ops) == {
         "attn_block": 59, "unembed": 15, "patch_embed": 14, "context": 8, "ddim": 8,
         "noise": 4, "descriptor": 4, "freq_loss": 4, "draw_mean": 1}
-    assert len(step_ops[1]) == 117
+    assert len(steps[1].ops) == 117
+
+
+def test_train_step_backward_repeats(steps):
+    first, second = steps[0].sweeps
+    assert first == second
+    assert any(np.any(np.frombuffer(g, dtype=np.float32)) for g in first)
+
+
+def test_adapt_step_backward_repeats(steps):
+    (first, second), n_nodes = steps[1].sweeps, len(steps[1].ops)
+    assert n_nodes == 117 and first == second
+    assert np.any(np.frombuffer(first[0], dtype=np.float32))
+    # the trunks of the 7 sampler steps after the first are replayed, and each
+    # copy shares its original's vjp: 2 nodes a trunk (patch_embed and block 0's
+    # self-attention block)
+    assert steps[1].copies == 7 * 2
 
 
 def recorded_ops(tree: ast.Module) -> set[str]:
@@ -94,14 +128,14 @@ def recorded_ops(tree: ast.Module) -> set[str]:
             and isinstance(call.args[0], ast.Constant)}
 
 
-def test_every_op_the_package_records_is_on_a_step_tape(step_ops):
+def test_every_op_the_package_records_is_on_a_step_tape(steps):
     ops = set()
     for path in sorted(PACKAGE.glob("*.py")):
         ops |= recorded_ops(ast.parse(path.read_text(encoding="utf-8")))
     assert ops - {"probe"} == {"attn_block", "router", "unembed", "mse", "patch_embed",
                                "context", "ddim", "noise", "descriptor", "freq_loss",
                                "draw_mean"}
-    missing = ops - {"probe"} - set(step_ops[0]) - set(step_ops[1])
+    missing = ops - {"probe"} - set(steps[0].ops) - set(steps[1].ops)
     assert not missing, f"ops no train or adapt step records: {sorted(missing)}"
 
 

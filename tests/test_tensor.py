@@ -11,25 +11,11 @@ import oracles
 def grad_check(fn, shapes, seed=0, rtol=1e-6, atol=1e-8, step=1e-5, transform=None):
     """Compare backward() against central finite differences on random inputs."""
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=s) for s in shapes]
-    if transform is not None:
-        arrays = [transform(a) for a in arrays]
-    probe = fn(*[fx.tensor(a) for a in arrays])
-    w = rng.normal(size=probe.shape)
-    wt = fx.tensor(w)
-    params = [fx.tensor(a.copy()) for a in arrays]
-    with fx.Tape(params) as tape:
-        out = fn(*params)
-        loss = oracles.reduce_sum(oracles.mul(out, wt))
-    grads = fx.backward(tape, loss)
-
-    def f(*arrs):
-        o = fn(*[fx.Tensor(a) for a in arrs])
-        return float(np.sum(o.data * w))
-
-    for i, p in enumerate(params):
-        num = oracles.fd_grad(f, arrays, i, step=step)
-        oracles.assert_grads_close(grads[p].data, num, rtol=rtol, atol=atol)
+    arrays = [(transform or (lambda a: a))(rng.normal(size=s)) for s in shapes]
+    w = rng.normal(size=fn(*map(fx.tensor, arrays)).shape)
+    oracles.check_gradients(lambda *xs: oracles.reduce_sum(oracles.mul(fn(*xs), fx.tensor(w))),
+                            lambda *xs: float(np.sum(fn(*map(fx.Tensor, xs)).data * w)),
+                            arrays, rtol=rtol, atol=atol, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +80,7 @@ def test_softmax_bad_temperature():
 
 
 # ---------------------------------------------------------------------------
-# gaussian blur: the separable blur of `spectral.decompose`
-
-
-def _blur(x, sigma):
-    return sp.blur_apply(x, sp.blur_matrices(x.shape[-2], x.shape[-1], sigma))
+# the gaussian taps of `spectral.decompose`'s blur
 
 
 @pytest.mark.parametrize("sigma,taps", [(0.46875, 5), (0.9375, 7), (2.0, 13)])
@@ -115,27 +97,6 @@ def test_kernel_rejects_bad_sigma():
         sp.gaussian_kernel_1d(0.0)
     with pytest.raises(ParameterError):
         sp.decompose(np.zeros((1, 1, 4, 4)), -0.5, 1.0)
-
-
-@pytest.mark.parametrize("sigma", [0.46875, 0.9375, 1.7])
-def test_blur_preserves_constants(sigma):
-    x = np.full((2, 3, 6, 5), 2.75, dtype=np.float64)
-    np.testing.assert_allclose(_blur(x, sigma), 2.75, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("sigma", [0.46875, 0.9375, 1.3])
-@pytest.mark.parametrize("hw", [(8, 8), (5, 9), (1, 7), (3, 1)])
-def test_blur_matches_scalar_convolution(sigma, hw):
-    h, w = hw
-    rng = np.random.default_rng(h * 100 + w)
-    x = rng.normal(size=(2, 2, h, w))
-    out = _blur(x, sigma)
-    k1 = oracles.gaussian_taps_scalar(sigma)
-    k2 = np.outer(k1, k1)
-    for b in range(2):
-        for c in range(2):
-            want = oracles.conv2d_replicate_scalar(x[b, c], k2)
-            np.testing.assert_allclose(out[b, c], want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
